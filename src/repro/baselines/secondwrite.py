@@ -28,15 +28,9 @@ from ..binary.image import BinaryImage
 from ..errors import LiftError
 from ..ir.module import Function, Module
 from ..ir.values import (
-    Alloca,
     BinOp,
-    CallExt,
     Const,
-    Instr,
-    Load,
-    Param,
     Phi,
-    Store,
 )
 from ..isa.disassembler import Disassembler
 from ..isa.instructions import Imm, ImportRef, Instruction
@@ -51,14 +45,12 @@ from ..recompile.link import recompile_ir
 from ..recompile.lower import LowerOptions
 from ..core.extfuncs import EXTERNAL_DB
 from ..core.regsave import (
-    RegSaveResult,
     apply_register_classification,
     classify_statically,
 )
 from ..core.replace import drop_sp_threading
 from ..core.sp0fold import (
     classify_stack_refs,
-    compute_sp0_offsets,
     is_lifted_function,
 )
 

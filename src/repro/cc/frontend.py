@@ -32,7 +32,6 @@ from .ctypes import (
     StructType,
     UINT,
     VOID,
-    VoidType,
     decay,
     pointee_size,
 )

@@ -5,14 +5,11 @@ from __future__ import annotations
 from ..errors import CompileError
 from . import ast_nodes as ast
 from .ctypes import (
-    CHAR,
     CType,
     FuncType,
-    INT,
     ArrayType,
     IntType,
     PtrType,
-    SHORT,
     StructType,
     VOID,
 )

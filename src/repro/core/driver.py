@@ -24,12 +24,30 @@ produced — the "what you trace is what you get" guarantee for traced
 inputs.
 
 All dynamic re-execution goes through one
-:class:`~repro.replay.ReplayEngine` per pipeline run: traced inputs are
-deduplicated once, validation sweeps are skipped when a stage left the
-module's content fingerprint unchanged, and with ``jobs > 1`` the
-validation and instrumented-bounds sweeps fan out over a process pool
-(results merge deterministically, so the recompiled binary is
-byte-identical across ``jobs`` settings).
+:class:`~repro.replay.ReplayEngine` per pipeline run.  Traced inputs
+are deduplicated once, and every run the engine makes or is handed is
+checked: its stdout and exit code must reproduce the trace, else the
+pipeline raises :class:`~repro.errors.SymbolizeError` naming the
+refinement whose output ran, the diverging traced input and the reason
+(an interpreter exception included).  Each check runs the output of one
+refinement:
+
+* the variadic observation (step 3) checks ``"lifting"``;
+* the register observation (step 4) checks ``"varargs refinement"``
+  (``"lifting"`` when there was no variadic site to rewrite);
+* the instrumented bounds runs (step 6) check ``"register
+  refinement"``, which also covers canonicalization and probe
+  insertion — both precede the bounds run and preserve semantics;
+* one dedicated sweep after symbolization checks ``"stack
+  symbolization"``.
+
+That is four IR runs per distinct traced input (three without variadic
+sites).  The observation and bounds checks replay in traced order and
+name the earliest diverging input, with or without ``jobs``; the final
+sweep replays cheapest first and names the first mismatch it meets.
+With ``jobs > 1`` the bounds runs and the final sweep fan out over a
+process pool (results merge deterministically, so the recompiled binary
+is byte-identical across ``jobs`` settings).
 
 Observability: with :mod:`repro.obs` enabled every stage above runs
 inside a named span (``stage.trace`` ... ``stage.recompile``) recording
@@ -39,8 +57,7 @@ additionally carries the layout-accuracy precision/recall whenever the
 input image ships ground truth, so a single recompile run reports the
 paper's Figure-7 quality numbers without the evaluation harness.  The
 replay layer contributes ``replay.runs`` / ``replay.deduped`` /
-``replay.validations_skipped`` / ``validate.interpreter_errors``
-counters and per-sweep timers.
+``validate.interpreter_errors`` counters and per-sweep timers.
 """
 
 from __future__ import annotations
@@ -149,7 +166,6 @@ def _canonicalize(module: Module, opt_jobs: int | None = None) -> None:
 
 
 def wytiwyg_lift(traces: TraceSet,
-                 validate: bool = True,
                  hybrid: bool = False,
                  jobs: int = 1,
                  static_widen: bool | None = None,
@@ -174,7 +190,7 @@ def wytiwyg_lift(traces: TraceSet,
     inputs keep their functional guarantee; nearby untraced paths become
     best-effort instead of trapping.
 
-    ``jobs > 1`` fans the validation sweeps and the instrumented bounds
+    ``jobs > 1`` fans the validation sweep and the instrumented bounds
     runs out over a process pool; ``opt_jobs`` does the same for the
     canonicalization stage's per-function visits (default:
     ``$REPRO_OPT_JOBS``).  The symbolized module is byte-identical to a
@@ -190,14 +206,14 @@ def wytiwyg_lift(traces: TraceSet,
             "input list '' for an input-less program)")
     engine = ReplayEngine(traces, jobs=jobs, pool=replay_pool)
     try:
-        return _lift_with_engine(engine, traces, validate, hybrid,
-                                 static_widen, opt_jobs)
+        return _lift_with_engine(engine, traces, hybrid, static_widen,
+                                 opt_jobs)
     finally:
         engine.close()
 
 
 def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
-                      validate: bool, hybrid: bool,
+                      hybrid: bool,
                       static_widen: bool | None,
                       opt_jobs: int | None,
                       ) -> tuple[Module, dict[str, FrameLayout],
@@ -219,44 +235,38 @@ def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
                    transfers=len(traces.transfers),
                    coverage=len(traces.executed),
                    inputs=len(traces.inputs))
-    # The lifted module reproduces the traces by construction; its
-    # fingerprint anchors the validation-skip chain.
-    engine.mark_valid(module)
     if hybrid:
         notes.append("hybrid: static coverage extension enabled")
 
-    # Refinement: variadic external calls (§5.2).
+    # Refinement: variadic external calls (§5.2).  The observation runs
+    # check the lifted module.
     with obs.span("stage.varargs") as sp:
         before = module_stats(module) if observing else None
-        nsites = recover_vararg_calls(module,
-                                      engine.replay_inputs("varargs"))
+        nsites = recover_vararg_calls(module, engine.unique_inputs,
+                                      check=engine.checker("lifting"))
         if nsites:
             notes.append(f"varargs: recovered {nsites} call sites")
         verify_module(module)
-        validated = engine.validate(module, "varargs refinement") \
-            if validate else "off"
         if before is not None:
             sp.set(ir_before=before, ir_after=module_stats(module),
-                   verified=True, call_sites=nsites,
-                   validated=validated)
+                   verified=True, call_sites=nsites)
 
-    # Refinement: register save/argument classification (§4.1).
+    # Refinement: register save/argument classification (§4.1).  The
+    # observation runs check the varargs rewrite.
     with obs.span("stage.regsave") as sp:
         before = module_stats(module) if observing else None
         classification = classify_registers(
-            module, engine.replay_inputs("regsave"),
-            static_augment=hybrid)
+            module, engine.unique_inputs, static_augment=hybrid,
+            check=engine.checker(
+                "varargs refinement" if nsites else "lifting"))
         apply_register_classification(module, classification)
         verify_module(module)
-        validated = engine.validate(module, "register refinement") \
-            if validate else "off"
         if before is not None:
             sp.set(ir_before=before, ir_after=module_stats(module),
                    verified=True,
                    classified=len(classification.args),
                    indirect_targets=len(
-                       classification.indirect_targets),
-                   validated=validated)
+                       classification.indirect_targets))
     notes.append(
         f"regsave: {len(classification.args)} functions classified, "
         f"{len(classification.indirect_targets)} indirect targets")
@@ -273,11 +283,13 @@ def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
         "sp0fold: "
         f"{sum(len(r) for r in refs.values())} direct stack references")
 
-    # Refinement: object bounds recovery (§4.2).
+    # Refinement: object bounds recovery (§4.2).  The instrumented runs
+    # check the register rewrite (canonicalized and probed, both
+    # semantics-preserving); the symbolized module gets its own sweep.
     with obs.span("stage.bounds") as sp:
         before = module_stats(module) if observing else None
         mi = instrument_module(module)
-        runtime = engine.run_instrumented(module)
+        runtime = engine.run_instrumented(module, "register refinement")
         strip_probes(module)
         verify_module(module)
 
@@ -293,14 +305,12 @@ def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
             eliminate_dead_code(func)
         shrink_signatures(module)
         verify_module(module)
-        validated = engine.validate(module, "stack symbolization") \
-            if validate else "off"
+        engine.validate(module, "stack symbolization")
         nvars = sum(len(lo.variables) for lo in layouts.values())
         if before is not None:
             sp.set(ir_before=before, ir_after=module_stats(module),
                    verified=True, stack_variables=nvars,
-                   stack_args=sum(plan.stack_args.values()),
-                   validated=validated)
+                   stack_args=sum(plan.stack_args.values()))
     notes.append(f"symbolize: {nvars} stack variables, "
                  f"{sum(plan.stack_args.values())} stack args")
 
@@ -333,7 +343,6 @@ def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
             f"check: {counts['error']} errors, "
             f"{counts['warning']} warnings, {counts['info']} infos")
 
-    notes.extend(engine.notes)
     module.metadata["pipeline"] = "wytiwyg"
     return module, layouts, notes, report
 

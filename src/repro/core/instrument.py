@@ -40,8 +40,6 @@ from ..ir.values import (
     Instr,
     Intrinsic,
     Load,
-    Param,
-    Phi,
     Ret,
     Result,
     Store,

@@ -28,19 +28,14 @@ from ..ir.interp import Interpreter
 from ..ir.module import Function, Module
 from ..ir.values import (
     Alloca,
-    BinOp,
     Call,
-    CallInd,
     Const,
-    ICmp,
     Instr,
     Load,
     Param,
-    Phi,
     Ret,
     Result,
     Store,
-    Unary,
 )
 from ..lifting.translator import EMUSTACK_BASE, EMUSTACK_SIZE, REG_ORDER
 
@@ -214,17 +209,24 @@ def _is_lifted_signature(func: Function) -> bool:
 
 def classify_registers(module: Module,
                        inputs: list[list[int | bytes]],
-                       static_augment: bool = False) -> RegSaveResult:
+                       static_augment: bool = False,
+                       check=None) -> RegSaveResult:
     """Run the dynamic register classification over all traced inputs.
 
     With ``static_augment`` (hybrid mode, paper §7.2), the dynamic
     result is widened by an ABI-heuristic static read-before-write
     analysis, so registers consumed only on statically-added (untraced)
-    paths are still classified as arguments.
+    paths are still classified as arguments.  ``check(n, run)``, if
+    given, executes the ``n``-th input's run instead of the loop (see
+    :func:`~repro.core.varargs.recover_vararg_calls`).
     """
     plugin = RegSavePlugin()
-    for input_items in inputs:
-        Interpreter(module, input_items, shadow=plugin).run()
+    for n, input_items in enumerate(inputs):
+        run = Interpreter(module, input_items, shadow=plugin).run
+        if check is None:
+            run()
+        else:
+            check(n, run)
     result = plugin.resolve()
     if static_augment:
         static = classify_statically(module)

@@ -53,18 +53,28 @@ class VarargObserver:
 
 
 def recover_vararg_calls(module: Module,
-                         inputs: list[list[int | bytes]]) -> int:
+                         inputs: list[list[int | bytes]],
+                         check=None) -> int:
     """Run the module on all inputs, then rewrite variadic call sites
-    with explicit arguments.  Returns the number of rewritten sites."""
+    with explicit arguments.  Returns the number of rewritten sites.
+
+    ``check(n, run)``, if given, executes the ``n``-th input's run
+    instead of the loop calling ``run()`` itself (the replay engine's
+    :meth:`~repro.replay.ReplayEngine.checker` compares it with the
+    trace).  A module without variadic call sites makes no run.
+    """
     sites = find_vararg_sites(module)
     if not sites:
         return 0
     observer = VarargObserver()
-    for input_items in inputs:
+    for n, input_items in enumerate(inputs):
         interp = Interpreter(module, input_items,
                              callext_hook=observer)
         observer._interp = interp
-        interp.run()
+        if check is None:
+            interp.run()
+        else:
+            check(n, interp.run)
 
     rewritten = 0
     for site in sites:

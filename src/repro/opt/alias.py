@@ -21,18 +21,13 @@ from ..ir.module import Function, Module
 from ..ir.values import (
     Alloca,
     BinOp,
-    Call,
-    CallExt,
-    CallInd,
     Const,
     GlobalRef,
     Instr,
     Load,
     Phi,
-    Ret,
     Store,
     Switch,
-    Unary,
     Value,
 )
 

@@ -8,7 +8,6 @@ from ..ir.module import GlobalVar, Module
 from ..ir.values import CallExt, CallInd, FuncRef, GlobalRef
 from ..isa import AsmProgram, DataItem, Label, assemble
 from .lower import (
-    RESOLVER_NAME,
     STACK_SWITCH_SAVE,
     LowerOptions,
     build_resolver,

@@ -1,14 +1,13 @@
 """Content fingerprinting for IR modules.
 
-The replay engine needs one question answered cheaply: *did this stage
-change the module since the last point it was known to reproduce the
-traces?*  Mutation counters (:attr:`repro.ir.module.Function.version`)
-answer "was it touched", but a refinement that finds nothing to do may
-still bump versions, and counters do not survive process boundaries.  A
+The replay engine keys its fork pool on one question: *do the live
+workers hold the same module content as the one about to be replayed?*
+Mutation counters (:attr:`repro.ir.module.Function.version`) answer
+"was it touched", but a refinement that finds nothing to do may still
+bump versions, and counters do not survive process boundaries.  A
 content hash answers the real question: two modules with equal
 fingerprints have equal textual IR, equal global data, and equal entry
-metadata, so a validation sweep that passed for one passes for the
-other.
+metadata, so they replay identically.
 
 The hash is built from the canonical printer rendering (which renumbers
 value names, so it is insensitive to stale printing hints) plus the

@@ -7,7 +7,6 @@ from repro.cc.ctypes import (
     CHAR,
     FuncType,
     INT,
-    IntType,
     PtrType,
     SHORT,
     StructType,

@@ -6,7 +6,7 @@ from repro.core import wytiwyg_recompile
 from repro.emu import run_binary
 from repro.lifting import EMUSTACK_NAME
 from tests.conftest import FEATURE_SOURCE, FEATURE_STDOUT, \
-    KERNEL_SOURCE, KERNEL_STDOUT, cached_image
+    KERNEL_SOURCE, cached_image
 
 CONFIGS = (("gcc12", "3"), ("gcc12", "0"), ("gcc44", "3"),
            ("clang16", "3"))

@@ -10,7 +10,6 @@ from repro.isa import (
     AL,
     AsmFunction,
     AsmProgram,
-    AX,
     DataItem,
     EAX,
     EBX,

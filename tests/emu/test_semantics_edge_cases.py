@@ -7,7 +7,6 @@ from repro.isa import (
     AL,
     AsmFunction,
     AsmProgram,
-    AX,
     EAX,
     EBX,
     ECX,

@@ -6,7 +6,6 @@ from repro.errors import InterpError
 from repro.ir import (
     Builder,
     Const,
-    FuncRef,
     Function,
     GlobalRef,
     GlobalVar,

@@ -12,7 +12,6 @@ from repro.ir import (
     GlobalVar,
     Interpreter,
     Module,
-    run_module,
 )
 
 

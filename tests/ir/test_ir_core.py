@@ -5,8 +5,6 @@ import pytest
 from repro.errors import IRError
 from repro.ir import (
     BinOp,
-    Block,
-    Br,
     Builder,
     Const,
     Function,

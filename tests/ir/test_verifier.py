@@ -5,9 +5,7 @@ import pytest
 from repro.errors import IRError
 from repro.ir import (
     Builder,
-    Call,
     Const,
-    FuncRef,
     Function,
     GlobalRef,
     Module,

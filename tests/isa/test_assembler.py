@@ -14,7 +14,6 @@ from repro.isa import (
     Mem,
     assemble,
     ins,
-    jcc,
 )
 
 

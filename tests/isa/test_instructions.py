@@ -7,7 +7,6 @@ from repro.isa import (
     EBX,
     ESP,
     Imm,
-    ImportRef,
     Label,
     Mem,
     ins,

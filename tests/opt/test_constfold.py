@@ -1,7 +1,7 @@
 """Constant folding and algebraic simplification."""
 
 from repro.ir import BinOp, Builder, Const, Function, run_module, \
-    Module, Unary
+    Module
 from repro.opt import fold_constants
 
 

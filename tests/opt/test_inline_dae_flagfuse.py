@@ -7,7 +7,6 @@ from repro.ir import (
     Function,
     ICmp,
     Module,
-    Phi,
     run_module,
     verify_module,
 )

@@ -1,21 +1,35 @@
-"""The replay engine: dedup, fingerprint-gated validation, merge
-determinism, and parallel/serial equivalence (ISSUE 3 tentpole)."""
+"""The replay engine: dedup, checked replay runs, merge determinism,
+and parallel/serial equivalence."""
 
 import pytest
 
 from repro import obs
+from repro.core import driver
 from repro.core.driver import wytiwyg_lift, wytiwyg_recompile
 from repro.core.runtime import ArgAccess, StackVar, TracingRuntime
 from repro.emu import trace_binary
 from repro.errors import SymbolizeError
 from repro.ir.printer import module_to_text
 from repro.ir.values import BinOp, CallExt, Const
+from repro.isa import (
+    AsmFunction,
+    AsmProgram,
+    DataItem,
+    EAX,
+    ECX,
+    ESP,
+    Imm,
+    ImportRef,
+    Label,
+    assemble,
+    ins,
+)
 from repro.lifting import lift_traces
 from repro.replay import ReplayEngine, module_fingerprint
 from tests.conftest import KERNEL_SOURCE, cached_image
 
-#: Exit-code workload (no printf): the varargs stage is a no-op, so its
-#: validation sweep must be fingerprint-skipped.
+#: Exit-code workload (no printf): the module has no variadic call
+#: site, so the varargs stage makes no run.
 EXIT_SOURCE = r"""
 int mix(int a, int b) {
     int acc = a;
@@ -29,7 +43,23 @@ int main() {
 }
 """
 
+#: The same computation, printed: one variadic call site.
+PRINTF_SOURCE = r"""
+int mix(int a, int b) {
+    int acc = a;
+    for (int i = 0; i < b; i++) acc = acc * 31 + i;
+    return acc;
+}
+int main() {
+    int n = read_int();
+    int seed = read_int();
+    printf("mix=%d n=%d\n", mix(seed, n * 10) % 1000, n);
+    return n % 7;
+}
+"""
+
 INPUTS = [[5, 1], [6, 2], [7, 3], [8, 4], [5, 1], [6, 2]]
+DISTINCT = 4
 
 
 def _traced(source=EXIT_SOURCE, inputs=INPUTS):
@@ -113,7 +143,7 @@ def test_fingerprint_stable_and_mutation_sensitive():
     assert module_fingerprint(module) != fp1
 
 
-# -- dedup + validation skipping ----------------------------------------------
+# -- dedup + validation ----------------------------------------------------
 
 
 def test_engine_dedups_traced_inputs():
@@ -126,31 +156,9 @@ def test_engine_dedups_traced_inputs():
     assert engine.unique_inputs == INPUTS[:4]
 
 
-def test_validation_skipped_until_module_mutates():
-    _image, traces = _traced()
-    module = lift_traces(traces)
-    rec = obs.enable(reset=True)
-    try:
-        engine = ReplayEngine(traces, jobs=1)
-        engine.mark_valid(module)
-        assert engine.validate(module, "noop stage") == "skipped"
-        counters = rec.registry.counters
-        assert counters.get("replay.validations_skipped") == 1
-        assert counters.get("replay.runs", 0) == 0
-
-        # A real (harmless) mutation must force a full re-validation.
-        func = next(iter(module.functions.values()))
-        func.entry.insert(0, BinOp("add", Const(1), Const(2)))
-        assert engine.validate(module, "mutated stage") == "ok"
-        assert counters.get("replay.runs") == len(engine.unique)
-    finally:
-        obs.disable()
-
-
 def test_validation_failure_names_diverging_input():
     _image, traces = _traced()
     module = lift_traces(traces)
-    engine = ReplayEngine(traces, jobs=1)
     # Break the program: force exit(123); the traced exit codes are
     # mix(...) % 97 truncations that never equal 123.
     mutated = False
@@ -162,10 +170,15 @@ def test_validation_failure_names_diverging_input():
                 mutated = True
         func.invalidate()
     assert mutated
-    with pytest.raises(SymbolizeError) as err:
-        engine.validate(module, "broken stage")
-    assert "broken stage" in str(err.value)
-    assert "traced input #" in str(err.value)
+    for jobs in (1, 2):
+        engine = ReplayEngine(traces, jobs=jobs)
+        try:
+            with pytest.raises(SymbolizeError) as err:
+                engine.validate(module, "broken stage")
+        finally:
+            engine.close()
+        assert "broken stage" in str(err.value)
+        assert "traced input #" in str(err.value)
 
 
 def test_interpreter_error_is_counted_and_noted():
@@ -191,6 +204,125 @@ def test_interpreter_error_is_counted_and_noted():
         assert "diverged" in str(err.value)
     finally:
         obs.disable()
+
+
+# -- every replay run is a check ---------------------------------------------
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("source, runs_per_input", [
+    (EXIT_SOURCE, 3),    # regsave observation, bounds, final sweep
+    (PRINTF_SOURCE, 4),  # plus the varargs observation
+], ids=["exit", "printf"])
+def test_replay_runs_count_the_runs_made(source, runs_per_input, jobs):
+    image, traces = _traced(source)
+    rec = obs.enable(reset=True)
+    try:
+        result = wytiwyg_recompile(image, INPUTS, traces=traces,
+                                   allow_fallback=False, jobs=jobs)
+        counters = dict(rec.registry.counters)
+    finally:
+        obs.disable()
+    assert not result.fallback
+    assert counters["replay.runs"] == counters["ir.runs"] \
+        == runs_per_input * DISTINCT
+
+
+def _register_arg_image():
+    """``scale`` takes its argument in ecx, which no MiniC personality
+    does, so register classification finds a live argument register;
+    the printf call is a variadic site and the exit call ends the run."""
+    start = AsmFunction("_start", [
+        ins("call", ImportRef("read_int")),
+        ins("mov", ECX, EAX),
+        ins("call", Label("scale")),
+        ins("push", EAX),
+        ins("push", Label("fmt")),
+        ins("call", ImportRef("printf")),
+        ins("add", ESP, Imm(8)),
+        ins("push", Imm(0)),
+        ins("call", ImportRef("exit")),
+    ])
+    scale = AsmFunction("scale", [
+        ins("mov", EAX, ECX),
+        ins("imul", EAX, Imm(10)),
+        ins("ret"),
+    ])
+    return assemble(AsmProgram(functions=[start, scale],
+                               data=[DataItem("fmt", b"%d\n\x00")],
+                               imports=["read_int", "printf", "exit"]))
+
+
+#: ``scale(0)`` prints 0 with or without its argument, so a fault that
+#: zeroes the printed value first shows on traced input #1 — with
+#: ``jobs=2`` too, where the bounds runs finish in any order.
+FAULT_INPUTS = [[0], [3], [4], [3]]
+
+
+def _rewrite_ext_ops(module, name, rewrite):
+    for func in module.functions.values():
+        for instr in func.instructions():
+            if isinstance(instr, CallExt) and instr.ext_name == name:
+                instr.ops = rewrite(instr.ops)
+                instr.stack_args = False
+        func.invalidate()
+
+
+def _drop_printf_arg(real):
+    def recover_vararg_calls(module, inputs, **kw):
+        nsites = real(module, inputs, **kw)
+        _rewrite_ext_ops(module, "printf", lambda ops: ops[:-1])
+        return nsites
+    return recover_vararg_calls
+
+
+def _drop_arg_register(real):
+    def classify_registers(module, inputs, **kw):
+        result = real(module, inputs, **kw)
+        dropped = [regs for regs in result.args.values() if "ecx" in regs]
+        assert dropped, "no function takes ecx"
+        for regs in dropped:
+            regs.discard("ecx")
+        return result
+    return classify_registers
+
+
+def _exit_on_dangling_value(real):
+    def instrument_module(module):
+        mi = real(module)
+        # The exit call consumes an instruction that never executes, so
+        # every instrumented run dies with an interpreter error.
+        dangling = BinOp("add", Const(1), Const(2))
+        _rewrite_ext_ops(module, "exit", lambda ops: [dangling])
+        return mi
+    return instrument_module
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name, fault, stage, index, interp_errors", [
+    # printf reading past its arguments is an interpreter error.
+    ("recover_vararg_calls", _drop_printf_arg, "varargs refinement", 0, 1),
+    ("classify_registers", _drop_arg_register, "register refinement",
+     1, 0),
+    ("instrument_module", _exit_on_dangling_value, "register refinement",
+     0, 1),
+], ids=["varargs", "regsave", "interp-error"])
+def test_broken_stage_falls_back_naming_stage_and_input(
+        monkeypatch, name, fault, stage, index, interp_errors, jobs):
+    image = _register_arg_image()
+    monkeypatch.setattr(driver, name, fault(getattr(driver, name)))
+    rec = obs.enable(reset=True)
+    try:
+        result = wytiwyg_recompile(image, FAULT_INPUTS, jobs=jobs)
+        errors = rec.registry.counters.get("validate.interpreter_errors", 0)
+    finally:
+        obs.disable()
+    assert result.fallback
+    note, = result.notes
+    assert note.startswith(f"fallback to unsymbolized pipeline: {stage} "
+                           f"broke functionality: traced input #{index} "
+                           f"{FAULT_INPUTS[index]!r} diverged")
+    assert errors == interp_errors
 
 
 # -- parallel/serial equivalence ----------------------------------------------
@@ -255,8 +387,8 @@ def test_pool_reused_across_sweeps_over_unchanged_module():
     try:
         engine = ReplayEngine(traces, jobs=2)
         try:
-            engine.run_instrumented(module)
-            engine.run_instrumented(module)
+            engine.run_instrumented(module, "lifting")
+            engine.run_instrumented(module, "lifting")
             counters = rec.registry.counters
             assert counters.get("parallel.pool.spawns") == 1
             assert counters.get("parallel.pool.reuses", 0) >= 1
@@ -273,10 +405,10 @@ def test_pool_respawns_when_module_mutates():
     try:
         engine = ReplayEngine(traces, jobs=2)
         try:
-            engine.run_instrumented(module)
+            engine.run_instrumented(module, "lifting")
             func = next(iter(module.functions.values()))
             func.entry.insert(0, BinOp("add", Const(1), Const(2)))
-            engine.run_instrumented(module)
+            engine.run_instrumented(module, "lifting")
             assert rec.registry.counters.get(
                 "parallel.pool.spawns") == 2
         finally:

@@ -11,7 +11,6 @@ from repro.sanalysis.interproc import (
     NUM_TOP_P,
     TOP_P,
     PVal,
-    RAccess,
     build_call_graph,
     check_escapes,
     interproc_corroborate,

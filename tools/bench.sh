@@ -15,9 +15,9 @@
 # the disabled-path overhead ratio of the instrumented engine.
 #
 # The replay benches run as a third pass and emit BENCH_replay.json:
-# refinement wall time of the optimized replay engine (dedup +
-# fingerprint-skipped validation + jobs=4 fan-out) against the
-# pre-engine baseline sweep, plus the validation-skip hit rate.
+# refinement wall time of the optimized replay engine (input dedup +
+# jobs=4 fan-out, every replay run also checking the trace) against
+# the no-dedup baseline, plus the dedup and replay run counts.
 #
 # The optimizer benches run as a fourth pass and emit BENCH_opt.json:
 # fixpoint wall time of the incremental worklist pass manager against
