@@ -14,6 +14,10 @@ vs that baseline.  On a single-core runner the parallel fan-out
 contributes nothing — the dedup win alone must carry the ratio, which
 is why the workload carries duplicated inputs (as real trace sets do:
 the same seed input is typically traced under several configurations).
+
+Each stage compiles a block once for all of its runs, so the baseline's
+duplicate runs reuse compiled code: it makes as many block compiles as
+the deduplicated serial run, and only its interpretation time is extra.
 """
 
 import os
@@ -77,6 +81,16 @@ def _timed_recompile(image, traces, jobs, baseline=False):
             os.environ["REPRO_REPLAY_BASELINE"] = old
 
 
+def _counters(image, traces, baseline):
+    """The obs counters of one serial recompile (untimed)."""
+    obs.enable(reset=True)
+    try:
+        _timed_recompile(image, traces, jobs=1, baseline=baseline)
+        return dict(obs.recorder().registry.counters)
+    finally:
+        obs.disable()
+
+
 def test_bench_replay_speedup(benchmark, workload):
     """Optimized refinement (jobs=4) vs the pre-engine baseline; the
     outputs must be byte-identical and the win >= 1.5x."""
@@ -107,6 +121,14 @@ def test_bench_replay_speedup(benchmark, workload):
     runs = counters.get("replay.runs", 0)
     assert deduped == len(INPUTS) - len(DISTINCT)
     assert runs == 3 * len(DISTINCT)
+    # One interpreter per stage: the baseline's 8 runs per stage
+    # compile no more blocks than the deduplicated 4 do.
+    compiles = {}
+    for baseline, nruns in ((True, len(INPUTS)), (False, len(DISTINCT))):
+        counted = _counters(image, traces, baseline)
+        assert counted.get("replay.runs") == 3 * nruns
+        compiles[baseline] = counted.get("ir.code_cache.compiles", 0)
+    assert compiles[True] == compiles[False] > 0
 
     speedup = baseline_s / jobs4_s
     benchmark.extra_info["baseline_seconds"] = baseline_s
@@ -115,6 +137,7 @@ def test_bench_replay_speedup(benchmark, workload):
     benchmark.extra_info["speedup_vs_baseline"] = speedup
     benchmark.extra_info["inputs_deduped"] = deduped
     benchmark.extra_info["replay_runs"] = runs
+    benchmark.extra_info["block_compiles"] = compiles[False]
     assert speedup >= 1.5, (
         f"replay engine speedup {speedup:.2f}x < 1.5x "
         f"(baseline {baseline_s:.2f}s, jobs=4 {jobs4_s:.2f}s)")

@@ -221,12 +221,13 @@ def classify_registers(module: Module,
     :func:`~repro.core.varargs.recover_vararg_calls`).
     """
     plugin = RegSavePlugin()
-    for n, input_items in enumerate(inputs):
-        run = Interpreter(module, input_items, shadow=plugin).run
-        if check is None:
-            run()
-        else:
-            check(n, run)
+    with Interpreter(module, shadow=plugin) as interp:
+        for n, input_items in enumerate(inputs):
+            interp.reset(input_items)
+            if check is None:
+                interp.run()
+            else:
+                check(n, interp.run)
     result = plugin.resolve()
     if static_augment:
         static = classify_statically(module)

@@ -49,7 +49,7 @@ class VarargObserver:
         site = id(instr)
         self.max_args[site] = max(self.max_args.get(site, 0), count)
 
-    _interp: Interpreter = None  # bound per run
+    _interp: Interpreter = None  # the stage's interpreter
 
 
 def recover_vararg_calls(module: Module,
@@ -67,14 +67,14 @@ def recover_vararg_calls(module: Module,
     if not sites:
         return 0
     observer = VarargObserver()
-    for n, input_items in enumerate(inputs):
-        interp = Interpreter(module, input_items,
-                             callext_hook=observer)
+    with Interpreter(module, callext_hook=observer) as interp:
         observer._interp = interp
-        if check is None:
-            interp.run()
-        else:
-            check(n, interp.run)
+        for n, input_items in enumerate(inputs):
+            interp.reset(input_items)
+            if check is None:
+                interp.run()
+            else:
+                check(n, interp.run)
 
     rewritten = 0
     for site in sites:

@@ -107,12 +107,7 @@ class LibC:
     def __init__(self, mem: Memory,
                  input_items: list[int | bytes] | None = None):
         self.mem = mem
-        self.stdout = bytearray()
-        self._input = list(input_items or [])
-        self._input_pos = 0
-        self._heap_next = HEAP_BASE
-        self._rand_state = 1
-        self._strtok_ptr = 0
+        self.reset(input_items)
         self._dispatch = {
             "printf": self._printf,
             "sprintf": self._sprintf,
@@ -138,6 +133,17 @@ class LibC:
             "read_int": self._read_int,
             "read_buf": self._read_buf,
         }
+
+    def reset(self, input_items: list[int | bytes] | None = None) -> None:
+        """Start a new process on ``input_items``: empty stdout, the
+        input stream rewound, and fresh heap, ``rand`` and ``strtok``
+        state (the bound memory is reset by its owner)."""
+        self.stdout = bytearray()
+        self._input = list(input_items or [])
+        self._input_pos = 0
+        self._heap_next = HEAP_BASE
+        self._rand_state = 1
+        self._strtok_ptr = 0
 
     @property
     def known_functions(self) -> frozenset[str]:

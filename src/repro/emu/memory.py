@@ -6,14 +6,24 @@ engines (machine code and lifted IR) share this model, which is what lets
 the lifted program see the exact same address space the original binary
 did — global data stays at its original addresses, as in BinRec.
 
-Hot-path design: push/pop/mov dominate the dynamic instruction mix, so
-4-byte accesses that stay inside one page take a specialized path that
-assembles the value by hand (no intermediate slice object), and the most
-recently touched page is cached to skip the page-table dict on the
-stack-locality common case.
+The address space is ``[0, 2**32)``: every accessor, scalar or bulk,
+raises :class:`~repro.errors.EmulationError` for a byte outside it, so
+every page in the page table lies inside the space.
+
+Hot-path design: about 96% of the accesses a replay run makes are
+4-byte loads and stores (push/pop/mov in the emulator, vcpu-slot
+traffic in lifted IR).  A 4-byte access whose page is already mapped
+and which does not cross the page end takes the *word path*: one
+``dict.get`` and ``struct.unpack_from`` / ``pack_into``, with no bounds
+test, because a mapped page lies inside the space.  Every other access
+(other sizes, a first touch that maps its page, a word crossing the page
+end, an address outside the space) takes the general path, which checks
+the bounds first.
 """
 
 from __future__ import annotations
+
+import struct
 
 from ..binary.image import BinaryImage
 from ..errors import EmulationError
@@ -25,92 +35,77 @@ PAGE_MASK = PAGE_SIZE - 1
 
 _SPACE_END = 0x100000000
 
+#: Last page offset at which a 4-byte word fits inside the page.
+_WORD_END = PAGE_SIZE - 4
+_WORD = struct.Struct("<I")
+_unpack_word = _WORD.unpack_from
+_pack_word = _WORD.pack_into
+
+
+def _check_range(addr: int, size: int, what: str) -> None:
+    if addr < 0 or addr + size > _SPACE_END:
+        raise EmulationError(f"{what} outside address space: {addr:#x}")
+
 
 class Memory:
     """Sparse little-endian byte memory over 4 KiB pages."""
 
-    __slots__ = ("_pages", "_last_index", "_last_page")
+    __slots__ = ("_pages",)
 
     def __init__(self) -> None:
+        #: Page index -> page; every key lies in ``[0, 2**20)``.
         self._pages: dict[int, bytearray] = {}
-        # One-entry page cache: consecutive accesses overwhelmingly hit
-        # the same page (the stack), so remember the last one touched.
-        self._last_index = -1
-        self._last_page: bytearray | None = None
+
+    def clear(self) -> None:
+        """Unmap every page: the memory reads as zero again."""
+        self._pages.clear()
 
     def _page(self, addr: int) -> bytearray:
+        """The page holding ``addr`` (which must lie inside the space),
+        mapped on first touch."""
         index = addr >> PAGE_SHIFT
-        if index == self._last_index:
-            return self._last_page  # type: ignore[return-value]
         page = self._pages.get(index)
         if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[index] = page
-        self._last_index = index
-        self._last_page = page
+            page = self._pages[index] = bytearray(PAGE_SIZE)
         return page
 
     def read(self, addr: int, size: int) -> int:
         """Read an unsigned little-endian integer of ``size`` bytes."""
         off = addr & PAGE_MASK
-        if off + size <= PAGE_SIZE:
-            if addr < 0 or addr + size > _SPACE_END:
-                raise EmulationError(
-                    f"read outside address space: {addr:#x}")
-            index = addr >> PAGE_SHIFT
-            if index == self._last_index:
-                page = self._last_page
-            else:
-                page = self._pages.get(index)
-                if page is None:
-                    page = bytearray(PAGE_SIZE)
-                    self._pages[index] = page
-                self._last_index = index
-                self._last_page = page
-            if size == 4:
-                return (page[off] | page[off + 1] << 8 |          # type: ignore[index]
-                        page[off + 2] << 16 | page[off + 3] << 24)  # type: ignore[index]
-            if size == 1:
-                return page[off]  # type: ignore[index]
-            return int.from_bytes(page[off:off + size], "little")  # type: ignore[index]
-        if addr < 0 or addr + size > _SPACE_END:
-            raise EmulationError(f"read outside address space: {addr:#x}")
-        return int.from_bytes(self.read_bytes(addr, size), "little")
+        if size == 4 and off <= _WORD_END:
+            page = self._pages.get(addr >> PAGE_SHIFT)
+            if page is not None:
+                return _unpack_word(page, off)[0]
+        _check_range(addr, size, "read")
+        if off + size > PAGE_SIZE:
+            return int.from_bytes(self.read_bytes(addr, size), "little")
+        page = self._page(addr)
+        if size == 1:
+            return page[off]
+        return int.from_bytes(page[off:off + size], "little")
 
     def write(self, addr: int, size: int, value: int) -> None:
         """Write an integer as ``size`` little-endian bytes (truncating)."""
         off = addr & PAGE_MASK
-        if off + size <= PAGE_SIZE:
-            if addr < 0 or addr + size > _SPACE_END:
-                raise EmulationError(
-                    f"write outside address space: {addr:#x}")
-            index = addr >> PAGE_SHIFT
-            if index == self._last_index:
-                page = self._last_page
-            else:
-                page = self._pages.get(index)
-                if page is None:
-                    page = bytearray(PAGE_SIZE)
-                    self._pages[index] = page
-                self._last_index = index
-                self._last_page = page
-            if size == 4:
-                page[off] = value & 0xFF          # type: ignore[index]
-                page[off + 1] = (value >> 8) & 0xFF   # type: ignore[index]
-                page[off + 2] = (value >> 16) & 0xFF  # type: ignore[index]
-                page[off + 3] = (value >> 24) & 0xFF  # type: ignore[index]
-            elif size == 1:
-                page[off] = value & 0xFF  # type: ignore[index]
-            else:
-                value &= (1 << (8 * size)) - 1
-                page[off:off + size] = value.to_bytes(size, "little")  # type: ignore[index]
+        if size == 4 and off <= _WORD_END:
+            page = self._pages.get(addr >> PAGE_SHIFT)
+            if page is not None:
+                _pack_word(page, off, value & 0xFFFFFFFF)
+                return
+        _check_range(addr, size, "write")
+        if off + size > PAGE_SIZE:
+            value &= (1 << (8 * size)) - 1
+            self.write_bytes(addr, value.to_bytes(size, "little"))
             return
-        if addr < 0 or addr + size > _SPACE_END:
-            raise EmulationError(f"write outside address space: {addr:#x}")
-        value &= (1 << (8 * size)) - 1
-        self.write_bytes(addr, value.to_bytes(size, "little"))
+        page = self._page(addr)
+        if size == 1:
+            page[off] = value & 0xFF
+        else:
+            value &= (1 << (8 * size)) - 1
+            page[off:off + size] = value.to_bytes(size, "little")
 
     def read_bytes(self, addr: int, size: int) -> bytes:
+        _check_range(addr, size, "read")
         out = bytearray()
         while size > 0:
             off = addr & PAGE_MASK
@@ -121,6 +116,7 @@ class Memory:
         return bytes(out)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
+        _check_range(addr, len(data), "write")
         pos = 0
         while pos < len(data):
             off = (addr + pos) & PAGE_MASK
@@ -161,8 +157,8 @@ class Memory:
 
 class InstrumentedMemory(Memory):
     """Memory that classifies every scalar access as fast-path (within
-    one page, the specialized assembly-by-hand branch) or slow-path
-    (page-crossing fallback) into the observability counters.
+    one page) or slow-path (page-crossing fallback) into the
+    observability counters.
 
     Behaviour is bit-identical to :class:`Memory` — it only counts, then
     delegates — so swapping it in cannot perturb an execution.

@@ -13,6 +13,15 @@ The interpreter therefore supports two extension points:
 
 It is also used to validate lifted IR functionally before lowering.
 
+One instance serves one replay stage: the stage builds it once and
+calls :meth:`Interpreter.reset` before each traced input, which clears
+the per-run state (memory, libc, step and frame counters) and rewrites
+the global initializers, so every run of the stage starts as a fresh
+process would while sharing the compiled blocks below.  The module must
+not change between the runs of one instance.  A stage holds its
+interpreter in a ``with`` block, whose exit frees the compiled blocks
+and memory pages at once instead of at the next cyclic collection.
+
 Execution engine: by default each basic block is compiled, on first
 entry, into a list of argument-specialized closures (one per
 instruction), cached per interpreter instance and keyed on the owning
@@ -213,7 +222,9 @@ class Frame:
 
 
 class Interpreter:
-    """Executes an IR module. One instance per run."""
+    """Executes an IR module.  One instance per replay stage: construct
+    it once (``with Interpreter(...) as interp:``), then :meth:`reset`
+    it before each input's :meth:`run`."""
 
     def __init__(self, module: Module,
                  input_items: list[int | bytes] | None = None,
@@ -236,23 +247,48 @@ class Interpreter:
         self._func_counts: dict | None = \
             rec.registry.profile("ir.func_calls").counts \
             if rec is not None else None
+        # Compiled closures capture ``mem`` and ``libc``: reset them in
+        # place, never replace them.
         self.mem = make_memory()
-        self.libc = LibC(self.mem, list(input_items or []))
+        self.libc = LibC(self.mem)
+        #: Read at run time by the compiled probes, so it may change
+        #: between runs (one tracing runtime per bounds input).
         self.intrinsic_handler = intrinsic_handler
         self.shadow = shadow
         #: Optional hook observing every external call:
         #: hook(frame, instr, sp_or_None, args_or_None).
         self.callext_hook = callext_hook
         self.max_steps = max_steps
-        self.steps = 0
-        self._next_frame_id = 1
-        self._exit_code: int | None = None
         self.global_addrs: dict[str, int] = {}
         self.func_addrs: dict[str, int] = {}
         self._addr_to_func: dict[int, str] = {}
         self._layout_globals()
         self._assign_func_addrs()
-        self._write_global_initializers()
+        self._initializers = self._global_initializers()
+        self.reset(input_items)
+
+    def reset(self, input_items: list[int | bytes] | None = None) -> None:
+        """Prepare a run over ``input_items`` that starts as a fresh
+        interpreter would: empty memory holding only the global
+        initializers, fresh libc state, and zeroed step and frame
+        counters.  Compiled blocks are kept."""
+        self.mem.clear()
+        self.libc.reset(input_items)
+        self.steps = 0
+        self._next_frame_id = 1
+        for addr, data in self._initializers:
+            self.mem.write_bytes(addr, data)
+
+    def __enter__(self) -> "Interpreter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Free the compiled blocks and the memory pages when the stage
+        ends.  Compiled closures refer back to the interpreter, so
+        otherwise only the cyclic collector frees them, and a finished
+        stage's code stays allocated until it runs."""
+        self._code.clear()
+        self.mem.clear()
 
     # -- layout -------------------------------------------------------------
 
@@ -268,13 +304,15 @@ class Interpreter:
                 cursor += g.size
             self.global_addrs[g.name] = addr
 
-    def _write_global_initializers(self) -> None:
+    def _global_initializers(self) -> list[tuple[int, bytes]]:
         # Initializers may reference functions/globals symbolically, so
         # this runs after both address spaces are assigned.
+        out = []
         for g in self.module.globals.values():
             data = g.init_bytes(resolve=self._resolve_symbol, pad=False)
             if data:
-                self.mem.write_bytes(self.global_addrs[g.name], data)
+                out.append((self.global_addrs[g.name], data))
+        return out
 
     def _assign_func_addrs(self) -> None:
         for addr, name in self.module.address_table.items():
@@ -726,14 +764,13 @@ class Interpreter:
                                     if isinstance(bundle, list) else None)
             return run
         if isinstance(i, Intrinsic):
-            handler = self.intrinsic_handler
-            if handler is None:
-                return lambda frame: None
             evs = [self._ev(a) for a in i.ops]
 
             def run(frame):
-                v = frame.values
-                handler(frame, i, [ev(v) for ev in evs])
+                handler = self.intrinsic_handler
+                if handler is not None:
+                    v = frame.values
+                    handler(frame, i, [ev(v) for ev in evs])
             return run
         if isinstance(i, Phi):
             def run(frame):

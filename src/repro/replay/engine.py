@@ -99,10 +99,12 @@ def _check_run(run, expected):
     return None
 
 
-def _instrumented(module: Module, items):
-    """A §4.2 bounds run over ``items``: its runtime and its ``run``."""
+def _instrumented(interp: Interpreter, items):
+    """Prepare a §4.2 bounds run of ``interp`` over ``items`` with its
+    own tracing runtime: returns the runtime and the ``run``."""
     runtime = TracingRuntime()
-    interp = Interpreter(module, items, intrinsic_handler=runtime.handle)
+    interp.intrinsic_handler = runtime.handle
+    interp.reset(items)
     runtime.bind(interp)
     return runtime, interp.run
 
@@ -129,7 +131,7 @@ def _validate_worker(index: int):
 def _bounds_worker(index: int):
     module, inputs, results, _observe = worker_ctx()
     observe = _worker_begin()
-    runtime, run = _instrumented(module, inputs[index])
+    runtime, run = _instrumented(Interpreter(module), inputs[index])
     failure = _check_run(run, results[index])
     return (index, failure,
             runtime.snapshot() if failure is None else None,
@@ -267,12 +269,13 @@ class ReplayEngine:
 
     def _validate_serial(self, module, order):
         inputs, results = self.traces.inputs, self.traces.results
-        for i in order:
-            obs.count("replay.runs")
-            failure = _check_run(Interpreter(module, inputs[i]).run,
-                                 results[i])
-            if failure is not None:
-                return (i, *failure)
+        with Interpreter(module) as interp:
+            for i in order:
+                obs.count("replay.runs")
+                interp.reset(inputs[i])
+                failure = _check_run(interp.run, results[i])
+                if failure is not None:
+                    return (i, *failure)
         return None
 
     def _validate_parallel(self, module, order):
@@ -320,17 +323,18 @@ class ReplayEngine:
             if self.jobs > 1 and len(order) > 1:
                 snapshots = self._bounds_parallel(module, order)
             inputs, results = self.traces.inputs, self.traces.results
-            for i in order:
-                if snapshots is None:
-                    obs.count("replay.runs")
-                    runtime, run = _instrumented(module, inputs[i])
-                    failure = _check_run(run, results[i])
-                else:
-                    failure, runtime = snapshots[i]
-                if failure is not None:
-                    self._fail(stage, i, *failure)
-                merged.merge(runtime)
-                self._trace_merged(i, merged)
+            with Interpreter(module) as interp:
+                for i in order:
+                    if snapshots is None:
+                        obs.count("replay.runs")
+                        runtime, run = _instrumented(interp, inputs[i])
+                        failure = _check_run(run, results[i])
+                    else:
+                        failure, runtime = snapshots[i]
+                    if failure is not None:
+                        self._fail(stage, i, *failure)
+                    merged.merge(runtime)
+                    self._trace_merged(i, merged)
             self._passed(stage, len(order))
             return merged
 

@@ -1,5 +1,7 @@
 """The replay engine: dedup, checked replay runs, merge determinism,
-and parallel/serial equivalence."""
+one interpreter per stage, and parallel/serial equivalence."""
+
+import copy
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.driver import wytiwyg_lift, wytiwyg_recompile
 from repro.core.runtime import ArgAccess, StackVar, TracingRuntime
 from repro.emu import trace_binary
 from repro.errors import SymbolizeError
+from repro.ir.interp import Interpreter
 from repro.ir.printer import module_to_text
 from repro.ir.values import BinOp, CallExt, Const
 from repro.isa import (
@@ -26,6 +29,7 @@ from repro.isa import (
 )
 from repro.lifting import lift_traces
 from repro.replay import ReplayEngine, module_fingerprint
+from repro.replay.engine import _instrumented
 from tests.conftest import KERNEL_SOURCE, cached_image
 
 #: Exit-code workload (no printf): the module has no variadic call
@@ -323,6 +327,91 @@ def test_broken_stage_falls_back_naming_stage_and_input(
                            f"broke functionality: traced input #{index} "
                            f"{FAULT_INPUTS[index]!r} diverged")
     assert errors == interp_errors
+
+
+# -- one interpreter per stage ------------------------------------------------
+
+
+def test_stage_compiles_each_executed_block_once():
+    """Every stage builds one interpreter and resets it per input, so
+    the compiled blocks serve all of the stage's runs: k distinct
+    inputs over the same paths compile as much as one."""
+    image = cached_image(PRINTF_SOURCE)
+    counts = {}
+    for k in (1, 4):
+        inputs = INPUTS[:k]
+        traces = trace_binary(image.stripped(), inputs)
+        rec = obs.enable(reset=True)
+        try:
+            result = wytiwyg_recompile(image, inputs, traces=traces,
+                                       allow_fallback=False, jobs=1)
+            counters = dict(rec.registry.counters)
+        finally:
+            obs.disable()
+        assert not result.fallback
+        assert counters["ir.runs"] == 4 * k
+        counts[k] = counters["ir.code_cache.compiles"]
+    assert counts[4] == counts[1] > 0
+
+
+#: A local array walked up to the input's length, so each input leaves
+#: a different extent in its bounds run's tracing runtime.
+WALK_SOURCE = r"""
+int walk(int n) {
+    int buf[16];
+    int i;
+    int s = 0;
+    for (i = 0; i < n; i++) buf[i] = i * 7;
+    for (i = 0; i < n; i++) s += buf[i];
+    return s;
+}
+int main() {
+    int n = read_int();
+    printf("%d\n", walk(n));
+    return n;
+}
+"""
+
+
+def test_bounds_runs_on_one_interpreter_match_fresh_ones(monkeypatch):
+    image = cached_image(WALK_SOURCE, opt_level="0")
+    traces = trace_binary(image.stripped(), [[3], [9], [5]])
+    pairs = []
+    merged_pairs = []
+    real = ReplayEngine.run_instrumented
+
+    def snapshot(runtime):
+        return copy.deepcopy(runtime.snapshot())
+
+    def run_instrumented(self, module, stage):
+        shared = Interpreter(module)
+        expected = TracingRuntime()
+        for items in self.unique_inputs:
+            runtime, run = _instrumented(shared, items)
+            run()
+            fresh = TracingRuntime()
+            interp = Interpreter(module, items,
+                                 intrinsic_handler=fresh.handle)
+            fresh.bind(interp)
+            interp.run()
+            pairs.append((snapshot(runtime), snapshot(fresh)))
+            expected.merge(fresh)
+        merged = real(self, module, stage)
+        merged_pairs.append((snapshot(merged), snapshot(expected)))
+        return merged
+
+    monkeypatch.setattr(ReplayEngine, "run_instrumented", run_instrumented)
+    wytiwyg_lift(traces, jobs=1)
+    assert len(pairs) == 3
+    for shared, fresh in pairs:
+        assert shared == fresh
+    # The inputs leave different extents, so a run that saw another
+    # input's state (or sent its probes to another runtime) would show.
+    assert pairs[0][0] != pairs[1][0]
+    # The engine's merged runtime matches, in first-touch order too.
+    (merged, expected), = merged_pairs
+    assert merged == expected
+    assert list(merged["stack_vars"]) == list(expected["stack_vars"])
 
 
 # -- parallel/serial equivalence ----------------------------------------------

@@ -17,7 +17,8 @@
 # The replay benches run as a third pass and emit BENCH_replay.json:
 # refinement wall time of the optimized replay engine (input dedup +
 # jobs=4 fan-out, every replay run also checking the trace) against
-# the no-dedup baseline, plus the dedup and replay run counts.
+# the no-dedup baseline, plus the dedup, replay run and block-compile
+# counts.  CI's bench-smoke job runs this pass too.
 #
 # The optimizer benches run as a fourth pass and emit BENCH_opt.json:
 # fixpoint wall time of the incremental worklist pass manager against
