@@ -1,47 +1,26 @@
-"""Backend benches: the fingerprint-keyed lowering cache and the
-parallel per-function optimizer fan-out.
+"""Backend bench: the fingerprint-keyed lowering cache.
 
 Runs as the fifth ``tools/bench.sh`` pass and lands in
-``BENCH_lower.json``.  Two scenarios:
-
-* **Warm recompile** — ``compile_ir`` over an optimized module, then a
-  one-function edit and a recompile: only the edited function may
-  re-lower (warm hit rate >= 90%), and the warm compile must beat the
-  cold one.
-* **Parallel optimization** — the worklist manager at ``jobs=4``
-  against the legacy fixed schedule on a multi-function workload,
-  byte-identical output required.  The cold stage (which pays the
-  one-time fork-pool spawn) is reported separately from the steady
-  state: across the repeated refinement stages the legacy schedule
-  pays a full sweep each time while the manager pays version checks,
-  so on a single-core host the win is carried by the incremental
-  layers and the fork pool is additive on multi-core hosts.
-  ``jobs=1`` manager time is recorded alongside for the comparison.
+``BENCH_lower.json``.  **Warm recompile** — ``compile_ir`` over an
+optimized module, then a one-function edit and a recompile: only the
+edited function may re-lower (warm hit rate >= 90%), and the warm
+compile must beat the cold one.
 """
 
-import os
 import time
 
 import pytest
 
 from repro import obs
 from repro.cc.driver import compile_to_ir
-from repro.ir.printer import module_to_text
 from repro.ir.values import BinOp, Const
-from repro.opt import (
-    OptOptions,
-    canonicalize_module,
-    clear_memo,
-    close_opt_pool,
-    optimize_module,
-)
+from repro.opt import OptOptions, clear_memo, optimize_module
 from repro.recompile import clear_lower_cache, compile_ir
 
 pytestmark = pytest.mark.bench
 
 #: Twelve functions: wide enough that a one-function edit keeps the
-#: warm hit rate at 11/12 > 90%, and that a per-function fan-out has
-#: real work to distribute.
+#: warm hit rate at 11/12 > 90%.
 SOURCE = r"""
 int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
 int mix(int seed, int rounds) {
@@ -95,10 +74,9 @@ int main() {
 }
 """
 
-STAGES = 8
-#: Inlining stays off so all thirteen functions survive every stage —
-#: o3 collapses this workload to two functions, which would starve
-#: both the lowering cache and the per-function fan-out of work.
+#: Inlining stays off so all thirteen functions survive — o3 collapses
+#: this workload to two functions, which would starve the lowering
+#: cache of work.
 OPTS = OptOptions(level=2, inline=False)
 
 
@@ -176,85 +154,3 @@ def test_bench_lower_cache_warm_recompile(benchmark):
     assert speedup >= 1.25, (
         f"warm compile speedup {speedup:.2f}x < 1.25x "
         f"(cold {cold_s*1e3:.1f}ms, warm {warm_s*1e3:.1f}ms)")
-
-
-def _run_stages(baseline: bool, jobs: int = 1):
-    """(cold-stage seconds, warm-stages seconds, final IR text, module).
-
-    The cold stage optimizes the freshly lifted module (and, at
-    jobs>1, pays the one-time fork-pool spawn); the warm stages replay
-    the pipeline's duplicated canonicalize+optimize invocations over
-    the now-stable module.
-    """
-    if baseline:
-        os.environ["REPRO_PASS_BASELINE"] = "1"
-    else:
-        os.environ.pop("REPRO_PASS_BASELINE", None)
-        clear_memo()
-    try:
-        module = compile_to_ir(SOURCE, name="lower_bench", config=None)
-        start = time.perf_counter()
-        canonicalize_module(module, jobs=jobs)
-        optimize_module(module, OPTS, jobs=jobs)
-        cold = time.perf_counter() - start
-        start = time.perf_counter()
-        for _ in range(STAGES):
-            canonicalize_module(module, jobs=jobs)
-            optimize_module(module, OPTS, jobs=jobs)
-        warm = time.perf_counter() - start
-        return cold, warm, module_to_text(module), module
-    finally:
-        os.environ.pop("REPRO_PASS_BASELINE", None)
-        close_opt_pool()
-
-
-def _best_of(n: int, baseline: bool, jobs: int = 1):
-    best = None
-    for _ in range(n):
-        result = _run_stages(baseline, jobs)
-        if best is None or result[1] < best[1]:
-            best = result
-    return best
-
-
-def test_bench_parallel_opt_vs_serial(benchmark):
-    """Manager at jobs=4 vs the legacy schedule on the multi-function
-    workload: byte-identical, and faster across the repeated stages."""
-    _run_stages(True)  # warm all three code paths once
-    _run_stages(False)
-    _run_stages(False, jobs=4)
-
-    baseline_cold, baseline_s, baseline_text, baseline_module = \
-        _best_of(3, True)
-    _, serial_s, serial_text, _ = _best_of(3, False)
-
-    obs.enable(reset=True)
-    try:
-        par_cold, par_s, par_text, par_module = benchmark.pedantic(
-            lambda: _best_of(3, False, jobs=4), rounds=1, iterations=1)
-        counters = dict(obs.recorder().registry.counters)
-    finally:
-        obs.disable()
-
-    assert par_text == serial_text == baseline_text
-    assert compile_ir(par_module).to_json() == \
-        compile_ir(baseline_module).to_json()
-    assert counters.get("opt.manager.parallel_visits", 0) > 0, \
-        "jobs=4 run never fanned out"
-
-    speedup = baseline_s / par_s
-    benchmark.extra_info["functions"] = len(par_module.functions)
-    benchmark.extra_info["stages"] = STAGES
-    benchmark.extra_info["baseline_cold_seconds"] = baseline_cold
-    benchmark.extra_info["baseline_seconds"] = baseline_s
-    benchmark.extra_info["manager_jobs1_seconds"] = serial_s
-    benchmark.extra_info["manager_jobs4_cold_seconds"] = par_cold
-    benchmark.extra_info["manager_jobs4_seconds"] = par_s
-    benchmark.extra_info["speedup_vs_baseline"] = speedup
-    benchmark.extra_info["parallel_visits"] = \
-        counters.get("opt.manager.parallel_visits", 0)
-    benchmark.extra_info["pool_spawns"] = \
-        counters.get("parallel.pool.spawns", 0)
-    assert speedup >= 1.3, (
-        f"jobs=4 stage speedup {speedup:.2f}x < 1.3x vs legacy schedule "
-        f"(baseline {baseline_s*1e3:.1f}ms, jobs=4 {par_s*1e3:.1f}ms)")

@@ -6,14 +6,15 @@ Runs as the fourth ``tools/bench.sh`` pass and lands in
 speedup, and the manager's skip/requeue accounting so a CI job can diff
 a run against a saved baseline.
 
-The workload mirrors the recompile driver's duplicated-stage shape:
-canonicalize + optimize runs once cold, then repeatedly over the same
-module — exactly what the pipeline does when refinement stages between
-optimizer invocations turn out to be no-ops.  The legacy schedule pays
-a full no-change sweep (every pass over every function, plus the inline
-scan) per stage; the manager pays one version comparison per function.
-Outputs must stay byte-identical, as printed IR and as recompiled
-binaries.
+The workload runs canonicalize + optimize once cold, then repeatedly
+over the same module.  The recompile driver itself canonicalizes once
+and optimizes once; the repeats stand for a long-lived process (a test
+suite, a sweep, the serve daemon) that meets function contents it has
+already optimized.  The legacy schedule pays a full no-change sweep
+(every pass over every function, plus the inline scan) per stage; the
+manager pays one fingerprint and one memo lookup per function, plus
+the inline scan.  Outputs must stay byte-identical, as printed IR and
+as recompiled binaries.
 """
 
 import os
@@ -73,8 +74,7 @@ int main() {
 }
 """
 
-#: One cold stage plus seven re-runs: the pipeline's canonicalize and
-#: optimize entry points hit the same module once per refinement stage.
+#: One cold stage plus seven re-runs over the same module.
 STAGES = 8
 OPTS = OptOptions.o3()
 

@@ -47,7 +47,10 @@ name the earliest diverging input, with or without ``jobs``; the final
 sweep replays cheapest first and names the first mismatch it meets.
 With ``jobs > 1`` the bounds runs and the final sweep fan out over a
 process pool (results merge deterministically, so the recompiled binary
-is byte-identical across ``jobs`` settings).
+is byte-identical across ``jobs`` settings).  Canonicalization (step 5)
+and optimization (step 7) run serially under the incremental pass
+manager (:mod:`repro.opt.manager`), whose fingerprint memo skips
+functions already at fixpoint.
 
 Observability: with :mod:`repro.obs` enabled every stage above runs
 inside a named span (``stage.trace`` ... ``stage.recompile``) recording
@@ -68,6 +71,7 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..binary.image import BinaryImage
 from ..emu.tracer import TraceSet, trace_binary
+from ..env import env_flag, truthy
 from ..errors import CheckError, StaticCheckError, SymbolizeError
 from ..ir.module import Module
 from ..ir.verifier import verify_module
@@ -121,17 +125,15 @@ def _resolve_check(check: bool | str | None) -> bool | str:
     if check is None:
         check = os.environ.get("REPRO_CHECK", "")
     if isinstance(check, str):
-        low = check.strip().lower()
-        if low == "strict":
+        if check.strip().lower() == "strict":
             return "strict"
-        return low not in ("", "0", "false", "off", "no")
+        return truthy(check)
     return bool(check)
 
 
 def _resolve_static_widen(static_widen: bool | None) -> bool:
     if static_widen is None:
-        return os.environ.get("REPRO_STATIC_WIDEN", "") \
-            not in ("", "0", "false", "off", "no")
+        return env_flag("REPRO_STATIC_WIDEN")
     return bool(static_widen)
 
 
@@ -156,20 +158,19 @@ def module_stats(module: Module) -> dict[str, int]:
     }
 
 
-def _canonicalize(module: Module, opt_jobs: int | None = None) -> None:
+def _canonicalize(module: Module) -> None:
     """SSA-ify vcpu registers and fold address arithmetic (the paper's
     "turn virtual CPU registers into SSA-values before instrumentation"
     plus displacement folding).  Runs under the incremental pass
-    manager, so functions the preceding refinement stage left untouched
-    cost one version comparison instead of a full schedule."""
-    canonicalize_module(module, jobs=opt_jobs)
+    manager, so a function whose content is a known fixpoint costs one
+    fingerprint instead of a full schedule."""
+    canonicalize_module(module)
 
 
 def wytiwyg_lift(traces: TraceSet,
                  hybrid: bool = False,
                  jobs: int = 1,
                  static_widen: bool | None = None,
-                 opt_jobs: int | None = None,
                  replay_pool=None,
                  ) -> tuple[Module, dict[str, FrameLayout],
                             list[str], CheckReport]:
@@ -191,13 +192,11 @@ def wytiwyg_lift(traces: TraceSet,
     best-effort instead of trapping.
 
     ``jobs > 1`` fans the validation sweep and the instrumented bounds
-    runs out over a process pool; ``opt_jobs`` does the same for the
-    canonicalization stage's per-function visits (default:
-    ``$REPRO_OPT_JOBS``).  The symbolized module is byte-identical to a
-    serial run either way.  ``replay_pool`` lends the engine a caller-
-    owned :class:`~repro.parallel.ForkPool` (the long-lived serve
-    daemon shares one across requests); the engine then does not shut
-    it down on close.
+    runs out over a process pool; the symbolized module is
+    byte-identical to a serial run.  ``replay_pool`` lends the engine a
+    caller-owned :class:`~repro.parallel.ForkPool` (the long-lived
+    serve daemon shares one across requests); the engine then does not
+    shut it down on close.
     """
     if not traces.inputs:
         raise CheckError(
@@ -206,8 +205,7 @@ def wytiwyg_lift(traces: TraceSet,
             "input list '' for an input-less program)")
     engine = ReplayEngine(traces, jobs=jobs, pool=replay_pool)
     try:
-        return _lift_with_engine(engine, traces, hybrid, static_widen,
-                                 opt_jobs)
+        return _lift_with_engine(engine, traces, hybrid, static_widen)
     finally:
         engine.close()
 
@@ -215,7 +213,6 @@ def wytiwyg_lift(traces: TraceSet,
 def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
                       hybrid: bool,
                       static_widen: bool | None,
-                      opt_jobs: int | None,
                       ) -> tuple[Module, dict[str, FrameLayout],
                                  list[str], CheckReport]:
     static_widen = _resolve_static_widen(static_widen)
@@ -274,7 +271,7 @@ def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
     # Canonicalize and identify direct stack references.
     with obs.span("stage.canonicalize") as sp:
         before = module_stats(module) if observing else None
-        _canonicalize(module, opt_jobs)
+        _canonicalize(module)
         refs = fold_module_stack_refs(module)
         if before is not None:
             sp.set(ir_before=before, ir_after=module_stats(module),
@@ -426,9 +423,8 @@ def wytiwyg_recompile(image: BinaryImage,
     Pass ``traces`` (a TraceSet of ``image`` over ``inputs``) to reuse
     an existing or cached trace instead of re-executing the binary.
     ``jobs`` fans validation and bounds replay out over that many
-    worker processes; ``opt_jobs`` (default ``$REPRO_OPT_JOBS``) fans
-    the optimizer's per-function visits the same way.  The result is
-    byte-identical to ``jobs=1`` / ``opt_jobs=1``.
+    worker processes; the result is byte-identical to ``jobs=1``.
+    ``opt_jobs`` is accepted and ignored: the optimizer runs serially.
 
     ``check`` (default: ``$REPRO_CHECK``) arms the static gate: with a
     truthy value, ``error``-severity findings abort the pipeline with
@@ -453,8 +449,7 @@ def wytiwyg_recompile(image: BinaryImage,
         try:
             module, layouts, notes, report = wytiwyg_lift(
                 traces, hybrid=hybrid, jobs=jobs,
-                static_widen=static_widen, opt_jobs=opt_jobs,
-                replay_pool=replay_pool)
+                static_widen=static_widen, replay_pool=replay_pool)
             fallback = False
         except SymbolizeError as exc:
             if not allow_fallback:
@@ -486,7 +481,7 @@ def wytiwyg_recompile(image: BinaryImage,
         with obs.span("stage.optimize", enabled=optimize) as sp:
             before = module_stats(module) if observing else None
             if optimize:
-                optimize_module(module, OptOptions.o3(), jobs=opt_jobs)
+                optimize_module(module, OptOptions.o3())
                 verify_module(module)
             if before is not None:
                 sp.set(ir_before=before, ir_after=module_stats(module),

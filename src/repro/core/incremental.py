@@ -22,14 +22,13 @@ Three layers of reuse, cheapest first:
    trace_binary` would produce.  Adding one input to a known image
    re-executes only that input; everything else is a ``store.hit``.
 3. **Per-function refinement reuse** — the lifted module is optimized
-   under the incremental pass manager (:mod:`repro.opt.manager`) and
-   lowered through the fingerprint-keyed cache
-   (:mod:`repro.recompile.lower`).  In a long-lived server process
-   those memos stay warm across requests, so after an input addition
-   only the functions whose
-   :func:`~repro.replay.fingerprint.function_fingerprint` moved are
-   re-refined (``opt.manager.skipped`` / ``opt.manager.memo_hits``
-   count the rest).
+   under the incremental pass manager (:mod:`repro.opt.manager`), whose
+   only skip layer is its fixpoint memo, and lowered through the
+   fingerprint-keyed cache (:mod:`repro.recompile.lower`).  Both are
+   keyed on :func:`~repro.replay.fingerprint.function_fingerprint`.  In
+   a long-lived server process those memos stay warm across requests,
+   so after an input addition only the functions whose fingerprint
+   moved are re-refined (``opt.manager.memo_hits`` counts the rest).
 
 Byte-identity invariant: for any request, the recovered image equals
 the one a cold ``wytiwyg_recompile(image, inputs)`` produces — the
@@ -118,10 +117,10 @@ def pipeline_options_tag(optimize: bool = True,
                          hybrid: bool = False) -> str:
     """The options part of a result key.
 
-    Only options that change the *artifact* participate; execution
-    knobs (``jobs``, ``opt_jobs``) are byte-identity-neutral by the
-    PR 3/6 contracts and deliberately excluded, so a parallel server
-    and a serial one share entries.
+    Only options that change the *artifact* participate; the execution
+    knob ``jobs`` is byte-identity-neutral (the replay engine merges
+    its workers' results deterministically) and deliberately excluded,
+    so a parallel server and a serial one share entries.
     """
     return options_tag(optimize=optimize, check=check,
                        static_widen=static_widen, hybrid=hybrid)
@@ -173,7 +172,8 @@ def incremental_recompile(image: BinaryImage,
 
     Checks the result store first; otherwise reassembles traces from
     per-input records (tracing only new inputs), runs the pipeline, and
-    persists both the new traces and the final result.
+    persists both the new traces and the final result.  ``opt_jobs`` is
+    accepted and ignored, as by :func:`wytiwyg_recompile`.
     """
     img_key = image_key(image)
     opts = pipeline_options_tag(optimize=optimize, check=check,
@@ -209,8 +209,7 @@ def incremental_recompile(image: BinaryImage,
         image, [list(items) for items in runs],
         optimize=optimize, collect_accuracy=collect_accuracy,
         hybrid=hybrid, traces=traces, jobs=jobs, check=check,
-        static_widen=static_widen, opt_jobs=opt_jobs,
-        replay_pool=replay_pool)
+        static_widen=static_widen, replay_pool=replay_pool)
     coverage = _coverage_summary(traces)
     store.put("result", rkey, {
         "image_json": result.recovered.to_json(),

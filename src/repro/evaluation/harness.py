@@ -117,8 +117,7 @@ def _outputs_match(image_a, image_b, inputs,
 def measure_cell(workload: Workload, compiler: str, opt_level: str,
                  use_cache: bool = True,
                  include_secondwrite: bool = True,
-                 replay_jobs: int = 1,
-                 opt_jobs: int | None = None) -> CellResult:
+                 replay_jobs: int = 1) -> CellResult:
     """Measure one Table-1 cell (with on-disk caching).
 
     With observability enabled, the cell runs inside an ``eval.cell``
@@ -126,25 +125,23 @@ def measure_cell(workload: Workload, compiler: str, opt_level: str,
     the per-cell JSON cache reports ``eval.cell_cache.hit``/``.miss``.
 
     ``replay_jobs`` fans the WYTIWYG pipeline's validation and bounds
-    replay out over worker processes (see ``repro.replay``), and
-    ``opt_jobs`` does the same for the optimizer's per-function visits;
-    the result is byte-identical to the serial default.  Both compose
-    with the cell-level ``sweep(jobs=N)`` pool — keep the product
-    within the core count.
+    replay out over worker processes (see ``repro.replay``); the result
+    is byte-identical to the serial default.  It composes with the
+    cell-level ``sweep(jobs=N)`` pool — keep the product within the
+    core count.
     """
     with obs.span("eval.cell", workload=workload.name,
                   compiler=compiler, opt_level=opt_level) as cell_span, \
             obs.timed("eval.cell_seconds"):
         result = _measure_cell(workload, compiler, opt_level, use_cache,
                                include_secondwrite, cell_span,
-                               replay_jobs, opt_jobs)
+                               replay_jobs)
     return result
 
 
 def _measure_cell(workload: Workload, compiler: str, opt_level: str,
                   use_cache: bool, include_secondwrite: bool,
-                  cell_span, replay_jobs: int = 1,
-                  opt_jobs: int | None = None) -> CellResult:
+                  cell_span, replay_jobs: int = 1) -> CellResult:
     cache_file = _cache_dir() / (_cell_key(workload, compiler,
                                            opt_level) + ".json")
     if use_cache:
@@ -188,14 +185,13 @@ def _measure_cell(workload: Workload, compiler: str, opt_level: str,
     # accuracy evaluation, never by the pipeline).
     if ecache is None:
         wyt = wytiwyg_recompile(image, inputs, traces=traced(image),
-                                jobs=replay_jobs, opt_jobs=opt_jobs)
+                                jobs=replay_jobs)
     else:
         wyt = ecache.memo(
             "wytiwyg", ecache.key(image, inputs, "wytiwyg"),
             lambda: wytiwyg_recompile(image, inputs,
                                       traces=traced(image),
-                                      jobs=replay_jobs,
-                                      opt_jobs=opt_jobs))
+                                      jobs=replay_jobs))
     result.wytiwyg_cycles = _total_cycles(wyt.recovered, inputs)
     result.wytiwyg_match = _outputs_match(image, wyt.recovered, inputs)
     result.wytiwyg_fallback = wyt.fallback
@@ -230,7 +226,7 @@ def _measure_cell_task(task):
     back alongside the result so the parent can merge them.
     """
     name, compiler, opt_level, use_cache, include_secondwrite, \
-        observe, replay_jobs, opt_jobs = task
+        observe, replay_jobs = task
     if observe:
         # Reset per task: pool workers are reused, and a forked worker
         # also inherits the parent's pre-fork data — either would be
@@ -239,7 +235,7 @@ def _measure_cell_task(task):
     obs.fork_begin()
     result = measure_cell(WORKLOADS[name], compiler, opt_level,
                           use_cache, include_secondwrite,
-                          replay_jobs=replay_jobs, opt_jobs=opt_jobs)
+                          replay_jobs=replay_jobs)
     payload = obs.export_payload() if observe else None
     return (name, compiler, opt_level), result, payload
 
@@ -249,8 +245,7 @@ def sweep(workload_names: tuple[str, ...] | None = None,
           include_secondwrite: bool = True,
           progress=None,
           jobs: int = 1,
-          replay_jobs: int = 1,
-          opt_jobs: int | None = None
+          replay_jobs: int = 1
           ) -> dict[tuple[str, str, str], CellResult]:
     """Measure a grid of cells; returns {(workload, compiler, opt): ...}.
 
@@ -262,9 +257,9 @@ def sweep(workload_names: tuple[str, ...] | None = None,
     parent merges every worker's metrics and spans on completion, so
     ``obs.export`` aggregates the whole sweep.
 
-    ``replay_jobs`` and ``opt_jobs`` are forwarded to every cell (see
-    ``measure_cell``); they parallelize *within* the WYTIWYG pipeline
-    and compose with the cell-level pool.
+    ``replay_jobs`` is forwarded to every cell (see ``measure_cell``);
+    it parallelizes *within* the WYTIWYG pipeline and composes with the
+    cell-level pool.
     """
     names = workload_names or tuple(WORKLOADS)
     tasks = [(name, compiler, opt_level)
@@ -276,7 +271,7 @@ def sweep(workload_names: tuple[str, ...] | None = None,
             futures = [
                 pool.submit(_measure_cell_task,
                             (*task, use_cache, include_secondwrite,
-                             observe, replay_jobs, opt_jobs))
+                             observe, replay_jobs))
                 for task in tasks]
             for future in as_completed(futures):
                 key, result, payload = future.result()
@@ -290,8 +285,7 @@ def sweep(workload_names: tuple[str, ...] | None = None,
             progress(name, compiler, opt_level)
         out[(name, compiler, opt_level)] = measure_cell(
             WORKLOADS[name], compiler, opt_level, use_cache,
-            include_secondwrite, replay_jobs=replay_jobs,
-            opt_jobs=opt_jobs)
+            include_secondwrite, replay_jobs=replay_jobs)
     return out
 
 

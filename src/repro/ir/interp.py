@@ -33,12 +33,12 @@ reference engine, which is kept (``compiled=False``, or environment
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Protocol
 
 from ..binary.image import STACK_TOP
+from ..env import env_flag
 from ..errors import InterpError
 from .module import Function, Module
 from .values import (
@@ -235,7 +235,7 @@ class Interpreter:
                  compiled: bool | None = None):
         self.module = module
         if compiled is None:
-            compiled = os.environ.get("REPRO_IR_COMPILED", "1") != "0"
+            compiled = env_flag("REPRO_IR_COMPILED", True)
         self.compiled = compiled
         #: Per-block compiled code: block -> (func version, #instrs,
         #: (steps, phi plan, body closures, terminator closure)).

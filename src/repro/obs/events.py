@@ -21,7 +21,7 @@ Design:
 * **process-safe** — file-backed ledgers write each line with a single
   ``os.write`` on an ``O_APPEND`` descriptor, which POSIX keeps atomic
   for writes below ``PIPE_BUF``: forked sweep workers (replay pool,
-  optimizer pool, evaluation sweep) inherit the descriptor and append
+  evaluation sweep) inherit the descriptor and append
   concurrently without interleaving lines.  A per-process ``pid`` field
   plus a per-process ``seq`` counter give every event a stable identity
   and a total order per writer (file order gives the global
@@ -102,7 +102,6 @@ EVENT_KINDS = frozenset({
     "sched.reject",
     # optimizer manager
     "opt.memo_hit",
-    "opt.skip",
     "opt.requeue",
     # process pools
     "pool.spawn",

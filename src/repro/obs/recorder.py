@@ -14,8 +14,7 @@ the uninstrumented engine.
 
 from __future__ import annotations
 
-import os
-
+from ..env import env_flag
 from . import events as _events
 from .metrics import MetricsRegistry
 from .spans import NULL_SPAN, Span
@@ -77,8 +76,7 @@ _RECORDER: Recorder | None = None
 
 
 def _env_enabled() -> bool:
-    value = os.environ.get("REPRO_OBS")
-    return value not in (None, "", "0", "false", "off")
+    return env_flag("REPRO_OBS")
 
 
 def enabled() -> bool:

@@ -24,15 +24,14 @@ results to the new epoch instead of recomputing them
 
 from __future__ import annotations
 
-import os
 import weakref
 
 from .. import obs
+from ..env import env_flag
 from ..ir.module import Block, Function
 from ..ir.values import Instr, Value
 
-_CACHE_ENABLED = os.environ.get("REPRO_ANALYSIS_CACHE", "1") \
-    not in ("0", "false", "off")
+_CACHE_ENABLED = env_flag("REPRO_ANALYSIS_CACHE", True)
 
 #: The analyses this module caches.  All of them are pure CFG analyses:
 #: they depend only on the block list and terminator targets, never on

@@ -266,26 +266,6 @@ def inline_functions_tracked(module: Module, max_callee_size: int = 40,
     return changed
 
 
-def inline_would_change(module: Module, max_callee_size: int = 40,
-                        always_single_use: bool = True,
-                        growth_budget: int = 4000) -> bool:
-    """Dry-run: would :func:`inline_functions` inline anything?
-
-    True iff some direct call site passes the same admission test the
-    real driver applies to its first candidate.  The pass manager uses
-    this to prove a whole module is at fixpoint (no candidate now means
-    the real driver would be a no-op)."""
-    call_counts = _call_counts(module)
-    for func in module.functions.values():
-        for instr in func.instructions():
-            if isinstance(instr, Call) and _inlinable(
-                    func, module.functions.get(instr.callee.name),
-                    call_counts, max_callee_size, always_single_use,
-                    growth_budget):
-                return True
-    return False
-
-
 def _call_counts(module: Module) -> dict[str, int]:
     counts: dict[str, int] = {}
     for func in module.functions.values():

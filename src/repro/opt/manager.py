@@ -2,40 +2,21 @@
 
 The LLVM-new-pass-manager analogue for this IR: instead of re-running a
 fixed schedule on every function of every module at every pipeline
-stage, the manager tracks what is already done and skips it.
+stage, the manager remembers which function contents are already at
+fixpoint and skips them.
 
-Three layers of change tracking, cheapest first:
+Its one skip layer is a **fingerprint memo** keyed on ``(schedule,
+module context,`` :func:`~repro.replay.fingerprint.function_fingerprint`
+``)``.  A function whose content matches a known fixpoint is skipped,
+whether it is the same object, a deep copy, a re-lift or part of
+another module.  Only fixpoints enter the memo: a function that was
+still changing when the round budget ran out is never memoized.  The
+module context folds in the global-variable layout because
+alias-driven passes consult it.
 
-1. **Module snapshot** — after a run in which every function reached
-   fixpoint and inlining had nothing left to do, the manager records
-   ``(name, version)`` for every function.  A later call over an
-   unchanged module returns immediately (the common shape when a
-   refinement stage turned out to be a no-op).
-2. **Version skip** — a function whose
-   :attr:`~repro.ir.module.Function.version` is unchanged since it last
-   reached fixpoint under the same schedule is skipped without looking
-   at its body.
-3. **Cross-stage memo** — keyed on ``(schedule, module context,``
-   :func:`~repro.replay.fingerprint.function_fingerprint```)``: a
-   *fresh object* (a deep copy, a re-lift, another module) whose content
-   matches a known fixpoint is skipped too.  Only fixpoints enter the
-   memo — a function that was still changing when the round budget ran
-   out is never memoized, whether it was visited serially or by a pool
-   worker.  The module context folds in the global-variable layout
-   because alias-driven passes consult it.
-
-Functions that survive all three layers are *visited*: the per-round
-schedule runs to fixpoint (or the round budget).  Visits between inline
-stages are independent per function — every per-function pass reads at
-most the module's global-variable layout, never another function's body
-— so with ``jobs > 1`` they fan out over the shared fork pool
-(:class:`repro.parallel.ForkPool`).  Workers inherit the module over
-``fork``, re-optimize their function, and ship it back pickled; the
-parent installs results in worklist order and keeps all bookkeeping
-(fixpoint records, memo inserts) on its side, so ``jobs=N`` output is
-byte-identical to serial.  ``REPRO_OPT_JOBS`` sets the default fan-out
-(CLI: ``--opt-jobs``).  Pools are keyed on the module's content
-fingerprint and reused across batches while it is unchanged.
+Functions that miss the memo are *visited*, one after another in
+module order: the per-round schedule runs to fixpoint (or the round
+budget).
 
 Each pass is registered with a **preserved-analyses declaration**
 (``PRESERVES`` in its module): when a pass reports a change, the
@@ -50,32 +31,25 @@ re-optimized the whole module.
 ``REPRO_PASS_BASELINE=1`` restores the legacy fixed schedule
 (:mod:`repro.opt.pipeline` keeps it verbatim); the worklist engine's
 output is byte-identical to it, which ``tests/opt/test_pass_manager.py``
-asserts differentially.  ``REPRO_OPT_MEMO=0`` disables only the
-cross-stage memo (layers 1–2 still apply), e.g. for cold-path benches.
+asserts differentially.
 
 Observability: per-pass timers/counters keep the legacy
 ``opt.pass.<name>`` naming, with the two CFG-simplification slots split
 as ``simplifycfg.entry`` / ``simplifycfg.exit``; the manager itself
-reports ``opt.manager.skipped`` (functions not re-optimized),
-``opt.manager.requeued`` (functions re-enqueued after inlining), and
-``opt.manager.parallel_visits`` (functions optimized by pool workers);
-worker pass metrics merge into the parent recorder.
+reports ``opt.manager.skipped`` and ``opt.manager.memo_hits`` (both
+count memo hits, i.e. functions not re-optimized) and
+``opt.manager.requeued`` (functions re-enqueued after inlining).
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
 import time
 from collections import OrderedDict
-from concurrent.futures import as_completed
-from weakref import WeakKeyDictionary
 
 from .. import obs
+from ..env import env_flag
 from ..ir.module import Function, Module
 from ..obs import recorder as _obs_recorder
-from ..parallel import ForkPool, worker_ctx
 from . import (
     constfold,
     dce,
@@ -101,25 +75,7 @@ def function_fingerprint(func: Function) -> str:
 
 def pass_baseline_enabled() -> bool:
     """``REPRO_PASS_BASELINE=1`` restores the legacy fixed schedule."""
-    return os.environ.get("REPRO_PASS_BASELINE", "") not in ("", "0")
-
-
-def memo_enabled() -> bool:
-    """``REPRO_OPT_MEMO=0`` disables the cross-stage fingerprint memo."""
-    return os.environ.get("REPRO_OPT_MEMO", "1") not in ("0", "false",
-                                                         "off")
-
-
-def opt_jobs_default() -> int:
-    """The default worklist fan-out (``REPRO_OPT_JOBS``, else serial)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_OPT_JOBS", "1") or "1"))
-    except ValueError:
-        return 1
-
-
-def _resolve_jobs(jobs: int | None) -> int:
-    return opt_jobs_default() if jobs is None else max(1, int(jobs))
+    return env_flag("REPRO_PASS_BASELINE")
 
 
 class FunctionPass:
@@ -190,19 +146,7 @@ def build_canonicalize_pipeline(module: Module) -> list[FunctionPass]:
     ]
 
 
-def _passes_for_schedule(schedule_key: tuple,
-                         module: Module) -> list[FunctionPass] | None:
-    """Rebuild a known schedule from its key (pool workers do this from
-    the picklable key instead of receiving closures).  None for custom
-    schedules, which therefore run serially."""
-    if schedule_key and schedule_key[0] == "opt":
-        return build_function_pipeline(schedule_key[1], module)
-    if schedule_key and schedule_key[0] == "canonicalize":
-        return build_canonicalize_pipeline(module)
-    return None
-
-
-# -- change-tracking state ----------------------------------------------
+# -- the fixpoint memo --------------------------------------------------
 
 #: Cross-stage memo of known fixpoints:
 #: ((schedule key, module context), function fingerprint) -> True.
@@ -211,29 +155,16 @@ def _passes_for_schedule(schedule_key: tuple,
 _MEMO: "OrderedDict[tuple, bool]" = OrderedDict()
 _MEMO_MAX = 4096
 
-#: func -> {(schedule key, module context) -> version at last fixpoint}.
-_FIXPOINT: "WeakKeyDictionary[Function, dict]" = WeakKeyDictionary()
-
-#: module -> {(schedule key, module context) -> (name, version) snapshot
-#: taken after a fully-converged run (fixpoint everywhere, no inlining
-#: left)}.
-_MODULE_STATE: "WeakKeyDictionary[Module, dict]" = WeakKeyDictionary()
-
 
 def clear_memo() -> None:
-    """Drop all cross-call change-tracking state (tests and benches)."""
+    """Drop the fixpoint memo (tests and benches)."""
     _MEMO.clear()
-    _FIXPOINT.clear()
-    _MODULE_STATE.clear()
 
 
 def memo_stats() -> dict:
-    """Size of the in-process change-tracking state — the warmth a
-    long-lived server has accumulated (reported by ``repro submit
-    --status``)."""
-    return {"memo_entries": len(_MEMO),
-            "fixpoint_functions": len(_FIXPOINT),
-            "module_snapshots": len(_MODULE_STATE)}
+    """Size of the fixpoint memo — the warmth a long-lived server has
+    accumulated (reported by ``repro submit --status``)."""
+    return {"memo_entries": len(_MEMO)}
 
 
 def _memo_get(key: tuple) -> bool:
@@ -257,86 +188,6 @@ def _module_context(module: Module) -> tuple:
     return tuple(sorted(
         (name, g.size, g.align, g.fixed_addr, g.writable)
         for name, g in module.globals.items()))
-
-
-# -- fork-pool plumbing --------------------------------------------------
-
-#: The optimizer's shared fork pool; lives across ``optimize_module``
-#: calls so consecutive stages over an unchanged module reuse workers.
-_POOL: ForkPool | None = None
-
-
-def close_opt_pool() -> None:
-    """Release the optimizer's worker pool (tests, benches, shutdown)."""
-    global _POOL
-    if _POOL is not None:
-        _POOL.close()
-        _POOL = None
-
-
-def _acquire_opt_pool(jobs: int, module: Module, observe: bool,
-                      ntasks: int):
-    global _POOL
-    if _POOL is None or _POOL.jobs != jobs:
-        close_opt_pool()
-        _POOL = ForkPool(jobs)
-    from ..replay.fingerprint import module_fingerprint
-    key = ("opt", module_fingerprint(module), observe)
-    return _POOL.acquire(key, (module, observe), ntasks)
-
-
-def _invalidate_opt_pool(cancel: bool = False) -> None:
-    if _POOL is not None:
-        _POOL.invalidate(cancel=cancel)
-
-
-#: Pickling an IR function crosses a deep cyclic graph; the default
-#: recursion limit can be too tight for long straight-line blocks.
-_PICKLE_RECURSION = 100_000
-
-
-def _dumps_function(func: Function) -> bytes:
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, _PICKLE_RECURSION))
-    try:
-        return pickle.dumps(func, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def _loads_function(blob: bytes) -> Function:
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, _PICKLE_RECURSION))
-    try:
-        return pickle.loads(blob)
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def _opt_worker(task):
-    """Pool-worker entry: re-optimize one inherited function.
-
-    ``task`` is ``(name, schedule_key, rounds)`` — small and picklable;
-    the module arrives via fork inheritance.  Returns ``(name, fixed,
-    changed_any, fingerprint-or-None, pickled-function-or-None,
-    obs payload)``.  The parent owns all memo/fixpoint bookkeeping: a
-    worker only ever reports, so a function still changing when the
-    round budget ran out (``fixed=False``) can never leak a partial
-    result into the memo.
-    """
-    name, schedule_key, rounds = task
-    module, observe = worker_ctx()
-    if observe:
-        obs.enable(reset=True)
-    obs.fork_begin()
-    rec = _obs_recorder()
-    func = module.functions[name]
-    passes = _passes_for_schedule(schedule_key, module)
-    fixed, changed_any = _run_rounds(func, passes, rounds, rec)
-    fp = function_fingerprint(func) if fixed else None
-    blob = _dumps_function(func) if changed_any else None
-    return (name, fixed, changed_any, fp, blob,
-            obs.export_payload() if observe else None)
 
 
 # -- pass execution ------------------------------------------------------
@@ -380,77 +231,30 @@ def _run_rounds(func: Function, passes: list[FunctionPass],
     return False, changed_any
 
 
-_SKIPPED, _FIXED, _UNRESOLVED = range(3)
-
-
 class PassManager:
     """Run a pass schedule over a module as an incremental worklist."""
 
     def __init__(self, module: Module, passes: list[FunctionPass],
                  schedule_key: tuple, rounds: int,
-                 inline_threshold: int | None = None,
-                 jobs: int = 1):
+                 inline_threshold: int | None = None):
         self.module = module
         self.passes = passes
-        self.schedule_key = schedule_key
         self.rounds = max(rounds, 1)
         #: None disables the inline stage entirely.
         self.inline_threshold = inline_threshold
-        #: Worklist fan-out; custom schedules (unknown keys) cannot be
-        #: rebuilt inside a worker and always run serially.
-        self.jobs = max(1, int(jobs)) \
-            if _passes_for_schedule(schedule_key, module) is not None \
-            else 1
         self._token = (schedule_key, _module_context(module))
         self._rec = _obs_recorder()
-        self._memo_on = memo_enabled()
         #: Names still short of fixpoint after their last visit.
         self.unresolved: set[str] = set()
-        #: True when the inline stage reported changed callers.
-        self.inlined = False
-
-    # -- module-level fast path -----------------------------------------
-
-    def _snapshot(self) -> tuple:
-        return tuple((name, f.version)
-                     for name, f in self.module.functions.items())
-
-    def module_at_fixpoint(self) -> bool:
-        """True when a prior fully-converged run of this schedule left
-        the module exactly as it is now."""
-        state = _MODULE_STATE.get(self.module)
-        return state is not None and \
-            state.get(self._token) == self._snapshot()
-
-    def record_module_fixpoint(self) -> None:
-        """Snapshot the module if this run converged completely: every
-        function at fixpoint and (when inlining is on) no admissible
-        inline candidate left.  Callers invoke this after any module
-        passes that run outside the manager (function dropping)."""
-        if self.unresolved:
-            return
-        if self.inline_threshold is not None and inline.inline_would_change(
-                self.module, max_callee_size=self.inline_threshold):
-            return
-        _MODULE_STATE.setdefault(self.module, {})[self._token] = \
-            self._snapshot()
-
-    # -- worklist --------------------------------------------------------
 
     def run(self) -> None:
         module = self.module
-        if self.module_at_fixpoint():
-            obs.count("opt.manager.skipped", len(module.functions))
-            obs.event("opt.skip", scope="module",
-                      functions=len(module.functions))
-            return
         self._visit(list(module.functions.values()))
         if self.inline_threshold is None:
             return
         changed = self._run_inline()
         if not changed:
             return
-        self.inlined = True
         # Only callers that received code (their bodies are new) and
         # functions that never reached fixpoint can react to another
         # round; everything else is provably a no-op.
@@ -464,109 +268,26 @@ class PassManager:
         self._visit(targets)
 
     def _visit(self, funcs: list[Function]) -> None:
-        """One worklist sweep over ``funcs`` (serial or fanned out)."""
-        if self.jobs > 1 and len(funcs) > 1:
-            funcs = self._visit_parallel(funcs)
+        """One worklist sweep over ``funcs``."""
         for func in funcs:
-            if self._optimize(func) is _UNRESOLVED:
+            if not self._optimize(func):
                 self.unresolved.add(func.name)
 
-    def _precheck(self, func: Function):
-        """The cheap skip layers (version, memo).  Returns
-        ``(skipped, entry_fp)``; ``entry_fp`` is the fingerprint already
-        computed for the memo probe, reusable by the caller."""
-        versions = _FIXPOINT.get(func)
-        if versions is not None and \
-                versions.get(self._token) == func.version:
+    def _optimize(self, func: Function) -> bool:
+        """Bring ``func`` to fixpoint unless the memo proves it is
+        there already; False when the round budget ran out first."""
+        entry_fp = function_fingerprint(func)
+        if _memo_get((self._token, entry_fp)):
             obs.count("opt.manager.skipped")
-            obs.event("opt.skip", scope="function",
-                      function=func.name, reason="version")
-            return True, None
-        entry_fp = None
-        if self._memo_on:
-            entry_fp = function_fingerprint(func)
-            if _memo_get((self._token, entry_fp)):
-                self._record_fixpoint(func)
-                obs.count("opt.manager.skipped")
-                obs.count("opt.manager.memo_hits")
-                obs.event("opt.memo_hit", function=func.name)
-                return True, entry_fp
-        return False, entry_fp
-
-    def _optimize(self, func: Function) -> int:
-        skipped, entry_fp = self._precheck(func)
-        if skipped:
-            return _SKIPPED
+            obs.count("opt.manager.memo_hits")
+            obs.event("opt.memo_hit", function=func.name)
+            return True
         fixed, changed_any = _run_rounds(func, self.passes, self.rounds,
                                          self._rec)
-        if not fixed:
-            return _UNRESOLVED
-        self._record_fixpoint(func)
-        if self._memo_on:
+        if fixed:
             fp = function_fingerprint(func) if changed_any else entry_fp
             _memo_add((self._token, fp))
-        return _FIXED
-
-    def _visit_parallel(self, funcs: list[Function]) -> list[Function]:
-        """Fan one sweep out over the shared fork pool.
-
-        The parent runs the skip layers (they need its tracking state),
-        ships only the survivors to workers, and installs the returned
-        functions *in worklist order* — the merge, the fixpoint records,
-        and the memo inserts are all parent-side and deterministic, so
-        output is byte-identical to a serial sweep.  Returns the
-        functions that still need a serial visit (all of them when no
-        pool is available, none on success).
-        """
-        work = [func for func in funcs if not self._precheck(func)[0]]
-        if len(work) <= 1:
-            return work
-        observe = obs.enabled()
-        try:
-            pool = _acquire_opt_pool(self.jobs, self.module, observe,
-                                     len(work))
-        except Exception:
-            return work
-        tasks = [(func.name, self.schedule_key, self.rounds)
-                 for func in work]
-        results: dict[str, tuple] = {}
-        try:
-            futures = [pool.submit(_opt_worker, task) for task in tasks]
-            for future in as_completed(futures):
-                name, fixed, changed_any, fp, blob, payload = \
-                    future.result()
-                results[name] = (fixed, changed_any, fp, blob, payload)
-        except Exception:
-            # Broken pool / unpicklable function: the module is still
-            # untouched (installs happen below), so a serial sweep over
-            # the same work list computes identical results.
-            _invalidate_opt_pool()
-            return work
-        module = self.module
-        for func in work:
-            fixed, changed_any, fp, blob, payload = results[func.name]
-            obs.merge_payload(payload)
-            obs.count("opt.manager.parallel_visits")
-            if changed_any and blob is not None:
-                func = _loads_function(blob)
-                module.functions[func.name] = func
-            if not fixed:
-                # Round budget ran out while the worker's copy was
-                # still changing: record it unresolved and keep the
-                # partial result OUT of the memo (see the memo-
-                # poisoning regression test).
-                self.unresolved.add(func.name)
-                continue
-            self._record_fixpoint(func)
-            if self._memo_on and fp is not None:
-                _memo_add((self._token, fp))
-        return []
-
-    def _record_fixpoint(self, func: Function) -> None:
-        versions = _FIXPOINT.get(func)
-        if versions is None:
-            versions = _FIXPOINT[func] = {}
-        versions[self._token] = func.version
+        return fixed
 
     def _run_inline(self) -> set[str]:
         module = self.module
@@ -595,29 +316,25 @@ def _ninstrs(func: Function) -> int:
 
 # -- entry points --------------------------------------------------------
 
-def run_worklist(module: Module, opts, jobs: int | None = None) -> None:
+def run_worklist(module: Module, opts) -> None:
     """Worklist-optimize ``module`` under ``opts`` (an
     :class:`~repro.opt.pipeline.OptOptions`); the incremental
     counterpart of the legacy ``optimize_module`` schedule, including
-    the final unused-function sweep.  ``jobs`` (default:
-    ``$REPRO_OPT_JOBS``) fans per-function visits over the fork pool;
-    the output is byte-identical to serial."""
-    manager = PassManager(
+    the final unused-function sweep."""
+    PassManager(
         module, build_function_pipeline(opts, module),
         ("opt", opts), opts.rounds,
         inline_threshold=opts.inline_threshold if opts.inline else None,
-        jobs=_resolve_jobs(jobs))
-    manager.run()
+    ).run()
     drop_unused_private_functions(module)
-    manager.record_module_fixpoint()
 
 
-def canonicalize_module(module: Module, jobs: int | None = None) -> None:
+def canonicalize_module(module: Module) -> None:
     """The driver's canonicalization stage (SSA-ify vcpu registers,
     fold address arithmetic) as a managed one-round schedule, so
-    re-canonicalizing an unchanged function after a no-op refinement
-    stage costs one version check.  ``REPRO_PASS_BASELINE=1`` restores
-    the legacy per-function loop."""
+    re-canonicalizing a function whose content is a known fixpoint
+    costs one fingerprint.  ``REPRO_PASS_BASELINE=1`` restores the
+    legacy per-function loop."""
     if pass_baseline_enabled():
         for func in module.functions.values():
             simplifycfg.simplify_cfg(func)
@@ -630,8 +347,7 @@ def canonicalize_module(module: Module, jobs: int | None = None) -> None:
             simplifycfg.simplify_cfg(func)
         return
     PassManager(module, build_canonicalize_pipeline(module),
-                ("canonicalize",), rounds=1,
-                jobs=_resolve_jobs(jobs)).run()
+                ("canonicalize",), rounds=1).run()
 
 
 def drop_unused_private_functions(module: Module) -> None:

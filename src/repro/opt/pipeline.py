@@ -3,8 +3,8 @@
 ``optimize_module`` is the LLVM ``opt`` analogue used by the MiniC
 compiler personalities and by the recompiler after lifting/symbolization.
 It normally dispatches to the incremental worklist engine in
-:mod:`repro.opt.manager` (function-level change tracking, cross-stage
-memoization); ``REPRO_PASS_BASELINE=1`` selects the legacy fixed
+:mod:`repro.opt.manager` (serial visits, with a fingerprint memo of
+known fixpoints); ``REPRO_PASS_BASELINE=1`` selects the legacy fixed
 schedule kept verbatim below.  The two produce byte-identical output —
 ``tests/opt/test_pass_manager.py`` holds them to that.
 
@@ -127,22 +127,15 @@ def optimize_function(func: Function, module: Module | None = None,
 
 
 def optimize_module(module: Module,
-                    options: OptOptions | None = None,
-                    jobs: int | None = None) -> None:
-    """Optimize every function of ``module``.
-
-    ``jobs`` fans the worklist engine's per-function visits over the
-    shared fork pool (default ``$REPRO_OPT_JOBS``, i.e. serial); output
-    is byte-identical for any job count.  The baseline schedule is
-    always serial.
-    """
+                    options: OptOptions | None = None) -> None:
+    """Optimize every function of ``module``."""
     opts = options or OptOptions()
     if opts.level == 0:
         return
     if pass_baseline_enabled():
         _optimize_module_baseline(module, opts)
         return
-    run_worklist(module, opts, jobs=jobs)
+    run_worklist(module, opts)
 
 
 def _optimize_module_baseline(module: Module, opts: OptOptions) -> None:

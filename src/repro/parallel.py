@@ -1,12 +1,12 @@
-"""repro.parallel — the shared fork-pool utility.
+"""repro.parallel — the fork-pool utility behind the replay engine.
 
-Both per-function-independent backend stages — the replay engine's
-validation / instrumented-bounds sweeps (:mod:`repro.replay.engine`)
-and the pass manager's worklist visits (:mod:`repro.opt.manager`) —
-fan work out over process pools whose workers read a large cyclic
-object graph (the IR module).  Pickling that graph per task is the
-dominant cost, so pools are spawned with the ``fork`` start method and
-workers read the context from inherited memory instead:
+The replay engine's validation and instrumented-bounds sweeps
+(:mod:`repro.replay.engine`) fan work out over a process pool whose
+workers read a large cyclic object graph (the IR module).  The serve
+daemon and the job scheduler (:mod:`repro.sched`) lend the engine a
+long-lived pool.  Pickling the module per task is the dominant cost,
+so pools are spawned with the ``fork`` start method and workers read
+the context from inherited memory instead:
 
 1. the parent publishes the context via :func:`publish_ctx`;
 2. the pool forks, each worker inheriting the published snapshot;
@@ -67,8 +67,9 @@ def worker_ctx():
 class ForkPool:
     """A reusable fork-context process pool keyed by inherited context.
 
-    One ``ForkPool`` per owning scope (a replay engine, a pass-manager
-    invocation); at most one executor is live at a time.
+    One ``ForkPool`` per owning scope (a replay engine, or a serve
+    daemon or scheduler worker lending one to every job's engine); at
+    most one executor is live at a time.
     """
 
     def __init__(self, jobs: int):

@@ -53,12 +53,12 @@ function (``benchmarks/test_lower.py`` holds it to that).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import obs
 from ..binary.image import FrameGroundTruth, StackObject
+from ..env import env_flag
 from ..errors import LowerError
 from ..ir.module import Block, Function, Module
 from ..ir.values import (
@@ -185,8 +185,7 @@ def _function_fingerprint(func: Function) -> str:
 
 def lower_cache_enabled() -> bool:
     """``REPRO_LOWER_CACHE=0`` disables the lowering cache."""
-    return os.environ.get("REPRO_LOWER_CACHE", "1") not in ("0", "false",
-                                                            "off")
+    return env_flag("REPRO_LOWER_CACHE", True)
 
 
 #: (function fingerprint, LowerOptions, lowering context) ->

@@ -56,7 +56,6 @@ which computes the same results.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 from pickle import PicklingError
@@ -64,6 +63,7 @@ from pickle import PicklingError
 from .. import obs
 from ..core.runtime import TracingRuntime
 from ..emu.tracer import TraceSet
+from ..env import env_flag
 from ..errors import SymbolizeError
 from ..ir.interp import Interpreter
 from ..ir.module import Module
@@ -75,7 +75,7 @@ def _baseline() -> bool:
     """``REPRO_REPLAY_BASELINE=1`` disables input dedup (every traced
     input replays at every stage) and pool reuse.  Benchmarks use it
     to measure the win."""
-    return os.environ.get("REPRO_REPLAY_BASELINE", "") not in ("", "0")
+    return env_flag("REPRO_REPLAY_BASELINE")
 
 
 def _check_run(run, expected):

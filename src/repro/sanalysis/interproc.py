@@ -55,10 +55,10 @@ on or off whenever the gate passes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .. import obs
+from ..env import env_flag
 from ..ir.module import Function, Module
 from ..ir.values import (
     BinOp,
@@ -102,8 +102,7 @@ def _external_db():
 def interproc_enabled() -> bool:
     """The driver's escape hatch: ``REPRO_INTERPROC=0`` disables the
     interprocedural corroboration passes."""
-    return os.environ.get("REPRO_INTERPROC", "1") \
-        not in ("0", "false", "off", "no")
+    return env_flag("REPRO_INTERPROC", True)
 
 
 # -- the region-tagged abstract domain ---------------------------------------

@@ -1,15 +1,15 @@
 """repro.sched — the serve daemon's multi-process job scheduler.
 
-PR 8's daemon executed every job under one in-process lock: the warm
-incremental state (the optimizer's cross-stage fingerprint memo, the
-lowering cache, the published fork-pool context) is process-global, so
-two jobs could not safely overlap in one process — and the daemon's
-throughput ceiling was one job at a time regardless of core count.
+The single-lock daemon executes every job under one in-process lock:
+the warm incremental state (the optimizer's fixpoint memo, the lowering
+cache, the replay engine's published fork-pool context) is
+process-global, so two jobs cannot safely overlap in one process — and
+its throughput ceiling is one job at a time regardless of core count.
 
 This module moves job execution into a pool of **long-lived worker
 processes**.  Each worker is forked once at scheduler start and then
 runs many jobs, so the per-process warm state accumulates exactly as
-it did in the single-process daemon — result-key memos via the shared
+it does in the single-lock daemon — result-key memos via the shared
 store, per-image trace records, the optimizer's fingerprint memo, and
 the lowering cache all stay hot *inside the worker* between jobs.
 Cross-worker reuse still lands via the shared content-addressed
@@ -93,7 +93,7 @@ def affinity_worker(image_key: str, workers: int) -> int:
 # -- single-lock serve path so both modes share one code path) -----------
 
 def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
-                opt_jobs: int | None = None, replay_pool=None,
+                replay_pool=None,
                 image: BinaryImage | None = None) -> dict:
     """Run one job spec and return the response fields it produced.
 
@@ -122,7 +122,7 @@ def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
         check=options.get("check"),
         static_widen=options.get("static_widen"),
         hybrid=options.get("hybrid", False),
-        jobs=jobs, opt_jobs=opt_jobs, replay_pool=replay_pool,
+        jobs=jobs, replay_pool=replay_pool,
         collect_accuracy=options.get("collect_accuracy", True))
     out: dict = {
         "served": served.stats.served,
@@ -171,8 +171,8 @@ def _arm_worker_obs(spec: dict) -> bool:
     return armed
 
 
-def _worker_main(conn, worker_id: int, store_root: str, jobs: int,
-                 opt_jobs: int | None) -> None:
+def _worker_main(conn, worker_id: int, store_root: str,
+                 jobs: int) -> None:
     """Worker process entry: serve job specs from ``conn`` until EOF or
     a ``None`` sentinel.  All warm in-process state (optimizer memo,
     lowering cache, replay pool, block caches) lives and accumulates
@@ -194,7 +194,6 @@ def _worker_main(conn, worker_id: int, store_root: str, jobs: int,
                               job=spec.get("job", 0),
                               image=spec.get("image_key", "")):
                     result = execute_job(spec, store, jobs=jobs,
-                                         opt_jobs=opt_jobs,
                                          replay_pool=pool)
                 result["ok"] = True
             except Exception as exc:   # ship the failure, stay alive
@@ -256,13 +255,11 @@ class JobScheduler:
     """
 
     def __init__(self, workers: int, store_root, jobs: int = 1,
-                 opt_jobs: int | None = None,
                  max_depth: int | None = None,
                  job_timeout: float | None = None):
         self.workers = max(1, int(workers))
         self.store_root = str(store_root)
         self.jobs = max(1, int(jobs))
-        self.opt_jobs = opt_jobs
         self.max_depth = (int(max_depth) if max_depth is not None
                           else DEPTH_PER_WORKER * self.workers)
         self.job_timeout = job_timeout
@@ -307,8 +304,7 @@ class JobScheduler:
         parent_conn, child_conn = self._mp.Pipe()
         proc = self._mp.Process(
             target=_worker_main,
-            args=(child_conn, slot.idx, self.store_root, self.jobs,
-                  self.opt_jobs),
+            args=(child_conn, slot.idx, self.store_root, self.jobs),
             name=f"repro-sched-worker-{slot.idx}", daemon=True)
         proc.start()
         child_conn.close()

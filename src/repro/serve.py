@@ -103,7 +103,7 @@ class RecompileServer:
 
     def __init__(self, socket_path: str | Path,
                  store: ArtifactStore | str | Path | None = None,
-                 jobs: int = 1, opt_jobs: int | None = None,
+                 jobs: int = 1,
                  workers: int = 0, queue_depth: int | None = None,
                  job_timeout: float | None = None):
         self.socket_path = Path(socket_path)
@@ -112,7 +112,6 @@ class RecompileServer:
         else:
             self.store = ArtifactStore(store)
         self.jobs = max(1, int(jobs))
-        self.opt_jobs = opt_jobs
         self.workers = max(0, int(workers))
         self.max_request_bytes = MAX_REQUEST_BYTES
         if job_timeout is not None and self.workers < 1:
@@ -125,8 +124,8 @@ class RecompileServer:
             try:
                 self.sched = JobScheduler(
                     self.workers, store_root=self.store.root,
-                    jobs=self.jobs, opt_jobs=opt_jobs,
-                    max_depth=queue_depth, job_timeout=job_timeout)
+                    jobs=self.jobs, max_depth=queue_depth,
+                    job_timeout=job_timeout)
             except ValueError:
                 # No fork start method on this platform: fall back to
                 # the single-lock mode, which computes the same thing.
@@ -393,7 +392,6 @@ class RecompileServer:
                 if self.sched is None:
                     result = execute_job(
                         spec, self.store, jobs=self.jobs,
-                        opt_jobs=self.opt_jobs,
                         replay_pool=self.replay_pool, image=image)
                     result["ok"] = True
                 else:
@@ -529,13 +527,12 @@ class ServeClient:
 def serve_forever(socket_path: str | Path,
                   store: str | Path | None = None,
                   jobs: int = 1,
-                  opt_jobs: int | None = None,
                   workers: int = 0,
                   queue_depth: int | None = None,
                   job_timeout: float | None = None) -> RecompileServer:
     """Convenience entry: build a server and block serving requests."""
     server = RecompileServer(socket_path, store=store, jobs=jobs,
-                             opt_jobs=opt_jobs, workers=workers,
+                             workers=workers,
                              queue_depth=queue_depth,
                              job_timeout=job_timeout)
     server.serve_forever()

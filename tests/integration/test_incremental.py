@@ -103,7 +103,7 @@ def test_relift_reuses_unchanged_functions(image, tmp_path):
     # serves every function whose content did not move, so fewer
     # functions are re-refined than exist in the module.
     reused = {e.get("function") for e in events
-              if e["kind"] in ("opt.skip", "opt.memo_hit")}
+              if e["kind"] == "opt.memo_hit"}
     reused.discard(None)
     assert counters.get("opt.manager.skipped", 0) \
         + counters.get("opt.manager.memo_hits", 0) > 0

@@ -79,7 +79,8 @@ def test_enable_is_idempotent_until_reset():
 
 @pytest.mark.parametrize("value,expected", [
     (None, False), ("", False), ("0", False), ("false", False),
-    ("off", False), ("1", True), ("true", True), ("yes", True),
+    ("off", False), ("no", False), ("OFF", False), (" False ", False),
+    ("1", True), ("true", True), ("yes", True),
 ])
 def test_env_activation_parsing(monkeypatch, value, expected):
     if value is None:

@@ -5,9 +5,9 @@ Two families of guarantees:
 * **Equivalence** — the worklist engine's output is byte-identical to
   the legacy fixed schedule (``REPRO_PASS_BASELINE=1``) at every
   optimization level, both as printed IR and as recompiled binaries.
-* **Incrementality** — re-optimizing unchanged functions is skipped
-  (version tracking on the same object, fingerprint memo across
-  objects), and after inlining only the callers that received code are
+* **Incrementality** — a function whose content is a known fixpoint
+  is skipped through the fingerprint memo (the same object or a fresh
+  one), and after inlining only the callers that received code are
   re-enqueued.
 """
 
@@ -18,6 +18,7 @@ import pytest
 from repro import obs
 from repro.cc.driver import compile_to_ir
 from repro.ir import (
+    BinOp,
     Builder,
     Const,
     Function,
@@ -30,7 +31,6 @@ from repro.opt import (
     OptOptions,
     canonicalize_module,
     clear_memo,
-    close_opt_pool,
     drop_unused_private_functions,
     optimize_module,
 )
@@ -45,7 +45,6 @@ def fresh_memo():
     clear_memo()
     yield
     clear_memo()
-    close_opt_pool()
 
 
 def _optimized_pair(source, opts, monkeypatch):
@@ -114,17 +113,20 @@ def _counters_for(fn):
 
 
 def test_second_call_skips_everything():
-    """Optimizing an already-optimized module runs zero passes: every
-    function is accounted as skipped via the module snapshot."""
+    """Optimizing an already-optimized module runs no per-function
+    pass: every function is a memo hit.  Only the module-level inline
+    scan runs, once, and finds nothing to do."""
     opts = OptOptions.o2()
     module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
     optimize_module(module, opts)
     text = module_to_text(module)
     nfuncs = len(module.functions)
+    assert nfuncs > 1
 
     counters = _counters_for(lambda: optimize_module(module, opts))
-    assert not _pass_runs(counters)
-    assert counters.get("opt.manager.skipped", 0) >= max(nfuncs, 1)
+    assert _pass_runs(counters) == {"opt.pass.inline.runs": 1}
+    assert counters.get("opt.manager.memo_hits", 0) == nfuncs
+    assert counters.get("opt.manager.skipped", 0) == nfuncs
     assert module_to_text(module) == text
 
 
@@ -143,17 +145,6 @@ def test_fresh_copy_hits_memo():
                      if n != "opt.pass.inline.runs"}
     assert not function_runs
     assert module_to_text(clone) == text
-
-
-def test_memo_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("REPRO_OPT_MEMO", "0")
-    opts = OptOptions.o2()
-    module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(module, opts)
-    clone = copy.deepcopy(module)
-    counters = _counters_for(lambda: optimize_module(clone, opts))
-    assert counters.get("opt.manager.memo_hits", 0) == 0
-    assert _pass_runs(counters)  # really re-ran the schedule
 
 
 def test_inline_requeues_only_changed_callers():
@@ -208,28 +199,41 @@ def test_optimize_module_drops_dead_cycle():
     assert set(m.functions) == {"main"}
 
 
-def test_mutated_function_is_reoptimized(monkeypatch):
-    """Touching one function after fixpoint re-optimizes that function
-    (and only it) on the next call.  The memo is disabled because a
-    version bump with unchanged content is exactly what the fingerprint
-    layer exists to catch — here we want the version layer alone."""
-    monkeypatch.setenv("REPRO_OPT_MEMO", "0")
-    opts = OptOptions.o1()  # no inlining: isolates the version check
+def test_mutated_function_is_reoptimized():
+    """Editing one function's content after fixpoint re-optimizes that
+    function, and only it, on the next call; every other function is a
+    memo hit."""
+    opts = OptOptions.o1()  # no inlining: only per-function visits
     module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
     optimize_module(module, opts)
+    text = module_to_text(module)
 
-    victim = next(iter(module.functions.values()))
+    victim = module.functions["sum_array"]
+    victim.entry.instrs.insert(0, BinOp("add", Const(1), Const(2)))
     victim.invalidate()
-    counters = _counters_for(lambda: optimize_module(module, opts))
-    assert _pass_runs(counters)  # the victim really re-ran
-    assert counters.get("opt.manager.skipped", 0) >= \
+    obs.enable(reset=True)
+    led = obs.enable_ledger()
+    try:
+        optimize_module(module, opts)
+        hits = [e["function"] for e in led.events
+                if e["kind"] == "opt.memo_hit"]
+        counters = obs.export_payload()["metrics"]["counters"]
+    finally:
+        obs.disable_ledger()
+        obs.disable()
+    assert sorted(hits) == sorted(set(module.functions) - {"sum_array"})
+    assert counters.get("opt.manager.memo_hits", 0) == \
         len(module.functions) - 1
+    # The victim alone ran the schedule: one round removed the dead
+    # instruction and a second confirmed the fixpoint.
+    assert _pass_runs(counters)["opt.pass.dce.runs"] == 2
+    assert module_to_text(module) == text
 
 
 def test_version_bump_with_same_content_served_by_memo():
-    """The complement of the previous test: with the memo on, a version
-    bump that did not change the function's content costs one
-    fingerprint instead of a schedule run."""
+    """The complement of the previous test: a version bump that did not
+    change the function's content costs one fingerprint instead of a
+    schedule run."""
     opts = OptOptions.o1()
     module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
     optimize_module(module, opts)
@@ -237,86 +241,20 @@ def test_version_bump_with_same_content_served_by_memo():
     next(iter(module.functions.values())).invalidate()
     counters = _counters_for(lambda: optimize_module(module, opts))
     assert not _pass_runs(counters)
-    assert counters.get("opt.manager.memo_hits", 0) == 1
+    assert counters.get("opt.manager.memo_hits", 0) == \
+        len(module.functions)
 
 
-# -- parallel worklist visits (jobs > 1) --------------------------------------
-
-
-@pytest.mark.parametrize("level", ["o0", "o1", "o2", "o3"])
-@pytest.mark.parametrize("source", [FEATURE_SOURCE, KERNEL_SOURCE],
-                         ids=["feature", "kernel"])
-def test_parallel_jobs_byte_identical_ir(source, level):
-    """jobs=4 worklist output is byte-identical to serial at every
-    optimization level, from the same cold start."""
-    opts = getattr(OptOptions, level)()
-    serial = compile_to_ir(source, name="t", config=None)
-    optimize_module(serial, opts, jobs=1)
-    clear_memo()  # the parallel run starts equally cold
-    par = compile_to_ir(source, name="t", config=None)
-    optimize_module(par, opts, jobs=4)
-    verify_module(par)
-    assert module_to_text(par) == module_to_text(serial)
-
-
-@pytest.mark.parametrize("level", ["o1", "o3"])
-def test_parallel_jobs_byte_identical_binary(level):
-    opts = getattr(OptOptions, level)()
-    serial = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(serial, opts, jobs=1)
-    clear_memo()
-    par = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(par, opts, jobs=4)
-    assert compile_ir(par).to_json() == compile_ir(serial).to_json()
-
-
-def test_parallel_canonicalize_byte_identical():
-    serial = compile_to_ir(KERNEL_SOURCE, name="t", config=None)
-    canonicalize_module(serial, jobs=1)
-    clear_memo()
-    par = compile_to_ir(KERNEL_SOURCE, name="t", config=None)
-    canonicalize_module(par, jobs=4)
-    assert module_to_text(par) == module_to_text(serial)
-
-
-def test_parallel_visits_really_fan_out():
-    """Guard against a silent serial fallback: with jobs=4 the pool
-    path must actually run (visits counted, a pool spawned)."""
-    opts = OptOptions.o2()
-    module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    counters = _counters_for(
-        lambda: optimize_module(module, opts, jobs=4))
-    assert counters.get("opt.manager.parallel_visits", 0) > 0
-    assert counters.get("parallel.pool.spawns", 0) >= 1
-
-
-def test_opt_jobs_env_sets_default(monkeypatch):
-    monkeypatch.setenv("REPRO_OPT_JOBS", "3")
-    assert manager_mod.opt_jobs_default() == 3
-    serial = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    monkeypatch.delenv("REPRO_OPT_JOBS")
-    optimize_module(serial, OptOptions.o2())
-    clear_memo()
-    monkeypatch.setenv("REPRO_OPT_JOBS", "4")
-    par = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    counters = _counters_for(
-        lambda: optimize_module(par, OptOptions.o2()))
-    assert counters.get("opt.manager.parallel_visits", 0) > 0
-    assert module_to_text(par) == module_to_text(serial)
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_budget_exhausted_function_not_memoized(jobs):
+def test_budget_exhausted_function_not_memoized():
     """Regression (memo poisoning): a function still changing when the
-    round budget runs out must not enter the fixpoint memo -- neither
-    from a serial visit nor from a pool worker's partial result."""
+    round budget runs out must not enter the fixpoint memo."""
     opts = OptOptions(level=2, inline=False, rounds=1)
     module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
     entry_fps = {name: manager_mod.function_fingerprint(f)
                  for name, f in module.functions.items()}
     manager = manager_mod.PassManager(
         module, manager_mod.build_function_pipeline(opts, module),
-        ("opt", opts), rounds=1, jobs=jobs)
+        ("opt", opts), rounds=1)
     manager.run()
     # The single round is not enough for functions the schedule changes.
     assert manager.unresolved
@@ -330,5 +268,5 @@ def test_budget_exhausted_function_not_memoized(jobs):
     # instead of being skipped off the poisoned entry.
     counters = _counters_for(lambda: manager_mod.PassManager(
         module, manager_mod.build_function_pipeline(opts, module),
-        ("opt", opts), rounds=1, jobs=jobs).run())
+        ("opt", opts), rounds=1).run())
     assert _pass_runs(counters)

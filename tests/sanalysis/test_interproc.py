@@ -437,8 +437,9 @@ def test_unmodeled_extern_becomes_candidate():
 def test_interproc_enabled_env(monkeypatch):
     monkeypatch.delenv("REPRO_INTERPROC", raising=False)
     assert interproc_enabled()
-    monkeypatch.setenv("REPRO_INTERPROC", "0")
-    assert not interproc_enabled()
+    for off in ("0", "no", "OFF", " False "):
+        monkeypatch.setenv("REPRO_INTERPROC", off)
+        assert not interproc_enabled()
     monkeypatch.setenv("REPRO_INTERPROC", "1")
     assert interproc_enabled()
 

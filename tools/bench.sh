@@ -25,11 +25,9 @@
 # the legacy fixed schedule (REPRO_PASS_BASELINE=1) on a
 # duplicated-stage workload, plus skip/requeue rates.
 #
-# The backend benches run as a fifth pass and emit BENCH_lower.json:
+# The backend bench runs as a fifth pass and emits BENCH_lower.json:
 # cold vs warm compile_ir through the fingerprint-keyed lowering cache
-# (warm hit rate, functions re-lowered after a one-function edit) and
-# the parallel per-function optimizer (jobs=4) against the legacy
-# schedule.
+# (warm hit rate, functions re-lowered after a one-function edit).
 #
 # The service benches run as a sixth pass and emit BENCH_serve.json:
 # a replayed campaign against the warm artifact store vs N cold
