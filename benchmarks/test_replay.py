@@ -32,9 +32,10 @@ from repro.emu import trace_binary
 
 pytestmark = pytest.mark.bench
 
-#: Exit-code workload: no printf, so the varargs refinement makes no
-#: run and each distinct input replays three times (register
-#: observation, bounds run, final validation sweep).
+#: Exit-code workload (no printf).  Each distinct input replays three
+#: times (register observation, bounds run, final validation sweep), as
+#: with variadic sites: the varargs refinement takes its argument counts
+#: from the trace and makes no run.
 SOURCE = r"""
 int mix(int seed, int rounds) {
     int acc = seed;

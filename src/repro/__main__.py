@@ -47,7 +47,19 @@ from .binary import BinaryImage
 from .cc import compile_source
 from .core import wytiwyg_lift, wytiwyg_recompile
 from .emu import run_binary, trace_binary
-from .errors import CheckError, StaticCheckError
+from .errors import LinkError, ReproError, StaticCheckError
+
+
+def _parse_item(item: str) -> int | bytes:
+    if item.startswith("bytes:"):
+        return item[6:].encode()
+    if item.startswith("int:"):
+        try:
+            return int(item[4:], 0)
+        except ValueError:
+            pass
+    raise SystemExit(f"bad input spec {item!r} "
+                     f"(use int:N, bytes:TEXT, or /)")
 
 
 def _parse_inputs(spec: list[str]) -> list[list]:
@@ -56,14 +68,20 @@ def _parse_inputs(spec: list[str]) -> list[list]:
     for item in spec:
         if item == "/":
             runs.append([])
-        elif item.startswith("int:"):
-            runs[-1].append(int(item[4:], 0))
-        elif item.startswith("bytes:"):
-            runs[-1].append(item[6:].encode())
         else:
-            raise SystemExit(f"bad input spec {item!r} "
-                             f"(use int:N, bytes:TEXT, or /)")
+            runs[-1].append(_parse_item(item))
     return runs
+
+
+def _load_image(path: str) -> BinaryImage:
+    """The binary image stored in the file at ``path``; a file that
+    holds none raises :class:`~repro.errors.LinkError`."""
+    text = Path(path).read_text()
+    try:
+        return BinaryImage.from_json(text)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise LinkError(f"{path} is not a binary image "
+                        f"({type(exc).__name__}: {exc})") from None
 
 
 def cmd_compile(args) -> int:
@@ -77,7 +95,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    image = BinaryImage.from_json(Path(args.image).read_text())
+    image = _load_image(args.image)
     runs = _parse_inputs(args.input)
     for items in runs:
         result = run_binary(image, items)
@@ -87,7 +105,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_recompile(args) -> int:
-    image = BinaryImage.from_json(Path(args.image).read_text())
+    image = _load_image(args.image)
     runs = _parse_inputs(args.input)
     if args.pipeline == "wytiwyg":
         try:
@@ -206,7 +224,7 @@ def cmd_store_gc(args) -> int:
 
 
 def cmd_layout(args) -> int:
-    image = BinaryImage.from_json(Path(args.image).read_text())
+    image = _load_image(args.image)
     runs = _parse_inputs(args.input)
     result = wytiwyg_recompile(image, runs, optimize=False,
                                jobs=args.jobs)
@@ -225,7 +243,7 @@ def cmd_layout(args) -> int:
 
 
 def cmd_check(args) -> int:
-    image = BinaryImage.from_json(Path(args.image).read_text())
+    image = _load_image(args.image)
     runs = _parse_inputs(args.input)
     traces = trace_binary(image, runs)
     _module, _layouts, _notes, report = wytiwyg_lift(
@@ -243,7 +261,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    image = BinaryImage.from_json(Path(args.image).read_text())
+    image = _load_image(args.image)
     runs = _parse_inputs(args.input)
     # The provenance query needs the event stream of *this* run: unless
     # the user pointed the ledger at a file, record in memory.
@@ -505,8 +523,11 @@ def main(argv: list[str] | None = None) -> int:
         obs.enable_ledger(args.ledger)
     try:
         status = args.func(args)
-    except CheckError as exc:
-        print(f"repro {args.command}: {exc}", file=sys.stderr)
+    except (ReproError, OSError) as exc:
+        # Bad input (a missing or malformed image, a MiniC error, no
+        # traced runs): one line, not a traceback.
+        print(f"repro {args.command}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         status = 2
     finally:
         if args.ledger:

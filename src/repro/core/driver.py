@@ -2,10 +2,13 @@
 
 Orchestrates the full pipeline:
 
-1. trace the input binary on the user-provided inputs (S2E role);
+1. trace the input binary on the user-provided inputs (S2E role); the
+   trace also records each variadic call site's argument count, read
+   off the format string each call is handed;
 2. lift the merged traces to IR (BinRec role);
-3. **refinement: variadic call recovery** (§5.2) — run, inspect format
-   strings, make variadic external calls explicit;
+3. **refinement: variadic call recovery** (§5.2) — make variadic
+   external calls explicit with the traced argument counts (an IR
+   rewrite, no run);
 4. **refinement: register save/argument classification** (§4.1) — run
    with register symbols, shrink signatures, decouple saved registers
    from the emulated stack;
@@ -32,19 +35,19 @@ refinement whose output ran, the diverging traced input and the reason
 (an interpreter exception included).  Each check runs the output of one
 refinement:
 
-* the variadic observation (step 3) checks ``"lifting"``;
-* the register observation (step 4) checks ``"varargs refinement"``
-  (``"lifting"`` when there was no variadic site to rewrite);
+* the register observation (step 4), the first IR run, checks
+  ``"lifting"``, which covers the lift and the varargs rewrite;
 * the instrumented bounds runs (step 6) check ``"register
   refinement"``, which also covers canonicalization and probe
   insertion — both precede the bounds run and preserve semantics;
 * one dedicated sweep after symbolization checks ``"stack
   symbolization"``.
 
-That is four IR runs per distinct traced input (three without variadic
-sites).  The observation and bounds checks replay in traced order and
-name the earliest diverging input, with or without ``jobs``; the final
-sweep replays cheapest first and names the first mismatch it meets.
+That is three IR runs per distinct traced input, with or without
+variadic sites.  The observation and bounds checks replay in traced
+order and name the earliest diverging input, with or without ``jobs``;
+the final sweep replays cheapest first and names the first mismatch it
+meets.
 With ``jobs > 1`` the bounds runs and the final sweep fan out over a
 process pool (results merge deterministically, so the recompiled binary
 is byte-identical across ``jobs`` settings).  Canonicalization (step 5)
@@ -235,12 +238,11 @@ def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
     if hybrid:
         notes.append("hybrid: static coverage extension enabled")
 
-    # Refinement: variadic external calls (§5.2).  The observation runs
-    # check the lifted module.
+    # Refinement: variadic external calls (§5.2), from the argument
+    # counts the trace recorded at each call site.
     with obs.span("stage.varargs") as sp:
         before = module_stats(module) if observing else None
-        nsites = recover_vararg_calls(module, engine.unique_inputs,
-                                      check=engine.checker("lifting"))
+        nsites = recover_vararg_calls(module, traces)
         if nsites:
             notes.append(f"varargs: recovered {nsites} call sites")
         verify_module(module)
@@ -249,13 +251,13 @@ def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
                    verified=True, call_sites=nsites)
 
     # Refinement: register save/argument classification (§4.1).  The
-    # observation runs check the varargs rewrite.
+    # observation runs are the first IR runs: they check lifting and
+    # the varargs rewrite together.
     with obs.span("stage.regsave") as sp:
         before = module_stats(module) if observing else None
         classification = classify_registers(
             module, engine.unique_inputs, static_augment=hybrid,
-            check=engine.checker(
-                "varargs refinement" if nsites else "lifting"))
+            check=engine.checker("lifting"))
         apply_register_classification(module, classification)
         verify_module(module)
         if before is not None:

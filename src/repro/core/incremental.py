@@ -140,6 +140,7 @@ def gather_traces(image: BinaryImage, runs: list[list],
                 single = trace_binary(image, [list(items)])
             record = {"transfers": single.transfers,
                       "executed": single.executed,
+                      "vararg_counts": single.vararg_counts,
                       "result": single.results[0],
                       "input": list(items)}
             store.put("trace", tkey, record)
@@ -147,7 +148,8 @@ def gather_traces(image: BinaryImage, runs: list[list],
         else:
             stats.traces_reused += 1
         traces.absorb(record["transfers"], record["executed"],
-                      record["result"], record["input"])
+                      record["vararg_counts"], record["result"],
+                      record["input"])
     return traces
 
 

@@ -217,8 +217,10 @@ def classify_registers(module: Module,
     result is widened by an ABI-heuristic static read-before-write
     analysis, so registers consumed only on statically-added (untraced)
     paths are still classified as arguments.  ``check(n, run)``, if
-    given, executes the ``n``-th input's run instead of the loop (see
-    :func:`~repro.core.varargs.recover_vararg_calls`).
+    given, executes the ``n``-th input's run instead of the loop calling
+    ``run()`` itself (the replay engine's
+    :meth:`~repro.replay.ReplayEngine.checker` compares it with the
+    trace).
     """
     plugin = RegSavePlugin()
     with Interpreter(module, shadow=plugin) as interp:

@@ -35,7 +35,7 @@ from ..obs import count as _obs_count
 from ..isa.instructions import Imm, ImportRef, Instruction, Mem
 from ..isa.registers import Reg
 from .costs import CostModel
-from .libc import StackArgs
+from .libc import StackArgs, vararg_counter
 
 MASK32 = 0xFFFFFFFF
 
@@ -553,14 +553,17 @@ def _compile_call(instr: Instruction, src: int, next_eip: int,
     if isinstance(target_op, ImportRef):
         name = target_op.name
         import_cost = costs.import_call
+        count = vararg_counter(name)
 
         def op(m):
             m.cycles += import_cost
+            esp = m.cpu.regs[ESP_INDEX]
             ts = m.trace_sink
             if ts is not None:
                 ts.transfer(src, next_eip, "import")
-            result = m.libc.call(name,
-                                 StackArgs(m.mem, m.cpu.regs[ESP_INDEX]))
+                if count is not None:
+                    ts.varargs(src, count(m.mem, esp))
+            result = m.libc.call(name, StackArgs(m.mem, esp))
             m.cpu.regs[0] = result & MASK32
             m.cpu.eip = next_eip
         return op

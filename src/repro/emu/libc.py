@@ -62,9 +62,10 @@ class ListArgs(Args):
 def parse_format(fmt: bytes) -> list[str]:
     """Return the conversion kinds of a printf-style format string.
 
-    Kinds are ``"int"`` (%d/%u/%x/%c) and ``"str"`` (%s).  This helper is
-    shared with the varargs refinement (paper §5.2), which inspects format
-    strings at runtime to recover per-call-site signatures.
+    Kinds are ``"int"`` (%d/%u/%x/%c) and ``"str"`` (%s).  The tracer
+    counts them at every variadic import call (:func:`vararg_counter`),
+    which gives the varargs refinement (paper §5.2) each call site's
+    prototype.
     """
     kinds: list[str] = []
     i = 0
@@ -89,6 +90,26 @@ def parse_format(fmt: bytes) -> list[str]:
         else:
             raise EmulationError(f"unsupported conversion %{conv.decode()}")
     return kinds
+
+
+def vararg_counter(name: str):
+    """``count(mem, sp)`` for a variadic external with a format string,
+    else None: the number of arguments one call at stack pointer ``sp``
+    passes, its fixed arguments plus one per conversion of its format
+    string.  Both emulator engines report it to the tracer at each such
+    import call, before the call runs, and only while tracing; the block
+    engine looks it up once, when it compiles the call."""
+    # Imported here: repro.core's package imports the emulator.
+    from ..core.extfuncs import EXTERNAL_DB
+    sig = EXTERNAL_DB.get(name)
+    if sig is None or not sig.vararg or sig.format_arg is None:
+        return None
+    nargs, fmt_slot = sig.nargs, 4 * sig.format_arg
+
+    def count(mem: Memory, sp: int) -> int:
+        fmt = mem.read_cstring(mem.read((sp + fmt_slot) & 0xFFFFFFFF, 4))
+        return nargs + len(parse_format(fmt))
+    return count
 
 
 def _signed(v: int) -> int:

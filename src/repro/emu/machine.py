@@ -24,7 +24,7 @@ from ..obs import recorder as _obs_recorder
 from .blocks import EXIT_SENTINEL, BlockCache, shared_block_cache
 from .cpu import CPU, MASK32, signed32
 from .costs import DEFAULT_COSTS, CostModel
-from .libc import ExitProgram, LibC, StackArgs
+from .libc import ExitProgram, LibC, StackArgs, vararg_counter
 from .memory import make_memory
 
 __all__ = ["ControlSink", "EXIT_SENTINEL", "Machine", "RunResult",
@@ -32,11 +32,18 @@ __all__ = ["ControlSink", "EXIT_SENTINEL", "Machine", "RunResult",
 
 
 class ControlSink(Protocol):
-    """Receiver of dynamic control-transfer events (the trace consumer)."""
+    """Receiver of dynamic control-transfer events (the trace consumer).
+
+    ``varargs(src, count)`` reports that the variadic import call at
+    ``src`` passed ``count`` arguments
+    (:func:`~repro.emu.libc.vararg_counter`).
+    """
 
     def transfer(self, src: int, dst: int, kind: str) -> None: ...
 
     def executed(self, addr: int) -> None: ...
+
+    def varargs(self, src: int, count: int) -> None: ...
 
 
 @dataclass
@@ -452,8 +459,13 @@ class Machine:
         if isinstance(target_op, ImportRef):
             self.cycles += self.costs.import_call
             self._transfer(next_eip, "import")
-            result = self.libc.call(target_op.name,
-                                    StackArgs(self.mem, self.cpu.get(ESP)))
+            esp = self.cpu.get(ESP)
+            if self.trace_sink is not None:
+                count = vararg_counter(target_op.name)
+                if count is not None:
+                    self.trace_sink.varargs(self.cpu.eip,
+                                            count(self.mem, esp))
+            result = self.libc.call(target_op.name, StackArgs(self.mem, esp))
             self.cpu.set_name("eax", result)
             self.cpu.eip = next_eip
             return

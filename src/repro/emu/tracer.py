@@ -5,7 +5,9 @@ of inputs, every control transfer and every executed instruction address.
 :class:`TraceSet` merges traces across inputs (the paper's "Merge CFGs"
 step), and is the sole source of control-flow information for the lifter —
 the dynamic-only discipline that lets WYTIWYG avoid heuristic CFG
-recovery.
+recovery.  It also keeps, per variadic import call site, the most
+arguments one call there passed, which is the prototype the varargs
+refinement (paper §5.2) gives the site.
 """
 
 from __future__ import annotations
@@ -16,6 +18,13 @@ from ..binary.image import BinaryImage
 from .blocks import shared_block_cache
 from .costs import DEFAULT_COSTS, CostModel
 from .machine import Machine, RunResult, _HANDLERS
+
+
+#: Version of what a trace records (:class:`TraceSet`'s fields and the
+#: store's per-input trace records).  Keys of stored traces include it,
+#: so a change of fields makes old entries miss instead of loading
+#: without the new field.
+TRACE_SCHEMA = "2"
 
 
 @dataclass(frozen=True)
@@ -30,31 +39,40 @@ class Transfer:
 class _Sink:
     """The Machine's ControlSink, built from bound recorder callables.
 
-    The machine fetches ``.transfer`` and ``.executed`` and calls them
-    directly, so there is no adapter frame between the emulator and the
-    recording sets.
+    The machine fetches ``.transfer``, ``.executed`` and ``.varargs``
+    and calls them directly, so there is no adapter frame between the
+    emulator and the recording sets.
     """
 
-    __slots__ = ("transfer", "executed")
+    __slots__ = ("transfer", "executed", "varargs")
 
-    def __init__(self, transfer, executed):
+    def __init__(self, transfer, executed, varargs):
         self.transfer = transfer
         self.executed = executed
+        self.varargs = varargs
 
 
 class Tracer:
-    """Collects transfers and coverage during one or more executions."""
+    """Collects transfers, coverage and variadic argument counts during
+    one or more executions."""
 
     def __init__(self) -> None:
         self.transfers: set[Transfer] = set()
         self.executed: set[int] = set()
+        #: Variadic import call address -> most arguments one call there
+        #: passed.
+        self.vararg_counts: dict[int, int] = {}
         #: ControlSink view: ``executed`` is the coverage set's own
         #: ``add`` method (an attribute named ``executed`` would collide
-        #: with the set, so the sink is a separate two-slot object).
-        self.sink = _Sink(self.transfer, self.executed.add)
+        #: with the set, so the sink is a separate object).
+        self.sink = _Sink(self.transfer, self.executed.add, self.varargs)
 
     def transfer(self, src: int, dst: int, kind: str) -> None:
         self.transfers.add(Transfer(src, dst, kind))
+
+    def varargs(self, src: int, count: int) -> None:
+        if count > self.vararg_counts.get(src, -1):
+            self.vararg_counts[src] = count
 
 
 @dataclass
@@ -66,26 +84,31 @@ class TraceSet:
     executed: set[int] = field(default_factory=set)
     results: list[RunResult] = field(default_factory=list)
     inputs: list[list[int | bytes]] = field(default_factory=list)
+    #: Variadic import call address -> most arguments one call there
+    #: passed, over every traced input (the §5.2 prototype).
+    vararg_counts: dict[int, int] = field(default_factory=dict)
 
     def merge(self, tracer: Tracer, result: RunResult,
               input_items: list[int | bytes]) -> None:
-        self.transfers |= tracer.transfers
-        self.executed |= tracer.executed
-        self.results.append(result)
-        self.inputs.append(list(input_items))
+        self.absorb(tracer.transfers, tracer.executed,
+                    tracer.vararg_counts, result, input_items)
 
     def absorb(self, transfers: set[Transfer], executed: set[int],
-               result: RunResult,
+               vararg_counts: dict[int, int], result: RunResult,
                input_items: list[int | bytes]) -> None:
-        """Fold one previously recorded input run in.
+        """Fold one input run in.
 
-        The per-input counterpart of :meth:`merge` for trace records
-        loaded from the artifact store: absorbing each input's record
-        in request order reconstructs exactly the TraceSet that
-        :func:`trace_binary` would build by re-executing every input.
+        :meth:`merge` folds a live tracer's run; trace records loaded
+        from the artifact store come here directly, so absorbing each
+        input's record in request order reconstructs exactly the
+        TraceSet that :func:`trace_binary` would build by re-executing
+        every input.
         """
         self.transfers |= transfers
         self.executed |= executed
+        for src, count in vararg_counts.items():
+            if count > self.vararg_counts.get(src, -1):
+                self.vararg_counts[src] = count
         self.results.append(result)
         self.inputs.append(list(input_items))
 

@@ -29,7 +29,7 @@ from ..baselines.secondwrite import SecondWriteError, \
     secondwrite_recompile
 from ..core.driver import wytiwyg_recompile
 from ..emu.machine import run_binary
-from ..emu.tracer import trace_binary
+from ..emu.tracer import TRACE_SCHEMA, trace_binary
 from ..errors import ReproError
 from ..workloads import WORKLOADS, Workload
 from .cache import EvalCache
@@ -166,7 +166,9 @@ def _measure_cell(workload: Workload, compiler: str, opt_level: str,
     def traced(img):
         if ecache is None:
             return trace_binary(img, inputs)
-        return ecache.memo("traces", ecache.key(img, inputs, "traces"),
+        return ecache.memo("traces",
+                           ecache.key(img, inputs,
+                                      f"traces/{TRACE_SCHEMA}"),
                            lambda: trace_binary(img, inputs))
 
     # BinRec: lifted, optimized, not symbolized.

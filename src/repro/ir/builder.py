@@ -90,8 +90,9 @@ class Builder:
         return self._emit(CallInd(target, args, nresults))
 
     def call_external(self, name: str, args: list[Value],
-                      sp: Value | None = None) -> Instr:
-        return self._emit(CallExt(name, args, sp))
+                      sp: Value | None = None,
+                      call_addr: int | None = None) -> Instr:
+        return self._emit(CallExt(name, args, sp, call_addr))
 
     def result(self, call: Instr, index: int) -> Instr:
         return self._emit(Result(call, index))

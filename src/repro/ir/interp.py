@@ -230,7 +230,6 @@ class Interpreter:
                  input_items: list[int | bytes] | None = None,
                  intrinsic_handler: IntrinsicHandler | None = None,
                  shadow: ShadowPlugin | None = None,
-                 callext_hook=None,
                  max_steps: int = 200_000_000,
                  compiled: bool | None = None):
         self.module = module
@@ -255,9 +254,6 @@ class Interpreter:
         #: between runs (one tracing runtime per bounds input).
         self.intrinsic_handler = intrinsic_handler
         self.shadow = shadow
-        #: Optional hook observing every external call:
-        #: hook(frame, instr, sp_or_None, args_or_None).
-        self.callext_hook = callext_hook
         self.max_steps = max_steps
         self.global_addrs: dict[str, int] = {}
         self.func_addrs: dict[str, int] = {}
@@ -919,7 +915,6 @@ class Interpreter:
 
     def _compile_callext(self, i: CallExt):
         libc_call = self.libc.call
-        hook = self.callext_hook
         mem = self.mem
         sh = self.shadow
         name = i.ext_name
@@ -928,8 +923,6 @@ class Interpreter:
 
             def run(frame):
                 sp = esp(frame.values)
-                if hook is not None:
-                    hook(frame, i, sp, None)
                 frame.values[i] = libc_call(name, StackArgs(mem, sp))
                 if sh is not None:
                     frame.shadows[i] = None
@@ -943,8 +936,6 @@ class Interpreter:
             if sh is not None:
                 sh.on_callext(frame.frame_id, i, values,
                               [s(frame.shadows) for s in shvs])
-            if hook is not None:
-                hook(frame, i, None, values)
             v[i] = libc_call(name, ListArgs(values))
             if sh is not None:
                 frame.shadows[i] = None
@@ -1137,8 +1128,6 @@ class Interpreter:
     def _do_callext(self, frame: Frame, instr: CallExt):
         if instr.stack_args:
             sp = self._eval(frame, instr.sp)
-            if self.callext_hook is not None:
-                self.callext_hook(frame, instr, sp, None)
             result = self.libc.call(instr.ext_name,
                                     StackArgs(self.mem, sp))
         else:
@@ -1147,8 +1136,6 @@ class Interpreter:
                 self.shadow.on_callext(
                     frame.frame_id, instr, values,
                     [self._shadow_of(frame, a) for a in instr.args])
-            if self.callext_hook is not None:
-                self.callext_hook(frame, instr, None, values)
             result = self.libc.call(instr.ext_name, ListArgs(values))
         frame.values[instr] = result
         if self.shadow is not None:

@@ -294,16 +294,19 @@ class CallExt(Instr):
     (paper §5.2): ``sp`` points at the argument area in the emulated stack
     and ``args`` is empty.  After recovery (and always for recompiled
     MiniC code), arguments are explicit and ``sp`` is ``None``.
+    ``call_addr`` is the address of the binary call instruction a lifted
+    site came from, which keys its traced argument count.
     """
 
     opcode = "callext"
 
     def __init__(self, name: str, args: list[Value],
-                 sp: Value | None = None):
+                 sp: Value | None = None, call_addr: int | None = None):
         ops = list(args) if sp is None else [sp, *args]
         super().__init__(ops)
         self.ext_name = name
         self.stack_args = sp is not None
+        self.call_addr = call_addr
 
     @property
     def sp(self) -> Value | None:

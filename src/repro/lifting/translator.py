@@ -398,8 +398,9 @@ class FunctionTranslator:
         esp = self._rread_name("esp")
         if sig.vararg:
             # BinRec-style stack switching until the varargs refinement
-            # recovers per-call-site prototypes (paper §5.2).
-            result = self.b.call_external(name, [], sp=esp)
+            # gives the site the prototype traced at this call (§5.2).
+            result = self.b.call_external(name, [], sp=esp,
+                                          call_addr=instr.addr)
         else:
             args = [self.b.load(self.b.add(esp, Const(4 * i)), 4)
                     if i else self.b.load(esp, 4)

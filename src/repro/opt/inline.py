@@ -53,7 +53,8 @@ def _clone_instr(instr: Instr) -> Instr:
     if isinstance(instr, CallInd):
         return CallInd(instr.target, instr.args, instr.nresults)
     if isinstance(instr, CallExt):
-        return CallExt(instr.ext_name, instr.args, instr.sp)
+        return CallExt(instr.ext_name, instr.args, instr.sp,
+                       instr.call_addr)
     if isinstance(instr, Result):
         return Result(instr.call, instr.index)
     if isinstance(instr, Intrinsic):

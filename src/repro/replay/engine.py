@@ -1,23 +1,22 @@
 """The replay engine: all dynamic re-execution of lifted IR.
 
 The refinement pipeline (paper Figure 4) executes the lifted module on
-every traced input at every dynamic stage: the variadic-call
-observation, the register-classification observation, the
-instrumented §4.2 bounds run, and one validation sweep after stack
-symbolization.  That replay loop dominates ``wytiwyg_recompile``'s
-cost, so the engine makes every run count:
+every traced input at every dynamic stage: the register-classification
+observation, the instrumented §4.2 bounds run, and one validation sweep
+after stack symbolization.  (The variadic-call refinement needs no run:
+its argument counts come from the trace.)  That replay loop dominates
+``wytiwyg_recompile``'s cost, so the engine makes every run count:
 
 * **every run is a check** — one comparator matches each run's stdout
   and exit code against the traced result, so each refinement's output
   is validated by the run that observes it for the next stage: the
-  varargs observation checks the lifted module (``"lifting"``), the
-  regsave observation the varargs rewrite (``"varargs refinement"``),
-  and the bounds run the register rewrite (``"register refinement"``,
-  which also covers canonicalization and probe insertion: both precede
-  the bounds run and preserve semantics).  Only the symbolized module,
-  which no later stage executes, gets a dedicated sweep (``"stack
-  symbolization"``).  That is four runs per distinct input, three when
-  the module has no variadic call site;
+  regsave observation checks the lifted module with its varargs
+  rewrite (``"lifting"``), and the bounds run the register rewrite
+  (``"register refinement"``, which also covers canonicalization and
+  probe insertion: both precede the bounds run and preserve
+  semantics).  Only the symbolized module, which no later stage
+  executes, gets a dedicated sweep (``"stack symbolization"``).  That
+  is three runs per distinct input;
 * **input dedup** — identical entries in ``traces.inputs`` exercise
   identical paths (execution is deterministic), so each distinct input
   replays once and the result fans out to its duplicates;

@@ -15,7 +15,8 @@ Key model (full table in DESIGN.md):
 ==========  ============================================================
 kind        keyed on
 ==========  ============================================================
-trace       image content + one input run + cost-model tag
+trace       image content + one input run + cost-model tag + trace
+            schema
 result      image content + ordered input runs + pipeline options tag
 source      image content (the submitted image itself, for campaign
             resubmission without re-uploading)
@@ -56,6 +57,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import obs
+from .emu.tracer import TRACE_SCHEMA
+from .errors import ServeError
 
 __all__ = [
     "ArtifactStore",
@@ -124,8 +127,10 @@ def image_key(image) -> str:
 
 
 def trace_key(img_key: str, items, costs: str = "default") -> str:
-    """Digest addressing the trace of one input run of one image."""
-    return _digest("trace", img_key, repr(list(items)), costs)
+    """Digest addressing the trace of one input run of one image, in
+    the current trace schema (:data:`~repro.emu.tracer.TRACE_SCHEMA`)."""
+    return _digest("trace", img_key, repr(list(items)), costs,
+                   TRACE_SCHEMA)
 
 
 def result_key(img_key: str, runs, options: str) -> str:
@@ -157,16 +162,28 @@ def encode_items(items) -> list:
     return out
 
 
+def _decode_item(item):
+    if isinstance(item, int) and not isinstance(item, bool):
+        return item
+    text = item
+    if isinstance(item, dict) and list(item) == ["b"]:
+        text = item["b"]
+    if isinstance(text, str):
+        try:
+            return text.encode("latin-1")
+        except UnicodeEncodeError:
+            pass
+    raise ServeError(f"bad input item {item!r}: use an integer, a "
+                     f"latin-1 string or {{\"b\": latin-1 string}}")
+
+
 def decode_items(items) -> list:
-    out = []
-    for item in items:
-        if isinstance(item, dict):
-            out.append(str(item["b"]).encode("latin-1"))
-        elif isinstance(item, str):
-            out.append(item.encode("latin-1"))
-        else:
-            out.append(int(item))
-    return out
+    """One input run from its JSON form (:func:`encode_items`, or plain
+    latin-1 strings for bytes); anything else raises
+    :class:`~repro.errors.ServeError` naming the bad run or item."""
+    if not isinstance(items, list):
+        raise ServeError(f"bad input run {items!r}: must be a list")
+    return [_decode_item(item) for item in items]
 
 
 def encode_runs(runs) -> list:
@@ -174,6 +191,8 @@ def encode_runs(runs) -> list:
 
 
 def decode_runs(runs) -> list:
+    if not isinstance(runs, list):
+        raise ServeError(f"bad inputs {runs!r}: must be a list of runs")
     return [decode_items(items) for items in runs]
 
 

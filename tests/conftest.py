@@ -5,6 +5,11 @@ Compilation results are cached per session so the suite stays fast.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cc import compile_source, compile_to_ir, personality
@@ -70,6 +75,20 @@ int main() {
 KERNEL_STDOUT = b"fib=21 sum=84\n"
 
 _image_cache: dict = {}
+
+
+@functools.cache
+def e2e_cells():
+    """The end-to-end benchmark's workload definitions
+    (``benchmarks/e2e/cells.py``), imported by path: ``build_cells``,
+    ``WORKLOAD_SPECS`` and ``Cell``."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" \
+        / "cells.py"
+    spec = importlib.util.spec_from_file_location("e2e_cells", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def cached_image(source: str, compiler: str = "gcc12",

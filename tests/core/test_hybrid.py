@@ -110,3 +110,35 @@ def test_plain_lift_has_no_static_blocks(image):
     module, _layouts, _notes, _report = wytiwyg_lift(traces)
     assert not any(f.meta.get("static_blocks")
                    for f in module.functions.values())
+
+
+def _short_trace_cell(program: str, seed: int = 1):
+    from tests.conftest import e2e_cells
+    from repro.workloads import WORKLOADS
+    cell, = [c for c in e2e_cells().build_cells("short-trace", seed)
+             if c.program == program]
+    return WORKLOADS[program].compile(cell.compiler, cell.opt), cell.runs
+
+
+@pytest.mark.parametrize("program", ["astar", "h264ref"])
+def test_statically_added_vararg_site_keeps_fixed_arity(program):
+    # The traced runs never reach one printf site that hybrid lifting
+    # adds by static extension: the trace holds no argument count for
+    # it, so the rewrite gives it the database's fixed arity while the
+    # traced sites get their traced counts.
+    from repro.core.extfuncs import EXTERNAL_DB
+    from repro.core.varargs import find_vararg_sites, recover_vararg_calls
+    from repro.emu import trace_binary
+    from repro.lifting import lift_traces
+
+    image, runs = _short_trace_cell(program)
+    traces = trace_binary(image, runs)
+    module = lift_traces(traces, static_extend=True)
+    sites = find_vararg_sites(module)
+    static = [s for s in sites if s.call_addr not in traces.vararg_counts]
+    assert len(static) == 1
+    assert recover_vararg_calls(module, traces) == len(sites)
+    for site in sites:
+        want = traces.vararg_counts.get(site.call_addr,
+                                        EXTERNAL_DB[site.ext_name].nargs)
+        assert len(site.args) == want

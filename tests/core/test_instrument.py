@@ -17,7 +17,7 @@ def prepared_module():
     image = cached_image(KERNEL_SOURCE)
     traces = trace_binary(image.stripped(), [[]])
     module = lift_traces(traces)
-    recover_vararg_calls(module, traces.inputs)
+    recover_vararg_calls(module, traces)
     apply_register_classification(
         module, classify_registers(module, traces.inputs))
     _canonicalize(module)

@@ -33,7 +33,7 @@ def test_vararg_sites_become_explicit():
               for i in f.instructions()
               if isinstance(i, CallExt) and i.stack_args]
     assert before  # printf lifted with stack switching
-    n = recover_vararg_calls(module, traces.inputs)
+    n = recover_vararg_calls(module, traces)
     assert n == len(before)
     after = [i for f in module.functions.values()
              for i in f.instructions()
@@ -55,7 +55,7 @@ int main() {
     image = compile_source(src, "gcc12", "0", "t")
     traces = trace_binary(image.stripped(), [[]])
     module = lift_traces(traces)
-    recover_vararg_calls(module, traces.inputs)
+    recover_vararg_calls(module, traces)
     counts = sorted(len(i.args) for f in module.functions.values()
                     for i in f.instructions()
                     if isinstance(i, CallExt) and i.ext_name == "printf")
@@ -67,7 +67,7 @@ int main() {
 
 def test_registers_classified_and_signatures_shrink():
     image, traces, module = lifted()
-    recover_vararg_calls(module, traces.inputs)
+    recover_vararg_calls(module, traces)
     result = classify_registers(module, traces.inputs)
     assert result.args  # every lifted function classified
     apply_register_classification(module, result)
@@ -82,7 +82,7 @@ def test_registers_classified_and_signatures_shrink():
 def test_callee_saved_registers_not_args():
     # gcc44 keeps a frame pointer: ebp is saved/restored, never an arg.
     image, traces, module = lifted(compiler="gcc44")
-    recover_vararg_calls(module, traces.inputs)
+    recover_vararg_calls(module, traces)
     result = classify_registers(module, traces.inputs)
     for name, args in result.args.items():
         assert "ebp" not in args, name
@@ -90,7 +90,7 @@ def test_callee_saved_registers_not_args():
 
 def test_stack_pointer_never_in_signatures():
     image, traces, module = lifted()
-    recover_vararg_calls(module, traces.inputs)
+    recover_vararg_calls(module, traces)
     result = classify_registers(module, traces.inputs)
     for args in result.args.values():
         assert "esp" not in args
@@ -101,7 +101,7 @@ def test_stack_pointer_never_in_signatures():
 
 def test_sp0_offsets_fold_after_canonicalization():
     image, traces, module = lifted()
-    recover_vararg_calls(module, traces.inputs)
+    recover_vararg_calls(module, traces)
     apply_register_classification(
         module, classify_registers(module, traces.inputs))
     _canonicalize(module)
@@ -123,7 +123,7 @@ def test_sp0_offsets_fold_after_canonicalization():
 
 def test_stack_refs_exclude_pure_chain_nodes():
     image, traces, module = lifted()
-    recover_vararg_calls(module, traces.inputs)
+    recover_vararg_calls(module, traces)
     apply_register_classification(
         module, classify_registers(module, traces.inputs))
     _canonicalize(module)

@@ -33,7 +33,7 @@ int main() {
 }
 '''
     image, traces, module = lift(src, [[0], [1]])
-    recover_vararg_calls(module, traces.inputs)
+    recover_vararg_calls(module, traces)
     assert printf_arities(module) == [4]  # max over observed formats
     for items, expected in (([0], b"1\n"), ([1], b"1 2 3\n")):
         assert run_module(module, items).stdout == expected
@@ -49,7 +49,7 @@ int main() {
 }
 '''
     image, traces, module = lift(src, [[]])
-    recover_vararg_calls(module, traces.inputs)
+    recover_vararg_calls(module, traces)
     arities = [len(i.args) for f in module.functions.values()
                for i in f.instructions()
                if isinstance(i, CallExt) and i.ext_name == "sprintf"]
@@ -62,6 +62,6 @@ def test_percent_literal_not_an_argument():
 int main() { printf("100%% of %d\n", 7); return 0; }
 '''
     image, traces, module = lift(src, [[]])
-    recover_vararg_calls(module, traces.inputs)
+    recover_vararg_calls(module, traces)
     assert printf_arities(module) == [2]
     assert run_module(module).stdout == b"100% of 7\n"

@@ -68,11 +68,39 @@ def test_multiple_input_runs(source_file, tmp_path, capsys):
     assert "double=2" in out and "double=4" in out
 
 
-def test_bad_input_spec_rejected(source_file, tmp_path):
+@pytest.mark.parametrize("spec", ["float:1", "int:abc"])
+def test_bad_input_spec_rejected(source_file, tmp_path, spec):
     image = tmp_path / "prog.img.json"
     main(["compile", str(source_file), "-o", str(image)])
-    with pytest.raises(SystemExit):
-        main(["run", str(image), "--input", "float:1"])
+    with pytest.raises(SystemExit, match="bad input spec"):
+        main(["run", str(image), "--input", spec])
+
+
+@pytest.mark.parametrize("content, kind", [
+    (None, "FileNotFoundError"),
+    ('{"entry": 0}', "LinkError"),
+    ("not json", "LinkError"),
+    ("[1, 2]", "LinkError"),
+], ids=["missing", "not-an-image", "not-json", "a-list"])
+def test_bad_image_file_is_one_line_error(tmp_path, capsys, content, kind):
+    path = tmp_path / "img.json"
+    if content is not None:
+        path.write_text(content)
+    for command in ("run", "recompile", "layout", "check", "explain"):
+        assert main([command, str(path), "--input", "int:1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: {kind}: ")
+        assert err.count("\n") == 1 and str(path) in err
+
+
+def test_minic_syntax_error_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "bad.c"
+    path.write_text("int main() { return 0 }\n")
+    assert main(["compile", str(path), "-o",
+                 str(tmp_path / "bad.img.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro compile: CompileError: ")
+    assert err.count("\n") == 1
 
 
 UNDERTRACE = r"""

@@ -41,6 +41,8 @@ def test_merged_trace_sets_equal(traced_pair):
     assert blocks.executed == steps.executed
     assert blocks.transfers == steps.transfers
     assert blocks.inputs == steps.inputs
+    assert blocks.vararg_counts == steps.vararg_counts
+    assert blocks.vararg_counts
 
 
 def test_recovered_layouts_equal(traced_pair):

@@ -10,10 +10,15 @@ fingerprint memo instead of being re-refined.
 import pytest
 
 from repro import compile_source, obs, run_binary, wytiwyg_recompile
-from repro.core.incremental import incremental_recompile
+from repro.core.incremental import (
+    JobStats,
+    gather_traces,
+    incremental_recompile,
+)
+from repro.emu import trace_binary
 from repro.opt.manager import clear_memo
 from repro.recompile.lower import clear_lower_cache
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, image_key
 
 SOURCE = r"""
 int score(int kind, int value) {
@@ -133,3 +138,30 @@ def test_incremental_result_is_byte_identical_to_cold(image, tmp_path):
     replay = incremental_recompile(image, FULL_RUNS, store)
     assert replay.stats.served == "store"
     assert replay.recovered.to_json() == cold.recovered.to_json()
+
+
+#: One printf site whose argument count depends on the input.
+VARIADIC_SOURCE = r"""
+int main() {
+    int k = read_int();
+    char *fmt = k ? "%d %d %d\n" : "%d\n";
+    printf(fmt, 1, 2, 3);
+    return 0;
+}
+"""
+
+
+def test_gathered_vararg_counts_match_a_fresh_trace(tmp_path):
+    image = compile_source(VARIADIC_SOURCE, "gcc12", "0", "variadic")
+    store = ArtifactStore(tmp_path / "store")
+    # Records [0]; reuses [0] and records [1]; reuses both.
+    for runs, reused, recorded, count in (([[0]], 0, 1, 2),
+                                          ([[0], [1]], 1, 1, 4),
+                                          ([[1], [0]], 2, 0, 4)):
+        stats = JobStats()
+        traces = gather_traces(image, runs, store, image_key(image), stats)
+        assert (stats.traces_reused, stats.traces_recorded) \
+            == (reused, recorded)
+        assert traces.vararg_counts == trace_binary(image,
+                                                    runs).vararg_counts
+        assert list(traces.vararg_counts.values()) == [count]

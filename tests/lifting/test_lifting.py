@@ -132,3 +132,30 @@ def test_lift_across_all_personalities():
         module = lift_traces(traces)
         verify_module(module)
         assert run_module(module).stdout == run_binary(image).stdout
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_each_vararg_site_has_its_own_call_address(seed):
+    # The varargs rewrite keys each stack-switched site's traced
+    # argument count on its call address.  Function recovery splits
+    # shared code instead of duplicating it, so no two sites share
+    # one, with or without hybrid lifting's static extension.
+    from collections import Counter
+    from repro.core.varargs import find_vararg_sites
+    from repro.workloads import WORKLOADS
+    from tests.conftest import e2e_cells
+
+    cells = e2e_cells()
+    for workload in cells.WORKLOAD_SPECS:
+        for cell in cells.build_cells(workload, seed):
+            image = WORKLOADS[cell.program].compile(cell.compiler,
+                                                    cell.opt)
+            traces = trace_binary(image, cell.runs)
+            for hybrid in (False, True):
+                sites = find_vararg_sites(
+                    lift_traces(traces, static_extend=hybrid))
+                addrs = Counter(site.call_addr for site in sites)
+                assert sites and None not in addrs, cell.name
+                assert max(addrs.values()) == 1, (cell.name, hybrid)
+                if not hybrid:
+                    assert set(addrs) <= set(traces.vararg_counts)

@@ -33,7 +33,7 @@ from repro.replay.engine import _instrumented
 from tests.conftest import KERNEL_SOURCE, cached_image
 
 #: Exit-code workload (no printf): the module has no variadic call
-#: site, so the varargs stage makes no run.
+#: site.
 EXIT_SOURCE = r"""
 int mix(int a, int b) {
     int acc = a;
@@ -215,8 +215,10 @@ def test_interpreter_error_is_counted_and_noted():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("source, runs_per_input", [
-    (EXIT_SOURCE, 3),    # regsave observation, bounds, final sweep
-    (PRINTF_SOURCE, 4),  # plus the varargs observation
+    # Regsave observation, bounds, final sweep: the varargs rewrite
+    # takes its counts from the trace and makes no run.
+    (EXIT_SOURCE, 3),
+    (PRINTF_SOURCE, 3),
 ], ids=["exit", "printf"])
 def test_replay_runs_count_the_runs_made(source, runs_per_input, jobs):
     image, traces = _traced(source)
@@ -273,8 +275,8 @@ def _rewrite_ext_ops(module, name, rewrite):
 
 
 def _drop_printf_arg(real):
-    def recover_vararg_calls(module, inputs, **kw):
-        nsites = real(module, inputs, **kw)
+    def recover_vararg_calls(module, traces):
+        nsites = real(module, traces)
         _rewrite_ext_ops(module, "printf", lambda ops: ops[:-1])
         return nsites
     return recover_vararg_calls
@@ -304,8 +306,9 @@ def _exit_on_dangling_value(real):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name, fault, stage, index, interp_errors", [
-    # printf reading past its arguments is an interpreter error.
-    ("recover_vararg_calls", _drop_printf_arg, "varargs refinement", 0, 1),
+    # printf reading past its arguments is an interpreter error in the
+    # first IR run, which checks lifting and the varargs rewrite.
+    ("recover_vararg_calls", _drop_printf_arg, "lifting", 0, 1),
     ("classify_registers", _drop_arg_register, "register refinement",
      1, 0),
     ("instrument_module", _exit_on_dangling_value, "register refinement",
@@ -329,6 +332,34 @@ def test_broken_stage_falls_back_naming_stage_and_input(
     assert errors == interp_errors
 
 
+#: One printf site whose argument count depends on the input.
+FORMAT_SOURCE = r"""
+int main() {
+    int k = read_int();
+    char *fmt = k ? "%d %d %d\n" : "%d\n";
+    printf(fmt, 1, 2, 3);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_too_small_traced_count_names_lifting_and_first_input(jobs):
+    # A site rewritten with fewer arguments than a traced call passed
+    # fails the first IR run on the earliest input making such a call.
+    inputs = [[0], [0], [1], [0]]
+    traces = trace_binary(cached_image(FORMAT_SOURCE, opt_level="0")
+                          .stripped(), inputs)
+    (addr, count), = traces.vararg_counts.items()
+    assert count == 4
+    traces.vararg_counts[addr] = 2  # what input [0]'s format needs
+    with pytest.raises(SymbolizeError) as err:
+        wytiwyg_lift(traces, jobs=jobs)
+    assert str(err.value).startswith(
+        "lifting broke functionality: traced input #2 [1] diverged "
+        "(EmulationError: external call read missing argument 2)")
+
+
 # -- one interpreter per stage ------------------------------------------------
 
 
@@ -349,7 +380,7 @@ def test_stage_compiles_each_executed_block_once():
         finally:
             obs.disable()
         assert not result.fallback
-        assert counters["ir.runs"] == 4 * k
+        assert counters["ir.runs"] == 3 * k
         counts[k] = counters["ir.code_cache.compiles"]
     assert counts[4] == counts[1] > 0
 

@@ -177,17 +177,40 @@ def test_campaign_rejects_image_rebinding(served, image):
                       campaign="demo")
 
 
-def test_malformed_request_line_gets_error_response(served):
-    server, client = served
+def _raw_request(client, line: bytes) -> dict:
+    """Send one raw request line and read the daemon's response."""
     conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     conn.settimeout(10)
     conn.connect(client.socket_path)
-    conn.sendall(b"this is not json\n")
+    conn.sendall(line)
     raw = conn.makefile("rb").readline()
     conn.close()
-    response = json.loads(raw)
+    return json.loads(raw)
+
+
+def test_malformed_request_line_gets_error_response(served):
+    server, client = served
+    response = _raw_request(client, b"this is not json\n")
     assert response["ok"] is False
     assert response["kind"] == "JSONDecodeError"
+
+
+@pytest.mark.parametrize("inputs, named", [
+    ([[{"x": 1}]], "bad input item {'x': 1}"),
+    ([[1.5]], "bad input item 1.5"),
+    ([[True]], "bad input item True"),
+    ([[7, {"b": 3}]], "bad input item {'b': 3}"),
+    ([5], "bad input run 5"),
+    ({"run": [1]}, "bad inputs {'run': [1]}"),
+], ids=["dict", "float", "bool", "bytes-not-str", "run-not-list",
+        "runs-not-list"])
+def test_bad_input_item_gets_serve_error_naming_it(served, inputs, named):
+    server, client = served
+    request = {"op": "submit", "inputs": inputs}
+    response = _raw_request(client, json.dumps(request).encode() + b"\n")
+    assert response["ok"] is False
+    assert response["kind"] == "ServeError"
+    assert response["error"].startswith(named)
 
 
 def test_job_events_reach_the_ledger(served, image):

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro import obs
+from repro import store as store_module
 from repro.store import (
     ArtifactStore,
     Campaign,
@@ -53,6 +54,16 @@ def test_trace_key_separates_inputs_and_cost_model():
     assert trace_key("img", [2, 1]) != base
     assert trace_key("img", [1, 2], costs="alt") != base
     assert trace_key("other", [1, 2]) != base
+
+
+def test_trace_key_tracks_the_trace_schema(monkeypatch):
+    # Records of an older schema lack newer fields: they must miss,
+    # while image keys (which campaigns persist) stay put.
+    base = trace_key("img", [1, 2])
+    image = image_key(_FakeImage('{"x": 1}'))
+    monkeypatch.setattr(store_module, "TRACE_SCHEMA", "old")
+    assert trace_key("img", [1, 2]) != base
+    assert image_key(_FakeImage('{"x": 1}')) == image
 
 
 def test_result_key_is_order_sensitive():
