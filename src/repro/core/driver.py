@@ -9,11 +9,13 @@ Orchestrates the full pipeline:
 3. **refinement: variadic call recovery** (§5.2) — make variadic
    external calls explicit with the traced argument counts (an IR
    rewrite, no run);
-4. **refinement: register save/argument classification** (§4.1) — run
-   with register symbols, shrink signatures, decouple saved registers
-   from the emulated stack;
-5. canonicalize (SSA for vcpu registers, constant folding) and fold all
-   direct stack references into ``sp0 + offset`` form;
+4. **refinement: register save/argument classification** (§4.1) —
+   promote the vcpu registers and flags to SSA values (mem2reg alone),
+   run with register symbols, shrink signatures, decouple saved
+   registers from the emulated stack;
+5. canonicalize (constant folding, flag fusion, GVN, dead-code removal
+   over the already-SSA registers) and fold all direct stack references
+   into ``sp0 + offset`` form;
 6. **refinement: object bounds recovery** (§4.2) — instrument with the
    ``wyt.*`` probes, execute all inputs against the tracing runtime,
    build frame layouts and signatures, replace base pointers with native
@@ -36,7 +38,8 @@ refinement whose output ran, the diverging traced input and the reason
 refinement:
 
 * the register observation (step 4), the first IR run, checks
-  ``"lifting"``, which covers the lift and the varargs rewrite;
+  ``"lifting"``, which covers the lift, the varargs rewrite and the
+  register promotion;
 * the instrumented bounds runs (step 6) check ``"register
   refinement"``, which also covers canonicalization and probe
   insertion — both precede the bounds run and preserve semantics;
@@ -162,9 +165,11 @@ def module_stats(module: Module) -> dict[str, int]:
 
 
 def _canonicalize(module: Module) -> None:
-    """SSA-ify vcpu registers and fold address arithmetic (the paper's
-    "turn virtual CPU registers into SSA-values before instrumentation"
-    plus displacement folding).  Runs under the incremental pass
+    """Simplify the SSA-form registers and fold address arithmetic
+    before instrumentation.  The paper's "turn virtual CPU registers
+    into SSA-values before instrumentation" already happened in the
+    §4.1 observation (:func:`classify_registers`); this stage's mem2reg
+    pass finds no register slot left.  Runs under the incremental pass
     manager, so a function whose content is a known fixpoint costs one
     fingerprint instead of a full schedule."""
     canonicalize_module(module)
@@ -250,9 +255,10 @@ def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
             sp.set(ir_before=before, ir_after=module_stats(module),
                    verified=True, call_sites=nsites)
 
-    # Refinement: register save/argument classification (§4.1).  The
-    # observation runs are the first IR runs: they check lifting and
-    # the varargs rewrite together.
+    # Refinement: register save/argument classification (§4.1).  It
+    # promotes the registers to SSA in place, then observes; the
+    # observation runs are the first IR runs, so they check lifting,
+    # the varargs rewrite and the promotion together.
     with obs.span("stage.regsave") as sp:
         before = module_stats(module) if observing else None
         classification = classify_registers(

@@ -12,6 +12,15 @@ symbolic value.  The shadow plugin then observes how that symbol flows:
   constraint "arg here iff arg there" resolved after tracing;
 * present unmodified in the register file at return — restored/clean.
 
+The observation runs on SSA registers: :func:`classify_registers`
+first promotes every lifted function's ``vcpu.*`` register and flag
+slots in place (mem2reg alone, with no folding and no dead-code
+removal, so a flag that is computed and never read still counts as a
+use of its operands).  A symbol then flows through SSA values and phis,
+not through memory, and the interpreter hands the plugin only the uses
+of shadowed values.  The hybrid mode's static augment reads the alloca
+form, so it runs before the promotion.
+
 After classification, function signatures shrink to the true arguments
 and the registers actually modified; at every call site the dropped
 result positions are replaced by the caller's own pre-call values, which
@@ -38,6 +47,8 @@ from ..ir.values import (
     Store,
 )
 from ..lifting.translator import EMUSTACK_BASE, EMUSTACK_SIZE, REG_ORDER
+from ..opt.mem2reg import promote_allocas
+from .sp0fold import is_lifted_function
 
 #: Largest plausible frame extent used for the own-frame store test.
 FRAME_LIMIT = 1 << 16
@@ -89,6 +100,13 @@ class RegSavePlugin:
         self._frames: dict[int, _FrameInfo] = {}
         self._mem_shadow: dict[int, RegSym] = {}
 
+    def reset(self) -> None:
+        """Forget the per-run state (live frames and the symbols held in
+        memory) before the next input's run; the observations made so
+        far are kept."""
+        self._frames.clear()
+        self._mem_shadow.clear()
+
     # -- plugin interface ---------------------------------------------------
 
     def call_enter(self, func: Function, frame_id: int, args: list[int],
@@ -133,12 +151,9 @@ class RegSavePlugin:
                 self.modified[(func.name, reg)] = True
         return translated
 
-    def on_instr(self, frame_id: int, instr: Instr,
-                 operand_shadows: list, result):
-        for shadow in operand_shadows:
-            if isinstance(shadow, RegSym):
-                self.used[(shadow.func_name, shadow.reg)] = True
-        return None
+    def on_use(self, frame_id: int, instr: Instr, shadow) -> None:
+        if isinstance(shadow, RegSym):
+            self.used[(shadow.func_name, shadow.reg)] = True
 
     def on_store(self, frame_id: int, instr: Instr, addr: int,
                  value: int, value_shadow) -> None:
@@ -213,26 +228,34 @@ def classify_registers(module: Module,
                        check=None) -> RegSaveResult:
     """Run the dynamic register classification over all traced inputs.
 
+    Promotes the lifted functions' register and flag slots to SSA values
+    in ``module`` itself before the runs (see the module docstring);
+    later stages find the registers already in SSA.
+
     With ``static_augment`` (hybrid mode, paper §7.2), the dynamic
     result is widened by an ABI-heuristic static read-before-write
-    analysis, so registers consumed only on statically-added (untraced)
-    paths are still classified as arguments.  ``check(n, run)``, if
-    given, executes the ``n``-th input's run instead of the loop calling
-    ``run()`` itself (the replay engine's
-    :meth:`~repro.replay.ReplayEngine.checker` compares it with the
-    trace).
+    analysis of the alloca form, so registers consumed only on
+    statically-added (untraced) paths are still classified as
+    arguments.  ``check(n, run)``, if given, executes the ``n``-th
+    input's run instead of the loop calling ``run()`` itself (the replay
+    engine's :meth:`~repro.replay.ReplayEngine.checker` compares it with
+    the trace).
     """
+    static = classify_statically(module) if static_augment else None
+    for func in module.functions.values():
+        if is_lifted_function(func):
+            promote_allocas(func)
     plugin = RegSavePlugin()
     with Interpreter(module, shadow=plugin) as interp:
         for n, input_items in enumerate(inputs):
             interp.reset(input_items)
+            plugin.reset()
             if check is None:
                 interp.run()
             else:
                 check(n, interp.run)
     result = plugin.resolve()
-    if static_augment:
-        static = classify_statically(module)
+    if static is not None:
         for name, args in static.args.items():
             result.args.setdefault(name, set()).update(args)
         for name, outs in static.outputs.items():
@@ -273,7 +296,8 @@ def reads_before_write(func: Function, reg: str) -> bool:
                 if isinstance(instr.value, Param):
                     continue  # parameter spill
                 written = True
-            elif isinstance(instr, Load) and instr.addr is alloca                     and not written:
+            elif isinstance(instr, Load) and instr.addr is alloca \
+                    and not written:
                 return True
         if block.is_terminated and not written:
             for succ in block.successors():
@@ -283,7 +307,6 @@ def reads_before_write(func: Function, reg: str) -> bool:
 
 def classify_statically(module: Module) -> RegSaveResult:
     """ABI-convention register classification (no execution needed)."""
-    from .sp0fold import is_lifted_function
     result = RegSaveResult()
     for name, func in module.functions.items():
         if not is_lifted_function(func):

@@ -7,9 +7,13 @@ The interpreter therefore supports two extension points:
 * an **intrinsic handler** — receives ``wyt.*`` probe calls inserted by
   :mod:`repro.core.instrument` (the analogue of linking BinRec's
   instrumentation runtime into the lifted program); and
-* a **shadow plugin** — observes every executed instruction with its
-  operand shadows, used by the register save/argument classification of
-  refinement 1 (paper §4.1), where each register carries a symbolic value.
+* a **shadow plugin** — sees every use of a shadowed value, used by the
+  register save/argument classification of refinement 1 (paper §4.1),
+  where each register carries a symbolic value.  Only parameters, phis,
+  loads, the results of calls to IR functions and their ``Result``
+  extracts carry a shadow; arithmetic, compare, alloca and external-call
+  results never do, so an instruction whose operands are none of those
+  runs without calling the plugin.
 
 It is also used to validate lifted IR functionally before lowering.
 
@@ -78,6 +82,9 @@ GLOBAL_REGION_BASE = 0x0D000000
 #: Pseudo-addresses assigned to address-taken functions with no original
 #: binary entry (cc-compiled modules).
 FUNC_ADDR_BASE = 0x0E000000
+
+#: The only values that can carry a shadow (see the module docstring).
+_SHADOW_CARRIERS = (Param, Phi, Load, Call, CallInd, Result)
 
 
 def _signed(v: int) -> int:
@@ -173,7 +180,10 @@ class ShadowPlugin(Protocol):
     ``call_enter`` may return replacement shadows for the parameters
     (e.g. fresh register symbols); ``call_exit`` may return translated
     shadows for the returned values, which the interpreter attaches to
-    the call's results in the caller frame.
+    the call's results in the caller frame.  ``on_load`` returns the
+    loaded value's shadow.  ``on_use`` is called once per operand of an
+    executed binop, compare or unary whose shadow is not None, after the
+    instruction ran; its result carries no shadow.
     """
 
     def call_enter(self, func: Function, frame_id: int, args: list[int],
@@ -183,8 +193,7 @@ class ShadowPlugin(Protocol):
                   ret_values: list[int],
                   ret_shadows: list) -> list | None: ...
 
-    def on_instr(self, frame_id: int, instr: Instr,
-                 operand_shadows: list, result: int | None): ...
+    def on_use(self, frame_id: int, instr: Instr, shadow) -> None: ...
 
     def on_store(self, frame_id: int, instr: Instr, addr: int,
                  value: int, value_shadow) -> None: ...
@@ -633,51 +642,30 @@ class Interpreter:
         """Compile a non-terminator into a ``closure(frame) -> None``."""
         sh = self.shadow
         if isinstance(i, BinOp):
-            return self._compile_binop(i)
+            return self._observed(i, self._compile_binop(i))
         if isinstance(i, ICmp):
-            ea, eb = self._ev(i.lhs), self._ev(i.rhs)
             fn = _icmp_fn(i.pred)
-            if sh is None:
-                lhs, rhs = i.lhs, i.rhs
-                if isinstance(lhs, (Instr, Param)) \
-                        and isinstance(rhs, (Instr, Param)):
-                    def run(frame):
-                        v = frame.values
-                        v[i] = fn(v[lhs], v[rhs])
-                    return run
-
+            lhs, rhs = i.lhs, i.rhs
+            if isinstance(lhs, (Instr, Param)) \
+                    and isinstance(rhs, (Instr, Param)):
                 def run(frame):
                     v = frame.values
-                    v[i] = fn(ea(v), eb(v))
-                return run
-            sa, sb = self._shv(i.lhs), self._shv(i.rhs)
+                    v[i] = fn(v[lhs], v[rhs])
+                return self._observed(i, run)
+            ea, eb = self._ev(lhs), self._ev(rhs)
 
             def run(frame):
                 v = frame.values
-                r = fn(ea(v), eb(v))
-                v[i] = r
-                shadows = frame.shadows
-                shadows[i] = sh.on_instr(frame.frame_id, i,
-                                         [sa(shadows), sb(shadows)], r)
-            return run
+                v[i] = fn(ea(v), eb(v))
+            return self._observed(i, run)
         if isinstance(i, Unary):
             ea = self._ev(i.src)
             fn = _unary_fn(i.opcode)
-            if sh is None:
-                def run(frame):
-                    v = frame.values
-                    v[i] = fn(ea(v))
-                return run
-            sa = self._shv(i.src)
 
             def run(frame):
                 v = frame.values
-                r = fn(ea(v))
-                v[i] = r
-                shadows = frame.shadows
-                shadows[i] = sh.on_instr(frame.frame_id, i,
-                                         [sa(shadows)], r)
-            return run
+                v[i] = fn(ea(v))
+            return self._observed(i, run)
         if isinstance(i, Load):
             ea = self._ev(i.addr)
             size = i.size
@@ -725,18 +713,11 @@ class Interpreter:
         if isinstance(i, Alloca):
             size = i.size
             mask = ~(max(i.align, 1) - 1)
-            if sh is None:
-                def run(frame):
-                    sp = (frame.sp - size) & mask
-                    frame.sp = sp
-                    frame.values[i] = sp
-                return run
 
             def run(frame):
                 sp = (frame.sp - size) & mask
                 frame.sp = sp
                 frame.values[i] = sp
-                frame.shadows[i] = sh.on_instr(frame.frame_id, i, [], sp)
             return run
         if isinstance(i, Call):
             return self._compile_call(i)
@@ -777,64 +758,70 @@ class Interpreter:
             raise InterpError(f"unimplemented instruction {i!r}")
         return run
 
-    def _compile_binop(self, i: BinOp):
+    def _observed(self, i: Instr, run):
+        """``run`` followed by the shadow plugin's ``on_use`` for each
+        operand of ``i`` whose shadow is not None; ``run`` itself when
+        there is no plugin or no operand of ``i`` can carry a shadow."""
         sh = self.shadow
+        carriers = tuple(op for op in i.ops
+                         if isinstance(op, _SHADOW_CARRIERS))
+        if sh is None or not carriers:
+            return run
+        on_use = sh.on_use
+
+        def observed(frame):
+            run(frame)
+            shadows = frame.shadows
+            for op in carriers:
+                shadow = shadows.get(op)
+                if shadow is not None:
+                    on_use(frame.frame_id, i, shadow)
+        return observed
+
+    def _compile_binop(self, i: BinOp):
         opc = i.opcode
         lhs, rhs = i.lhs, i.rhs
-        if sh is None:
-            # Address arithmetic dominates the mix; its common operand
-            # shapes (value op value, value op constant) get fully
-            # inlined bodies with direct dict access.
-            lslot = isinstance(lhs, (Instr, Param))
-            if opc == "add" and lslot:
-                if isinstance(rhs, (Instr, Param)):
-                    def run(frame):
-                        v = frame.values
-                        v[i] = (v[lhs] + v[rhs]) & MASK32
-                    return run
-                if isinstance(rhs, Const):
-                    c = rhs.value
-
-                    def run(frame):
-                        v = frame.values
-                        v[i] = (v[lhs] + c) & MASK32
-                    return run
-            if opc == "sub" and lslot:
-                if isinstance(rhs, (Instr, Param)):
-                    def run(frame):
-                        v = frame.values
-                        v[i] = (v[lhs] - v[rhs]) & MASK32
-                    return run
-                if isinstance(rhs, Const):
-                    c = rhs.value
-
-                    def run(frame):
-                        v = frame.values
-                        v[i] = (v[lhs] - c) & MASK32
-                    return run
-            fn = _binop_fn(opc, i)
-            ea, eb = self._ev(lhs), self._ev(rhs)
-            if lslot and isinstance(rhs, (Instr, Param)):
+        # Address arithmetic dominates the mix; its common operand
+        # shapes (value op value, value op constant) get fully inlined
+        # bodies with direct dict access.
+        lslot = isinstance(lhs, (Instr, Param))
+        if opc == "add" and lslot:
+            if isinstance(rhs, (Instr, Param)):
                 def run(frame):
                     v = frame.values
-                    v[i] = fn(v[lhs], v[rhs])
+                    v[i] = (v[lhs] + v[rhs]) & MASK32
                 return run
+            if isinstance(rhs, Const):
+                c = rhs.value
 
+                def run(frame):
+                    v = frame.values
+                    v[i] = (v[lhs] + c) & MASK32
+                return run
+        if opc == "sub" and lslot:
+            if isinstance(rhs, (Instr, Param)):
+                def run(frame):
+                    v = frame.values
+                    v[i] = (v[lhs] - v[rhs]) & MASK32
+                return run
+            if isinstance(rhs, Const):
+                c = rhs.value
+
+                def run(frame):
+                    v = frame.values
+                    v[i] = (v[lhs] - c) & MASK32
+                return run
+        fn = _binop_fn(opc, i)
+        if lslot and isinstance(rhs, (Instr, Param)):
             def run(frame):
                 v = frame.values
-                v[i] = fn(ea(v), eb(v))
+                v[i] = fn(v[lhs], v[rhs])
             return run
-        fn = _binop_fn(opc, i)
         ea, eb = self._ev(lhs), self._ev(rhs)
-        sa, sb = self._shv(lhs), self._shv(rhs)
 
         def run(frame):
             v = frame.values
-            r = fn(ea(v), eb(v))
-            v[i] = r
-            shadows = frame.shadows
-            shadows[i] = sh.on_instr(frame.frame_id, i,
-                                     [sa(shadows), sb(shadows)], r)
+            v[i] = fn(ea(v), eb(v))
         return run
 
     def _compile_call(self, i: Call):
@@ -1001,22 +988,20 @@ class Interpreter:
         if isinstance(instr, BinOp):
             a = self._eval(frame, instr.lhs)
             b = self._eval(frame, instr.rhs)
-            result = self._binop(instr.opcode, a, b, frame.function.name)
-            frame.values[instr] = result
-            self._notify(frame, instr, [instr.lhs, instr.rhs], result)
+            frame.values[instr] = self._binop(instr.opcode, a, b,
+                                              frame.function.name)
+            self._notify(frame, instr)
             return None
         if isinstance(instr, ICmp):
             a = self._eval(frame, instr.lhs)
             b = self._eval(frame, instr.rhs)
-            result = 1 if self._icmp(instr.pred, a, b) else 0
-            frame.values[instr] = result
-            self._notify(frame, instr, [instr.lhs, instr.rhs], result)
+            frame.values[instr] = 1 if self._icmp(instr.pred, a, b) else 0
+            self._notify(frame, instr)
             return None
         if isinstance(instr, Unary):
             a = self._eval(frame, instr.src)
-            result = self._unary(instr.opcode, a)
-            frame.values[instr] = result
-            self._notify(frame, instr, [instr.src], result)
+            frame.values[instr] = self._unary(instr.opcode, a)
+            self._notify(frame, instr)
             return None
         if isinstance(instr, Load):
             addr = self._eval(frame, instr.addr)
@@ -1038,7 +1023,6 @@ class Interpreter:
             align = max(instr.align, 1)
             frame.sp = (frame.sp - instr.size) & ~(align - 1)
             frame.values[instr] = frame.sp
-            self._notify(frame, instr, [], frame.sp)
             return None
         if isinstance(instr, Phi):
             raise InterpError("phi executed out of band")
@@ -1093,12 +1077,13 @@ class Interpreter:
                 f"({instr.note})")
         raise InterpError(f"unimplemented instruction {instr!r}")
 
-    def _notify(self, frame: Frame, instr: Instr, operands: list[Value],
-                result: int | None) -> None:
+    def _notify(self, frame: Frame, instr: Instr) -> None:
+        """Report each use of a shadowed operand of ``instr``."""
         if self.shadow is not None:
-            op_shadows = [self._shadow_of(frame, op) for op in operands]
-            frame.shadows[instr] = self.shadow.on_instr(
-                frame.frame_id, instr, op_shadows, result)
+            for op in instr.ops:
+                shadow = self._shadow_of(frame, op)
+                if shadow is not None:
+                    self.shadow.on_use(frame.frame_id, instr, shadow)
 
     def _do_call(self, frame: Frame, instr, callee: Function | None,
                  arg_values: list[Value]):

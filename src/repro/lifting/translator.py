@@ -4,9 +4,13 @@ Every lifted function takes the virtual register file explicitly —
 ``(sp, eax, ecx, edx, ebx, ebp, esi, edi)`` — and returns the seven
 general registers (``sp`` is reconstructed by the caller, since ``ret``
 always pops exactly the return address in this ABI).  Inside a function
-the virtual registers and the four status flags live in allocas; mem2reg
-then turns them into SSA values, which is the paper's "we turn virtual
-CPU registers into SSA-values before instrumentation".
+the virtual registers and the four status flags live in ``vcpu.*``
+allocas.  The §4.1 register observation
+(:func:`repro.core.regsave.classify_registers`) runs mem2reg on them
+before its first run, which is the paper's "we turn virtual CPU
+registers into SSA-values before instrumentation" applied one stage
+early.  The static register classification reads the alloca form, so it
+runs before the promotion.
 
 The original program's stack lives in a dedicated **emulated stack**
 global; all push/pop/call/ret effects are translated into explicit loads

@@ -11,7 +11,8 @@ its argument counts come from the trace.)  That replay loop dominates
   and exit code against the traced result, so each refinement's output
   is validated by the run that observes it for the next stage: the
   regsave observation checks the lifted module with its varargs
-  rewrite (``"lifting"``), and the bounds run the register rewrite
+  rewrite and its registers promoted to SSA values (``"lifting"``),
+  and the bounds run the register rewrite
   (``"register refinement"``, which also covers canonicalization and
   probe insertion: both precede the bounds run and preserve
   semantics).  Only the symbolized module, which no later stage

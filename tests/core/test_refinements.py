@@ -1,9 +1,28 @@
 """The WYTIWYG refinements, stage by stage (paper §4-§5)."""
 
+import pytest
 
 from repro.cc import compile_source
 from repro.emu import run_binary, trace_binary
 from repro.ir import run_module, verify_module
+from repro.ir.interp import Interpreter
+from repro.ir.values import Alloca
+from repro.isa import (
+    AsmFunction,
+    AsmProgram,
+    DataItem,
+    EAX,
+    EBX,
+    ECX,
+    ESP,
+    Imm,
+    ImportRef,
+    Label,
+    Mem,
+    assemble,
+    ins,
+    jcc,
+)
 from repro.lifting import lift_traces
 from repro.core import (
     apply_register_classification,
@@ -13,7 +32,9 @@ from repro.core import (
     recover_vararg_calls,
 )
 from repro.core.driver import _canonicalize
-from tests.conftest import KERNEL_SOURCE, cached_image
+from repro.core.regsave import RegSavePlugin
+from repro.core.sp0fold import is_lifted_function
+from tests.conftest import FEATURE_SOURCE, KERNEL_SOURCE, cached_image
 
 
 def lifted(source=KERNEL_SOURCE, compiler="gcc12", opt="3",
@@ -94,6 +115,116 @@ def test_stack_pointer_never_in_signatures():
     result = classify_registers(module, traces.inputs)
     for args in result.args.values():
         assert "esp" not in args
+
+
+def _observe_unpromoted(module, inputs):
+    """The §4.1 observation run directly over the alloca-form module."""
+    plugin = RegSavePlugin()
+    with Interpreter(module, shadow=plugin) as interp:
+        for items in inputs:
+            interp.reset(items)
+            plugin.reset()
+            interp.run()
+    return plugin.resolve()
+
+
+@pytest.mark.parametrize("source", [KERNEL_SOURCE, FEATURE_SOURCE],
+                         ids=["kernel", "feature"])
+@pytest.mark.parametrize("compiler, opt", [
+    ("gcc12", "0"), ("gcc12", "3"), ("gcc44", "3"), ("clang16", "3")])
+def test_promoted_observation_matches_alloca_form(source, compiler, opt):
+    image, traces, module = lifted(source, compiler, opt)
+    recover_vararg_calls(module, traces)
+    reference = lift_traces(traces)
+    recover_vararg_calls(reference, traces)
+    assert any(isinstance(i, Alloca) for f in reference.functions.values()
+               for i in f.instructions())
+    assert classify_registers(module, traces.inputs) == \
+        _observe_unpromoted(reference, traces.inputs)
+
+
+def test_observation_leaves_lifted_functions_in_ssa():
+    image, traces, module = lifted()
+    recover_vararg_calls(module, traces)
+    classify_registers(module, traces.inputs)
+    verify_module(module)
+    for func in module.functions.values():
+        if is_lifted_function(func):
+            assert not any(isinstance(i, Alloca)
+                           for i in func.instructions()), func.name
+    assert run_module(module).stdout == run_binary(image).stdout
+
+
+def _exit_with_eax(*before):
+    """``_start``: ``before``, then print eax and exit."""
+    return AsmFunction("_start", [
+        *before,
+        ins("push", EAX),
+        ins("push", Label("fmt")),
+        ins("call", ImportRef("printf")),
+        ins("add", ESP, Imm(8)),
+        ins("push", Imm(0)),
+        ins("call", ImportRef("exit")),
+    ])
+
+
+def _classify_asm(functions, inputs):
+    image = assemble(AsmProgram(functions=functions,
+                                data=[DataItem("fmt", b"%d\n\x00")],
+                                imports=["read_int", "printf", "exit"]))
+    traces = trace_binary(image, inputs)
+    module = lift_traces(traces)
+    recover_vararg_calls(module, traces)
+    result = classify_registers(module, traces.inputs)
+    return lambda name: result.args[f"fn_{image.symbols[name]:08x}"]
+
+
+def test_dead_flag_computation_counts_as_a_use():
+    # ``cmp`` sets flags from ecx that ``test`` overwrites unread: the
+    # observation keeps that dead computation, so ecx stays an argument.
+    start = _exit_with_eax(ins("mov", ECX, Imm(3)), ins("call", Label("f")))
+    f = AsmFunction("f", [
+        ins("cmp", ECX, Imm(0)),
+        ins("mov", EAX, Imm(5)),
+        ins("test", EAX, EAX),
+        ins("ret"),
+    ])
+    args_of = _classify_asm([start, f], [[]])
+    assert args_of("f") == {"ecx"}
+
+
+@pytest.mark.parametrize("inputs", [[[1], [0]], [[0], [1]]],
+                         ids=["g-first", "h-first"])
+def test_register_symbols_do_not_leak_between_runs(inputs):
+    # ``h`` reads the slot where ``g`` saves ebx, uninitialised in its
+    # own run: a symbol left there by an earlier input's run of ``g``
+    # must not turn g's saved ebx into an argument.
+    start = _exit_with_eax(
+        ins("call", ImportRef("read_int")),
+        ins("test", EAX, EAX),
+        jcc("e", Label("_start.h")),
+        ins("call", Label("g")),
+        ins("jmp", Label("_start.done")),
+        "_start.h",
+        ins("call", Label("h")),
+        "_start.done",
+    )
+    g = AsmFunction("g", [
+        ins("sub", ESP, Imm(16)),
+        ins("push", EBX),
+        ins("mov", EBX, Imm(7)),
+        ins("pop", EBX),
+        ins("add", ESP, Imm(16)),
+        ins("mov", EAX, Imm(1)),
+        ins("ret"),
+    ])
+    h = AsmFunction("h", [
+        ins("mov", EAX, Mem(ESP, disp=-20)),
+        ins("add", EAX, Imm(1)),
+        ins("ret"),
+    ])
+    args_of = _classify_asm([start, g, h], inputs)
+    assert args_of("g") == set()
 
 
 # -- sp0 folding (§4.1) ----------------------------------------------------------

@@ -126,42 +126,73 @@ def test_mutation_invalidates_compiled_blocks():
     assert seen == [[42]]
 
 
+class ShadowRecorder:
+    """Logs every plugin event; parameters, loads and call results get
+    named shadows, so uses of them reach ``on_use``."""
+
+    def __init__(self):
+        self.events = []
+
+    def call_enter(self, func, frame_id, args, arg_shadows):
+        self.events.append(("enter", func.name, tuple(args)))
+        return [f"{func.name}.{p.name}" for p in func.params]
+
+    def call_exit(self, func, frame_id, ret_values, ret_shadows):
+        self.events.append(("exit", func.name, tuple(ret_values)))
+        return [f"{func.name}.ret"] * len(ret_values)
+
+    def on_use(self, frame_id, instr, shadow):
+        self.events.append(("use", instr.opcode, shadow))
+
+    def on_store(self, frame_id, instr, addr, value, value_shadow):
+        self.events.append(("store", addr, value, value_shadow))
+
+    def on_load(self, frame_id, instr, addr, value):
+        self.events.append(("load", addr, value))
+        return f"load@{addr:#x}"
+
+    def on_callext(self, frame_id, instr, arg_values, arg_shadows):
+        self.events.append(("callext", instr.ext_name,
+                            tuple(arg_values)))
+
+    def on_indirect_call(self, callee):
+        self.events.append(("indirect", callee.name))
+
+
 def test_shadow_plugin_parity():
-    class Recorder:
-        def __init__(self):
-            self.events = []
-
-        def call_enter(self, func, frame_id, args, arg_shadows):
-            self.events.append(("enter", func.name, tuple(args)))
-            return None
-
-        def call_exit(self, func, frame_id, ret_values, ret_shadows):
-            self.events.append(("exit", func.name, tuple(ret_values)))
-            return None
-
-        def on_instr(self, frame_id, instr, operand_shadows, result):
-            self.events.append(("instr", instr.opcode, result))
-            return None
-
-        def on_store(self, frame_id, instr, addr, value, value_shadow):
-            self.events.append(("store", addr, value))
-
-        def on_load(self, frame_id, instr, addr, value):
-            self.events.append(("load", addr, value))
-            return None
-
-        def on_callext(self, frame_id, instr, arg_values, arg_shadows):
-            self.events.append(("callext", instr.ext_name,
-                                tuple(arg_values)))
-
-        def on_indirect_call(self, callee):
-            self.events.append(("indirect", callee.name))
-
     logs = []
     for compiled in (True, False):
         m = loop_module()
-        rec = Recorder()
+        rec = ShadowRecorder()
         result = Interpreter(m, shadow=rec, compiled=compiled).run()
         assert result.exit_code == sum(i * i for i in range(1, 10))
         logs.append(rec.events)
     assert logs[0] == logs[1]
+    uses = [e for e in logs[0] if e[0] == "use"]
+    # square's mul uses its parameter twice per call; main's add uses
+    # the call result; the loop phis only ever carry constants and
+    # arithmetic results, whose shadows are None.
+    assert uses.count(("use", "mul", "square.x")) == 18
+    assert uses.count(("use", "add", "square.ret")) == 9
+    assert len(uses) == 27
+
+
+def test_shadow_plugin_skips_operands_that_carry_no_shadow():
+    m, f, b = simple_module()
+    callee = Function("f", ["p"])
+    m.add_function(callee)
+    bc = Builder(callee)
+    bc.position(callee.add_block("entry"))
+    a = bc.binop("add", callee.params[0], Const(1))
+    c = bc.binop("mul", Const(3), a)
+    bc.ret([c])
+    b.position(f.add_block("entry"))
+    b.ret([b.call("f", [Const(4)])])
+    for compiled in (True, False):
+        rec = ShadowRecorder()
+        assert Interpreter(m, shadow=rec, compiled=compiled).run() \
+            .exit_code == 15
+        # ``mul 3, a`` reads a constant and an arithmetic result: no
+        # plugin call at all, in either engine.
+        assert [e for e in rec.events if e[0] == "use"] == [
+            ("use", "add", "f.p")]
