@@ -2,8 +2,7 @@
 
 The pass runs on canonicalized lifted IR (vcpu registers already in SSA,
 direct stack references annotated by :mod:`repro.core.sp0fold`) and
-inserts probe intrinsics that the IR interpreter dispatches to the
-:class:`~repro.core.runtime.TracingRuntime`:
+inserts these probe intrinsics:
 
 ========  ==================================================================
 probe     inserted at
@@ -21,8 +20,12 @@ load      after loads; store before stores
 extcall   after external calls (constraint application)
 ========  ==================================================================
 
-Probes never produce program-visible values, so stripping them after the
-analysis restores the exact input IR.
+The IR interpreter does not dispatch a probe on each execution: it
+compiles each probe once, when the probe's block compiles, through
+:meth:`~repro.core.runtime.TracingRuntime.compile`, into a closure with
+the probe's metadata bound.  Probes never produce program-visible
+values, so stripping them after the analysis restores the exact input
+IR.
 """
 
 from __future__ import annotations
@@ -269,11 +272,12 @@ class _FunctionInstrumenter:
                         "src_vid": self._vid(value),
                     })
                     probe.block = pred
-                    # Before the terminator (and before other probes that
-                    # may already sit there -- order among copies is
-                    # irrelevant, they read pre-state vids... which phis
-                    # violate for swaps; stage via dedicated two-phase
-                    # handling below).
+                    # Before the predecessor's terminator.  One edge's
+                    # copies act at once, like the phis they mirror: in
+                    # a swap one copy's source is another's destination,
+                    # so copying one at a time would read a half-updated
+                    # state.  _fixup_phi_copy_order makes them a group
+                    # whose sources the runtime reads before any write.
                     pred.instrs.insert(len(pred.instrs) - 1, probe)
 
 

@@ -1,8 +1,11 @@
 """The WYTIWYG tracing runtime (paper §4.2.1-§4.2.5, Figure 5).
 
-This is the library that instrumented lifted programs "link against": the
-:class:`TracingRuntime` receives every ``wyt.*`` probe from the IR
-interpreter and maintains
+This is the library that instrumented lifted programs "link against".
+The paper links it into the lifted program, so each probe's target and
+constants are fixed before the program runs.  Here the IR interpreter
+calls :meth:`TracingRuntime.compile` once per ``wyt.*`` probe, when the
+probe's block compiles; the returned closure has the probe's metadata
+bound and runs on every execution of the probe.  The runtime maintains
 
 * one :class:`StackVar` per static base pointer (direct stack reference),
   recording the interval of offsets actually dereferenced through
@@ -16,11 +19,19 @@ interpreter and maintains
 * linked-variable pairs from pointer subtraction/comparison;
 * per-call-site argument-area intervals and callee sets (§4.2.5);
 * external-call constraint application (§5.3).
+
+One runtime serves a whole bounds stage, whose one interpreter compiles
+the probes once.  :meth:`TracingRuntime.bind` starts each traced input's
+run: it resets the per-run state (frame records, the address map, staged
+call arguments and results) in place, because the compiled probes
+capture those containers, and keeps the cross-run observations (stack
+variables, argument areas, links), which accumulate over the inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..emu.libc import parse_format
 from ..ir.interp import Frame, Interpreter
@@ -91,12 +102,31 @@ class PointerInfo:
     offset: int          # relative to the var's base pointer
 
 
-@dataclass
+#: A compiled probe: runs on each execution of its ``wyt.*`` intrinsic.
+Probe = Callable[[Frame], None]
+
+
+@dataclass(slots=True)
 class _FrameRec:
-    func_name: str
-    sp0: int
+    """One activation's probe state: the call site that entered it and
+    the PointerInfo of its IR values, by vid."""
+
     callsite_id: int | None
     infos: dict[int, PointerInfo | None] = field(default_factory=dict)
+
+
+class _FrameRecs(dict):
+    """Frame id -> :class:`_FrameRec`.  A frame entered without
+    ``fnenter`` (the entry wrapper) gets an empty record on first use."""
+
+    def __missing__(self, frame_id: int) -> _FrameRec:
+        rec = self[frame_id] = _FrameRec(None)
+        return rec
+
+
+def _no_constraints(frame: Frame) -> None:
+    """An external call whose callee has no constraints to apply."""
+    return None
 
 
 class TracingRuntime:
@@ -106,7 +136,9 @@ class TracingRuntime:
         self.stack_vars: dict[int, StackVar] = {}
         self.arg_accesses: dict[int, ArgAccess] = {}
         self.links: set[frozenset[int]] = set()
-        self._frames: dict[int, _FrameRec] = {}
+        # Per-run state.  Compiled probes capture these containers, so
+        # they are cleared in place, never replaced.
+        self._frames = _FrameRecs()
         self._addr_map: dict[int, PointerInfo] = {}
         self._pending_args: list[tuple[int, list]] = []
         self._pending_rets: list[list] = []
@@ -171,162 +203,235 @@ class TracingRuntime:
         return self
 
     def bind(self, interp: Interpreter) -> None:
-        """Attach to one interpreter run (memory access for constraints;
-        the address map is per-execution)."""
+        """Start a run on ``interp``, whose memory the string
+        constraints read: reset the per-run state, keeping the
+        cross-run observations."""
         self._interp = interp
         self._frames.clear()
         self._addr_map.clear()
         self._pending_args.clear()
         self._pending_rets.clear()
+        self._copy_stage.clear()
 
-    # -- probe dispatch -------------------------------------------------------
+    # -- probe compilation ----------------------------------------------------
 
-    def handle(self, frame: Frame, instr: Intrinsic,
-               args: list[int]) -> None:
-        handler = getattr(self, "_op_" + instr.intrinsic[4:])
-        handler(frame, instr.meta, args)
-
-    def _rec(self, frame: Frame) -> _FrameRec:
-        rec = self._frames.get(frame.frame_id)
-        if rec is None:  # frame entered without fnenter (entry wrapper)
-            rec = _FrameRec(frame.function.name, 0, None)
-            self._frames[frame.frame_id] = rec
-        return rec
+    def compile(self, instr: Intrinsic, evs: list) -> Probe:
+        """The closure that runs probe ``instr``: ``evs`` evaluate its
+        operands against a frame's values, one per operand.  Called
+        once per probe, when its block compiles."""
+        compile_probe = _PROBE_COMPILERS.get(instr.intrinsic)
+        if compile_probe is None:
+            raise ValueError(f"unknown probe {instr.intrinsic}")
+        return compile_probe(self, instr.meta, evs)
 
     # -- frames and calls ------------------------------------------------------
 
-    def _op_fnenter(self, frame: Frame, meta: dict,
-                    args: list[int]) -> None:
-        sp0 = args[0] if args else 0
-        callsite_id = None
-        infos: dict[int, PointerInfo | None] = {}
-        if self._pending_args:
-            callsite_id, staged = self._pending_args.pop()
-            for vid, info in zip(meta["param_vids"], staged,
-                                 strict=False):
-                infos[vid] = info
-            access = self.arg_accesses.get(callsite_id)
-            if access is not None:
-                access.callees.add(frame.function.name)
-        self._frames[frame.frame_id] = _FrameRec(
-            frame.function.name, sp0, callsite_id, infos)
+    def _fnenter(self, meta: dict, evs: list) -> Probe:
+        frames = self._frames
+        pending_args = self._pending_args
+        arg_accesses = self.arg_accesses
+        param_vids = meta["param_vids"]
 
-    def _op_fnexit(self, frame: Frame, meta: dict,
-                   args: list[int]) -> None:
-        rec = self._rec(frame)
-        staged = [rec.infos.get(vid) for vid in meta["ret_vids"]]
-        self._pending_rets.append(staged)
-        self._frames.pop(frame.frame_id, None)
+        def fnenter(frame: Frame) -> None:
+            callsite_id = None
+            infos: dict[int, PointerInfo | None] = {}
+            if pending_args:
+                callsite_id, staged = pending_args.pop()
+                infos.update(zip(param_vids, staged, strict=False))
+                access = arg_accesses.get(callsite_id)
+                if access is not None:
+                    access.callees.add(frame.function.name)
+            frames[frame.frame_id] = _FrameRec(callsite_id, infos)
+        return fnenter
 
-    def _op_callargs(self, frame: Frame, meta: dict,
-                     args: list[int]) -> None:
-        rec = self._rec(frame)
+    def _fnexit(self, meta: dict, evs: list) -> Probe:
+        frames = self._frames
+        pending_rets = self._pending_rets
+        ret_vids = meta["ret_vids"]
+
+        def fnexit(frame: Frame) -> None:
+            rec = frames.pop(frame.frame_id, None)
+            infos = rec.infos if rec is not None else {}
+            pending_rets.append([infos.get(vid) for vid in ret_vids])
+        return fnexit
+
+    def _callargs(self, meta: dict, evs: list) -> Probe:
+        frames = self._frames
+        pending_args = self._pending_args
+        arg_accesses = self.arg_accesses
         callsite_id = meta["callsite_id"]
-        staged = [rec.infos.get(vid) for vid in meta["arg_vids"]]
-        self._pending_args.append((callsite_id, staged))
-        self.arg_accesses.setdefault(callsite_id,
-                                     ArgAccess(callsite_id))
+        arg_vids = meta["arg_vids"]
 
-    def _op_callres(self, frame: Frame, meta: dict,
-                    args: list[int]) -> None:
-        rec = self._rec(frame)
-        staged = self._pending_rets.pop() if self._pending_rets else []
-        for vid, info in zip(meta["result_vids"], staged, strict=False):
-            rec.infos[vid] = info
+        def callargs(frame: Frame) -> None:
+            infos = frames[frame.frame_id].infos
+            pending_args.append(
+                (callsite_id, [infos.get(vid) for vid in arg_vids]))
+            if callsite_id not in arg_accesses:
+                arg_accesses[callsite_id] = ArgAccess(callsite_id)
+        return callargs
+
+    def _callres(self, meta: dict, evs: list) -> Probe:
+        frames = self._frames
+        pending_rets = self._pending_rets
+        result_vids = meta["result_vids"]
+
+        def callres(frame: Frame) -> None:
+            infos = frames[frame.frame_id].infos
+            staged = pending_rets.pop() if pending_rets else []
+            infos.update(zip(result_vids, staged, strict=False))
+        return callres
 
     # -- pointer tracking -------------------------------------------------------
 
-    def _op_stackref(self, frame: Frame, meta: dict,
-                     args: list[int]) -> None:
-        rec = self._rec(frame)
+    def _stackref(self, meta: dict, evs: list) -> Probe:
+        frames = self._frames
         offset = meta["offset"]
+        vid = meta["vid"]
         if 0 <= offset < 4 and meta.get("is_sp0"):
-            rec.infos[meta["vid"]] = None
-            return
+            def sp0(frame: Frame) -> None:
+                frames[frame.frame_id].infos[vid] = None
+            return sp0
         if offset >= 4:
             # Access above sp0: the caller's argument area; recorded per
             # call site (paper §4.2.5).
-            if rec.callsite_id is None:
-                rec.infos[meta["vid"]] = None
-                return
-            access = self.arg_accesses.setdefault(
-                rec.callsite_id, ArgAccess(rec.callsite_id))
-            rec.infos[meta["vid"]] = PointerInfo(access, offset - 4)
-            return
-        var = self.stack_vars.get(meta["ref_id"])
-        if var is None:
-            var = StackVar(meta["ref_id"], frame.function.name, offset)
-            self.stack_vars[meta["ref_id"]] = var
-        rec.infos[meta["vid"]] = PointerInfo(var, 0)
+            arg_accesses = self.arg_accesses
+            arg_offset = offset - 4
 
-    def _op_derive(self, frame: Frame, meta: dict,
-                   args: list[int]) -> None:
-        rec = self._rec(frame)
-        base = rec.infos.get(meta["base_vid"])
-        if base is None:
-            rec.infos[meta["result_vid"]] = None
-            return
+            def arg_area(frame: Frame) -> None:
+                rec = frames[frame.frame_id]
+                callsite_id = rec.callsite_id
+                if callsite_id is None:
+                    rec.infos[vid] = None
+                    return
+                access = arg_accesses.get(callsite_id)
+                if access is None:
+                    access = arg_accesses[callsite_id] = \
+                        ArgAccess(callsite_id)
+                rec.infos[vid] = PointerInfo(access, arg_offset)
+            return arg_area
+        stack_vars = self.stack_vars
+        ref_id = meta["ref_id"]
+        # PointerInfo is frozen: once the variable exists, every
+        # activation shares one info for the base pointer.
+        info: PointerInfo | None = None
+
+        def stackref(frame: Frame) -> None:
+            nonlocal info
+            if info is None:
+                var = stack_vars.get(ref_id)
+                if var is None:
+                    var = stack_vars[ref_id] = StackVar(
+                        ref_id, frame.function.name, offset)
+                info = PointerInfo(var, 0)
+            frames[frame.frame_id].infos[vid] = info
+        return stackref
+
+    def _derive(self, meta: dict, evs: list) -> Probe:
+        frames = self._frames
         op = meta["op"]
         const = meta["const"]
-        if isinstance(base.var, ArgAccess):
-            base.var.walked = True
-        if op == "add":
-            info = PointerInfo(base.var, base.offset + _signed(const))
-        elif op == "sub":
-            info = PointerInfo(base.var, base.offset - _signed(const))
-        elif op == "or":
-            # Low-bit merge (sub-register writes): the result *appears*
-            # derived (paper §4.2.3); bounds stay deferred until a real
-            # dereference, so a false derive is harmless.
-            info = base
-        else:  # and: alignment operation (offset approximated unchanged)
-            if isinstance(base.var, StackVar):
-                mask = (~const) & 0xFFFFFFFF
-                base.var.align = max(base.var.align,
-                                     min(mask + 1, 4096))
-            info = base
-        rec.infos[meta["result_vid"]] = info
+        result_vid = meta["result_vid"]
+        base_vid = meta["base_vid"]
+        if op in ("add", "sub"):
+            delta = _signed(const) if op == "add" else -_signed(const)
 
-    def _op_derive2(self, frame: Frame, meta: dict,
-                    args: list[int]) -> None:
-        rec = self._rec(frame)
-        lhs = rec.infos.get(meta["lhs_vid"])
-        rhs = rec.infos.get(meta["rhs_vid"])
-        lhs_val, rhs_val = args[1], args[2]
+            def derive(frame: Frame) -> None:
+                infos = frames[frame.frame_id].infos
+                base = infos.get(base_vid)
+                if base is None:
+                    infos[result_vid] = None
+                    return
+                var = base.var
+                if isinstance(var, ArgAccess):
+                    var.walked = True
+                infos[result_vid] = PointerInfo(var, base.offset + delta)
+            return derive
+        # ``or`` is a low-bit merge (sub-register writes): the result
+        # *appears* derived (paper §4.2.3); bounds stay deferred until a
+        # real dereference, so a false derive is harmless.  ``and`` is
+        # an alignment operation: the offset is approximated unchanged
+        # and the mask's alignment recorded (``or`` records none, as
+        # every alignment is at least 1).
+        align = min(((~const) & 0xFFFFFFFF) + 1, 4096) \
+            if op == "and" else 0
+
+        def merge_or_align(frame: Frame) -> None:
+            infos = frames[frame.frame_id].infos
+            base = infos.get(base_vid)
+            if base is not None:
+                var = base.var
+                if isinstance(var, ArgAccess):
+                    var.walked = True
+                elif var.align < align:
+                    var.align = align
+            infos[result_vid] = base
+        return merge_or_align
+
+    def _derive2(self, meta: dict, evs: list) -> Probe:
+        frames = self._frames
         op = meta["op"]
-        for side in (lhs, rhs):
-            if side is not None and isinstance(side.var, ArgAccess):
-                side.var.walked = True
-        result: PointerInfo | None = None
+        result_vid = meta["result_vid"]
+        lhs_vid = meta["lhs_vid"]
+        rhs_vid = meta["rhs_vid"]
+        lhs_value, rhs_value = evs[1], evs[2]
+        link = self._link
+
+        # Each ``combine(values, lhs, rhs)`` sees at least one pointer.
         if op == "add":
-            if lhs is not None and rhs is None:
-                result = PointerInfo(lhs.var, lhs.offset +
-                                     _signed(rhs_val))
-            elif rhs is not None and lhs is None:
-                result = PointerInfo(rhs.var, rhs.offset +
-                                     _signed(lhs_val))
+            def combine(values, lhs, rhs):
+                if rhs is None:
+                    return PointerInfo(
+                        lhs.var, lhs.offset + _signed(rhs_value(values)))
+                if lhs is None:
+                    return PointerInfo(
+                        rhs.var, rhs.offset + _signed(lhs_value(values)))
+                return None
         elif op == "sub":
-            if lhs is not None and rhs is not None:
-                self._link(lhs.var, rhs.var)
-            elif lhs is not None:
-                result = PointerInfo(lhs.var, lhs.offset -
-                                     _signed(rhs_val))
-        elif op in ("or", "and"):
+            def combine(values, lhs, rhs):
+                if lhs is None:
+                    return None
+                if rhs is None:
+                    return PointerInfo(
+                        lhs.var, lhs.offset - _signed(rhs_value(values)))
+                link(lhs.var, rhs.var)
+                return None
+        else:  # or, and
             # False-derive shape: keep the (possibly stale) association,
             # offset unchanged; only a dereference will confirm it.
-            if lhs is not None and rhs is None:
-                result = lhs
-            elif rhs is not None and lhs is None:
-                result = rhs
-        rec.infos[meta["result_vid"]] = result
+            def combine(values, lhs, rhs):
+                if rhs is None:
+                    return lhs
+                if lhs is None:
+                    return rhs
+                return None
 
-    def _op_link(self, frame: Frame, meta: dict,
-                 args: list[int]) -> None:
-        rec = self._rec(frame)
-        lhs = rec.infos.get(meta["lhs_vid"])
-        rhs = rec.infos.get(meta["rhs_vid"])
-        if lhs is not None and rhs is not None:
-            self._link(lhs.var, rhs.var)
+        def derive2(frame: Frame) -> None:
+            infos = frames[frame.frame_id].infos
+            lhs = infos.get(lhs_vid)
+            rhs = infos.get(rhs_vid)
+            if lhs is None and rhs is None:
+                infos[result_vid] = None
+                return
+            for side in (lhs, rhs):
+                if side is not None and isinstance(side.var, ArgAccess):
+                    side.var.walked = True
+            infos[result_vid] = combine(frame.values, lhs, rhs)
+        return derive2
+
+    def _link_probe(self, meta: dict, evs: list) -> Probe:
+        frames = self._frames
+        lhs_vid = meta["lhs_vid"]
+        rhs_vid = meta["rhs_vid"]
+        link = self._link
+
+        def link_vars(frame: Frame) -> None:
+            infos = frames[frame.frame_id].infos
+            lhs = infos.get(lhs_vid)
+            if lhs is not None:
+                rhs = infos.get(rhs_vid)
+                if rhs is not None:
+                    link(lhs.var, rhs.var)
+        return link_vars
 
     def _link(self, a: object, b: object) -> None:
         if a is b:
@@ -334,60 +439,90 @@ class TracingRuntime:
         if isinstance(a, StackVar) and isinstance(b, StackVar):
             self.links.add(frozenset((a.ref_id, b.ref_id)))
 
-    def _op_copy(self, frame: Frame, meta: dict,
-                 args: list[int]) -> None:
-        rec = self._rec(frame)
+    def _copy(self, meta: dict, evs: list) -> Probe:
+        frames = self._frames
+        dst_vid = meta["dst_vid"]
+        src_vid = meta["src_vid"]
         group = meta.get("group_size")
         if group is None:
-            rec.infos[meta["dst_vid"]] = rec.infos.get(meta["src_vid"])
-            return
+            def copy(frame: Frame) -> None:
+                infos = frames[frame.frame_id].infos
+                infos[dst_vid] = infos.get(src_vid)
+            return copy
         # Parallel phi-edge copies: read all sources before any write
         # (swap patterns would otherwise observe half-updated state).
-        if meta["group_index"] == 0:
-            self._copy_stage = []
-        self._copy_stage.append((meta["dst_vid"],
-                                 rec.infos.get(meta["src_vid"])))
-        if meta["group_index"] == group - 1:
-            for dst, info in self._copy_stage:
-                rec.infos[dst] = info
-            self._copy_stage = []
+        stage = self._copy_stage
+        first = meta["group_index"] == 0
+        last = meta["group_index"] == group - 1
 
-    def _op_load(self, frame: Frame, meta: dict,
-                 args: list[int]) -> None:
-        rec = self._rec(frame)
-        addr_value = args[0]
-        info = rec.infos.get(meta["addr_vid"])
-        if info is not None:
-            info.var.touch(info.offset, meta["size"])
-        if meta["size"] == 4:
-            rec.infos[meta["result_vid"]] = self._addr_map.get(addr_value)
-        else:
-            rec.infos[meta["result_vid"]] = None
+        def staged_copy(frame: Frame) -> None:
+            infos = frames[frame.frame_id].infos
+            if first:
+                stage.clear()
+            stage.append((dst_vid, infos.get(src_vid)))
+            if last:
+                infos.update(stage)
+                stage.clear()
+        return staged_copy
 
-    def _op_store(self, frame: Frame, meta: dict,
-                  args: list[int]) -> None:
-        rec = self._rec(frame)
-        addr_value, value = args[0], args[1]
-        info = rec.infos.get(meta["addr_vid"])
-        if info is not None:
-            info.var.touch(info.offset, meta["size"])
-        value_info = rec.infos.get(meta["value_vid"]) \
-            if meta["size"] == 4 else None
-        if value_info is not None:
-            self._addr_map[addr_value] = value_info
-        else:
-            self._addr_map.pop(addr_value, None)
+    def _load(self, meta: dict, evs: list) -> Probe:
+        frames = self._frames
+        addr_map = self._addr_map
+        size = meta["size"]
+        addr_vid = meta["addr_vid"]
+        result_vid = meta["result_vid"]
+        addr_value = evs[0]
+        word = size == 4
+
+        def load(frame: Frame) -> None:
+            infos = frames[frame.frame_id].infos
+            info = infos.get(addr_vid)
+            if info is not None:
+                info.var.touch(info.offset, size)
+            infos[result_vid] = addr_map.get(addr_value(frame.values)) \
+                if word and addr_map else None
+        return load
+
+    def _store(self, meta: dict, evs: list) -> Probe:
+        frames = self._frames
+        addr_map = self._addr_map
+        size = meta["size"]
+        addr_vid = meta["addr_vid"]
+        # Only a word store spills a pointer; no vid is None.
+        value_vid = meta["value_vid"] if size == 4 else None
+        addr_value = evs[0]
+
+        def store(frame: Frame) -> None:
+            infos = frames[frame.frame_id].infos
+            info = infos.get(addr_vid)
+            if info is not None:
+                info.var.touch(info.offset, size)
+            value_info = infos.get(value_vid)
+            if value_info is not None:
+                addr_map[addr_value(frame.values)] = value_info
+            elif addr_map:
+                addr_map.pop(addr_value(frame.values), None)
+        return store
 
     # -- external calls (constraint application, §5.3) ---------------------------
 
-    def _op_extcall(self, frame: Frame, meta: dict,
-                    args: list[int]) -> None:
-        rec = self._rec(frame)
-        name = meta["name"]
-        sig = EXTERNAL_DB.get(name)
+    def _extcall(self, meta: dict, evs: list) -> Probe:
+        sig = EXTERNAL_DB.get(meta["name"])
         if sig is None:
-            return
+            return _no_constraints
+        frames = self._frames
         arg_vids = meta["arg_vids"]
+        result_vid = meta["result_vid"]
+        apply = self._apply_constraints
+
+        def extcall(frame: Frame) -> None:
+            values = frame.values
+            apply(frames[frame.frame_id].infos, sig, arg_vids, result_vid,
+                  [ev(values) for ev in evs])
+        return extcall
+
+    def _apply_constraints(self, infos: dict, sig, arg_vids: list[int],
+                           result_vid: int, args: list[int]) -> None:
         arg_values = args[:len(arg_vids)]
         result_value = args[len(arg_vids)] if len(args) > len(arg_vids) \
             else 0
@@ -396,7 +531,7 @@ class TracingRuntime:
             if index == RET:
                 return None
             if index < len(arg_vids):
-                return rec.infos.get(arg_vids[index])
+                return infos.get(arg_vids[index])
             return None
 
         def arg_value(index: int) -> int:
@@ -420,7 +555,7 @@ class TracingRuntime:
                 src = arg_info(src_i)
                 if src is not None and dst_i == RET:
                     delta = _signed(result_value - arg_value(src_i))
-                    rec.infos[meta["result_vid"]] = PointerInfo(
+                    infos[result_vid] = PointerInfo(
                         src.var, src.offset + delta)
             elif c.kind == "Clear":
                 ptr = arg_value(c.args[0])
@@ -440,7 +575,7 @@ class TracingRuntime:
                     else:
                         self._addr_map.pop(dst + k, None)
             elif c.kind == "FormatStr":
-                self._format_str(rec, sig, c.args[0], arg_vids,
+                self._format_str(infos, sig, c.args[0], arg_vids,
                                  arg_values)
 
     def _zero_terminated(self, info: PointerInfo | None,
@@ -454,7 +589,7 @@ class TracingRuntime:
             return 0
         return len(self._interp.mem.read_cstring(ptr))
 
-    def _format_str(self, rec: _FrameRec, sig, fmt_index: int,
+    def _format_str(self, infos: dict, sig, fmt_index: int,
                     arg_vids: list[int], arg_values: list[int]) -> None:
         if self._interp is None:
             return
@@ -464,6 +599,22 @@ class TracingRuntime:
             arg_i = sig.nargs + i
             if kind == "str" and arg_i < len(arg_values):
                 self._zero_terminated(
-                    rec.infos.get(arg_vids[arg_i])
+                    infos.get(arg_vids[arg_i])
                     if arg_i < len(arg_vids) else None,
                     arg_values[arg_i])
+
+
+_PROBE_COMPILERS = {
+    "wyt.fnenter": TracingRuntime._fnenter,
+    "wyt.fnexit": TracingRuntime._fnexit,
+    "wyt.callargs": TracingRuntime._callargs,
+    "wyt.callres": TracingRuntime._callres,
+    "wyt.stackref": TracingRuntime._stackref,
+    "wyt.derive": TracingRuntime._derive,
+    "wyt.derive2": TracingRuntime._derive2,
+    "wyt.link": TracingRuntime._link_probe,
+    "wyt.copy": TracingRuntime._copy,
+    "wyt.load": TracingRuntime._load,
+    "wyt.store": TracingRuntime._store,
+    "wyt.extcall": TracingRuntime._extcall,
+}

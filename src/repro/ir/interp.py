@@ -4,9 +4,11 @@ This is the "Execute" box of the paper's Figure 4: every refinement runs
 the *lifted IR itself* (instrumented with probes) on the traced inputs.
 The interpreter therefore supports two extension points:
 
-* an **intrinsic handler** — receives ``wyt.*`` probe calls inserted by
-  :mod:`repro.core.instrument` (the analogue of linking BinRec's
-  instrumentation runtime into the lifted program); and
+* a **probe compiler** — turns each ``wyt.*`` probe inserted by
+  :mod:`repro.core.instrument` into a closure, once per probe, when the
+  probe's block compiles (the analogue of linking the instrumentation
+  runtime into the lifted program, which fixes each probe's target and
+  constants before the program runs); and
 * a **shadow plugin** — sees every use of a shadowed value, used by the
   register save/argument classification of refinement 1 (paper §4.1),
   where each register carries a symbolic value.  Only parameters, phis,
@@ -174,6 +176,11 @@ def _unary_fn(op: str):
     return fn
 
 
+def _no_probe(frame) -> None:
+    """A probe run without a probe compiler: a no-op (still a step)."""
+    return None
+
+
 class ShadowPlugin(Protocol):
     """Observer interface for shadow-value analyses (refinement 1).
 
@@ -207,7 +214,17 @@ class ShadowPlugin(Protocol):
     def on_indirect_call(self, callee: Function) -> None: ...
 
 
-IntrinsicHandler = Callable[["Frame", Intrinsic, list[int]], None]
+class ProbeCompiler(Protocol):
+    """Compiler for ``wyt.*`` probes (the tracing runtime).
+
+    ``compile`` is called once per probe, when its block compiles;
+    ``evs`` evaluate the probe's operands against a frame's values, one
+    per operand.  The returned closure runs on every execution of the
+    probe, with the executing :class:`Frame`.
+    """
+
+    def compile(self, instr: Intrinsic,
+                evs: list) -> Callable[["Frame"], None]: ...
 
 
 @dataclass
@@ -237,7 +254,7 @@ class Interpreter:
 
     def __init__(self, module: Module,
                  input_items: list[int | bytes] | None = None,
-                 intrinsic_handler: IntrinsicHandler | None = None,
+                 probes: ProbeCompiler | None = None,
                  shadow: ShadowPlugin | None = None,
                  max_steps: int = 200_000_000,
                  compiled: bool | None = None):
@@ -248,6 +265,8 @@ class Interpreter:
         #: Per-block compiled code: block -> (func version, #instrs,
         #: (steps, phi plan, body closures, terminator closure)).
         self._code: dict = {}
+        #: The reference engine's compiled probes, by probe instruction.
+        self._probe_code: dict[Intrinsic, Callable[[Frame], None]] = {}
         #: Observability: per-function execution counts land in this
         #: plain dict (the shared profile's counts) when a recorder is
         #: active; None keeps the call path branchless beyond one check.
@@ -259,9 +278,9 @@ class Interpreter:
         # place, never replace them.
         self.mem = make_memory()
         self.libc = LibC(self.mem)
-        #: Read at run time by the compiled probes, so it may change
-        #: between runs (one tracing runtime per bounds input).
-        self.intrinsic_handler = intrinsic_handler
+        #: Fixed for the interpreter's life: its closures are compiled
+        #: into the blocks.  Without it probes are no-ops (still steps).
+        self.probes = probes
         self.shadow = shadow
         self.max_steps = max_steps
         self.global_addrs: dict[str, int] = {}
@@ -293,6 +312,7 @@ class Interpreter:
         otherwise only the cyclic collector frees them, and a finished
         stage's code stays allocated until it runs."""
         self._code.clear()
+        self._probe_code.clear()
         self.mem.clear()
 
     # -- layout -------------------------------------------------------------
@@ -741,14 +761,9 @@ class Interpreter:
                                     if isinstance(bundle, list) else None)
             return run
         if isinstance(i, Intrinsic):
-            evs = [self._ev(a) for a in i.ops]
-
-            def run(frame):
-                handler = self.intrinsic_handler
-                if handler is not None:
-                    v = frame.values
-                    handler(frame, i, [ev(v) for ev in evs])
-            return run
+            if self.probes is None:
+                return _no_probe
+            return self.probes.compile(i, [self._ev(a) for a in i.ops])
         if isinstance(i, Phi):
             def run(frame):
                 raise InterpError("phi executed out of band")
@@ -1051,9 +1066,13 @@ class Interpreter:
                     if isinstance(shadow_bundle, list) else None)
             return None
         if isinstance(instr, Intrinsic):
-            if self.intrinsic_handler is not None:
-                args = [self._eval(frame, a) for a in instr.ops]
-                self.intrinsic_handler(frame, instr, args)
+            if self.probes is not None:
+                run = self._probe_code.get(instr)
+                if run is None:
+                    # The compiled engine's closure, built on first use.
+                    run = self._probe_code[instr] = self.probes.compile(
+                        instr, [self._ev(a) for a in instr.ops])
+                run(frame)
             return None
         if isinstance(instr, Br):
             return ("br", instr.target)

@@ -21,12 +21,17 @@ its argument counts come from the trace.)  That replay loop dominates
 * **input dedup** — identical entries in ``traces.inputs`` exercise
   identical paths (execution is deterministic), so each distinct input
   replays once and the result fans out to its duplicates;
+* **one tracing runtime per bounds stage** — the serial bounds runs
+  share one :class:`~repro.core.runtime.TracingRuntime`, as they share
+  one interpreter: the interpreter compiles each probe once, and
+  :meth:`~repro.core.runtime.TracingRuntime.bind` resets the per-run
+  state before each input;
 * **parallel replay** — the validation sweep and the instrumented
   bounds runs are independent per input and fan out over a process
-  pool (``jobs=N``); per-input
-  :class:`~repro.core.runtime.TracingRuntime` recordings are merged
-  deterministically in traced-input order, so parallel and serial runs
-  produce byte-identical recompiled binaries;
+  pool (``jobs=N``); each worker's per-input runtime comes back as a
+  snapshot, and the snapshots are merged in traced-input order, which
+  reproduces the serial stage's one runtime, so parallel and serial
+  runs produce byte-identical recompiled binaries;
 * **which input a failure names** — the observation and bounds checks
   go in traced order and name the earliest diverging input, with any
   ``jobs``; the final sweep replays cheapest first and stops at the
@@ -99,16 +104,6 @@ def _check_run(run, expected):
     return None
 
 
-def _instrumented(interp: Interpreter, items):
-    """Prepare a §4.2 bounds run of ``interp`` over ``items`` with its
-    own tracing runtime: returns the runtime and the ``run``."""
-    runtime = TracingRuntime()
-    interp.intrinsic_handler = runtime.handle
-    interp.reset(items)
-    runtime.bind(interp)
-    return runtime, interp.run
-
-
 def _worker_begin() -> bool:
     """Reset the inherited recorder (and in-memory ledger events) so
     this worker's observations are not double-counted when the parent
@@ -131,8 +126,10 @@ def _validate_worker(index: int):
 def _bounds_worker(index: int):
     module, inputs, results, _observe = worker_ctx()
     observe = _worker_begin()
-    runtime, run = _instrumented(Interpreter(module), inputs[index])
-    failure = _check_run(run, results[index])
+    runtime = TracingRuntime()
+    interp = Interpreter(module, inputs[index], probes=runtime)
+    runtime.bind(interp)
+    failure = _check_run(interp.run, results[index])
     return (index, failure,
             runtime.snapshot() if failure is None else None,
             obs.export_payload() if observe else None)
@@ -306,45 +303,60 @@ class ReplayEngine:
     def run_instrumented(self, module: Module,
                          stage: str) -> TracingRuntime:
         """Execute the probe-instrumented module on every distinct input
-        and return the merged tracing runtime.
+        and return the tracing runtime that observed them.
 
         Each run is checked against the trace; a failure raises
         :class:`SymbolizeError` naming ``stage`` and the earliest
         diverging input in traced order, with or without ``jobs``.
-        Per-input runtimes are merged in traced-input order, which
-        reproduces the variable/argument-area discovery order of a
-        single shared runtime — serial and parallel sweeps therefore
-        feed identical state to layout construction.
+        Serially, one runtime observes every run, bound to the stage's
+        one interpreter before each input.  With ``jobs > 1`` each
+        worker's per-input snapshot is merged in traced-input order,
+        which reproduces the serial runtime's variable/argument-area
+        discovery order — both paths therefore feed identical state to
+        layout construction.
         """
         with obs.timed("replay.bounds_seconds"):
-            merged = TracingRuntime()
             order = self.unique
             snapshots = None
             if self.jobs > 1 and len(order) > 1:
                 snapshots = self._bounds_parallel(module, order)
-            inputs, results = self.traces.inputs, self.traces.results
-            with Interpreter(module) as interp:
+            if snapshots is None:
+                runtime = self._bounds_serial(module, stage)
+            else:
+                runtime = TracingRuntime()
                 for i in order:
-                    if snapshots is None:
-                        obs.count("replay.runs")
-                        runtime, run = _instrumented(interp, inputs[i])
-                        failure = _check_run(run, results[i])
-                    else:
-                        failure, runtime = snapshots[i]
+                    failure, snapshot = snapshots[i]
                     if failure is not None:
                         self._fail(stage, i, *failure)
-                    merged.merge(runtime)
-                    self._trace_merged(i, merged)
+                    runtime.merge(snapshot)
+                    self._trace_merged(i, runtime)
             self._passed(stage, len(order))
-            return merged
+            return runtime
 
-    def _trace_merged(self, index: int, merged: TracingRuntime) -> None:
+    def _bounds_serial(self, module: Module,
+                       stage: str) -> TracingRuntime:
+        """The bounds runs in traced order on one interpreter, all
+        observed by one runtime."""
+        runtime = TracingRuntime()
+        inputs, results = self.traces.inputs, self.traces.results
+        with Interpreter(module, probes=runtime) as interp:
+            for i in self.unique:
+                obs.count("replay.runs")
+                interp.reset(inputs[i])
+                runtime.bind(interp)
+                failure = _check_run(interp.run, results[i])
+                if failure is not None:
+                    self._fail(stage, i, *failure)
+                self._trace_merged(i, runtime)
+        return runtime
+
+    def _trace_merged(self, index: int, runtime: TracingRuntime) -> None:
         """Ledger record of one instrumented run folding in (§4.2)."""
         if obs.ledger() is not None:
             obs.event("trace.merged", input=index,
-                      stack_vars=len(merged.stack_vars),
-                      arg_accesses=len(merged.arg_accesses),
-                      links=len(merged.links))
+                      stack_vars=len(runtime.stack_vars),
+                      arg_accesses=len(runtime.arg_accesses),
+                      links=len(runtime.links))
 
     def _bounds_parallel(self, module, order):
         """Per-input ``(failure, snapshot)`` from the pool, or ``None``

@@ -1,5 +1,7 @@
 """Instrumentation pass structure: probes inserted, strippable."""
 
+from types import SimpleNamespace
+
 from repro.core.instrument import instrument_module, strip_probes
 from repro.core.sp0fold import fold_module_stack_refs
 from repro.core.regsave import apply_register_classification, \
@@ -48,9 +50,9 @@ def test_probes_do_not_change_behaviour():
     instrument_module(module)
     verify_module(module)
     seen = []
-    result = Interpreter(
-        module, [], intrinsic_handler=lambda f, i, a: seen.append(1)
-    ).run()
+    count_probes = SimpleNamespace(
+        compile=lambda instr, evs: lambda frame: seen.append(1))
+    result = Interpreter(module, [], probes=count_probes).run()
     assert result.stdout == baseline.stdout
     assert seen  # probes actually fired
 

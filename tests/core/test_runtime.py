@@ -1,6 +1,7 @@
 """The tracing runtime in isolation: StackVar bounds, PointerInfo flow,
 links, address map, constraints (paper §4.2)."""
 
+from operator import itemgetter
 from types import SimpleNamespace
 
 from repro.core.instrument import _probe
@@ -10,11 +11,24 @@ from repro.core.runtime import PointerInfo, StackVar, \
 
 def frame(fid=1, fname="f"):
     return SimpleNamespace(frame_id=fid,
-                           function=SimpleNamespace(name=fname))
+                           function=SimpleNamespace(name=fname),
+                           values={})
+
+
+def compile_probe(rt, name, meta, nargs):
+    """Compile probe ``name``; its operands read the frame's
+    ``values[0]`` .. ``values[nargs - 1]``."""
+    return rt.compile(_probe(name, [], meta),
+                      [itemgetter(k) for k in range(nargs)])
+
+
+def run(probe, fr, args=()):
+    fr.values = dict(enumerate(args))
+    probe(fr)
 
 
 def fire(rt, fr, name, meta, args=()):
-    rt.handle(fr, _probe(name, [], meta), list(args))
+    run(compile_probe(rt, name, meta, len(args)), fr, args)
 
 
 def enter(rt, fr, sp0=1000, params=(0,)):
@@ -245,3 +259,32 @@ def test_recursion_distinct_frames_same_var():
     assert rt.stack_vars[1].defined
     # The outer frame's vid metadata still points at the same var.
     assert rt._frames[outer.frame_id].infos[10].var is rt.stack_vars[1]
+
+
+def test_bind_clears_the_address_map_between_runs():
+    # One runtime serves every run of a bounds stage, its probes
+    # compiled once: a stack pointer run A stored at 2000 must not reach
+    # run B, which loads that word and dereferences it.
+    rt = TracingRuntime()
+    fnenter = compile_probe(rt, "fnenter", {"func": "f",
+                                            "param_vids": [0]}, 1)
+    stackref = compile_probe(rt, "stackref", {
+        "ref_id": 1, "offset": -32, "vid": 10, "is_sp0": False}, 1)
+    spill = compile_probe(rt, "store", {"size": 4, "addr_vid": -1,
+                                        "value_vid": 10}, 2)
+    reload = compile_probe(rt, "load", {"size": 4, "addr_vid": -1,
+                                        "result_vid": 20}, 2)
+    deref = compile_probe(rt, "load", {"size": 4, "addr_vid": 20,
+                                       "result_vid": 21}, 2)
+    run_a = frame()
+    rt.bind(None)
+    run(fnenter, run_a, [1000])
+    run(stackref, run_a, [968])
+    run(spill, run_a, [2000, 968])
+    run_b = frame()
+    rt.bind(None)
+    run(fnenter, run_b, [1000])
+    run(reload, run_b, [2000, 968])
+    run(deref, run_b, [968, 0])
+    assert rt._frames[run_b.frame_id].infos[20] is None
+    assert not rt.stack_vars[1].defined

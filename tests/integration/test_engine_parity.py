@@ -3,15 +3,20 @@
 The acceptance property of the execution engines: the cached-block
 machine and the compiled IR interpreter must be observationally
 equivalent to their per-step reference paths — byte-identical program
-output, equal merged trace sets, and equal recovered frame layouts.
+output, equal merged trace sets, equal tracing-runtime observations after
+the bounds runs, and equal recovered frame layouts.
 """
+
+import copy
 
 import pytest
 
 from repro.core.driver import wytiwyg_lift
 from repro.emu import trace_binary
 from repro.ir.interp import Interpreter
+from repro.replay import ReplayEngine
 from repro.workloads import WORKLOADS
+from tests.conftest import KERNEL_SOURCE, cached_image
 
 PARITY_WORKLOADS = ("mcf", "gcc", "hmmer")
 
@@ -72,3 +77,30 @@ def test_compiled_interpreter_layouts_match_reference(monkeypatch):
         assert got_c.stdout == got_r.stdout == expected.stdout
         assert got_c.exit_code == got_r.exit_code == \
             expected.exit_code & 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("opt_level", ["0", "3"])
+def test_compiled_and_reference_probes_leave_equal_runtimes(monkeypatch,
+                                                            opt_level):
+    # Both engines run the probes the tracing runtime compiles: after
+    # the bounds runs their runtimes hold the same observations, in the
+    # same first-touch order.
+    image = cached_image(KERNEL_SOURCE, opt_level=opt_level)
+    traces = trace_binary(image.stripped(), [[]])
+    real = ReplayEngine.run_instrumented
+    snapshots = {}
+
+    def run_instrumented(self, module, stage):
+        for flag in ("0", "1"):
+            monkeypatch.setenv("REPRO_IR_COMPILED", flag)
+            runtime = real(self, module, stage)
+            snapshots[flag] = copy.deepcopy(runtime.snapshot())
+        return runtime
+
+    monkeypatch.setattr(ReplayEngine, "run_instrumented", run_instrumented)
+    wytiwyg_lift(traces)
+    reference, compiled = snapshots["0"], snapshots["1"]
+    assert compiled["stack_vars"] and compiled["arg_accesses"]
+    assert compiled == reference
+    for key in ("stack_vars", "arg_accesses"):
+        assert list(compiled[key]) == list(reference[key])

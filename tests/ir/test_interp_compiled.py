@@ -11,6 +11,7 @@ from repro.ir import (
     GlobalRef,
     GlobalVar,
     Interpreter,
+    Intrinsic,
     Module,
 )
 
@@ -108,22 +109,35 @@ def test_step_counts_match_reference():
     assert compiled.steps == reference.steps
 
 
+class ProbeLog:
+    """Compiles each probe into a closure logging its operand values."""
+
+    def __init__(self):
+        self.compiled = []
+        self.seen = []
+
+    def compile(self, instr, evs):
+        self.compiled.append(instr)
+        return lambda frame: self.seen.append(
+            [ev(frame.values) for ev in evs])
+
+
 def test_mutation_invalidates_compiled_blocks():
     m, f, b = simple_module()
     b.position(f.add_block("entry"))
     b.ret([Const(1)])
-    seen = []
-    interp = Interpreter(m, compiled=True,
-                         intrinsic_handler=lambda fr, i, a: seen.append(a))
+    probes = ProbeLog()
+    interp = Interpreter(m, compiled=True, probes=probes)
     assert interp.call_function(m.entry_function, []) == [1]
-    assert seen == []
+    assert probes.seen == []
     # Splice a probe in front (bumps the function version) and re-run
-    # through the same interpreter: the cached block must be rebuilt.
-    entry = f.entry
-    entry.insert(0, __import__("repro.ir.values", fromlist=["Intrinsic"])
-                 .Intrinsic("wyt.test", [Const(42)]))
+    # through the same interpreter: the cached block must be rebuilt,
+    # compiling the new probe.
+    probe = Intrinsic("wyt.test", [Const(42)])
+    f.entry.insert(0, probe)
     assert interp.call_function(m.entry_function, []) == [1]
-    assert seen == [[42]]
+    assert probes.compiled == [probe]
+    assert probes.seen == [[42]]
 
 
 class ShadowRecorder:

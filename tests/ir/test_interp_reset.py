@@ -50,24 +50,32 @@ def leaky_module():
     return m
 
 
-def probe_log(log):
-    def handle(frame, instr, args):
-        log.append((frame.function.name, frame.frame_id, args))
-    return handle
+class ProbeLog:
+    """Compiles each probe into a closure logging the executing frame
+    and the probe's operand values."""
+
+    def __init__(self):
+        self.events = []
+
+    def compile(self, instr, evs):
+        def run(frame):
+            self.events.append((frame.function.name, frame.frame_id,
+                                [ev(frame.values) for ev in evs]))
+        return run
 
 
 @pytest.mark.parametrize("compiled", [True, False],
                          ids=["compiled", "reference"])
 def test_reset_run_matches_a_fresh_interpreter(compiled):
     module = leaky_module()
-    first_log, second_log, fresh_log = [], [], []
-    interp = Interpreter(module, [3], intrinsic_handler=probe_log(first_log),
-                         compiled=compiled)
+    log, fresh_log = ProbeLog(), ProbeLog()
+    interp = Interpreter(module, [3], probes=log, compiled=compiled)
     first = interp.run()
-    interp.intrinsic_handler = probe_log(second_log)
+    first_log = list(log.events)
+    log.events.clear()
     interp.reset([5])
     second = interp.run()
-    fresh = Interpreter(module, [5], intrinsic_handler=probe_log(fresh_log),
+    fresh = Interpreter(module, [5], probes=fresh_log,
                         compiled=compiled).run()
 
     assert (second.stdout, second.exit_code, second.steps) == \
@@ -78,10 +86,10 @@ def test_reset_run_matches_a_fresh_interpreter(compiled):
     assert first.stdout == f"7 {HEAP_BASE:x} {FIRST_RAND} 4\n".encode()
     assert second.stdout == f"7 {HEAP_BASE:x} {FIRST_RAND} 6\n".encode()
     assert second.exit_code == 12
-    # ... frame ids restart, and each run's probes reach the handler
-    # installed for it.
+    # ... frame ids restart, and the second run's probes see what a
+    # fresh interpreter's see.
     assert first_log == [("helper", 2, [3])]
-    assert second_log == fresh_log == [("helper", 2, [5])]
+    assert log.events == fresh_log.events == [("helper", 2, [5])]
 
 
 def test_reset_clears_memory_written_by_the_previous_run():

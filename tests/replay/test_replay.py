@@ -1,5 +1,6 @@
 """The replay engine: dedup, checked replay runs, merge determinism,
-one interpreter per stage, and parallel/serial equivalence."""
+one interpreter (and, for the bounds runs, one tracing runtime) per
+stage, and parallel/serial equivalence."""
 
 import copy
 
@@ -29,7 +30,6 @@ from repro.isa import (
 )
 from repro.lifting import lift_traces
 from repro.replay import ReplayEngine, module_fingerprint
-from repro.replay.engine import _instrumented
 from tests.conftest import KERNEL_SOURCE, cached_image
 
 #: Exit-code workload (no printf): the module has no variadic call
@@ -405,44 +405,43 @@ int main() {
 
 
 def test_bounds_runs_on_one_interpreter_match_fresh_ones(monkeypatch):
+    # The stage's one runtime, bound to its one interpreter before each
+    # input, equals the traced-order merge of per-input runtimes that
+    # each observed a fresh interpreter, in first-touch order too.
     image = cached_image(WALK_SOURCE, opt_level="0")
-    traces = trace_binary(image.stripped(), [[3], [9], [5]])
-    pairs = []
-    merged_pairs = []
+    stages = []
     real = ReplayEngine.run_instrumented
 
     def snapshot(runtime):
         return copy.deepcopy(runtime.snapshot())
 
     def run_instrumented(self, module, stage):
-        shared = Interpreter(module)
-        expected = TracingRuntime()
+        per_input = []
         for items in self.unique_inputs:
-            runtime, run = _instrumented(shared, items)
-            run()
             fresh = TracingRuntime()
-            interp = Interpreter(module, items,
-                                 intrinsic_handler=fresh.handle)
+            interp = Interpreter(module, items, probes=fresh)
             fresh.bind(interp)
             interp.run()
-            pairs.append((snapshot(runtime), snapshot(fresh)))
-            expected.merge(fresh)
-        merged = real(self, module, stage)
-        merged_pairs.append((snapshot(merged), snapshot(expected)))
-        return merged
+            per_input.append(snapshot(fresh))
+        expected = TracingRuntime()
+        for recorded in copy.deepcopy(per_input):
+            expected.merge(recorded)
+        runtime = real(self, module, stage)
+        stages.append((snapshot(runtime), snapshot(expected), per_input))
+        return runtime
 
     monkeypatch.setattr(ReplayEngine, "run_instrumented", run_instrumented)
-    wytiwyg_lift(traces, jobs=1)
-    assert len(pairs) == 3
-    for shared, fresh in pairs:
-        assert shared == fresh
-    # The inputs leave different extents, so a run that saw another
-    # input's state (or sent its probes to another runtime) would show.
-    assert pairs[0][0] != pairs[1][0]
-    # The engine's merged runtime matches, in first-touch order too.
-    (merged, expected), = merged_pairs
-    assert merged == expected
-    assert list(merged["stack_vars"]) == list(expected["stack_vars"])
+    for inputs in ([[3], [9], [5]], [[5], [9], [3]]):
+        stages.clear()
+        wytiwyg_lift(trace_binary(image.stripped(), inputs), jobs=1)
+        (shared, expected, per_input), = stages
+        # The inputs leave different extents, so the merge is not of
+        # one run's state three times.
+        assert per_input[0] != per_input[1]
+        assert shared == expected
+        assert list(shared["stack_vars"]) == list(expected["stack_vars"])
+        assert list(shared["arg_accesses"]) == \
+            list(expected["arg_accesses"])
 
 
 # -- parallel/serial equivalence ----------------------------------------------
