@@ -1,8 +1,6 @@
 """One interpreter per replay stage: a run after :meth:`Interpreter.reset`
 matches a fresh interpreter's run, and compiled blocks are shared."""
 
-import pytest
-
 from repro import obs
 from repro.binary.image import HEAP_BASE
 from repro.ir import (
@@ -64,19 +62,16 @@ class ProbeLog:
         return run
 
 
-@pytest.mark.parametrize("compiled", [True, False],
-                         ids=["compiled", "reference"])
-def test_reset_run_matches_a_fresh_interpreter(compiled):
+def test_reset_run_matches_a_fresh_interpreter():
     module = leaky_module()
     log, fresh_log = ProbeLog(), ProbeLog()
-    interp = Interpreter(module, [3], probes=log, compiled=compiled)
+    interp = Interpreter(module, [3], probes=log)
     first = interp.run()
     first_log = list(log.events)
     log.events.clear()
     interp.reset([5])
     second = interp.run()
-    fresh = Interpreter(module, [5], probes=fresh_log,
-                        compiled=compiled).run()
+    fresh = Interpreter(module, [5], probes=fresh_log).run()
 
     assert (second.stdout, second.exit_code, second.steps) == \
         (fresh.stdout, fresh.exit_code, fresh.steps)

@@ -3,8 +3,10 @@
 Two families of guarantees:
 
 * **Equivalence** — the worklist engine's output is byte-identical to
-  the legacy fixed schedule (``REPRO_PASS_BASELINE=1``) at every
-  optimization level, both as printed IR and as recompiled binaries.
+  what the legacy fixed schedule it replaced produced, at every
+  optimization level, both as printed IR and as recompiled binaries:
+  the sha256 digests that ``tests/golden/engine_digests.json`` pins
+  were recorded where the two agreed.
 * **Incrementality** — a function whose content is a known fixpoint
   is skipped through the fingerprint memo (the same object or a fresh
   one), and after inlining only the callers that received code are
@@ -29,14 +31,19 @@ from repro.ir import (
 from repro.ir.printer import module_to_text
 from repro.opt import (
     OptOptions,
-    canonicalize_module,
     clear_memo,
     drop_unused_private_functions,
     optimize_module,
 )
 from repro.opt import manager as manager_mod
 from repro.recompile.link import compile_ir
-from tests.conftest import FEATURE_SOURCE, KERNEL_SOURCE
+from tests.conftest import FEATURE_SOURCE
+from tests.golden.test_engine_digests import (
+    canonicalized,
+    digest,
+    golden,
+    optimized,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -47,55 +54,36 @@ def fresh_memo():
     clear_memo()
 
 
-def _optimized_pair(source, opts, monkeypatch):
-    """(worklist module, baseline module) for one source + options."""
-    managed = compile_to_ir(source, name="t", config=None)
-    baseline = compile_to_ir(source, name="t", config=None)
-    optimize_module(managed, opts)
-    monkeypatch.setenv("REPRO_PASS_BASELINE", "1")
-    optimize_module(baseline, opts)
-    monkeypatch.delenv("REPRO_PASS_BASELINE")
-    return managed, baseline
-
-
 @pytest.mark.parametrize("level", ["o0", "o1", "o2", "o3"])
-@pytest.mark.parametrize("source", [FEATURE_SOURCE, KERNEL_SOURCE],
-                         ids=["feature", "kernel"])
-def test_worklist_matches_baseline_ir(source, level, monkeypatch):
-    opts = getattr(OptOptions, level)()
-    managed, baseline = _optimized_pair(source, opts, monkeypatch)
-    verify_module(managed)
-    assert module_to_text(managed) == module_to_text(baseline)
+@pytest.mark.parametrize("source", ["feature", "kernel"])
+def test_worklist_matches_baseline_ir(source, level):
+    module = optimized(source, level)
+    verify_module(module)
+    assert digest(module_to_text(module)) == \
+        golden()[f"opt-{source}-{level}"]
 
 
 @pytest.mark.parametrize("level", ["o1", "o3"])
-def test_worklist_matches_baseline_binary(level, monkeypatch):
-    opts = getattr(OptOptions, level)()
-    managed, baseline = _optimized_pair(FEATURE_SOURCE, opts,
-                                        monkeypatch)
-    assert compile_ir(managed).to_json() == compile_ir(baseline).to_json()
+def test_worklist_matches_baseline_binary(level):
+    assert digest(compile_ir(optimized("feature", level)).to_json()) == \
+        golden()[f"compile_ir-{level}"]
 
 
-def test_memo_warm_copy_matches_baseline(monkeypatch):
+def test_memo_warm_copy_matches_baseline():
     """A fresh object served from the fingerprint memo still prints
-    identically to a cold baseline run."""
-    opts = OptOptions.o2()
+    what a cold run prints."""
     warmup = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(warmup, opts)  # populate the memo
-    managed, baseline = _optimized_pair(FEATURE_SOURCE, opts,
-                                        monkeypatch)
-    assert module_to_text(managed) == module_to_text(baseline)
+    optimize_module(warmup, OptOptions.o2())  # populate the memo
+    warm = []
+    counters = _counters_for(lambda: warm.append(optimized("feature", "o2")))
+    assert counters.get("opt.manager.memo_hits", 0) >= 1
+    assert digest(module_to_text(warm[0])) == golden()["opt-feature-o2"]
 
 
-def test_canonicalize_matches_baseline(monkeypatch):
-    managed = compile_to_ir(KERNEL_SOURCE, name="t", config=None)
-    baseline = compile_to_ir(KERNEL_SOURCE, name="t", config=None)
-    canonicalize_module(managed)
-    monkeypatch.setenv("REPRO_PASS_BASELINE", "1")
-    canonicalize_module(baseline)
-    monkeypatch.delenv("REPRO_PASS_BASELINE")
-    verify_module(managed)
-    assert module_to_text(managed) == module_to_text(baseline)
+def test_canonicalize_matches_baseline():
+    module = canonicalized("kernel")
+    verify_module(module)
+    assert digest(module_to_text(module)) == golden()["canonicalize-kernel"]
 
 
 def _pass_runs(counters):
