@@ -1,9 +1,5 @@
-"""Engine speedup benches: cached-block machine vs the per-step
-reference, and the compiled IR interpreter vs the isinstance-dispatch
-reference.  Speedup ratios land in ``extra_info`` so a benchmark JSON
-run records them alongside the timings."""
-
-import time
+"""Engine benches: tracing a binary on the cached-block machine, and
+running a lifted module on the compiled IR interpreter."""
 
 import pytest
 
@@ -35,48 +31,15 @@ def traces(image):
     return trace_binary(image.stripped(), [[]])
 
 
-def _median_seconds(fn, rounds=5):
-    samples = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    samples.sort()
-    return samples[len(samples) // 2]
-
-
 def test_bench_machine_blocks(benchmark, image):
     stripped = image.stripped()
-    reference = _median_seconds(
-        lambda: trace_binary(stripped, [[]], use_blocks=False))
-    result = benchmark(lambda: trace_binary(stripped, [[]]))
-    benchmark.extra_info["reference_seconds"] = reference
-    benchmark.extra_info["speedup_vs_steps"] = \
-        reference / benchmark.stats.stats.median
-
-
-def test_bench_machine_steps_reference(benchmark, image):
-    stripped = image.stripped()
-    benchmark(lambda: trace_binary(stripped, [[]], use_blocks=False))
+    benchmark(lambda: trace_binary(stripped, [[]]))
 
 
 def test_bench_interp_compiled(benchmark, traces):
     module, _, _, _ = wytiwyg_lift(traces)
     run_items = traces.inputs[0]
-    reference = _median_seconds(
-        lambda: Interpreter(module, run_items, compiled=False).run())
-    result = benchmark(
-        lambda: Interpreter(module, run_items, compiled=True).run())
-    benchmark.extra_info["reference_seconds"] = reference
-    benchmark.extra_info["speedup_vs_reference"] = \
-        reference / benchmark.stats.stats.median
-
-
-def test_bench_interp_reference(benchmark, traces):
-    module, _, _, _ = wytiwyg_lift(traces)
-    run_items = traces.inputs[0]
-    benchmark(
-        lambda: Interpreter(module, run_items, compiled=False).run())
+    benchmark(lambda: Interpreter(module, run_items).run())
 
 
 def test_block_cache_hit_rate(image):

@@ -1,27 +1,25 @@
-"""Superblock execution engine for the machine emulator.
+"""The emulator's execution engine: instruction semantics, compiled
+once per basic block.
 
-The seed interpreter paid a per-instruction tax on every step: a decode
-cache lookup, a mnemonic-keyed handler dict lookup, a cost-model
-recomputation, and a trace-sink callback.  This module removes all four
-by caching, per basic block, a tuple of *pre-compiled closures* — one
-per instruction — plus the block's static cycle cost and its instruction
-addresses:
+Each instruction's semantics is written here, once, as a template that
+turns the instruction into a closure over the machine.  A block is
+decoded and compiled on first entry and cached as a tuple of those
+closures, one per instruction, plus the block's static cycle cost and
+its instruction addresses:
 
 * each closure is specialized at block-build time on the operand shapes
   (register index, immediate, addressing mode), so executing it does no
   ``isinstance`` dispatch and no register-view indirection;
 * the block's static cost (the sum the cost model assigns each
   instruction) is computed once; dynamic extras (taken branches, import
-  dispatch) are added by the terminator closures exactly as the per-step
-  handlers did;
+  dispatch) are added by the terminator closures;
 * closures capture only the instruction, never machine state, so one
   :class:`BlockCache` is safely shared by every :class:`~repro.emu.
   machine.Machine` bound to the same image and cost model (the tracer
   runs one machine per input and reuses the cache across all of them).
 
-Semantics are bit-for-bit those of the per-step path (``Machine._step``),
-which is kept as the reference implementation and exercised against this
-engine by the differential tests.
+An instruction whose operand shape no template covers compiles to a
+closure that raises :class:`~repro.errors.EmulationError` when it runs.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from ..obs import count as _obs_count
 from ..isa.instructions import Imm, ImportRef, Instruction, Mem
 from ..isa.registers import Reg
 from .costs import CostModel
+from .cpu import CONDITIONS, signed32
 from .libc import StackArgs, vararg_counter
 
 MASK32 = 0xFFFFFFFF
@@ -44,25 +43,10 @@ MASK32 = 0xFFFFFFFF
 #: convenience a real crt0 provides).
 EXIT_SENTINEL = 0xFFFF0000
 
+EAX_INDEX = 0
+EDX_INDEX = 2
 ESP_INDEX = 4
 EBP_INDEX = 5
-
-#: Condition-code predicates specialized at compile time (mirrors
-#: :meth:`repro.emu.cpu.Flags.condition`).
-_CC_FNS = {
-    "e": lambda f: f.zf,
-    "ne": lambda f: not f.zf,
-    "l": lambda f: f.sf != f.of,
-    "le": lambda f: f.zf or f.sf != f.of,
-    "g": lambda f: not f.zf and f.sf == f.of,
-    "ge": lambda f: f.sf == f.of,
-    "b": lambda f: f.cf,
-    "be": lambda f: f.cf or f.zf,
-    "a": lambda f: not f.cf and not f.zf,
-    "ae": lambda f: not f.cf,
-    "s": lambda f: f.sf,
-    "ns": lambda f: not f.sf,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +450,62 @@ def _compile_negnot(instr: Instruction):
     return op
 
 
+def _compile_imul(instr: Instruction):
+    dst, src = instr.operands
+    rd = _read_closure(dst)
+    wr = _write_closure(dst)
+    rs = _read_closure(src)
+    if rd is None or wr is None or rs is None:
+        return None
+
+    def op(m):
+        r = signed32(rd(m)) * signed32(rs(m))
+        truncated = signed32(r)
+        fl = m.cpu.flags
+        fl.cf = fl.of = truncated != r
+        fl.zf = truncated == 0
+        fl.sf = truncated < 0
+        wr(m, r & MASK32)
+    return op
+
+
+def _compile_cdq(instr: Instruction):
+    def op(m):
+        regs = m.cpu.regs
+        regs[EDX_INDEX] = MASK32 if regs[EAX_INDEX] & 0x80000000 else 0
+    return op
+
+
+def _compile_idiv(instr: Instruction):
+    rd = _read_closure(instr.operands[0])
+    if rd is None:
+        return None
+
+    def op(m):
+        divisor = signed32(rd(m))
+        if divisor == 0:
+            raise EmulationError("integer division by zero")
+        regs = m.cpu.regs
+        dividend = (regs[EDX_INDEX] << 32) | regs[EAX_INDEX]
+        if dividend >= 1 << 63:
+            dividend -= 1 << 64
+        # Integer division, truncated toward zero as x86 does: a float
+        # quotient rounds once edx:eax exceeds 2**53.
+        quotient = abs(dividend) // abs(divisor)
+        if (dividend < 0) != (divisor < 0):
+            quotient = -quotient
+        if not -0x80000000 <= quotient <= 0x7FFFFFFF:
+            raise EmulationError("idiv quotient overflow")
+        regs[EAX_INDEX] = quotient & MASK32
+        regs[EDX_INDEX] = (dividend - quotient * divisor) & MASK32
+    return op
+
+
 def _compile_setcc(instr: Instruction):
     wr = _write_closure(instr.operands[0])
     if wr is None:
         return None
-    cond = _CC_FNS[instr.cc]
+    cond = CONDITIONS[instr.cc]
 
     def op(m):
         wr(m, 1 if cond(m.cpu.flags) else 0)
@@ -529,7 +564,7 @@ def _compile_jcc(instr: Instruction, src: int, next_eip: int,
     if not isinstance(target_op, Imm):
         return None
     target = target_op.value & MASK32
-    cond = _CC_FNS[instr.cc]
+    cond = CONDITIONS[instr.cc]
     taken = costs.branch_taken
 
     def op(m):
@@ -620,7 +655,8 @@ def _compile_hlt(instr: Instruction):
 
 
 def _compile(instr: Instruction, next_eip: int, costs: CostModel):
-    """Specialize one instruction, or return None for the generic path."""
+    """Specialize one instruction, or return None when no template
+    covers its mnemonic and operand shapes."""
     mnem = instr.mnemonic
     src = instr.addr
     if mnem in ("mov", "movzx"):
@@ -645,6 +681,12 @@ def _compile(instr: Instruction, next_eip: int, costs: CostModel):
         return _compile_shift(instr)
     if mnem in ("neg", "not"):
         return _compile_negnot(instr)
+    if mnem == "imul":
+        return _compile_imul(instr)
+    if mnem == "cdq":
+        return _compile_cdq(instr)
+    if mnem == "idiv":
+        return _compile_idiv(instr)
     if mnem == "setcc":
         return _compile_setcc(instr)
     if mnem == "leave":
@@ -661,17 +703,12 @@ def _compile(instr: Instruction, next_eip: int, costs: CostModel):
         return _compile_ret(instr, src)
     if mnem == "hlt":
         return _compile_hlt(instr)
-    return None  # imul / cdq / idiv / anything new: generic handler
+    return None
 
 
-def _generic(handler, instr: Instruction, next_eip: int):
-    """Fallback: run the per-step handler, first restoring eip so that
-    trace sources and error messages match the reference path."""
-    addr = instr.addr
-
+def _unimplemented(instr: Instruction):
     def op(m):
-        m.cpu.eip = addr
-        handler(m, instr, next_eip)
+        raise EmulationError(f"unimplemented {instr!r}")
     return op
 
 
@@ -705,11 +742,9 @@ class BlockCache:
     as an argument.
     """
 
-    def __init__(self, disasm: Disassembler, costs: CostModel,
-                 handlers: dict[str, Callable]):
+    def __init__(self, disasm: Disassembler, costs: CostModel):
         self.disasm = disasm
         self.costs = costs
-        self.handlers = handlers
         self._blocks: dict[int, SuperBlock] = {}
 
     def block_at(self, addr: int) -> SuperBlock:
@@ -726,14 +761,9 @@ class BlockCache:
         code = []
         cost = 0
         for instr in instrs:
-            next_eip = instr.addr + instr.size
-            compiled = _compile(instr, next_eip, costs)
-            if compiled is None:
-                handler = self.handlers.get(instr.mnemonic)
-                if handler is None:
-                    raise EmulationError(f"unimplemented {instr!r}")
-                compiled = _generic(handler, instr, next_eip)
-            code.append(compiled)
+            compiled = _compile(instr, instr.addr + instr.size, costs)
+            code.append(compiled if compiled is not None
+                        else _unimplemented(instr))
             cost += costs.instruction_cost(instr)
         return SuperBlock(addr, tuple(i.addr for i in instrs),
                           tuple(code), cost)
@@ -753,8 +783,7 @@ def _drop_shared_entry(key: int) -> None:
         _obs_count("emu.block_cache.evictions", dropped)
 
 
-def shared_block_cache(image, costs: CostModel,
-                       handlers: dict[str, Callable]) -> BlockCache:
+def shared_block_cache(image, costs: CostModel) -> BlockCache:
     """The process-wide block cache for ``image`` under ``costs``.
 
     Every machine bound to the same image object reuses one cache, so a
@@ -770,6 +799,6 @@ def shared_block_cache(image, costs: CostModel,
         weakref.finalize(image, _drop_shared_entry, key)
     cache = per_image.get(costs)
     if cache is None:
-        cache = BlockCache(Disassembler(image), costs, handlers)
+        cache = BlockCache(Disassembler(image), costs)
         per_image[costs] = cache
     return cache

@@ -8,6 +8,7 @@ emulation and after lifting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..isa.registers import GPR32, Reg, read_view, write_view
 
@@ -50,32 +51,23 @@ class Flags:
         self.cf = a < b
         self.of = bool(((a ^ b) & (a ^ result)) & 0x80000000)
 
-    def condition(self, cc: str) -> bool:
-        if cc == "e":
-            return self.zf
-        if cc == "ne":
-            return not self.zf
-        if cc == "l":
-            return self.sf != self.of
-        if cc == "le":
-            return self.zf or self.sf != self.of
-        if cc == "g":
-            return not self.zf and self.sf == self.of
-        if cc == "ge":
-            return self.sf == self.of
-        if cc == "b":
-            return self.cf
-        if cc == "be":
-            return self.cf or self.zf
-        if cc == "a":
-            return not self.cf and not self.zf
-        if cc == "ae":
-            return not self.cf
-        if cc == "s":
-            return self.sf
-        if cc == "ns":
-            return not self.sf
-        raise ValueError(f"unknown condition code {cc!r}")
+
+#: Condition-code predicates over :class:`Flags`, by the ``cc`` suffix
+#: of ``jcc`` and ``setcc``.
+CONDITIONS: dict[str, Callable[[Flags], bool]] = {
+    "e": lambda f: f.zf,
+    "ne": lambda f: not f.zf,
+    "l": lambda f: f.sf != f.of,
+    "le": lambda f: f.zf or f.sf != f.of,
+    "g": lambda f: not f.zf and f.sf == f.of,
+    "ge": lambda f: f.sf == f.of,
+    "b": lambda f: f.cf,
+    "be": lambda f: f.cf or f.zf,
+    "a": lambda f: not f.cf and not f.zf,
+    "ae": lambda f: not f.cf,
+    "s": lambda f: f.sf,
+    "ns": lambda f: not f.sf,
+}
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ..binary.image import BinaryImage
 from .blocks import shared_block_cache
 from .costs import DEFAULT_COSTS, CostModel
-from .machine import Machine, RunResult, _HANDLERS
+from .machine import Machine, RunResult
 
 
 #: Version of what a trace records (:class:`TraceSet`'s fields and the
@@ -125,8 +125,7 @@ class TraceSet:
 def trace_binary(image: BinaryImage,
                  inputs: list[list[int | bytes]],
                  costs: CostModel = DEFAULT_COSTS,
-                 max_instructions: int = 80_000_000,
-                 use_blocks: bool = True) -> TraceSet:
+                 max_instructions: int = 80_000_000) -> TraceSet:
     """Run ``image`` on every input, merging traces (incremental lifting).
 
     This is the paper's initial tracing phase: each input contributes
@@ -135,14 +134,12 @@ def trace_binary(image: BinaryImage,
     decoded once no matter how many inputs are traced.
     """
     traces = TraceSet(image)
-    blocks = shared_block_cache(image, costs, _HANDLERS) \
-        if use_blocks else None
+    blocks = shared_block_cache(image, costs)
     for input_items in inputs:
         tracer = Tracer()
         machine = Machine(image, list(input_items), costs=costs,
                           max_instructions=max_instructions,
-                          trace_sink=tracer.sink, use_blocks=use_blocks,
-                          blocks=blocks)
+                          trace_sink=tracer.sink, blocks=blocks)
         result = machine.run()
         traces.merge(tracer, result, input_items)
     return traces

@@ -28,13 +28,11 @@ not change between the runs of one instance.  A stage holds its
 interpreter in a ``with`` block, whose exit frees the compiled blocks
 and memory pages at once instead of at the next cyclic collection.
 
-Execution engine: by default each basic block is compiled, on first
-entry, into a list of argument-specialized closures (one per
-instruction), cached per interpreter instance and keyed on the owning
-function's mutation ``version``.  This removes the per-step
-``isinstance`` dispatch chain and per-operand re-classification of the
-reference engine, which is kept (``compiled=False``, or environment
-``REPRO_IR_COMPILED=0``) as the differential baseline.
+Execution engine: each basic block is compiled, on first entry, into a
+list of argument-specialized closures (one per instruction), cached per
+interpreter instance and keyed on the owning function's mutation
+``version``, so an executed instruction does no ``isinstance`` dispatch
+and no per-operand classification.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from operator import itemgetter
 from typing import Callable, Protocol
 
 from ..binary.image import STACK_TOP
-from ..env import env_flag
 from ..errors import InterpError
 from .module import Function, Module
 from .values import (
@@ -95,11 +92,8 @@ def _signed(v: int) -> int:
 
 
 def _binop_fn(op: str, where):
-    """Scalar function for a binop opcode (compiled-engine dispatch).
-
-    Semantics mirror :meth:`Interpreter._binop` exactly; ``where`` names
-    the owning instruction for division-error messages.
-    """
+    """Scalar function for a binop opcode; ``where`` names the owning
+    instruction for division-error messages."""
     fn = _BINOP_FNS.get(op)
     if fn is not None:
         return fn
@@ -256,17 +250,11 @@ class Interpreter:
                  input_items: list[int | bytes] | None = None,
                  probes: ProbeCompiler | None = None,
                  shadow: ShadowPlugin | None = None,
-                 max_steps: int = 200_000_000,
-                 compiled: bool | None = None):
+                 max_steps: int = 200_000_000):
         self.module = module
-        if compiled is None:
-            compiled = env_flag("REPRO_IR_COMPILED", True)
-        self.compiled = compiled
         #: Per-block compiled code: block -> (func version, #instrs,
         #: (steps, phi plan, body closures, terminator closure)).
         self._code: dict = {}
-        #: The reference engine's compiled probes, by probe instruction.
-        self._probe_code: dict[Intrinsic, Callable[[Frame], None]] = {}
         #: Observability: per-function execution counts land in this
         #: plain dict (the shared profile's counts) when a recorder is
         #: active; None keeps the call path branchless beyond one check.
@@ -312,7 +300,6 @@ class Interpreter:
         otherwise only the cyclic collector frees them, and a finished
         stage's code stays allocated until it runs."""
         self._code.clear()
-        self._probe_code.clear()
         self.mem.clear()
 
     # -- layout -------------------------------------------------------------
@@ -379,31 +366,6 @@ class Interpreter:
         return InterpResult(code & MASK32, bytes(self.libc.stdout),
                             self.steps)
 
-    # -- evaluation ---------------------------------------------------------
-
-    def _eval(self, frame: Frame, v: Value) -> int:
-        if isinstance(v, Const):
-            return v.value
-        if isinstance(v, Instr):
-            try:
-                return frame.values[v]  # type: ignore[return-value]
-            except KeyError:
-                raise InterpError(
-                    f"{frame.function.name}: use of unevaluated "
-                    f"{v!r}") from None
-        if isinstance(v, Param):
-            return frame.values[v]  # type: ignore[return-value]
-        if isinstance(v, GlobalRef):
-            return self.global_addrs[v.name]
-        if isinstance(v, FuncRef):
-            return self.func_addrs[v.name]
-        raise InterpError(f"cannot evaluate {v!r}")
-
-    def _shadow_of(self, frame: Frame, v: Value):
-        if isinstance(v, (Instr, Param)):
-            return frame.shadows.get(v)
-        return None
-
     def call_function(self, func: Function,
                       args: list[int],
                       arg_shadows: list | None = None) -> list[int]:
@@ -411,93 +373,12 @@ class Interpreter:
                                       STACK_TOP)
         return values
 
+    # -- execution ----------------------------------------------------------
+
     def _call(self, func: Function, args: list[int],
-              arg_shadows: list | None, sp: int) -> tuple[list[int],
-                                                          list]:
-        if self.compiled:
-            return self._call_compiled(func, args, arg_shadows, sp)
-        return self._call_interp(func, args, arg_shadows, sp)
-
-    def _call_interp(self, func: Function, args: list[int],
-                     arg_shadows: list | None, sp: int) -> tuple[list[int],
-                                                                 list]:
-        if len(args) != len(func.params):
-            raise InterpError(
-                f"{func.name}: called with {len(args)} args, wants "
-                f"{len(func.params)}")
-        counts = self._func_counts
-        if counts is not None:
-            counts[func.name] = counts.get(func.name, 0) + 1
-        frame = Frame(func, self._next_frame_id, sp)
-        self._next_frame_id += 1
-        for param, value in zip(func.params, args, strict=False):
-            frame.values[param] = value & MASK32
-        if self.shadow is not None:
-            shadows = list(arg_shadows or [None] * len(args))
-            replaced = self.shadow.call_enter(func, frame.frame_id,
-                                              list(args), shadows)
-            if replaced is not None:
-                shadows = replaced
-            for param, sh in zip(func.params, shadows, strict=False):
-                frame.shadows[param] = sh
-
-        block = func.entry
-        prev_block = None
-        while True:
-            # Phis first, evaluated simultaneously against prev_block.
-            phis = block.phis()
-            if phis:
-                if prev_block is None:
-                    raise InterpError(
-                        f"{func.name}: phi in entry block {block.name}")
-                # Phis execute in parallel: evaluate every incoming value
-                # against the pre-transition state before assigning any
-                # (swap patterns break under sequential update).
-                staged = []
-                for phi in phis:
-                    incoming = phi.value_for(prev_block)
-                    staged.append((phi, self._eval(frame, incoming),
-                                   self._shadow_of(frame, incoming)
-                                   if self.shadow is not None else None))
-                for phi, value, shadow in staged:
-                    frame.values[phi] = value
-                    if self.shadow is not None:
-                        frame.shadows[phi] = shadow
-
-            for instr in block.instrs[len(phis):]:
-                self.steps += 1
-                if self.steps > self.max_steps:
-                    raise InterpError("interpreter step budget exceeded")
-                outcome = self._exec(frame, instr)
-                if outcome is None:
-                    continue
-                kind, payload = outcome
-                if kind == "ret":
-                    values, shadows = payload
-                    if self.shadow is not None:
-                        translated = self.shadow.call_exit(
-                            func, frame.frame_id, values, shadows)
-                        if translated is not None:
-                            shadows = translated
-                    return values, shadows
-                # branch
-                prev_block, block = block, payload
-                break
-            else:
-                raise InterpError(
-                    f"{func.name}/{block.name}: fell off block end")
-
-    # -- compiled engine ----------------------------------------------------
-
-    def _call_compiled(self, func: Function, args: list[int],
-                       arg_shadows: list | None,
-                       sp: int) -> tuple[list[int], list]:
-        """Run one activation through per-block compiled closure lists.
-
-        Observable behaviour (memory, shadows, step counts, errors)
-        matches :meth:`_call_interp`; only the dispatch mechanism
-        differs.
-        """
+              arg_shadows: list | None,
+              sp: int) -> tuple[list[int], list]:
+        """Run one activation through per-block compiled closure lists."""
         if len(args) != len(func.params):
             raise InterpError(
                 f"{func.name}: called with {len(args)} args, wants "
@@ -616,8 +497,8 @@ class Interpreter:
                 break
             body.append(self._compile_body(instr))
         if term is None:
-            # Parity with the reference loop: the body still runs (and
-            # counts) before the fall-off is reported.
+            # The body still runs (and counts) before the fall-off is
+            # reported.
             fname = block.function.name if block.function else "?"
             bname = block.name
 
@@ -632,9 +513,8 @@ class Interpreter:
 
         Instr/Param operands compile to ``operator.itemgetter`` (a
         C-level dict access); use of an unevaluated value therefore
-        surfaces as ``KeyError`` rather than the reference engine's
-        ``InterpError`` — acceptable, since both only occur on IR the
-        verifier rejects.
+        surfaces as ``KeyError``, which only IR the verifier rejects can
+        cause.
         """
         if isinstance(v, Const):
             c = v.value
@@ -847,7 +727,7 @@ class Interpreter:
             return run
         evs = [self._ev(a) for a in i.args]
         nres = i.nresults
-        call = self._call_compiled
+        call = self._call
         sh = self.shadow
         if sh is None:
             if nres == 1:
@@ -883,7 +763,7 @@ class Interpreter:
         et = self._ev(i.target)
         evs = [self._ev(a) for a in i.args]
         nres = i.nresults
-        call = self._call_compiled
+        call = self._call
         addr_to_func = self._addr_to_func
         functions = self.module.functions
         sh = self.shadow
@@ -991,240 +871,6 @@ class Interpreter:
         def run(frame):
             raise InterpError(f"unimplemented terminator {i!r}")
         return run
-
-    # -- instruction execution ----------------------------------------------
-
-    def _exec(self, frame: Frame, instr: Instr):
-        """Execute one instruction.
-
-        Returns None to continue, ("ret", (values, shadows)), or
-        ("br", target_block).
-        """
-        if isinstance(instr, BinOp):
-            a = self._eval(frame, instr.lhs)
-            b = self._eval(frame, instr.rhs)
-            frame.values[instr] = self._binop(instr.opcode, a, b,
-                                              frame.function.name)
-            self._notify(frame, instr)
-            return None
-        if isinstance(instr, ICmp):
-            a = self._eval(frame, instr.lhs)
-            b = self._eval(frame, instr.rhs)
-            frame.values[instr] = 1 if self._icmp(instr.pred, a, b) else 0
-            self._notify(frame, instr)
-            return None
-        if isinstance(instr, Unary):
-            a = self._eval(frame, instr.src)
-            frame.values[instr] = self._unary(instr.opcode, a)
-            self._notify(frame, instr)
-            return None
-        if isinstance(instr, Load):
-            addr = self._eval(frame, instr.addr)
-            value = self.mem.read(addr, instr.size)
-            frame.values[instr] = value
-            if self.shadow is not None:
-                frame.shadows[instr] = self.shadow.on_load(
-                    frame.frame_id, instr, addr, value)
-            return None
-        if isinstance(instr, Store):
-            addr = self._eval(frame, instr.addr)
-            value = self._eval(frame, instr.value)
-            self.mem.write(addr, instr.size, value)
-            if self.shadow is not None:
-                self.shadow.on_store(frame.frame_id, instr, addr, value,
-                                     self._shadow_of(frame, instr.value))
-            return None
-        if isinstance(instr, Alloca):
-            align = max(instr.align, 1)
-            frame.sp = (frame.sp - instr.size) & ~(align - 1)
-            frame.values[instr] = frame.sp
-            return None
-        if isinstance(instr, Phi):
-            raise InterpError("phi executed out of band")
-        if isinstance(instr, Call):
-            return self._do_call(frame, instr,
-                                 self.module.functions.get(
-                                     instr.callee.name),
-                                 instr.args)
-        if isinstance(instr, CallInd):
-            target = self._eval(frame, instr.target)
-            name = self._addr_to_func.get(target)
-            if name is None:
-                raise InterpError(
-                    f"indirect call to unknown address {target:#x}")
-            return self._do_call(frame, instr, self.module.functions[name],
-                                 instr.args)
-        if isinstance(instr, CallExt):
-            return self._do_callext(frame, instr)
-        if isinstance(instr, Result):
-            bundle = frame.values[instr.call]
-            frame.values[instr] = bundle[instr.index]  # type: ignore
-            if self.shadow is not None:
-                shadow_bundle = frame.shadows.get(instr.call)
-                frame.shadows[instr] = (
-                    shadow_bundle[instr.index]
-                    if isinstance(shadow_bundle, list) else None)
-            return None
-        if isinstance(instr, Intrinsic):
-            if self.probes is not None:
-                run = self._probe_code.get(instr)
-                if run is None:
-                    # The compiled engine's closure, built on first use.
-                    run = self._probe_code[instr] = self.probes.compile(
-                        instr, [self._ev(a) for a in instr.ops])
-                run(frame)
-            return None
-        if isinstance(instr, Br):
-            return ("br", instr.target)
-        if isinstance(instr, CondBr):
-            cond = self._eval(frame, instr.cond)
-            return ("br", instr.if_true if cond else instr.if_false)
-        if isinstance(instr, Switch):
-            value = self._eval(frame, instr.value)
-            for case, target in instr.cases:
-                if (case & MASK32) == value:
-                    return ("br", target)
-            return ("br", instr.default)
-        if isinstance(instr, Ret):
-            values = [self._eval(frame, v) for v in instr.ops]
-            shadows = [self._shadow_of(frame, v) for v in instr.ops] \
-                if self.shadow is not None else []
-            return ("ret", (values, shadows))
-        if isinstance(instr, Unreachable):
-            raise InterpError(
-                f"{frame.function.name}: reached untraced path "
-                f"({instr.note})")
-        raise InterpError(f"unimplemented instruction {instr!r}")
-
-    def _notify(self, frame: Frame, instr: Instr) -> None:
-        """Report each use of a shadowed operand of ``instr``."""
-        if self.shadow is not None:
-            for op in instr.ops:
-                shadow = self._shadow_of(frame, op)
-                if shadow is not None:
-                    self.shadow.on_use(frame.frame_id, instr, shadow)
-
-    def _do_call(self, frame: Frame, instr, callee: Function | None,
-                 arg_values: list[Value]):
-        if callee is None:
-            raise InterpError("call to unknown function")
-        if self.shadow is not None and isinstance(instr, CallInd):
-            self.shadow.on_indirect_call(callee)
-        args = [self._eval(frame, a) for a in arg_values]
-        shadows = [self._shadow_of(frame, a) for a in arg_values] \
-            if self.shadow is not None else None
-        # The callee's allocas live below this frame's cursor (with a
-        # small red zone for alignment).
-        rets, ret_shadows = self._call(callee, args, shadows,
-                                       (frame.sp - 32) & ~15)
-        if instr.nresults == 1:
-            frame.values[instr] = rets[0] if rets else 0
-        else:
-            frame.values[instr] = rets
-        if self.shadow is not None:
-            if instr.nresults == 1:
-                frame.shadows[instr] = ret_shadows[0] if ret_shadows \
-                    else None
-            else:
-                frame.shadows[instr] = list(ret_shadows)
-        return None
-
-    def _do_callext(self, frame: Frame, instr: CallExt):
-        if instr.stack_args:
-            sp = self._eval(frame, instr.sp)
-            result = self.libc.call(instr.ext_name,
-                                    StackArgs(self.mem, sp))
-        else:
-            values = [self._eval(frame, a) for a in instr.args]
-            if self.shadow is not None:
-                self.shadow.on_callext(
-                    frame.frame_id, instr, values,
-                    [self._shadow_of(frame, a) for a in instr.args])
-            result = self.libc.call(instr.ext_name, ListArgs(values))
-        frame.values[instr] = result
-        if self.shadow is not None:
-            frame.shadows[instr] = None
-        return None
-
-    # -- scalar ops ----------------------------------------------------------
-
-    def _binop(self, op: str, a: int, b: int, where: str) -> int:
-        if op == "add":
-            return (a + b) & MASK32
-        if op == "sub":
-            return (a - b) & MASK32
-        if op == "mul":
-            return (_signed(a) * _signed(b)) & MASK32
-        if op == "div":
-            if _signed(b) == 0:
-                raise InterpError(f"{where}: division by zero")
-            return int(_signed(a) / _signed(b)) & MASK32
-        if op == "rem":
-            sb = _signed(b)
-            if sb == 0:
-                raise InterpError(f"{where}: remainder by zero")
-            sa = _signed(a)
-            return (sa - int(sa / sb) * sb) & MASK32
-        if op == "and":
-            return a & b
-        if op == "or":
-            return a | b
-        if op == "xor":
-            return a ^ b
-        if op == "shl":
-            return (a << (b & 31)) & MASK32
-        if op == "shr":
-            return (a & MASK32) >> (b & 31)
-        if op == "sar":
-            return (_signed(a) >> (b & 31)) & MASK32
-        raise InterpError(f"bad binop {op}")
-
-    @staticmethod
-    def _icmp(pred: str, a: int, b: int) -> bool:
-        if pred == "eq":
-            return a == b
-        if pred == "ne":
-            return a != b
-        sa, sb = _signed(a), _signed(b)
-        if pred == "slt":
-            return sa < sb
-        if pred == "sle":
-            return sa <= sb
-        if pred == "sgt":
-            return sa > sb
-        if pred == "sge":
-            return sa >= sb
-        if pred == "ult":
-            return a < b
-        if pred == "ule":
-            return a <= b
-        if pred == "ugt":
-            return a > b
-        if pred == "uge":
-            return a >= b
-        raise InterpError(f"bad icmp predicate {pred}")
-
-    @staticmethod
-    def _unary(op: str, a: int) -> int:
-        if op == "neg":
-            return (-a) & MASK32
-        if op == "not":
-            return (~a) & MASK32
-        if op == "sext8":
-            v = a & 0xFF
-            return (v | 0xFFFFFF00) if v & 0x80 else v
-        if op == "sext16":
-            v = a & 0xFFFF
-            return (v | 0xFFFF0000) if v & 0x8000 else v
-        if op == "zext8":
-            return a & 0xFF
-        if op == "zext16":
-            return a & 0xFFFF
-        if op == "trunc8":
-            return a & 0xFF
-        if op == "trunc16":
-            return a & 0xFFFF
-        raise InterpError(f"bad unary op {op}")
 
 
 def run_module(module: Module,

@@ -33,15 +33,10 @@ from .manager import (
     clear_memo,
     drop_unused_private_functions,
     memo_stats,
-    pass_baseline_enabled,
     run_worklist,
 )
 from .mem2reg import promotable_allocas, promote_allocas
-from .pipeline import (
-    OptOptions,
-    optimize_function,
-    optimize_module,
-)
+from .pipeline import OptOptions, optimize_module
 from .simplifycfg import remove_unreachable, simplify_cfg
 
 __all__ = [
@@ -53,7 +48,7 @@ __all__ = [
     "eliminate_dead_stores", "eliminate_redundant_loads",
     "fold_constants", "fuse_flags", "global_value_numbering", "inline_call",
     "inline_functions", "inline_functions_tracked", "memo_stats",
-    "optimize_function", "optimize_module", "pass_baseline_enabled",
+    "optimize_module",
     "postorder", "predecessors", "promotable_allocas", "promote_allocas",
     "reachable", "reachable_blocks", "remove_unreachable",
     "run_worklist", "shrink_signatures", "simplify_cfg",

@@ -23,22 +23,21 @@ Each pass is registered with a **preserved-analyses declaration**
 declared analyses are migrated across the mutation epoch by
 :func:`repro.opt.analysis.retain_analyses` instead of being recomputed.
 
-After :func:`~repro.opt.inline.inline_functions` the manager re-enqueues
-**only the callers that actually received inlined code** (plus any
-function that had not yet reached fixpoint) — the legacy schedule
-re-optimized the whole module.
+After :func:`~repro.opt.inline.inline_functions_tracked` the manager
+re-enqueues **only the callers that actually received inlined code**
+(plus any function that had not yet reached fixpoint).
 
-``REPRO_PASS_BASELINE=1`` restores the legacy fixed schedule
-(:mod:`repro.opt.pipeline` keeps it verbatim); the worklist engine's
-output is byte-identical to it, which ``tests/opt/test_pass_manager.py``
-asserts differentially.
+``tests/golden/engine_digests.json`` pins the manager's output at every
+optimization level and for canonicalization.
 
-Observability: per-pass timers/counters keep the legacy
-``opt.pass.<name>`` naming, with the two CFG-simplification slots split
-as ``simplifycfg.entry`` / ``simplifycfg.exit``; the manager itself
-reports ``opt.manager.skipped`` and ``opt.manager.memo_hits`` (both
-count memo hits, i.e. functions not re-optimized) and
-``opt.manager.requeued`` (functions re-enqueued after inlining).
+Observability: when a :mod:`repro.obs` recorder is active, each pass run
+records its wall time (timer ``opt.pass.<name>``) and instruction delta
+(counters ``opt.pass.<name>.runs`` / ``.instrs_removed``), with the two
+CFG-simplification slots split as ``simplifycfg.entry`` /
+``simplifycfg.exit``; the manager itself reports ``opt.manager.skipped``
+and ``opt.manager.memo_hits`` (both count memo hits, i.e. functions not
+re-optimized) and ``opt.manager.requeued`` (functions re-enqueued after
+inlining).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ import time
 from collections import OrderedDict
 
 from .. import obs
-from ..env import env_flag
 from ..ir.module import Function, Module
 from ..obs import recorder as _obs_recorder
 from . import (
@@ -73,11 +71,6 @@ def function_fingerprint(func: Function) -> str:
     return fp(func)
 
 
-def pass_baseline_enabled() -> bool:
-    """``REPRO_PASS_BASELINE=1`` restores the legacy fixed schedule."""
-    return env_flag("REPRO_PASS_BASELINE")
-
-
 class FunctionPass:
     """A named per-function pass with its preserved-analyses contract."""
 
@@ -93,9 +86,8 @@ class FunctionPass:
 
 
 def build_function_pipeline(opts, module: Module) -> list[FunctionPass]:
-    """The standard per-round schedule (mirrors the legacy
-    ``pipeline._function_passes``), with the two ``simplifycfg`` slots
-    distinguished for per-pass accounting."""
+    """The standard per-round schedule, with the two ``simplifycfg``
+    slots distinguished for per-pass accounting."""
     passes = [
         FunctionPass("simplifycfg.entry", simplifycfg.simplify_cfg,
                      simplifycfg.PRESERVES),
@@ -318,9 +310,8 @@ def _ninstrs(func: Function) -> int:
 
 def run_worklist(module: Module, opts) -> None:
     """Worklist-optimize ``module`` under ``opts`` (an
-    :class:`~repro.opt.pipeline.OptOptions`); the incremental
-    counterpart of the legacy ``optimize_module`` schedule, including
-    the final unused-function sweep."""
+    :class:`~repro.opt.pipeline.OptOptions`), including the final
+    unused-function sweep."""
     PassManager(
         module, build_function_pipeline(opts, module),
         ("opt", opts), opts.rounds,
@@ -333,19 +324,7 @@ def canonicalize_module(module: Module) -> None:
     """The driver's canonicalization stage (SSA-ify vcpu registers,
     fold address arithmetic) as a managed one-round schedule, so
     re-canonicalizing a function whose content is a known fixpoint
-    costs one fingerprint.  ``REPRO_PASS_BASELINE=1`` restores the
-    legacy per-function loop."""
-    if pass_baseline_enabled():
-        for func in module.functions.values():
-            simplifycfg.simplify_cfg(func)
-            mem2reg.promote_allocas(func)
-            constfold.fold_constants(func)
-            flagfuse.fuse_flags(func)
-            constfold.fold_constants(func)
-            gvn.global_value_numbering(func)
-            dce.eliminate_dead_code(func)
-            simplifycfg.simplify_cfg(func)
-        return
+    costs one fingerprint."""
     PassManager(module, build_canonicalize_pipeline(module),
                 ("canonicalize",), rounds=1).run()
 

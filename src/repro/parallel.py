@@ -74,13 +74,13 @@ class ForkPool:
 
     def __init__(self, jobs: int):
         self.jobs = max(1, int(jobs))
-        self._exec: ProcessPoolExecutor | None = None
+        self._executor: ProcessPoolExecutor | None = None
         self._key = None
         self._workers = 0
 
     @property
     def alive(self) -> bool:
-        return self._exec is not None
+        return self._executor is not None
 
     def acquire(self, key, ctx, ntasks: int) -> ProcessPoolExecutor:
         """An executor whose workers inherited ``ctx``.
@@ -93,7 +93,7 @@ class ForkPool:
         submits fork under the right snapshot.
         """
         workers = min(self.jobs, max(int(ntasks), 1))
-        if self._exec is not None:
+        if self._executor is not None:
             # A pool sized by a small earlier batch is grown (respawned)
             # rather than reused when a larger batch arrives — a
             # long-lived owner (the serve daemon) would otherwise be
@@ -102,17 +102,17 @@ class ForkPool:
                 obs.count("parallel.pool.reuses")
                 obs.event("pool.reuse", key=str(key))
                 publish_ctx(ctx)
-                return self._exec
+                return self._executor
             self.close()
         publish_ctx(ctx)
         mp_ctx = multiprocessing.get_context("fork")
-        self._exec = ProcessPoolExecutor(max_workers=workers,
-                                         mp_context=mp_ctx)
+        self._executor = ProcessPoolExecutor(max_workers=workers,
+                                             mp_context=mp_ctx)
         self._key = key
         self._workers = workers
         obs.count("parallel.pool.spawns")
         obs.event("pool.spawn", key=str(key), workers=workers)
-        return self._exec
+        return self._executor
 
     def invalidate(self, cancel: bool = False) -> None:
         """Drop the live pool without waiting for queued work.
@@ -120,9 +120,9 @@ class ForkPool:
         ``cancel=True`` additionally cancels still-pending futures (the
         early-exit path of a failed validation sweep).
         """
-        if self._exec is None:
+        if self._executor is None:
             return
-        pool, self._exec, self._key = self._exec, None, None
+        pool, self._executor, self._key = self._executor, None, None
         try:
             pool.shutdown(wait=False, cancel_futures=cancel)
         except Exception:
@@ -130,9 +130,9 @@ class ForkPool:
 
     def close(self) -> None:
         """Shut the live pool down, waiting for in-flight work."""
-        if self._exec is None:
+        if self._executor is None:
             return
-        pool, self._exec, self._key = self._exec, None, None
+        pool, self._executor, self._key = self._executor, None, None
         try:
             pool.shutdown(wait=True)
         except Exception:

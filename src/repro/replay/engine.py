@@ -68,19 +68,11 @@ from pickle import PicklingError
 from .. import obs
 from ..core.runtime import TracingRuntime
 from ..emu.tracer import TraceSet
-from ..env import env_flag
 from ..errors import SymbolizeError
 from ..ir.interp import Interpreter
 from ..ir.module import Module
 from ..parallel import ForkPool, worker_ctx
 from .fingerprint import module_fingerprint
-
-
-def _baseline() -> bool:
-    """``REPRO_REPLAY_BASELINE=1`` disables input dedup (every traced
-    input replays at every stage) and pool reuse.  Benchmarks use it
-    to measure the win."""
-    return env_flag("REPRO_REPLAY_BASELINE")
 
 
 def _check_run(run, expected):
@@ -156,7 +148,6 @@ class ReplayEngine:
             # The pool's worker budget wins over ``jobs`` so the owner
             # controls the fan-out centrally.
             self.jobs = max(self.jobs, pool.jobs)
-        self.baseline = _baseline()
         seen: set[str] = set()
         #: Indices into ``traces.inputs``, first occurrence of each
         #: distinct input, in traced order (merge determinism relies on
@@ -164,7 +155,7 @@ class ReplayEngine:
         self.unique: list[int] = []
         for i, items in enumerate(traces.inputs):
             key = repr(items)
-            if self.baseline or key not in seen:
+            if key not in seen:
                 seen.add(key)
                 self.unique.append(i)
         self.deduped = len(traces.inputs) - len(self.unique)
@@ -178,9 +169,6 @@ class ReplayEngine:
         #: outlive this engine (``close`` leaves them running).
         self._own_pool = pool is None
         self.pool = ForkPool(self.jobs) if pool is None else pool
-        #: Forces a respawn for sweeps without a content key (baseline
-        #: mode keeps the historical pool-per-stage behaviour).
-        self._unkeyed = 0
 
     def close(self) -> None:
         """Release the worker pool (end of the pipeline run).  A pool
@@ -389,13 +377,9 @@ class ReplayEngine:
         Keyed on the module's content fingerprint (plus the obs
         activation state, which workers latch at fork): consecutive
         sweeps over unchanged content share one set of forked workers;
-        a content change — or any sweep in baseline mode — respawns.
+        a content change respawns.
         """
-        if self.baseline:
-            self._unkeyed += 1
-            key = ("replay-unkeyed", self._unkeyed)
-        else:
-            key = ("replay", module_fingerprint(module), obs.enabled())
+        key = ("replay", module_fingerprint(module), obs.enabled())
         ctx = (module, self.traces.inputs, self.traces.results,
                obs.enabled())
         return self.pool.acquire(key, ctx, ntasks)

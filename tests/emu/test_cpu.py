@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.emu.cpu import CPU, Flags, signed32
+from repro.emu.cpu import CONDITIONS, CPU, Flags, signed32
 from repro.isa.registers import AH, AL, AX, EAX
 
 
@@ -54,9 +54,10 @@ def test_logic_flags_clear_carry():
 def test_condition_predicates_after_cmp(a, b, true_ccs):
     f = Flags()
     f.set_sub(a, b, a - b)
-    for cc in ("e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae",
-               "s", "ns"):
-        assert f.condition(cc) == (cc in true_ccs), cc
+    assert set(CONDITIONS) == {"e", "ne", "l", "le", "g", "ge", "b", "be",
+                               "a", "ae", "s", "ns"}
+    for cc, holds in CONDITIONS.items():
+        assert holds(f) == (cc in true_ccs), cc
 
 
 def test_cpu_subregister_views():

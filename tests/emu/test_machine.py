@@ -3,7 +3,7 @@
 import pytest
 
 from repro.binary.image import STACK_TOP
-from repro.emu import run_binary
+from repro.emu import Machine, run_binary
 from repro.errors import EmulationError
 from repro.isa import (
     AH,
@@ -124,8 +124,23 @@ def test_cdq_idiv_signed():
     assert r.exit_code == 3
 
 
+def test_idiv_divides_a_wide_dividend_exactly():
+    # edx:eax = 0x20000000_3FFFFFFE is past 2**53, where a quotient
+    # computed in floating point rounds (to 0x40000001).
+    prog = AsmProgram(functions=[AsmFunction("_start", exit_with([
+        ins("mov", EDX, Imm(0x20000000)),
+        ins("mov", EAX, Imm(0x3FFFFFFE)),
+        ins("mov", ECX, Imm(0x7FFFFFFF)),
+        ins("idiv", ECX),
+    ]))])
+    machine = Machine(assemble(prog))
+    machine.run()
+    assert machine.cpu.get_name("eax") == 0x40000000
+    assert machine.cpu.get_name("edx") == 0x7FFFFFFE
+
+
 def test_division_by_zero_raises():
-    with pytest.raises(EmulationError):
+    with pytest.raises(EmulationError, match="integer division by zero"):
         run(exit_with([
             ins("mov", EAX, Imm(1)),
             ins("mov", EBX, Imm(0)),

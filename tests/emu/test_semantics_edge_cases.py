@@ -1,6 +1,10 @@
-"""Edge-case machine semantics: wrapping, masking, byte memory."""
+"""Edge-case machine semantics: wrapping, masking, byte memory, and
+the flags and registers of multiply and divide."""
+
+import pytest
 
 from repro.emu import run_binary
+from repro.errors import EmulationError
 from repro.isa.registers import CL
 from repro.isa import (
     AH,
@@ -10,6 +14,7 @@ from repro.isa import (
     EAX,
     EBX,
     ECX,
+    EDX,
     ESP,
     Imm,
     Mem,
@@ -122,3 +127,48 @@ def test_memory_operand_with_index_scale():
         ins("hlt"),
     ])
     assert r.exit_code == 77
+
+
+def imul_flags(a, b):
+    """(CF, SF) after ``imul`` of ``a`` by ``b``, read back by setcc."""
+    r = run([
+        ins("mov", EAX, Imm(a)),
+        ins("mov", ECX, Imm(b)),
+        ins("imul", EAX, ECX),
+        ins("mov", EAX, Imm(0)),   # mov leaves the flags alone
+        setcc("b", AH),
+        setcc("s", AL),
+        ins("hlt"),
+    ])
+    return r.exit_code >> 8, r.exit_code & 0xFF
+
+
+def test_imul_overflow_sets_carry():
+    assert imul_flags(0x10000, 0x10000) == (1, 0)
+
+
+def test_imul_negative_product_sets_sign_not_carry():
+    assert imul_flags(-3, 7) == (0, 1)
+
+
+@pytest.mark.parametrize("eax,edx", [(-5, 0xFFFFFFFF), (5, 0)])
+def test_cdq_sign_extends_eax_into_edx(eax, edx):
+    r = run([
+        ins("mov", EDX, Imm(0x12345678)),
+        ins("mov", EAX, Imm(eax)),
+        ins("cdq"),
+        ins("mov", EAX, EDX),
+        ins("hlt"),
+    ])
+    assert r.exit_code == edx
+
+
+def test_idiv_int_min_by_minus_one_overflows():
+    with pytest.raises(EmulationError, match="idiv quotient overflow"):
+        run([
+            ins("mov", EAX, Imm(-0x80000000)),
+            ins("cdq"),
+            ins("mov", ECX, Imm(-1)),
+            ins("idiv", ECX),
+            ins("hlt"),
+        ])

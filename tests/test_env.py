@@ -10,11 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import driver
-from repro.ir import Module
-from repro.ir.interp import Interpreter
-from repro.opt import manager
 from repro.recompile import lower
-from repro.replay import engine
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -36,10 +32,7 @@ SWITCHES = {
     "REPRO_CHECK": (lambda: driver._resolve_check(None), False),
     "REPRO_STATIC_WIDEN":
         (lambda: driver._resolve_static_widen(None), False),
-    "REPRO_PASS_BASELINE": (manager.pass_baseline_enabled, False),
-    "REPRO_REPLAY_BASELINE": (engine._baseline, False),
     "REPRO_LOWER_CACHE": (lower.lower_cache_enabled, True),
-    "REPRO_IR_COMPILED": (lambda: Interpreter(Module()).compiled, True),
     "REPRO_ANALYSIS_CACHE": (_analysis_cache_enabled, True),
 }
 
