@@ -15,11 +15,12 @@ symbolic value.  The shadow plugin then observes how that symbol flows:
 The observation runs on SSA registers: :func:`classify_registers`
 first promotes every lifted function's ``vcpu.*`` register and flag
 slots in place (mem2reg alone, with no folding and no dead-code
-removal, so a flag that is computed and never read still counts as a
-use of its operands).  A symbol then flows through SSA values and phis,
-not through memory, and the interpreter hands the plugin only the uses
-of shadowed values.  The hybrid mode's static augment reads the alloca
-form, so it runs before the promotion.
+removal, so a flag that is never read still counts as a use of its
+operands: the interpreter does not compute it, but reports the read).
+A symbol then flows through SSA values and phis, not through memory,
+and the interpreter hands the plugin only the uses of shadowed values.
+The hybrid mode's static augment reads the alloca form, so it runs
+before the promotion.
 
 After classification, function signatures shrink to the true arguments
 and the registers actually modified; at every call site the dropped

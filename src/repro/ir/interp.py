@@ -11,11 +11,11 @@ The interpreter therefore supports two extension points:
   constants before the program runs); and
 * a **shadow plugin** — sees every use of a shadowed value, used by the
   register save/argument classification of refinement 1 (paper §4.1),
-  where each register carries a symbolic value.  Only parameters, phis,
-  loads, the results of calls to IR functions and their ``Result``
-  extracts carry a shadow; arithmetic, compare, alloca and external-call
-  results never do, so an instruction whose operands are none of those
-  runs without calling the plugin.
+  where each register carries a symbolic value.  Only parameters, loads,
+  the results of calls to IR functions, their ``Result`` extracts and
+  the phis with such an incoming value carry a shadow; arithmetic,
+  compare, alloca and external-call results never do, so an instruction
+  whose operands are none of those runs without calling the plugin.
 
 It is also used to validate lifted IR functionally before lowering.
 
@@ -30,16 +30,38 @@ and memory pages at once instead of at the next cyclic collection.
 
 Execution engine: each basic block is compiled, on first entry, into a
 list of argument-specialized closures (one per instruction), cached per
-interpreter instance and keyed on the owning function's mutation
-``version``, so an executed instruction does no ``isinstance`` dispatch
-and no per-operand classification.
+interpreter instance and keyed on the owning function's frame layout,
+so an executed instruction does no ``isinstance`` dispatch and no
+per-operand classification.
+
+Frames are slot lists.  The interpreter lays each function out once per
+mutation ``version``: its parameters, then each instruction that has a
+value, get slot numbers, and a frame's values (and, in a shadow run, its
+shadows) are a list indexed by them, so a closure reads an operand by
+list index.  A slot nothing has written holds :data:`UNSET`, whose truth
+test, comparison, hashing and arithmetic raise :class:`InterpError`: a
+use whose definition did not run fails the run.  Slot numbers are
+private to the interpreter; a probe reads a frame's values only through
+the operand evaluators (``evs``) it is compiled with.
+
+A shadow run (one with a plugin; only the §4.1 observation has one)
+computes only the values an effect reads.  Per function it marks live
+the roots — every instruction that is not a binop, compare, unary, phi
+or ``Result`` extract, plus ``div`` and ``rem``, which can raise — and
+every instruction their operands reach.  A dead binop, compare or unary
+keeps only its ``on_use`` calls, in place; a dead phi or ``Result``
+keeps only its shadow; one with nothing to report compiles to nothing.
+Runs without a plugin (bounds and validation) skip the liveness pass:
+their modules come out of dead-code elimination.  Steps count every
+instruction of an entered block, computed or not, so ``steps``, the
+step budget and every plugin event are the same either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 from ..binary.image import STACK_TOP
 from ..errors import InterpError
@@ -82,8 +104,39 @@ GLOBAL_REGION_BASE = 0x0D000000
 #: binary entry (cc-compiled modules).
 FUNC_ADDR_BASE = 0x0E000000
 
-#: The only values that can carry a shadow (see the module docstring).
-_SHADOW_CARRIERS = (Param, Phi, Load, Call, CallInd, Result)
+#: Instructions whose shadow the plugin supplies (with parameters; a phi
+#: carries one when an incoming value can, see :func:`_shadow_carriers`).
+_SHADOW_SOURCES = (Load, Call, CallInd, Result)
+
+#: Instructions a shadow run computes only when a live one reads them.
+_PURE = (BinOp, ICmp, Unary, Phi, Result)
+
+
+class _Unset:
+    """The value of a frame slot whose definition has not run."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<unset>"
+
+    def _fail(self, *_args):
+        raise InterpError("use of a value whose definition did not run")
+
+
+for _name in ("__bool__", "__index__", "__int__", "__hash__", "__eq__",
+              "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
+              "__getitem__", "__neg__", "__invert__", "__add__",
+              "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__and__", "__rand__", "__or__", "__ror__", "__xor__",
+              "__rxor__", "__lshift__", "__rlshift__", "__rshift__",
+              "__rrshift__", "__truediv__", "__rtruediv__",
+              "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__"):
+    setattr(_Unset, _name, _Unset._fail)
+del _name
+
+#: What a frame slot holds until its definition runs.
+UNSET = _Unset()
 
 
 def _signed(v: int) -> int:
@@ -175,6 +228,89 @@ def _no_probe(frame) -> None:
     return None
 
 
+def _no_shadow(shadows) -> None:
+    """The shadow of a constant, global or function operand: none."""
+    return None
+
+
+def _live_instrs(func: Function) -> set[Instr]:
+    """The instructions a shadow run computes: the roots (every
+    instruction that is not a binop, compare, unary, phi or ``Result``,
+    plus ``div`` and ``rem``, which can raise) and every instruction
+    their operands reach."""
+    work = [i for i in func.instructions()
+            if not isinstance(i, _PURE)
+            or (isinstance(i, BinOp) and i.opcode in ("div", "rem"))]
+    live = set(work)
+    while work:
+        for op in work.pop().ops:
+            if isinstance(op, Instr) and op not in live:
+                live.add(op)
+                work.append(op)
+    return live
+
+
+def _shadow_carriers(func: Function) -> set[Value]:
+    """The values of ``func`` that can carry a shadow: its parameters,
+    loads, calls to IR functions and their ``Result`` extracts, and each
+    phi with such an incoming value.  No other value's shadow slot is
+    ever written, so it stays None."""
+    carriers: set[Value] = set(func.params)
+    phi_users: dict[Value, list[Phi]] = {}
+    for instr in func.instructions():
+        if isinstance(instr, _SHADOW_SOURCES):
+            carriers.add(instr)
+        elif isinstance(instr, Phi):
+            for op in instr.ops:
+                if isinstance(op, (Instr, Param)):
+                    phi_users.setdefault(op, []).append(instr)
+    work = list(carriers)
+    while work:
+        for phi in phi_users.get(work.pop(), ()):
+            if phi not in carriers:
+                carriers.add(phi)
+                work.append(phi)
+    return carriers
+
+
+class _Layout:
+    """One function's frame layout at one mutation ``version``.
+
+    ``slots`` numbers the parameters, then every instruction with a
+    value; a frame's value list is its arguments followed by ``tail``
+    (and its shadow list, in a shadow run, their shadows followed by
+    ``shadow_tail``).  In a shadow run ``live`` holds the instructions
+    the run computes and ``carriers`` the values that can carry a
+    shadow; both are None otherwise.  Each block's phis get consecutive
+    slots, live ones first and shadow carriers in the middle, so the
+    values and the shadows a block entry stages each fill one range.
+    """
+
+    __slots__ = ("version", "slots", "tail", "shadow_tail", "live",
+                 "carriers")
+
+    def __init__(self, func: Function, shadow_run: bool):
+        self.version = func.version
+        live = self.live = _live_instrs(func) if shadow_run else None
+        carriers = self.carriers = \
+            _shadow_carriers(func) if shadow_run else None
+        slots: dict[Value, int] = {p: n for n, p in enumerate(func.params)}
+        for block in func.blocks:
+            phis = block.phis()
+            if shadow_run:
+                phis.sort(key=lambda p: (1 if p in carriers else 0)
+                          if p in live else (2 if p in carriers else 3))
+            for instr in phis:
+                slots[instr] = len(slots)
+            for instr in block.instrs[len(phis):]:
+                if instr.has_result:
+                    slots[instr] = len(slots)
+        self.slots = slots
+        nvalues = len(slots) - len(func.params)
+        self.tail = [UNSET] * nvalues
+        self.shadow_tail = [None] * nvalues if shadow_run else None
+
+
 class ShadowPlugin(Protocol):
     """Observer interface for shadow-value analyses (refinement 1).
 
@@ -184,7 +320,10 @@ class ShadowPlugin(Protocol):
     the call's results in the caller frame.  ``on_load`` returns the
     loaded value's shadow.  ``on_use`` is called once per operand of an
     executed binop, compare or unary whose shadow is not None, after the
-    instruction ran; its result carries no shadow.
+    instruction ran; its result carries no shadow.  It is called just
+    the same for an instruction whose value the run does not compute
+    because nothing the run must do reads it (see the module
+    docstring).
     """
 
     def call_enter(self, func: Function, frame_id: int, args: list[int],
@@ -229,15 +368,21 @@ class InterpResult:
 
 
 class Frame:
-    """One activation of an IR function."""
+    """One activation of an IR function.
+
+    ``values`` (and ``shadows`` in a shadow run, else None) are slot
+    lists in the function's layout; read them only through the operand
+    evaluators the interpreter hands a probe compiler.
+    """
 
     __slots__ = ("function", "frame_id", "values", "shadows", "sp")
 
-    def __init__(self, function: Function, frame_id: int, sp: int):
+    def __init__(self, function: Function, frame_id: int, sp: int,
+                 values: list, shadows: list | None):
         self.function = function
         self.frame_id = frame_id
-        self.values: dict[Value, object] = {}
-        self.shadows: dict[Value, object] = {}
+        self.values = values
+        self.shadows = shadows
         self.sp = sp  # native stack cursor for allocas
 
 
@@ -252,9 +397,11 @@ class Interpreter:
                  shadow: ShadowPlugin | None = None,
                  max_steps: int = 200_000_000):
         self.module = module
-        #: Per-block compiled code: block -> (func version, #instrs,
+        #: Per-block compiled code: block -> (layout, #instrs,
         #: (steps, phi plan, body closures, terminator closure)).
         self._code: dict = {}
+        #: Per-function frame layout, rebuilt when the function mutates.
+        self._layouts: dict[Function, _Layout] = {}
         #: Observability: per-function execution counts land in this
         #: plain dict (the shared profile's counts) when a recorder is
         #: active; None keeps the call path branchless beyond one check.
@@ -300,6 +447,7 @@ class Interpreter:
         otherwise only the cyclic collector frees them, and a finished
         stage's code stays allocated until it runs."""
         self._code.clear()
+        self._layouts.clear()
         self.mem.clear()
 
     # -- layout -------------------------------------------------------------
@@ -375,68 +523,55 @@ class Interpreter:
 
     # -- execution ----------------------------------------------------------
 
-    def _call(self, func: Function, args: list[int],
+    def _call(self, func: Function, args: Sequence[int],
               arg_shadows: list | None,
               sp: int) -> tuple[list[int], list]:
         """Run one activation through per-block compiled closure lists."""
-        if len(args) != len(func.params):
+        nparams = len(func.params)
+        if len(args) != nparams:
             raise InterpError(
                 f"{func.name}: called with {len(args)} args, wants "
-                f"{len(func.params)}")
+                f"{nparams}")
         counts = self._func_counts
         if counts is not None:
             counts[func.name] = counts.get(func.name, 0) + 1
-        frame = Frame(func, self._next_frame_id, sp)
+        lay = self._layouts.get(func)
+        if lay is None or lay.version != func.version:
+            lay = self._layouts[func] = _Layout(func, self.shadow is not None)
+        values = [a & MASK32 for a in args]
+        values += lay.tail
+        frame_id = self._next_frame_id
         self._next_frame_id += 1
-        values = frame.values
-        for param, value in zip(func.params, args, strict=False):
-            values[param] = value & MASK32
         shadow = self.shadow
+        shadows = None
         if shadow is not None:
-            shadows = list(arg_shadows or [None] * len(args))
-            replaced = shadow.call_enter(func, frame.frame_id,
-                                         list(args), shadows)
+            shadows = list(arg_shadows or [None] * nparams)
+            replaced = shadow.call_enter(func, frame_id, list(args),
+                                         shadows)
             if replaced is not None:
-                shadows = replaced
-            for param, sh in zip(func.params, shadows, strict=False):
-                frame.shadows[param] = sh
+                shadows = list(replaced)
+            del shadows[nparams:]
+            shadows += [None] * (nparams - len(shadows))
+            shadows += lay.shadow_tail
+        frame = Frame(func, frame_id, sp, values, shadows)
 
         code_for = self._code_for
         max_steps = self.max_steps
         block = func.entry
         prev: object = None
         while True:
-            nsteps, phi_plan, body, term = code_for(block)
+            nsteps, phi_plan, body, term = code_for(block, lay)
             if phi_plan is not None:
                 if prev is None:
                     raise InterpError(
                         f"{func.name}: phi in entry block {block.name}")
-                pid = id(prev)
-                # Stage every incoming value before assigning any (phis
-                # execute in parallel; swap patterns break otherwise).
-                if shadow is None:
-                    staged = []
-                    for phi, plan in phi_plan:
-                        ev = plan.get(pid)
-                        if ev is None:
-                            raise KeyError("phi has no incoming for "
-                                           f"block {prev.name}")
-                        staged.append((phi, ev(values)))
-                    for phi, value in staged:
-                        values[phi] = value
-                else:
-                    shadow_map = frame.shadows
-                    staged = []
-                    for phi, plan, splan in phi_plan:
-                        ev = plan.get(pid)
-                        if ev is None:
-                            raise KeyError("phi has no incoming for "
-                                           f"block {prev.name}")
-                        staged.append((phi, ev(values),
-                                       splan[pid](shadow_map)))
-                    for phi, value, sh in staged:
-                        values[phi] = value
-                        shadow_map[phi] = sh
+                try:
+                    stage = phi_plan[id(prev)]
+                except KeyError:
+                    raise KeyError("phi has no incoming for "
+                                   f"block {prev.name}") from None
+                if stage is not None:
+                    stage(values, shadows)
             self.steps += nsteps
             if self.steps > max_steps:
                 raise InterpError("interpreter step budget exceeded")
@@ -450,52 +585,41 @@ class Interpreter:
                 rvalues, rshadows = payload
                 if shadow is not None:
                     translated = shadow.call_exit(
-                        func, frame.frame_id, rvalues, rshadows)
+                        func, frame_id, rvalues, rshadows)
                     if translated is not None:
                         rshadows = translated
                 return rvalues, rshadows
 
-    def _code_for(self, block):
-        """Compiled code for ``block``, rebuilt when its function mutates."""
+    def _code_for(self, block, lay: _Layout):
+        """Compiled code for ``block`` in layout ``lay``, rebuilt when its
+        function mutates."""
         entry = self._code.get(block)
-        func = block.function
-        version = func.version if func is not None else -1
         n = len(block.instrs)
-        if entry is not None and entry[0] == version and entry[1] == n:
+        if entry is not None and entry[0] is lay and entry[1] == n:
             return entry[2]
-        # Cold path: first compile or a version-mismatch invalidation.
+        # Cold path: first compile or a mutation invalidated the block.
         if entry is not None:
             _obs_count("ir.code_cache.invalidations")
         _obs_count("ir.code_cache.compiles")
-        code = self._compile_block(block)
-        self._code[block] = (version, n, code)
+        code = self._compile_block(block, lay)
+        self._code[block] = (lay, n, code)
         return code
 
-    def _compile_block(self, block):
+    def _compile_block(self, block, lay: _Layout):
         phis = block.phis()
         nphis = len(phis)
-        shadow = self.shadow
-        phi_plan = None
-        if nphis:
-            phi_plan = []
-            for phi in phis:
-                evs = {id(pred): self._ev(value)
-                       for pred, value in phi.incomings()}
-                if shadow is None:
-                    phi_plan.append((phi, evs))
-                else:
-                    shvs = {id(pred): self._shv(value)
-                            for pred, value in phi.incomings()}
-                    phi_plan.append((phi, evs, shvs))
+        phi_plan = self._phi_plan(phis, lay) if nphis else None
         body = []
         term = None
         executed = 0
         for instr in block.instrs[nphis:]:
             executed += 1
             if instr.is_terminator:
-                term = self._compile_term(instr)
+                term = self._compile_term(instr, lay)
                 break
-            body.append(self._compile_body(instr))
+            op = self._compile_body(instr, lay)
+            if op is not None:
+                body.append(op)
         if term is None:
             # The body still runs (and counts) before the fall-off is
             # reported.
@@ -506,21 +630,71 @@ class Interpreter:
                 raise InterpError(f"{fname}/{bname}: fell off block end")
         return (executed, phi_plan, tuple(body), term)
 
+    def _phi_plan(self, phis: list[Phi], lay: _Layout) -> dict:
+        """Per predecessor (by id), the ``stage(values, shadows)`` closure
+        that assigns the block's phis on entry from it, or None when no
+        phi computes a value or reports a shadow.  A predecessor some phi
+        has no incoming for is absent.  Each closure reads every incoming
+        value before it writes a phi (phis execute in parallel; swap
+        patterns break otherwise)."""
+        slots, live, carriers = lay.slots, lay.live, lay.carriers
+        phis = sorted(phis, key=slots.__getitem__)
+        computed = [p for p in phis if live is None or p in live]
+        shadowed = [p for p in phis
+                    if carriers is not None and p in carriers]
+        incoming = {p: {id(b): v for b, v in p.incomings()} for p in phis}
+        preds = set(incoming[phis[0]])
+        for p in phis[1:]:
+            preds &= incoming[p].keys()
+        return {pid: self._phi_stage(
+                    [incoming[p][pid] for p in computed],
+                    slots[computed[0]] if computed else 0,
+                    [incoming[p][pid] for p in shadowed],
+                    slots[shadowed[0]] if shadowed else 0, lay)
+                for pid in preds}
+
+    def _phi_stage(self, srcs: list[Value], first: int,
+                   shadow_srcs: list[Value], shadow_first: int,
+                   lay: _Layout):
+        """Closure writing ``srcs``' values to the slots from ``first`` on
+        and ``shadow_srcs``' shadows to the shadow slots from
+        ``shadow_first`` on; None when both lists are empty."""
+        end = first + len(srcs)
+        shadow_end = shadow_first + len(shadow_srcs)
+        get = self._gather(srcs, lay)
+        get_shadows = self._gather(shadow_srcs, lay, shadows=True)
+        if not shadow_srcs:
+            if not srcs:
+                return None
+
+            def stage(values, shadows):
+                values[first:end] = get(values)
+        elif not srcs:
+            def stage(values, shadows):
+                shadows[shadow_first:shadow_end] = get_shadows(shadows)
+        else:
+            def stage(values, shadows):
+                values[first:end] = get(values)
+                shadows[shadow_first:shadow_end] = get_shadows(shadows)
+        return stage
+
     # operand evaluation closures ------------------------------------------
 
-    def _ev(self, v: Value):
-        """Closure evaluating ``v`` against a frame's value dict.
+    def _ev(self, v: Value, lay: _Layout):
+        """Closure evaluating ``v`` against a frame's value list.
 
-        Instr/Param operands compile to ``operator.itemgetter`` (a
-        C-level dict access); use of an unevaluated value therefore
-        surfaces as ``KeyError``, which only IR the verifier rejects can
-        cause.
+        Instr/Param operands compile to ``operator.itemgetter`` of their
+        slot (a C-level list index).  A slot whose definition has not run
+        yields :data:`UNSET`, so a computation on it fails the run.  The
+        verifier does not rule that out: it checks that an operand is
+        defined somewhere in the function, not that the definition
+        dominates the use.
         """
         if isinstance(v, Const):
             c = v.value
             return lambda values: c
         if isinstance(v, (Instr, Param)):
-            return itemgetter(v)
+            return itemgetter(lay.slots[v])
         if isinstance(v, GlobalRef):
             c = self.global_addrs[v.name]
             return lambda values: c
@@ -530,69 +704,100 @@ class Interpreter:
         raise InterpError(f"cannot evaluate {v!r}")
 
     @staticmethod
-    def _shv(v: Value):
-        """Closure evaluating ``v``'s shadow against a frame's shadow dict."""
+    def _shv(v: Value, lay: _Layout):
+        """Closure evaluating ``v``'s shadow against a frame's shadow
+        list (the slot of a value that carries none holds None)."""
         if isinstance(v, (Instr, Param)):
-            return lambda shadows: shadows.get(v)
-        return lambda shadows: None
+            return itemgetter(lay.slots[v])
+        return _no_shadow
+
+    def _gather(self, ops: list[Value], lay: _Layout,
+                shadows: bool = False):
+        """Closure returning the values (or the shadows) of ``ops`` from
+        a frame's slot list as one sequence."""
+        if all(isinstance(op, (Instr, Param)) for op in ops):
+            idx = [lay.slots[op] for op in ops]
+            if len(idx) > 1:
+                return itemgetter(*idx)
+            if idx:
+                only = idx[0]
+                return lambda slots: (slots[only],)
+            return lambda slots: ()
+        evs = [self._shv(op, lay) if shadows else self._ev(op, lay)
+               for op in ops]
+        return lambda slots: [ev(slots) for ev in evs]
 
     # per-instruction compilers --------------------------------------------
 
-    def _compile_body(self, i: Instr):
-        """Compile a non-terminator into a ``closure(frame) -> None``."""
+    def _compile_body(self, i: Instr, lay: _Layout):
+        """Compile a non-terminator into a ``closure(frame) -> None``, or
+        None for a dead value with nothing to report."""
         sh = self.shadow
+        slots = lay.slots
+        if lay.live is not None and i not in lay.live \
+                and not isinstance(i, Phi):
+            if isinstance(i, Result):
+                return self._result_shadow(i, lay)
+            return self._observed(i, None, lay)
         if isinstance(i, BinOp):
-            return self._observed(i, self._compile_binop(i))
+            return self._observed(i, self._compile_binop(i, lay), lay)
         if isinstance(i, ICmp):
             fn = _icmp_fn(i.pred)
             lhs, rhs = i.lhs, i.rhs
+            d = slots[i]
             if isinstance(lhs, (Instr, Param)) \
                     and isinstance(rhs, (Instr, Param)):
+                a, b = slots[lhs], slots[rhs]
+
                 def run(frame):
                     v = frame.values
-                    v[i] = fn(v[lhs], v[rhs])
-                return self._observed(i, run)
-            ea, eb = self._ev(lhs), self._ev(rhs)
+                    v[d] = fn(v[a], v[b])
+                return self._observed(i, run, lay)
+            ea, eb = self._ev(lhs, lay), self._ev(rhs, lay)
 
             def run(frame):
                 v = frame.values
-                v[i] = fn(ea(v), eb(v))
-            return self._observed(i, run)
+                v[d] = fn(ea(v), eb(v))
+            return self._observed(i, run, lay)
         if isinstance(i, Unary):
-            ea = self._ev(i.src)
+            ea = self._ev(i.src, lay)
             fn = _unary_fn(i.opcode)
+            d = slots[i]
 
             def run(frame):
                 v = frame.values
-                v[i] = fn(ea(v))
-            return self._observed(i, run)
+                v[d] = fn(ea(v))
+            return self._observed(i, run, lay)
         if isinstance(i, Load):
-            ea = self._ev(i.addr)
+            ea = self._ev(i.addr, lay)
             size = i.size
             read = self.mem.read
+            d = slots[i]
             if sh is None:
                 addr_v = i.addr
                 if isinstance(addr_v, (Instr, Param)):
+                    a = slots[addr_v]
+
                     def run(frame):
                         v = frame.values
-                        v[i] = read(v[addr_v], size)
+                        v[d] = read(v[a], size)
                     return run
 
                 def run(frame):
                     v = frame.values
-                    v[i] = read(ea(v), size)
+                    v[d] = read(ea(v), size)
                 return run
 
             def run(frame):
                 v = frame.values
                 addr = ea(v)
                 value = read(addr, size)
-                v[i] = value
-                frame.shadows[i] = sh.on_load(frame.frame_id, i,
+                v[d] = value
+                frame.shadows[d] = sh.on_load(frame.frame_id, i,
                                               addr, value)
             return run
         if isinstance(i, Store):
-            ea, ev = self._ev(i.addr), self._ev(i.value)
+            ea, ev = self._ev(i.addr, lay), self._ev(i.value, lay)
             size = i.size
             write = self.mem.write
             if sh is None:
@@ -600,7 +805,7 @@ class Interpreter:
                     v = frame.values
                     write(ea(v), size, ev(v))
                 return run
-            sv = self._shv(i.value)
+            sv = self._shv(i.value, lay)
 
             def run(frame):
                 v = frame.values
@@ -613,37 +818,38 @@ class Interpreter:
         if isinstance(i, Alloca):
             size = i.size
             mask = ~(max(i.align, 1) - 1)
+            d = slots[i]
 
             def run(frame):
                 sp = (frame.sp - size) & mask
                 frame.sp = sp
-                frame.values[i] = sp
+                frame.values[d] = sp
             return run
         if isinstance(i, Call):
-            return self._compile_call(i)
+            return self._compile_call(i, lay)
         if isinstance(i, CallInd):
-            return self._compile_callind(i)
+            return self._compile_callind(i, lay)
         if isinstance(i, CallExt):
-            return self._compile_callext(i)
+            return self._compile_callext(i, lay)
         if isinstance(i, Result):
-            src, idx = i.call, i.index
+            s, idx, d = slots[i.call], i.index, slots[i]
             if sh is None:
                 def run(frame):
                     v = frame.values
-                    v[i] = v[src][idx]
+                    v[d] = v[s][idx]
                 return run
+            shadow_of = self._result_shadow(i, lay)
 
             def run(frame):
                 v = frame.values
-                v[i] = v[src][idx]
-                bundle = frame.shadows.get(src)
-                frame.shadows[i] = (bundle[idx]
-                                    if isinstance(bundle, list) else None)
+                v[d] = v[s][idx]
+                shadow_of(frame)
             return run
         if isinstance(i, Intrinsic):
             if self.probes is None:
                 return _no_probe
-            return self.probes.compile(i, [self._ev(a) for a in i.ops])
+            return self.probes.compile(i, [self._ev(a, lay)
+                                           for a in i.ops])
         if isinstance(i, Phi):
             def run(frame):
                 raise InterpError("phi executed out of band")
@@ -653,121 +859,160 @@ class Interpreter:
             raise InterpError(f"unimplemented instruction {i!r}")
         return run
 
-    def _observed(self, i: Instr, run):
+    @staticmethod
+    def _result_shadow(i: Result, lay: _Layout):
+        """Closure setting a ``Result`` extract's shadow from its call's
+        shadow bundle."""
+        s, idx, d = lay.slots[i.call], i.index, lay.slots[i]
+
+        def run(frame):
+            shadows = frame.shadows
+            bundle = shadows[s]
+            shadows[d] = bundle[idx] if isinstance(bundle, list) else None
+        return run
+
+    def _observed(self, i: Instr, run, lay: _Layout):
         """``run`` followed by the shadow plugin's ``on_use`` for each
-        operand of ``i`` whose shadow is not None; ``run`` itself when
-        there is no plugin or no operand of ``i`` can carry a shadow."""
+        operand of ``i`` whose shadow is not None, or the ``on_use``
+        calls alone when ``run`` is None (a dead value in a shadow run).
+        ``run`` itself when there is no plugin or no operand of ``i`` can
+        carry a shadow."""
         sh = self.shadow
-        carriers = tuple(op for op in i.ops
-                         if isinstance(op, _SHADOW_CARRIERS))
-        if sh is None or not carriers:
+        if sh is None:
+            return run
+        carriers = lay.carriers
+        cs = tuple(lay.slots[op] for op in i.ops if op in carriers)
+        if not cs:
             return run
         on_use = sh.on_use
+        if len(cs) == 1:
+            c = cs[0]
+
+            def observed(frame):
+                if run is not None:
+                    run(frame)
+                shadow = frame.shadows[c]
+                if shadow is not None:
+                    on_use(frame.frame_id, i, shadow)
+            return observed
 
         def observed(frame):
-            run(frame)
+            if run is not None:
+                run(frame)
             shadows = frame.shadows
-            for op in carriers:
-                shadow = shadows.get(op)
+            for c in cs:
+                shadow = shadows[c]
                 if shadow is not None:
                     on_use(frame.frame_id, i, shadow)
         return observed
 
-    def _compile_binop(self, i: BinOp):
+    def _compile_binop(self, i: BinOp, lay: _Layout):
+        slots = lay.slots
         opc = i.opcode
         lhs, rhs = i.lhs, i.rhs
+        d = slots[i]
         # Address arithmetic dominates the mix; its common operand
         # shapes (value op value, value op constant) get fully inlined
-        # bodies with direct dict access.
+        # bodies with direct slot access.
         lslot = isinstance(lhs, (Instr, Param))
+        rslot = isinstance(rhs, (Instr, Param))
         if opc == "add" and lslot:
-            if isinstance(rhs, (Instr, Param)):
+            a = slots[lhs]
+            if rslot:
+                b = slots[rhs]
+
                 def run(frame):
                     v = frame.values
-                    v[i] = (v[lhs] + v[rhs]) & MASK32
+                    v[d] = (v[a] + v[b]) & MASK32
                 return run
             if isinstance(rhs, Const):
                 c = rhs.value
 
                 def run(frame):
                     v = frame.values
-                    v[i] = (v[lhs] + c) & MASK32
+                    v[d] = (v[a] + c) & MASK32
                 return run
         if opc == "sub" and lslot:
-            if isinstance(rhs, (Instr, Param)):
+            a = slots[lhs]
+            if rslot:
+                b = slots[rhs]
+
                 def run(frame):
                     v = frame.values
-                    v[i] = (v[lhs] - v[rhs]) & MASK32
+                    v[d] = (v[a] - v[b]) & MASK32
                 return run
             if isinstance(rhs, Const):
                 c = rhs.value
 
                 def run(frame):
                     v = frame.values
-                    v[i] = (v[lhs] - c) & MASK32
+                    v[d] = (v[a] - c) & MASK32
                 return run
         fn = _binop_fn(opc, i)
-        if lslot and isinstance(rhs, (Instr, Param)):
+        if lslot and rslot:
+            a, b = slots[lhs], slots[rhs]
+
             def run(frame):
                 v = frame.values
-                v[i] = fn(v[lhs], v[rhs])
+                v[d] = fn(v[a], v[b])
             return run
-        ea, eb = self._ev(lhs), self._ev(rhs)
+        ea, eb = self._ev(lhs, lay), self._ev(rhs, lay)
 
         def run(frame):
             v = frame.values
-            v[i] = fn(ea(v), eb(v))
+            v[d] = fn(ea(v), eb(v))
         return run
 
-    def _compile_call(self, i: Call):
+    def _compile_call(self, i: Call, lay: _Layout):
         callee = self.module.functions.get(i.callee.name)
         if callee is None:
             def run(frame):
                 raise InterpError("call to unknown function")
             return run
-        evs = [self._ev(a) for a in i.args]
+        args = self._gather(i.args, lay)
         nres = i.nresults
+        d = lay.slots[i]
         call = self._call
-        sh = self.shadow
-        if sh is None:
+        if self.shadow is None:
             if nres == 1:
                 def run(frame):
                     v = frame.values
-                    rets, _ = call(callee, [ev(v) for ev in evs], None,
+                    rets, _ = call(callee, args(v), None,
                                    (frame.sp - 32) & ~15)
-                    v[i] = rets[0] if rets else 0
+                    v[d] = rets[0] if rets else 0
             else:
                 def run(frame):
                     v = frame.values
-                    rets, _ = call(callee, [ev(v) for ev in evs], None,
+                    rets, _ = call(callee, args(v), None,
                                    (frame.sp - 32) & ~15)
-                    v[i] = rets
+                    v[d] = rets
             return run
-        shvs = [self._shv(a) for a in i.args]
+        arg_shadows = self._gather(i.args, lay, shadows=True)
 
         def run(frame):
             v = frame.values
             shadows = frame.shadows
-            rets, rsh = call(callee, [ev(v) for ev in evs],
-                             [s(shadows) for s in shvs],
+            rets, rsh = call(callee, args(v), arg_shadows(shadows),
                              (frame.sp - 32) & ~15)
             if nres == 1:
-                v[i] = rets[0] if rets else 0
-                shadows[i] = rsh[0] if rsh else None
+                v[d] = rets[0] if rets else 0
+                shadows[d] = rsh[0] if rsh else None
             else:
-                v[i] = rets
-                shadows[i] = list(rsh)
+                v[d] = rets
+                shadows[d] = list(rsh)
         return run
 
-    def _compile_callind(self, i: CallInd):
-        et = self._ev(i.target)
-        evs = [self._ev(a) for a in i.args]
+    def _compile_callind(self, i: CallInd, lay: _Layout):
+        et = self._ev(i.target, lay)
+        args = self._gather(i.args, lay)
         nres = i.nresults
+        d = lay.slots[i]
         call = self._call
         addr_to_func = self._addr_to_func
         functions = self.module.functions
         sh = self.shadow
-        shvs = [self._shv(a) for a in i.args] if sh is not None else None
+        arg_shadows = self._gather(i.args, lay, shadows=True) \
+            if sh is not None else None
 
         def run(frame):
             v = frame.values
@@ -780,37 +1025,39 @@ class Interpreter:
             if sh is not None:
                 sh.on_indirect_call(callee)
             shadows = frame.shadows
-            arg_shadows = [s(shadows) for s in shvs] \
-                if sh is not None else None
-            rets, rsh = call(callee, [ev(v) for ev in evs], arg_shadows,
+            rets, rsh = call(callee, args(v),
+                             arg_shadows(shadows)
+                             if sh is not None else None,
                              (frame.sp - 32) & ~15)
             if nres == 1:
-                v[i] = rets[0] if rets else 0
+                v[d] = rets[0] if rets else 0
             else:
-                v[i] = rets
+                v[d] = rets
             if sh is not None:
                 if nres == 1:
-                    shadows[i] = rsh[0] if rsh else None
+                    shadows[d] = rsh[0] if rsh else None
                 else:
-                    shadows[i] = list(rsh)
+                    shadows[d] = list(rsh)
         return run
 
-    def _compile_callext(self, i: CallExt):
+    def _compile_callext(self, i: CallExt, lay: _Layout):
+        # An external call's result carries no shadow: its shadow slot
+        # keeps the None the frame starts with.
         libc_call = self.libc.call
         mem = self.mem
         sh = self.shadow
         name = i.ext_name
+        d = lay.slots[i]
         if i.stack_args:
-            esp = self._ev(i.sp)
+            esp = self._ev(i.sp, lay)
 
             def run(frame):
                 sp = esp(frame.values)
-                frame.values[i] = libc_call(name, StackArgs(mem, sp))
-                if sh is not None:
-                    frame.shadows[i] = None
+                frame.values[d] = libc_call(name, StackArgs(mem, sp))
             return run
-        evs = [self._ev(a) for a in i.args]
-        shvs = [self._shv(a) for a in i.args] if sh is not None else None
+        evs = [self._ev(a, lay) for a in i.args]
+        shvs = [self._shv(a, lay) for a in i.args] \
+            if sh is not None else None
 
         def run(frame):
             v = frame.values
@@ -818,12 +1065,10 @@ class Interpreter:
             if sh is not None:
                 sh.on_callext(frame.frame_id, i, values,
                               [s(frame.shadows) for s in shvs])
-            v[i] = libc_call(name, ListArgs(values))
-            if sh is not None:
-                frame.shadows[i] = None
+            v[d] = libc_call(name, ListArgs(values))
         return run
 
-    def _compile_term(self, i: Instr):
+    def _compile_term(self, i: Instr, lay: _Layout):
         """Compile a terminator into ``closure(frame) -> (kind, payload)``."""
         if isinstance(i, Br):
             out = ("br", i.target)
@@ -833,30 +1078,28 @@ class Interpreter:
             fall = ("br", i.if_false)
             cond = i.cond
             if isinstance(cond, (Instr, Param)):
-                return lambda frame: taken if frame.values[cond] else fall
-            ec = self._ev(cond)
+                c = lay.slots[cond]
+                return lambda frame: taken if frame.values[c] else fall
+            ec = self._ev(cond, lay)
             return lambda frame: taken if ec(frame.values) else fall
         if isinstance(i, Switch):
-            ev = self._ev(i.value)
+            ev = self._ev(i.value, lay)
             table = {}
             for case, target in i.cases:
                 table.setdefault(case & MASK32, ("br", target))
             default = ("br", i.default)
             return lambda frame: table.get(ev(frame.values), default)
         if isinstance(i, Ret):
-            evs = [self._ev(v) for v in i.ops]
+            rets = self._gather(i.ops, lay)
             if self.shadow is None:
                 def run(frame):
-                    v = frame.values
-                    return ("ret", ([ev(v) for ev in evs], []))
+                    return ("ret", (list(rets(frame.values)), []))
                 return run
-            shvs = [self._shv(v) for v in i.ops]
+            ret_shadows = self._gather(i.ops, lay, shadows=True)
 
             def run(frame):
-                v = frame.values
-                shadows = frame.shadows
-                return ("ret", ([ev(v) for ev in evs],
-                                [s(shadows) for s in shvs]))
+                return ("ret", (list(rets(frame.values)),
+                                list(ret_shadows(frame.shadows))))
             return run
         if isinstance(i, Unreachable):
             fname = i.block.function.name \

@@ -69,12 +69,15 @@ def promote_allocas(func: Function) -> bool:
     alloca_set = set(allocas)
     doms = dominators(func)
 
-    # Phi placement at iterated dominance frontiers of defining blocks.
+    # Phi placement at iterated dominance frontiers of defining blocks,
+    # collected for every alloca in one pass over the function.
+    def_blocks: dict[Alloca, set[Block]] = {a: set() for a in allocas}
+    for instr in func.instructions():
+        if isinstance(instr, Store) and instr.addr in alloca_set:
+            def_blocks[instr.addr].add(instr.block)
     phi_for: dict[tuple[Block, Alloca], Phi] = {}
     for alloca in allocas:
-        def_blocks = {instr.block for instr in func.instructions()
-                      if isinstance(instr, Store) and instr.addr is alloca}
-        work = list(def_blocks)
+        work = list(def_blocks[alloca])
         placed: set[Block] = set()
         while work:
             block = work.pop()

@@ -181,7 +181,8 @@ def _classify_asm(functions, inputs):
 
 def test_dead_flag_computation_counts_as_a_use():
     # ``cmp`` sets flags from ecx that ``test`` overwrites unread: the
-    # observation keeps that dead computation, so ecx stays an argument.
+    # observation run does not compute those dead flags but still
+    # reports their read of ecx, so ecx stays an argument.
     start = _exit_with_eax(ins("mov", ECX, Imm(3)), ins("call", Label("f")))
     f = AsmFunction("f", [
         ins("cmp", ECX, Imm(0)),

@@ -12,6 +12,7 @@ from repro.ir import (
     Interpreter,
     Module,
     run_module,
+    verify_function,
 )
 
 
@@ -221,3 +222,48 @@ def test_unary_extensions():
     b.ret([b.binop("sub", b.unary("not", w), v)])
     # not(0x80)=0xFFFFFF7F ; sext8(0x80)=0xFFFFFF80; diff = -1 mod 2^32
     assert run_module(m).exit_code == 0xFFFFFFFF
+
+
+def undominated_use(use):
+    """``main(p)`` defines ``%x = add p, 1`` only when ``p`` is nonzero,
+    then ``use(builder, x)`` in the join block, which ``%x``'s block does
+    not dominate.  The verifier accepts it: ``%x`` is defined in the
+    function."""
+    m = Module()
+    f = Function("main", ["p"])
+    m.add_function(f)
+    m.entry_name = "main"
+    b = Builder(f)
+    entry, define, join = (f.add_block(n) for n in ("entry", "def", "join"))
+    b.position(entry)
+    b.condbr(f.params[0], define, join)
+    b.position(define)
+    x = b.binop("add", f.params[0], Const(1))
+    b.br(join)
+    b.position(join)
+    use(b, x)
+    verify_function(f, m)
+    return m
+
+
+def branch_on(b, x):
+    f = b.block.function
+    taken, fall = f.add_block("taken"), f.add_block("fall")
+    b.condbr(x, taken, fall)
+    for block, code in ((taken, 1), (fall, 2)):
+        b.position(block)
+        b.ret([Const(code)])
+
+
+@pytest.mark.parametrize("use, defined", [
+    (branch_on, 1),
+    (lambda b, x: b.ret([b.icmp("eq", x, Const(0))]), 0),
+    (lambda b, x: b.ret([b.binop("add", x, Const(1))]), 6),
+], ids=["condbr", "icmp-eq", "add"])
+def test_use_whose_definition_did_not_run_fails_the_run(use, defined):
+    module = undominated_use(use)
+    assert Interpreter(module).run([4]).exit_code == defined
+    # A slot starting as None or 0 would branch, compare or add quietly
+    # (or raise a TypeError); the unset slot fails the run by name.
+    with pytest.raises(InterpError, match="definition did not run"):
+        Interpreter(module).run([0])

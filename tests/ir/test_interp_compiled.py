@@ -191,3 +191,79 @@ def test_shadow_plugin_skips_operands_that_carry_no_shadow():
     # call at all.
     assert [e for e in rec.events if e[0] == "use"] == [
         ("use", "add", "f.p")]
+
+
+def test_dead_compare_still_reports_its_uses():
+    # ``f``'s compares feed nothing, so a shadow run does not compute
+    # them; the compare of the parameter still reports its use on every
+    # call, and the compare of an arithmetic result has nothing to
+    # report.
+    m, f, b = simple_module()
+    callee = Function("f", ["p"])
+    m.add_function(callee)
+    bc = Builder(callee)
+    bc.position(callee.add_block("entry"))
+    bc.icmp("eq", callee.params[0], Const(0))
+    k = bc.binop("add", callee.params[0], Const(1))
+    bc.icmp("eq", k, Const(0))
+    bc.ret([k])
+    b.position(f.add_block("entry"))
+    total = Const(0)
+    for n in range(3):
+        total = b.binop("add", total, b.call("f", [Const(n)]))
+    b.ret([total])
+    rec = ShadowRecorder()
+    result = Interpreter(m, shadow=rec).run()
+    assert result.exit_code == 1 + 2 + 3
+    assert [e for e in rec.events if e[0] == "use"] == [
+        ("use", "icmp", "f.p"), ("use", "add", "f.p"),
+        ("use", "add", "f.ret")] * 3
+    # Dead or not, every instruction of an entered block is a step.
+    assert result.steps == Interpreter(m).run().steps == 3 * 4 + 7
+
+
+def test_dead_division_by_zero_still_raises_in_a_shadow_run():
+    m, f, b = simple_module()
+    callee = Function("f", ["p"])
+    m.add_function(callee)
+    bc = Builder(callee)
+    bc.position(callee.add_block("entry"))
+    bc.binop("div", callee.params[0], Const(0))
+    bc.ret([callee.params[0]])
+    b.position(f.add_block("entry"))
+    b.ret([b.call("f", [Const(7)])])
+    with pytest.raises(InterpError, match="division by zero"):
+        Interpreter(m, shadow=ShadowRecorder()).run()
+
+
+def test_phi_swap_beside_a_dead_phi_stages_in_parallel():
+    # ``a`` and ``b`` swap on every back edge; ``dead`` (read by nothing,
+    # but carrying ``f.p``'s shadow) sits between them, so the shadow
+    # run stages ``a`` and ``b`` apart from it.
+    m, f, b = simple_module()
+    callee = Function("f", ["p"])
+    m.add_function(callee)
+    bc = Builder(callee)
+    entry = callee.add_block("entry")
+    loop = callee.add_block("loop")
+    done = callee.add_block("done")
+    bc.position(entry)
+    bc.br(loop)
+    bc.position(loop)
+    a = bc.phi([(entry, Const(1))])
+    dead = bc.phi([(entry, callee.params[0])])
+    b_ = bc.phi([(entry, Const(2))])
+    i = bc.phi([(entry, Const(0))])
+    a.add_incoming(loop, b_)
+    dead.add_incoming(loop, a)
+    b_.add_incoming(loop, a)
+    i2 = bc.binop("add", i, Const(1))
+    i.add_incoming(loop, i2)
+    bc.condbr(bc.icmp("slt", i2, Const(4)), loop, done)
+    bc.position(done)
+    bc.ret([bc.binop("add", bc.binop("mul", a, Const(10)), b_)])
+    b.position(f.add_block("entry"))
+    b.ret([b.call("f", [Const(9)])])
+    # Three back edges: (1, 2) -> (2, 1) -> (1, 2) -> (2, 1).
+    assert Interpreter(m).run().exit_code == 21
+    assert Interpreter(m, shadow=ShadowRecorder()).run().exit_code == 21

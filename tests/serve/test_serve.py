@@ -415,12 +415,13 @@ def test_pool_job_timeout_fails_job_and_daemon_survives(tmp_path):
     try:
         _wait_for_socket(sock)
         client = ServeClient(sock, timeout=300)
-        # Tracing a 10k-iteration loop takes seconds — far past the
-        # 0.4s limit — so the deadline fires mid-job deterministically.
+        # Tracing a 200k-iteration loop alone takes over a second — far
+        # past the 0.4s limit — so the deadline fires mid-job
+        # deterministically.
         slow = compile_source(SLOW_SOURCE, "gcc12", "3", "slowjob")
         with pytest.raises(ServeError,
                            match="JobTimeout.*wall-clock limit"):
-            client.submit(image_json=slow.to_json(), inputs=[[10000]])
+            client.submit(image_json=slow.to_json(), inputs=[[200000]])
         # The worker slot was recycled; the daemon still serves.
         assert client.ping()["ok"]
         status = client.status()
