@@ -1,7 +1,7 @@
 """Static-analysis benches: warm reuse of the interprocedural summary
 cache across repeated corroboration runs.
 
-Runs as the eighth ``tools/bench.sh`` pass and lands in
+Runs as the sixth ``tools/bench.sh`` pass and lands in
 ``BENCH_sanalysis.json``.  The scenario mirrors the serve daemon's
 steady state: the same lifted module is re-corroborated after every
 incremental trace addition, but only the functions a refinement

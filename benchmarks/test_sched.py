@@ -1,7 +1,7 @@
 """Scheduler bench: K concurrent distinct-image campaigns, worker pool
 vs the single-lock daemon.
 
-Runs as the seventh ``tools/bench.sh`` pass and lands in
+Runs as the fifth ``tools/bench.sh`` pass and lands in
 ``BENCH_sched.json``.  One scenario, through two real daemons on Unix
 sockets sharing nothing:
 
@@ -30,8 +30,6 @@ import time
 import pytest
 
 from repro import compile_source
-from repro.opt import clear_memo
-from repro.recompile import clear_lower_cache
 from repro.sched import affinity_worker
 from repro.serve import RecompileServer, ServeClient
 from repro.store import ArtifactStore
@@ -123,12 +121,10 @@ def test_bench_sched_concurrent_distinct_campaigns(benchmark, tmp_path):
     images = [compile_source(SOURCE_TMPL.format(mult=m, bias=b),
                              "gcc12", "3", f"sched{m}")
               for m, b in VARIANTS]
-    # Fork the pool before any job runs anywhere, so its workers cannot
-    # inherit warmth the serial phase builds in this process.
+    # Fork the pool before any job runs anywhere, so its workers start
+    # from the state the serial daemon starts from.
     pool = _Daemon(tmp_path / "pool-store", workers=WORKERS)
     serial = _Daemon(tmp_path / "serial-store", workers=0)
-    clear_memo()
-    clear_lower_cache()
     try:
         start = time.perf_counter()
         serial_results = _submit_concurrently(serial.client, images)

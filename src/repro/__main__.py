@@ -378,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
                         "processes (the pool is shared across jobs)")
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="run jobs on a pool of N long-lived worker "
-                        "processes with warm-cache image affinity "
+                        "processes with image affinity "
                         "(default 0: jobs serialize in-process)")
     p.add_argument("--queue-depth", type=int, default=None, metavar="N",
                    help="bound the scheduler's job queue (default "

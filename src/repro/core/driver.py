@@ -54,9 +54,9 @@ meets.
 With ``jobs > 1`` the bounds runs and the final sweep fan out over a
 process pool (results merge deterministically, so the recompiled binary
 is byte-identical across ``jobs`` settings).  Canonicalization (step 5)
-and optimization (step 7) run serially under the incremental pass
-manager (:mod:`repro.opt.manager`), whose fingerprint memo skips
-functions already at fixpoint.
+and optimization (step 7) run serially under the worklist pass manager
+(:mod:`repro.opt.manager`), which brings every function to fixpoint on
+every call.
 
 Observability: with :mod:`repro.obs` enabled every stage above runs
 inside a named span (``stage.trace`` ... ``stage.recompile``) recording
@@ -169,9 +169,8 @@ def _canonicalize(module: Module) -> None:
     before instrumentation.  The paper's "turn virtual CPU registers
     into SSA-values before instrumentation" already happened in the
     §4.1 observation (:func:`classify_registers`); this stage's mem2reg
-    pass finds no register slot left.  Runs under the incremental pass
-    manager, so a function whose content is a known fixpoint costs one
-    fingerprint instead of a full schedule."""
+    pass finds no register slot left.  Runs as a one-round schedule
+    under the worklist pass manager."""
     canonicalize_module(module)
 
 

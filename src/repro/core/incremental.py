@@ -9,26 +9,24 @@ artifact lands in a content-addressed
 :class:`~repro.store.ArtifactStore`, and a repeated request pays only
 for what actually changed.
 
-Three layers of reuse, cheapest first:
+Two layers of reuse, cheapest first:
 
 1. **Result hit** — the final recompiled image is keyed on
    ``(image content, ordered input runs, options)``; an identical
    resubmission is served straight from the store, byte-identical to
-   the original run.
+   the original run.  The options part holds the values the pipeline
+   runs with, after ``$REPRO_CHECK`` and ``$REPRO_STATIC_WIDEN`` have
+   filled in unset arguments, plus ``$REPRO_INTERPROC``: an entry
+   written under one environment is never served under another.
 2. **Per-input trace reuse** — traces are recorded *per input run*
    (``trace`` kind) and merged with
    :meth:`~repro.emu.tracer.TraceSet.absorb` in request order, which
    reconstructs exactly the TraceSet :func:`~repro.emu.tracer.
    trace_binary` would produce.  Adding one input to a known image
    re-executes only that input; everything else is a ``store.hit``.
-3. **Per-function refinement reuse** — the lifted module is optimized
-   under the incremental pass manager (:mod:`repro.opt.manager`), whose
-   only skip layer is its fixpoint memo, and lowered through the
-   fingerprint-keyed cache (:mod:`repro.recompile.lower`).  Both are
-   keyed on :func:`~repro.replay.fingerprint.function_fingerprint`.  In
-   a long-lived server process those memos stay warm across requests,
-   so after an input addition only the functions whose fingerprint
-   moved are re-refined (``opt.manager.memo_hits`` counts the rest).
+
+Everything after tracing runs the one-shot pipeline: the lifted module
+is refined, optimized and lowered cold, on every request.
 
 Byte-identity invariant: for any request, the recovered image equals
 the one a cold ``wytiwyg_recompile(image, inputs)`` produces — the
@@ -44,6 +42,7 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..binary.image import BinaryImage
 from ..emu.tracer import TraceSet, trace_binary
+from ..sanalysis import interproc_enabled
 from ..store import (
     ArtifactStore,
     image_key,
@@ -51,23 +50,15 @@ from ..store import (
     result_key,
     trace_key,
 )
-from .driver import WytiwygResult, wytiwyg_recompile
+from .driver import (
+    WytiwygResult,
+    _resolve_check,
+    _resolve_static_widen,
+    wytiwyg_recompile,
+)
 
 __all__ = ["JobStats", "ServedResult", "gather_traces",
-           "incremental_recompile", "pipeline_options_tag",
-           "warm_stats"]
-
-
-def warm_stats() -> dict:
-    """Snapshot of this process's warm incremental state: the
-    optimizer's cross-stage fingerprint memo and the lowering cache.
-    In the single-process daemon these belong to the daemon itself; in
-    scheduler mode (:mod:`repro.sched`) each worker process reports its
-    own via the job-result payload, because the warm state lives
-    per-worker, not in the parent."""
-    from ..opt.manager import memo_stats
-    from ..recompile.lower import lower_cache_stats
-    return {"opt": memo_stats(), "lower": lower_cache_stats()}
+           "incremental_recompile", "pipeline_options_tag"]
 
 
 @dataclass
@@ -117,13 +108,17 @@ def pipeline_options_tag(optimize: bool = True,
                          hybrid: bool = False) -> str:
     """The options part of a result key.
 
-    Only options that change the *artifact* participate; the execution
-    knob ``jobs`` is byte-identity-neutral (the replay engine merges
-    its workers' results deterministically) and deliberately excluded,
-    so a parallel server and a serial one share entries.
+    Only options that change the *artifact* participate, each with the
+    value the pipeline will run with: ``check`` and ``static_widen``
+    resolve through the driver's environment defaults, and
+    ``$REPRO_INTERPROC``, which has no argument, is read here.  The
+    execution knob ``jobs`` is byte-identity-neutral (the replay engine
+    merges its workers' results deterministically) and deliberately
+    excluded, so a parallel server and a serial one share entries.
     """
-    return options_tag(optimize=optimize, check=check,
-                       static_widen=static_widen, hybrid=hybrid)
+    return options_tag(optimize=optimize, check=_resolve_check(check),
+                       static_widen=_resolve_static_widen(static_widen),
+                       interproc=interproc_enabled(), hybrid=hybrid)
 
 
 def gather_traces(image: BinaryImage, runs: list[list],
@@ -178,6 +173,10 @@ def incremental_recompile(image: BinaryImage,
     accepted and ignored, as by :func:`wytiwyg_recompile`.
     """
     img_key = image_key(image)
+    # Resolve the environment defaults once, so the key and the run
+    # agree on them.
+    check = _resolve_check(check)
+    static_widen = _resolve_static_widen(static_widen)
     opts = pipeline_options_tag(optimize=optimize, check=check,
                                 static_widen=static_widen,
                                 hybrid=hybrid)

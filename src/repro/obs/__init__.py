@@ -20,8 +20,7 @@ every pipeline layer:
 * the **optimizer** reports per-pass instruction deltas and timings
   (the two CFG-simplification slots appear as ``opt.pass.
   simplifycfg.entry`` / ``.exit``); its worklist manager additionally
-  counts functions it proved unchanged (``opt.manager.skipped``,
-  ``opt.manager.memo_hits``), functions re-enqueued after inlining
+  counts functions re-enqueued after inlining
   (``opt.manager.requeued``), and analysis results migrated across
   mutations instead of recomputed (``analysis.cache.retained``);
 * the **evaluation harness** and ``EvalCache`` report cache hit rates

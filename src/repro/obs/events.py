@@ -3,11 +3,11 @@
 The metrics registry (:mod:`.metrics`) answers "how much / how long";
 the ledger answers "what happened, in what order, and why".  Every
 pipeline layer emits typed events — stage boundaries, trace merges,
-frame-variable construction steps, corroboration findings, cache hits
-and invalidations, pool lifecycle, validation verdicts — and the ledger
-records them durably enough that a later run (or the ``repro explain``
-provenance query) can reconstruct *why* a recovered fact looks the way
-it does.
+frame-variable construction steps, corroboration findings, artifact
+store hits and misses, pool lifecycle, validation verdicts — and the
+ledger records them durably enough that a later run (or the ``repro
+explain`` provenance query) can reconstruct *why* a recovered fact
+looks the way it does.
 
 Design:
 
@@ -82,10 +82,6 @@ EVENT_KINDS = frozenset({
     "sanalysis.summary",
     "sanalysis.escape",
     "sanalysis.extern",
-    # caches
-    "cache.hit",
-    "cache.miss",
-    "cache.invalidation",
     # artifact store (repro.store)
     "store.hit",
     "store.miss",
@@ -101,7 +97,6 @@ EVENT_KINDS = frozenset({
     "sched.steal",
     "sched.reject",
     # optimizer manager
-    "opt.memo_hit",
     "opt.requeue",
     # process pools
     "pool.spawn",

@@ -60,9 +60,8 @@ def _fmt_delta(attrs: dict) -> str:
 
 
 #: Counter prefixes grouped into labeled stderr-summary sections so
-#: cache/pool behaviour is readable at a glance.
+#: store/pool behaviour is readable at a glance.
 COUNTER_SECTIONS = (
-    ("lowering cache", "lower.cache."),
     ("fork pool", "parallel.pool."),
     ("pass manager", "opt.manager."),
     ("artifact store", "store."),
@@ -82,11 +81,6 @@ def _counter_sections(counters: dict) -> list[str]:
         width = max(len(short) for short, _ in rows)
         for short, n in rows:
             lines.append(f"  {short:<{width}}  {n:>10,}")
-        hits = counters.get(prefix + "hits")
-        misses = counters.get(prefix + "misses")
-        if hits is not None and misses is not None and hits + misses:
-            lines.append(f"  {'hit rate':<{width}}  "
-                         f"{hits / (hits + misses):>10.2%}")
     return lines
 
 

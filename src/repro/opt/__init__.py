@@ -30,9 +30,7 @@ from .inline import (
 from .manager import (
     PassManager,
     canonicalize_module,
-    clear_memo,
     drop_unused_private_functions,
-    memo_stats,
     run_worklist,
 )
 from .mem2reg import promotable_allocas, promote_allocas
@@ -42,12 +40,12 @@ from .simplifycfg import remove_unreachable, simplify_cfg
 __all__ = [
     "AliasAnalysis", "Dominators", "OptOptions", "PassManager",
     "analysis_cache_enabled", "cached_analysis", "canonicalize_module",
-    "clear_memo", "dominators",
+    "dominators",
     "drop_unused_private_functions", "eliminate_dead_code",
     "eliminate_dead_params", "eliminate_dead_results",
     "eliminate_dead_stores", "eliminate_redundant_loads",
     "fold_constants", "fuse_flags", "global_value_numbering", "inline_call",
-    "inline_functions", "inline_functions_tracked", "memo_stats",
+    "inline_functions", "inline_functions_tracked",
     "optimize_module",
     "postorder", "predecessors", "promotable_allocas", "promote_allocas",
     "reachable", "reachable_blocks", "remove_unreachable",

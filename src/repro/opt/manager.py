@@ -1,22 +1,10 @@
-"""Incremental worklist pass manager.
+"""Worklist pass manager.
 
-The LLVM-new-pass-manager analogue for this IR: instead of re-running a
-fixed schedule on every function of every module at every pipeline
-stage, the manager remembers which function contents are already at
-fixpoint and skips them.
-
-Its one skip layer is a **fingerprint memo** keyed on ``(schedule,
-module context,`` :func:`~repro.replay.fingerprint.function_fingerprint`
-``)``.  A function whose content matches a known fixpoint is skipped,
-whether it is the same object, a deep copy, a re-lift or part of
-another module.  Only fixpoints enter the memo: a function that was
-still changing when the round budget ran out is never memoized.  The
-module context folds in the global-variable layout because
-alias-driven passes consult it.
-
-Functions that miss the memo are *visited*, one after another in
-module order: the per-round schedule runs to fixpoint (or the round
-budget).
+The LLVM-new-pass-manager analogue for this IR: every function is
+visited once, one after another in module order, and the per-round
+schedule runs on it to fixpoint (or the round budget).  Nothing is
+remembered between calls: a one-shot recompile and a long-lived server
+optimize the same function the same way.
 
 Each pass is registered with a **preserved-analyses declaration**
 (``PRESERVES`` in its module): when a pass reports a change, the
@@ -34,16 +22,13 @@ Observability: when a :mod:`repro.obs` recorder is active, each pass run
 records its wall time (timer ``opt.pass.<name>``) and instruction delta
 (counters ``opt.pass.<name>.runs`` / ``.instrs_removed``), with the two
 CFG-simplification slots split as ``simplifycfg.entry`` /
-``simplifycfg.exit``; the manager itself reports ``opt.manager.skipped``
-and ``opt.manager.memo_hits`` (both count memo hits, i.e. functions not
-re-optimized) and ``opt.manager.requeued`` (functions re-enqueued after
-inlining).
+``simplifycfg.exit``; the manager itself reports
+``opt.manager.requeued`` (functions re-enqueued after inlining).
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 
 from .. import obs
 from ..ir.module import Function, Module
@@ -59,16 +44,6 @@ from . import (
     simplifycfg,
 )
 from .analysis import current_epoch, retain_analyses
-
-
-def function_fingerprint(func: Function) -> str:
-    """Deferred alias for
-    :func:`repro.replay.fingerprint.function_fingerprint` — importing
-    :mod:`repro.replay` eagerly would close an import cycle through
-    the replay engine's runtime dependencies."""
-    from ..replay.fingerprint import function_fingerprint as fp
-    globals()["function_fingerprint"] = fp
-    return fp(func)
 
 
 class FunctionPass:
@@ -138,50 +113,6 @@ def build_canonicalize_pipeline(module: Module) -> list[FunctionPass]:
     ]
 
 
-# -- the fixpoint memo --------------------------------------------------
-
-#: Cross-stage memo of known fixpoints:
-#: ((schedule key, module context), function fingerprint) -> True.
-#: Bounded LRU; entries are only ever *fixpoints*, so a hit is a proof
-#: that running the schedule again would change nothing.
-_MEMO: "OrderedDict[tuple, bool]" = OrderedDict()
-_MEMO_MAX = 4096
-
-
-def clear_memo() -> None:
-    """Drop the fixpoint memo (tests and benches)."""
-    _MEMO.clear()
-
-
-def memo_stats() -> dict:
-    """Size of the fixpoint memo — the warmth a long-lived server has
-    accumulated (reported by ``repro submit --status``)."""
-    return {"memo_entries": len(_MEMO)}
-
-
-def _memo_get(key: tuple) -> bool:
-    hit = _MEMO.get(key, False)
-    if hit:
-        _MEMO.move_to_end(key)
-    return hit
-
-
-def _memo_add(key: tuple) -> None:
-    _MEMO[key] = True
-    _MEMO.move_to_end(key)
-    while len(_MEMO) > _MEMO_MAX:
-        _MEMO.popitem(last=False)
-
-
-def _module_context(module: Module) -> tuple:
-    """The module-level facts a per-function schedule can observe:
-    global-variable layout (alias analysis reads sizes and pinned
-    addresses).  Part of every memo key."""
-    return tuple(sorted(
-        (name, g.size, g.align, g.fixed_addr, g.writable)
-        for name, g in module.globals.items()))
-
-
 # -- pass execution ------------------------------------------------------
 
 def _run_pass(p: FunctionPass, func: Function, rec) -> bool:
@@ -206,35 +137,28 @@ def _run_pass(p: FunctionPass, func: Function, rec) -> bool:
 
 
 def _run_rounds(func: Function, passes: list[FunctionPass],
-                rounds: int, rec) -> tuple[bool, bool]:
-    """Run the schedule to fixpoint or the round budget.
-
-    Returns ``(fixed, changed_any)``: ``fixed`` is True only when a full
-    round reported no change — the *only* state that may be memoized.
-    """
-    changed_any = False
+                rounds: int, rec) -> bool:
+    """Run the schedule to fixpoint or the round budget; True only when
+    a full round reported no change."""
     for _ in range(rounds):
         changed = False
         for p in passes:
             changed |= _run_pass(p, func, rec)
         if not changed:
-            return True, changed_any
-        changed_any = True
-    return False, changed_any
+            return True
+    return False
 
 
 class PassManager:
-    """Run a pass schedule over a module as an incremental worklist."""
+    """Run a pass schedule over a module as a worklist."""
 
     def __init__(self, module: Module, passes: list[FunctionPass],
-                 schedule_key: tuple, rounds: int,
-                 inline_threshold: int | None = None):
+                 rounds: int, inline_threshold: int | None = None):
         self.module = module
         self.passes = passes
         self.rounds = max(rounds, 1)
         #: None disables the inline stage entirely.
         self.inline_threshold = inline_threshold
-        self._token = (schedule_key, _module_context(module))
         self._rec = _obs_recorder()
         #: Names still short of fixpoint after their last visit.
         self.unresolved: set[str] = set()
@@ -262,24 +186,8 @@ class PassManager:
     def _visit(self, funcs: list[Function]) -> None:
         """One worklist sweep over ``funcs``."""
         for func in funcs:
-            if not self._optimize(func):
+            if not _run_rounds(func, self.passes, self.rounds, self._rec):
                 self.unresolved.add(func.name)
-
-    def _optimize(self, func: Function) -> bool:
-        """Bring ``func`` to fixpoint unless the memo proves it is
-        there already; False when the round budget ran out first."""
-        entry_fp = function_fingerprint(func)
-        if _memo_get((self._token, entry_fp)):
-            obs.count("opt.manager.skipped")
-            obs.count("opt.manager.memo_hits")
-            obs.event("opt.memo_hit", function=func.name)
-            return True
-        fixed, changed_any = _run_rounds(func, self.passes, self.rounds,
-                                         self._rec)
-        if fixed:
-            fp = function_fingerprint(func) if changed_any else entry_fp
-            _memo_add((self._token, fp))
-        return fixed
 
     def _run_inline(self) -> set[str]:
         module = self.module
@@ -313,8 +221,7 @@ def run_worklist(module: Module, opts) -> None:
     :class:`~repro.opt.pipeline.OptOptions`), including the final
     unused-function sweep."""
     PassManager(
-        module, build_function_pipeline(opts, module),
-        ("opt", opts), opts.rounds,
+        module, build_function_pipeline(opts, module), opts.rounds,
         inline_threshold=opts.inline_threshold if opts.inline else None,
     ).run()
     drop_unused_private_functions(module)
@@ -322,11 +229,9 @@ def run_worklist(module: Module, opts) -> None:
 
 def canonicalize_module(module: Module) -> None:
     """The driver's canonicalization stage (SSA-ify vcpu registers,
-    fold address arithmetic) as a managed one-round schedule, so
-    re-canonicalizing a function whose content is a known fixpoint
-    costs one fingerprint."""
+    fold address arithmetic) as a managed one-round schedule."""
     PassManager(module, build_canonicalize_pipeline(module),
-                ("canonicalize",), rounds=1).run()
+                rounds=1).run()
 
 
 def drop_unused_private_functions(module: Module) -> None:
@@ -365,3 +270,8 @@ def drop_unused_private_functions(module: Module) -> None:
                     work.append(ref)
     module.functions = {name: f for name, f in module.functions.items()
                         if name in live}
+
+
+def clear_memo() -> None:
+    """A no-op, kept only because ``benchmarks/e2e/run.py`` imports it;
+    the benchmark-hygiene change that drops that import deletes it."""

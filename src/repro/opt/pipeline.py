@@ -2,10 +2,9 @@
 
 ``optimize_module`` is the LLVM ``opt`` analogue used by the MiniC
 compiler personalities and by the recompiler after lifting/symbolization.
-It runs the incremental worklist engine in :mod:`repro.opt.manager`
-(serial visits, with a fingerprint memo of known fixpoints) under the
-:class:`OptOptions` of a pipeline; ``tests/golden/engine_digests.json``
-pins its output at every level.
+It runs the worklist engine in :mod:`repro.opt.manager` (serial visits,
+each function to fixpoint) under the :class:`OptOptions` of a pipeline;
+``tests/golden/engine_digests.json`` pins its output at every level.
 """
 
 from __future__ import annotations

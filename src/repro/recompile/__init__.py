@@ -6,16 +6,9 @@ from .lower import (
     STACK_SWITCH_SAVE,
     FunctionLowerer,
     LowerOptions,
-    clear_lower_cache,
-    lower_cache_enabled,
-    lower_cache_stats,
-    lower_function,
 )
 
 __all__ = [
     "FunctionLowerer", "LowerOptions", "RECOMP_TEXT_BASE", "RESULT_REGS",
-    "STACK_SWITCH_SAVE", "clear_lower_cache", "compile_ir",
-    "lower_cache_enabled", "lower_cache_stats", "lower_function",
-    "lower_module",
-    "recompile_ir",
+    "STACK_SWITCH_SAVE", "compile_ir", "lower_module", "recompile_ir",
 ]

@@ -24,41 +24,18 @@ Design notes:
   switching* (paper §5.2): esp is pointed at the emulated stack argument
   area for the duration of the call.
 
-Lowering a function is a pure transform of ``(function content, backend
-options, module lowering context)`` — the Macaw-style discipline that
-keeps the backend per-function-parallel and cacheable — so
-:func:`lower_function` memoizes its output in a fingerprint-keyed LRU:
-
-* key: ``(``:func:`~repro.replay.fingerprint.function_fingerprint```,
-  LowerOptions, lowering context)`` where the context digests the
-  module facts a lowerer can observe (address-table dispatch, global
-  layout);
-* invalidation mirrors :mod:`repro.opt.analysis`'s versioned contract:
-  a content change is a *new key* — the stale entry for the same
-  ``(name, options, context)`` slot is evicted and counted as
-  ``lower.cache.invalidations``;
-* :meth:`FunctionLowerer._split_phi_edges` mutates the IR in place, so
-  a cold lower that grew the function stores its entry under both the
-  pre-split and post-split fingerprints — the next ``compile_ir`` over
-  the *same* (now split) module object still hits;
-* cached :class:`AsmFunction` / :class:`DataItem` objects are shared
-  across programs — safe because :func:`repro.isa.assembler.assemble`
-  fully recomputes every address and size on each run.
-
-``REPRO_LOWER_CACHE=0`` disables the cache;
-``lower.cache.{hits,misses,invalidations}`` count its behaviour.  A
-warm ``compile_ir`` after a one-function edit re-lowers exactly that
-function (``benchmarks/test_lower.py`` holds it to that).
+Every function is lowered cold, by a fresh :class:`FunctionLowerer`;
+nothing is kept between calls.  Lowering also rewrites the IR, since
+:meth:`FunctionLowerer._split_phi_edges` splits critical phi edges in
+place before code emission, so lowering two equal modules leaves them
+equal.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
-from .. import obs
 from ..binary.image import FrameGroundTruth, StackObject
-from ..env import env_flag
 from ..errors import LowerError
 from ..ir.module import Block, Function, Module
 from ..ir.values import (
@@ -170,107 +147,6 @@ class LowerOptions:
     promote_phis: bool = True
     #: Exit code used when a recompiled binary reaches an untraced path.
     trap_code: int = 199
-
-
-# -- fingerprint-keyed lowering cache -----------------------------------
-
-def _function_fingerprint(func: Function) -> str:
-    """Deferred alias for
-    :func:`repro.replay.fingerprint.function_fingerprint` (an eager
-    import of :mod:`repro.replay` would cycle through the engine)."""
-    from ..replay.fingerprint import function_fingerprint
-    globals()["_function_fingerprint"] = function_fingerprint
-    return function_fingerprint(func)
-
-
-def lower_cache_enabled() -> bool:
-    """``REPRO_LOWER_CACHE=0`` disables the lowering cache."""
-    return env_flag("REPRO_LOWER_CACHE", True)
-
-
-#: (function fingerprint, LowerOptions, lowering context) ->
-#: (AsmFunction, data items, ground truth).  Every entry is the complete
-#: output of one cold :meth:`FunctionLowerer.lower`.
-_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_CACHE_MAX = 4096
-
-#: (function name, LowerOptions, lowering context) -> (fingerprint at
-#: last cold lower, keys holding its entry).  Lets a content change be
-#: *diagnosed* as an invalidation (stale entry evicted and counted)
-#: rather than just accreting a new key.
-_LAST: dict[tuple, tuple] = {}
-
-
-def clear_lower_cache() -> None:
-    """Drop all cached lowering output (tests and benches)."""
-    _CACHE.clear()
-    _LAST.clear()
-
-
-def lower_cache_stats() -> dict:
-    """Size of the in-process lowering cache — the warmth a long-lived
-    server has accumulated (reported by ``repro submit --status``)."""
-    return {"entries": len(_CACHE), "functions": len(_LAST)}
-
-
-def _lower_context(module: Module) -> tuple:
-    """The module-level facts a :class:`FunctionLowerer` can observe:
-    whether indirect calls dispatch through the resolver, and the
-    global-variable layout epoch.  Part of every cache key, mirroring
-    ``opt/analysis.py``'s versioned-epoch invalidation contract."""
-    return (bool(module.address_table),
-            tuple(sorted((name, g.size, g.align, g.fixed_addr,
-                          g.writable)
-                         for name, g in module.globals.items())))
-
-
-def lower_function(func: Function, module: Module,
-                   options: LowerOptions) -> tuple:
-    """Lower one function, memoized by content fingerprint.
-
-    Returns ``(AsmFunction, data items tuple, ground truth)``.  On a
-    hit the IR is not touched at all; on a miss the cold lower runs and
-    its output is cached — under the post-phi-split fingerprint as well
-    when edge splitting grew the function, so re-lowering the same
-    mutated module object still hits.
-    """
-    if not lower_cache_enabled():
-        lowerer = FunctionLowerer(func, module, options)
-        asm = lowerer.lower()
-        return asm, tuple(lowerer.data_items), lowerer.ground_truth
-    ctx = _lower_context(module)
-    fp = _function_fingerprint(func)
-    key = (fp, options, ctx)
-    entry = _CACHE.get(key)
-    if entry is not None:
-        _CACHE.move_to_end(key)
-        obs.count("lower.cache.hits")
-        obs.event("cache.hit", cache="lower", function=func.name)
-        return entry
-    obs.count("lower.cache.misses")
-    obs.event("cache.miss", cache="lower", function=func.name)
-    slot = (func.name, options, ctx)
-    prev = _LAST.get(slot)
-    if prev is not None and fp not in prev[1]:
-        obs.count("lower.cache.invalidations")
-        obs.event("cache.invalidation", cache="lower",
-                  function=func.name)
-        for stale in prev[1]:
-            _CACHE.pop((stale, options, ctx), None)
-    nblocks = len(func.blocks)
-    lowerer = FunctionLowerer(func, module, options)
-    asm = lowerer.lower()
-    entry = (asm, tuple(lowerer.data_items), lowerer.ground_truth)
-    fps = [fp]
-    if len(func.blocks) != nblocks:
-        fps.append(_function_fingerprint(func))
-    for f in fps:
-        _CACHE[(f, options, ctx)] = entry
-        _CACHE.move_to_end((f, options, ctx))
-    _LAST[slot] = (fp, tuple(fps))
-    while len(_CACHE) > _CACHE_MAX:
-        _CACHE.popitem(last=False)
-    return entry
 
 
 @dataclass
@@ -1149,3 +1025,8 @@ class FunctionLowerer:
                 f"slot.{off}", self._sp0_offset(off), 4, kind="spill"))
         self.ground_truth = FrameGroundTruth(
             self.func.name, 0, self.frame_size, objects)
+
+
+def clear_lower_cache() -> None:
+    """A no-op, kept only because ``benchmarks/e2e/run.py`` imports it;
+    the benchmark-hygiene change that drops that import deletes it."""

@@ -8,7 +8,6 @@ deterministic merging of per-input tracing runtimes.  See
 """
 
 from .engine import ReplayEngine
-from .fingerprint import function_fingerprint, module_fingerprint
+from .fingerprint import module_fingerprint
 
-__all__ = ["ReplayEngine", "function_fingerprint",
-           "module_fingerprint"]
+__all__ = ["ReplayEngine", "module_fingerprint"]

@@ -1,21 +1,19 @@
 """repro.sched — the serve daemon's multi-process job scheduler.
 
 The single-lock daemon executes every job under one in-process lock:
-the warm incremental state (the optimizer's fixpoint memo, the lowering
-cache, the replay engine's published fork-pool context) is
-process-global, so two jobs cannot safely overlap in one process — and
-its throughput ceiling is one job at a time regardless of core count.
+the observability recorder and the replay engine's published
+fork-pool context are process-global, so two jobs cannot safely
+overlap in one process — and its throughput ceiling is one job at a
+time regardless of core count.
 
 This module moves job execution into a pool of **long-lived worker
 processes**.  Each worker is forked once at scheduler start and then
-runs many jobs, so the per-process warm state accumulates exactly as
-it does in the single-lock daemon — result-key memos via the shared
-store, per-image trace records, the optimizer's fingerprint memo, and
-the lowering cache all stay hot *inside the worker* between jobs.
-Cross-worker reuse still lands via the shared content-addressed
-:class:`~repro.store.ArtifactStore` on disk (its atomic
-tmp+``os.replace`` writes make concurrent puts safe; last writer wins
-and wrote the same bytes anyway).
+runs many jobs with its own replay pool.  Reuse across jobs and
+workers lands via the shared content-addressed
+:class:`~repro.store.ArtifactStore` on disk — result hits and
+per-input trace records (its atomic tmp+``os.replace`` writes make
+concurrent puts safe; last writer wins and wrote the same bytes
+anyway).
 
 Scheduling model:
 
@@ -26,12 +24,11 @@ Scheduling model:
   durations) instead of queueing unboundedly.
 * **Image-affinity dispatch** — a job's ``image_key`` hashes to a
   preferred worker (:func:`affinity_worker`), so repeat requests for
-  one image land on the worker whose in-process caches are already
-  warm for it.
+  one image land on the same worker.
 * **Work stealing** — when the affine worker is busy and another is
   idle, the job is dispatched to the idle worker rather than waiting
   (correctness is unaffected: the artifact store serves the disk-level
-  reuse either way; only the in-process warmth is forfeited).
+  reuse either way).
 * **Per-job wall-clock limit** — ``job_timeout`` kills the worker
   mid-job, fails the job with kind ``JobTimeout``, emits a
   ``job.timeout`` ledger event, and respawns the worker so the slot is
@@ -61,7 +58,7 @@ from pathlib import Path
 
 from . import obs
 from .binary.image import BinaryImage
-from .core.incremental import incremental_recompile, warm_stats
+from .core.incremental import incremental_recompile
 from .errors import SchedError, SchedRejected
 from .parallel import ForkPool
 from .store import ArtifactStore, decode_runs
@@ -80,7 +77,7 @@ _SECONDS_SEED = 5.0
 def affinity_worker(image_key: str, workers: int) -> int:
     """The preferred worker index for an image: a stable hash of the
     image's content key, so every request for one image prefers the
-    same worker (and its warm caches) for the daemon's lifetime."""
+    same worker for the daemon's lifetime."""
     if workers <= 1:
         return 0
     try:
@@ -174,9 +171,7 @@ def _arm_worker_obs(spec: dict) -> bool:
 def _worker_main(conn, worker_id: int, store_root: str,
                  jobs: int) -> None:
     """Worker process entry: serve job specs from ``conn`` until EOF or
-    a ``None`` sentinel.  All warm in-process state (optimizer memo,
-    lowering cache, replay pool, block caches) lives and accumulates
-    here, one pool per worker."""
+    a ``None`` sentinel, with one replay pool per worker."""
     obs.fork_begin()   # drop any in-memory events inherited over fork
     store = ArtifactStore(store_root)
     pool = ForkPool(jobs) if jobs > 1 else None
@@ -200,7 +195,6 @@ def _worker_main(conn, worker_id: int, store_root: str,
                 result = {"ok": False, "error": str(exc),
                           "kind": type(exc).__name__}
             result["worker"] = worker_id
-            result["warm"] = warm_stats()
             if shipping:
                 result["obs"] = obs.export_payload()
             try:
@@ -233,7 +227,7 @@ class _Worker:
     """Parent-side handle for one worker slot (survives respawns)."""
 
     __slots__ = ("idx", "proc", "conn", "job", "jobs_done", "failures",
-                 "last_image", "warm")
+                 "last_image")
 
     def __init__(self, idx: int):
         self.idx = idx
@@ -243,7 +237,6 @@ class _Worker:
         self.jobs_done = 0
         self.failures = 0
         self.last_image = ""
-        self.warm: dict = {}
 
 
 class JobScheduler:
@@ -549,7 +542,6 @@ class JobScheduler:
                 slot.failures += 1
             else:
                 slot.jobs_done += 1
-                slot.warm = result.pop("warm", slot.warm)
                 # Completed-job moving average feeds the retry hint.
                 self._ewma_seconds = (0.7 * self._ewma_seconds
                                       + 0.3 * elapsed)
@@ -587,7 +579,6 @@ class JobScheduler:
                      "busy": s.job is not None,
                      "jobs": s.jobs_done,
                      "failures": s.failures,
-                     "last_image": s.last_image,
-                     "warm": dict(s.warm)}
+                     "last_image": s.last_image}
                     for s in self._slots],
             }

@@ -12,16 +12,14 @@ Why a daemon beats N one-shot processes:
 
 * the content-addressed :class:`~repro.store.ArtifactStore` persists
   traces and results across requests (and across daemon restarts);
-* the serving processes stay warm: the optimizer's cross-stage
-  fingerprint memo, the lowering cache, and the shared replay
-  :class:`~repro.parallel.ForkPool` all survive between jobs, so an
-  input addition re-refines only the functions whose fingerprint
-  moved;
+* the serving processes are long-lived, so with ``--jobs N`` one
+  replay :class:`~repro.parallel.ForkPool` serves every job instead of
+  one pool per request;
 * with ``--workers N`` jobs execute on a pool of long-lived worker
   processes (:mod:`repro.sched`): distinct images recompile
-  concurrently, repeat requests for one image are routed to the worker
-  whose caches are already warm for it (image-affinity dispatch with
-  work-stealing fallback), and a bounded queue applies backpressure.
+  concurrently, repeat requests for one image are routed to the same
+  worker (image-affinity dispatch with work-stealing fallback), and a
+  bounded queue applies backpressure.
   Without ``--workers`` (the default) jobs serialize on one in-process
   lock exactly as before — the two modes produce byte-identical
   artifacts because every reuse layer is content-pinned.
@@ -51,7 +49,7 @@ Observability: ledger events ``job.submitted`` / ``job.started`` /
 ``job.finished`` (plus ``job.timeout`` and the ``sched.*`` dispatch
 stream in pool mode), a ``job.execute`` span per job, and the store's
 ``store.hit`` / ``store.miss`` / ``store.put`` stream — ``repro obs
-diff`` over two reports shows exactly what a warm run reused.
+diff`` over two reports shows exactly what a repeated run reused.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ from pathlib import Path
 
 from . import obs
 from .binary.image import BinaryImage
-from .core.incremental import warm_stats
 from .errors import RemoteJobError, ServeError
 from .parallel import ForkPool
 from .sched import JobScheduler, execute_job
@@ -95,10 +92,10 @@ class RecompileServer:
 
     One instance per socket path.  Connections are handled on threads.
     Job execution is either serialized on :attr:`_job_lock` (default:
-    the in-process caches the incremental pipeline relies on are
+    the observability recorder and the replay fork pool are
     process-global) or dispatched to a :class:`~repro.sched.
     JobScheduler` worker pool (``workers >= 1``), where each worker
-    holds its own warm state and campaigns serialize per-name only.
+    holds its own and campaigns serialize per-name only.
     """
 
     def __init__(self, socket_path: str | Path,
@@ -278,8 +275,7 @@ class RecompileServer:
                    "workers": self.workers,
                    "stats": stats, "store": dict(self.store.stats),
                    "store_root": str(self.store.root),
-                   "campaigns": self.store.list_campaigns(),
-                   "warm": warm_stats()}
+                   "campaigns": self.store.list_campaigns()}
             if self.sched is not None:
                 doc["sched"] = self.sched.snapshot()
             return doc

@@ -206,7 +206,7 @@ def test_obs_diff_command(tmp_path, capsys):
     import json as _json
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     base = {"version": 2, "spans": [],
-            "metrics": {"counters": {"lower.cache.misses": 2},
+            "metrics": {"counters": {"store.miss": 2},
                         "gauges": {}, "histograms": {}, "timers": {},
                         "profiles": {}}}
     other = {"version": 2, "spans": [],
@@ -216,10 +216,10 @@ def test_obs_diff_command(tmp_path, capsys):
     a.write_text(_json.dumps(base))
     b.write_text(_json.dumps(other))
     assert main(["obs", "diff", str(a), str(b)]) == 0
-    assert "lower.cache.misses" in capsys.readouterr().out
+    assert "store.miss" in capsys.readouterr().out
     assert main(["obs", "diff", str(a), str(b), "--json"]) == 0
     doc = _json.loads(capsys.readouterr().out)
-    assert doc["counters"]["removed"] == {"lower.cache.misses": 2}
+    assert doc["counters"]["removed"] == {"store.miss": 2}
 
 
 def _bench_json(path, mean):

@@ -16,28 +16,19 @@ def _doc(counters=None, timers=None):
 
 def test_counter_sections_group_by_prefix():
     text = obs.summary(_doc(counters={
-        "lower.cache.hits": 30, "lower.cache.misses": 10,
-        "lower.cache.invalidations": 1,
+        "store.hit": 30, "store.miss": 10, "store.put": 1,
         "parallel.pool.spawns": 2, "parallel.pool.reuses": 5,
-        "opt.manager.skipped": 4, "opt.manager.memo_hits": 7,
+        "opt.manager.requeued": 4,
         "unrelated.counter": 99,
     }))
-    assert "lowering cache (lower.cache.*):" in text
+    assert "artifact store (store.*):" in text
     assert "fork pool (parallel.pool.*):" in text
     assert "pass manager (opt.manager.*):" in text
     # Entries appear under their section with the prefix stripped.
-    assert "misses" in text and "spawns" in text and "memo_hits" in text
-    # hits/(hits+misses) = 75% derived row for the cache section.
-    assert "hit rate" in text and "75.00%" in text
+    assert "miss" in text and "spawns" in text and "requeued" in text
     # Prefixes that recorded nothing add no empty section.
-    no_pool = obs.summary(_doc(counters={"lower.cache.hits": 1}))
+    no_pool = obs.summary(_doc(counters={"store.hit": 1}))
     assert "fork pool" not in no_pool
-
-
-def test_hit_rate_row_needs_both_counters():
-    text = obs.summary(_doc(counters={"lower.cache.hits": 3}))
-    assert "lowering cache" in text
-    assert "hit rate" not in text
 
 
 def test_percentile_rows_for_timers():

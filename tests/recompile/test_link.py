@@ -2,25 +2,23 @@
 
 Covers the paths the per-function lowering tests don't: address-table
 resolution for indirect calls, duplicate- and missing-symbol link
-errors, global-initializer validation, and recompiled text placement.
+errors, global-initializer validation, recompiled text placement, and
+repeated and equal lowering.
 """
 
 import pytest
 
+from repro.cc.driver import compile_to_ir
 from repro.emu import run_binary
 from repro.errors import AsmError, LowerError
 from repro.ir import Builder, Function, GlobalRef, GlobalVar, Module
+from repro.ir.printer import module_to_text
 from repro.ir.values import Const
-from repro.recompile import LowerOptions, clear_lower_cache, compile_ir
+from repro.opt import OptOptions, optimize_module
+from repro.recompile import LowerOptions, compile_ir
 from repro.recompile.link import RECOMP_TEXT_BASE, lower_module, recompile_ir
 from repro.recompile.lower import RESOLVER_NAME
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    clear_lower_cache()
-    yield
-    clear_lower_cache()
+from tests.conftest import FEATURE_SOURCE, KERNEL_SOURCE
 
 
 def _indirect_module():
@@ -144,3 +142,56 @@ def test_recompile_ir_places_text_clear_of_original():
     image = recompile_ir(module)
     assert image.text.base == RECOMP_TEXT_BASE
     assert run_binary(image).exit_code == 3
+
+
+# -- repeated and equal lowering ----------------------------------------------
+
+
+@pytest.mark.parametrize("level", ["o0", "o1", "o2", "o3"])
+@pytest.mark.parametrize("source", [FEATURE_SOURCE, KERNEL_SOURCE],
+                         ids=["feature", "kernel"])
+def test_relowering_gives_the_same_image(source, level):
+    """Lowering a module a second time, after the first lowering split
+    its phi edges in place, links the same image."""
+    module = compile_to_ir(source, name="t", config=None)
+    optimize_module(module, getattr(OptOptions, level)())
+    first = compile_ir(module).to_json()
+    assert compile_ir(module).to_json() == first
+
+
+def _phi_loop_module():
+    """A loop-carried phi behind a critical edge (condbr back into the
+    phi block), so lowering must split an edge in place."""
+    m = Module()
+    f = Function("main", [])
+    m.add_function(f)
+    m.entry_name = "main"
+    b = Builder(f)
+    entry = f.add_block("entry")
+    loop = f.add_block("loop")
+    done = f.add_block("done")
+    b.position(entry)
+    b.br(loop)
+    b.position(loop)
+    i = b.phi([])
+    i.add_incoming(entry, Const(0))
+    nxt = b.add(i, Const(1))
+    i.add_incoming(loop, nxt)
+    cond = b.icmp("slt", nxt, Const(5))
+    b.condbr(cond, loop, done)
+    b.position(done)
+    b.ret([i])
+    return m
+
+
+def test_lowering_leaves_equal_modules_equal():
+    """Lowering splits phi edges in place; two fresh copies of one
+    module, lowered in one process, come out with equal images and
+    equal IR."""
+    first, second = _phi_loop_module(), _phi_loop_module()
+    nblocks = len(first.functions["main"].blocks)
+    images = [compile_ir(m).to_json() for m in (first, second)]
+    assert len(first.functions["main"].blocks) > nblocks, \
+        "no phi edge to split; the test needs a critical edge"
+    assert images[0] == images[1]
+    assert module_to_text(first) == module_to_text(second)

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import driver
-from repro.recompile import lower
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -32,7 +31,6 @@ SWITCHES = {
     "REPRO_CHECK": (lambda: driver._resolve_check(None), False),
     "REPRO_STATIC_WIDEN":
         (lambda: driver._resolve_static_widen(None), False),
-    "REPRO_LOWER_CACHE": (lower.lower_cache_enabled, True),
     "REPRO_ANALYSIS_CACHE": (_analysis_cache_enabled, True),
 }
 

@@ -18,23 +18,19 @@
 # run also checking the trace) serially and with jobs=4, plus the dedup
 # and replay run counts.  CI's bench-smoke job runs this pass too.
 #
-# The backend bench runs as a fourth pass and emits BENCH_lower.json:
-# cold vs warm compile_ir through the fingerprint-keyed lowering cache
-# (warm hit rate, functions re-lowered after a one-function edit).
-#
-# The service benches run as a fifth pass and emit BENCH_serve.json:
+# The service benches run as a fourth pass and emit BENCH_serve.json:
 # a replayed campaign against the warm artifact store vs N cold
 # one-shot recompiles, and an incremental one-input addition vs the
-# cold one-shot over the full input set (trace/function reuse rates,
+# cold one-shot over the full input set (trace reuse counts,
 # byte-identity enforced in the tests themselves).
 #
-# The scheduler benches run as a sixth pass and emit
+# The scheduler benches run as a fifth pass and emit
 # BENCH_sched.json: K=4 concurrent distinct-image campaigns on the
 # multi-worker daemon vs the single-lock daemon (speedup floor scales
 # with the core count; byte identity and affinity hit rate asserted in
 # the test itself).
 #
-# The static-analysis benches run as a seventh pass and emit
+# The static-analysis benches run as a sixth pass and emit
 # BENCH_sanalysis.json: cold vs warm interprocedural summary sweeps
 # through the version-keyed cache, and the recompute count after a
 # one-function edit (exactly one; reuse rate asserted in the test).
@@ -45,7 +41,6 @@ TARGET="${1:-benchmarks/test_engine.py benchmarks/test_pipeline_costs.py}"
 OUT="${BENCH_JSON:-BENCH_engine.json}"
 OBS_OUT="${BENCH_OBS_JSON:-BENCH_obs.json}"
 REPLAY_OUT="${BENCH_REPLAY_JSON:-BENCH_replay.json}"
-LOWER_OUT="${BENCH_LOWER_JSON:-BENCH_lower.json}"
 SERVE_OUT="${BENCH_SERVE_JSON:-BENCH_serve.json}"
 SCHED_OUT="${BENCH_SCHED_JSON:-BENCH_sched.json}"
 SANALYSIS_OUT="${BENCH_SANALYSIS_JSON:-BENCH_sanalysis.json}"
@@ -71,13 +66,6 @@ PYTHONPATH=src python -m pytest benchmarks/test_replay.py \
     -p no:cacheprovider
 
 echo "replay benchmark report written to $REPLAY_OUT"
-
-PYTHONPATH=src python -m pytest benchmarks/test_lower.py \
-    --benchmark-only \
-    --benchmark-json "$LOWER_OUT" \
-    -p no:cacheprovider
-
-echo "backend benchmark report written to $LOWER_OUT"
 
 PYTHONPATH=src python -m pytest benchmarks/test_serve.py \
     --benchmark-only \
