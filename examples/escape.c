@@ -14,6 +14,10 @@
  *     -> clean (the per-function pass cannot see it)
  *   python -m repro check escape.img.json --input int:8 --strict
  *     -> clean: the trace covered everything the callee can reach
+ *   python -m repro recompile escape.img.json -o rec.img.json --input int:3
+ *     -> recompile always widens main's buf over fill's footprint (check
+ *        reports the unwidened layout), so rec.img.json matches the
+ *        original on every n up to 8
  *
  * (fill is recursive so the -O3 personality cannot inline it away —
  * which also makes it a one-node SCC in the summary call graph.)

@@ -8,9 +8,12 @@ Usage:
     python examples/run_paper_eval.py --fresh    # ignore the disk cache
     python examples/run_paper_eval.py --jobs 8   # parallel sweep
 
-Results (and intermediate traces/lifts) are cached in .eval_cache/.
-Cells are independent, so ``--jobs N`` fans the first sweep out over a
-process pool; later figures reuse its cached cells.
+Each cell's results are cached as one JSON file in .eval_cache/ (or
+$REPRO_EVAL_CACHE), keyed on the workload, the configuration and the
+pipeline options the environment selects; the key does not cover the
+code, so pass --fresh after a code change.  Cells are independent, so
+``--jobs N`` fans the first sweep out over a process pool; later
+figures reuse its cached cells.
 
 ``--obs-out report.json`` (or ``REPRO_OBS=1``) activates repro.obs: the
 sweep aggregates per-cell timings, pipeline stage spans, and cache hit
@@ -55,8 +58,9 @@ def main(argv=None) -> int:
     if args.obs_out:
         obs.enable()
 
+    cache = Path(os.environ.get("REPRO_EVAL_CACHE", ".eval_cache"))
     if args.fresh:
-        shutil.rmtree(".eval_cache", ignore_errors=True)
+        shutil.rmtree(cache, ignore_errors=True)
     names = WORKLOAD_ORDER if args.full else QUICK_WORKLOADS
     started = time.time()
 
@@ -88,7 +92,7 @@ def main(argv=None) -> int:
 
     print(f"\ndone in {time.time() - started:.0f}s "
           f"({'full' if args.full else 'quick'} sweep; cache in "
-          f"{Path('.eval_cache').resolve()})")
+          f"{cache})")
 
     rec = obs.recorder()
     if rec is not None:

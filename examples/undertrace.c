@@ -5,9 +5,13 @@
  *
  *   python -m repro compile examples/undertrace.c -o under.img.json
  *   python -m repro check under.img.json --input int:3
- *     -> coverage-gap warning + widening suggestion
+ *     -> coverage-gap warning + widening suggestion (check reports the
+ *        unwidened layout the trace alone recovers)
  *   python -m repro check under.img.json --input int:3 --widen
  *     -> the gap is gone: the widened layout covers the full array
+ *   python -m repro recompile under.img.json -o rec.img.json --input int:3
+ *     -> recompile always widens, so rec.img.json matches the original
+ *        on every n up to 16
  *
  * (A path-insensitive uninit-read warning remains either way: on the
  * zero-trip path n <= 0 the array is formally never written.)

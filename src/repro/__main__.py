@@ -13,9 +13,10 @@ Commands mirror the toolchain a downstream user needs:
 * ``submit``    client for ``serve``: submit a job (or ``--status`` /
   ``--ping`` / ``--shutdown``) to a running daemon
 * ``layout``    print the stack layout WYTIWYG recovers for a binary
-* ``check``     run the static corroboration + sanitizer suite and
-  print the findings (exit 1 on errors; ``--strict`` fails on
-  warnings too)
+* ``check``     run the static corroboration + sanitizer suite on the
+  layout the traces alone recover and print the findings (exit 1 on
+  errors; ``--strict`` fails on warnings too; ``--widen`` first
+  applies the static widening every recompile applies)
 * ``explain``   run the layout pipeline with the event ledger on and
   print the provenance chain (seeds, merges, widenings, findings)
   behind each recovered variable (``--var fn_08048000:sv_m8``)
@@ -272,8 +273,7 @@ def cmd_explain(args) -> int:
     try:
         result = wytiwyg_recompile(
             image, runs, optimize=False, collect_accuracy=False,
-            jobs=args.jobs,
-            static_widen=True if args.widen else None)
+            jobs=args.jobs)
         events = (led.events if led.path is None
                   else obs.read_events(led.path))
         try:
@@ -457,8 +457,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--strict", action="store_true",
                    help="exit 1 on warnings as well as errors")
     p.add_argument("--widen", action="store_true",
-                   help="apply coverage-gap widening suggestions "
-                        "(REPRO_STATIC_WIDEN) before reporting")
+                   help="apply the widening suggestions before "
+                        "reporting, as every recompile does")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the report as JSON")
     p.set_defaults(func=cmd_check)
@@ -473,10 +473,6 @@ def main(argv: list[str] | None = None) -> int:
                         "variable (e.g. fn_08048000:sv_m8), NAME every "
                         "function's variable of that name, FUNC the "
                         "whole frame; default: everything")
-    p.add_argument("--widen", action="store_true",
-                   help="apply coverage-gap widening suggestions "
-                        "(REPRO_STATIC_WIDEN) so their ledger events "
-                        "appear in the chain")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="fan replay sweeps out over N worker processes")
     p.set_defaults(func=cmd_explain)

@@ -18,8 +18,10 @@ Orchestrates the full pipeline:
    into ``sp0 + offset`` form;
 6. **refinement: object bounds recovery** (§4.2) — instrument with the
    ``wyt.*`` probes, execute all inputs against the tracing runtime,
-   build frame layouts and signatures, replace base pointers with native
-   allocas, and remove the emulated stack;
+   build frame layouts, widen them over the frame bytes a static access
+   reaches but no trace touched (:func:`_static_corroborate`), build
+   signatures, replace base pointers with native allocas, and remove
+   the emulated stack;
 7. optimize the symbolized module with the standard pipeline;
 8. recompile to a new binary.
 
@@ -77,7 +79,7 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..binary.image import BinaryImage
 from ..emu.tracer import TraceSet, trace_binary
-from ..env import env_flag, truthy
+from ..env import truthy
 from ..errors import CheckError, StaticCheckError, SymbolizeError
 from ..ir.module import Module
 from ..ir.verifier import verify_module
@@ -137,12 +139,6 @@ def _resolve_check(check: bool | str | None) -> bool | str:
     return bool(check)
 
 
-def _resolve_static_widen(static_widen: bool | None) -> bool:
-    if static_widen is None:
-        return env_flag("REPRO_STATIC_WIDEN")
-    return bool(static_widen)
-
-
 def _count_findings(findings) -> dict[str, int]:
     counts = {"error": 0, "warning": 0, "info": 0}
     for finding in findings:
@@ -177,7 +173,7 @@ def _canonicalize(module: Module) -> None:
 def wytiwyg_lift(traces: TraceSet,
                  hybrid: bool = False,
                  jobs: int = 1,
-                 static_widen: bool | None = None,
+                 static_widen: bool = True,
                  replay_pool=None,
                  ) -> tuple[Module, dict[str, FrameLayout],
                             list[str], CheckReport]:
@@ -185,11 +181,12 @@ def wytiwyg_lift(traces: TraceSet,
     symbolized module, the recovered layouts, pipeline notes, and the
     static check report (corroboration + sanitizer findings).
 
-    ``static_widen`` (default: ``$REPRO_STATIC_WIDEN``) applies the
-    corroboration pass's widening suggestions to the recovered layouts
-    *before* symbolization, so statically reachable but untraced frame
-    bytes land inside a recovered variable instead of outside every
-    alloca.
+    The corroboration pass's widening suggestions are applied to the
+    recovered layouts *before* symbolization, so statically reachable
+    but untraced frame bytes land inside a recovered variable instead
+    of outside every alloca.  Every recompile path does this;
+    ``static_widen=False`` only serves ``repro check``, which reports
+    the unwidened layout the traces alone recover.
 
     ``hybrid`` enables the paper's §7.2 future-work direction: static
     disassembly extends coverage along untraced branch directions, and
@@ -219,10 +216,9 @@ def wytiwyg_lift(traces: TraceSet,
 
 def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
                       hybrid: bool,
-                      static_widen: bool | None,
+                      static_widen: bool,
                       ) -> tuple[Module, dict[str, FrameLayout],
                                  list[str], CheckReport]:
-    static_widen = _resolve_static_widen(static_widen)
     report = CheckReport()
     notes: list[str] = []
     if engine.deduped:
@@ -358,8 +354,9 @@ def _static_corroborate(module: Module,
                         static_widen: bool) -> None:
     """Static frame-access recovery + corroboration against the dynamic
     layouts, run on the pre-symbolization IR (sp still threaded, so the
-    abstract interpreter can anchor every access at sp0).  Mutates
-    ``layouts`` in place when widening is on."""
+    abstract interpreter can anchor every access at sp0).  With
+    ``static_widen`` it grows ``layouts`` in place by the suggestions,
+    then re-diffs, so the report holds only what symbolization keeps."""
     observing = obs.enabled()
     with obs.span("stage.sanalysis", widen=static_widen) as sp:
         accesses = {}
@@ -420,7 +417,6 @@ def wytiwyg_recompile(image: BinaryImage,
                       traces: TraceSet | None = None,
                       jobs: int = 1,
                       check: bool | str | None = None,
-                      static_widen: bool | None = None,
                       opt_jobs: int | None = None,
                       replay_pool=None) -> WytiwygResult:
     """End-to-end WYTIWYG: trace, refine, symbolize, optimize,
@@ -437,8 +433,9 @@ def wytiwyg_recompile(image: BinaryImage,
     truthy value, ``error``-severity findings abort the pipeline with
     :class:`~repro.errors.StaticCheckError` *before* the optimizer
     runs, and warnings are annotated into the result notes; with
-    ``"strict"``, warnings abort too.  ``static_widen`` is forwarded to
-    :func:`wytiwyg_lift`.
+    ``"strict"``, warnings abort too.  The gate reads the report of
+    the widened layout that symbolization used, so a coverage gap that
+    widening closed no longer counts.
     """
     observing = obs.enabled()
     check = _resolve_check(check)
@@ -456,7 +453,7 @@ def wytiwyg_recompile(image: BinaryImage,
         try:
             module, layouts, notes, report = wytiwyg_lift(
                 traces, hybrid=hybrid, jobs=jobs,
-                static_widen=static_widen, replay_pool=replay_pool)
+                replay_pool=replay_pool)
             fallback = False
         except SymbolizeError as exc:
             if not allow_fallback:

@@ -15,9 +15,9 @@ Two layers of reuse, cheapest first:
    ``(image content, ordered input runs, options)``; an identical
    resubmission is served straight from the store, byte-identical to
    the original run.  The options part holds the values the pipeline
-   runs with, after ``$REPRO_CHECK`` and ``$REPRO_STATIC_WIDEN`` have
-   filled in unset arguments, plus ``$REPRO_INTERPROC``: an entry
-   written under one environment is never served under another.
+   runs with, after ``$REPRO_CHECK`` has filled in an unset ``check``,
+   plus ``$REPRO_INTERPROC``: an entry written under one environment is
+   never served under another.
 2. **Per-input trace reuse** — traces are recorded *per input run*
    (``trace`` kind) and merged with
    :meth:`~repro.emu.tracer.TraceSet.absorb` in request order, which
@@ -25,8 +25,9 @@ Two layers of reuse, cheapest first:
    trace_binary` would produce.  Adding one input to a known image
    re-executes only that input; everything else is a ``store.hit``.
 
-Everything after tracing runs the one-shot pipeline: the lifted module
-is refined, optimized and lowered cold, on every request.
+Everything after tracing runs the one-shot pipeline, static widening
+included: the lifted module is refined, optimized and lowered cold, on
+every request.
 
 Byte-identity invariant: for any request, the recovered image equals
 the one a cold ``wytiwyg_recompile(image, inputs)`` produces — the
@@ -53,7 +54,6 @@ from ..store import (
 from .driver import (
     WytiwygResult,
     _resolve_check,
-    _resolve_static_widen,
     wytiwyg_recompile,
 )
 
@@ -104,20 +104,18 @@ class ServedResult:
 
 def pipeline_options_tag(optimize: bool = True,
                          check: bool | str | None = None,
-                         static_widen: bool | None = None,
                          hybrid: bool = False) -> str:
     """The options part of a result key.
 
     Only options that change the *artifact* participate, each with the
-    value the pipeline will run with: ``check`` and ``static_widen``
-    resolve through the driver's environment defaults, and
-    ``$REPRO_INTERPROC``, which has no argument, is read here.  The
-    execution knob ``jobs`` is byte-identity-neutral (the replay engine
-    merges its workers' results deterministically) and deliberately
-    excluded, so a parallel server and a serial one share entries.
+    value the pipeline will run with: ``check`` resolves through
+    ``$REPRO_CHECK``, and ``$REPRO_INTERPROC``, which has no argument,
+    is read here.  The execution knob ``jobs`` is byte-identity-neutral
+    (the replay engine merges its workers' results deterministically)
+    and deliberately excluded, so a parallel server and a serial one
+    share entries.
     """
     return options_tag(optimize=optimize, check=_resolve_check(check),
-                       static_widen=_resolve_static_widen(static_widen),
                        interproc=interproc_enabled(), hybrid=hybrid)
 
 
@@ -159,12 +157,10 @@ def incremental_recompile(image: BinaryImage,
                           store: ArtifactStore,
                           optimize: bool = True,
                           check: bool | str | None = None,
-                          static_widen: bool | None = None,
                           hybrid: bool = False,
                           jobs: int = 1,
                           opt_jobs: int | None = None,
-                          replay_pool=None,
-                          collect_accuracy: bool = True) -> ServedResult:
+                          replay_pool=None) -> ServedResult:
     """Store-backed ``wytiwyg_recompile``: same answer, amortized cost.
 
     Checks the result store first; otherwise reassembles traces from
@@ -173,12 +169,10 @@ def incremental_recompile(image: BinaryImage,
     accepted and ignored, as by :func:`wytiwyg_recompile`.
     """
     img_key = image_key(image)
-    # Resolve the environment defaults once, so the key and the run
-    # agree on them.
+    # Resolve the environment default once, so the key and the run
+    # agree on it.
     check = _resolve_check(check)
-    static_widen = _resolve_static_widen(static_widen)
     opts = pipeline_options_tag(optimize=optimize, check=check,
-                                static_widen=static_widen,
                                 hybrid=hybrid)
     rkey = result_key(img_key, runs, opts)
     stats = JobStats()
@@ -208,9 +202,8 @@ def incremental_recompile(image: BinaryImage,
     traces = gather_traces(image, runs, store, img_key, stats)
     result = wytiwyg_recompile(
         image, [list(items) for items in runs],
-        optimize=optimize, collect_accuracy=collect_accuracy,
-        hybrid=hybrid, traces=traces, jobs=jobs, check=check,
-        static_widen=static_widen, replay_pool=replay_pool)
+        optimize=optimize, hybrid=hybrid, traces=traces, jobs=jobs,
+        check=check, replay_pool=replay_pool)
     coverage = _coverage_summary(traces)
     store.put("result", rkey, {
         "image_json": result.recovered.to_json(),

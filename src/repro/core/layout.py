@@ -11,6 +11,11 @@ tracing runtime and partitions each function's frame into variables:
   positionally when they fall inside (or exactly at the end of — the
   Figure 3 end-pointer shape) an existing variable, or become
   speculative 4-byte singletons.
+
+Every recompile then grows the layouts with :func:`apply_widenings`
+over the frame bytes a static access can reach but no trace touched
+(the static corroboration pass's suggestions), before symbolization;
+only ``repro check`` reports the layout as the traces alone build it.
 """
 
 from __future__ import annotations
@@ -219,7 +224,8 @@ def build_layouts(runtime: TracingRuntime,
 def apply_widenings(layouts: dict[str, FrameLayout],
                     suggestions) -> list[dict]:
     """Grow recovered variables to cover statically reachable regions
-    the traces missed (``REPRO_STATIC_WIDEN=1``).
+    the traces missed; every recompile applies this before
+    symbolization.
 
     Each suggestion (:class:`repro.sanalysis.WideningSuggestion`) names
     a ``[start, end)`` byte region in one function's frame.  Every

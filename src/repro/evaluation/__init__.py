@@ -2,7 +2,6 @@
 evaluation (§6) against the workload suite."""
 
 from .ablations import ABLATIONS, AblationReport, run_ablation
-from .cache import EvalCache
 from .figure6 import Figure6, build_figure6
 from .figure7 import ACCURACY_CONFIG, Figure7, build_figure7
 from .functionality import FunctionalityMatrix, build_functionality
@@ -18,7 +17,7 @@ from .table1 import Table1, build_table1
 
 __all__ = [
     "ABLATIONS", "ACCURACY_CONFIG", "AblationReport", "CONFIGS", "CellResult", "Figure6", "Figure7",
-    "EvalCache", "FunctionalityMatrix", "QUICK_WORKLOADS", "Table1",
+    "FunctionalityMatrix", "QUICK_WORKLOADS", "Table1",
     "build_figure6",
     "build_figure7", "build_functionality", "build_table1", "geomean",
     "run_ablation",

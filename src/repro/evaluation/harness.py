@@ -10,8 +10,13 @@ harness produces the runtimes of:
 
 Runtimes are cycle counts under the shared cost model, summed over the
 workload's ref inputs — the relative quantities Table 1 and Figure 6
-report.  Results are cached on disk (delete ``.eval_cache`` after code
-changes to re-measure).
+report.  Each cell's results are cached as one JSON file under
+``$REPRO_EVAL_CACHE`` (``.eval_cache`` when unset), keyed on the
+workload's source and ref inputs, the configuration and the pipeline
+options the environment selects (:func:`~repro.core.incremental.
+pipeline_options_tag`), so a run under other settings re-measures.
+The key does not cover the code: delete the directory (or pass
+``--fresh`` to ``examples/run_paper_eval.py``) after a code change.
 """
 
 from __future__ import annotations
@@ -28,11 +33,10 @@ from ..baselines.binrec import binrec_recompile
 from ..baselines.secondwrite import SecondWriteError, \
     secondwrite_recompile
 from ..core.driver import wytiwyg_recompile
+from ..core.incremental import pipeline_options_tag
 from ..emu.machine import run_binary
-from ..emu.tracer import TRACE_SCHEMA, trace_binary
 from ..errors import ReproError
 from ..workloads import WORKLOADS, Workload
-from .cache import EvalCache
 
 #: The input-binary configurations of Table 1, in column order.
 CONFIGS = (
@@ -96,6 +100,7 @@ def _cell_key(workload: Workload, compiler: str, opt_level: str) -> str:
     h.update(workload.source.encode())
     h.update(repr(workload.ref_inputs).encode())
     h.update(f"{compiler}-{opt_level}".encode())
+    h.update(pipeline_options_tag().encode())
     return f"{workload.name}-{compiler}-O{opt_level}-{h.hexdigest()[:12]}"
 
 
@@ -118,7 +123,7 @@ def measure_cell(workload: Workload, compiler: str, opt_level: str,
                  use_cache: bool = True,
                  include_secondwrite: bool = True,
                  replay_jobs: int = 1) -> CellResult:
-    """Measure one Table-1 cell (with on-disk caching).
+    """Measure one Table-1 cell (cached as one JSON file per cell).
 
     With observability enabled, the cell runs inside an ``eval.cell``
     span, its wall time lands in the ``eval.cell_seconds`` timer, and
@@ -158,42 +163,14 @@ def _measure_cell(workload: Workload, compiler: str, opt_level: str,
     result.native_cycles = _total_cycles(image, inputs)
     stripped = image.stripped()
 
-    # Artifact cache: traces and recompiled binaries are content-keyed,
-    # so both pipelines share one trace of the stripped binary and a
-    # re-run after an unrelated change skips the lifts entirely.
-    ecache = EvalCache() if use_cache else None
-
-    def traced(img):
-        if ecache is None:
-            return trace_binary(img, inputs)
-        return ecache.memo("traces",
-                           ecache.key(img, inputs,
-                                      f"traces/{TRACE_SCHEMA}"),
-                           lambda: trace_binary(img, inputs))
-
     # BinRec: lifted, optimized, not symbolized.
-    if ecache is None:
-        binrec = binrec_recompile(stripped, inputs,
-                                  traces=traced(stripped))
-    else:
-        binrec = ecache.memo(
-            "binrec", ecache.key(stripped, inputs, "binrec"),
-            lambda: binrec_recompile(stripped, inputs,
-                                     traces=traced(stripped)))
+    binrec = binrec_recompile(stripped, inputs)
     result.binrec_cycles = _total_cycles(binrec, inputs)
     result.binrec_match = _outputs_match(image, binrec, inputs)
 
     # WYTIWYG: full refinement lifting (ground truth read only by the
     # accuracy evaluation, never by the pipeline).
-    if ecache is None:
-        wyt = wytiwyg_recompile(image, inputs, traces=traced(image),
-                                jobs=replay_jobs)
-    else:
-        wyt = ecache.memo(
-            "wytiwyg", ecache.key(image, inputs, "wytiwyg"),
-            lambda: wytiwyg_recompile(image, inputs,
-                                      traces=traced(image),
-                                      jobs=replay_jobs))
+    wyt = wytiwyg_recompile(image, inputs, jobs=replay_jobs)
     result.wytiwyg_cycles = _total_cycles(wyt.recovered, inputs)
     result.wytiwyg_match = _outputs_match(image, wyt.recovered, inputs)
     result.wytiwyg_fallback = wyt.fallback
@@ -252,7 +229,7 @@ def sweep(workload_names: tuple[str, ...] | None = None,
     """Measure a grid of cells; returns {(workload, compiler, opt): ...}.
 
     With ``jobs > 1`` cells are fanned out over a process pool — every
-    cell is independent, and the on-disk caches use atomic writes, so
+    cell is independent, and the cell cache uses atomic writes, so
     workers never conflict.  ``progress`` then reports cells as they
     *complete* rather than as they start.  When observability is active
     in the parent, each worker records with its own registry and the

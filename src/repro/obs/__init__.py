@@ -23,8 +23,9 @@ every pipeline layer:
   counts functions re-enqueued after inlining
   (``opt.manager.requeued``), and analysis results migrated across
   mutations instead of recomputed (``analysis.cache.retained``);
-* the **evaluation harness** and ``EvalCache`` report cache hit rates
-  and per-cell timings, aggregated across ``sweep(jobs=N)`` workers.
+* the **evaluation harness** reports per-cell cache hits and misses
+  (``eval.cell_cache.*``) and per-cell timings, aggregated across
+  ``sweep(jobs=N)`` workers.
 
 Disabled by default and zero-overhead when disabled: hot loops select an
 instrumented path only when a recorder is active.  Activate with

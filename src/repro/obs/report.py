@@ -139,12 +139,6 @@ def summary(doc: dict) -> str:
     mem_rate = _ratio(counters, "emu.mem.fast_path", "emu.mem.slow_path")
     if mem_rate is not None:
         highlights.append(f"memory fast-path rate  {mem_rate:7.2%}")
-    eval_rate = _ratio(counters, "evalcache.hit", "evalcache.miss")
-    if eval_rate is not None:
-        highlights.append(f"eval cache hit rate    {eval_rate:7.2%}")
-    if counters.get("evalcache.corrupt"):
-        highlights.append("eval cache corrupt     "
-                          f"{counters['evalcache.corrupt']}")
     if counters.get("ir.code_cache.invalidations") is not None:
         highlights.append("IR code invalidations  "
                           f"{counters['ir.code_cache.invalidations']}")

@@ -3,7 +3,6 @@
 from .alias import AliasAnalysis
 from .analysis import (
     Dominators,
-    analysis_cache_enabled,
     cached_analysis,
     dominators,
     postorder,
@@ -39,7 +38,7 @@ from .simplifycfg import remove_unreachable, simplify_cfg
 
 __all__ = [
     "AliasAnalysis", "Dominators", "OptOptions", "PassManager",
-    "analysis_cache_enabled", "cached_analysis", "canonicalize_module",
+    "cached_analysis", "canonicalize_module",
     "dominators",
     "drop_unused_private_functions", "eliminate_dead_code",
     "eliminate_dead_params", "eliminate_dead_results",

@@ -11,8 +11,8 @@ be followed by ``func.invalidate()`` before another pass (or a later
 fixed-point round) consults these accessors — the builder API
 (:meth:`Block.append` / :meth:`Block.insert`) bumps the version
 automatically, direct splices do not.  Callers must treat the returned
-objects as immutable.  Set ``REPRO_ANALYSIS_CACHE=0`` to disable caching
-(every call recomputes), e.g. to bisect a suspected stale-analysis bug.
+objects as immutable.  Tests that need an uncached reference set the
+module's ``_CACHE_ENABLED`` to False, so every call recomputes.
 
 Invalidation is *selective* when the mutation's author can vouch for
 what it left intact: a pass that only rewrites non-terminator
@@ -27,11 +27,10 @@ from __future__ import annotations
 import weakref
 
 from .. import obs
-from ..env import env_flag
 from ..ir.module import Block, Function
 from ..ir.values import Instr, Value
 
-_CACHE_ENABLED = env_flag("REPRO_ANALYSIS_CACHE", True)
+_CACHE_ENABLED = True
 
 #: The analyses this module caches.  All of them are pure CFG analyses:
 #: they depend only on the block list and terminator targets, never on
@@ -45,10 +44,6 @@ CFG_ANALYSES = frozenset({"dominators", "predecessors", "reachable",
 #: free their analyses.
 _CACHE: "weakref.WeakKeyDictionary[Function, tuple]" = \
     weakref.WeakKeyDictionary()
-
-
-def analysis_cache_enabled() -> bool:
-    return _CACHE_ENABLED
 
 
 def _epoch(func: Function) -> tuple[int, int, int]:

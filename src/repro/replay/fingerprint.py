@@ -12,8 +12,7 @@ metadata, so they replay identically.
 The hash is built from the canonical printer rendering (which renumbers
 value names, so it is insensitive to stale printing hints) plus the
 parts the printer elides: global initializers, the address table, and
-the entry name.  :class:`~repro.evaluation.cache.EvalCache` reuses the
-same digest for module-derived artifact keys.
+the entry name.
 """
 
 from __future__ import annotations

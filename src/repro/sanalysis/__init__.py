@@ -11,7 +11,8 @@ tracing and recompilation:
   dynamically recovered :class:`~repro.core.layout.FrameLayout`:
   boundary-straddling accesses are ``unsound-split`` errors, statically
   reachable but untraced bytes are ``coverage-gap`` warnings with
-  widening suggestions (`REPRO_STATIC_WIDEN=1` applies them);
+  widening suggestions, which every recompile applies before
+  symbolization (``repro check`` reports the unwidened layout);
 * :mod:`.interproc` — whole-module corroboration: a call graph over the
   lifted IR, bottom-up per-function summaries over SCCs to fixpoint
   (escaping regions, derived stack-pointer parameters, callee access

@@ -9,9 +9,11 @@ against the statically-provable access set of :mod:`.absint`:
   error that must gate recompilation;
 * a statically reachable byte region the trace never touched is a
   ``coverage-gap`` — a warning, paired with a widening suggestion that
-  :func:`repro.core.layout.apply_widenings` can apply under
-  ``REPRO_STATIC_WIDEN=1`` (growing a variable never invalidates traced
+  every recompile applies with :func:`repro.core.layout.apply_widenings`
+  before symbolization (growing a variable never invalidates traced
   behaviour; it only trades optimization precision for soundness).
+  ``repro check`` reports the gap on the unwidened layout; after
+  widening the re-diff no longer finds it.
 
 Derived accesses (stack-walks whose extent the interpreter could not
 bound) are clamped against the nearest statically-known frame slot

@@ -37,7 +37,7 @@ EFACT's call-site signature recovery; see PAPERS.md):
   same clamp rule the per-function pass uses: an escaped access that
   crosses a recovered variable's boundary is an ``escaped-split``
   error naming the exact call chain, paired with a widening suggestion
-  so ``REPRO_STATIC_WIDEN=1`` can repair the layout;
+  that every recompile applies to repair the layout;
 * **extern-signature recovery** (:func:`recover_extern_sigs`) — at
   every external call site the argument-slot stores and their abstract
   values independently witness the callee's arity and pointer-ness.
@@ -49,8 +49,9 @@ EFACT's call-site signature recovery; see PAPERS.md):
 
 ``REPRO_INTERPROC=0`` disables the whole pass (the driver's escape
 hatch).  Nothing here mutates IR beyond stashing findings metadata in
-``func.meta`` — recompiled output is byte-identical with the analysis
-on or off whenever the gate passes.
+``func.meta``; the pass changes a recompiled image only through the
+widening suggestions it adds, so with a trace that already covers every
+escaped footprint the image is byte-identical with the pass on or off.
 """
 
 from __future__ import annotations

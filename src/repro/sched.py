@@ -13,7 +13,9 @@ workers lands via the shared content-addressed
 :class:`~repro.store.ArtifactStore` on disk — result hits and
 per-input trace records (its atomic tmp+``os.replace`` writes make
 concurrent puts safe; last writer wins and wrote the same bytes
-anyway).
+anyway).  A worker runs the same pipeline as a one-shot recompile,
+static widening included, so pool and single-lock modes store the
+same images.
 
 Scheduling model:
 
@@ -95,7 +97,10 @@ def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
     """Run one job spec and return the response fields it produced.
 
     ``spec["op"]`` selects the job type: ``"recompile"`` (default) runs
-    the store-backed incremental pipeline; ``"probe"`` is a scheduler
+    the store-backed incremental pipeline with the ``optimize``,
+    ``check`` and ``hybrid`` values of ``spec["options"]`` (the daemon
+    rejects any other key), widening layouts from static evidence like
+    every recompile; ``"probe"`` is a scheduler
     liveness/latency probe that optionally sleeps ``spec["sleep"]``
     seconds — it exercises dispatch, timeout and drain machinery
     without pipeline cost (used by the scheduler tests).
@@ -117,10 +122,8 @@ def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
         image, runs, store,
         optimize=options.get("optimize", True),
         check=options.get("check"),
-        static_widen=options.get("static_widen"),
         hybrid=options.get("hybrid", False),
-        jobs=jobs, replay_pool=replay_pool,
-        collect_accuracy=options.get("collect_accuracy", True))
+        jobs=jobs, replay_pool=replay_pool)
     out: dict = {
         "served": served.stats.served,
         "stats": served.stats.to_dict(),

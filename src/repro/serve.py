@@ -31,9 +31,11 @@ response object per line, over ``AF_UNIX``.  Requests carry an ``op``:
 ``submit``    run a job: ``image`` (path) or ``image_json`` (inline),
               ``inputs`` (list of runs; items are ints or
               ``{"b": "latin-1 bytes"}``), optional ``campaign``,
-              ``options`` (``optimize``/``check``/``static_widen``/
-              ``hybrid``), ``output`` (path for the recovered image)
-              and ``return_artifact`` (inline the recovered JSON).
+              ``options`` (an object with any of ``optimize``,
+              ``check`` and ``hybrid``; any other key is an error),
+              ``output`` (path for the recovered image) and
+              ``return_artifact`` (inline the recovered JSON).  Every
+              job widens its layouts from static evidence.
 ``status``    daemon counters + store stats + campaign list (+
               scheduler snapshot under ``sched`` in pool mode)
 ``campaign``  one campaign's summary (``name``)
@@ -79,6 +81,9 @@ PROTOCOL_VERSION = 1
 
 #: Largest accepted request line (a 4 MB image JSON fits comfortably).
 MAX_REQUEST_BYTES = 64 * 1024 * 1024
+
+#: The keys a submit's ``options`` object may hold.
+JOB_OPTIONS = ("optimize", "check", "hybrid")
 
 
 def _limit_text(limit: int) -> str:
@@ -147,7 +152,13 @@ class RecompileServer:
     # -- lifecycle -------------------------------------------------------
 
     def serve_forever(self) -> None:
-        """Bind the socket and serve until :meth:`shutdown`."""
+        """Bind the socket and serve until :meth:`shutdown`.
+
+        The socket binds and listens under a temporary name in the
+        same directory and is then renamed onto :attr:`socket_path`,
+        so the path appears only once connections are accepted: a
+        client that waits for the file and connects is never
+        refused."""
         if self.socket_path.exists():
             # A stale socket from a crashed daemon: refuse to steal a
             # live one, silently replace a dead one.
@@ -169,8 +180,11 @@ class RecompileServer:
             daemon_threads = True
             allow_reuse_address = True
 
-        self._server = Server(str(self.socket_path), Handler)
+        tmp = self.socket_path.with_name(
+            f".{self.socket_path.name}.{os.getpid()}")
+        self._server = Server(str(tmp), Handler)
         try:
+            os.replace(tmp, self.socket_path)
             self._server.serve_forever(poll_interval=0.1)
         finally:
             self.close()
@@ -326,12 +340,20 @@ class RecompileServer:
     def _submit(self, request: dict) -> dict:
         if self._shutdown.is_set():
             raise ServeError("daemon is shutting down; job rejected")
+        options = request.get("options", {})
+        if not isinstance(options, dict):
+            raise ServeError(f"bad options {options!r}: must be a JSON "
+                             f"object")
+        unknown = sorted(set(options) - set(JOB_OPTIONS))
+        if unknown:
+            raise ServeError(
+                f"unknown job option(s) {', '.join(map(repr, unknown))}"
+                f": options may hold {', '.join(JOB_OPTIONS)}")
         with self._state_lock:
             self._job_seq += 1
             job_id = self._job_seq
         runs = decode_runs(request.get("inputs", []))
         campaign_name = request.get("campaign")
-        options = request.get("options") or {}
         obs.event("job.submitted", job=job_id,
                   campaign=campaign_name, inputs=len(runs))
         obs.count("serve.jobs.submitted")

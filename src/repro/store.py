@@ -1,14 +1,10 @@
 """repro.store — the content-addressed artifact store.
 
 One keyed, on-disk store for every expensive artifact the pipeline
-produces: per-input traces, merged tracing-runtime state, lifted and
-optimized modules, lowered functions, recompiled images, and full job
-results.  It generalizes the evaluation harness's
-:class:`~repro.evaluation.cache.EvalCache` (now a thin subclass) and
-reuses the replay engine's content fingerprints
-(:func:`~repro.replay.fingerprint.module_fingerprint`) so an artifact's
-key is a digest of exactly the content that determines it — a hit is
-valid by construction and nothing ever needs manual invalidation.
+produces: per-input traces, recompiled images and full job results.
+An artifact's key is a digest of exactly the content that determines
+it — a hit is valid by construction and nothing ever needs manual
+invalidation.
 
 Key model (full table in DESIGN.md):
 
@@ -20,7 +16,6 @@ trace       image content + one input run + cost-model tag + trace
 result      image content + ordered input runs + pipeline options tag
 source      image content (the submitted image itself, for campaign
             resubmission without re-uploading)
-module      module fingerprint + options tag (optimized/lowered forms)
 ==========  ============================================================
 
 Kinds are open-ended (each is a subdirectory); the table lists the
@@ -30,18 +25,16 @@ canonical ones used by :mod:`repro.core.incremental` and
 Writes are **atomic**: the entry is written to a temp file in the same
 directory, fsynced, and moved into place with :func:`os.replace`, so a
 reader racing a writer sees either the old entry or the new one —
-never a torn pickle.  Concurrent writers (forked sweep workers, several
+never a torn pickle.  Concurrent writers (scheduler workers, several
 serve jobs) therefore share one store safely; last writer wins, and
 both wrote the same bytes anyway because the key pins the content.
 
 Observability: counters ``store.hit`` / ``store.miss`` / ``store.put``
-/ ``store.corrupt`` (namespace overridable by subclasses — the
-evaluation cache keeps its historical ``evalcache.*`` names) and ledger
-events ``store.hit`` / ``store.miss`` / ``store.put`` carrying the
-artifact kind and key, so ``repro obs diff`` can compare warm and cold
-service runs.  Each store instance also tracks in-process
-:attr:`ArtifactStore.stats` for callers (the serve status op, tests)
-that do not want to arm the global recorder.
+/ ``store.corrupt`` and ledger events ``store.hit`` / ``store.miss`` /
+``store.put`` carrying the artifact kind and key, so ``repro obs diff``
+can compare warm and cold service runs.  Each store instance also
+tracks in-process :attr:`ArtifactStore.stats` for callers (the serve
+status op, tests) that do not want to arm the global recorder.
 """
 
 from __future__ import annotations
@@ -202,19 +195,11 @@ class ArtifactStore:
     """Pickle store addressed by content digests, with atomic writes.
 
     ``root`` defaults to ``$REPRO_STORE`` (``.repro_store`` when unset).
-    Subclasses may override :attr:`NAMESPACE` (counter prefix),
-    :attr:`DESCRIBE` (log wording) and :attr:`PUT_COUNTER`.
     """
-
-    NAMESPACE = "store"
-    DESCRIBE = "store"
-    PUT_COUNTER = True
-    ENV_VAR = "REPRO_STORE"
-    DEFAULT_ROOT = ".repro_store"
 
     def __init__(self, root: str | Path | None = None):
         if root is None:
-            root = os.environ.get(self.ENV_VAR, self.DEFAULT_ROOT)
+            root = os.environ.get("REPRO_STORE", ".repro_store")
         self.root = Path(root)
         #: In-process counts: hit / miss / put / corrupt / evicted.
         self.stats: dict[str, int] = {"hit": 0, "miss": 0, "put": 0,
@@ -233,7 +218,7 @@ class ArtifactStore:
 
         Corruption (a truncated or ununpicklable entry) falls through
         to recompute like a miss, but is reported: a structured warning
-        naming the entry plus the ``<ns>.corrupt`` counter, so it never
+        naming the entry plus the ``store.corrupt`` counter, so it never
         hides as an ordinary miss.
         """
         path = self._path(kind, key)
@@ -242,24 +227,22 @@ class ArtifactStore:
                 obj = pickle.load(fh)
         except FileNotFoundError:
             self._count("miss")
-            obs.count(f"{self.NAMESPACE}.miss")
-            obs.event("store.miss", store=self.NAMESPACE, artifact=kind,
-                      key=key)
+            obs.count("store.miss")
+            obs.event("store.miss", store="store", artifact=kind, key=key)
             return None
         except Exception as exc:
             self._count("corrupt")
-            type(self)._log().warning(
-                "corrupt %s entry kind=%s key=%s path=%s "
+            log.warning(
+                "corrupt store entry kind=%s key=%s path=%s "
                 "error=%s: %s — recomputing",
-                self.DESCRIBE, kind, key, path,
-                type(exc).__name__, exc)
-            obs.count(f"{self.NAMESPACE}.corrupt")
-            obs.event("store.miss", store=self.NAMESPACE, artifact=kind,
+                kind, key, path, type(exc).__name__, exc)
+            obs.count("store.corrupt")
+            obs.event("store.miss", store="store", artifact=kind,
                       key=key, corrupt=True)
             return None
         self._count("hit")
-        obs.count(f"{self.NAMESPACE}.hit")
-        obs.event("store.hit", store=self.NAMESPACE, artifact=kind, key=key)
+        obs.count("store.hit")
+        obs.event("store.hit", store="store", artifact=kind, key=key)
         try:
             # Refresh mtime so GC's LRU order tracks last *use*, not
             # last write.  Best-effort: a read-only store still serves.
@@ -274,25 +257,12 @@ class ArtifactStore:
             self._path(kind, key),
             pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
         self._count("put")
-        if self.PUT_COUNTER:
-            obs.count(f"{self.NAMESPACE}.put")
-        obs.event("store.put", store=self.NAMESPACE, artifact=kind, key=key)
-
-    def memo(self, kind: str, key: str, compute):
-        """Return the cached artifact for ``key``, computing on miss."""
-        obj = self.get(kind, key)
-        if obj is None:
-            obj = compute()
-            self.put(kind, key, obj)
-        return obj
+        obs.count("store.put")
+        obs.event("store.put", store="store", artifact=kind, key=key)
 
     def contains(self, kind: str, key: str) -> bool:
         """Presence probe without loading (no hit/miss accounting)."""
         return self._path(kind, key).exists()
-
-    @classmethod
-    def _log(cls) -> logging.Logger:
-        return log
 
     # -- eviction / GC ---------------------------------------------------
 
@@ -367,8 +337,8 @@ class ArtifactStore:
                 except OSError:
                     continue
                 self._count("evicted")
-                obs.count(f"{self.NAMESPACE}.evicted")
-                obs.event("store.evicted", store=self.NAMESPACE,
+                obs.count("store.evicted")
+                obs.event("store.evicted", store="store",
                           artifact=kind, key=key, bytes=size)
             evicted.append({"kind": kind, "key": key, "bytes": size})
             total -= size

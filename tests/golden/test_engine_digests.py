@@ -10,7 +10,8 @@ on fixed programs and inputs, pinned.
   of those runs: sorted transfers, sorted executed addresses, the
   inputs and the vararg counts;
 * ``lift-<program>`` — the layouts and notes that ``wytiwyg_lift``
-  recovers from that trace set;
+  recovers from that trace set, widened from static evidence as every
+  recompile widens them;
 * ``bounds-O<n>`` — the bounds stage's ``TracingRuntime.snapshot()``
   for ``KERNEL_SOURCE`` at gcc12-O<n>, with ``stack_vars`` and
   ``arg_accesses`` in first-touch order;

@@ -170,8 +170,7 @@ def test_explain_command_chains_widening(undertrace_file, tmp_path,
     widening event behind the grown variable."""
     image = tmp_path / "under.img.json"
     main(["compile", str(undertrace_file), "-o", str(image)])
-    assert main(["explain", str(image), "--input", "int:3",
-                 "--widen"]) == 0
+    assert main(["explain", str(image), "--input", "int:3"]) == 0
     out = capsys.readouterr().out
     assert "coverage-gap" in out
     assert "widened to cover" in out

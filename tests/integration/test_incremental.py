@@ -128,43 +128,37 @@ def _example_image(name):
 
 
 def test_result_key_holds_env_resolved_options(tmp_path, monkeypatch):
-    """An entry written under one setting of ``REPRO_CHECK``,
-    ``REPRO_INTERPROC`` or ``REPRO_STATIC_WIDEN`` is never served to a
-    request that runs under another: the gate still fires, and the
-    image equals a cold one-shot under the request's own settings."""
-    for name in ("REPRO_CHECK", "REPRO_INTERPROC", "REPRO_STATIC_WIDEN"):
+    """An entry written under one setting of ``REPRO_CHECK`` or
+    ``REPRO_INTERPROC`` is never served to a request that runs under
+    another: the gate still fires, and the image equals a cold one-shot
+    under the request's own settings."""
+    for name in ("REPRO_CHECK", "REPRO_INTERPROC"):
         monkeypatch.delenv(name, raising=False)
     store = ArtifactStore(tmp_path / "store")
-    escape = _example_image("escape")
 
-    # Filled with the gate off; $REPRO_CHECK=1 arms it for the next
-    # request, whose check argument is left unset.
-    incremental_recompile(escape, [[3]], store)
-    monkeypatch.setenv("REPRO_CHECK", "1")
-    with pytest.raises(StaticCheckError, match="escaped-split"):
-        wytiwyg_recompile(escape, [[3]])
-    with pytest.raises(StaticCheckError, match="escaped-split"):
-        incremental_recompile(escape, [[3]], store)
+    # Filled with the gate off; $REPRO_CHECK=strict arms it for the
+    # next requests, whose check argument is left unset.  Widening
+    # closes the coverage gap, and the uninit-read warning survives it.
+    under = _example_image("undertrace")
+    incremental_recompile(under, [[3]], store)
+    monkeypatch.setenv("REPRO_CHECK", "strict")
+    with pytest.raises(StaticCheckError, match="uninit-read"):
+        wytiwyg_recompile(under, [[3]])
+    with pytest.raises(StaticCheckError, match="uninit-read"):
+        incremental_recompile(under, [[3]], store)
     monkeypatch.delenv("REPRO_CHECK")
 
-    # Without the interprocedural pass the gate has nothing to block,
-    # so this entry is written; with the pass back on it must fire.
+    # Without the interprocedural pass nothing widens the escaped
+    # footprint; that entry is not a default request's image.
+    escape = _example_image("escape")
     monkeypatch.setenv("REPRO_INTERPROC", "0")
-    incremental_recompile(escape, [[3]], store, check=True)
+    narrow = incremental_recompile(escape, [[3]], store)
     monkeypatch.delenv("REPRO_INTERPROC")
-    with pytest.raises(StaticCheckError, match="escaped-split"):
-        incremental_recompile(escape, [[3]], store, check=True)
-
-    # A widened entry is not an unwidened request's image.
-    under = _example_image("undertrace")
-    monkeypatch.setenv("REPRO_STATIC_WIDEN", "1")
-    widened = incremental_recompile(under, [[3]], store)
-    monkeypatch.delenv("REPRO_STATIC_WIDEN")
-    plain = incremental_recompile(under, [[3]], store)
-    assert plain.stats.served != "store"
-    cold = wytiwyg_recompile(under, [[3]])
-    assert plain.recovered.to_json() == cold.recovered.to_json()
-    assert widened.recovered.to_json() != cold.recovered.to_json()
+    served = incremental_recompile(escape, [[3]], store)
+    assert served.stats.served != "store"
+    cold = wytiwyg_recompile(escape, [[3]])
+    assert served.recovered.to_json() == cold.recovered.to_json()
+    assert narrow.recovered.to_json() != cold.recovered.to_json()
 
 
 #: One printf site whose argument count depends on the input.

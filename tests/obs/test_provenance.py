@@ -118,7 +118,7 @@ def test_explain_undertraced_widening_end_to_end():
     image = compile_source(source, "gcc12", "3", "undertrace")
     led = obs.enable_ledger()
     result = wytiwyg_recompile(image, [[3]], optimize=False,
-                               collect_accuracy=False, static_widen=True)
+                               collect_accuracy=False)
     func, widened = max(
         ((fname, var) for fname, layout in result.layouts.items()
          for var in layout.variables),

@@ -6,9 +6,10 @@ than the one that owns the array.  Per-function corroboration is blind
 — main never touches buf, and fill's accesses are parameter-relative —
 so an under-tracing input (n=3 of 8) recovers a truncated variable
 without a single intra-function finding.  The call-graph summary pass
-must translate fill's footprint into main's frame and flag the split,
-name the exact call chain, and stay byte-for-byte out of the way when
-the gate passes or is disabled.
+must translate fill's footprint into main's frame and flag the split on
+the unwidened layout (what ``repro check`` reports), name the exact call
+chain, let every recompile widen the split away, and stay byte-for-byte
+out of the way when the trace already covers the footprint.
 """
 
 import json
@@ -40,7 +41,8 @@ def lift_report(image, inputs, **kwargs):
 
 
 def test_undertraced_escape_is_flagged_with_call_chain(escape_image):
-    _module, _layouts, _notes, report = lift_report(escape_image, [[3]])
+    _module, _layouts, _notes, report = lift_report(escape_image, [[3]],
+                                                    static_widen=False)
     splits = report.by_kind("escaped-split")
     assert len(splits) == 1, [f.render() for f in report.findings]
     finding = splits[0]
@@ -70,8 +72,7 @@ def test_full_trace_corroborates_cleanly(escape_image):
 
 
 def test_widening_repairs_the_escaped_split(escape_image):
-    _m, layouts, _n, report = lift_report(escape_image, [[3]],
-                                          static_widen=True)
+    _m, layouts, _n, report = lift_report(escape_image, [[3]])
     applied = [w for w in report.widenings if w["applied"]]
     assert any("escaped pointer footprint" in w["reason"]
                for w in applied), report.widenings
@@ -86,8 +87,7 @@ def test_widening_repairs_the_escaped_split(escape_image):
 
 def test_widened_recompile_matches_on_held_out_inputs(escape_image):
     result = wytiwyg_recompile(escape_image, [[3]],
-                               collect_accuracy=False,
-                               static_widen=True)
+                               collect_accuracy=False)
     assert not result.fallback
     for held_out in ([8], [5], [0]):
         want = run_binary(escape_image, held_out)
@@ -158,8 +158,7 @@ def test_escape_chain_lands_in_the_ledger_and_explain(escape_image):
     led = obs.enable_ledger()
     try:
         result = wytiwyg_recompile(escape_image, [[3]], optimize=False,
-                                   collect_accuracy=False,
-                                   static_widen=True)
+                                   collect_accuracy=False)
         escapes = [e for e in led.events
                    if e["kind"] == "sanalysis.escape"]
         assert escapes

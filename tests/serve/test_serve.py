@@ -1,9 +1,11 @@
 """The recompilation daemon: protocol, scheduling, campaigns."""
 
+import contextlib
 import json
 import os
 import shutil
 import socket
+import socketserver
 import tempfile
 import threading
 import time
@@ -64,13 +66,14 @@ def _wait_for_daemon(path: str, timeout: float = 10.0) -> dict:
             time.sleep(0.02)
 
 
-@pytest.fixture
-def served(tmp_path):
+@contextlib.contextmanager
+def _daemon(store_root):
+    """A daemon on a thread, handed out once its socket path exists."""
     # AF_UNIX paths are length-limited (~104 bytes); pytest tmp paths
     # can exceed that, so the socket lives in a short mkdtemp dir.
     sockdir = tempfile.mkdtemp(prefix="repro-serve-")
     sock = os.path.join(sockdir, "d.sock")
-    server = RecompileServer(sock, store=ArtifactStore(tmp_path / "store"))
+    server = RecompileServer(sock, store=ArtifactStore(store_root))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _wait_for_socket(sock)
@@ -88,11 +91,33 @@ def served(tmp_path):
         shutil.rmtree(sockdir, ignore_errors=True)
 
 
+@pytest.fixture
+def served(tmp_path):
+    with _daemon(tmp_path / "store") as pair:
+        yield pair
+
+
 def test_ping_reports_protocol(served):
     server, client = served
     response = client.ping()
     assert response["pid"] == os.getpid()
     assert response["protocol"] == PROTOCOL_VERSION
+
+
+def test_socket_path_appears_only_once_the_daemon_listens(tmp_path,
+                                                          monkeypatch):
+    # Widen the gap between bind and listen: a client that waits only
+    # for the path must still be answered on its first connect.
+    activate = socketserver.TCPServer.server_activate
+
+    def slow_activate(self):
+        time.sleep(0.3)
+        activate(self)
+
+    monkeypatch.setattr(socketserver.TCPServer, "server_activate",
+                        slow_activate)
+    with _daemon(tmp_path / "store") as (_server, client):
+        assert client.ping()["ok"]
 
 
 def test_resubmission_is_served_from_store_byte_identical(served, image):
@@ -162,6 +187,21 @@ def test_errors_do_not_kill_the_daemon(served, image):
     assert client.ping()["ok"]
     assert client.status()["stats"]["errors"] == 4
     assert client.status()["stats"]["jobs"] == 0
+
+
+def test_submit_rejects_unknown_or_malformed_options(served, image):
+    server, client = served
+    with pytest.raises(ServeError,
+                       match="unknown job option.*'static_widen'"):
+        client.submit(image_json=image.to_json(), inputs=[[0, 7]],
+                      campaign="demo", options={"static_widen": False})
+    with pytest.raises(ServeError, match="must be a JSON object"):
+        client.submit(image_json=image.to_json(), inputs=[[0, 7]],
+                      campaign="demo", options=["optimize"])
+    assert client.ping()["ok"]
+    status = client.status()
+    assert status["stats"]["jobs"] == 0
+    assert status["campaigns"] == []
 
 
 def test_campaign_rejects_image_rebinding(served, image):

@@ -144,21 +144,6 @@ def test_corrupt_entry_recomputes_with_warning(tmp_path, caplog):
                for r in caplog.records)
 
 
-def test_memo_computes_once(tmp_path):
-    store = ArtifactStore(tmp_path)
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return {"v": 7}
-
-    assert store.memo("module", "m", compute) == {"v": 7}
-    assert store.memo("module", "m", compute) == {"v": 7}
-    assert len(calls) == 1
-    assert store.contains("module", "m")
-    assert not store.contains("module", "absent")
-
-
 def test_env_var_picks_default_root(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "envroot"))
     store = ArtifactStore()

@@ -2,36 +2,15 @@
 is stripped and lower-cased, and ``""``, ``0``, ``false``, ``off`` and
 ``no`` mean off; an unset switch takes its default."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.core import driver
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def _analysis_cache_enabled():
-    """``REPRO_ANALYSIS_CACHE`` is read once, at import: ask a fresh
-    interpreter that inherits the patched environment."""
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.opt.analysis import analysis_cache_enabled as f; "
-         "print(f())"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": SRC})
-    return out.stdout.strip() == "True"
-
+from repro.sanalysis import interproc_enabled
 
 #: switch -> (reader, default when unset)
 SWITCHES = {
     "REPRO_CHECK": (lambda: driver._resolve_check(None), False),
-    "REPRO_STATIC_WIDEN":
-        (lambda: driver._resolve_static_widen(None), False),
-    "REPRO_ANALYSIS_CACHE": (_analysis_cache_enabled, True),
+    "REPRO_INTERPROC": (interproc_enabled, True),
 }
 
 
