@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -519,6 +520,16 @@ def main(argv: list[str] | None = None) -> int:
         obs.enable_ledger(args.ledger)
     try:
         status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone (``repro run ... | head -1``).
+        # Point stdout at /dev/null so the interpreter's final flush
+        # cannot fail again, and exit with the status a shell reports
+        # for a writer SIGPIPE ended (128 + 13).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status = 141
     except (ReproError, OSError) as exc:
         # Bad input (a missing or malformed image, a MiniC error, no
         # traced runs): one line, not a traceback.

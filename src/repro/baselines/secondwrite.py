@@ -32,7 +32,7 @@ from ..ir.values import (
     Const,
     Phi,
 )
-from ..isa.disassembler import Disassembler
+from ..isa.disassembler import shared_disassembler
 from ..isa.instructions import Imm, ImportRef, Instruction
 from ..isa.registers import Reg
 from ..lifting.cfg import _BLOCK_ENDERS, MachineBlock, RecoveredCFG
@@ -65,7 +65,7 @@ class SecondWriteError(LiftError):
 
 
 def static_cfg(image: BinaryImage) -> RecoveredCFG:
-    disasm = Disassembler(image)
+    disasm = shared_disassembler(image)
     instrs = disasm.linear()
     by_addr = {i.addr: i for i in instrs}
 

@@ -58,7 +58,8 @@ process pool (results merge deterministically, so the recompiled binary
 is byte-identical across ``jobs`` settings).  Canonicalization (step 5)
 and optimization (step 7) run serially under the worklist pass manager
 (:mod:`repro.opt.manager`), which brings every function to fixpoint on
-every call.
+every call.  A pipeline run keeps CPython's cyclic garbage collector
+off (:func:`collector_paused`).
 
 Observability: with :mod:`repro.obs` enabled every stage above runs
 inside a named span (``stage.trace`` ... ``stage.recompile``) recording
@@ -73,7 +74,10 @@ replay layer contributes ``replay.runs`` / ``replay.deduped`` /
 
 from __future__ import annotations
 
+import gc
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .. import obs
@@ -127,6 +131,41 @@ class WytiwygResult:
     traces: TraceSet | None = None
 
 
+#: The cyclic collector's pause is process-wide, so every pause shares
+#: one depth count; ``_pause_resumes`` is whether the collector was on
+#: when the outermost pause began.
+_PAUSE_LOCK = threading.Lock()
+_pause_depth = 0
+_pause_resumes = False
+
+
+@contextmanager
+def collector_paused():
+    """Run the body with CPython's cyclic garbage collector off.
+
+    Reference counting frees nearly all of a recompile's garbage (each
+    replay stage breaks its interpreter's cycles on exit), so the
+    collector's passes find little, and each full pass also walks every
+    object the process already held.  Pauses nest, across threads too:
+    the first entry disables the collector, and the last exit
+    re-enables it only if it was on at the first entry, on return and
+    on raise alike.  Usable as a decorator.
+    """
+    global _pause_depth, _pause_resumes
+    with _PAUSE_LOCK:
+        if _pause_depth == 0:
+            _pause_resumes = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _PAUSE_LOCK:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_resumes:
+                gc.enable()
+
+
 def _resolve_check(check: bool | str | None) -> bool | str:
     """Gate mode: False (off), True (errors abort), or ``"strict"``
     (warnings abort too).  ``None`` defers to ``$REPRO_CHECK``."""
@@ -170,6 +209,7 @@ def _canonicalize(module: Module) -> None:
     canonicalize_module(module)
 
 
+@collector_paused()
 def wytiwyg_lift(traces: TraceSet,
                  hybrid: bool = False,
                  jobs: int = 1,
@@ -408,6 +448,7 @@ def _static_corroborate(module: Module,
                    suggestions=len(suggestions), **counts)
 
 
+@collector_paused()
 def wytiwyg_recompile(image: BinaryImage,
                       inputs: list[list[int | bytes]],
                       optimize: bool = True,

@@ -54,6 +54,7 @@ from ..store import (
 from .driver import (
     WytiwygResult,
     _resolve_check,
+    collector_paused,
     wytiwyg_recompile,
 )
 
@@ -152,6 +153,7 @@ def _coverage_summary(traces: TraceSet) -> dict:
             "transfers": len(traces.transfers)}
 
 
+@collector_paused()
 def incremental_recompile(image: BinaryImage,
                           runs: list[list],
                           store: ArtifactStore,

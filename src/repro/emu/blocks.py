@@ -28,7 +28,7 @@ import weakref
 from typing import Callable
 
 from ..errors import EmulationError
-from ..isa.disassembler import Disassembler
+from ..isa.disassembler import Disassembler, shared_disassembler
 from ..obs import count as _obs_count
 from ..isa.instructions import Imm, ImportRef, Instruction, Mem
 from ..isa.registers import Reg
@@ -799,6 +799,6 @@ def shared_block_cache(image, costs: CostModel) -> BlockCache:
         weakref.finalize(image, _drop_shared_entry, key)
     cache = per_image.get(costs)
     if cache is None:
-        cache = BlockCache(Disassembler(image), costs)
+        cache = BlockCache(shared_disassembler(image), costs)
         per_image[costs] = cache
     return cache

@@ -64,6 +64,15 @@ class AsmProgram:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
+def _has_label(operands: tuple[Operand, ...]) -> bool:
+    """True if an operand's value waits on a label's address."""
+    for op in operands:
+        if isinstance(op, Label) or (isinstance(op, Mem)
+                                     and isinstance(op.disp, Label)):
+            return True
+    return False
+
+
 def _placeholder(op: Operand) -> Operand:
     """Replace label references with dummies so sizes can be computed."""
     if isinstance(op, Label):
@@ -97,10 +106,12 @@ def assemble(program: AsmProgram) -> BinaryImage:
     import_index = {name: i for i, name in enumerate(program.imports)}
     symbols: dict[str, int] = {}
 
-    # Pass 1: place every instruction, learning sizes from placeholder
-    # encodings (operand sizes do not depend on label values).
+    # Pass 1: place every instruction.  An instruction without a label
+    # operand is encoded once, here, for good; one with a label learns
+    # its size from a placeholder encoding (operand sizes do not depend
+    # on label values) and waits for pass 2.  ``raw`` is None for those.
     addr = program.text_base
-    placed: list[Instruction] = []
+    placed: list[tuple[Instruction, bytes | None]] = []
     for func in program.functions:
         if func.name in symbols:
             raise AsmError(f"duplicate function {func.name!r}")
@@ -110,14 +121,19 @@ def assemble(program: AsmProgram) -> BinaryImage:
                 if item in symbols:
                     raise AsmError(f"duplicate label {item!r}")
                 symbols[item] = addr
-            else:
+                continue
+            if _has_label(item.operands):
                 ops = tuple(_placeholder(o) for o in item.operands)
                 probe = Instruction(item.mnemonic, ops, cc=item.cc)
+                raw = None
                 size = len(encoding.encode(probe, import_index))
-                item.addr = addr
-                item.size = size
-                addr += size
-                placed.append(item)
+            else:
+                raw = encoding.encode(item, import_index)
+                size = len(raw)
+            item.addr = addr
+            item.size = size
+            addr += size
+            placed.append((item, raw))
     text_end = addr
 
     # Place data items after the text section; pinned items become their
@@ -140,14 +156,15 @@ def assemble(program: AsmProgram) -> BinaryImage:
         placements.append((item, addr, size))
         addr += size
 
-    # Pass 2: resolve labels and emit final bytes.
+    # Pass 2: resolve labels, encode what waited on them, and emit.
     text = bytearray()
-    for instr in placed:
-        ops = tuple(_resolve(o, symbols) for o in instr.operands)
-        final = Instruction(instr.mnemonic, ops, cc=instr.cc)
-        raw = encoding.encode(final, import_index)
-        if len(raw) != instr.size:
-            raise AsmError(f"size drift assembling {instr!r}")
+    for instr, raw in placed:
+        if raw is None:
+            ops = tuple(_resolve(o, symbols) for o in instr.operands)
+            final = Instruction(instr.mnemonic, ops, cc=instr.cc)
+            raw = encoding.encode(final, import_index)
+            if len(raw) != instr.size:
+                raise AsmError(f"size drift assembling {instr!r}")
         text += raw
 
     def render(item: DataItem, size: int) -> bytes:

@@ -9,6 +9,8 @@ depends on the text section decoding linearly.
 
 from __future__ import annotations
 
+import weakref
+
 from ..binary.image import BinaryImage
 from ..errors import EncodingError
 from . import encoding
@@ -22,11 +24,17 @@ BLOCK_TERMINATORS = frozenset({"jmp", "jcc", "call", "ret", "hlt"})
 
 
 class Disassembler:
-    """Caching instruction decoder over a binary image's text section."""
+    """Caching instruction decoder over a binary image's text section.
+
+    It keeps the image's text section, imports and symbols, not the
+    image itself, so a registered decoder does not keep its image alive
+    (:func:`shared_disassembler`).
+    """
 
     def __init__(self, image: BinaryImage):
-        self._image = image
         self._text = image.text
+        self._imports = image.imports
+        self._symbols = image.symbols
         self._cache: dict[int, Instruction] = {}
         self._blocks: dict[int, tuple[Instruction, ...]] = {}
 
@@ -39,7 +47,7 @@ class Disassembler:
             raise EncodingError(f"address {addr:#x} outside text section")
         instr, _size = encoding.decode(self._text.data,
                                        addr - self._text.base,
-                                       self._image.imports)
+                                       self._imports)
         instr.addr = addr
         self._cache[addr] = instr
         return instr
@@ -79,7 +87,7 @@ class Disassembler:
 
     def listing(self) -> str:
         """Human-readable disassembly with symbol annotations."""
-        by_addr = {a: n for n, a in self._image.symbols.items()}
+        by_addr = {a: n for n, a in self._symbols.items()}
         lines = []
         for instr in self.linear():
             name = by_addr.get(instr.addr)
@@ -87,3 +95,24 @@ class Disassembler:
                 lines.append(f"{name}:")
             lines.append(f"  {instr!r}")
         return "\n".join(lines)
+
+
+#: id(image) -> the image's shared decoder.  Keyed by identity (images
+#: are unhashable dataclasses) with a finalizer that drops the entry when
+#: the image is collected.
+_SHARED: dict[int, Disassembler] = {}
+
+
+def shared_disassembler(image: BinaryImage) -> Disassembler:
+    """The process-wide decoder for ``image``.
+
+    The emulator's block cache, dynamic CFG recovery and the static
+    baseline all decode through it, so a lift that follows tracing in
+    the same process decodes nothing the tracer already decoded.
+    """
+    key = id(image)
+    disasm = _SHARED.get(key)
+    if disasm is None:
+        disasm = _SHARED[key] = Disassembler(image)
+        weakref.finalize(image, _SHARED.pop, key, None)
+    return disasm

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from ..binary.image import BinaryImage
 from ..emu.tracer import TraceSet
 from ..errors import LiftError
-from ..isa.disassembler import Disassembler
+from ..isa.disassembler import Disassembler, shared_disassembler
 from ..isa.instructions import Instruction
 
 
@@ -77,7 +77,7 @@ def recover_cfg(traces: TraceSet,
     attachment rules during symbolization.
     """
     image = traces.image
-    disasm = Disassembler(image)
+    disasm = shared_disassembler(image)
     executed = set(traces.executed)
     if image.entry not in executed:
         raise LiftError("entry point never executed in traces")

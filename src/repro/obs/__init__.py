@@ -25,7 +25,11 @@ every pipeline layer:
   mutations instead of recomputed (``analysis.cache.retained``);
 * the **evaluation harness** reports per-cell cache hits and misses
   (``eval.cell_cache.*``) and per-cell timings, aggregated across
-  ``sweep(jobs=N)`` workers.
+  ``sweep(jobs=N)`` workers;
+* CPython's **cyclic garbage collector** reports each pass by the
+  oldest generation it collects (``gc.collections.gen0/1/2``) and its
+  wall time (the ``gc.seconds`` timer), through a ``gc.callbacks`` hook
+  that :func:`enable` installs and :func:`disable` removes.
 
 Disabled by default and zero-overhead when disabled: hot loops select an
 instrumented path only when a recorder is active.  Activate with

@@ -14,6 +14,9 @@ the uninstrumented engine.
 
 from __future__ import annotations
 
+import gc
+import time
+
 from ..env import env_flag
 from . import events as _events
 from .metrics import MetricsRegistry
@@ -93,12 +96,37 @@ def enable(reset: bool = False) -> Recorder:
     global _RECORDER
     if _RECORDER is None or reset:
         _RECORDER = Recorder()
+    if _on_gc not in gc.callbacks:
+        gc.callbacks.append(_on_gc)
     return _RECORDER
 
 
 def disable() -> None:
     global _RECORDER
     _RECORDER = None
+    if _on_gc in gc.callbacks:
+        gc.callbacks.remove(_on_gc)
+
+
+_GC_PASSES = ("gc.collections.gen0", "gc.collections.gen1",
+              "gc.collections.gen2")
+_gc_started = 0.0
+
+
+def _on_gc(phase: str, info: dict) -> None:
+    """``gc.callbacks`` hook, installed while observability is on: count
+    each cyclic-collector pass by the oldest generation it collects, and
+    add its wall time to the ``gc.seconds`` timer."""
+    global _gc_started
+    if phase == "start":
+        _gc_started = time.perf_counter()
+        return
+    rec = _RECORDER
+    if rec is not None:
+        registry = rec.registry
+        registry.count(_GC_PASSES[info["generation"]])
+        registry.timer("gc.seconds").add(
+            time.perf_counter() - _gc_started)
 
 
 # -- module-level no-op-when-disabled helpers -------------------------------

@@ -66,6 +66,7 @@ COUNTER_SECTIONS = (
     ("pass manager", "opt.manager."),
     ("artifact store", "store."),
     ("serve", "serve."),
+    ("cyclic collector", "gc.collections."),
 )
 
 

@@ -43,6 +43,7 @@ same results.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
@@ -106,8 +107,12 @@ class ForkPool:
             self.close()
         publish_ctx(ctx)
         mp_ctx = multiprocessing.get_context("fork")
+        # A pool forked inside a recompile inherits the paused cyclic
+        # collector (repro.core.driver.collector_paused); a long-lived
+        # worker must still collect.
         self._executor = ProcessPoolExecutor(max_workers=workers,
-                                             mp_context=mp_ctx)
+                                             mp_context=mp_ctx,
+                                             initializer=gc.enable)
         self._key = key
         self._workers = workers
         obs.count("parallel.pool.spawns")

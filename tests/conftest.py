@@ -6,6 +6,7 @@ Compilation results are cached per session so the suite stays fast.
 from __future__ import annotations
 
 import functools
+import gc
 import importlib.util
 import sys
 from pathlib import Path
@@ -124,3 +125,13 @@ def feature_source():
 @pytest.fixture
 def kernel_source():
     return KERNEL_SOURCE
+
+
+@pytest.fixture
+def collector_on():
+    """CPython's cyclic collector on for the test, then as it was."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if not was:
+        gc.disable()

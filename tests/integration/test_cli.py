@@ -1,8 +1,13 @@
 """The ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main
 
 SOURCE = r"""
@@ -49,6 +54,35 @@ def test_recompile_binrec(source_file, tmp_path, capsys):
           "--pipeline", "binrec", "--input", "int:5"])
     main(["run", str(recovered), "--input", "int:5"])
     assert "double=10" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_141_quietly(source_file, tmp_path,
+                                              unbuffered):
+    # `repro run ... | head -1` once the reader has gone: block-buffered
+    # stdout fails at the final flush, unbuffered at the first print.
+    # Either way the command ends as a writer SIGPIPE killed would, and
+    # says nothing.
+    image = tmp_path / "prog.img.json"
+    assert main(["compile", str(source_file), "-o", str(image)]) == 0
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUNBUFFERED", "REPRO_OBS", "REPRO_LEDGER")}
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(image),
+             "--input", "int:5", "/", "int:6", "/", "int:7"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_layout_command(source_file, tmp_path, capsys):

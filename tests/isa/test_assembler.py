@@ -111,3 +111,34 @@ def test_mem_size_preserved_through_assembly():
     image = assemble(AsmProgram(functions=[f], data=data))
     from repro.isa.disassembler import Disassembler
     assert Disassembler(image).at(image.entry).operands[1].size == 1
+
+
+def test_each_instruction_is_encoded_once_unless_it_waits_on_a_label(
+        monkeypatch):
+    # N instructions, K of them with a label operand: N encodings place
+    # and emit the others and size the labelled ones, K more emit those.
+    from repro.isa import encoding
+    from repro.isa.disassembler import Disassembler
+
+    f = AsmFunction("_start")
+    f.label("top")
+    f.emit(ins("mov", EAX, Imm(1)))
+    f.emit(ins("add", EAX, Mem(EAX, disp=Label("table"))))
+    f.emit(ins("add", EAX, Imm(2)))
+    f.emit(ins("jmp", Label("top")))
+    f.emit(ins("hlt"))
+    program = AsmProgram(functions=[f],
+                         data=[DataItem("table", b"\0" * 4)])
+    calls = []
+    real = encoding.encode
+
+    def counting(instr, import_index):
+        calls.append(instr.mnemonic)
+        return real(instr, import_index)
+
+    monkeypatch.setattr(encoding, "encode", counting)
+    image = assemble(program)
+    assert len(calls) == 5 + 2
+    listing = Disassembler(image).linear()
+    assert listing[1].operands[1].disp == image.symbols["table"]
+    assert listing[3].operands[0] == Imm(image.symbols["top"])

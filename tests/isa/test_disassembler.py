@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import EncodingError
 from repro.isa import AsmFunction, AsmProgram, EAX, Imm, assemble, ins
-from repro.isa.disassembler import Disassembler
+from repro.isa.disassembler import Disassembler, shared_disassembler
 
 
 def build():
@@ -48,3 +48,21 @@ def test_listing_mentions_symbols():
     image = build()
     text = Disassembler(image).listing()
     assert "_start:" in text and "hlt" in text
+
+
+def test_shared_decoder_is_one_per_image_and_dies_with_it():
+    import gc
+    import weakref
+
+    from repro.isa import disassembler
+
+    image = build()
+    shared = shared_disassembler(image)
+    assert shared_disassembler(image) is shared
+    assert shared_disassembler(build()) is not shared
+    ref = weakref.ref(image)
+    key = id(image)
+    del image
+    gc.collect()
+    assert ref() is None
+    assert key not in disassembler._SHARED

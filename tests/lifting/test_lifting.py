@@ -159,3 +159,23 @@ def test_each_vararg_site_has_its_own_call_address(seed):
                 assert max(addrs.values()) == 1, (cell.name, hybrid)
                 if not hybrid:
                     assert set(addrs) <= set(traces.vararg_counts)
+
+
+def test_lift_after_tracing_decodes_nothing(monkeypatch):
+    # The tracer and the lifter share the image's decoder, so every
+    # instruction the lift reads was decoded while tracing.
+    from repro.isa import encoding
+
+    image = compile_source(KERNEL_SOURCE, "gcc12", "0")
+    traces = trace_binary(image, [[]])
+    decodes = []
+    real = encoding.decode
+
+    def counting(*args):
+        decodes.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(encoding, "decode", counting)
+    module = lift_traces(traces)
+    verify_module(module)
+    assert decodes == []

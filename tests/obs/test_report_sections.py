@@ -19,9 +19,11 @@ def test_counter_sections_group_by_prefix():
         "store.hit": 30, "store.miss": 10, "store.put": 1,
         "parallel.pool.spawns": 2, "parallel.pool.reuses": 5,
         "opt.manager.requeued": 4,
+        "gc.collections.gen0": 3,
         "unrelated.counter": 99,
     }))
     assert "artifact store (store.*):" in text
+    assert "cyclic collector (gc.collections.*):" in text
     assert "fork pool (parallel.pool.*):" in text
     assert "pass manager (opt.manager.*):" in text
     # Entries appear under their section with the prefix stripped.

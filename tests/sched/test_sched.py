@@ -188,6 +188,9 @@ def test_drain_close_completes_queued_jobs(tmp_path):
     scheduler.start()
     boxes = [_submit_async(scheduler, probe(sleep=0.2))
              for _ in range(3)]
+    # A submit that loses the race with close() is refused, not queued.
+    _wait(lambda: scheduler.snapshot()["stats"]["submitted"] == 3,
+          message="three jobs queued")
     scheduler.close(drain=True)
     for box in boxes:
         box["thread"].join(timeout=10)
