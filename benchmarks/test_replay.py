@@ -1,5 +1,6 @@
 """Replay-engine benches: refinement wall time with input dedup and
-the ``jobs`` fan-out, every replay run doubling as a validation check.
+the ``jobs`` fan-out, every replay run doubling as a validation check,
+and the §4.2 tracing runtime's share of a bounds run.
 
 Runs as the third ``tools/bench.sh`` pass and lands in
 ``BENCH_replay.json``: each bench's ``extra_info`` records the serial
@@ -12,13 +13,18 @@ distinct input replays once per stage.
 """
 
 import time
+from unittest import mock
 
 import pytest
 
 from repro import obs
 from repro.cc import compile_source
-from repro.core.driver import wytiwyg_recompile
+from repro.core.driver import wytiwyg_lift, wytiwyg_recompile
+from repro.core.runtime import TracingRuntime
 from repro.emu import trace_binary
+from repro.ir.interp import Interpreter
+from repro.replay import ReplayEngine
+from repro.workloads import WORKLOADS
 
 pytestmark = pytest.mark.bench
 
@@ -93,3 +99,69 @@ def test_bench_replay_speedup(benchmark, workload):
     benchmark.extra_info["speedup_vs_serial"] = serial_s / jobs4_s
     benchmark.extra_info["inputs_deduped"] = deduped
     benchmark.extra_info["replay_runs"] = runs
+
+
+#: The bounds-run bench: mcf at gcc12-O3 on its ref input, the first
+#: program of the e2e benchmark's long-trace workload.
+OBSERVED_PROGRAM = ("mcf", "gcc12", "3")
+#: Best of this many runs per configuration.
+OBSERVED_ROUNDS = 3
+
+
+def _bounds_run(module, items, runtime):
+    """Seconds to run the instrumented ``module`` on ``items`` in a fresh
+    interpreter (its blocks compile cold, as in the bounds stage), with
+    ``runtime`` as the probe compiler or, when None, none."""
+    start = time.perf_counter()
+    with Interpreter(module, items, probes=runtime) as interp:
+        if runtime is not None:
+            runtime.bind(interp)
+        interp.run()
+    return time.perf_counter() - start
+
+
+def _snapshot_doc(runtime):
+    """A runtime's snapshot with its discovery order made explicit."""
+    snap = runtime.snapshot()
+    return (list(snap["stack_vars"].items()),
+            list(snap["arg_accesses"].items()), snap["links"])
+
+
+def test_bench_bounds_observer_share(benchmark):
+    """The bounds stage's instrumented module, run with the tracing
+    runtime and with no probe compiler: the difference is the runtime's
+    bookkeeping.  Two runtime runs must observe the same facts."""
+    program, compiler, opt = OBSERVED_PROGRAM
+    workload = WORKLOADS[program]
+    items = workload.inputs()[0]
+    traces = trace_binary(workload.compile(compiler, opt).stripped(),
+                          [items])
+    timings: dict = {}
+    real = ReplayEngine.run_instrumented
+
+    def measured(engine, module, stage):
+        # ``module`` carries its probes only inside this call.
+        snapshots = []
+        for _ in range(OBSERVED_ROUNDS):
+            runtime = TracingRuntime()
+            timings.setdefault("runtime", []).append(
+                _bounds_run(module, items, runtime))
+            snapshots.append(_snapshot_doc(runtime))
+            timings.setdefault("bare", []).append(
+                _bounds_run(module, items, None))
+        timings["snapshots"] = snapshots
+        return real(engine, module, stage)
+
+    with mock.patch.object(ReplayEngine, "run_instrumented", measured):
+        benchmark.pedantic(lambda: wytiwyg_lift(traces), rounds=1,
+                           iterations=1)
+
+    first, *rest = timings["snapshots"]
+    assert first[0], "the bounds run recovered no stack variable"
+    assert all(snap == first for snap in rest)
+    runtime_s, bare_s = min(timings["runtime"]), min(timings["bare"])
+    benchmark.extra_info["program"] = "{}@{}-O{}".format(*OBSERVED_PROGRAM)
+    benchmark.extra_info["runtime_seconds"] = runtime_s
+    benchmark.extra_info["no_probes_seconds"] = bare_s
+    benchmark.extra_info["bookkeeping_seconds"] = runtime_s - bare_s
+    benchmark.extra_info["runtime_over_no_probes"] = runtime_s / bare_s

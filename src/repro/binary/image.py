@@ -107,14 +107,16 @@ class BinaryImage:
 
         Memoized: callers strip the same image repeatedly (once per
         evaluation cell), and returning one object lets the per-image
-        block cache stay warm across those runs.
+        block cache stay warm across those runs.  An image that is
+        already stripped is returned as is, not memoized on itself: that
+        reference cycle would keep it, with its block cache, alive until
+        the cyclic collector ran.
         """
+        if not self.symbols and not self.ground_truth:
+            return self
         cached = self.__dict__.get("_stripped")
         if cached is not None:
             return cached
-        if not self.symbols and not self.ground_truth:
-            self.__dict__["_stripped"] = self
-            return self
         stripped = self._strip()
         self.__dict__["_stripped"] = stripped
         return stripped

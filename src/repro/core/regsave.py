@@ -156,30 +156,37 @@ class RegSavePlugin:
         if isinstance(shadow, RegSym):
             self.used[(shadow.func_name, shadow.reg)] = True
 
-    def on_store(self, frame_id: int, instr: Instr, addr: int,
-                 value: int, value_shadow) -> None:
-        if isinstance(value_shadow, RegSym) and instr.size == 4:
-            info = self._frames.get(frame_id)
-            in_own_frame = (
-                info is not None
-                and info.sp0 - FRAME_LIMIT < addr < info.sp0
-                and EMUSTACK_BASE <= addr < EMUSTACK_BASE + EMUSTACK_SIZE)
-            in_native = addr >= STACK_TOP - (64 << 20)
-            if in_own_frame or in_native:
-                self._mem_shadow[addr] = value_shadow
-            else:
-                # Escapes the frame: globals, heap, or a caller frame.
-                self.used[(value_shadow.func_name,
-                           value_shadow.reg)] = True
-                self._mem_shadow.pop(addr, None)
-        else:
-            self._mem_shadow.pop(addr, None)
+    def load_hook(self, instr: Load):
+        """A word load reads the symbol a store left at its address; a
+        narrower one carries none."""
+        return self._mem_shadow.get if instr.size == 4 else None
 
-    def on_load(self, frame_id: int, instr: Instr, addr: int,
-                value: int):
-        if instr.size == 4:
-            return self._mem_shadow.get(addr)
-        return None
+    def store_hooks(self, instr: Store):
+        """A store of a plain value clears the address's symbol; a word
+        store of a symbol saves or escapes it (:meth:`_store_symbol`),
+        and a narrower one clears it too."""
+        forget = self._mem_shadow.pop
+        if instr.size != 4:
+            return (lambda frame_id, addr, shadow: forget(addr, None),
+                    forget)
+        return self._store_symbol, forget
+
+    def _store_symbol(self, frame_id: int, addr: int, shadow) -> None:
+        if not isinstance(shadow, RegSym):
+            self._mem_shadow.pop(addr, None)
+            return
+        info = self._frames.get(frame_id)
+        in_own_frame = (
+            info is not None
+            and info.sp0 - FRAME_LIMIT < addr < info.sp0
+            and EMUSTACK_BASE <= addr < EMUSTACK_BASE + EMUSTACK_SIZE)
+        in_native = addr >= STACK_TOP - (64 << 20)
+        if in_own_frame or in_native:
+            self._mem_shadow[addr] = shadow
+        else:
+            # Escapes the frame: globals, heap, or a caller frame.
+            self.used[(shadow.func_name, shadow.reg)] = True
+            self._mem_shadow.pop(addr, None)
 
     def on_callext(self, frame_id: int, instr: Instr,
                    arg_values: list[int], arg_shadows: list) -> None:

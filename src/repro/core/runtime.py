@@ -12,13 +12,18 @@ bound and runs on every execution of the probe.  The runtime maintains
   pointers derived from it — with bounds deferred until the first
   dereference (out-of-bounds base pointers, §4.2.4) and never updated by
   derivation alone (false derives, §4.2.3);
-* per-activation :class:`PointerInfo` metadata for IR values (allocated
-  per frame, because one static value points to different objects in
-  recursive activations);
+* per-activation :data:`PointerInfo` metadata for IR values, a plain
+  ``(var, offset)`` tuple (kept per frame, because one static value
+  points to different objects in recursive activations);
 * an address map from memory addresses to the PointerInfo stored there;
 * linked-variable pairs from pointer subtraction/comparison;
 * per-call-site argument-area intervals and callee sets (§4.2.5);
 * external-call constraint application (§5.3).
+
+The bookkeeping runs on every probe execution, hundreds of thousands per
+traced input, so its common paths allocate and call little: a pointer
+info is a tuple, and :meth:`StackVar.touch` writes a bound only when it
+grows.
 
 One runtime serves a whole bounds stage, whose one interpreter compiles
 the probes once.  :meth:`TracingRuntime.bind` starts each traced input's
@@ -64,11 +69,17 @@ class StackVar:
         return self.low is not None
 
     def touch(self, offset: int, size: int) -> None:
-        if self.low is None:
+        """Widen the bounds to cover ``[offset, offset + size)``.  Runs
+        on every dereference, so it writes only a bound that grows."""
+        low = self.low
+        if low is None:
             self.low, self.high = offset, offset + size
-        else:
-            self.low = min(self.low, offset)
-            self.high = max(self.high, offset + size)
+            return
+        if offset < low:
+            self.low = offset
+        end = offset + size
+        if end > self.high:
+            self.high = end
 
 
 @dataclass
@@ -85,21 +96,26 @@ class ArgAccess:
     walked: bool = False
 
     def touch(self, offset: int, size: int) -> None:
+        """As :meth:`StackVar.touch`; a sub-word or unaligned access
+        also marks the area walked."""
         if size != 4 or offset % 4:
             self.walked = True
-        if self.low is None:
+        low = self.low
+        if low is None:
             self.low, self.high = offset, offset + size
-        else:
-            self.low = min(self.low, offset)
-            self.high = max(self.high, offset + size)
+            return
+        if offset < low:
+            self.low = offset
+        end = offset + size
+        if end > self.high:
+            self.high = end
 
 
-@dataclass(frozen=True)
-class PointerInfo:
-    """A value's association with a stack variable (or arg area)."""
-
-    var: object          # StackVar | ArgAccess
-    offset: int          # relative to the var's base pointer
+#: A value's association with a stack variable or an argument area:
+#: ``(var, offset)``, the offset relative to the var's base pointer.  A
+#: plain tuple, because the derive probes build one for every pointer
+#: they see; nothing compares or hashes it.
+PointerInfo = tuple[StackVar | ArgAccess, int]
 
 
 #: A compiled probe: runs on each execution of its ``wyt.*`` intrinsic.
@@ -307,12 +323,12 @@ class TracingRuntime:
                 if access is None:
                     access = arg_accesses[callsite_id] = \
                         ArgAccess(callsite_id)
-                rec.infos[vid] = PointerInfo(access, arg_offset)
+                rec.infos[vid] = (access, arg_offset)
             return arg_area
         stack_vars = self.stack_vars
         ref_id = meta["ref_id"]
-        # PointerInfo is frozen: once the variable exists, every
-        # activation shares one info for the base pointer.
+        # Once the variable exists, every activation shares one info
+        # for the base pointer.
         info: PointerInfo | None = None
 
         def stackref(frame: Frame) -> None:
@@ -322,7 +338,7 @@ class TracingRuntime:
                 if var is None:
                     var = stack_vars[ref_id] = StackVar(
                         ref_id, frame.function.name, offset)
-                info = PointerInfo(var, 0)
+                info = (var, 0)
             frames[frame.frame_id].infos[vid] = info
         return stackref
 
@@ -341,25 +357,29 @@ class TracingRuntime:
                 if base is None:
                     infos[result_vid] = None
                     return
-                var = base.var
+                var, offset = base
                 if isinstance(var, ArgAccess):
                     var.walked = True
-                infos[result_vid] = PointerInfo(var, base.offset + delta)
+                infos[result_vid] = (var, offset + delta)
             return derive
         # ``or`` is a low-bit merge (sub-register writes): the result
         # *appears* derived (paper §4.2.3); bounds stay deferred until a
-        # real dereference, so a false derive is harmless.  ``and`` is
-        # an alignment operation: the offset is approximated unchanged
-        # and the mask's alignment recorded (``or`` records none, as
-        # every alignment is at least 1).
-        align = min(((~const) & 0xFFFFFFFF) + 1, 4096) \
-            if op == "and" else 0
+        # real dereference, so a false derive is harmless.  ``and`` with
+        # a mask that clears a run of low bits (``p & -16``) is an
+        # alignment operation: the offset is approximated unchanged and
+        # the mask's alignment recorded.  Any other ``and`` (``p & 3``
+        # extracts low bits) and every ``or`` record none, as every
+        # alignment is at least 1.
+        low_bits = ~const & 0xFFFFFFFF
+        align = min(low_bits + 1, 4096) \
+            if op == "and" and const & 0xFFFFFFFF \
+            and not low_bits & (low_bits + 1) else 0
 
         def merge_or_align(frame: Frame) -> None:
             infos = frames[frame.frame_id].infos
             base = infos.get(base_vid)
             if base is not None:
-                var = base.var
+                var = base[0]
                 if isinstance(var, ArgAccess):
                     var.walked = True
                 elif var.align < align:
@@ -380,20 +400,20 @@ class TracingRuntime:
         if op == "add":
             def combine(values, lhs, rhs):
                 if rhs is None:
-                    return PointerInfo(
-                        lhs.var, lhs.offset + _signed(rhs_value(values)))
+                    var, offset = lhs
+                    return (var, offset + _signed(rhs_value(values)))
                 if lhs is None:
-                    return PointerInfo(
-                        rhs.var, rhs.offset + _signed(lhs_value(values)))
+                    var, offset = rhs
+                    return (var, offset + _signed(lhs_value(values)))
                 return None
         elif op == "sub":
             def combine(values, lhs, rhs):
                 if lhs is None:
                     return None
                 if rhs is None:
-                    return PointerInfo(
-                        lhs.var, lhs.offset - _signed(rhs_value(values)))
-                link(lhs.var, rhs.var)
+                    var, offset = lhs
+                    return (var, offset - _signed(rhs_value(values)))
+                link(lhs[0], rhs[0])
                 return None
         else:  # or, and
             # False-derive shape: keep the (possibly stale) association,
@@ -413,8 +433,8 @@ class TracingRuntime:
                 infos[result_vid] = None
                 return
             for side in (lhs, rhs):
-                if side is not None and isinstance(side.var, ArgAccess):
-                    side.var.walked = True
+                if side is not None and isinstance(side[0], ArgAccess):
+                    side[0].walked = True
             infos[result_vid] = combine(frame.values, lhs, rhs)
         return derive2
 
@@ -430,7 +450,7 @@ class TracingRuntime:
             if lhs is not None:
                 rhs = infos.get(rhs_vid)
                 if rhs is not None:
-                    link(lhs.var, rhs.var)
+                    link(lhs[0], rhs[0])
         return link_vars
 
     def _link(self, a: object, b: object) -> None:
@@ -478,7 +498,8 @@ class TracingRuntime:
             infos = frames[frame.frame_id].infos
             info = infos.get(addr_vid)
             if info is not None:
-                info.var.touch(info.offset, size)
+                var, offset = info
+                var.touch(offset, size)
             infos[result_vid] = addr_map.get(addr_value(frame.values)) \
                 if word and addr_map else None
         return load
@@ -496,7 +517,8 @@ class TracingRuntime:
             infos = frames[frame.frame_id].infos
             info = infos.get(addr_vid)
             if info is not None:
-                info.var.touch(info.offset, size)
+                var, offset = info
+                var.touch(offset, size)
             value_info = infos.get(value_vid)
             if value_info is not None:
                 addr_map[addr_value(frame.values)] = value_info
@@ -546,7 +568,8 @@ class TracingRuntime:
                 if len(c.args) > 2:
                     nbytes *= arg_value(c.args[2])
                 if info is not None and nbytes:
-                    info.var.touch(info.offset, nbytes)
+                    var, offset = info
+                    var.touch(offset, nbytes)
             elif c.kind == "ZeroTerminated":
                 self._zero_terminated(arg_info(c.args[0]),
                                       arg_value(c.args[0]))
@@ -555,8 +578,8 @@ class TracingRuntime:
                 src = arg_info(src_i)
                 if src is not None and dst_i == RET:
                     delta = _signed(result_value - arg_value(src_i))
-                    infos[result_vid] = PointerInfo(
-                        src.var, src.offset + delta)
+                    var, offset = src
+                    infos[result_vid] = (var, offset + delta)
             elif c.kind == "Clear":
                 ptr = arg_value(c.args[0])
                 if len(c.args) > 1:
@@ -582,7 +605,8 @@ class TracingRuntime:
                          ptr: int) -> None:
         if info is None:
             return
-        info.var.touch(info.offset, self._cstring_len(ptr) + 1)
+        var, offset = info
+        var.touch(offset, self._cstring_len(ptr) + 1)
 
     def _cstring_len(self, ptr: int) -> int:
         if self._interp is None or ptr == 0:

@@ -536,11 +536,12 @@ def _compile_jmp(instr: Instruction, src: int, costs: CostModel):
     target_op = instr.operands[0]
     if isinstance(target_op, Imm):
         target = target_op.value & MASK32
+        edge = (src, target, "jump")
 
         def op(m):
             ts = m.trace_sink
             if ts is not None:
-                ts.transfer(src, target, "jump")
+                ts.transfer(edge)
             m.cycles += taken
             m.cpu.eip = target
         return op
@@ -552,7 +553,7 @@ def _compile_jmp(instr: Instruction, src: int, costs: CostModel):
         target = rd(m)
         ts = m.trace_sink
         if ts is not None:
-            ts.transfer(src, target, "jump")
+            ts.transfer((src, target, "jump"))
         m.cycles += taken
         m.cpu.eip = target
     return op
@@ -566,18 +567,20 @@ def _compile_jcc(instr: Instruction, src: int, next_eip: int,
     target = target_op.value & MASK32
     cond = CONDITIONS[instr.cc]
     taken = costs.branch_taken
+    jump = (src, target, "jump")
+    fallthrough = (src, next_eip, "fallthrough")
 
     def op(m):
         cpu = m.cpu
         ts = m.trace_sink
         if cond(cpu.flags):
             if ts is not None:
-                ts.transfer(src, target, "jump")
+                ts.transfer(jump)
             m.cycles += taken
             cpu.eip = target
         else:
             if ts is not None:
-                ts.transfer(src, next_eip, "fallthrough")
+                ts.transfer(fallthrough)
             cpu.eip = next_eip
     return op
 
@@ -589,13 +592,14 @@ def _compile_call(instr: Instruction, src: int, next_eip: int,
         name = target_op.name
         import_cost = costs.import_call
         count = vararg_counter(name)
+        edge = (src, next_eip, "import")
 
         def op(m):
             m.cycles += import_cost
             esp = m.cpu.regs[ESP_INDEX]
             ts = m.trace_sink
             if ts is not None:
-                ts.transfer(src, next_eip, "import")
+                ts.transfer(edge)
                 if count is not None:
                     ts.varargs(src, count(m.mem, esp))
             result = m.libc.call(name, StackArgs(m.mem, esp))
@@ -604,6 +608,7 @@ def _compile_call(instr: Instruction, src: int, next_eip: int,
         return op
     if isinstance(target_op, Imm):
         target = target_op.value & MASK32
+        edge = (src, target, "call")
 
         def op(m):
             regs = m.cpu.regs
@@ -612,7 +617,7 @@ def _compile_call(instr: Instruction, src: int, next_eip: int,
             m.mem.write(esp, 4, next_eip)
             ts = m.trace_sink
             if ts is not None:
-                ts.transfer(src, target, "call")
+                ts.transfer(edge)
             m.cpu.eip = target
         return op
     rd = _read_closure(target_op)
@@ -627,7 +632,7 @@ def _compile_call(instr: Instruction, src: int, next_eip: int,
         m.mem.write(esp, 4, next_eip)
         ts = m.trace_sink
         if ts is not None:
-            ts.transfer(src, target, "call")
+            ts.transfer((src, target, "call"))
         m.cpu.eip = target
     return op
 
@@ -643,7 +648,7 @@ def _compile_ret(instr: Instruction, src: int):
             return
         ts = m.trace_sink
         if ts is not None:
-            ts.transfer(src, target, "ret")
+            ts.transfer((src, target, "ret"))
         m.cpu.eip = target
     return op
 

@@ -35,12 +35,14 @@ __all__ = ["ControlSink", "EXIT_SENTINEL", "Machine", "RunResult",
 class ControlSink(Protocol):
     """Receiver of dynamic control-transfer events (the trace consumer).
 
-    ``varargs(src, count)`` reports that the variadic import call at
-    ``src`` passed ``count`` arguments
+    ``transfer(edge)`` reports one control transfer as a ``(src, dst,
+    kind)`` tuple, which the terminator templates build once when the
+    target is static.  ``varargs(src, count)`` reports that the variadic
+    import call at ``src`` passed ``count`` arguments
     (:func:`~repro.emu.libc.vararg_counter`).
     """
 
-    def transfer(self, src: int, dst: int, kind: str) -> None: ...
+    def transfer(self, edge: tuple[int, int, str]) -> None: ...
 
     def executed(self, addr: int) -> None: ...
 

@@ -1,13 +1,17 @@
 """Dynamic control-flow tracing (the S2E role in the paper's Figure 4).
 
 A :class:`Tracer` attaches to the machine emulator and records, for a set
-of inputs, every control transfer and every executed instruction address.
+of inputs, every distinct control transfer and every executed instruction
+address.  Its sink is two sets' own ``add`` methods: the emulator hands
+each transfer over as a ``(src, dst, kind)`` tuple, built once per
+static target, so recording one costs no Python-level call.
 :class:`TraceSet` merges traces across inputs (the paper's "Merge CFGs"
-step), and is the sole source of control-flow information for the lifter —
-the dynamic-only discipline that lets WYTIWYG avoid heuristic CFG
-recovery.  It also keeps, per variadic import call site, the most
-arguments one call there passed, which is the prototype the varargs
-refinement (paper §5.2) gives the site.
+step), holding one :class:`Transfer` per distinct edge, and is the sole
+source of control-flow information for the lifter — the dynamic-only
+discipline that lets WYTIWYG avoid heuristic CFG recovery.  It also
+keeps, per variadic import call site, the most arguments one call there
+passed, which is the prototype the varargs refinement (paper §5.2) gives
+the site.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ class _Sink:
     """The Machine's ControlSink, built from bound recorder callables.
 
     The machine fetches ``.transfer``, ``.executed`` and ``.varargs``
-    and calls them directly, so there is no adapter frame between the
-    emulator and the recording sets.
+    and calls them directly; the first two are the recording sets' own
+    ``add`` methods, so a transfer or a newly executed address costs no
+    Python-level call.
     """
 
     __slots__ = ("transfer", "executed", "varargs")
@@ -57,18 +62,18 @@ class Tracer:
     one or more executions."""
 
     def __init__(self) -> None:
-        self.transfers: set[Transfer] = set()
+        #: The distinct transfers, as the ``(src, dst, kind)`` tuples the
+        #: emulator reports; :meth:`TraceSet.merge` turns them into
+        #: :class:`Transfer` records.
+        self.edges: set[tuple[int, int, str]] = set()
         self.executed: set[int] = set()
         #: Variadic import call address -> most arguments one call there
         #: passed.
         self.vararg_counts: dict[int, int] = {}
-        #: ControlSink view: ``executed`` is the coverage set's own
-        #: ``add`` method (an attribute named ``executed`` would collide
-        #: with the set, so the sink is a separate object).
-        self.sink = _Sink(self.transfer, self.executed.add, self.varargs)
-
-    def transfer(self, src: int, dst: int, kind: str) -> None:
-        self.transfers.add(Transfer(src, dst, kind))
+        #: ControlSink view (an attribute named ``executed`` would
+        #: collide with the coverage set, so the sink is a separate
+        #: object).
+        self.sink = _Sink(self.edges.add, self.executed.add, self.varargs)
 
     def varargs(self, src: int, count: int) -> None:
         if count > self.vararg_counts.get(src, -1):
@@ -90,8 +95,11 @@ class TraceSet:
 
     def merge(self, tracer: Tracer, result: RunResult,
               input_items: list[int | bytes]) -> None:
-        self.absorb(tracer.transfers, tracer.executed,
-                    tracer.vararg_counts, result, input_items)
+        """Fold a live tracer's run in: one :class:`Transfer` per
+        distinct edge it saw."""
+        self.absorb({Transfer(*edge) for edge in tracer.edges},
+                    tracer.executed, tracer.vararg_counts, result,
+                    input_items)
 
     def absorb(self, transfers: set[Transfer], executed: set[int],
                vararg_counts: dict[int, int], result: RunResult,

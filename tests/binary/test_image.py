@@ -1,5 +1,8 @@
 """Binary image container: sections, symbols, serialization."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.binary.image import (
@@ -8,6 +11,8 @@ from repro.binary.image import (
     Section,
     StackObject,
 )
+from repro.emu.blocks import _SHARED, shared_block_cache
+from repro.emu.costs import DEFAULT_COSTS
 from repro.errors import LinkError
 
 
@@ -76,3 +81,23 @@ def test_stack_object_overlap():
     assert obj.overlaps(-5, 0)
     assert not obj.overlaps(-4, 0)
     assert not obj.overlaps(-16, -8)
+
+
+def test_stripping_a_stripped_image_leaves_no_cycle():
+    # A pipeline run pauses the cyclic collector, so an image must be
+    # freed, and its block cache evicted, by reference counting alone.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        image = build().stripped()
+        assert image.stripped() is image
+        shared_block_cache(image, DEFAULT_COSTS)
+        key = id(image)
+        assert key in _SHARED
+        ref = weakref.ref(image)
+        del image
+        assert ref() is None
+        assert key not in _SHARED
+    finally:
+        if enabled:
+            gc.enable()

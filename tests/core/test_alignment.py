@@ -5,6 +5,10 @@ StackVar")."""
 from operator import itemgetter
 from types import SimpleNamespace
 
+import pytest
+
+from repro import wytiwyg_recompile
+from repro.cc import compile_source
 from repro.core.instrument import _probe
 from repro.core.runtime import TracingRuntime
 
@@ -42,3 +46,36 @@ def test_alignment_survives_into_layout():
     rt.stack_vars[0] = var
     layout = build_frame_layout("f", {0: (None, -64)}, rt)
     assert layout.variables[0].align == 16
+
+
+#: ``((int)p) & 3`` reads the low bits of a pointer into ``buf``; it
+#: does not align it.
+LOW_BITS = r"""
+int main() {
+    int buf[4];
+    int k;
+    int *p;
+    int low;
+    k = read_int();
+    buf[0] = k;
+    buf[1] = k + 1;
+    buf[2] = 7;
+    buf[3] = 9;
+    p = &buf[1];
+    low = ((int)p) & 3;
+    printf("%d %d\n", buf[k & 3], low);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("opt", ["0", "3"])
+def test_low_bit_mask_keeps_recompiled_frames_small(opt):
+    # Read as an alignment, the mask gave buf's variable align 4096 and
+    # grew every recompiled frame from 32 bytes to 4,112-4,128.
+    image = compile_source(LOW_BITS, "gcc12", opt, "low_bits")
+    result = wytiwyg_recompile(image, [[1], [2]], collect_accuracy=False)
+    assert not result.fallback
+    assert {v.align for lo in result.layouts.values()
+            for v in lo.variables} == {4}
+    assert {f.frame_size for f in result.recovered.ground_truth} == {32}

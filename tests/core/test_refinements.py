@@ -6,7 +6,7 @@ from repro.cc import compile_source
 from repro.emu import run_binary, trace_binary
 from repro.ir import run_module, verify_module
 from repro.ir.interp import Interpreter
-from repro.ir.values import Alloca
+from repro.ir.values import Alloca, Const, GlobalRef, Load, Store
 from repro.isa import (
     AsmFunction,
     AsmProgram,
@@ -226,6 +226,45 @@ def test_register_symbols_do_not_leak_between_runs(inputs):
     ])
     args_of = _classify_asm([start, g, h], inputs)
     assert args_of("g") == set()
+
+
+def _spill_and_reload(*between):
+    """``f`` spills ecx into its frame, runs ``between``, then reloads
+    that word into eax and computes with it."""
+    start = _exit_with_eax(ins("mov", ECX, Imm(3)), ins("call", Label("f")))
+    f = AsmFunction("f", [
+        ins("mov", Mem(ESP, disp=-8), ECX),
+        *between,
+        ins("mov", EAX, Mem(ESP, disp=-8)),
+        ins("add", EAX, Imm(1)),
+        ins("ret"),
+    ])
+    return _classify_asm([start, f], [[]])("f")
+
+
+def test_a_reloaded_register_symbol_is_a_use():
+    assert _spill_and_reload() == {"ecx"}
+
+
+def test_a_plain_store_clears_the_spilled_symbol():
+    # The constant overwrites the spilled ecx, so the word reload carries
+    # no symbol and the add uses none.
+    assert _spill_and_reload(ins("mov", Mem(ESP, disp=-8), Imm(0))) \
+        == set()
+
+
+def test_regsave_memory_hooks_are_the_shadow_maps_methods():
+    # A sub-word load gets no hook, so it costs no call; the others are
+    # C-level methods of the plugin's memory shadow.
+    plugin = RegSavePlugin()
+    addr = GlobalRef("cell")
+    assert plugin.load_hook(Load(addr, size=1)) is None
+    assert plugin.load_hook(Load(addr, size=2)) is None
+    assert plugin.load_hook(Load(addr)) == plugin._mem_shadow.get
+    for size in (1, 2, 4):
+        _on_shadow, on_plain = plugin.store_hooks(
+            Store(addr, Const(0), size=size))
+        assert on_plain == plugin._mem_shadow.pop
 
 
 # -- sp0 folding (§4.1) ----------------------------------------------------------

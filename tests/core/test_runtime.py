@@ -4,9 +4,11 @@ links, address map, constraints (paper §4.2)."""
 from operator import itemgetter
 from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, strategies as st
+
 from repro.core.instrument import _probe
-from repro.core.runtime import PointerInfo, StackVar, \
-    TracingRuntime
+from repro.core.runtime import ArgAccess, StackVar, TracingRuntime
 
 
 def frame(fid=1, fname="f"):
@@ -43,6 +45,61 @@ def test_stackvar_deferred_bounds():
     assert (var.low, var.high) == (4, 8)
     var.touch(0, 2)
     assert (var.low, var.high) == (0, 8)
+
+
+#: Dereferences ``(offset, size)`` of one variable or argument area,
+#: packed close enough that later ones often overlap, contain or extend
+#: the interval the earlier ones touched.
+accesses = st.lists(st.tuples(st.integers(-16, 16),
+                              st.sampled_from([1, 2, 4, 8, 16, 32])),
+                    max_size=24)
+
+
+def min_max(seq):
+    """The bounds by their definition: the least offset and the greatest
+    end of the accesses, None before the first."""
+    if not seq:
+        return None, None
+    return (min(off for off, _ in seq),
+            max(off + size for off, size in seq))
+
+
+def walked(seq):
+    """An argument area's flag by its definition: some access is
+    sub-word or unaligned."""
+    return any(size != 4 or off % 4 for off, size in seq)
+
+
+def touch_all(seq):
+    """A stack variable and an argument area, each touched by ``seq``."""
+    var, area = StackVar(0, "f", -64), ArgAccess(0)
+    for off, size in seq:
+        var.touch(off, size)
+        area.touch(off, size)
+    return var, area
+
+
+@given(accesses)
+def test_touch_keeps_the_min_max_bounds(seq):
+    var, area = touch_all(seq)
+    assert (var.low, var.high) == min_max(seq)
+    assert (area.low, area.high) == min_max(seq)
+    assert area.walked == walked(seq)
+
+
+@given(accesses, accesses)
+def test_merged_bounds_are_the_min_max_of_both_runs(first, second):
+    runtimes = []
+    for seq in (first, second):
+        rt = TracingRuntime()
+        rt.stack_vars[0], rt.arg_accesses[0] = touch_all(seq)
+        runtimes.append(rt)
+    merged = runtimes[0].merge(runtimes[1])
+    both = first + second
+    var, area = merged.stack_vars[0], merged.arg_accesses[0]
+    assert (var.low, var.high) == min_max(both)
+    assert (area.low, area.high) == min_max(both)
+    assert area.walked == walked(both)
 
 
 def test_stackref_creates_var_and_info():
@@ -213,6 +270,28 @@ def test_false_derive_through_or_is_harmless():
     assert not rt.stack_vars[1].defined
 
 
+@pytest.mark.parametrize("const, align", [
+    (0xFFFFFFF0, 16),     # p & -16: align down to 16
+    (0xFFFFFFFC, 4),
+    (3, 4),               # p & 3: the low bits, not an alignment
+    (0xFF, 4),
+    (0x7FFFFFFF, 4),
+    (0xFFFFFF0F, 4),      # clears bits, but not a run of low ones
+])
+def test_only_a_low_bit_clearing_mask_records_alignment(const, align):
+    rt = TracingRuntime()
+    fr = frame()
+    enter(rt, fr)
+    fire(rt, fr, "stackref", {"ref_id": 1, "offset": -32, "vid": 10,
+                              "is_sp0": False}, [968])
+    fire(rt, fr, "derive", {"op": "and", "const": const,
+                            "result_vid": 11, "base_vid": 10},
+         [968 & const, 968])
+    assert rt.stack_vars[1].align == align
+    # Either way the result still points into the variable.
+    assert rt._frames[fr.frame_id].infos[11][0] is rt.stack_vars[1]
+
+
 def test_extcall_object_size_constraint():
     rt = TracingRuntime()
     fr = frame()
@@ -235,9 +314,8 @@ def test_extcall_derive_constraint():
     fire(rt, fr, "extcall",
          {"name": "memset", "arg_vids": [10, -1, -1],
           "result_vid": 20}, [936, 0, 16, 936])
-    info = rt._frames[fr.frame_id].infos[20]
-    assert isinstance(info, PointerInfo)
-    assert info.var is rt.stack_vars[1]
+    var, offset = rt._frames[fr.frame_id].infos[20]
+    assert var is rt.stack_vars[1] and offset == 0
     assert (rt.stack_vars[1].low, rt.stack_vars[1].high) == (0, 16)
 
 
@@ -258,7 +336,7 @@ def test_recursion_distinct_frames_same_var():
     # Same static StackVar accumulated bounds from the inner activation.
     assert rt.stack_vars[1].defined
     # The outer frame's vid metadata still points at the same var.
-    assert rt._frames[outer.frame_id].infos[10].var is rt.stack_vars[1]
+    assert rt._frames[outer.frame_id].infos[10][0] is rt.stack_vars[1]
 
 
 def test_bind_clears_the_address_map_between_runs():

@@ -1,10 +1,13 @@
 """Control-transfer tracing and trace merging."""
 
-from repro.emu import trace_binary
+import pytest
+
+from repro.emu import Machine, Tracer, Transfer, trace_binary
 from repro.isa import (
     AsmFunction,
     AsmProgram,
     EAX,
+    ECX,
     Imm,
     ImportRef,
     Label,
@@ -12,6 +15,7 @@ from repro.isa import (
     ins,
     jcc,
 )
+from repro.isa.disassembler import Disassembler
 
 
 def image_with_branch():
@@ -58,3 +62,49 @@ def test_call_targets_extracted():
     image = assemble(AsmProgram(functions=[f, g]))
     traces = trace_binary(image, [[]])
     assert image.symbols["fn"] in traces.call_targets
+
+
+def image_with_loop():
+    """``_start`` calls ``step`` once per iteration, ``read_int()``
+    times."""
+    start = AsmFunction("_start", [
+        ins("call", ImportRef("read_int")),
+        ins("mov", ECX, EAX),
+        "_start.loop",
+        ins("call", Label("step")),
+        ins("sub", ECX, Imm(1)),
+        jcc("ne", Label("_start.loop")),
+        ins("hlt"),
+    ])
+    step = AsmFunction("step", [ins("add", EAX, Imm(2)), ins("ret")])
+    return assemble(AsmProgram(functions=[start, step],
+                               imports=["read_int"]))
+
+
+def loop_edges(image):
+    """The loop's five distinct transfers, from its instruction sizes."""
+    at = Disassembler(image).at
+    entry, loop = image.entry, image.symbols["_start.loop"]
+    step = image.symbols["step"]
+    after_call = loop + at(loop).size
+    branch = after_call + at(after_call).size
+    ret = step + at(step).size
+    return {
+        (entry, entry + at(entry).size, "import"),
+        (loop, step, "call"),
+        (ret, after_call, "ret"),
+        (branch, loop, "jump"),
+        (branch, branch + at(branch).size, "fallthrough"),
+    }
+
+
+@pytest.mark.parametrize("iterations", [2, 3, 50])
+def test_sink_keeps_each_distinct_edge_once(iterations):
+    image = image_with_loop()
+    tracer = Tracer()
+    result = Machine(image, [iterations], trace_sink=tracer.sink).run()
+    assert result.exit_code == 3 * iterations
+    assert tracer.edges == loop_edges(image)
+    traces = trace_binary(image, [[iterations]])
+    assert traces.transfers == {Transfer(*e) for e in loop_edges(image)}
+    assert len(traces.transfers) == 5

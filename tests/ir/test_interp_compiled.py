@@ -143,12 +143,19 @@ class ShadowRecorder:
     def on_use(self, frame_id, instr, shadow):
         self.events.append(("use", instr.opcode, shadow))
 
-    def on_store(self, frame_id, instr, addr, value, value_shadow):
-        self.events.append(("store", addr, value, value_shadow))
+    def load_hook(self, instr):
+        def shadow_of(addr):
+            self.events.append(("load", addr))
+            return f"load@{addr:#x}"
+        return shadow_of
 
-    def on_load(self, frame_id, instr, addr, value):
-        self.events.append(("load", addr, value))
-        return f"load@{addr:#x}"
+    def store_hooks(self, instr):
+        def on_shadow(frame_id, addr, shadow):
+            self.events.append(("store", addr, shadow))
+
+        def on_plain(addr, shadow):
+            self.events.append(("store", addr, shadow))
+        return on_shadow, on_plain
 
     def on_callext(self, frame_id, instr, arg_values, arg_shadows):
         self.events.append(("callext", instr.ext_name,
@@ -267,3 +274,80 @@ def test_phi_swap_beside_a_dead_phi_stages_in_parallel():
     # Three back edges: (1, 2) -> (2, 1) -> (1, 2) -> (2, 1).
     assert Interpreter(m).run().exit_code == 21
     assert Interpreter(m, shadow=ShadowRecorder()).run().exit_code == 21
+
+
+class MemoryShadow:
+    """Keeps each stored word's shadow by address, as the §4.1 plugin
+    does, and counts the calls its load hook takes."""
+
+    def __init__(self):
+        self.cells = {}
+        self.uses = []
+        self.word_loads = 0
+
+    def call_enter(self, func, frame_id, args, arg_shadows):
+        return [f"{func.name}.{p.name}" for p in func.params]
+
+    def call_exit(self, func, frame_id, ret_values, ret_shadows):
+        return None
+
+    def on_use(self, frame_id, instr, shadow):
+        self.uses.append((instr.opcode, shadow))
+
+    def load_hook(self, instr):
+        if instr.size != 4:
+            return None
+
+        def shadow_of(addr):
+            self.word_loads += 1
+            return self.cells.get(addr)
+        return shadow_of
+
+    def store_hooks(self, instr):
+        def keep(frame_id, addr, shadow):
+            self.cells[addr] = shadow
+        return keep, self.cells.pop
+
+    def on_callext(self, frame_id, instr, arg_values, arg_shadows):
+        pass
+
+    def on_indirect_call(self, callee):
+        pass
+
+
+def memory_shadow_module():
+    """``f(p)`` spills ``p`` to a global, reloads it as a word and as a
+    byte, overwrites it with a constant and reloads it once more; each
+    reload feeds an add."""
+    m, f, b = simple_module()
+    m.add_global(GlobalVar("cell", 4))
+    cell = GlobalRef("cell")
+    callee = Function("f", ["p"])
+    m.add_function(callee)
+    bc = Builder(callee)
+    bc.position(callee.add_block("entry"))
+    bc.store(cell, callee.params[0])
+    spilled = bc.binop("add", bc.load(cell), Const(1))
+    low_byte = bc.binop("add", bc.load(cell, size=1), Const(2))
+    bc.store(cell, Const(7))
+    overwritten = bc.binop("add", bc.load(cell), Const(3))
+    bc.ret([bc.binop("add", bc.binop("add", spilled, low_byte),
+                     overwritten)])
+    b.position(f.add_block("entry"))
+    b.ret([b.call("f", [Const(5)])])
+    return m
+
+
+def test_memory_hooks_carry_a_spilled_shadow_through_a_word_load():
+    plugin = MemoryShadow()
+    result = Interpreter(memory_shadow_module(), shadow=plugin).run()
+    assert result.exit_code == (5 + 1) + (5 + 2) + (7 + 3)
+    # Only the word reload of the spilled parameter reports a use: the
+    # byte load carries no shadow, and the constant store cleared the
+    # cell, so the last word load sees None.
+    assert plugin.uses == [("add", "f.p")]
+    assert plugin.cells == {}
+    # The two word loads called their hook once each; the byte load's
+    # hook is None, so it made no plugin call.
+    assert plugin.word_loads == 2
+
