@@ -52,6 +52,14 @@ from .emu import run_binary, trace_binary
 from .errors import LinkError, ReproError, StaticCheckError
 
 
+def _usage_error(message: str) -> SystemExit:
+    """The exit for malformed command-line input: print ``message``
+    and exit 2, as argparse does, so a script can tell it from a
+    failing ``check`` or an aborted ``recompile`` (status 1)."""
+    print(message, file=sys.stderr)
+    return SystemExit(2)
+
+
 def _parse_item(item: str) -> int | bytes:
     if item.startswith("bytes:"):
         return item[6:].encode()
@@ -60,8 +68,8 @@ def _parse_item(item: str) -> int | bytes:
             return int(item[4:], 0)
         except ValueError:
             pass
-    raise SystemExit(f"bad input spec {item!r} "
-                     f"(use int:N, bytes:TEXT, or /)")
+    raise _usage_error(f"bad input spec {item!r} "
+                       f"(use int:N, bytes:TEXT, or /)")
 
 
 def _parse_inputs(spec: list[str]) -> list[list]:
@@ -116,13 +124,12 @@ def cmd_recompile(args) -> int:
                 from .store import ArtifactStore
                 result = incremental_recompile(
                     image, runs, ArtifactStore(args.store),
-                    jobs=args.jobs, check=args.check)
+                    check=args.check)
                 print(f"  store: served={result.stats.served} "
                       f"traces reused={result.stats.traces_reused} "
                       f"recorded={result.stats.traces_recorded}")
             else:
-                result = wytiwyg_recompile(image, runs, jobs=args.jobs,
-                                           check=args.check)
+                result = wytiwyg_recompile(image, runs, check=args.check)
         except StaticCheckError as exc:
             print(f"static check gate aborted recompilation: {exc}",
                   file=sys.stderr)
@@ -150,12 +157,12 @@ def cmd_recompile(args) -> int:
 def cmd_serve(args) -> int:
     from .serve import RecompileServer
     server = RecompileServer(args.socket, store=args.store,
-                             jobs=args.jobs, workers=args.workers,
+                             workers=args.workers,
                              queue_depth=args.queue_depth,
                              job_timeout=args.job_timeout)
     pool = (f", workers={server.workers}" if server.workers else "")
     print(f"repro serve: listening on {args.socket} "
-          f"(store {server.store.root}, jobs={server.jobs}{pool})",
+          f"(store {server.store.root}{pool})",
           file=sys.stderr)
     try:
         server.serve_forever()
@@ -178,9 +185,9 @@ def cmd_submit(args) -> int:
         response = client.campaign(args.campaign_info)
     else:
         if args.image is None and args.campaign is None:
-            raise SystemExit("submit needs an IMAGE (or --campaign "
-                             "with a stored image, or --ping/--status/"
-                             "--shutdown)")
+            raise _usage_error("submit needs an IMAGE (or --campaign "
+                               "with a stored image, or --ping/--status/"
+                               "--shutdown)")
         runs = _parse_inputs(args.input) if args.input else []
         options = {}
         if args.no_optimize:
@@ -195,17 +202,21 @@ def cmd_submit(args) -> int:
 
 
 def _parse_size(text: str) -> int:
-    """A byte count with an optional K/M/G suffix (binary units)."""
+    """A finite, non-negative byte count with an optional K/M/G suffix
+    (binary units)."""
     units = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
     text = text.strip().lower().removesuffix("b")
     factor = units.get(text[-1:], None)
     if factor is not None:
         text = text[:-1]
     try:
-        return int(float(text) * (factor or 1))
+        size = float(text) * (factor or 1)
+        if 0 <= size < float("inf"):   # not nan, inf or negative
+            return int(size)
     except ValueError:
-        raise SystemExit(f"bad size {text!r}: use bytes or a K/M/G "
-                         f"suffix (e.g. 512M)") from None
+        pass
+    raise _usage_error(f"bad size {text!r}: use bytes or a K/M/G "
+                       f"suffix (e.g. 512M)")
 
 
 def cmd_store_gc(args) -> int:
@@ -228,8 +239,7 @@ def cmd_store_gc(args) -> int:
 def cmd_layout(args) -> int:
     image = _load_image(args.image)
     runs = _parse_inputs(args.input)
-    result = wytiwyg_recompile(image, runs, optimize=False,
-                               jobs=args.jobs)
+    result = wytiwyg_recompile(image, runs, optimize=False)
     for name, layout in sorted(result.layouts.items()):
         if not layout.variables:
             continue
@@ -249,7 +259,7 @@ def cmd_check(args) -> int:
     runs = _parse_inputs(args.input)
     traces = trace_binary(image, runs)
     _module, _layouts, _notes, report = wytiwyg_lift(
-        traces, jobs=args.jobs, static_widen=args.widen)
+        traces, static_widen=args.widen)
     print(report.render())
     if args.json:
         Path(args.json).write_text(
@@ -273,8 +283,7 @@ def cmd_explain(args) -> int:
         led = obs.enable_ledger()
     try:
         result = wytiwyg_recompile(
-            image, runs, optimize=False, collect_accuracy=False,
-            jobs=args.jobs)
+            image, runs, optimize=False, collect_accuracy=False)
         events = (led.events if led.path is None
                   else obs.read_events(led.path))
         try:
@@ -350,9 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--pipeline", default="wytiwyg",
                    choices=("wytiwyg", "binrec", "secondwrite"))
     p.add_argument("--input", nargs="*", default=[])
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan replay sweeps out over N worker processes "
-                        "(output is byte-identical to --jobs 1)")
     p.add_argument("--check", nargs="?", const="1", default=None,
                    metavar="MODE",
                    help="arm the static check gate: error findings "
@@ -374,9 +380,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--store", default=None, metavar="DIR",
                    help="artifact store root (default $REPRO_STORE "
                         "or .repro_store)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan each job's replay sweeps over N worker "
-                        "processes (the pool is shared across jobs)")
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="run jobs on a pool of N long-lived worker "
                         "processes with image affinity "
@@ -444,8 +447,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("layout", help="print recovered stack layouts")
     p.add_argument("image")
     p.add_argument("--input", nargs="*", default=[])
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan replay sweeps out over N worker processes")
     p.set_defaults(func=cmd_layout)
 
     p = sub.add_parser(
@@ -453,8 +454,6 @@ def main(argv: list[str] | None = None) -> int:
         help="static corroboration + sanitizer findings for an image")
     p.add_argument("image")
     p.add_argument("--input", nargs="*", default=[])
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan replay sweeps out over N worker processes")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 on warnings as well as errors")
     p.add_argument("--widen", action="store_true",
@@ -474,8 +473,6 @@ def main(argv: list[str] | None = None) -> int:
                         "variable (e.g. fn_08048000:sv_m8), NAME every "
                         "function's variable of that name, FUNC the "
                         "whole frame; default: everything")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan replay sweeps out over N worker processes")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser(

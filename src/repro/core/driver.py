@@ -49,13 +49,10 @@ refinement:
   symbolization"``.
 
 That is three IR runs per distinct traced input, with or without
-variadic sites.  The observation and bounds checks replay in traced
-order and name the earliest diverging input, with or without ``jobs``;
-the final sweep replays cheapest first and names the first mismatch it
-meets.
-With ``jobs > 1`` the bounds runs and the final sweep fan out over a
-process pool (results merge deterministically, so the recompiled binary
-is byte-identical across ``jobs`` settings).  Canonicalization (step 5)
+variadic sites, each stage's runs on one interpreter.  The observation
+and bounds checks replay in traced order and name the earliest
+diverging input; the final sweep replays cheapest first and names the
+first mismatch it meets.  Canonicalization (step 5)
 and optimization (step 7) run serially under the worklist pass manager
 (:mod:`repro.opt.manager`), which brings every function to fixpoint on
 every call.  A pipeline run keeps CPython's cyclic garbage collector
@@ -212,9 +209,7 @@ def _canonicalize(module: Module) -> None:
 @collector_paused()
 def wytiwyg_lift(traces: TraceSet,
                  hybrid: bool = False,
-                 jobs: int = 1,
                  static_widen: bool = True,
-                 replay_pool=None,
                  ) -> tuple[Module, dict[str, FrameLayout],
                             list[str], CheckReport]:
     """Run the refinement pipeline on merged traces; returns the
@@ -234,31 +229,13 @@ def wytiwyg_lift(traces: TraceSet,
     analysis so statically-added paths see sensible signatures.  Traced
     inputs keep their functional guarantee; nearby untraced paths become
     best-effort instead of trapping.
-
-    ``jobs > 1`` fans the validation sweep and the instrumented bounds
-    runs out over a process pool; the symbolized module is
-    byte-identical to a serial run.  ``replay_pool`` lends the engine a
-    caller-owned :class:`~repro.parallel.ForkPool` (the long-lived
-    serve daemon shares one across requests); the engine then does not
-    shut it down on close.
     """
     if not traces.inputs:
         raise CheckError(
             "no traced inputs: the dynamic pipeline needs at least one "
             "traced run to recover layouts (pass --input, or an empty "
             "input list '' for an input-less program)")
-    engine = ReplayEngine(traces, jobs=jobs, pool=replay_pool)
-    try:
-        return _lift_with_engine(engine, traces, hybrid, static_widen)
-    finally:
-        engine.close()
-
-
-def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
-                      hybrid: bool,
-                      static_widen: bool,
-                      ) -> tuple[Module, dict[str, FrameLayout],
-                                 list[str], CheckReport]:
+    engine = ReplayEngine(traces)
     report = CheckReport()
     notes: list[str] = []
     if engine.deduped:
@@ -458,17 +435,16 @@ def wytiwyg_recompile(image: BinaryImage,
                       traces: TraceSet | None = None,
                       jobs: int = 1,
                       check: bool | str | None = None,
-                      opt_jobs: int | None = None,
-                      replay_pool=None) -> WytiwygResult:
+                      opt_jobs: int | None = None) -> WytiwygResult:
     """End-to-end WYTIWYG: trace, refine, symbolize, optimize,
     recompile.  Falls back to the unsymbolized (BinRec) pipeline if
     symbolization fails functional validation.
 
     Pass ``traces`` (a TraceSet of ``image`` over ``inputs``) to reuse
     an existing or cached trace instead of re-executing the binary.
-    ``jobs`` fans validation and bounds replay out over that many
-    worker processes; the result is byte-identical to ``jobs=1``.
-    ``opt_jobs`` is accepted and ignored: the optimizer runs serially.
+    ``jobs`` and ``opt_jobs`` are accepted and ignored: replay and the
+    optimizer run serially in this process.  The end-to-end benchmark
+    (``benchmarks/e2e/run.py``) still passes both.
 
     ``check`` (default: ``$REPRO_CHECK``) arms the static gate: with a
     truthy value, ``error``-severity findings abort the pipeline with
@@ -493,8 +469,7 @@ def wytiwyg_recompile(image: BinaryImage,
                        coverage=len(traces.executed))
         try:
             module, layouts, notes, report = wytiwyg_lift(
-                traces, hybrid=hybrid, jobs=jobs,
-                replay_pool=replay_pool)
+                traces, hybrid=hybrid)
             fallback = False
         except SymbolizeError as exc:
             if not allow_fallback:

@@ -111,10 +111,7 @@ def pipeline_options_tag(optimize: bool = True,
     Only options that change the *artifact* participate, each with the
     value the pipeline will run with: ``check`` resolves through
     ``$REPRO_CHECK``, and ``$REPRO_INTERPROC``, which has no argument,
-    is read here.  The execution knob ``jobs`` is byte-identity-neutral
-    (the replay engine merges its workers' results deterministically)
-    and deliberately excluded, so a parallel server and a serial one
-    share entries.
+    is read here.
     """
     return options_tag(optimize=optimize, check=_resolve_check(check),
                        interproc=interproc_enabled(), hybrid=hybrid)
@@ -161,14 +158,14 @@ def incremental_recompile(image: BinaryImage,
                           check: bool | str | None = None,
                           hybrid: bool = False,
                           jobs: int = 1,
-                          opt_jobs: int | None = None,
-                          replay_pool=None) -> ServedResult:
+                          opt_jobs: int | None = None) -> ServedResult:
     """Store-backed ``wytiwyg_recompile``: same answer, amortized cost.
 
     Checks the result store first; otherwise reassembles traces from
     per-input records (tracing only new inputs), runs the pipeline, and
-    persists both the new traces and the final result.  ``opt_jobs`` is
-    accepted and ignored, as by :func:`wytiwyg_recompile`.
+    persists both the new traces and the final result.  ``jobs`` and
+    ``opt_jobs`` are accepted and ignored, as by
+    :func:`wytiwyg_recompile`.
     """
     img_key = image_key(image)
     # Resolve the environment default once, so the key and the run
@@ -204,8 +201,7 @@ def incremental_recompile(image: BinaryImage,
     traces = gather_traces(image, runs, store, img_key, stats)
     result = wytiwyg_recompile(
         image, [list(items) for items in runs],
-        optimize=optimize, hybrid=hybrid, traces=traces, jobs=jobs,
-        check=check, replay_pool=replay_pool)
+        optimize=optimize, hybrid=hybrid, traces=traces, check=check)
     coverage = _coverage_summary(traces)
     store.put("result", rkey, {
         "image_json": result.recovered.to_json(),

@@ -162,61 +162,18 @@ class TracingRuntime:
         self._interp: Interpreter | None = None
 
     def snapshot(self) -> dict:
-        """The cross-run analysis state, in a pickle-friendly shape.
+        """The cross-run analysis state: stack variables, argument
+        areas and links.
 
         Per-execution state (frames, the address map, staged call
         arguments, the bound interpreter) is excluded: it is reset by
-        :meth:`bind` and never read across runs, and the interpreter
-        reference would drag the whole execution context over a process
-        boundary.
+        :meth:`bind` and never read across runs.
         """
         return {
             "stack_vars": self.stack_vars,
             "arg_accesses": self.arg_accesses,
             "links": self.links,
         }
-
-    def merge(self, other: "TracingRuntime | dict") -> "TracingRuntime":
-        """Fold another runtime's cross-run observations into this one.
-
-        Merging is commutative and associative on every field — bounds
-        combine via min/max, alignment via max, and walked/callees/links
-        via or/union — so any merge order yields the same analysis
-        facts.  Merging per-input runtimes in traced-input order
-        additionally reproduces the exact variable discovery
-        (dict-insertion) order of a single runtime shared across the
-        same runs, which keeps downstream layout and signature
-        construction byte-stable between serial and parallel replay.
-        """
-        src = other.snapshot() if isinstance(other, TracingRuntime) \
-            else other
-        for ref_id, var in src["stack_vars"].items():
-            mine = self.stack_vars.get(ref_id)
-            if mine is None:
-                self.stack_vars[ref_id] = var
-                continue
-            if var.low is not None:
-                if mine.low is None:
-                    mine.low, mine.high = var.low, var.high
-                else:
-                    mine.low = min(mine.low, var.low)
-                    mine.high = max(mine.high, var.high)
-            mine.align = max(mine.align, var.align)
-        for callsite_id, access in src["arg_accesses"].items():
-            mine = self.arg_accesses.get(callsite_id)
-            if mine is None:
-                self.arg_accesses[callsite_id] = access
-                continue
-            if access.low is not None:
-                if mine.low is None:
-                    mine.low, mine.high = access.low, access.high
-                else:
-                    mine.low = min(mine.low, access.low)
-                    mine.high = max(mine.high, access.high)
-            mine.walked |= access.walked
-            mine.callees |= access.callees
-        self.links |= src["links"]
-        return self
 
     def bind(self, interp: Interpreter) -> None:
         """Start a run on ``interp``, whose memory the string

@@ -17,6 +17,9 @@ options the environment selects (:func:`~repro.core.incremental.
 pipeline_options_tag`), so a run under other settings re-measures.
 The key does not cover the code: delete the directory (or pass
 ``--fresh`` to ``examples/run_paper_eval.py``) after a code change.
+
+Cells are independent, so :func:`sweep` fans them out over a process
+pool (``jobs=N``); within a cell every pipeline runs serially.
 """
 
 from __future__ import annotations
@@ -121,32 +124,24 @@ def _outputs_match(image_a, image_b, inputs,
 
 def measure_cell(workload: Workload, compiler: str, opt_level: str,
                  use_cache: bool = True,
-                 include_secondwrite: bool = True,
-                 replay_jobs: int = 1) -> CellResult:
+                 include_secondwrite: bool = True) -> CellResult:
     """Measure one Table-1 cell (cached as one JSON file per cell).
 
     With observability enabled, the cell runs inside an ``eval.cell``
     span, its wall time lands in the ``eval.cell_seconds`` timer, and
     the per-cell JSON cache reports ``eval.cell_cache.hit``/``.miss``.
-
-    ``replay_jobs`` fans the WYTIWYG pipeline's validation and bounds
-    replay out over worker processes (see ``repro.replay``); the result
-    is byte-identical to the serial default.  It composes with the
-    cell-level ``sweep(jobs=N)`` pool — keep the product within the
-    core count.
     """
     with obs.span("eval.cell", workload=workload.name,
                   compiler=compiler, opt_level=opt_level) as cell_span, \
             obs.timed("eval.cell_seconds"):
         result = _measure_cell(workload, compiler, opt_level, use_cache,
-                               include_secondwrite, cell_span,
-                               replay_jobs)
+                               include_secondwrite, cell_span)
     return result
 
 
 def _measure_cell(workload: Workload, compiler: str, opt_level: str,
                   use_cache: bool, include_secondwrite: bool,
-                  cell_span, replay_jobs: int = 1) -> CellResult:
+                  cell_span) -> CellResult:
     cache_file = _cache_dir() / (_cell_key(workload, compiler,
                                            opt_level) + ".json")
     if use_cache:
@@ -170,7 +165,7 @@ def _measure_cell(workload: Workload, compiler: str, opt_level: str,
 
     # WYTIWYG: full refinement lifting (ground truth read only by the
     # accuracy evaluation, never by the pipeline).
-    wyt = wytiwyg_recompile(image, inputs, jobs=replay_jobs)
+    wyt = wytiwyg_recompile(image, inputs)
     result.wytiwyg_cycles = _total_cycles(wyt.recovered, inputs)
     result.wytiwyg_match = _outputs_match(image, wyt.recovered, inputs)
     result.wytiwyg_fallback = wyt.fallback
@@ -205,7 +200,7 @@ def _measure_cell_task(task):
     back alongside the result so the parent can merge them.
     """
     name, compiler, opt_level, use_cache, include_secondwrite, \
-        observe, replay_jobs = task
+        observe = task
     if observe:
         # Reset per task: pool workers are reused, and a forked worker
         # also inherits the parent's pre-fork data — either would be
@@ -213,8 +208,7 @@ def _measure_cell_task(task):
         obs.enable(reset=True)
     obs.fork_begin()
     result = measure_cell(WORKLOADS[name], compiler, opt_level,
-                          use_cache, include_secondwrite,
-                          replay_jobs=replay_jobs)
+                          use_cache, include_secondwrite)
     payload = obs.export_payload() if observe else None
     return (name, compiler, opt_level), result, payload
 
@@ -223,8 +217,7 @@ def sweep(workload_names: tuple[str, ...] | None = None,
           configs=CONFIGS, use_cache: bool = True,
           include_secondwrite: bool = True,
           progress=None,
-          jobs: int = 1,
-          replay_jobs: int = 1
+          jobs: int = 1
           ) -> dict[tuple[str, str, str], CellResult]:
     """Measure a grid of cells; returns {(workload, compiler, opt): ...}.
 
@@ -235,10 +228,6 @@ def sweep(workload_names: tuple[str, ...] | None = None,
     in the parent, each worker records with its own registry and the
     parent merges every worker's metrics and spans on completion, so
     ``obs.export`` aggregates the whole sweep.
-
-    ``replay_jobs`` is forwarded to every cell (see ``measure_cell``);
-    it parallelizes *within* the WYTIWYG pipeline and composes with the
-    cell-level pool.
     """
     names = workload_names or tuple(WORKLOADS)
     tasks = [(name, compiler, opt_level)
@@ -250,7 +239,7 @@ def sweep(workload_names: tuple[str, ...] | None = None,
             futures = [
                 pool.submit(_measure_cell_task,
                             (*task, use_cache, include_secondwrite,
-                             observe, replay_jobs))
+                             observe))
                 for task in tasks]
             for future in as_completed(futures):
                 key, result, payload = future.result()
@@ -264,7 +253,7 @@ def sweep(workload_names: tuple[str, ...] | None = None,
             progress(name, compiler, opt_level)
         out[(name, compiler, opt_level)] = measure_cell(
             WORKLOADS[name], compiler, opt_level, use_cache,
-            include_secondwrite, replay_jobs=replay_jobs)
+            include_secondwrite)
     return out
 
 

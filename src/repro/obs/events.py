@@ -20,8 +20,8 @@ Design:
   silently;
 * **process-safe** — file-backed ledgers write each line with a single
   ``os.write`` on an ``O_APPEND`` descriptor, which POSIX keeps atomic
-  for writes below ``PIPE_BUF``: forked sweep workers (replay pool,
-  evaluation sweep) inherit the descriptor and append
+  for writes below ``PIPE_BUF``: forked workers (the evaluation
+  sweep's, the job scheduler's) inherit the descriptor and append
   concurrently without interleaving lines.  A per-process ``pid`` field
   plus a per-process ``seq`` counter give every event a stable identity
   and a total order per writer (file order gives the global
@@ -98,9 +98,6 @@ EVENT_KINDS = frozenset({
     "sched.reject",
     # optimizer manager
     "opt.requeue",
-    # process pools
-    "pool.spawn",
-    "pool.reuse",
 })
 
 

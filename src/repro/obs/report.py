@@ -60,9 +60,8 @@ def _fmt_delta(attrs: dict) -> str:
 
 
 #: Counter prefixes grouped into labeled stderr-summary sections so
-#: store/pool behaviour is readable at a glance.
+#: each subsystem's counters read at a glance.
 COUNTER_SECTIONS = (
-    ("fork pool", "parallel.pool."),
     ("pass manager", "opt.manager."),
     ("artifact store", "store."),
     ("serve", "serve."),

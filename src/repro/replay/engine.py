@@ -21,21 +21,17 @@ its argument counts come from the trace.)  That replay loop dominates
 * **input dedup** — identical entries in ``traces.inputs`` exercise
   identical paths (execution is deterministic), so each distinct input
   replays once and the result fans out to its duplicates;
-* **one tracing runtime per bounds stage** — the serial bounds runs
-  share one :class:`~repro.core.runtime.TracingRuntime`, as they share
-  one interpreter: the interpreter compiles each probe once, and
+* **one interpreter per stage** — each stage's runs share one
+  :class:`~repro.ir.interp.Interpreter`, reset before each input, so
+  every block compiles once for all of the stage's inputs;
+* **one tracing runtime per bounds stage** — the bounds runs share one
+  :class:`~repro.core.runtime.TracingRuntime`, as they share one
+  interpreter: the interpreter compiles each probe once, and
   :meth:`~repro.core.runtime.TracingRuntime.bind` resets the per-run
   state before each input;
-* **parallel replay** — the validation sweep and the instrumented
-  bounds runs are independent per input and fan out over a process
-  pool (``jobs=N``); each worker's per-input runtime comes back as a
-  snapshot, and the snapshots are merged in traced-input order, which
-  reproduces the serial stage's one runtime, so parallel and serial
-  runs produce byte-identical recompiled binaries;
 * **which input a failure names** — the observation and bounds checks
-  go in traced order and name the earliest diverging input, with any
-  ``jobs``; the final sweep replays cheapest first and stops at the
-  first mismatch.
+  go in traced order and name the earliest diverging input; the final
+  sweep replays cheapest first and stops at the first mismatch.
 
 A failed check raises :class:`~repro.errors.SymbolizeError` naming the
 stage, the diverging traced input and the reason; an interpreter
@@ -45,25 +41,10 @@ Each check emits one ``validate.verdict`` ledger event.
 
 Observability: counters ``replay.runs`` (one per run made) /
 ``replay.deduped`` / ``validate.interpreter_errors``, and the
-``replay.validate_seconds`` / ``replay.bounds_seconds`` timers.  The
-pool layer adds ``parallel.pool.spawns`` / ``parallel.pool.reuses``.
-
-Process-pool workers are spawned with the ``fork`` start method through
-the shared :class:`repro.parallel.ForkPool` utility and read the module
-from inherited memory (a lifted module is a cyclic object graph that
-may exceed pickle's recursion limits).  The pool is keyed on the
-module's content fingerprint, so consecutive sweeps over an unchanged
-module **reuse** the live workers instead of forking a fresh executor
-per stage; a content change respawns.  Where ``fork`` is unavailable,
-or a pool dies mid-sweep, the engine falls back to the serial path,
-which computes the same results.
+``replay.validate_seconds`` / ``replay.bounds_seconds`` timers.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import as_completed
-from concurrent.futures.process import BrokenProcessPool
-from pickle import PicklingError
 
 from .. import obs
 from ..core.runtime import TracingRuntime
@@ -71,8 +52,6 @@ from ..emu.tracer import TraceSet
 from ..errors import SymbolizeError
 from ..ir.interp import Interpreter
 from ..ir.module import Module
-from ..parallel import ForkPool, worker_ctx
-from .fingerprint import module_fingerprint
 
 
 def _check_run(run, expected):
@@ -96,62 +75,19 @@ def _check_run(run, expected):
     return None
 
 
-def _worker_begin() -> bool:
-    """Reset the inherited recorder (and in-memory ledger events) so
-    this worker's observations are not double-counted when the parent
-    merges its payload."""
-    observe = worker_ctx()[3]
-    if observe:
-        obs.enable(reset=True)
-    obs.fork_begin()
-    return observe
-
-
-def _validate_worker(index: int):
-    module, inputs, results, _observe = worker_ctx()
-    observe = _worker_begin()
-    failure = _check_run(Interpreter(module, inputs[index]).run,
-                         results[index])
-    return index, failure, obs.export_payload() if observe else None
-
-
-def _bounds_worker(index: int):
-    module, inputs, results, _observe = worker_ctx()
-    observe = _worker_begin()
-    runtime = TracingRuntime()
-    interp = Interpreter(module, inputs[index], probes=runtime)
-    runtime.bind(interp)
-    failure = _check_run(interp.run, results[index])
-    return (index, failure,
-            runtime.snapshot() if failure is None else None,
-            obs.export_payload() if observe else None)
-
-
 class ReplayEngine:
     """Owns every dynamic re-execution of one refinement pipeline run.
 
     One engine per :func:`~repro.core.driver.wytiwyg_lift` invocation;
-    it deduplicates the traced inputs once, checks every run it makes
-    or is handed (:meth:`checker`) against the trace, and fans replay
-    sweeps out over ``jobs`` worker processes drawn from one reusable
-    :class:`~repro.parallel.ForkPool` (callers that finish a pipeline
-    run should :meth:`close` it).
+    it deduplicates the traced inputs once and checks every run it
+    makes or is handed (:meth:`checker`) against the trace.
     """
 
-    def __init__(self, traces: TraceSet, jobs: int = 1,
-                 pool: ForkPool | None = None):
+    def __init__(self, traces: TraceSet):
         self.traces = traces
-        self.jobs = max(1, int(jobs))
-        if pool is not None:
-            # A caller-owned pool (the serve daemon shares one across
-            # requests, so identical resubmissions reuse live workers).
-            # The pool's worker budget wins over ``jobs`` so the owner
-            # controls the fan-out centrally.
-            self.jobs = max(self.jobs, pool.jobs)
         seen: set[str] = set()
         #: Indices into ``traces.inputs``, first occurrence of each
-        #: distinct input, in traced order (merge determinism relies on
-        #: this order).
+        #: distinct input, in traced order.
         self.unique: list[int] = []
         for i, items in enumerate(traces.inputs):
             key = repr(items)
@@ -164,17 +100,6 @@ class ReplayEngine:
         #: Diagnostics of failed checks (interpreter errors); the
         #: raised :class:`SymbolizeError` carries the same reason.
         self.notes: list[str] = []
-        #: Shared fork pool, reused across sweeps while the module's
-        #: content fingerprint is unchanged.  Externally lent pools
-        #: outlive this engine (``close`` leaves them running).
-        self._own_pool = pool is None
-        self.pool = ForkPool(self.jobs) if pool is None else pool
-
-    def close(self) -> None:
-        """Release the worker pool (end of the pipeline run).  A pool
-        lent by the caller stays alive for the next request."""
-        if self._own_pool:
-            self.pool.close()
 
     @property
     def unique_inputs(self) -> list[list]:
@@ -241,50 +166,17 @@ class ReplayEngine:
         so it fails on the cheapest one.
         """
         with obs.timed("replay.validate_seconds"):
-            results = self.traces.results
+            inputs, results = self.traces.inputs, self.traces.results
             order = sorted(self.unique,
                            key=lambda i: (results[i].cycles, i))
-            if self.jobs > 1 and len(order) > 1:
-                failure = self._validate_parallel(module, order)
-            else:
-                failure = self._validate_serial(module, order)
-            if failure is not None:
-                self._fail(stage, *failure)
+            with Interpreter(module) as interp:
+                for i in order:
+                    obs.count("replay.runs")
+                    interp.reset(inputs[i])
+                    failure = _check_run(interp.run, results[i])
+                    if failure is not None:
+                        self._fail(stage, i, *failure)
             self._passed(stage, len(order))
-
-    def _validate_serial(self, module, order):
-        inputs, results = self.traces.inputs, self.traces.results
-        with Interpreter(module) as interp:
-            for i in order:
-                obs.count("replay.runs")
-                interp.reset(inputs[i])
-                failure = _check_run(interp.run, results[i])
-                if failure is not None:
-                    return (i, *failure)
-        return None
-
-    def _validate_parallel(self, module, order):
-        try:
-            pool = self._acquire(module, len(order))
-        except Exception:
-            return self._validate_serial(module, order)
-        try:
-            futures = [pool.submit(_validate_worker, i) for i in order]
-            for future in as_completed(futures):
-                index, failure, payload = future.result()
-                obs.merge_payload(payload)
-                obs.count("replay.runs")
-                if failure is not None:
-                    # Early exit: drop the runs still queued.  The
-                    # cancelled executor cannot be reused.
-                    self.pool.invalidate(cancel=True)
-                    return (index, *failure)
-        except Exception:
-            # A broken pool (OOM-killed worker, missing fork support
-            # surfacing late): replaying serially is idempotent.
-            self.pool.invalidate()
-            return self._validate_serial(module, order)
-        return None
 
     # -- instrumented bounds runs (§4.2) -------------------------------------
 
@@ -293,50 +185,26 @@ class ReplayEngine:
         """Execute the probe-instrumented module on every distinct input
         and return the tracing runtime that observed them.
 
-        Each run is checked against the trace; a failure raises
+        The runs go in traced order on the stage's one interpreter, all
+        observed by one runtime, bound to the interpreter before each
+        input.  Each run is checked against the trace; a failure raises
         :class:`SymbolizeError` naming ``stage`` and the earliest
-        diverging input in traced order, with or without ``jobs``.
-        Serially, one runtime observes every run, bound to the stage's
-        one interpreter before each input.  With ``jobs > 1`` each
-        worker's per-input snapshot is merged in traced-input order,
-        which reproduces the serial runtime's variable/argument-area
-        discovery order — both paths therefore feed identical state to
-        layout construction.
+        diverging input.
         """
         with obs.timed("replay.bounds_seconds"):
-            order = self.unique
-            snapshots = None
-            if self.jobs > 1 and len(order) > 1:
-                snapshots = self._bounds_parallel(module, order)
-            if snapshots is None:
-                runtime = self._bounds_serial(module, stage)
-            else:
-                runtime = TracingRuntime()
-                for i in order:
-                    failure, snapshot = snapshots[i]
+            runtime = TracingRuntime()
+            inputs, results = self.traces.inputs, self.traces.results
+            with Interpreter(module, probes=runtime) as interp:
+                for i in self.unique:
+                    obs.count("replay.runs")
+                    interp.reset(inputs[i])
+                    runtime.bind(interp)
+                    failure = _check_run(interp.run, results[i])
                     if failure is not None:
                         self._fail(stage, i, *failure)
-                    runtime.merge(snapshot)
                     self._trace_merged(i, runtime)
-            self._passed(stage, len(order))
+            self._passed(stage, len(self.unique))
             return runtime
-
-    def _bounds_serial(self, module: Module,
-                       stage: str) -> TracingRuntime:
-        """The bounds runs in traced order on one interpreter, all
-        observed by one runtime."""
-        runtime = TracingRuntime()
-        inputs, results = self.traces.inputs, self.traces.results
-        with Interpreter(module, probes=runtime) as interp:
-            for i in self.unique:
-                obs.count("replay.runs")
-                interp.reset(inputs[i])
-                runtime.bind(interp)
-                failure = _check_run(interp.run, results[i])
-                if failure is not None:
-                    self._fail(stage, i, *failure)
-                self._trace_merged(i, runtime)
-        return runtime
 
     def _trace_merged(self, index: int, runtime: TracingRuntime) -> None:
         """Ledger record of one instrumented run folding in (§4.2)."""
@@ -345,41 +213,3 @@ class ReplayEngine:
                       stack_vars=len(runtime.stack_vars),
                       arg_accesses=len(runtime.arg_accesses),
                       links=len(runtime.links))
-
-    def _bounds_parallel(self, module, order):
-        """Per-input ``(failure, snapshot)`` from the pool, or ``None``
-        when the pool is unavailable or broke (the caller then runs
-        serially, which computes the same results)."""
-        try:
-            pool = self._acquire(module, len(order))
-        except Exception:
-            return None
-        outcomes: dict[int, tuple] = {}
-        try:
-            futures = [pool.submit(_bounds_worker, i) for i in order]
-            for future in as_completed(futures):
-                index, failure, snapshot, payload = future.result()
-                obs.merge_payload(payload)
-                obs.count("replay.runs")
-                outcomes[index] = (failure, snapshot)
-        except (BrokenProcessPool, PicklingError):
-            # Only pool-transport failures fall back: the workers catch
-            # interpreter errors into their verdicts.
-            self.pool.invalidate()
-            return None
-        return outcomes
-
-    # -- pool ----------------------------------------------------------------
-
-    def _acquire(self, module: Module, ntasks: int):
-        """An executor whose workers inherit the module's current state.
-
-        Keyed on the module's content fingerprint (plus the obs
-        activation state, which workers latch at fork): consecutive
-        sweeps over unchanged content share one set of forked workers;
-        a content change respawns.
-        """
-        key = ("replay", module_fingerprint(module), obs.enabled())
-        ctx = (module, self.traces.inputs, self.traces.results,
-               obs.enabled())
-        return self.pool.acquire(key, ctx, ntasks)

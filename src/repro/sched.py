@@ -1,14 +1,13 @@
 """repro.sched — the serve daemon's multi-process job scheduler.
 
 The single-lock daemon executes every job under one in-process lock:
-the observability recorder and the replay engine's published
-fork-pool context are process-global, so two jobs cannot safely
-overlap in one process — and its throughput ceiling is one job at a
-time regardless of core count.
+the observability recorder is process-global, so two jobs cannot
+safely overlap in one process — and its throughput ceiling is one job
+at a time regardless of core count.
 
 This module moves job execution into a pool of **long-lived worker
 processes**.  Each worker is forked once at scheduler start and then
-runs many jobs with its own replay pool.  Reuse across jobs and
+runs many jobs, each on the serial pipeline.  Reuse across jobs and
 workers lands via the shared content-addressed
 :class:`~repro.store.ArtifactStore` on disk — result hits and
 per-input trace records (its atomic tmp+``os.replace`` writes make
@@ -45,9 +44,10 @@ per job over the existing payload protocol
 (:func:`repro.obs.export_payload` / :func:`~repro.obs.merge_payload`),
 so parent-side reports aggregate the whole pool.
 
-Like :mod:`repro.parallel`, workers are forked (``fork`` start
-method); on platforms without it the serve daemon falls back to its
-single-lock in-process path, which computes the same results.
+Workers are forked (``fork`` start method) when the scheduler starts,
+never inside a pipeline run; on platforms without ``fork`` the serve
+daemon falls back to its single-lock in-process path, which computes
+the same results.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from . import obs
 from .binary.image import BinaryImage
 from .core.incremental import incremental_recompile
 from .errors import SchedError, SchedRejected
-from .parallel import ForkPool
 from .store import ArtifactStore, decode_runs
 
 __all__ = ["JobScheduler", "affinity_worker", "execute_job"]
@@ -91,8 +90,7 @@ def affinity_worker(image_key: str, workers: int) -> int:
 # -- job execution (runs in the worker process; also used inline by the
 # -- single-lock serve path so both modes share one code path) -----------
 
-def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
-                replay_pool=None,
+def execute_job(spec: dict, store: ArtifactStore,
                 image: BinaryImage | None = None) -> dict:
     """Run one job spec and return the response fields it produced.
 
@@ -122,8 +120,7 @@ def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
         image, runs, store,
         optimize=options.get("optimize", True),
         check=options.get("check"),
-        hybrid=options.get("hybrid", False),
-        jobs=jobs, replay_pool=replay_pool)
+        hybrid=options.get("hybrid", False))
     out: dict = {
         "served": served.stats.served,
         "stats": served.stats.to_dict(),
@@ -171,42 +168,35 @@ def _arm_worker_obs(spec: dict) -> bool:
     return armed
 
 
-def _worker_main(conn, worker_id: int, store_root: str,
-                 jobs: int) -> None:
+def _worker_main(conn, worker_id: int, store_root: str) -> None:
     """Worker process entry: serve job specs from ``conn`` until EOF or
-    a ``None`` sentinel, with one replay pool per worker."""
+    a ``None`` sentinel."""
     obs.fork_begin()   # drop any in-memory events inherited over fork
     store = ArtifactStore(store_root)
-    pool = ForkPool(jobs) if jobs > 1 else None
-    try:
-        while True:
-            try:
-                spec = conn.recv()
-            except (EOFError, OSError):
-                break
-            if spec is None:
-                break
-            shipping = _arm_worker_obs(spec)
-            try:
-                with obs.span("worker.job", worker=worker_id,
-                              job=spec.get("job", 0),
-                              image=spec.get("image_key", "")):
-                    result = execute_job(spec, store, jobs=jobs,
-                                         replay_pool=pool)
-                result["ok"] = True
-            except Exception as exc:   # ship the failure, stay alive
-                result = {"ok": False, "error": str(exc),
-                          "kind": type(exc).__name__}
-            result["worker"] = worker_id
-            if shipping:
-                result["obs"] = obs.export_payload()
-            try:
-                conn.send(result)
-            except (BrokenPipeError, OSError):
-                break
-    finally:
-        if pool is not None:
-            pool.close()
+    while True:
+        try:
+            spec = conn.recv()
+        except (EOFError, OSError):
+            break
+        if spec is None:
+            break
+        shipping = _arm_worker_obs(spec)
+        try:
+            with obs.span("worker.job", worker=worker_id,
+                          job=spec.get("job", 0),
+                          image=spec.get("image_key", "")):
+                result = execute_job(spec, store)
+            result["ok"] = True
+        except Exception as exc:   # ship the failure, stay alive
+            result = {"ok": False, "error": str(exc),
+                      "kind": type(exc).__name__}
+        result["worker"] = worker_id
+        if shipping:
+            result["obs"] = obs.export_payload()
+        try:
+            conn.send(result)
+        except (BrokenPipeError, OSError):
+            break
 
 
 class _Job:
@@ -250,12 +240,11 @@ class JobScheduler:
     :class:`~repro.errors.SchedRejected` when the queue is full).
     """
 
-    def __init__(self, workers: int, store_root, jobs: int = 1,
+    def __init__(self, workers: int, store_root,
                  max_depth: int | None = None,
                  job_timeout: float | None = None):
         self.workers = max(1, int(workers))
         self.store_root = str(store_root)
-        self.jobs = max(1, int(jobs))
         self.max_depth = (int(max_depth) if max_depth is not None
                           else DEPTH_PER_WORKER * self.workers)
         self.job_timeout = job_timeout
@@ -300,7 +289,7 @@ class JobScheduler:
         parent_conn, child_conn = self._mp.Pipe()
         proc = self._mp.Process(
             target=_worker_main,
-            args=(child_conn, slot.idx, self.store_root, self.jobs),
+            args=(child_conn, slot.idx, self.store_root),
             name=f"repro-sched-worker-{slot.idx}", daemon=True)
         proc.start()
         child_conn.close()

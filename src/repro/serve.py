@@ -12,9 +12,6 @@ Why a daemon beats N one-shot processes:
 
 * the content-addressed :class:`~repro.store.ArtifactStore` persists
   traces and results across requests (and across daemon restarts);
-* the serving processes are long-lived, so with ``--jobs N`` one
-  replay :class:`~repro.parallel.ForkPool` serves every job instead of
-  one pool per request;
 * with ``--workers N`` jobs execute on a pool of long-lived worker
   processes (:mod:`repro.sched`): distinct images recompile
   concurrently, repeat requests for one image are routed to the same
@@ -68,7 +65,6 @@ from pathlib import Path
 from . import obs
 from .binary.image import BinaryImage
 from .errors import RemoteJobError, ServeError
-from .parallel import ForkPool
 from .sched import JobScheduler, execute_job
 from .store import ArtifactStore, decode_runs, encode_runs, image_key
 
@@ -97,15 +93,14 @@ class RecompileServer:
 
     One instance per socket path.  Connections are handled on threads.
     Job execution is either serialized on :attr:`_job_lock` (default:
-    the observability recorder and the replay fork pool are
-    process-global) or dispatched to a :class:`~repro.sched.
-    JobScheduler` worker pool (``workers >= 1``), where each worker
-    holds its own and campaigns serialize per-name only.
+    the observability recorder is process-global) or dispatched to a
+    :class:`~repro.sched.JobScheduler` worker pool (``workers >= 1``),
+    where each worker holds its own and campaigns serialize per-name
+    only.
     """
 
     def __init__(self, socket_path: str | Path,
                  store: ArtifactStore | str | Path | None = None,
-                 jobs: int = 1,
                  workers: int = 0, queue_depth: int | None = None,
                  job_timeout: float | None = None):
         self.socket_path = Path(socket_path)
@@ -113,7 +108,6 @@ class RecompileServer:
             self.store = store
         else:
             self.store = ArtifactStore(store)
-        self.jobs = max(1, int(jobs))
         self.workers = max(0, int(workers))
         self.max_request_bytes = MAX_REQUEST_BYTES
         if job_timeout is not None and self.workers < 1:
@@ -126,7 +120,7 @@ class RecompileServer:
             try:
                 self.sched = JobScheduler(
                     self.workers, store_root=self.store.root,
-                    jobs=self.jobs, max_depth=queue_depth,
+                    max_depth=queue_depth,
                     job_timeout=job_timeout)
             except ValueError:
                 # No fork start method on this platform: fall back to
@@ -134,11 +128,6 @@ class RecompileServer:
                 log.warning("worker pool unavailable (no fork start "
                             "method); serving single-lock")
                 self.workers = 0
-        #: Replay fork pool shared across requests in single-lock mode
-        #: (scheduler workers each own one instead).
-        self.replay_pool = (ForkPool(self.jobs)
-                            if self.jobs > 1 and self.sched is None
-                            else None)
         self._job_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._campaign_locks: dict[str, threading.Lock] = {}
@@ -221,8 +210,6 @@ class RecompileServer:
     def close(self) -> None:
         if self.sched is not None:
             self.sched.close(drain=False)
-        if self.replay_pool is not None:
-            self.replay_pool.close()
         try:
             self.socket_path.unlink()
         except OSError:
@@ -285,7 +272,7 @@ class RecompileServer:
         if op == "status":
             with self._state_lock:
                 stats = dict(self.stats)
-            doc = {"ok": True, "op": "status", "jobs": self.jobs,
+            doc = {"ok": True, "op": "status",
                    "workers": self.workers,
                    "stats": stats, "store": dict(self.store.stats),
                    "store_root": str(self.store.root),
@@ -408,9 +395,7 @@ class RecompileServer:
                           campaign=campaign_name or "",
                           inputs=len(runs)) as sp:
                 if self.sched is None:
-                    result = execute_job(
-                        spec, self.store, jobs=self.jobs,
-                        replay_pool=self.replay_pool, image=image)
+                    result = execute_job(spec, self.store, image=image)
                     result["ok"] = True
                 else:
                     spec["image_json"] = image.to_json()
@@ -544,12 +529,11 @@ class ServeClient:
 
 def serve_forever(socket_path: str | Path,
                   store: str | Path | None = None,
-                  jobs: int = 1,
                   workers: int = 0,
                   queue_depth: int | None = None,
                   job_timeout: float | None = None) -> RecompileServer:
     """Convenience entry: build a server and block serving requests."""
-    server = RecompileServer(socket_path, store=store, jobs=jobs,
+    server = RecompileServer(socket_path, store=store,
                              workers=workers,
                              queue_depth=queue_depth,
                              job_timeout=job_timeout)

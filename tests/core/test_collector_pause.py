@@ -17,7 +17,6 @@ from repro.core.driver import (
 )
 from repro.core.incremental import incremental_recompile
 from repro.emu import trace_binary
-from repro.parallel import ForkPool
 from repro.store import ArtifactStore
 
 QUICKSTART = (Path(__file__).resolve().parents[2] / "examples"
@@ -124,16 +123,4 @@ def test_nested_pauses_across_threads_keep_the_collector_off(
     finally:
         sys.setswitchinterval(interval)
     assert violations == []
-    assert gc.isenabled()
-
-
-def test_a_fork_pool_worker_forked_inside_a_pause_collects(collector_on):
-    pool = ForkPool(1)
-    try:
-        with collector_paused():
-            executor = pool.acquire("gc", None, ntasks=1)
-            assert executor.submit(gc.isenabled).result(timeout=60)
-            assert not gc.isenabled()
-    finally:
-        pool.close()
     assert gc.isenabled()

@@ -87,21 +87,6 @@ def test_touch_keeps_the_min_max_bounds(seq):
     assert area.walked == walked(seq)
 
 
-@given(accesses, accesses)
-def test_merged_bounds_are_the_min_max_of_both_runs(first, second):
-    runtimes = []
-    for seq in (first, second):
-        rt = TracingRuntime()
-        rt.stack_vars[0], rt.arg_accesses[0] = touch_all(seq)
-        runtimes.append(rt)
-    merged = runtimes[0].merge(runtimes[1])
-    both = first + second
-    var, area = merged.stack_vars[0], merged.arg_accesses[0]
-    assert (var.low, var.high) == min_max(both)
-    assert (area.low, area.high) == min_max(both)
-    assert area.walked == walked(both)
-
-
 def test_stackref_creates_var_and_info():
     rt = TracingRuntime()
     fr = frame()

@@ -39,11 +39,10 @@ def _recompiled(cell, store_dir: str) -> bytes:
     image = WORKLOADS[cell.program].compile(cell.compiler, cell.opt)
     if cell.base:
         store = ArtifactStore(store_dir)
-        incremental_recompile(image, cell.runs[:cell.base], store, jobs=1)
-        result = incremental_recompile(image, cell.runs, store,
-                                       jobs=1).pipeline
+        incremental_recompile(image, cell.runs[:cell.base], store)
+        result = incremental_recompile(image, cell.runs, store).pipeline
     else:
-        result = wytiwyg_recompile(image, cell.runs, jobs=1)
+        result = wytiwyg_recompile(image, cell.runs)
     assert not result.fallback, f"{cell.name} fell back"
     return result.recovered.to_json().encode()
 

@@ -103,11 +103,39 @@ def test_multiple_input_runs(source_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec", ["float:1", "int:abc"])
-def test_bad_input_spec_rejected(source_file, tmp_path, spec):
+def test_bad_input_spec_rejected(source_file, tmp_path, capsys, spec):
     image = tmp_path / "prog.img.json"
     main(["compile", str(source_file), "-o", str(image)])
-    with pytest.raises(SystemExit, match="bad input spec"):
-        main(["run", str(image), "--input", spec])
+    capsys.readouterr()
+    # A usage error exits 2, as argparse's own do: 1 is a failing check.
+    for command in ("run", "check"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(image), "--input", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad input spec") and err.count("\n") == 1
+
+
+def _store_gc(tmp_path, size):
+    return main(["store", "gc", f"--max-bytes={size}", "--dry-run",
+                 "--store", str(tmp_path / "store")])
+
+
+@pytest.mark.parametrize("size", ["inf", "1e400", "-1"])
+def test_store_gc_rejects_a_size_not_finite_and_non_negative(
+        tmp_path, capsys, size):
+    with pytest.raises(SystemExit) as exc:
+        _store_gc(tmp_path, size)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad size") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("size, limit", [("0", 0), ("512M", 512 << 20)])
+def test_store_gc_accepts_zero_and_suffixed_sizes(tmp_path, capsys,
+                                                   size, limit):
+    assert _store_gc(tmp_path, size) == 0
+    assert f"/{limit} bytes kept" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("content, kind", [

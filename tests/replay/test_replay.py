@@ -1,6 +1,6 @@
-"""The replay engine: dedup, checked replay runs, merge determinism,
-one interpreter (and, for the bounds runs, one tracing runtime) per
-stage, and parallel/serial equivalence."""
+"""The replay engine: dedup, checked replay runs, one interpreter
+(and, for the bounds runs, one tracing runtime) per stage, and the
+ignored ``jobs`` argument."""
 
 import copy
 
@@ -9,11 +9,10 @@ import pytest
 from repro import obs
 from repro.core import driver
 from repro.core.driver import wytiwyg_lift, wytiwyg_recompile
-from repro.core.runtime import ArgAccess, StackVar, TracingRuntime
+from repro.core.runtime import TracingRuntime
 from repro.emu import trace_binary
 from repro.errors import SymbolizeError
 from repro.ir.interp import Interpreter
-from repro.ir.printer import module_to_text
 from repro.ir.values import BinOp, CallExt, Const
 from repro.isa import (
     AsmFunction,
@@ -29,8 +28,8 @@ from repro.isa import (
     ins,
 )
 from repro.lifting import lift_traces
-from repro.replay import ReplayEngine, module_fingerprint
-from tests.conftest import KERNEL_SOURCE, cached_image
+from repro.replay import ReplayEngine
+from tests.conftest import cached_image
 
 #: Exit-code workload (no printf): the module has no variadic call
 #: site.
@@ -72,87 +71,12 @@ def _traced(source=EXIT_SOURCE, inputs=INPUTS):
     return image, traces
 
 
-# -- TracingRuntime.merge -----------------------------------------------------
-
-
-def _var(ref_id, **kw):
-    return StackVar(ref_id=ref_id, func_name="f", sp0_offset=-8, **kw)
-
-
-def test_merge_widens_bounds_commutatively():
-    a = TracingRuntime()
-    b = TracingRuntime()
-    a.stack_vars[1] = _var(1, low=-4, high=4, align=4)
-    b.stack_vars[1] = _var(1, low=-8, high=0, align=8)
-    b.stack_vars[2] = _var(2, low=0, high=4)
-
-    ab = TracingRuntime().merge(a).merge(b)
-    ba = TracingRuntime().merge(b).merge(a)
-    for merged in (ab, ba):
-        assert (merged.stack_vars[1].low,
-                merged.stack_vars[1].high) == (-8, 4)
-        assert merged.stack_vars[1].align == 8
-        assert (merged.stack_vars[2].low,
-                merged.stack_vars[2].high) == (0, 4)
-
-
-def test_merge_arg_access_does_not_fabricate_walked():
-    # A merged span wider than one word must NOT set `walked` -- that
-    # flag records *how* the area was accessed, not its extent.
-    a = TracingRuntime()
-    b = TracingRuntime()
-    a.arg_accesses[7] = ArgAccess(callsite_id=7, low=0, high=4,
-                                  callees={"f"})
-    b.arg_accesses[7] = ArgAccess(callsite_id=7, low=4, high=8,
-                                  callees={"g"})
-    merged = TracingRuntime().merge(a).merge(b)
-    access = merged.arg_accesses[7]
-    assert (access.low, access.high) == (0, 8)
-    assert access.callees == {"f", "g"}
-    assert not access.walked
-
-    b.arg_accesses[7].walked = True
-    assert TracingRuntime().merge(a).merge(b).arg_accesses[7].walked
-
-
-def test_merge_links_union_and_insertion_order():
-    a = TracingRuntime()
-    b = TracingRuntime()
-    a.links.add(frozenset({1, 2}))
-    b.links.add(frozenset({2, 3}))
-    a.stack_vars[1] = _var(1)
-    b.stack_vars[3] = _var(3)
-    b.stack_vars[1] = _var(1)
-    merged = TracingRuntime().merge(a).merge(b)
-    assert merged.links == {frozenset({1, 2}), frozenset({2, 3})}
-    # First-touch order is preserved: var 1 came from the first input.
-    assert list(merged.stack_vars) == [1, 3]
-
-
-# -- fingerprint --------------------------------------------------------------
-
-
-def test_fingerprint_stable_and_mutation_sensitive():
-    _image, traces = _traced()
-    module = lift_traces(traces)
-    fp1 = module_fingerprint(module)
-    assert fp1 == module_fingerprint(module)
-
-    func = next(iter(module.functions.values()))
-    term = func.entry.instrs.pop()
-    func.entry.append(term)  # version bumped, content identical
-    assert module_fingerprint(module) == fp1
-
-    func.entry.insert(0, BinOp("add", Const(1), Const(2)))
-    assert module_fingerprint(module) != fp1
-
-
 # -- dedup + validation ----------------------------------------------------
 
 
 def test_engine_dedups_traced_inputs():
     _image, traces = _traced()
-    engine = ReplayEngine(traces, jobs=1)
+    engine = ReplayEngine(traces)
     assert len(engine.unique) == 4
     assert engine.deduped == 2
     # Traced order, first occurrences.
@@ -174,21 +98,16 @@ def test_validation_failure_names_diverging_input():
                 mutated = True
         func.invalidate()
     assert mutated
-    for jobs in (1, 2):
-        engine = ReplayEngine(traces, jobs=jobs)
-        try:
-            with pytest.raises(SymbolizeError) as err:
-                engine.validate(module, "broken stage")
-        finally:
-            engine.close()
-        assert "broken stage" in str(err.value)
-        assert "traced input #" in str(err.value)
+    with pytest.raises(SymbolizeError) as err:
+        ReplayEngine(traces).validate(module, "broken stage")
+    assert "broken stage" in str(err.value)
+    assert "traced input #" in str(err.value)
 
 
 def test_interpreter_error_is_counted_and_noted():
     _image, traces = _traced()
     module = lift_traces(traces)
-    engine = ReplayEngine(traces, jobs=1)
+    engine = ReplayEngine(traces)
     # Dangling operand: the exit call consumes an instruction that never
     # executes, so every replay dies with an interpreter error.
     dangling = BinOp("add", Const(1), Const(2))
@@ -213,19 +132,18 @@ def test_interpreter_error_is_counted_and_noted():
 # -- every replay run is a check ---------------------------------------------
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("source, runs_per_input", [
     # Regsave observation, bounds, final sweep: the varargs rewrite
     # takes its counts from the trace and makes no run.
     (EXIT_SOURCE, 3),
     (PRINTF_SOURCE, 3),
 ], ids=["exit", "printf"])
-def test_replay_runs_count_the_runs_made(source, runs_per_input, jobs):
+def test_replay_runs_count_the_runs_made(source, runs_per_input):
     image, traces = _traced(source)
     rec = obs.enable(reset=True)
     try:
         result = wytiwyg_recompile(image, INPUTS, traces=traces,
-                                   allow_fallback=False, jobs=jobs)
+                                   allow_fallback=False)
         counters = dict(rec.registry.counters)
     finally:
         obs.disable()
@@ -260,8 +178,7 @@ def _register_arg_image():
 
 
 #: ``scale(0)`` prints 0 with or without its argument, so a fault that
-#: zeroes the printed value first shows on traced input #1 — with
-#: ``jobs=2`` too, where the bounds runs finish in any order.
+#: zeroes the printed value first shows on traced input #1.
 FAULT_INPUTS = [[0], [3], [4], [3]]
 
 
@@ -304,7 +221,6 @@ def _exit_on_dangling_value(real):
     return instrument_module
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name, fault, stage, index, interp_errors", [
     # printf reading past its arguments is an interpreter error in the
     # first IR run, which checks lifting and the varargs rewrite.
@@ -315,12 +231,12 @@ def _exit_on_dangling_value(real):
      0, 1),
 ], ids=["varargs", "regsave", "interp-error"])
 def test_broken_stage_falls_back_naming_stage_and_input(
-        monkeypatch, name, fault, stage, index, interp_errors, jobs):
+        monkeypatch, name, fault, stage, index, interp_errors):
     image = _register_arg_image()
     monkeypatch.setattr(driver, name, fault(getattr(driver, name)))
     rec = obs.enable(reset=True)
     try:
-        result = wytiwyg_recompile(image, FAULT_INPUTS, jobs=jobs)
+        result = wytiwyg_recompile(image, FAULT_INPUTS)
         errors = rec.registry.counters.get("validate.interpreter_errors", 0)
     finally:
         obs.disable()
@@ -343,8 +259,7 @@ int main() {
 """
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_too_small_traced_count_names_lifting_and_first_input(jobs):
+def test_too_small_traced_count_names_lifting_and_first_input():
     # A site rewritten with fewer arguments than a traced call passed
     # fails the first IR run on the earliest input making such a call.
     inputs = [[0], [0], [1], [0]]
@@ -354,7 +269,7 @@ def test_too_small_traced_count_names_lifting_and_first_input(jobs):
     assert count == 4
     traces.vararg_counts[addr] = 2  # what input [0]'s format needs
     with pytest.raises(SymbolizeError) as err:
-        wytiwyg_lift(traces, jobs=jobs)
+        wytiwyg_lift(traces)
     assert str(err.value).startswith(
         "lifting broke functionality: traced input #2 [1] diverged "
         "(EmulationError: external call read missing argument 2)")
@@ -375,7 +290,7 @@ def test_stage_compiles_each_executed_block_once():
         rec = obs.enable(reset=True)
         try:
             result = wytiwyg_recompile(image, inputs, traces=traces,
-                                       allow_fallback=False, jobs=1)
+                                       allow_fallback=False)
             counters = dict(rec.registry.counters)
         finally:
             obs.disable()
@@ -406,8 +321,8 @@ int main() {
 
 def test_bounds_runs_on_one_interpreter_match_fresh_ones(monkeypatch):
     # The stage's one runtime, bound to its one interpreter before each
-    # input, equals the traced-order merge of per-input runtimes that
-    # each observed a fresh interpreter, in first-touch order too.
+    # input, equals one runtime bound to a fresh interpreter per input
+    # in traced order, in first-touch order too.
     image = cached_image(WALK_SOURCE, opt_level="0")
     stages = []
     real = ReplayEngine.run_instrumented
@@ -415,17 +330,19 @@ def test_bounds_runs_on_one_interpreter_match_fresh_ones(monkeypatch):
     def snapshot(runtime):
         return copy.deepcopy(runtime.snapshot())
 
+    def run_fresh(module, items, runtime):
+        interp = Interpreter(module, items, probes=runtime)
+        runtime.bind(interp)
+        interp.run()
+        return runtime
+
     def run_instrumented(self, module, stage):
+        expected = TracingRuntime()
         per_input = []
         for items in self.unique_inputs:
-            fresh = TracingRuntime()
-            interp = Interpreter(module, items, probes=fresh)
-            fresh.bind(interp)
-            interp.run()
-            per_input.append(snapshot(fresh))
-        expected = TracingRuntime()
-        for recorded in copy.deepcopy(per_input):
-            expected.merge(recorded)
+            run_fresh(module, items, expected)
+            per_input.append(
+                snapshot(run_fresh(module, items, TracingRuntime())))
         runtime = real(self, module, stage)
         stages.append((snapshot(runtime), snapshot(expected), per_input))
         return runtime
@@ -433,9 +350,9 @@ def test_bounds_runs_on_one_interpreter_match_fresh_ones(monkeypatch):
     monkeypatch.setattr(ReplayEngine, "run_instrumented", run_instrumented)
     for inputs in ([[3], [9], [5]], [[5], [9], [3]]):
         stages.clear()
-        wytiwyg_lift(trace_binary(image.stripped(), inputs), jobs=1)
+        wytiwyg_lift(trace_binary(image.stripped(), inputs))
         (shared, expected, per_input), = stages
-        # The inputs leave different extents, so the merge is not of
+        # The inputs leave different extents, so the reference is not
         # one run's state three times.
         assert per_input[0] != per_input[1]
         assert shared == expected
@@ -444,7 +361,7 @@ def test_bounds_runs_on_one_interpreter_match_fresh_ones(monkeypatch):
             list(expected["arg_accesses"])
 
 
-# -- parallel/serial equivalence ----------------------------------------------
+# -- the ignored ``jobs`` argument --------------------------------------------
 
 
 def _recompile(image, inputs, traces, **kw):
@@ -459,12 +376,25 @@ def _recompile(image, inputs, traces, **kw):
 
 
 def test_jobs4_byte_identical_to_serial():
+    """``jobs`` is accepted and ignored: ``jobs=4`` takes the one serial
+    path, so it makes the same runs and compiles the same blocks."""
     image, traces = _traced()
-    serial, serial_layouts = _recompile(image, INPUTS, traces, jobs=1)
-    par, par_layouts = _recompile(image, INPUTS, traces, jobs=4)
+    runs = {}
+    for jobs in (1, 4):
+        rec = obs.enable(reset=True)
+        try:
+            result, layouts = _recompile(image, INPUTS, traces, jobs=jobs)
+            counters = dict(rec.registry.counters)
+        finally:
+            obs.disable()
+        runs[jobs] = result, layouts, counters
+    serial, serial_layouts, serial_counts = runs[1]
+    par, par_layouts, par_counts = runs[4]
     assert par.recovered.to_json() == serial.recovered.to_json()
     assert par_layouts == serial_layouts
     assert par.fallback == serial.fallback == False
+    for name in ("replay.runs", "ir.code_cache.compiles"):
+        assert par_counts[name] == serial_counts[name] > 0
     if serial.accuracy is not None:
         assert par.accuracy.precision == serial.accuracy.precision
         assert par.accuracy.recall == serial.accuracy.recall
@@ -474,63 +404,8 @@ def test_analysis_cache_off_is_byte_identical(monkeypatch):
     from repro.opt import analysis
 
     image, traces = _traced()
-    cached, cached_layouts = _recompile(image, INPUTS, traces, jobs=1)
+    cached, cached_layouts = _recompile(image, INPUTS, traces)
     monkeypatch.setattr(analysis, "_CACHE_ENABLED", False)
-    plain, plain_layouts = _recompile(image, INPUTS, traces, jobs=1)
+    plain, plain_layouts = _recompile(image, INPUTS, traces)
     assert plain.recovered.to_json() == cached.recovered.to_json()
     assert plain_layouts == cached_layouts
-
-
-def test_run_instrumented_parallel_merges_deterministically():
-    image = cached_image(KERNEL_SOURCE)
-    m1, layouts1, _, _ = wytiwyg_lift(
-        trace_binary(image.stripped(), [[], []]), jobs=1)
-    m4, layouts4, _, _ = wytiwyg_lift(
-        trace_binary(image.stripped(), [[], []]), jobs=4)
-    assert module_to_text(m1) == module_to_text(m4)
-    assert {n: [(v.start, v.end) for v in lo.variables]
-            for n, lo in layouts1.items()} == \
-           {n: [(v.start, v.end) for v in lo.variables]
-            for n, lo in layouts4.items()}
-
-
-# -- fork-pool reuse across stages --------------------------------------------
-
-
-def test_pool_reused_across_sweeps_over_unchanged_module():
-    """Consecutive parallel sweeps over the same module content share
-    one set of forked workers instead of spawning a pool per stage."""
-    _image, traces = _traced()
-    module = lift_traces(traces)
-    rec = obs.enable(reset=True)
-    try:
-        engine = ReplayEngine(traces, jobs=2)
-        try:
-            engine.run_instrumented(module, "lifting")
-            engine.run_instrumented(module, "lifting")
-            counters = rec.registry.counters
-            assert counters.get("parallel.pool.spawns") == 1
-            assert counters.get("parallel.pool.reuses", 0) >= 1
-        finally:
-            engine.close()
-    finally:
-        obs.disable()
-
-
-def test_pool_respawns_when_module_mutates():
-    _image, traces = _traced()
-    module = lift_traces(traces)
-    rec = obs.enable(reset=True)
-    try:
-        engine = ReplayEngine(traces, jobs=2)
-        try:
-            engine.run_instrumented(module, "lifting")
-            func = next(iter(module.functions.values()))
-            func.entry.insert(0, BinOp("add", Const(1), Const(2)))
-            engine.run_instrumented(module, "lifting")
-            assert rec.registry.counters.get(
-                "parallel.pool.spawns") == 2
-        finally:
-            engine.close()
-    finally:
-        obs.disable()

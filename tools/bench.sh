@@ -14,9 +14,10 @@
 # the disabled-path overhead ratio of the instrumented engine.
 #
 # The replay benches run as a third pass and emit BENCH_replay.json:
-# refinement wall time of the replay engine (input dedup, every replay
-# run also checking the trace) serially and with jobs=4, plus the dedup
-# and replay run counts.  CI's bench-smoke job runs this pass too.
+# serial refinement wall time of the replay engine (input dedup, every
+# replay run also checking the trace), plus the dedup and replay run
+# counts, and the tracing runtime's share of a bounds run.  CI's
+# bench-smoke job runs this pass too.
 #
 # The service benches run as a fourth pass and emit BENCH_serve.json:
 # a replayed campaign against the warm artifact store vs N cold
