@@ -302,8 +302,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_obs_diff(args) -> int:
-    a = json.loads(Path(args.a).read_text())
-    b = json.loads(Path(args.b).read_text())
+    a = obs.load_report(args.a)
+    b = obs.load_report(args.b)
     diff = obs.diff_reports(a, b, ratio_threshold=args.ratio_threshold)
     if args.json:
         print(json.dumps(diff, indent=2))
@@ -315,7 +315,11 @@ def cmd_obs_diff(args) -> int:
 def cmd_obs_regress(args) -> int:
     baseline = obs.load_benchmarks(args.baseline)
     fresh = obs.load_benchmarks(args.fresh)
-    result = obs.regress(baseline, fresh, tolerance=args.tolerance)
+    try:
+        result = obs.regress(baseline, fresh, tolerance=args.tolerance)
+    except ValueError as exc:      # a --tolerance not finite and > 0
+        raise _usage_error(f"repro obs regress: --tolerance: {exc}") \
+            from None
     if args.json:
         print(json.dumps(result, indent=2))
     else:

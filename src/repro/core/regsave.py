@@ -421,3 +421,4 @@ def _rewrite_function(func: Function, arg_regs: list[str],
                     len(REG_ORDER):
                 instr.ops = [instr.ops[reg_index[r]] for r in out_regs]
     func.nresults = len(out_regs)
+    func.invalidate()

@@ -82,6 +82,11 @@ class WorkloadError(ReproError):
     """Raised when a workload program or its inputs are inconsistent."""
 
 
+class ReportError(ReproError):
+    """Raised when an observability report or a pytest-benchmark file is
+    not the JSON document it should be."""
+
+
 class ServeError(ReproError):
     """Raised by the recompilation service (:mod:`repro.serve`): a
     malformed request, a rejected job, or a transport failure between

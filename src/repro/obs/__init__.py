@@ -49,6 +49,7 @@ from . import events
 from .diff import (
     diff_reports,
     load_benchmarks,
+    load_report,
     regress,
     render_diff,
     render_regress,
@@ -94,7 +95,7 @@ __all__ = [
     "VariableProvenance", "count", "diff_reports", "disable",
     "disable_ledger", "enable", "enable_ledger", "enabled", "event",
     "explain_variable", "export", "export_payload", "fork_begin",
-    "gauge", "iter_spans", "ledger", "load_benchmarks",
+    "gauge", "iter_spans", "ledger", "load_benchmarks", "load_report",
     "merge_payload", "observe",
     "parse_var_name", "read_events", "recorder", "regress",
     "render_diff", "render_provenance", "render_regress",

@@ -15,19 +15,78 @@ Two comparison engines over the observability artifacts:
   gates on.
 
 Both consume plain dicts, tolerate schema v1 documents (pre-percentile
-histograms), and return plain dicts so callers can JSON them.
+histograms), and return plain dicts so callers can JSON them.  A
+document of the wrong shape raises :class:`~repro.errors.ReportError`,
+which the CLI reports as a one-line usage error (exit 2), apart from a
+regression (exit 1).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
+from ..errors import ReportError
 from .report import iter_spans
 
-__all__ = ["diff_reports", "load_benchmarks", "regress", "render_diff",
-           "render_regress"]
+__all__ = ["diff_reports", "load_benchmarks", "load_report", "regress",
+           "render_diff", "render_regress"]
+
+
+def _read_json(path) -> object:
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ReportError(f"{path}: not JSON ({exc})") from None
+
+
+def load_report(path) -> dict:
+    """Read an obs report document, checked as :func:`diff_reports`
+    needs it."""
+    doc = _read_json(path)
+    _check_report(doc, str(path))
+    return doc
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_report(doc, label: str) -> None:
+    """Raise :class:`ReportError` unless ``doc`` has the shape of an obs
+    report: an object whose spans nest as lists of objects and whose
+    metric families map names to numbers (counters, gauges) or to
+    objects with a numeric mean (timers, histograms)."""
+    if not isinstance(doc, dict):
+        raise ReportError(f"{label}: an obs report is a JSON object, "
+                          f"not {type(doc).__name__}")
+    stack = [("spans", doc.get("spans", []))]
+    while stack:
+        where, spans = stack.pop()
+        if not isinstance(spans, list) or \
+                not all(isinstance(s, dict) for s in spans):
+            raise ReportError(f"{label}: {where} is not a list of objects")
+        stack.extend((f"{where}[].children", s.get("children", []))
+                     for s in spans)
+    metrics = doc.get("metrics", {})
+    if not isinstance(metrics, dict):
+        raise ReportError(f"{label}: metrics is not an object")
+    for family in ("counters", "gauges", "timers", "histograms"):
+        rows = metrics.get(family, {})
+        if not isinstance(rows, dict):
+            raise ReportError(f"{label}: metrics.{family} is not an "
+                              f"object")
+        for name, row in rows.items():
+            if family in ("timers", "histograms"):
+                ok = isinstance(row, dict) and _is_number(
+                    row.get("mean", 0.0))
+            else:
+                ok = _is_number(row)
+            if not ok:
+                raise ReportError(f"{label}: metrics.{family}.{name} "
+                                  f"is malformed")
 
 
 def _span_counts(doc: dict) -> Counter:
@@ -68,8 +127,12 @@ def diff_reports(a: dict, b: dict, *, ratio_threshold: float = 0.2,
 
     Timer/histogram entries below ``min_seconds`` mean wall time, or
     whose mean ratio moved less than ``ratio_threshold``, are treated
-    as noise and omitted from ``changed``.
+    as noise and omitted from ``changed``.  Raises
+    :class:`~repro.errors.ReportError` when either side is not shaped
+    like a report.
     """
+    _check_report(a, "a")
+    _check_report(b, "b")
     a_spans, b_spans = _span_counts(a), _span_counts(b)
     a_metrics = a.get("metrics", {})
     b_metrics = b.get("metrics", {})
@@ -134,12 +197,24 @@ def render_diff(diff: dict) -> str:
 def load_benchmarks(paths) -> dict[str, dict]:
     """Fold one or more pytest-benchmark JSON files into a
     ``name -> {mean, median, extra_info, source}`` map.  A benchmark
-    name appearing in several files keeps the last occurrence."""
+    name appearing in several files keeps the last occurrence.  Raises
+    :class:`~repro.errors.ReportError` on a file that is not
+    pytest-benchmark JSON."""
     out: dict[str, dict] = {}
     for path in paths:
-        doc = json.loads(Path(path).read_text())
-        for bench in doc.get("benchmarks", []):
-            stats = bench.get("stats", {})
+        doc = _read_json(path)
+        benches = doc.get("benchmarks") if isinstance(doc, dict) \
+            else None
+        if not isinstance(benches, list):
+            raise ReportError(f"{path}: not a pytest-benchmark document")
+        for bench in benches:
+            stats = bench.get("stats", {}) if isinstance(bench, dict) \
+                else None
+            if not isinstance(stats, dict) \
+                    or not isinstance(bench.get("name"), str) \
+                    or not all(_is_number(stats.get(k, 0.0))
+                               for k in ("mean", "median")):
+                raise ReportError(f"{path}: malformed benchmark entry")
             out[bench["name"]] = {
                 "mean": stats.get("mean", 0.0),
                 "median": stats.get("median", 0.0),
@@ -153,19 +228,24 @@ def regress(baseline: dict[str, dict], fresh: dict[str, dict],
             tolerance: float = 1.5) -> dict:
     """Compare a fresh benchmark pass against the committed baseline.
 
-    A benchmark regresses when ``fresh_mean > tolerance *
-    baseline_mean``.  Benchmarks present on only one side are reported
+    A benchmark passes only when ``fresh_mean / baseline_mean <=
+    tolerance``; anything else regresses, a NaN ratio included.
+    ``tolerance`` must be a finite number above 0 (``ValueError``
+    otherwise).  Benchmarks present on only one side are reported
     (a vanished benchmark means the gate silently lost coverage) but do
     not fail the gate by themselves; an empty intersection does —
     comparing nothing must not pass.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite number above 0, "
+                         f"not {tolerance}")
     rows: dict[str, dict] = {}
     regressions: list[str] = []
     for name in sorted(set(baseline) & set(fresh)):
         base_mean = baseline[name]["mean"]
         fresh_mean = fresh[name]["mean"]
         ratio = fresh_mean / base_mean if base_mean else float("inf")
-        failed = ratio > tolerance
+        failed = not ratio <= tolerance
         rows[name] = {"baseline_mean": base_mean,
                       "fresh_mean": fresh_mean, "ratio": ratio,
                       "regressed": failed}

@@ -30,8 +30,36 @@ from ..ir.values import (
     Switch,
     Value,
 )
+from .analysis import cached_analysis
 
 UNKNOWN = ("unknown", None, None)
+
+
+def alias_analysis(func: Function,
+                   module: Module | None = None) -> "AliasAnalysis":
+    """The :class:`AliasAnalysis` of ``func``, cached for its mutation
+    epoch, so load elimination and dead-store elimination share one when
+    the first leaves the function unchanged.
+
+    It reads every instruction, so it stays valid only while no
+    instruction of the function changes: every pass that changes one
+    bumps the epoch (``func.invalidate()``), and no pass may declare it
+    preserved.  The slot is keyed on the module's fixed-address global
+    ranges, the only part of the module the analysis reads.
+    """
+    ranges = tuple(_global_ranges(module))
+    return cached_analysis(func, ("alias", ranges),
+                           lambda f: AliasAnalysis(f, module))
+
+
+def _global_ranges(module: Module | None) -> list[tuple[int, int, str]]:
+    ranges = []
+    if module is not None:
+        for g in module.globals.values():
+            if g.fixed_addr is not None:
+                ranges.append((g.fixed_addr, g.fixed_addr + g.size,
+                               g.name))
+    return sorted(ranges)
 
 
 class AliasAnalysis:
@@ -39,22 +67,14 @@ class AliasAnalysis:
 
     def __init__(self, func: Function, module: Module | None = None):
         self.func = func
-        self.module = module
-        self._global_ranges = self._collect_global_ranges()
+        # Only the global ranges are kept: a cached analysis that held
+        # the module would keep every module it ever saw alive.
+        self._global_ranges = _global_ranges(module)
         self.info: dict[Value, tuple] = {}
         self._compute_info()
         self.escaped: set[Alloca] = self._compute_escapes()
 
     # -- address facts ------------------------------------------------------
-
-    def _collect_global_ranges(self) -> list[tuple[int, int, str]]:
-        ranges = []
-        if self.module is not None:
-            for g in self.module.globals.values():
-                if g.fixed_addr is not None:
-                    ranges.append((g.fixed_addr, g.fixed_addr + g.size,
-                                   g.name))
-        return sorted(ranges)
 
     def _const_fact(self, value: int) -> tuple:
         for lo, hi, name in self._global_ranges:

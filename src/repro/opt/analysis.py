@@ -1,5 +1,6 @@
-"""CFG analyses shared by optimizer passes: reachability, dominators,
-dominance frontiers, and use counting.
+"""Analyses shared by optimizer passes: reachability, dominators,
+dominance frontiers, and use counting, plus the versioned cache that
+also holds instruction-reading analyses such as alias analysis.
 
 Analyses are cached per mutation epoch: :func:`dominators`,
 :func:`predecessors`, and :func:`reachable` return a shared result until
@@ -20,6 +21,17 @@ instructions declares ``PRESERVES = CFG_ANALYSES`` and the pass manager
 calls :func:`retain_analyses` after it, migrating the cached CFG
 results to the new epoch instead of recomputing them
 (``analysis.cache.retained`` counts the saves).
+
+Not every cached analysis is a CFG analysis.  The alias analysis that
+load elimination and dead-store elimination share
+(:func:`repro.opt.alias.alias_analysis`) and the static corroboration's
+per-function results read every instruction, so they hold only while
+no instruction of the function changes: every mutation, an in-place
+operand rewrite included, must bump the epoch before one of them is
+read again, and no pass may declare one preserved (only
+:data:`CFG_ANALYSES` may appear in a ``PRESERVES``).  Under that rule
+DSE reuses the alias analysis that load elimination built exactly when
+load elimination reported no change.
 """
 
 from __future__ import annotations
@@ -32,11 +44,12 @@ from ..ir.values import Instr, Value
 
 _CACHE_ENABLED = True
 
-#: The analyses this module caches.  All of them are pure CFG analyses:
-#: they depend only on the block list and terminator targets, never on
-#: non-terminator instructions — which is what makes the selective
-#: invalidation of :func:`retain_analyses` sound for passes that rewrite
-#: instructions without touching control flow.
+#: The CFG analyses this module caches.  They depend only on the block
+#: list and terminator targets, never on non-terminator instructions —
+#: which is what makes the selective invalidation of
+#: :func:`retain_analyses` sound for passes that rewrite instructions
+#: without touching control flow.  The only names a pass may declare
+#: preserved.
 CFG_ANALYSES = frozenset({"dominators", "predecessors", "reachable",
                           "loop_headers"})
 
@@ -69,10 +82,12 @@ def retain_analyses(func: Function, names: frozenset,
     re-keyed to the function's new epoch, so the next consumer hits
     instead of recomputing.  The declaration is the contract — a pass
     that claims to preserve an analysis it invalidates will be served
-    stale results — but since every cached analysis is a CFG analysis
-    (:data:`CFG_ANALYSES`), a block-count change is proof the claim is
-    wrong for this run and nothing is retained (the safety net that
-    makes ``remove_unreachable`` calls inside mem2reg/GVN harmless).
+    stale results — but since every declarable analysis is a CFG
+    analysis (:data:`CFG_ANALYSES`), a block-count change is proof the
+    claim is wrong for this run and nothing is retained (the safety net
+    that makes ``remove_unreachable`` calls inside mem2reg/GVN
+    harmless).  Analyses that read instructions are never declared, so
+    they never survive a change.
 
     Returns True when at least one analysis survived the migration.
     """
@@ -95,8 +110,9 @@ def retain_analyses(func: Function, names: frozenset,
     return True
 
 
-def cached_analysis(func: Function, name: str, build):
-    """``build(func)``, memoized until the function's epoch changes."""
+def cached_analysis(func: Function, name, build):
+    """``build(func)``, memoized under the hashable key ``name`` until
+    the function's epoch changes."""
     if not _CACHE_ENABLED:
         return build(func)
     epoch = _epoch(func)

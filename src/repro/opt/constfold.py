@@ -9,7 +9,7 @@ the canonicalization work that refinement lifting relies on.
 from __future__ import annotations
 
 from ..ir.module import Function
-from ..ir.values import BinOp, Const, ICmp, Instr, Unary, Value
+from ..ir.values import BinOp, Const, ICmp, Instr, Phi, Unary, Value
 from .analysis import CFG_ANALYSES
 
 #: Folding replaces and rewrites pure instructions in place; terminators
@@ -156,43 +156,101 @@ def _simplify(instr: Instr) -> Value | object | None:
     return None
 
 
+def resolve(v: Value, replacements: dict) -> Value:
+    """Follow ``v`` through a sweep's replacement chains (a -> b ->
+    const); a cycle, possible only in unreachable code, stops the
+    walk."""
+    seen = None
+    while isinstance(v, Instr) and v in replacements:
+        if seen is None:
+            seen = set()
+        elif v in seen:
+            break
+        seen.add(v)
+        v = replacements[v]
+    return v
+
+
+def resolve_operands(instr: Instr, replacements: dict) -> bool:
+    """Rewrite the operands of ``instr`` that a sweep replaced; True
+    when one changed."""
+    ops = instr.ops
+    for op in ops:
+        if isinstance(op, Instr) and op in replacements:
+            instr.ops = [resolve(v, replacements) for v in ops]
+            return True
+    return False
+
+
 def fold_constants(func: Function) -> bool:
-    """Iterate local simplifications to a fixed point."""
+    """Iterate local simplifications to a fixed point, normally in one
+    sweep.
+
+    Each instruction's operands are resolved through the replacements
+    found earlier in the sweep, and an instruction rewritten in place is
+    simplified again before the sweep moves on, so a chain of dependent
+    folds finishes in the sweep that reaches it.  Operands defined later
+    in the block list (phi back edges, blocks placed before their
+    dominator) are rewritten when the sweep ends; the sweep repeats only
+    when such an operand of a non-phi instruction was replaced or
+    rewritten after that instruction was simplified.
+    """
     changed = False
     while True:
         replacements: dict[Instr, Value] = {}
+        #: Instructions whose operand list a rule reassigned: MUTATED
+        #: rewrites and the unreported commutative swap alike.
+        touched: set[Instr] = set()
         mutated = False
         for block in func.blocks:
             for instr in block.instrs:
+                if replacements:
+                    resolve_operands(instr, replacements)
+                ops = instr.ops
                 new = _simplify(instr)
-                if new is MUTATED:
+                while new is MUTATED:
                     mutated = True
-                elif new is not None and new is not instr:
+                    new = _simplify(instr)
+                if instr.ops is not ops:
+                    touched.add(instr)
+                if new is not None and new is not instr:
                     replacements[instr] = new
-        if mutated:
-            # In-place rewrites (reassociation, sub->add) change operands
-            # and opcodes without going through the replacement sweep, so
-            # the version-keyed caches must be told explicitly.
-            func.invalidate()
-        if not replacements:
-            if mutated:
-                changed = True
-                continue
+        if not replacements and not mutated:
             return changed
         changed = True
-        # Resolve chains (a -> b -> const).
-        def resolve(v: Value) -> Value:
-            seen = set()
-            while isinstance(v, Instr) and v in replacements:
-                if id(v) in seen:
-                    break
-                seen.add(id(v))
-                v = replacements[v]
-            return v
+        touched.update(replacements)
+        if finish_sweep(func, replacements, touched):
+            return changed
 
-        for block in func.blocks:
+
+def finish_sweep(func: Function, replacements: dict, touched) -> bool:
+    """Rewrite the operands that still name a replaced instruction (those
+    defined after their user in the sweep), drop the replaced
+    instructions and invalidate.  True when no non-phi instruction has
+    an operand that changed after the instruction was simplified, so
+    another sweep would find nothing."""
+    settled = True
+    passed: set[Instr] = set()
+    for block in func.blocks:
+        drop = False
+        for instr in block.instrs:
+            if instr in touched:
+                passed.add(instr)
+            if instr in replacements:
+                drop = True
+                continue
+            for op in instr.ops:
+                if isinstance(op, Instr) and op in touched \
+                        and op not in passed:
+                    resolve_operands(instr, replacements)
+                    if not isinstance(instr, Phi):
+                        settled = False
+                    break
+        if drop:
             block.instrs = [i for i in block.instrs
                             if i not in replacements]
-            for instr in block.instrs:
-                instr.ops = [resolve(op) for op in instr.ops]
-        func.invalidate()
+    # In-place rewrites (reassociation, sub->add) change operands and
+    # opcodes without going through the replacement sweep, so the
+    # version-keyed caches must be told explicitly.
+    func.invalidate()
+    return settled

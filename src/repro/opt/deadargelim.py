@@ -76,10 +76,13 @@ def eliminate_dead_params(module: Module) -> bool:
                        if i not in dead_set]
         for i, p in enumerate(func.params):
             p.index = i
+        func.invalidate()
         for call in callers.get(name, []):
             args = call.ops[1:]
             call.ops = [call.ops[0]] + [
                 a for i, a in enumerate(args) if i not in dead_set]
+            if call.block is not None and call.block.function is not None:
+                call.block.function.invalidate()
         changed = True
     return changed
 
@@ -195,6 +198,7 @@ def eliminate_dead_results(module: Module) -> bool:
                 if isinstance(instr, Ret):
                     instr.ops = [instr.ops[i] for i in keep]
         func.nresults = len(keep)
+        func.invalidate()
 
     # Dead results may feed phi chains that forwarded them to the (now
     # shrunk) returns; sweep those before renumbering.

@@ -21,7 +21,7 @@ from ..ir.values import (
     Load,
     Store,
 )
-from .alias import AliasAnalysis
+from .alias import AliasAnalysis, alias_analysis
 from .analysis import CFG_ANALYSES
 
 #: Dead-store removal deletes stores only; control flow is untouched.
@@ -30,7 +30,7 @@ PRESERVES = CFG_ANALYSES
 
 def eliminate_dead_stores(func: Function,
                           module: Module | None = None) -> bool:
-    aa = AliasAnalysis(func, module)
+    aa = alias_analysis(func, module)
     dead: set[Instr] = set()
 
     # Block-local overwrite detection.

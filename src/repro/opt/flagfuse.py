@@ -19,6 +19,7 @@ from __future__ import annotations
 from ..ir.module import Function
 from ..ir.values import BinOp, Const, ICmp, Instr, Unary, Value
 from .analysis import CFG_ANALYSES
+from .constfold import finish_sweep, resolve_operands
 
 #: Fusion substitutes comparison trees instruction-for-instruction; the
 #: block list and terminator targets are untouched.
@@ -155,35 +156,34 @@ def _simplify_one(instr: Instr) -> Instr | Value | None:
 
 
 def fuse_flags(func: Function) -> bool:
-    """Iterate flag-tree fusion to a fixed point."""
+    """Iterate flag-tree fusion to a fixed point, normally in one sweep.
+
+    As in :func:`~repro.opt.constfold.fold_constants`, operands are
+    resolved through the replacements found earlier in the sweep, and a
+    fresh comparison is fused again where it stands, so nested trees
+    collapse in the sweep that reaches them.
+    """
     changed = False
     for _ in range(16):
         replacements: dict[Instr, Value] = {}
         for block in func.blocks:
-            for idx, instr in enumerate(block.instrs):
+            instrs = block.instrs
+            for idx, instr in enumerate(instrs):
+                if replacements:
+                    resolve_operands(instr, replacements)
                 new = _simplify_one(instr)
-                if new is None:
-                    continue
-                if isinstance(new, ICmp) and new.block is None:
+                while isinstance(new, ICmp) and new.block is None:
                     # Fresh comparison: substitute it in place.
                     new.block = block
-                    block.instrs[idx] = new
-                replacements[instr] = new
+                    instrs[idx] = new
+                    replacements[instr] = new
+                    instr = new
+                    new = _simplify_one(instr)
+                if new is not None:
+                    replacements[instr] = new
         if not replacements:
             return changed
         changed = True
-
-        def resolve(v: Value) -> Value:
-            while isinstance(v, Instr) and v in replacements:
-                v = replacements[v]
-            return v
-
-        fresh = {v for v in replacements.values()
-                 if isinstance(v, Instr)}
-        for block in func.blocks:
-            block.instrs = [i for i in block.instrs
-                            if i not in replacements or i in fresh]
-            for instr in block.instrs:
-                instr.ops = [resolve(op) for op in instr.ops]
-        func.invalidate()
+        if finish_sweep(func, replacements, replacements.keys()):
+            return changed
     return changed

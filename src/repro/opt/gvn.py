@@ -25,8 +25,9 @@ from ..ir.values import (
     Unary,
     Value,
 )
-from .alias import AliasAnalysis
+from .alias import AliasAnalysis, alias_analysis
 from .analysis import CFG_ANALYSES, dominators
+from .constfold import resolve_operands
 from .simplifycfg import remove_unreachable
 
 #: Both passes here delete or substitute pure instructions and loads;
@@ -100,15 +101,10 @@ def global_value_numbering(func: Function) -> bool:
     if not replacements:
         return pruned
 
-    def resolve(v: Value) -> Value:
-        while isinstance(v, Instr) and v in replacements:
-            v = replacements[v]
-        return v
-
     for block in func.blocks:
         block.instrs = [i for i in block.instrs if i not in replacements]
         for instr in block.instrs:
-            instr.ops = [resolve(op) for op in instr.ops]
+            resolve_operands(instr, replacements)
     func.invalidate()
     return True
 
@@ -119,7 +115,7 @@ _EXT_FOR_SIZE = {1: "zext8", 2: "zext16"}
 def eliminate_redundant_loads(func: Function,
                               module: Module | None = None) -> bool:
     """Block-local store-to-load forwarding and load CSE."""
-    aa = AliasAnalysis(func, module)
+    aa = alias_analysis(func, module)
     replacements: dict[Instr, Value] = {}
     inserted: list[tuple[Block, int, Instr]] = []
 
@@ -170,17 +166,12 @@ def eliminate_redundant_loads(func: Function,
         old = block.instrs[idx]
         block.instrs[idx] = ext
 
-    def resolve(v: Value) -> Value:
-        while isinstance(v, Instr) and v in replacements:
-            v = replacements[v]
-        return v
-
     kept_exts = {ext for _b, _i, ext in inserted}
     for block in func.blocks:
         block.instrs = [i for i in block.instrs
                         if i not in replacements or i in kept_exts]
         for instr in block.instrs:
-            instr.ops = [resolve(op) for op in instr.ops]
+            resolve_operands(instr, replacements)
     func.invalidate()
     return True
 

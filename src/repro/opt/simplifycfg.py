@@ -8,8 +8,9 @@ the rest of the pipeline (and the lowerer) working on small CFGs.
 from __future__ import annotations
 
 from ..ir.module import Function
-from ..ir.values import Br, CondBr, Const, Switch
+from ..ir.values import Br, CondBr, Const, Phi, Switch, Value
 from .analysis import predecessors, reachable
+from .constfold import resolve
 
 #: Preserved-analyses declaration for the pass manager: CFG
 #: simplification exists to mutate control flow, so a change invalidates
@@ -32,13 +33,17 @@ def remove_unreachable(func: Function) -> bool:
     return True
 
 
-def fold_constant_branches(func: Function) -> bool:
+def _fold_constant_branches(func: Function, subst: dict) -> bool:
+    """Fold branches and switches on constants (read through
+    ``subst``) into plain ``br``s."""
     changed = False
     for block in func.blocks:
         term = block.terminator
-        if isinstance(term, CondBr) and isinstance(term.cond, Const):
-            taken = term.if_true if term.cond.value else term.if_false
-            dropped = term.if_false if term.cond.value else term.if_true
+        cond = resolve(term.ops[0], subst) \
+            if isinstance(term, (CondBr, Switch)) else None
+        if isinstance(term, CondBr) and isinstance(cond, Const):
+            taken = term.if_true if cond.value else term.if_false
+            dropped = term.if_false if cond.value else term.if_true
             block.instrs[-1] = Br(taken)
             block.instrs[-1].block = block
             if dropped is not taken:
@@ -50,10 +55,10 @@ def fold_constant_branches(func: Function) -> bool:
             block.instrs[-1] = Br(term.if_true)
             block.instrs[-1].block = block
             changed = True
-        elif isinstance(term, Switch) and isinstance(term.value, Const):
+        elif isinstance(term, Switch) and isinstance(cond, Const):
             target = term.default
             for case, dest in term.cases:
-                if (case & 0xFFFFFFFF) == term.value.value:
+                if (case & 0xFFFFFFFF) == cond.value:
                     target = dest
                     break
             for succ in term.successors():
@@ -71,42 +76,69 @@ def fold_constant_branches(func: Function) -> bool:
 
 def merge_block_chains(func: Function) -> bool:
     """Merge B into A when A ends ``br B`` and B has A as sole pred."""
+    subst: dict[Phi, Value] = {}
+    changed = _merge_block_chains(func, subst)
+    _substitute(func, subst)
+    return changed
+
+
+def _merge_block_chains(func: Function, subst: dict) -> bool:
+    """One pass over the block list: a block that absorbed its successor
+    is checked again before the pass moves on, which makes the merges,
+    in their order, of restarting from the first block after each one.
+    The predecessor map is updated in place; the phis of an absorbed
+    block go into ``subst``."""
+    preds = predecessors(func)
+    blocks = func.blocks
     changed = False
-    while True:
-        preds = predecessors(func)
-        merged = False
-        for block in func.blocks:
-            if not block.is_terminated:
-                continue
-            term = block.terminator
-            if not isinstance(term, Br):
-                continue
-            succ = term.target
-            if succ is block or succ is func.entry:
-                continue
-            if len(preds[succ]) != 1:
-                continue
-            if succ.phis():
-                for phi in succ.phis():
-                    value = phi.value_for(block)
-                    _replace_value_everywhere(func, phi, value)
-                succ.instrs = succ.instrs[len(succ.phis()):]
-            block.instrs.pop()  # drop the br
-            for instr in succ.instrs:
-                instr.block = block
-                block.instrs.append(instr)
-            # Successor phis naming `succ` as incoming now come from `block`.
-            for nxt in block.successors():
-                for phi in nxt.phis():
-                    phi.blocks = [block if b is succ else b
-                                  for b in phi.blocks]
-            func.blocks.remove(succ)
-            func.invalidate()
-            merged = True
+    i = 0
+    while i < len(blocks):
+        block = blocks[i]
+        succ = _sole_successor(func, block, preds)
+        if succ is None:
+            i += 1
+            continue
+        if not changed:
+            # The cached map is shared; edit a copy.
+            preds = {b: list(ps) for b, ps in preds.items()}
             changed = True
-            break
-        if not merged:
-            return changed
+        phis = succ.phis()
+        for phi in phis:
+            value = resolve(phi.value_for(block), subst)
+            if value is not phi:
+                subst[phi] = value
+        block.instrs.pop()  # drop the br
+        for instr in succ.instrs[len(phis):]:
+            instr.block = block
+            block.instrs.append(instr)
+        # Successor phis naming `succ` as incoming now come from `block`.
+        for nxt in block.successors():
+            preds[nxt] = [block if b is succ else b for b in preds[nxt]]
+            for phi in nxt.phis():
+                phi.blocks = [block if b is succ else b
+                              for b in phi.blocks]
+        del preds[succ]
+        j = blocks.index(succ)
+        del blocks[j]
+        if j < i:
+            i -= 1
+    if changed:
+        func.invalidate()
+    return changed
+
+
+def _sole_successor(func: Function, block, preds):
+    """The block ``block`` may absorb: the target of its ``br`` when
+    ``block`` is that target's only predecessor."""
+    if not block.is_terminated:
+        return None
+    term = block.terminator
+    if not isinstance(term, Br):
+        return None
+    succ = term.target
+    if succ is block or succ is func.entry or len(preds[succ]) != 1:
+        return None
+    return succ
 
 
 def forward_empty_blocks(func: Function) -> bool:
@@ -149,13 +181,19 @@ def forward_empty_blocks(func: Function) -> bool:
     return changed
 
 
-def simplify_single_incoming_phis(func: Function) -> bool:
+def _simplify_single_incoming_phis(func: Function, subst: dict) -> bool:
+    """Move the phis whose incoming values (read through ``subst``) are
+    all one value into ``subst``."""
     changed = False
     for block in func.blocks:
         for phi in list(block.phis()):
-            distinct = {v for v in phi.ops if v is not phi}
+            distinct = set()
+            for v in phi.ops:
+                v = resolve(v, subst)
+                if v is not phi:
+                    distinct.add(v)
             if len(distinct) == 1:
-                _replace_value_everywhere(func, phi, distinct.pop())
+                subst[phi] = distinct.pop()
                 block.instrs.remove(phi)
                 changed = True
     if changed:
@@ -163,22 +201,37 @@ def simplify_single_incoming_phis(func: Function) -> bool:
     return changed
 
 
-def _replace_value_everywhere(func: Function, old, new) -> None:
+def _substitute(func: Function, subst: dict) -> None:
+    """Replace every use of the phis in ``subst`` (chains resolved) in one
+    walk over the function."""
+    if not subst:
+        return
+    final = {phi: resolve(v, subst) for phi, v in subst.items()}
     for instr in func.instructions():
-        instr.replace_operand(old, new)
+        for op in instr.ops:
+            if isinstance(op, Phi) and op in final:
+                instr.rewrite_operands(final)
+                break
+    func.invalidate()
 
 
 def simplify_cfg(func: Function) -> bool:
-    """Run all CFG simplifications to a fixed point."""
+    """Run all CFG simplifications to a fixed point.
+
+    The phis that chain merging and single-value phi folding remove are
+    collected in one substitution, which every step reads through and
+    which is applied in one walk at the end."""
     changed = False
+    subst: dict[Phi, Value] = {}
     while True:
         round_changed = False
         round_changed |= remove_unreachable(func)
-        round_changed |= fold_constant_branches(func)
+        round_changed |= _fold_constant_branches(func, subst)
         round_changed |= remove_unreachable(func)
-        round_changed |= merge_block_chains(func)
+        round_changed |= _merge_block_chains(func, subst)
         round_changed |= forward_empty_blocks(func)
-        round_changed |= simplify_single_incoming_phis(func)
+        round_changed |= _simplify_single_incoming_phis(func, subst)
         if not round_changed:
+            _substitute(func, subst)
             return changed
         changed = True

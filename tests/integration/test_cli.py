@@ -302,3 +302,55 @@ def test_obs_regress_command_gates(tmp_path, capsys):
                  "--fresh", slow, "--tolerance", "1.5"]) == 1
     out = capsys.readouterr().out
     assert "REGRESSED" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("content", ["not json", "[]", '"x"',
+                                     '{"metrics": 5}'],
+                         ids=["not-json", "a-list", "a-string",
+                              "metrics-not-an-object"])
+def test_malformed_obs_report_is_one_line_usage_error(tmp_path, capsys,
+                                                      content):
+    # Exit 1 means a regression; a broken report must read as usage.
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    good = tmp_path / "base.json"
+    good.write_text('{"spans": [], "metrics": {}}')
+    for argv in (["obs", "diff", str(bad), str(good)],
+                 ["obs", "diff", str(good), str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro obs: ReportError: ")
+        assert err.count("\n") == 1 and str(bad) in err
+    base = _bench_json(tmp_path / "bench.json", 1.0)
+    for argv in (["obs", "regress", "--baseline", str(bad),
+                  "--fresh", base],
+                 ["obs", "regress", "--baseline", base,
+                  "--fresh", str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro obs: ReportError: ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_obs_regress_rejects_a_tolerance_not_finite_and_positive(
+        tmp_path, capsys, tolerance):
+    base = _bench_json(tmp_path / "base.json", 1.0)
+    slow = _bench_json(tmp_path / "slow.json", 10.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["obs", "regress", "--baseline", base, "--fresh", slow,
+              "--tolerance", tolerance])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tolerance" in err and err.count("\n") == 1
+
+
+def test_obs_regress_nan_mean_fails_closed(tmp_path, capsys):
+    import json as _json
+    base = _bench_json(tmp_path / "base.json", 1.0)
+    fresh = tmp_path / "nan.json"
+    fresh.write_text(_json.dumps({"benchmarks": [
+        {"name": "bench_a", "stats": {"mean": float("nan")}}]}))
+    assert main(["obs", "regress", "--baseline", base,
+                 "--fresh", str(fresh)]) == 1
+    assert "REGRESSED" in capsys.readouterr().out

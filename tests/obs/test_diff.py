@@ -117,3 +117,42 @@ def test_regress_empty_intersection_fails():
     result = obs.regress({"a": {"mean": 1.0}}, {"b": {"mean": 1.0}})
     assert not result["ok"]  # comparing nothing must not pass
     assert "gate fails" in obs.render_regress(result)
+
+
+def test_regress_nan_mean_fails_closed():
+    # NaN compares False both ways: only `ratio <= tolerance` passes.
+    for base, fresh in ((1.0, float("nan")), (float("nan"), 1.0)):
+        result = obs.regress({"b1": {"mean": base}},
+                             {"b1": {"mean": fresh}}, tolerance=1.5)
+        assert not result["ok"] and result["regressions"] == ["b1"]
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0,
+                                       -1.0])
+def test_regress_rejects_a_tolerance_not_finite_and_positive(tolerance):
+    with pytest.raises(ValueError):
+        obs.regress({"b1": {"mean": 1.0}}, {"b1": {"mean": 10.0}},
+                    tolerance=tolerance)
+
+
+@pytest.mark.parametrize("doc", [[], "x", {"metrics": 5},
+                                 {"metrics": {"counters": []}},
+                                 {"metrics": {"timers": {"t": 1}}},
+                                 {"spans": [1]}])
+def test_diff_rejects_a_document_not_shaped_like_a_report(doc):
+    from repro.errors import ReportError
+    with pytest.raises(ReportError):
+        obs.diff_reports(doc, _report())
+    with pytest.raises(ReportError):
+        obs.diff_reports(_report(), doc)
+
+
+@pytest.mark.parametrize("content", ["not json", "[]",
+                                     '{"benchmarks": 5}',
+                                     '{"benchmarks": [{"stats": {}}]}'])
+def test_load_benchmarks_rejects_a_malformed_file(tmp_path, content):
+    from repro.errors import ReportError
+    path = tmp_path / "bench.json"
+    path.write_text(content)
+    with pytest.raises(ReportError):
+        obs.load_benchmarks([path])

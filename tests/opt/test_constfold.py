@@ -2,6 +2,7 @@
 
 from repro.ir import BinOp, Builder, Const, Function, run_module, \
     Module
+from repro.ir.printer import function_to_text
 from repro.opt import fold_constants
 
 
@@ -111,3 +112,7 @@ def test_semantics_preserved_on_random_exprs():
         fold_constants(f)
         after = run_module(m).exit_code
         assert before == after
+        # One call reaches the fixed point: a second finds nothing.
+        text = function_to_text(f)
+        assert not fold_constants(f)
+        assert function_to_text(f) == text

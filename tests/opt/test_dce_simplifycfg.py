@@ -9,6 +9,7 @@ from repro.ir import (
     run_module,
     verify_function,
 )
+from repro.ir.printer import function_to_text
 from repro.opt import eliminate_dead_code, simplify_cfg
 
 
@@ -18,6 +19,15 @@ def build():
     m.add_function(f)
     m.entry_name = "main"
     return m, f, Builder(f)
+
+
+def simplify_to_fixpoint(f):
+    """Simplify ``f``; a second call must find nothing to change."""
+    changed = simplify_cfg(f)
+    text = function_to_text(f)
+    assert not simplify_cfg(f)
+    assert function_to_text(f) == text
+    return changed
 
 
 def test_unused_pure_instructions_removed():
@@ -81,7 +91,7 @@ def test_constant_branch_folded():
     b.ret([Const(1)])
     b.position(e)
     b.ret([Const(2)])
-    assert simplify_cfg(f)
+    assert simplify_to_fixpoint(f)
     assert len(f.blocks) == 1  # folded + merged + unreachable removed
     assert run_module(m).exit_code == 1
 
@@ -98,7 +108,7 @@ def test_block_chain_merging():
     b.br(end)
     b.position(end)
     b.ret([v])
-    simplify_cfg(f)
+    simplify_to_fixpoint(f)
     assert len(f.blocks) == 1
     verify_function(f)
 
@@ -119,7 +129,7 @@ def test_single_value_phi_simplified():
     b.position(join)
     phi = b.phi([(a, Const(5)), (c, Const(5))])
     b.ret([phi])
-    simplify_cfg(f)
+    simplify_to_fixpoint(f)
     assert not any(isinstance(i, Phi) for i in f.instructions())
     assert run_module(m).exit_code == 5
 
@@ -135,6 +145,6 @@ def test_switch_constant_folded():
     b.ret([Const(30)])
     b.position(dflt)
     b.ret([Const(0)])
-    simplify_cfg(f)
+    simplify_to_fixpoint(f)
     assert run_module(m).exit_code == 30
     assert len(f.blocks) == 1

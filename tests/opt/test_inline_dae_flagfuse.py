@@ -10,6 +10,7 @@ from repro.ir import (
     run_module,
     verify_module,
 )
+from repro.ir.printer import function_to_text
 from repro.opt import (
     fuse_flags,
     inline_functions,
@@ -174,6 +175,13 @@ def test_entry_function_protected():
     assert len(main.params) == 1  # untouched
 
 
+def assert_fused_to_fixpoint(f):
+    """A second fusion call finds nothing and leaves the text as is."""
+    text = function_to_text(f)
+    assert not fuse_flags(f)
+    assert function_to_text(f) == text
+
+
 def test_flag_fusion_slt_tree():
     # The lifter's signed-less-than tree must fold to a single icmp.
     m = Module()
@@ -194,6 +202,7 @@ def test_flag_fusion_slt_tree():
     baseline = [Interpreter(m).run(args=[v & 0xFFFFFFFF]).exit_code
                 for v in (-5, 5, 10, 15, 2**31 - 1, -2**31)]
     assert fuse_flags(f)
+    assert_fused_to_fixpoint(f)
     from repro.opt import eliminate_dead_code
     eliminate_dead_code(f)
     icmps = [i for i in f.instructions() if isinstance(i, ICmp)]
@@ -216,6 +225,7 @@ def test_flag_fusion_inversion_and_combination():
     le = b.binop("or", lt, eq)
     b.ret([b.binop("and", ne, le)])
     fuse_flags(f)
+    assert_fused_to_fixpoint(f)
     preds = sorted(i.pred for i in f.instructions()
                    if isinstance(i, ICmp))
     assert "ult" in preds  # and(ule, ne) -> ult
@@ -237,6 +247,7 @@ def test_flag_fusion_zext_of_bool():
     c2 = b.icmp("eq", z, Const(0))
     b.ret([c2])
     fuse_flags(f)
+    assert_fused_to_fixpoint(f)
     from repro.ir import Interpreter
     assert Interpreter(m).run(args=[0]).exit_code == 1
     assert Interpreter(m).run(args=[5]).exit_code == 0
