@@ -396,10 +396,11 @@ def _rewrite_call_site(caller: Function, call: Call,
             for instr in b.instrs:
                 instr.ops = [replacements.get(op, op)
                              for op in instr.ops]
-        caller.invalidate()
     callee_ref = call.ops[0]
     call.ops = [callee_ref, *new_args]
     call.nresults = len(out_regs)
+    # The call's operands and its Results' indices changed in place.
+    caller.invalidate()
 
 
 def _rewrite_function(func: Function, arg_regs: list[str],

@@ -129,6 +129,10 @@ class Function:
         #: directly, rewrite terminators in place, or edit
         #: :attr:`blocks` must call :meth:`invalidate`.
         self.version = 0
+        #: The analysis cache's entry, ``(epoch, {name: result})``
+        #: (:mod:`repro.opt.analysis`).  Its results reference the
+        #: function, so it lives here, where it is freed with it.
+        self.analyses: tuple | None = None
 
     def invalidate(self) -> None:
         """Signal a mutation made behind the builder API.

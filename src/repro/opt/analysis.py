@@ -12,8 +12,10 @@ be followed by ``func.invalidate()`` before another pass (or a later
 fixed-point round) consults these accessors — the builder API
 (:meth:`Block.append` / :meth:`Block.insert`) bumps the version
 automatically, direct splices do not.  Callers must treat the returned
-objects as immutable.  Tests that need an uncached reference set the
-module's ``_CACHE_ENABLED`` to False, so every call recomputes.
+objects as immutable.  Each function holds its own entry
+(:attr:`~repro.ir.module.Function.analyses`), so its analyses are freed
+with it.  Tests that need an uncached reference set the module's
+``_CACHE_ENABLED`` to False, so every call recomputes.
 
 Invalidation is *selective* when the mutation's author can vouch for
 what it left intact: a pass that only rewrites non-terminator
@@ -36,8 +38,6 @@ load elimination reported no change.
 
 from __future__ import annotations
 
-import weakref
-
 from .. import obs
 from ..ir.module import Block, Function
 from ..ir.values import Instr, Value
@@ -52,11 +52,6 @@ _CACHE_ENABLED = True
 #: preserved.
 CFG_ANALYSES = frozenset({"dominators", "predecessors", "reachable",
                           "loop_headers"})
-
-#: func -> (epoch, {analysis name -> result}); weak so retired modules
-#: free their analyses.
-_CACHE: "weakref.WeakKeyDictionary[Function, tuple]" = \
-    weakref.WeakKeyDictionary()
 
 
 def _epoch(func: Function) -> tuple[int, int, int]:
@@ -93,7 +88,7 @@ def retain_analyses(func: Function, names: frozenset,
     """
     if not _CACHE_ENABLED or not names:
         return False
-    entry = _CACHE.get(func)
+    entry = func.analyses
     if entry is None or entry[0] != prior_epoch:
         return False
     epoch = _epoch(func)
@@ -103,7 +98,7 @@ def retain_analyses(func: Function, names: frozenset,
         return False           # block count changed: CFG claims void
     kept = {name: result for name, result in entry[1].items()
             if name in names}
-    _CACHE[func] = (epoch, kept)
+    func.analyses = (epoch, kept)
     if not kept:
         return False
     obs.count("analysis.cache.retained", len(kept))
@@ -116,10 +111,9 @@ def cached_analysis(func: Function, name, build):
     if not _CACHE_ENABLED:
         return build(func)
     epoch = _epoch(func)
-    entry = _CACHE.get(func)
+    entry = func.analyses
     if entry is None or entry[0] != epoch:
-        entry = (epoch, {})
-        _CACHE[func] = entry
+        entry = func.analyses = (epoch, {})
     slot = entry[1]
     if name in slot:
         obs.count("analysis.cache.hits")

@@ -8,7 +8,7 @@ the canonicalization work that refinement lifting relies on.
 
 from __future__ import annotations
 
-from ..ir.module import Function
+from ..ir.module import Block, Function
 from ..ir.values import BinOp, Const, ICmp, Instr, Phi, Unary, Value
 from .analysis import CFG_ANALYSES
 
@@ -187,65 +187,74 @@ def fold_constants(func: Function) -> bool:
     sweep.
 
     Each instruction's operands are resolved through the replacements
-    found earlier in the sweep, and an instruction rewritten in place is
-    simplified again before the sweep moves on, so a chain of dependent
-    folds finishes in the sweep that reaches it.  Operands defined later
-    in the block list (phi back edges, blocks placed before their
-    dominator) are rewritten when the sweep ends; the sweep repeats only
-    when such an operand of a non-phi instruction was replaced or
-    rewritten after that instruction was simplified.
+    found earlier in the sweep, again after every in-place rewrite, so a
+    chain of dependent folds finishes in the sweep that reaches it.
+    :func:`finish_sweep` rewrites what the sweep could not (operands
+    replaced after their user was simplified) and decides whether
+    another sweep is needed.
     """
     changed = False
     while True:
         replacements: dict[Instr, Value] = {}
-        #: Instructions whose operand list a rule reassigned: MUTATED
-        #: rewrites and the unreported commutative swap alike.
-        touched: set[Instr] = set()
         mutated = False
         for block in func.blocks:
             for instr in block.instrs:
                 if replacements:
                     resolve_operands(instr, replacements)
-                ops = instr.ops
                 new = _simplify(instr)
                 while new is MUTATED:
+                    # The rewrite may have taken an operand's operand.
                     mutated = True
+                    if replacements:
+                        resolve_operands(instr, replacements)
                     new = _simplify(instr)
-                if instr.ops is not ops:
-                    touched.add(instr)
                 if new is not None and new is not instr:
                     replacements[instr] = new
         if not replacements and not mutated:
             return changed
         changed = True
-        touched.update(replacements)
-        if finish_sweep(func, replacements, touched):
+        if finish_sweep(func, replacements):
             return changed
 
 
-def finish_sweep(func: Function, replacements: dict, touched) -> bool:
-    """Rewrite the operands that still name a replaced instruction (those
-    defined after their user in the sweep), drop the replaced
-    instructions and invalidate.  True when no non-phi instruction has
-    an operand that changed after the instruction was simplified, so
-    another sweep would find nothing."""
+def finish_sweep(func: Function, replacements: dict) -> bool:
+    """End a sweep: rewrite every operand that still names a replaced
+    instruction, drop the replaced instructions and invalidate.
+
+    Returns True when another sweep would find nothing.  The sweep
+    simplified each instruction with its operands resolved, and an
+    instruction changes only when the sweep reaches it, so an
+    instruction is settled when nothing it reads changed after it was
+    simplified.  That holds when no non-phi instruction needed an
+    operand rewritten here and each names only instructions placed
+    before it (the rules look through operands, never through phis).
+    A block placed before its dominator breaks the second condition, and
+    its function gets a further sweep whenever this one changed
+    anything.  Placement is read from ``Instr.block``, so the check keeps
+    a set of one block's instructions at a time, not of the function's.
+    """
     settled = True
-    passed: set[Instr] = set()
+    walked: set[Block] = set()
     for block in func.blocks:
         drop = False
+        earlier: set[Instr] = set()
         for instr in block.instrs:
-            if instr in touched:
-                passed.add(instr)
             if instr in replacements:
                 drop = True
                 continue
-            for op in instr.ops:
-                if isinstance(op, Instr) and op in touched \
-                        and op not in passed:
-                    resolve_operands(instr, replacements)
-                    if not isinstance(instr, Phi):
+            if isinstance(instr, Phi):
+                resolve_operands(instr, replacements)
+            elif resolve_operands(instr, replacements):
+                settled = False
+            elif settled:
+                for op in instr.ops:
+                    if isinstance(op, Instr) and op not in earlier \
+                            and op.block not in walked:
                         settled = False
-                    break
+                        break
+            if settled:
+                earlier.add(instr)
+        walked.add(block)
         if drop:
             block.instrs = [i for i in block.instrs
                             if i not in replacements]

@@ -231,7 +231,8 @@ def eliminate_dead_results(module: Module) -> bool:
                         for instr in block.instrs:
                             for s in stale:
                                 instr.replace_operand(s, call)
-                caller.invalidate()
+            # Results were renumbered in place even when none went stale.
+            caller.invalidate()
     return True
 
 

@@ -160,8 +160,8 @@ def fuse_flags(func: Function) -> bool:
 
     As in :func:`~repro.opt.constfold.fold_constants`, operands are
     resolved through the replacements found earlier in the sweep, and a
-    fresh comparison is fused again where it stands, so nested trees
-    collapse in the sweep that reaches them.
+    fresh comparison is resolved and fused again where it stands, so
+    nested trees collapse in the sweep that reaches them.
     """
     changed = False
     for _ in range(16):
@@ -173,17 +173,19 @@ def fuse_flags(func: Function) -> bool:
                     resolve_operands(instr, replacements)
                 new = _simplify_one(instr)
                 while isinstance(new, ICmp) and new.block is None:
-                    # Fresh comparison: substitute it in place.
+                    # Fresh comparison: substitute it in place.  Its
+                    # operands come from deeper in the tree.
                     new.block = block
                     instrs[idx] = new
                     replacements[instr] = new
                     instr = new
+                    resolve_operands(instr, replacements)
                     new = _simplify_one(instr)
                 if new is not None:
                     replacements[instr] = new
         if not replacements:
             return changed
         changed = True
-        if finish_sweep(func, replacements, replacements.keys()):
+        if finish_sweep(func, replacements):
             return changed
     return changed

@@ -74,16 +74,10 @@ def _fold_constant_branches(func: Function, subst: dict) -> bool:
     return changed
 
 
-def merge_block_chains(func: Function) -> bool:
-    """Merge B into A when A ends ``br B`` and B has A as sole pred."""
-    subst: dict[Phi, Value] = {}
-    changed = _merge_block_chains(func, subst)
-    _substitute(func, subst)
-    return changed
-
-
 def _merge_block_chains(func: Function, subst: dict) -> bool:
-    """One pass over the block list: a block that absorbed its successor
+    """Merge B into A when A ends ``br B`` and B has A as sole pred.
+
+    One pass over the block list: a block that absorbed its successor
     is checked again before the pass moves on, which makes the merges,
     in their order, of restarting from the first block after each one.
     The predecessor map is updated in place; the phis of an absorbed
@@ -153,7 +147,7 @@ def forward_empty_blocks(func: Function) -> bool:
         target = term.target
         if target is block or target.phis():
             # Forwarding into a phi-block would need incoming rewrites that
-            # can conflict; leave those to merge_block_chains.
+            # can conflict; leave those to _merge_block_chains.
             continue
         preds = predecessors(func)[block]
         if not preds:

@@ -32,7 +32,7 @@ from repro.core import (
     recover_vararg_calls,
 )
 from repro.core.driver import _canonicalize
-from repro.core.regsave import RegSavePlugin
+from repro.core.regsave import RegSavePlugin, RegSaveResult
 from repro.core.sp0fold import is_lifted_function
 from tests.conftest import FEATURE_SOURCE, KERNEL_SOURCE, cached_image
 
@@ -305,3 +305,32 @@ def test_stack_refs_exclude_pure_chain_nodes():
     # There must exist chain-only values (e.g. intermediate esp updates)
     # that are not classified as base pointers.
     assert len(offsets) >= len(refs)
+
+
+def test_call_site_rewrite_invalidates_the_caller():
+    # Both results survive, so no Result is replaced: only the call's
+    # operands and the Results' indices change, in place.
+    from repro.ir import Builder, Function, Module
+    from repro.lifting.translator import REG_ORDER
+    from repro.opt.analysis import current_epoch
+
+    m = Module()
+    g = Function("g", ["sp", *REG_ORDER], nresults=len(REG_ORDER))
+    gb = Builder(g)
+    gb.position(g.add_block("entry"))
+    gb.ret(list(g.params[1:]))
+    m.add_function(g)
+    main = Function("main", [])
+    b = Builder(main)
+    b.position(main.add_block("entry"))
+    call = b.call("g", [Const(0x1000)] + [Const(5)] * len(REG_ORDER),
+                  nresults=len(REG_ORDER))
+    b.ret([b.add(b.result(call, 0), b.result(call, 1))])
+    m.add_function(main)
+    m.entry_name = "main"
+    before = current_epoch(main)
+    apply_register_classification(m, RegSaveResult(
+        args={"g": {"eax"}}, outputs={"g": {"eax", "ecx"}}))
+    assert current_epoch(main) != before
+    verify_module(m)
+    assert run_module(m).exit_code == 5

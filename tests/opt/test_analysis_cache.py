@@ -93,3 +93,18 @@ def test_cache_counters():
         assert counters.get("analysis.cache.hits") == 1
     finally:
         obs.disable()
+
+
+def test_a_dropped_function_frees_its_analyses():
+    import gc
+    import weakref
+
+    from repro.opt.alias import alias_analysis
+
+    f, _blocks = diamond()
+    dominators(f)
+    alias_analysis(f)
+    gone = weakref.ref(f)
+    del f, _blocks
+    gc.collect()
+    assert gone() is None

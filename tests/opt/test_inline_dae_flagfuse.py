@@ -7,11 +7,13 @@ from repro.ir import (
     Function,
     ICmp,
     Module,
+    Result,
     run_module,
     verify_module,
 )
 from repro.ir.printer import function_to_text
 from repro.opt import (
+    eliminate_dead_results,
     fuse_flags,
     inline_functions,
     shrink_signatures,
@@ -251,3 +253,31 @@ def test_flag_fusion_zext_of_bool():
     from repro.ir import Interpreter
     assert Interpreter(m).run(args=[0]).exit_code == 1
     assert Interpreter(m).run(args=[5]).exit_code == 0
+
+
+def test_renumbered_results_invalidate_the_caller():
+    # Result 0 of f is dead; the caller's Results 1 and 2 are renumbered
+    # in place and none is deleted.
+    from repro.opt import analysis
+
+    m = Module()
+    f = Function("f", ["n"])
+    f.nresults = 3
+    b = Builder(f)
+    b.position(f.add_block("entry"))
+    b.ret([Const(1), f.params[0], Const(2)])
+    m.add_function(f)
+    main = Function("main", [])
+    mb = Builder(main)
+    mb.position(main.add_block("entry"))
+    call = mb.call("f", [Const(4)], nresults=3)
+    mb.ret([mb.add(mb.result(call, 1), mb.result(call, 2))])
+    m.add_function(main)
+    m.entry_name = "main"
+    before = analysis.current_epoch(main)
+    assert eliminate_dead_results(m)
+    assert analysis.current_epoch(main) != before
+    assert [r.index for r in main.instructions()
+            if isinstance(r, Result)] == [0, 1]
+    verify_module(m)
+    assert run_module(m).exit_code == 6

@@ -9,6 +9,7 @@ from repro.cc.driver import compile_to_ir
 from repro.ir import Builder, Const, Function, Module, Phi, run_module
 from repro.ir.module import Function as _Function
 from repro.ir.printer import module_to_text
+from repro.ir.verifier import verify_function
 from repro.opt import (
     OptOptions,
     alias,
@@ -20,7 +21,6 @@ from repro.opt import (
     optimize_module,
     simplify_cfg,
 )
-from repro.opt.simplifycfg import merge_block_chains
 from tests.conftest import FEATURE_SOURCE
 
 
@@ -77,7 +77,75 @@ def test_fuse_flags_collapses_nested_zexts_in_one_sweep(monkeypatch):
     assert f.entry.instrs[-1].ops == [cmp]
 
 
-def test_merge_block_chains_builds_the_predecessor_map_once(monkeypatch):
+def misordered():
+    """entry -> b -> c, with c placed before b in the block list: a block
+    placed before its dominator, so c uses values defined after it."""
+    m, f, b = build()
+    entry = f.add_block("entry")
+    c = f.add_block("c")
+    later = f.add_block("b")
+    return m, f, b, entry, later, c
+
+
+def test_fold_constants_resolves_a_rewrite_that_names_a_folded_value():
+    m, f, b, entry, later, c = misordered()
+    b.position(entry)
+    x = b.sub(f.params[0], f.params[0])      # folds to 0
+    b.br(later)
+    b.position(later)
+    lhs = b.add(x, Const(5))
+    b.br(c)
+    b.position(c)
+    use = b.add(lhs, Const(3))               # reassociates onto x
+    b.ret([use])
+    assert constfold.fold_constants(f)
+    verify_function(f, m)
+    assert c.instrs[-1].ops == [Const(8)]
+    text = module_to_text(m)
+    assert not constfold.fold_constants(f)
+    assert module_to_text(m) == text
+
+
+def test_fold_constants_reaches_the_fixed_point_through_a_later_block():
+    m, f, b, entry, later, c = misordered()
+    b.position(entry)
+    five = b.add(Const(2), Const(3))
+    b.br(later)
+    b.position(later)
+    lhs = b.add(f.params[0], five)           # becomes add x, 5 late
+    b.br(c)
+    b.position(c)
+    use = b.add(lhs, Const(3))
+    b.ret([use])
+    assert constfold.fold_constants(f)
+    verify_function(f, m)
+    assert use.ops == [f.params[0], Const(8)]
+    text = module_to_text(m)
+    assert not constfold.fold_constants(f)
+    assert module_to_text(m) == text
+
+
+def test_fuse_flags_resolves_a_fresh_comparison_from_a_later_block():
+    m, f, b, entry, later, c = misordered()
+    b.position(entry)
+    cmp = b.icmp("slt", f.params[0], Const(0))
+    wide = b.unary("zext8", cmp)             # fuses to cmp
+    b.br(later)
+    b.position(later)
+    diff = b.sub(wide, Const(3))
+    b.br(c)
+    b.position(c)
+    b.ret([b.icmp("eq", diff, Const(0))])    # becomes icmp eq wide, 3
+    assert flagfuse.fuse_flags(f)
+    verify_function(f, m)
+    assert c.instrs[0].ops == [cmp, Const(3)]
+    text = module_to_text(m)
+    assert not flagfuse.fuse_flags(f)
+    assert module_to_text(m) == text
+
+
+def test_chain_merging_builds_the_predecessor_map_once_per_round(
+        monkeypatch):
     m, f, b = build()
     blocks = [f.add_block(f"b{i}") for i in range(50)]
     for block, nxt in zip(blocks, blocks[1:], strict=False):
@@ -86,8 +154,8 @@ def test_merge_block_chains_builds_the_predecessor_map_once(monkeypatch):
     b.position(blocks[-1])
     b.ret([f.params[0]])
     builds = counting(monkeypatch, _Function, "predecessors")
-    assert merge_block_chains(f)
-    assert builds[0] <= 2
+    assert simplify_cfg(f)
+    assert builds[0] <= 2     # the merging round and the settling one
     assert len(f.blocks) == 1 and ninstrs(f) == 1
 
 
