@@ -9,9 +9,8 @@
  *
  *   python -m repro compile examples/escape.c -o escape.img.json
  *   python -m repro check escape.img.json --input int:3
- *     -> escaped-split error naming the fn_* -> fn_* call chain
- *   REPRO_INTERPROC=0 python -m repro check escape.img.json --input int:3
- *     -> clean (the per-function pass cannot see it)
+ *     -> escaped-split error naming the fn_* -> fn_* call chain (the
+ *        per-function pass alone reports nothing here)
  *   python -m repro check escape.img.json --input int:8 --strict
  *     -> clean: the trace covered everything the callee can reach
  *   python -m repro recompile escape.img.json -o rec.img.json --input int:3

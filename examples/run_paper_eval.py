@@ -9,16 +9,15 @@ Usage:
     python examples/run_paper_eval.py --jobs 8   # parallel sweep
 
 Each cell's results are cached as one JSON file in .eval_cache/ (or
-$REPRO_EVAL_CACHE), keyed on the workload, the configuration and the
-pipeline options the environment selects; the key does not cover the
-code, so pass --fresh after a code change.  Cells are independent, so
-``--jobs N`` fans the first sweep out over a process pool; later
-figures reuse its cached cells.
+$REPRO_EVAL_CACHE), keyed on the workload and the configuration; the
+key does not cover the code, so pass --fresh after a code change.
+Cells are independent, so ``--jobs N`` fans the first sweep out over a
+process pool; later figures reuse its cached cells.
 
-``--obs-out report.json`` (or ``REPRO_OBS=1``) activates repro.obs: the
-sweep aggregates per-cell timings, pipeline stage spans, and cache hit
-rates across every worker, prints a summary to stderr, and ``--obs-out``
-writes the full JSON report.
+``--obs-out report.json`` activates repro.obs: the sweep aggregates
+per-cell timings, pipeline stage spans, and cache hit rates across
+every worker, prints a summary to stderr, and writes the full JSON
+report.
 """
 
 import argparse
@@ -26,7 +25,6 @@ import os
 import shutil
 import sys
 import time
-from pathlib import Path
 
 from repro import obs
 from repro.evaluation import (
@@ -36,6 +34,7 @@ from repro.evaluation import (
     build_functionality,
     build_table1,
 )
+from repro.evaluation.harness import cache_dir
 from repro.workloads import WORKLOAD_ORDER
 
 
@@ -58,7 +57,7 @@ def main(argv=None) -> int:
     if args.obs_out:
         obs.enable()
 
-    cache = Path(os.environ.get("REPRO_EVAL_CACHE", ".eval_cache"))
+    cache = cache_dir()
     if args.fresh:
         shutil.rmtree(cache, ignore_errors=True)
     names = WORKLOAD_ORDER if args.full else QUICK_WORKLOADS

@@ -28,11 +28,11 @@ Commands mirror the toolchain a downstream user needs:
 Inputs are passed as ``--input int:N bytes:TEXT ...``; a ``/`` item
 separates multiple runs (e.g. ``--input int:1 / int:2``).
 
-Observability: ``--obs-out report.json`` (or ``REPRO_OBS=1`` in the
-environment) activates :mod:`repro.obs` — the command then prints a
-per-stage summary table to stderr, and ``--obs-out`` additionally
-writes the full JSON report.  ``--ledger events.jsonl`` (or
-``REPRO_LEDGER=...``) additionally records the structured event ledger.
+Observability: ``--obs-out report.json`` activates :mod:`repro.obs` —
+the command then prints a per-stage summary table to stderr and writes
+the full JSON report.  ``--ledger events.jsonl`` records the structured
+event ledger.  Only these flags turn it on: the command reads no
+switch from the environment.
 """
 
 from __future__ import annotations
@@ -70,6 +70,16 @@ def _parse_item(item: str) -> int | bytes:
             pass
     raise _usage_error(f"bad input spec {item!r} "
                        f"(use int:N, bytes:TEXT, or /)")
+
+
+def _parse_check(mode: str) -> bool | str:
+    """A ``--check MODE`` value: ``strict``, or on or off (``""``,
+    ``0``, ``false``, ``off`` and ``no`` are off, in any case and with
+    surrounding blanks; anything else is on)."""
+    mode = mode.strip().lower()
+    if mode == "strict":
+        return "strict"
+    return mode not in ("", "0", "false", "off", "no")
 
 
 def _parse_inputs(spec: list[str]) -> list[list]:
@@ -192,7 +202,7 @@ def cmd_submit(args) -> int:
         options = {}
         if args.no_optimize:
             options["optimize"] = False
-        if args.check is not None:
+        if args.check:
             options["check"] = args.check
         response = client.submit(
             image=args.image, inputs=runs, campaign=args.campaign,
@@ -340,8 +350,7 @@ def main(argv: list[str] | None = None) -> int:
              "(a per-stage summary also goes to stderr)")
     parser.add_argument(
         "--ledger", metavar="PATH", default=None,
-        help="record the structured event ledger (JSONL) to this file "
-             "(equivalent to REPRO_LEDGER=PATH)")
+        help="record the structured event ledger (JSONL) to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", help="compile MiniC to a binary image")
@@ -363,8 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--pipeline", default="wytiwyg",
                    choices=("wytiwyg", "binrec", "secondwrite"))
     p.add_argument("--input", nargs="*", default=[])
-    p.add_argument("--check", nargs="?", const="1", default=None,
-                   metavar="MODE",
+    p.add_argument("--check", nargs="?", const=True, default=False,
+                   type=_parse_check, metavar="MODE",
                    help="arm the static check gate: error findings "
                         "abort before optimization (pass 'strict' to "
                         "abort on warnings too)")
@@ -389,14 +398,14 @@ def main(argv: list[str] | None = None) -> int:
                         "processes with image affinity "
                         "(default 0: jobs serialize in-process)")
     p.add_argument("--queue-depth", type=int, default=None, metavar="N",
-                   help="bound the scheduler's job queue (default "
-                        "4 per worker); submissions past it are "
-                        "rejected with a retry hint")
+                   help="bound the scheduler's job queue at N >= 1 "
+                        "(default 4 per worker); submissions past it "
+                        "are rejected with a retry hint")
     p.add_argument("--job-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="per-job wall-clock limit (needs --workers): "
-                        "an overrunning job fails and its worker is "
-                        "recycled")
+                   help="per-job wall-clock limit, above 0 (needs "
+                        "--workers): an overrunning job fails and its "
+                        "worker is recycled")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -414,8 +423,9 @@ def main(argv: list[str] | None = None) -> int:
                    help="write the recovered image here (server-side)")
     p.add_argument("--no-optimize", action="store_true",
                    help="skip the optimizer stage")
-    p.add_argument("--check", nargs="?", const="1", default=None,
-                   metavar="MODE", help="arm the static check gate")
+    p.add_argument("--check", nargs="?", const=True, default=False,
+                   type=_parse_check, metavar="MODE",
+                   help="arm the static check gate")
     p.add_argument("--timeout", type=float, default=600.0,
                    metavar="SECONDS", help="client-side timeout")
     p.add_argument("--ping", action="store_true",

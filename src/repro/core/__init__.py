@@ -9,7 +9,6 @@ from .incremental import (
     ServedResult,
     gather_traces,
     incremental_recompile,
-    pipeline_options_tag,
 )
 from .instrument import (
     FunctionInstrumentation,
@@ -49,7 +48,7 @@ __all__ = [
     "classify_stack_refs", "compute_sp0_offsets", "drop_sp_threading",
     "evaluate_accuracy", "fold_module_stack_refs", "gather_traces",
     "incremental_recompile", "instrument_module",
-    "is_lifted_function", "pipeline_options_tag",
+    "is_lifted_function",
     "recover_vararg_calls",
     "replace_base_pointers", "strip_probes", "wytiwyg_lift",
     "wytiwyg_recompile",

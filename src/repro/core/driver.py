@@ -72,7 +72,6 @@ replay layer contributes ``replay.runs`` / ``replay.deduped`` /
 from __future__ import annotations
 
 import gc
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -80,7 +79,6 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..binary.image import BinaryImage
 from ..emu.tracer import TraceSet, trace_binary
-from ..env import truthy
 from ..errors import CheckError, StaticCheckError, SymbolizeError
 from ..ir.module import Module
 from ..ir.verifier import verify_module
@@ -97,7 +95,6 @@ from ..sanalysis import (
     analyze_function,
     corroborate_layouts,
     interproc_corroborate,
-    interproc_enabled,
     sanitize_function,
 )
 from .accuracy import AccuracyReport, evaluate_accuracy
@@ -161,18 +158,6 @@ def collector_paused():
             _pause_depth -= 1
             if _pause_depth == 0 and _pause_resumes:
                 gc.enable()
-
-
-def _resolve_check(check: bool | str | None) -> bool | str:
-    """Gate mode: False (off), True (errors abort), or ``"strict"``
-    (warnings abort too).  ``None`` defers to ``$REPRO_CHECK``."""
-    if check is None:
-        check = os.environ.get("REPRO_CHECK", "")
-    if isinstance(check, str):
-        if check.strip().lower() == "strict":
-            return "strict"
-        return truthy(check)
-    return bool(check)
 
 
 def _count_findings(findings) -> dict[str, int]:
@@ -370,10 +355,11 @@ def _static_corroborate(module: Module,
                         notes: list[str],
                         static_widen: bool) -> None:
     """Static frame-access recovery + corroboration against the dynamic
-    layouts, run on the pre-symbolization IR (sp still threaded, so the
-    abstract interpreter can anchor every access at sp0).  With
-    ``static_widen`` it grows ``layouts`` in place by the suggestions,
-    then re-diffs, so the report holds only what symbolization keeps."""
+    layouts, per function and across calls, run on the
+    pre-symbolization IR (sp still threaded, so the abstract interpreter
+    can anchor every access at sp0).  With ``static_widen`` it grows
+    ``layouts`` in place by the suggestions, then re-diffs, so the
+    report holds only what symbolization keeps."""
     observing = obs.enabled()
     with obs.span("stage.sanalysis", widen=static_widen) as sp:
         accesses = {}
@@ -388,13 +374,11 @@ def _static_corroborate(module: Module,
                     fsp.set(accesses=len(access_set.accesses),
                             known_offsets=len(access_set.known_offsets))
         findings, suggestions = corroborate_layouts(accesses, layouts)
-        interproc = interproc_enabled()
-        if interproc:
-            with obs.span("sanalysis.interproc"):
-                ifindings, isuggestions = interproc_corroborate(
-                    module, layouts, accesses)
-            findings = findings + ifindings
-            suggestions = suggestions + isuggestions
+        with obs.span("sanalysis.interproc"):
+            ifindings, isuggestions = interproc_corroborate(
+                module, layouts, accesses)
+        findings = findings + ifindings
+        suggestions = suggestions + isuggestions
         if obs.ledger() is not None:
             for finding in findings:
                 obs.event("corroborate.finding",
@@ -414,10 +398,9 @@ def _static_corroborate(module: Module,
                 # reflects what symbolization will actually use;
                 # resolved gaps drop out, anything left is real.
                 findings, _ = corroborate_layouts(accesses, layouts)
-                if interproc:
-                    ifindings, _ = interproc_corroborate(
-                        module, layouts, accesses)
-                    findings = findings + ifindings
+                ifindings, _ = interproc_corroborate(
+                    module, layouts, accesses)
+                findings = findings + ifindings
         report.extend(findings)
         counts = _count_findings(findings)
         if observing:
@@ -434,7 +417,7 @@ def wytiwyg_recompile(image: BinaryImage,
                       hybrid: bool = False,
                       traces: TraceSet | None = None,
                       jobs: int = 1,
-                      check: bool | str | None = None,
+                      check: bool | str = False,
                       opt_jobs: int | None = None) -> WytiwygResult:
     """End-to-end WYTIWYG: trace, refine, symbolize, optimize,
     recompile.  Falls back to the unsymbolized (BinRec) pipeline if
@@ -446,16 +429,18 @@ def wytiwyg_recompile(image: BinaryImage,
     optimizer run serially in this process.  The end-to-end benchmark
     (``benchmarks/e2e/run.py``) still passes both.
 
-    ``check`` (default: ``$REPRO_CHECK``) arms the static gate: with a
-    truthy value, ``error``-severity findings abort the pipeline with
+    ``check`` arms the static gate (default off): with ``True``,
+    ``error``-severity findings abort the pipeline with
     :class:`~repro.errors.StaticCheckError` *before* the optimizer
     runs, and warnings are annotated into the result notes; with
     ``"strict"``, warnings abort too.  The gate reads the report of
     the widened layout that symbolization used, so a coverage gap that
     widening closed no longer counts.
     """
+    if not (isinstance(check, bool) or check == "strict"):
+        raise ValueError(f"check must be False, True or 'strict', "
+                         f"not {check!r}")
     observing = obs.enabled()
-    check = _resolve_check(check)
     obs.event("run.start", pipeline="wytiwyg",
               image=image.metadata.get("name"), inputs=len(inputs),
               hybrid=hybrid, optimize=optimize)

@@ -14,10 +14,9 @@ Two layers of reuse, cheapest first:
 1. **Result hit** — the final recompiled image is keyed on
    ``(image content, ordered input runs, options)``; an identical
    resubmission is served straight from the store, byte-identical to
-   the original run.  The options part holds the values the pipeline
-   runs with, after ``$REPRO_CHECK`` has filled in an unset ``check``,
-   plus ``$REPRO_INTERPROC``: an entry written under one environment is
-   never served under another.
+   the original run.  The options part holds ``optimize``, ``check``
+   and ``hybrid``, so an entry written with the gate off is never
+   served to a request that arms it.
 2. **Per-input trace reuse** — traces are recorded *per input run*
    (``trace`` kind) and merged with
    :meth:`~repro.emu.tracer.TraceSet.absorb` in request order, which
@@ -43,7 +42,6 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..binary.image import BinaryImage
 from ..emu.tracer import TraceSet, trace_binary
-from ..sanalysis import interproc_enabled
 from ..store import (
     ArtifactStore,
     image_key,
@@ -51,15 +49,10 @@ from ..store import (
     result_key,
     trace_key,
 )
-from .driver import (
-    WytiwygResult,
-    _resolve_check,
-    collector_paused,
-    wytiwyg_recompile,
-)
+from .driver import WytiwygResult, collector_paused, wytiwyg_recompile
 
 __all__ = ["JobStats", "ServedResult", "gather_traces",
-           "incremental_recompile", "pipeline_options_tag"]
+           "incremental_recompile"]
 
 
 @dataclass
@@ -103,20 +96,6 @@ class ServedResult:
     coverage: dict = field(default_factory=dict)
 
 
-def pipeline_options_tag(optimize: bool = True,
-                         check: bool | str | None = None,
-                         hybrid: bool = False) -> str:
-    """The options part of a result key.
-
-    Only options that change the *artifact* participate, each with the
-    value the pipeline will run with: ``check`` resolves through
-    ``$REPRO_CHECK``, and ``$REPRO_INTERPROC``, which has no argument,
-    is read here.
-    """
-    return options_tag(optimize=optimize, check=_resolve_check(check),
-                       interproc=interproc_enabled(), hybrid=hybrid)
-
-
 def gather_traces(image: BinaryImage, runs: list[list],
                   store: ArtifactStore, img_key: str,
                   stats: JobStats) -> TraceSet:
@@ -155,7 +134,7 @@ def incremental_recompile(image: BinaryImage,
                           runs: list[list],
                           store: ArtifactStore,
                           optimize: bool = True,
-                          check: bool | str | None = None,
+                          check: bool | str = False,
                           hybrid: bool = False,
                           jobs: int = 1,
                           opt_jobs: int | None = None) -> ServedResult:
@@ -168,12 +147,9 @@ def incremental_recompile(image: BinaryImage,
     :func:`wytiwyg_recompile`.
     """
     img_key = image_key(image)
-    # Resolve the environment default once, so the key and the run
-    # agree on it.
-    check = _resolve_check(check)
-    opts = pipeline_options_tag(optimize=optimize, check=check,
-                                hybrid=hybrid)
-    rkey = result_key(img_key, runs, opts)
+    # Only the options that change the artifact are part of the key.
+    rkey = result_key(img_key, runs, options_tag(
+        optimize=optimize, check=check, hybrid=hybrid))
     stats = JobStats()
     before = dict(store.stats)
 

@@ -59,25 +59,6 @@ class FrameLayout:
     ref_to_var: dict[int, FrameVariable] = field(default_factory=dict)
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def build_frame_layout(func_name: str,
                        refs: dict[int, tuple[object, int]],
                        runtime: TracingRuntime) -> FrameLayout:

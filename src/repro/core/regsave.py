@@ -83,10 +83,6 @@ class RegSaveResult:
     #: Functions observed as indirect call targets (keep full signature).
     indirect_targets: set[str] = field(default_factory=set)
 
-    def is_saved(self, func: str, reg: str) -> bool:
-        return reg not in self.args.get(func, set()) and \
-            reg not in self.outputs.get(func, set())
-
 
 class RegSavePlugin:
     """Interpreter shadow plugin implementing the §4.1 analysis."""

@@ -166,10 +166,6 @@ class LibC:
         self._rand_state = 1
         self._strtok_ptr = 0
 
-    @property
-    def known_functions(self) -> frozenset[str]:
-        return frozenset(self._dispatch)
-
     def call(self, name: str, args: Args) -> int:
         """Invoke external function ``name``; returns the eax value."""
         try:

@@ -62,8 +62,9 @@ class CheckError(ReproError):
 
 
 class StaticCheckError(ReproError):
-    """Raised when the static corroboration gate (``REPRO_CHECK``)
-    refuses to hand a module to the optimizer.
+    """Raised when the static corroboration gate (the ``check``
+    argument, ``--check`` on the CLI) refuses to hand a module to the
+    optimizer.
 
     Carries the :class:`repro.sanalysis.CheckReport` whose findings
     tripped the gate as :attr:`report`.
@@ -76,10 +77,6 @@ class StaticCheckError(ReproError):
 
 class LowerError(ReproError):
     """Raised when IR cannot be lowered back to machine code."""
-
-
-class WorkloadError(ReproError):
-    """Raised when a workload program or its inputs are inconsistent."""
 
 
 class ReportError(ReproError):

@@ -11,10 +11,8 @@ harness produces the runtimes of:
 Runtimes are cycle counts under the shared cost model, summed over the
 workload's ref inputs — the relative quantities Table 1 and Figure 6
 report.  Each cell's results are cached as one JSON file under
-``$REPRO_EVAL_CACHE`` (``.eval_cache`` when unset), keyed on the
-workload's source and ref inputs, the configuration and the pipeline
-options the environment selects (:func:`~repro.core.incremental.
-pipeline_options_tag`), so a run under other settings re-measures.
+:func:`cache_dir` (``$REPRO_EVAL_CACHE``, ``.eval_cache`` when unset),
+keyed on the workload's source and ref inputs and the configuration.
 The key does not cover the code: delete the directory (or pass
 ``--fresh`` to ``examples/run_paper_eval.py``) after a code change.
 
@@ -36,7 +34,6 @@ from ..baselines.binrec import binrec_recompile
 from ..baselines.secondwrite import SecondWriteError, \
     secondwrite_recompile
 from ..core.driver import wytiwyg_recompile
-from ..core.incremental import pipeline_options_tag
 from ..emu.machine import run_binary
 from ..errors import ReproError
 from ..workloads import WORKLOADS, Workload
@@ -91,7 +88,8 @@ class CellResult:
         return self.secondwrite_cycles / self.native_cycles
 
 
-def _cache_dir() -> Path:
+def cache_dir() -> Path:
+    """The cell cache's root directory, created if missing."""
     root = os.environ.get("REPRO_EVAL_CACHE", ".eval_cache")
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
@@ -103,7 +101,6 @@ def _cell_key(workload: Workload, compiler: str, opt_level: str) -> str:
     h.update(workload.source.encode())
     h.update(repr(workload.ref_inputs).encode())
     h.update(f"{compiler}-{opt_level}".encode())
-    h.update(pipeline_options_tag().encode())
     return f"{workload.name}-{compiler}-O{opt_level}-{h.hexdigest()[:12]}"
 
 
@@ -142,8 +139,8 @@ def measure_cell(workload: Workload, compiler: str, opt_level: str,
 def _measure_cell(workload: Workload, compiler: str, opt_level: str,
                   use_cache: bool, include_secondwrite: bool,
                   cell_span) -> CellResult:
-    cache_file = _cache_dir() / (_cell_key(workload, compiler,
-                                           opt_level) + ".json")
+    cache_file = cache_dir() / (_cell_key(workload, compiler,
+                                          opt_level) + ".json")
     if use_cache:
         if cache_file.exists():
             doc = json.loads(cache_file.read_text())

@@ -33,8 +33,10 @@ every pipeline layer:
 
 Disabled by default and zero-overhead when disabled: hot loops select an
 instrumented path only when a recorder is active.  Activate with
-``REPRO_OBS=1`` in the environment or :func:`enable`; export with
-:func:`export` / :func:`write_json`, render with :func:`summary`.
+:func:`enable` (the CLI's ``--obs-out``) and the event ledger with
+:func:`enable_ledger` (``--ledger``); nothing reads the environment.
+Export with :func:`export` / :func:`write_json`, render with
+:func:`summary`.
 
 Typical use::
 

@@ -250,7 +250,3 @@ def read_events(path: str | Path) -> list[dict]:
             continue
         events.append(doc)
     return events
-
-
-if os.environ.get("REPRO_LEDGER"):
-    enable_ledger(os.environ["REPRO_LEDGER"])

@@ -33,11 +33,6 @@ class Profile:
                         key=lambda kv: (-kv[1], str(kv[0])))
         return ranked[:n]
 
-    def merge_counts(self, counts: dict) -> None:
-        mine = self.counts
-        for key, n in counts.items():
-            mine[key] = mine.get(key, 0) + n
-
     def to_dict(self, top: int = 10) -> dict:
         def _key(k):
             return f"{k:#x}" if isinstance(k, int) else str(k)

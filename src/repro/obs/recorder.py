@@ -2,9 +2,8 @@
 
 The default state is *disabled*: :data:`_RECORDER` is ``None`` and every
 helper below returns immediately after one module-global read, so
-instrumentation sites in hot code cost nothing measurable.  Activation
-is explicit (:func:`enable`) or environmental (``REPRO_OBS=1`` at
-import; ``REPRO_OBS=0``/unset keeps the no-op path).
+instrumentation sites in hot code cost nothing measurable.  Only
+:func:`enable` (which the CLI's ``--obs-out`` calls) activates it.
 
 Hot loops go one step further: they fetch the recorder once (via
 :func:`recorder`) when a run starts and pick an instrumented code path
@@ -17,7 +16,6 @@ from __future__ import annotations
 import gc
 import time
 
-from ..env import env_flag
 from . import events as _events
 from .metrics import MetricsRegistry
 from .spans import NULL_SPAN, Span
@@ -76,10 +74,6 @@ class Recorder:
 _LEDGER_SPANS = ("stage.", "pipeline.")
 
 _RECORDER: Recorder | None = None
-
-
-def _env_enabled() -> bool:
-    return env_flag("REPRO_OBS")
 
 
 def enabled() -> bool:
@@ -179,7 +173,3 @@ def timed(name: str):
     if rec is None:
         return _NULL_TIMER
     return rec.registry.time(name)
-
-
-if _env_enabled():
-    enable()

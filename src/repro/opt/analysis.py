@@ -259,15 +259,6 @@ class Dominators:
     def tree_children(self, block: Block) -> list[Block]:
         return self._children.get(block, [])
 
-    def tree_preorder(self) -> list[Block]:
-        order: list[Block] = []
-        stack = [self.func.entry]
-        while stack:
-            block = stack.pop()
-            order.append(block)
-            stack.extend(reversed(self.tree_children(block)))
-        return order
-
 
 def use_counts(func: Function) -> dict[Value, int]:
     counts: dict[Value, int] = {}
@@ -276,12 +267,3 @@ def use_counts(func: Function) -> dict[Value, int]:
             if isinstance(op, Instr):
                 counts[op] = counts.get(op, 0) + 1
     return counts
-
-
-def users_of(func: Function) -> dict[Instr, list[Instr]]:
-    users: dict[Instr, list[Instr]] = {}
-    for instr in func.instructions():
-        for op in instr.operands():
-            if isinstance(op, Instr):
-                users.setdefault(op, []).append(instr)
-    return users

@@ -210,10 +210,6 @@ def _size_of(func: Function) -> int:
     return sum(len(b.instrs) for b in func.blocks)
 
 
-def _has_unreachable(func: Function) -> bool:
-    return any(isinstance(i, Unreachable) for i in func.instructions())
-
-
 def inline_functions(module: Module, max_callee_size: int = 40,
                      always_single_use: bool = True,
                      growth_budget: int = 4000) -> bool:

@@ -20,15 +20,14 @@ tracing and recompilation:
   ``Function.version``), the ``escaped-split`` check (a dynamic layout
   must not split a variable whose address flows into a callee that
   accesses across the boundary), and EFACT-style extern-signature
-  recovery cross-checked against :mod:`repro.core.extfuncs`
-  (``REPRO_INTERPROC=0`` disables);
+  recovery cross-checked against :mod:`repro.core.extfuncs`;
 * :mod:`.sanitize` — flow-sensitive lints over the symbolized IR
   (uninitialized reads, constant-offset out-of-bounds accesses,
   escaped frame pointers cross-checked against alias analysis and the
   interprocedural escape summaries);
 * :mod:`.report` — :class:`Finding` / :class:`CheckReport`, consumed by
-  the pipeline gate (``REPRO_CHECK=1`` / ``--check``), the ``python -m
-  repro check`` subcommand, and the observability export
+  the pipeline gate (``check=`` / ``repro recompile --check``), the
+  ``python -m repro check`` subcommand, and the observability export
   (``sanalysis.findings.{error,warning}`` counters, per-function
   spans).
 """
@@ -49,7 +48,6 @@ from .interproc import (
     FunctionSummary,
     LocalSummary,
     interproc_corroborate,
-    interproc_enabled,
     local_summary,
     recover_extern_sigs,
     summarize_module,
@@ -62,7 +60,7 @@ __all__ = [
     "FunctionSummary", "LocalSummary", "StaticAccess",
     "WideningSuggestion", "analyze_function", "analyze_module",
     "corroborate_function", "corroborate_layouts",
-    "interproc_corroborate", "interproc_enabled", "local_summary",
+    "interproc_corroborate", "local_summary",
     "recover_extern_sigs", "sanitize_function", "sanitize_module",
     "summarize_module",
 ]

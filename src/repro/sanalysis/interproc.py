@@ -47,11 +47,11 @@ EFACT's call-site signature recovery; see PAPERS.md):
   candidates (``extern-candidate`` info findings) — the starting point
   for the ROADMAP's auto-synthesized extern stubs.
 
-``REPRO_INTERPROC=0`` disables the whole pass (the driver's escape
-hatch).  Nothing here mutates IR beyond stashing findings metadata in
-``func.meta``; the pass changes a recompiled image only through the
-widening suggestions it adds, so with a trace that already covers every
-escaped footprint the image is byte-identical with the pass on or off.
+Every recompile runs the pass.  Nothing here mutates IR beyond
+stashing findings metadata in ``func.meta``; the pass changes a
+recompiled image only through the widening suggestions it adds, so
+with a trace that already covers every escaped footprint the image is
+byte-identical to one built without the pass.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import obs
-from ..env import env_flag
 from ..ir.module import Function, Module
 from ..ir.values import (
     BinOp,
@@ -98,12 +97,6 @@ def _sp0fold():
 def _external_db():
     from ..core.extfuncs import EXTERNAL_DB
     return EXTERNAL_DB
-
-
-def interproc_enabled() -> bool:
-    """The driver's escape hatch: ``REPRO_INTERPROC=0`` disables the
-    interprocedural corroboration passes."""
-    return env_flag("REPRO_INTERPROC", True)
 
 
 # -- the region-tagged abstract domain ---------------------------------------
@@ -432,13 +425,6 @@ class LocalSummary:
     stored_regions: set = field(default_factory=set)
     #: result index -> (region, exact offset) for returned pointers.
     returned: dict = field(default_factory=dict)
-
-    @property
-    def ptr_params(self) -> set:
-        """Regions this function dereferences — its derived-stack-
-        pointer parameters in ABI terms."""
-        return {r for r, accs in self.accesses.items()
-                if r != SP_REGION and accs}
 
 
 def local_summary(func: Function) -> LocalSummary:

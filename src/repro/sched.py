@@ -52,6 +52,7 @@ the same results.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import threading
 import time
@@ -97,11 +98,12 @@ def execute_job(spec: dict, store: ArtifactStore,
     ``spec["op"]`` selects the job type: ``"recompile"`` (default) runs
     the store-backed incremental pipeline with the ``optimize``,
     ``check`` and ``hybrid`` values of ``spec["options"]`` (the daemon
-    rejects any other key), widening layouts from static evidence like
-    every recompile; ``"probe"`` is a scheduler
-    liveness/latency probe that optionally sleeps ``spec["sleep"]``
-    seconds — it exercises dispatch, timeout and drain machinery
-    without pipeline cost (used by the scheduler tests).
+    rejects any other key, and any value of the wrong type), widening
+    layouts from static evidence like every recompile; ``"probe"`` is
+    a scheduler liveness/latency probe that optionally sleeps
+    ``spec["sleep"]`` seconds — it exercises dispatch, timeout and
+    drain machinery without pipeline cost (used by the scheduler
+    tests).
 
     The in-process serve path passes the already-parsed ``image`` to
     skip a JSON round trip; workers parse it from ``spec["image_json"]``.
@@ -119,7 +121,7 @@ def execute_job(spec: dict, store: ArtifactStore,
     served = incremental_recompile(
         image, runs, store,
         optimize=options.get("optimize", True),
-        check=options.get("check"),
+        check=options.get("check", False),
         hybrid=options.get("hybrid", False))
     out: dict = {
         "served": served.stats.served,
@@ -243,7 +245,18 @@ class JobScheduler:
     def __init__(self, workers: int, store_root,
                  max_depth: int | None = None,
                  job_timeout: float | None = None):
-        self.workers = max(1, int(workers))
+        if workers < 1:
+            raise SchedError(f"a worker pool needs at least 1 worker, "
+                             f"got {workers}")
+        if max_depth is not None and max_depth < 1:
+            raise SchedError(f"queue depth must be at least 1, got "
+                             f"{max_depth}: a queue that holds no job "
+                             f"rejects every submission")
+        if job_timeout is not None and not (
+                math.isfinite(job_timeout) and job_timeout > 0):
+            raise SchedError(f"job timeout must be a finite number of "
+                             f"seconds above 0, got {job_timeout}")
+        self.workers = int(workers)
         self.store_root = str(store_root)
         self.max_depth = (int(max_depth) if max_depth is not None
                           else DEPTH_PER_WORKER * self.workers)

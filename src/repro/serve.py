@@ -28,8 +28,9 @@ response object per line, over ``AF_UNIX``.  Requests carry an ``op``:
 ``submit``    run a job: ``image`` (path) or ``image_json`` (inline),
               ``inputs`` (list of runs; items are ints or
               ``{"b": "latin-1 bytes"}``), optional ``campaign``,
-              ``options`` (an object with any of ``optimize``,
-              ``check`` and ``hybrid``; any other key is an error),
+              ``options`` (an object with any of ``optimize`` and
+              ``hybrid``, JSON booleans, and ``check``, a boolean or
+              ``"strict"``; any other key or value is an error),
               ``output`` (path for the recovered image) and
               ``return_artifact`` (inline the recovered JSON).  Every
               job widens its layouts from static evidence.
@@ -108,13 +109,15 @@ class RecompileServer:
             self.store = store
         else:
             self.store = ArtifactStore(store)
-        self.workers = max(0, int(workers))
+        if workers < 0:
+            raise ServeError(f"workers must be 0 or more, got {workers}")
+        self.workers = int(workers)
         self.max_request_bytes = MAX_REQUEST_BYTES
-        if job_timeout is not None and self.workers < 1:
+        if self.workers < 1 and (queue_depth, job_timeout) != (None, None):
             raise ServeError(
-                "a per-job wall-clock limit needs the worker pool "
-                "(use workers >= 1): an in-process job cannot be "
-                "killed mid-flight")
+                "a queue bound or a per-job wall-clock limit needs the "
+                "worker pool (use workers >= 1): in-process jobs "
+                "serialize on one lock and cannot be killed mid-flight")
         self.sched: JobScheduler | None = None
         if self.workers >= 1:
             try:
@@ -336,6 +339,14 @@ class RecompileServer:
             raise ServeError(
                 f"unknown job option(s) {', '.join(map(repr, unknown))}"
                 f": options may hold {', '.join(JOB_OPTIONS)}")
+        for name, value in options.items():
+            # A string is not a boolean: "false" would turn hybrid on.
+            if not (isinstance(value, bool)
+                    or (name == "check" and value == "strict")):
+                allowed = ('true, false or "strict"' if name == "check"
+                           else "true or false")
+                raise ServeError(f"bad job option {name!r}: {value!r} "
+                                 f"is not {allowed}")
         with self._state_lock:
             self._job_seq += 1
             job_id = self._job_seq

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from ..binary.image import BinaryImage
 from ..cc.driver import compile_source
-from ..emu.machine import RunResult, run_binary
 
 InputItems = list  # list[int | bytes]
 
@@ -36,11 +35,6 @@ class Workload:
                 opt_level: str = "3") -> BinaryImage:
         return _compile_cached(self.name, self.source, compiler,
                                opt_level)
-
-    def run_native(self, compiler: str = "gcc12",
-                   opt_level: str = "3") -> list[RunResult]:
-        image = self.compile(compiler, opt_level)
-        return [run_binary(image, items) for items in self.inputs()]
 
 
 @lru_cache(maxsize=128)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.evaluation.harness import (
     CellResult,
-    _cell_key,
     geomean,
     measure_cell,
 )
@@ -78,20 +77,6 @@ def test_cache_round_trip(cell, tmp_path):
         assert len(files) == 1
     finally:
         os.environ.pop("REPRO_EVAL_CACHE", None)
-
-
-def test_cell_key_holds_the_pipeline_options(monkeypatch):
-    # A cell measured under one pipeline setting is not served to a
-    # run under another.
-    for name in ("REPRO_CHECK", "REPRO_INTERPROC"):
-        monkeypatch.delenv(name, raising=False)
-    default = _cell_key(TINY, "gcc12", "3")
-    assert _cell_key(TINY, "gcc12", "3") == default
-    monkeypatch.setenv("REPRO_INTERPROC", "0")
-    assert _cell_key(TINY, "gcc12", "3") != default
-    monkeypatch.delenv("REPRO_INTERPROC")
-    monkeypatch.setenv("REPRO_CHECK", "1")
-    assert _cell_key(TINY, "gcc12", "3") != default
 
 
 def test_geomean():

@@ -1,6 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -67,7 +68,7 @@ def test_closed_stdout_pipe_exits_141_quietly(source_file, tmp_path,
     image = tmp_path / "prog.img.json"
     assert main(["compile", str(source_file), "-o", str(image)]) == 0
     env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONUNBUFFERED", "REPRO_OBS", "REPRO_LEDGER")}
+           if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -224,6 +225,62 @@ def test_recompile_check_strict_aborts(undertrace_file, tmp_path,
     err = capsys.readouterr().err
     assert "static check gate" in err
     assert not recovered.exists()
+
+
+@pytest.mark.parametrize("value, expected", [
+    (None, False), ("", False), ("0", False), ("false", False),
+    ("off", False), ("no", False), ("OFF", False), (" False ", False),
+    ("1", True), ("yes", True), (" TRUE ", True), (True, True),
+    ("strict", "strict"), (" Strict ", "strict"),
+])
+def test_check_spellings(monkeypatch, tmp_path, value, expected):
+    # `--check MODE` is parsed once, here: the daemon (like the library)
+    # receives only False, True or "strict".  None leaves the flag out;
+    # True passes it bare.
+    from repro.serve import ServeClient
+    sent = {}
+
+    def submit(self, **fields):
+        sent.update(fields)
+        return {"ok": True}
+
+    monkeypatch.setattr(ServeClient, "submit", submit)
+    argv = ["submit", "--socket", str(tmp_path / "d.sock"), "p.img.json",
+            "--input", "int:1"]
+    if value is True:
+        argv.append("--check")
+    elif value is not None:
+        argv += ["--check", value]
+    assert main(argv) == 0
+    check = (sent["options"] or {}).get("check", False)
+    assert check == expected and type(check) is type(expected)
+
+
+@pytest.mark.parametrize("numbers", [
+    ["--workers", "-1"],
+    ["--workers", "2", "--queue-depth", "0"],
+    ["--workers", "1", "--job-timeout", "nan"],
+], ids=["workers", "queue-depth", "job-timeout"])
+def test_serve_rejects_out_of_range_numbers(tmp_path, numbers):
+    # One stderr line and status 2, before any worker starts or the
+    # socket is bound.  A daemon that did start would serve forever, so
+    # it runs in its own process group, which a timeout kills whole.
+    sock = tmp_path / "d.sock"
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--socket", str(sock),
+         "--store", str(tmp_path / "store"), *numbers],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=env, start_new_session=True)
+    try:
+        _out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 2, err
+    assert err.startswith("repro serve: ") and err.count("\n") == 1
+    assert not sock.exists()
 
 
 def test_explain_command_chains_widening(undertrace_file, tmp_path,

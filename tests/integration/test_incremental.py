@@ -127,38 +127,21 @@ def _example_image(name):
                           "3", name)
 
 
-def test_result_key_holds_env_resolved_options(tmp_path, monkeypatch):
-    """An entry written under one setting of ``REPRO_CHECK`` or
-    ``REPRO_INTERPROC`` is never served to a request that runs under
-    another: the gate still fires, and the image equals a cold one-shot
-    under the request's own settings."""
-    for name in ("REPRO_CHECK", "REPRO_INTERPROC"):
-        monkeypatch.delenv(name, raising=False)
+def test_result_key_holds_the_check_mode(tmp_path):
+    """An entry written with the gate off is never served to a request
+    that arms it: the gate still fires.  Widening closes the coverage
+    gap, and the uninit-read warning survives it."""
     store = ArtifactStore(tmp_path / "store")
-
-    # Filled with the gate off; $REPRO_CHECK=strict arms it for the
-    # next requests, whose check argument is left unset.  Widening
-    # closes the coverage gap, and the uninit-read warning survives it.
     under = _example_image("undertrace")
-    incremental_recompile(under, [[3]], store)
-    monkeypatch.setenv("REPRO_CHECK", "strict")
+    off = incremental_recompile(under, [[3]], store)
     with pytest.raises(StaticCheckError, match="uninit-read"):
-        wytiwyg_recompile(under, [[3]])
-    with pytest.raises(StaticCheckError, match="uninit-read"):
-        incremental_recompile(under, [[3]], store)
-    monkeypatch.delenv("REPRO_CHECK")
-
-    # Without the interprocedural pass nothing widens the escaped
-    # footprint; that entry is not a default request's image.
-    escape = _example_image("escape")
-    monkeypatch.setenv("REPRO_INTERPROC", "0")
-    narrow = incremental_recompile(escape, [[3]], store)
-    monkeypatch.delenv("REPRO_INTERPROC")
-    served = incremental_recompile(escape, [[3]], store)
-    assert served.stats.served != "store"
-    cold = wytiwyg_recompile(escape, [[3]])
-    assert served.recovered.to_json() == cold.recovered.to_json()
-    assert narrow.recovered.to_json() != cold.recovered.to_json()
+        incremental_recompile(under, [[3]], store, check="strict")
+    # The plain gate passes warnings through, under its own key.
+    on = incremental_recompile(under, [[3]], store, check=True)
+    assert on.stats.served != "store"
+    assert on.result_key != off.result_key
+    assert incremental_recompile(under, [[3]], store).stats.served \
+        == "store"
 
 
 #: One printf site whose argument count depends on the input.

@@ -7,7 +7,6 @@ import pytest
 
 from repro import obs
 from repro.evaluation.harness import sweep
-from repro.obs import events as ev
 from repro.workloads import WORKLOADS
 from repro.workloads.base import Workload
 
@@ -196,9 +195,12 @@ def test_in_memory_sweep_events_ride_worker_payloads(tmp_path,
     assert sum(1 for d in docs if d["kind"] == "run.start") == 1
 
 
-def test_env_var_activates_ledger(tmp_path):
-    # The import-time hook mirrors REPRO_OBS; exercise the same code
-    # path directly (the module is already imported in-process).
-    path = tmp_path / "env.jsonl"
-    led = ev.enable_ledger(str(path))
-    assert obs.ledger() is led and led.path is not None
+def test_enable_ledger_with_a_path_is_file_backed(tmp_path):
+    # The only way to a file-backed ledger besides the CLI's --ledger.
+    path = tmp_path / "events.jsonl"
+    led = obs.enable_ledger(str(path))
+    try:
+        assert obs.ledger() is led and led.path is not None
+    finally:
+        obs.disable_ledger()
+    assert obs.ledger() is None

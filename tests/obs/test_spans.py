@@ -3,7 +3,6 @@
 import pytest
 
 from repro import obs
-from repro.obs.recorder import _env_enabled
 
 
 @pytest.fixture
@@ -75,16 +74,3 @@ def test_enable_is_idempotent_until_reset():
         assert fresh.registry.counters == {}
     finally:
         obs.disable()
-
-
-@pytest.mark.parametrize("value,expected", [
-    (None, False), ("", False), ("0", False), ("false", False),
-    ("off", False), ("no", False), ("OFF", False), (" False ", False),
-    ("1", True), ("true", True), ("yes", True),
-])
-def test_env_activation_parsing(monkeypatch, value, expected):
-    if value is None:
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_OBS", value)
-    assert _env_enabled() is expected

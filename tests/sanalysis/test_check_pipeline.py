@@ -120,6 +120,13 @@ def test_strict_gate_aborts_before_optimization(undertrace_image):
                for f in report.by_kind("uninit-read"))
 
 
+@pytest.mark.parametrize("check", ["1", "off", None, 1])
+def test_gate_mode_is_a_boolean_or_strict(undertrace_image, check):
+    # The library reads no spelling: "off" would be a truthy string.
+    with pytest.raises(ValueError, match="check must be"):
+        wytiwyg_recompile(undertrace_image, [[3]], check=check)
+
+
 def test_plain_gate_passes_warnings_through(undertrace_image):
     # Non-strict: warnings annotate the notes instead of aborting.
     result = wytiwyg_recompile(undertrace_image, [[3]],
@@ -128,13 +135,6 @@ def test_plain_gate_passes_warnings_through(undertrace_image):
     assert result.check_report.warnings
     assert any(note.startswith("check[warn]:")
                for note in result.notes)
-
-
-def test_env_gate_strict(undertrace_image, monkeypatch):
-    monkeypatch.setenv("REPRO_CHECK", "strict")
-    with pytest.raises(StaticCheckError):
-        wytiwyg_recompile(undertrace_image, [[3]],
-                          collect_accuracy=False)
 
 
 # -- observability -----------------------------------------------------------

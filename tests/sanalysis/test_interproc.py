@@ -14,7 +14,6 @@ from repro.sanalysis.interproc import (
     build_call_graph,
     check_escapes,
     interproc_corroborate,
-    interproc_enabled,
     local_summary,
     pjoin,
     pwiden,
@@ -429,19 +428,6 @@ def test_unmodeled_extern_becomes_candidate():
     assert sig.nargs == 2 and sig.vararg
     assert 0 in sig.ptr_args and 1 in sig.int_args
     assert sig.sites == 2
-
-
-# -- env gate ----------------------------------------------------------------
-
-
-def test_interproc_enabled_env(monkeypatch):
-    monkeypatch.delenv("REPRO_INTERPROC", raising=False)
-    assert interproc_enabled()
-    for off in ("0", "no", "OFF", " False "):
-        monkeypatch.setenv("REPRO_INTERPROC", off)
-        assert not interproc_enabled()
-    monkeypatch.setenv("REPRO_INTERPROC", "1")
-    assert interproc_enabled()
 
 
 def test_finding_kind_registry_accepts_new_kinds():

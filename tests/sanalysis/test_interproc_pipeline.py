@@ -19,6 +19,7 @@ import pytest
 
 from tests.conftest import FEATURE_SOURCE, KERNEL_SOURCE, cached_image
 from repro import obs
+from repro.core import driver
 from repro.core.driver import wytiwyg_lift, wytiwyg_recompile
 from repro.emu import run_binary, trace_binary
 from repro.errors import CheckError
@@ -35,6 +36,13 @@ def escape_image():
 def lift_report(image, inputs, **kwargs):
     traces = trace_binary(image.stripped(), inputs)
     return wytiwyg_lift(traces, **kwargs)
+
+
+def _without_interproc(monkeypatch):
+    """Stub the interprocedural pass out: it finds and suggests
+    nothing."""
+    monkeypatch.setattr(driver, "interproc_corroborate",
+                        lambda module, layouts, accesses: ([], []))
 
 
 # -- the under-traced escaping array -----------------------------------------
@@ -58,7 +66,8 @@ def test_undertraced_escape_is_flagged_with_call_chain(escape_image):
 
 
 def test_gate_off_is_blind_to_the_split(escape_image, monkeypatch):
-    monkeypatch.setenv("REPRO_INTERPROC", "0")
+    # Only the interprocedural pass sees the escaped footprint.
+    _without_interproc(monkeypatch)
     _m, _l, _n, report = lift_report(escape_image, [[3]])
     assert report.by_kind("escaped-split") == []
     assert report.errors == [], [f.render() for f in report.errors]
@@ -109,7 +118,7 @@ def test_recompile_is_byte_identical_with_gate_on_and_off(
         escape_image, monkeypatch):
     on = wytiwyg_recompile(escape_image, [[8]],
                            collect_accuracy=False)
-    monkeypatch.setenv("REPRO_INTERPROC", "0")
+    _without_interproc(monkeypatch)
     off = wytiwyg_recompile(escape_image, [[8]],
                             collect_accuracy=False)
     assert _image_doc(on.recovered) == _image_doc(off.recovered)

@@ -109,6 +109,20 @@ def test_idle_worker_steals_from_a_busy_affine_worker(sched):
 
 # -- backpressure --------------------------------------------------------
 
+@pytest.mark.parametrize("workers, limits", [
+    (0, {}), (-1, {}),
+    (1, {"max_depth": 0}), (1, {"max_depth": -1}),
+    (1, {"job_timeout": 0}), (1, {"job_timeout": -1.0}),
+    (1, {"job_timeout": float("nan")}), (1, {"job_timeout": float("inf")}),
+], ids=["workers=0", "workers=-1", "depth=0", "depth=-1", "timeout=0",
+        "timeout=-1", "timeout=nan", "timeout=inf"])
+def test_out_of_range_numbers_are_rejected(tmp_path, workers, limits):
+    # A zero-depth queue rejects every job, a zero or negative limit
+    # fails every job, and a nan limit enforces none.
+    with pytest.raises(SchedError):
+        JobScheduler(workers, store_root=tmp_path / "store", **limits)
+
+
 def test_full_queue_rejects_with_retry_hint(tmp_path):
     scheduler = JobScheduler(1, store_root=tmp_path / "store",
                              max_depth=1)

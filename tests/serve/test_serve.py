@@ -198,10 +198,30 @@ def test_submit_rejects_unknown_or_malformed_options(served, image):
     with pytest.raises(ServeError, match="must be a JSON object"):
         client.submit(image_json=image.to_json(), inputs=[[0, 7]],
                       campaign="demo", options=["optimize"])
+    # Values are typed: a string is not a boolean ("false" would arm
+    # hybrid lifting), and check takes only a boolean or "strict".
+    for name, value in (("hybrid", "false"), ("optimize", "no"),
+                        ("optimize", 1), ("check", "1"),
+                        ("check", "STRICT"), ("check", None)):
+        with pytest.raises(ServeError,
+                           match=f"bad job option '{name}'"):
+            client.submit(image_json=image.to_json(), inputs=[[0, 7]],
+                          campaign="demo", options={name: value})
     assert client.ping()["ok"]
     status = client.status()
     assert status["stats"]["jobs"] == 0
     assert status["campaigns"] == []
+
+
+def test_submit_takes_typed_options(served, image):
+    server, client = served
+    options = {"optimize": False, "hybrid": False, "check": "strict"}
+    first = client.submit(image_json=image.to_json(), inputs=[[0, 7]],
+                          options=options)
+    again = client.submit(image_json=image.to_json(), inputs=[[0, 7]],
+                          options=dict(options))
+    assert (first["served"], again["served"]) == ("cold", "store")
+    assert again["result_key"] == first["result_key"]
 
 
 def test_campaign_rejects_image_rebinding(served, image):
@@ -472,34 +492,52 @@ def test_pool_job_timeout_fails_job_and_daemon_survives(tmp_path):
 
 
 def test_job_timeout_requires_workers(tmp_path):
-    with pytest.raises(ServeError, match="needs the worker pool"):
-        RecompileServer(tmp_path / "d.sock",
-                        store=ArtifactStore(tmp_path / "store"),
-                        job_timeout=5.0)
+    # So does a queue bound, which the pool alone would enforce.
+    for limit in ({"job_timeout": 5.0}, {"queue_depth": 0}):
+        with pytest.raises(ServeError, match="needs the worker pool"):
+            RecompileServer(tmp_path / "d.sock",
+                            store=ArtifactStore(tmp_path / "store"),
+                            **limit)
 
 
 def test_pool_backpressure_reports_retry_hint(tmp_path, image):
     sockdir = tempfile.mkdtemp(prefix="repro-serve-")
     sock = os.path.join(sockdir, "d.sock")
-    # A zero-depth queue rejects every submission — degenerate on
-    # purpose, to exercise the protocol's retry_after plumbing without
-    # timing-sensitive queue saturation.
     server = RecompileServer(sock,
                              store=ArtifactStore(tmp_path / "store"),
-                             workers=1, queue_depth=0)
+                             workers=1, queue_depth=1)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    fillers = []
     try:
         _wait_for_socket(sock)
         client = ServeClient(sock, timeout=60)
+        # Fill the one worker and the one queue slot with scheduler
+        # probes (no pipeline), so the next submission meets a full
+        # queue without depending on how long a recompile takes.
+        sched = server.sched
+        for sleep in (60.0, 0.0):
+            filler = threading.Thread(
+                target=sched.submit,
+                args=({"op": "probe", "sleep": sleep},), daemon=True)
+            filler.start()
+            fillers.append(filler)
+            deadline = time.monotonic() + 10
+            while not (sched.snapshot()["per_worker"][0]["busy"]
+                       and sched.depth() == len(fillers) - 1):
+                assert time.monotonic() < deadline, sched.snapshot()
+                time.sleep(0.01)
         with pytest.raises(ServeError,
                            match=r"queue full.*retry in ~\d"):
             client.submit(image_json=image.to_json(), inputs=[[0, 7]])
         assert client.status()["sched"]["stats"]["rejected"] == 1
+        sched._slots[0].proc.kill()   # end the long probe, not wait
         client.shutdown()
         thread.join(timeout=15)
     finally:
         server.close()
+        for filler in fillers:
+            filler.join(timeout=15)
         shutil.rmtree(sockdir, ignore_errors=True)
 
 

@@ -1,31 +1,36 @@
-"""Boolean ``REPRO_*`` switches share one truthiness rule: a set value
-is stripped and lower-cased, and ``""``, ``0``, ``false``, ``off`` and
-``no`` mean off; an unset switch takes its default."""
+"""The environment surface: the package reads two variables, both
+deployment paths (the artifact store's root and the evaluation cell
+cache's root), and nothing that changes what a recompile builds or
+whether it is observed."""
 
-import pytest
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.core import driver
-from repro.sanalysis import interproc_enabled
+import repro
 
-#: switch -> (reader, default when unset)
-SWITCHES = {
-    "REPRO_CHECK": (lambda: driver._resolve_check(None), False),
-    "REPRO_INTERPROC": (interproc_enabled, True),
-}
+SRC = Path(repro.__file__).resolve().parent
 
 
-@pytest.mark.parametrize("value,expected", [
-    (None, None), ("", False), ("0", False), ("false", False),
-    ("off", False), ("no", False), ("OFF", False), (" False ", False),
-    ("1", True), ("yes", True), (" TRUE ", True),
-])
-@pytest.mark.parametrize("name", sorted(SWITCHES))
-def test_boolean_switches_share_one_rule(monkeypatch, name, value,
-                                         expected):
-    reader, default = SWITCHES[name]
-    if value is None:
-        monkeypatch.delenv(name, raising=False)
-        expected = default
-    else:
-        monkeypatch.setenv(name, value)
-    assert reader() is expected
+def test_only_the_two_cache_roots_are_read_from_the_environment():
+    names = set()
+    for path in SRC.rglob("*.py"):
+        names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+    assert names == {"REPRO_STORE", "REPRO_EVAL_CACHE"}
+
+
+def test_importing_repro_starts_no_observability(tmp_path):
+    # Names the package once read at import; now only --obs-out,
+    # --ledger, obs.enable() and obs.enable_ledger() start recording.
+    ledger = tmp_path / "events.jsonl"
+    env = {**os.environ, "REPRO_OBS": "1", "REPRO_LEDGER": str(ledger),
+           "PYTHONPATH": str(SRC.parent)}
+    probe = ("import repro.__main__\n"
+             "from repro import obs\n"
+             "assert not obs.enabled() and obs.ledger() is None\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert not ledger.exists()
