@@ -18,7 +18,12 @@ slots in place (mem2reg alone, with no folding and no dead-code
 removal, so a flag that is never read still counts as a use of its
 operands: the interpreter does not compute it, but reports the read).
 A symbol then flows through SSA values and phis, not through memory,
-and the interpreter hands the plugin only the uses of shadowed values.
+and the interpreter hands the plugin only the uses of shadowed values,
+each once per straight-line segment of a block that reads it (a segment
+ends before each call and before the terminator, so a use before an
+``exit`` call is reported and one after it is not); marking a register
+used is idempotent, so that is the same classification as reporting
+every use.
 The hybrid mode's static augment reads the alloca form, so it runs
 before the promotion.
 
@@ -148,7 +153,10 @@ class RegSavePlugin:
                 self.modified[(func.name, reg)] = True
         return translated
 
-    def on_use(self, frame_id: int, instr: Instr, shadow) -> None:
+    def on_use(self, frame_id: int, shadow) -> None:
+        """A computation read ``shadow``: its register is an argument.
+        The interpreter reports each symbol once per straight-line
+        segment that reads it; marking a pair twice changes nothing."""
         if isinstance(shadow, RegSym):
             self.used[(shadow.func_name, shadow.reg)] = True
 

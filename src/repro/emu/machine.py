@@ -3,6 +3,11 @@
 It runs each binary through the superblock engine of
 :mod:`repro.emu.blocks`, which holds every instruction's semantics;
 this module owns the machine state, the run loop and its accounting.
+A :class:`Machine` exposes what the compiled templates read on every
+instruction one attribute away: ``regs``, the CPU's register list
+itself, and ``page_of``, its memory's page lookup.  The run loop finds
+each block in the cache's block map and asks the cache to build one
+only on a miss.
 It plays two roles from the paper's architecture (Figure 4):
 
 * the **binary tracer** (S2E's role) — with a :class:`~repro.emu.tracer.
@@ -26,7 +31,7 @@ from .blocks import EXIT_SENTINEL, BlockCache, shared_block_cache
 from .cpu import CPU
 from .costs import DEFAULT_COSTS, CostModel
 from .libc import ExitProgram, LibC
-from .memory import make_memory
+from .memory import Memory
 
 __all__ = ["ControlSink", "EXIT_SENTINEL", "Machine", "RunResult",
            "run_binary"]
@@ -79,9 +84,15 @@ class Machine:
     blocks: BlockCache | None = None
 
     def __post_init__(self) -> None:
-        self.mem = make_memory()
+        self.mem = Memory()
         self.mem.load_image(self.image)
+        #: The memory's page lookup (see :attr:`Memory.page_of`), read by
+        #: the templates' inline word paths.
+        self.page_of = self.mem.page_of
         self.cpu = CPU()
+        #: The CPU's register list itself, one attribute away from the
+        #: compiled templates.
+        self.regs = self.cpu.regs
         self.libc = LibC(self.mem, self.input_items)
         if self.blocks is None or self.blocks.costs != self.costs:
             self.blocks = shared_block_cache(self.image, self.costs)
@@ -114,11 +125,12 @@ class Machine:
     def _run_blocks(self, rec) -> None:
         """Superblock loop: decode-once blocks of pre-compiled closures.
 
-        Coverage callbacks fire once per block per machine — sinks see
-        each executed address at least once, and coverage is a set, so
-        repeat visits add nothing.  With a recorder (``rec``) the loop
-        also counts block-cache hits and misses and profiles how often
-        each block runs.
+        The loop reads the cache's block map itself and asks the cache
+        to build a block only on a miss.  Coverage callbacks fire once
+        per block per machine — sinks see each executed address at least
+        once, and coverage is a set, so repeat visits add nothing.  With
+        a recorder (``rec``) the loop also counts block-cache hits and
+        misses and profiles how often each block runs.
         """
         blocks = self.blocks
         block_map = blocks._blocks
@@ -133,13 +145,15 @@ class Machine:
         try:
             while self._halted is None:
                 addr = cpu.eip
+                block = block_map.get(addr)
                 if hot is not None:
-                    if addr in block_map:
+                    if block is not None:
                         hits += 1
                     else:
                         misses += 1
                     hot[addr] = hot.get(addr, 0) + 1
-                block = block_at(addr)
+                if block is None:
+                    block = block_at(addr)
                 if sink is not None and addr not in seen:
                     seen.add(addr)
                     executed = sink.executed

@@ -108,9 +108,10 @@ class SchedRejected(SchedError):
 
 
 class RemoteJobError(ServeError):
-    """A job failed inside a scheduler worker process.  The original
-    exception's class name travels as :attr:`remote_kind` so the serve
-    protocol can report it exactly as the in-process path would."""
+    """A job the daemon accepted failed while it executed, in process or
+    inside a scheduler worker.  The original exception's class name
+    travels as :attr:`remote_kind`, so both paths report it alike; the
+    client raises this class for a response marked ``job_failed``."""
 
     def __init__(self, message: str, remote_kind: str = "RemoteJobError"):
         self.remote_kind = remote_kind

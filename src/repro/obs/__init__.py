@@ -13,8 +13,7 @@ every pipeline layer:
   analyzed function in ``sanalysis.function`` / ``sanitize.function``
   spans under ``stage.sanalysis`` / ``stage.sanitize``;
 * the **emulator** reports block-cache hits/misses/evictions,
-  instructions retired, memory fast/slow-path counts, and a hot-block
-  profile;
+  instructions retired, and a hot-block profile;
 * the **IR interpreter** reports compiled-closure cache invalidations
   and per-function execution counts;
 * the **optimizer** reports per-pass instruction deltas and timings

@@ -136,9 +136,6 @@ def summary(doc: dict) -> str:
     if counters.get("emu.instructions_retired"):
         highlights.append("instructions retired   "
                           f"{counters['emu.instructions_retired']:,}")
-    mem_rate = _ratio(counters, "emu.mem.fast_path", "emu.mem.slow_path")
-    if mem_rate is not None:
-        highlights.append(f"memory fast-path rate  {mem_rate:7.2%}")
     if counters.get("ir.code_cache.invalidations") is not None:
         highlights.append("IR code invalidations  "
                           f"{counters['ir.code_cache.invalidations']}")

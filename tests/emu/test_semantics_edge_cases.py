@@ -5,7 +5,7 @@ import pytest
 
 from repro.emu import run_binary
 from repro.errors import EmulationError
-from repro.isa.registers import CL
+from repro.isa.registers import CL, reg
 from repro.isa import (
     AH,
     AL,
@@ -149,6 +149,27 @@ def test_imul_overflow_sets_carry():
 
 def test_imul_negative_product_sets_sign_not_carry():
     assert imul_flags(-3, 7) == (0, 1)
+
+
+@pytest.mark.parametrize("a,b", [(0x10000, 0x10000), (-3, 7),
+                                 (0x7FFFFFFF, 2), (-0x80000000, -1),
+                                 (123456, -654321), (5, 0)])
+def test_imul_by_an_immediate_matches_the_register_form(a, b):
+    # ``imul r32,imm`` compiles to its own closure: the product and the
+    # flags (CF, ZF, SF) must be those of ``imul r32,r32``.
+    def outcome(multiply):
+        product = run([ins("mov", EAX, Imm(a)), *multiply,
+                       ins("hlt")]).exit_code
+        # ``mov`` and ``setcc`` leave the flags alone; ``shl`` and
+        # ``or`` run only once all three are read.
+        flags = run([ins("mov", EAX, Imm(a)), *multiply,
+                     ins("mov", EAX, Imm(0)), ins("mov", EBX, Imm(0)),
+                     setcc("b", AH), setcc("e", AL), setcc("s", reg("bl")),
+                     ins("shl", EAX, Imm(8)), ins("or", EAX, EBX),
+                     ins("hlt")]).exit_code
+        return product, flags
+    assert outcome([ins("imul", EAX, Imm(b))]) == outcome(
+        [ins("mov", ECX, Imm(b)), ins("imul", EAX, ECX)])
 
 
 @pytest.mark.parametrize("eax,edx", [(-5, 0xFFFFFFFF), (5, 0)])

@@ -24,12 +24,33 @@ def simple_module():
     return m, f, Builder(f)
 
 
+def _signed32(v):
+    return v - (1 << 32) if v & 0x80000000 else v
+
+
 def test_arithmetic_and_exit_code():
     m, f, b = simple_module()
     b.position(f.add_block("entry"))
     v = b.binop("mul", Const(6), Const(7))
     b.ret([v])
     assert run_module(m).exit_code == 42
+    # ``mul`` with high-bit operands is the signed product mod 2**32,
+    # whichever operands are values and whichever constants.
+    for x, y in [(0x80000000, 0xFFFFFFFF), (0xFFFFFFFF, 0xFFFFFFFF),
+                 (0x80000001, 0x7FFFFFFF), (0xFFFFFFFE, 3),
+                 (0xDEADBEEF, 0x80000000)]:
+        m = Module()
+        g = Function("g", ["x", "y"])
+        m.add_function(g)
+        m.entry_name = "g"
+        b = Builder(g)
+        b.position(g.add_block("entry"))
+        px, py = g.params
+        b.ret([b.binop("mul", px, py), b.binop("mul", px, Const(y)),
+               b.binop("mul", Const(x), py),
+               b.binop("mul", Const(x), Const(y))])
+        product = (_signed32(x) * _signed32(y)) % (1 << 32)
+        assert Interpreter(m).call_function(g, [x, y]) == [product] * 4
 
 
 def test_signed_division_truncates_toward_zero():

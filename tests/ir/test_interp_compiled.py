@@ -140,8 +140,8 @@ class ShadowRecorder:
         self.events.append(("exit", func.name, tuple(ret_values)))
         return [f"{func.name}.ret"] * len(ret_values)
 
-    def on_use(self, frame_id, instr, shadow):
-        self.events.append(("use", instr.opcode, shadow))
+    def on_use(self, frame_id, shadow):
+        self.events.append(("use", shadow))
 
     def load_hook(self, instr):
         def shadow_of(addr):
@@ -169,16 +169,16 @@ def test_shadow_plugin_parity():
     rec = ShadowRecorder()
     result = Interpreter(loop_module(), shadow=rec).run()
     assert result.exit_code == sum(i * i for i in range(1, 10))
-    # One enter and one exit per activation (main and nine squares)
-    # plus the uses below.
-    assert len(rec.events) == 47
-    uses = [e for e in rec.events if e[0] == "use"]
-    # square's mul uses its parameter twice per call; main's add uses
-    # the call result; the loop phis only ever carry constants and
-    # arithmetic results, whose shadows are None.
-    assert uses.count(("use", "mul", "square.x")) == 18
-    assert uses.count(("use", "add", "square.ret")) == 9
-    assert len(uses) == 27
+    # ``square``'s one segment reads its parameter twice (``mul x, x``)
+    # and reports it once, before the ``ret``.  In ``main`` the segment
+    # after the call reads the call result (``add acc, sq``); the loop
+    # phis only ever carry constants and arithmetic results, whose
+    # shadows are None.
+    per_call = [e for i in range(1, 10) for e in (
+        ("enter", "square", (i,)), ("use", "square.x"),
+        ("exit", "square", (i * i,)), ("use", "square.ret"))]
+    assert rec.events == [("enter", "main", ()), *per_call,
+                          ("exit", "main", (285,))]
 
 
 def test_shadow_plugin_skips_operands_that_carry_no_shadow():
@@ -194,39 +194,101 @@ def test_shadow_plugin_skips_operands_that_carry_no_shadow():
     b.ret([b.call("f", [Const(4)])])
     rec = ShadowRecorder()
     assert Interpreter(m, shadow=rec).run().exit_code == 15
-    # ``mul 3, a`` reads a constant and an arithmetic result: no plugin
-    # call at all.
-    assert [e for e in rec.events if e[0] == "use"] == [
-        ("use", "add", "f.p")]
+    # ``mul 3, a`` reads a constant and an arithmetic result: it adds
+    # nothing to the segment's report, which names ``p`` alone.
+    assert rec.events == [
+        ("enter", "main", ()), ("enter", "f", (4,)), ("use", "f.p"),
+        ("exit", "f", (15,)), ("exit", "main", (15,))]
 
 
 def test_dead_compare_still_reports_its_uses():
     # ``f``'s compares feed nothing, so a shadow run does not compute
-    # them; the compare of the parameter still reports its use on every
-    # call, and the compare of an arithmetic result has nothing to
-    # report.
+    # them.  The compare of ``q`` is its only use and is still reported;
+    # the compare of ``p`` shares one report with the live add's use of
+    # ``p`` in the same segment; the compare of an arithmetic result has
+    # nothing to report.  In ``main`` each call result's use is reported
+    # before the next call.
     m, f, b = simple_module()
-    callee = Function("f", ["p"])
+    callee = Function("f", ["p", "q"])
     m.add_function(callee)
     bc = Builder(callee)
     bc.position(callee.add_block("entry"))
-    bc.icmp("eq", callee.params[0], Const(0))
-    k = bc.binop("add", callee.params[0], Const(1))
+    p, q = callee.params
+    bc.icmp("eq", p, Const(0))
+    bc.icmp("ult", q, Const(7))
+    k = bc.binop("add", p, Const(1))
     bc.icmp("eq", k, Const(0))
     bc.ret([k])
     b.position(f.add_block("entry"))
     total = Const(0)
     for n in range(3):
-        total = b.binop("add", total, b.call("f", [Const(n)]))
+        total = b.binop("add", total,
+                        b.call("f", [Const(n), Const(2 * n)]))
     b.ret([total])
     rec = ShadowRecorder()
     result = Interpreter(m, shadow=rec).run()
     assert result.exit_code == 1 + 2 + 3
-    assert [e for e in rec.events if e[0] == "use"] == [
-        ("use", "icmp", "f.p"), ("use", "add", "f.p"),
-        ("use", "add", "f.ret")] * 3
+    per_call = [e for n in range(3) for e in (
+        ("enter", "f", (n, 2 * n)), ("use", "f.p"), ("use", "f.q"),
+        ("exit", "f", (n + 1,)), ("use", "f.ret"))]
+    assert rec.events == [("enter", "main", ()), *per_call,
+                          ("exit", "main", (6,))]
     # Dead or not, every instruction of an entered block is a step.
-    assert result.steps == Interpreter(m).run().steps == 3 * 4 + 7
+    assert result.steps == Interpreter(m).run().steps == 3 * 5 + 7
+
+
+def test_use_before_exit_is_reported_and_one_after_is_not():
+    # One block: a use of ``p``, a call to ``exit``, a use of ``q``.  The
+    # segment that ends at the external call reports ``p`` before the
+    # call ends the run; ``q``'s use never runs.
+    m, f, b = simple_module()
+    callee = Function("f", ["p", "q"])
+    m.add_function(callee)
+    bc = Builder(callee)
+    bc.position(callee.add_block("entry"))
+    before = bc.binop("add", callee.params[0], Const(1))
+    bc.call_external("exit", [Const(5)])
+    after = bc.binop("add", callee.params[1], Const(1))
+    bc.ret([bc.binop("add", before, after)])
+    b.position(f.add_block("entry"))
+    b.ret([b.call("f", [Const(1), Const(2)])])
+    rec = ShadowRecorder()
+    result = Interpreter(m, shadow=rec).run()
+    assert result.exit_code == 5
+    assert rec.events == [
+        ("enter", "main", ()), ("enter", "f", (1, 2)), ("use", "f.p"),
+        ("callext", "exit", (5,))]
+
+
+def test_uses_report_once_per_segment():
+    # ``p`` is read twice before the call to ``g`` and once after it:
+    # the first segment reports it once, the second once more, with the
+    # call result it also reads.
+    m, f, b = simple_module()
+    g = Function("g", [])
+    m.add_function(g)
+    bg = Builder(g)
+    bg.position(g.add_block("entry"))
+    bg.ret([Const(0)])
+    callee = Function("f", ["p"])
+    m.add_function(callee)
+    bc = Builder(callee)
+    bc.position(callee.add_block("entry"))
+    p = callee.params[0]
+    x = bc.binop("add", p, Const(1))
+    y = bc.binop("mul", p, x)
+    r = bc.call("g", [])
+    z = bc.binop("sub", p, r)
+    bc.ret([bc.binop("add", y, z)])
+    b.position(f.add_block("entry"))
+    b.ret([b.call("f", [Const(3)])])
+    rec = ShadowRecorder()
+    assert Interpreter(m, shadow=rec).run().exit_code == 3 * 4 + 3
+    assert rec.events == [
+        ("enter", "main", ()), ("enter", "f", (3,)), ("use", "f.p"),
+        ("enter", "g", ()), ("exit", "g", (0,)),
+        ("use", "f.p"), ("use", "g.ret"),
+        ("exit", "f", (15,)), ("exit", "main", (15,))]
 
 
 def test_dead_division_by_zero_still_raises_in_a_shadow_run():
@@ -291,8 +353,8 @@ class MemoryShadow:
     def call_exit(self, func, frame_id, ret_values, ret_shadows):
         return None
 
-    def on_use(self, frame_id, instr, shadow):
-        self.uses.append((instr.opcode, shadow))
+    def on_use(self, frame_id, shadow):
+        self.uses.append(shadow)
 
     def load_hook(self, instr):
         if instr.size != 4:
@@ -342,12 +404,12 @@ def test_memory_hooks_carry_a_spilled_shadow_through_a_word_load():
     plugin = MemoryShadow()
     result = Interpreter(memory_shadow_module(), shadow=plugin).run()
     assert result.exit_code == (5 + 1) + (5 + 2) + (7 + 3)
-    # Only the word reload of the spilled parameter reports a use: the
-    # byte load carries no shadow, and the constant store cleared the
-    # cell, so the last word load sees None.
-    assert plugin.uses == [("add", "f.p")]
+    # ``f``'s one segment reads all three reloads, and only the word
+    # reload of the spilled parameter carries a shadow: the byte load
+    # carries none, and the constant store cleared the cell, so the last
+    # word load sees None.  The segment reports that shadow once.
+    assert plugin.uses == ["f.p"]
     assert plugin.cells == {}
     # The two word loads called their hook once each; the byte load's
     # hook is None, so it made no plugin call.
     assert plugin.word_loads == 2
-

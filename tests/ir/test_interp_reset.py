@@ -104,8 +104,10 @@ def test_leaving_the_stage_frees_compiled_blocks_and_pages():
     module = leaky_module()
     with Interpreter(module, [3]) as interp:
         interp.run()
-        assert interp._code and interp.mem._pages
-    assert not interp._code
+        # The compiled blocks live in the functions' frame layouts.
+        assert any(lay.code for lay in interp._layouts.values())
+        assert interp.mem._pages
+    assert not interp._layouts
     assert not interp.mem._pages
 
 

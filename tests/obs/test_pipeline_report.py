@@ -59,7 +59,6 @@ def test_emulator_and_interpreter_metrics(report):
     counters = report["metrics"]["counters"]
     assert counters["emu.block_cache.hit"] > 0
     assert counters["emu.instructions_retired"] > 0
-    assert counters["emu.mem.fast_path"] > 0
     hot = report["metrics"]["profiles"]["emu.hot_blocks"]
     assert hot["total"] > 0 and hot["unique"] > 0
     assert len(hot["top"]) <= 10 and hot["top"]
