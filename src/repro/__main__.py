@@ -7,7 +7,8 @@ Commands mirror the toolchain a downstream user needs:
 * ``recompile`` WYTIWYG-recompile a binary image (or ``--pipeline
   binrec`` / ``secondwrite``); ``--check`` arms the static gate;
   ``--store DIR`` routes the run through the content-addressed
-  artifact store so repeated runs reuse traces and results
+  artifact store so repeated runs reuse traces, back-end images and
+  results
 * ``serve``     run the recompilation daemon: jobs over a Unix socket,
   backed by the artifact store and named campaigns
 * ``submit``    client for ``serve``: submit a job (or ``--status`` /
@@ -139,7 +140,8 @@ def cmd_recompile(args) -> int:
                     check=args.check)
                 print(f"  store: served={result.stats.served} "
                       f"traces reused={result.stats.traces_reused} "
-                      f"recorded={result.stats.traces_recorded}")
+                      f"recorded={result.stats.traces_recorded} "
+                      f"backend reused={result.stats.backend_reused}")
             else:
                 result = wytiwyg_recompile(image, runs, check=args.check)
         except StaticCheckError as exc:
@@ -389,8 +391,8 @@ def main(argv: list[str] | None = None) -> int:
                    const="", default=None,
                    help="route the run through the content-addressed "
                         "artifact store at DIR (default $REPRO_STORE "
-                        "or .repro_store): repeated runs reuse traces "
-                        "and results")
+                        "or .repro_store): repeated runs reuse traces, "
+                        "back-end images and results")
     p.set_defaults(func=cmd_recompile)
 
     p = sub.add_parser(

@@ -23,7 +23,9 @@ Orchestrates the full pipeline:
    signatures, replace base pointers with native allocas, and remove
    the emulated stack;
 7. optimize the symbolized module with the standard pipeline;
-8. recompile to a new binary.
+8. recompile to a new binary.  Given an artifact store (the serve
+   path), steps 7 and 8 load the image a previous request built when
+   the symbolized module's :func:`refinement_digest` matches.
 
 Every dynamic stage executes the *lifted IR itself* on the same inputs,
 so each refinement consumes exactly the semantics the previous one
@@ -72,6 +74,7 @@ replay layer contributes ``replay.runs`` / ``replay.deduped`` /
 from __future__ import annotations
 
 import gc
+import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -97,11 +100,17 @@ from ..sanalysis import (
     interproc_corroborate,
     sanitize_function,
 )
+from ..store import ArtifactStore, backend_key, image_key
 from .accuracy import AccuracyReport, evaluate_accuracy
 from .instrument import instrument_module, strip_probes
 from .layout import FrameLayout, apply_widenings, build_layouts
-from .regsave import apply_register_classification, classify_registers
+from .regsave import (
+    RegSaveResult,
+    apply_register_classification,
+    classify_registers,
+)
 from .replace import drop_sp_threading, replace_base_pointers
+from .runtime import TracingRuntime
 from .signatures import build_signatures
 from .sp0fold import fold_module_stack_refs, is_lifted_function
 from .varargs import recover_vararg_calls
@@ -111,6 +120,11 @@ from .varargs import recover_vararg_calls
 class WytiwygResult:
     """Everything the pipeline produced."""
 
+    #: The module the recovered image was lowered from: optimized
+    #: unless ``optimize=False``.  When the image came from a stored
+    #: ``backend`` record (:attr:`backend_reused`) nothing was
+    #: optimized or lowered, and this is the symbolized module before
+    #: O3.
     module: Module
     recovered: BinaryImage
     layouts: dict[str, FrameLayout] = field(default_factory=dict)
@@ -123,6 +137,56 @@ class WytiwygResult:
     #: The merged trace set the pipeline consumed (re-traced or passed
     #: in); the incremental service layer persists and summarizes it.
     traces: TraceSet | None = None
+    #: True if the recovered image was loaded from the store's
+    #: ``backend`` record instead of optimized and lowered here.
+    backend_reused: bool = False
+
+
+#: The module metadata key under which :func:`wytiwyg_lift` records its
+#: :func:`refinement_digest`; :func:`wytiwyg_recompile` takes it off
+#: the module before lowering, so its images do not carry it.
+REFINEMENT = "refinement"
+
+
+def refinement_digest(traces: TraceSet, hybrid: bool, static_widen: bool,
+                      classification: RegSaveResult,
+                      runtime: TracingRuntime) -> str:
+    """Digest of everything besides the image that fixes the module
+    :func:`wytiwyg_lift` symbolizes.
+
+    The lift reads the traced coverage (transfers, executed addresses,
+    variadic argument counts) and ``hybrid``; the §4.1 rewrite reads
+    each function's argument and output registers and the indirect
+    targets; the §4.2 rewrite reads each stack reference's function,
+    sp0 offset and bounds, each call site's argument area, callees and
+    walked flag, and the links; the static widening is on unless
+    ``static_widen`` is off.  Every other step is a function of its
+    predecessors' output, so two requests with one image and one digest
+    symbolize the same module, whatever inputs they traced.
+    """
+    observed = (
+        sorted((t.src, t.dst, t.kind) for t in traces.transfers),
+        sorted(traces.executed),
+        sorted(traces.vararg_counts.items()),
+        hybrid, static_widen,
+        sorted((name, sorted(regs))
+               for name, regs in classification.args.items()),
+        sorted((name, sorted(regs))
+               for name, regs in classification.outputs.items()),
+        sorted(classification.indirect_targets),
+        sorted((ref_id, var.func_name, var.sp0_offset, var.low,
+                var.high, var.align)
+               for ref_id, var in runtime.stack_vars.items()),
+        sorted((site, area.low, area.high, sorted(area.callees),
+                area.walked)
+               for site, area in runtime.arg_accesses.items()),
+        sorted(sorted(pair) for pair in runtime.links),
+    )
+    # blake2b is CPython's own code: a one-shot recompile, which hashes
+    # nothing else, does not set OpenSSL's digests up (about 0.9 MB of
+    # resident memory in a forked child).
+    return hashlib.blake2b(repr(observed).encode(),
+                           digest_size=16).hexdigest()
 
 
 #: The cyclic collector's pause is process-wide, so every pause shares
@@ -292,6 +356,8 @@ def wytiwyg_lift(traces: TraceSet,
         before = module_stats(module) if observing else None
         mi = instrument_module(module)
         runtime = engine.run_instrumented(module, "register refinement")
+        module.metadata[REFINEMENT] = refinement_digest(
+            traces, hybrid, static_widen, classification, runtime)
         strip_probes(module)
         verify_module(module)
 
@@ -418,7 +484,8 @@ def wytiwyg_recompile(image: BinaryImage,
                       traces: TraceSet | None = None,
                       jobs: int = 1,
                       check: bool | str = False,
-                      opt_jobs: int | None = None) -> WytiwygResult:
+                      opt_jobs: int | None = None,
+                      store: ArtifactStore | None = None) -> WytiwygResult:
     """End-to-end WYTIWYG: trace, refine, symbolize, optimize,
     recompile.  Falls back to the unsymbolized (BinRec) pipeline if
     symbolization fails functional validation.
@@ -436,6 +503,17 @@ def wytiwyg_recompile(image: BinaryImage,
     ``"strict"``, warnings abort too.  The gate reads the report of
     the widened layout that symbolization used, so a coverage gap that
     widening closed no longer counts.
+
+    With a ``store`` (:func:`~repro.core.incremental.
+    incremental_recompile` passes its own), the back end is reused
+    across requests: after the static gate, the image that O3 and
+    lowering build is looked up under :func:`~repro.store.backend_key`
+    (the image, ``optimize`` and the symbolized module's
+    :func:`refinement_digest`).  A hit loads it and skips O3, its
+    verification and lowering; a miss runs them and stores the image.
+    Every stage before the back end runs either way, so every check
+    still runs.  A fallback to the unsymbolized pipeline reads and
+    writes nothing.  Without a store no key is computed.
     """
     if not (isinstance(check, bool) or check == "strict"):
         raise ValueError(f"check must be False, True or 'strict', "
@@ -455,6 +533,7 @@ def wytiwyg_recompile(image: BinaryImage,
         try:
             module, layouts, notes, report = wytiwyg_lift(
                 traces, hybrid=hybrid)
+            refinement = module.metadata.pop(REFINEMENT)
             fallback = False
         except SymbolizeError as exc:
             if not allow_fallback:
@@ -464,6 +543,7 @@ def wytiwyg_recompile(image: BinaryImage,
             layouts = {}
             notes = [f"fallback to unsymbolized pipeline: {exc}"]
             report = None
+            refinement = None
             fallback = True
 
         if check and report is not None:
@@ -483,31 +563,23 @@ def wytiwyg_recompile(image: BinaryImage,
             for finding in report.warnings:
                 notes.append(f"check[warn]: {finding.render()}")
 
-        with obs.span("stage.optimize", enabled=optimize) as sp:
-            before = module_stats(module) if observing else None
-            if optimize:
-                optimize_module(module, OptOptions.o3())
-                verify_module(module)
-            if before is not None:
-                sp.set(ir_before=before, ir_after=module_stats(module),
-                       verified=optimize)
-
-        with obs.span("stage.recompile") as sp:
-            recovered = recompile_ir(
-                module, LowerOptions(frame_pointer=False),
-                metadata={**image.metadata,
-                          "pipeline": module.metadata.get(
-                              "pipeline", "wytiwyg")})
-            if observing:
-                sp.set(ir_before=module_stats(module),
-                       ir_after=module_stats(module),
-                       text_bytes=len(recovered.text.data))
+        bkey = stored = None
+        if store is not None and refinement is not None:
+            bkey = backend_key(image_key(image), optimize, refinement)
+            stored = store.get("backend", bkey)
+        if stored is not None:
+            recovered = BinaryImage.from_json(stored)
+        else:
+            recovered = _backend(module, image, optimize, observing)
+            if bkey is not None:
+                store.put("backend", bkey, recovered.to_json())
 
         accuracy = None
         if collect_accuracy and not fallback and image.ground_truth:
             accuracy = evaluate_accuracy(image, layouts)
         if observing:
-            pipeline_span.set(fallback=fallback, notes=list(notes))
+            pipeline_span.set(fallback=fallback, notes=list(notes),
+                              backend_reused=stored is not None)
             if accuracy is not None:
                 pipeline_span.set(
                     accuracy_precision=accuracy.precision,
@@ -519,4 +591,30 @@ def wytiwyg_recompile(image: BinaryImage,
               notes=list(notes))
     return WytiwygResult(module, recovered, layouts, accuracy,
                          fallback, notes, check_report=report,
-                         traces=traces)
+                         traces=traces, backend_reused=stored is not None)
+
+
+def _backend(module: Module, image: BinaryImage, optimize: bool,
+             observing: bool) -> BinaryImage:
+    """Optimize ``module`` (unless ``optimize`` is off) and lower it to
+    the recovered image, which carries ``image``'s metadata."""
+    with obs.span("stage.optimize", enabled=optimize) as sp:
+        before = module_stats(module) if observing else None
+        if optimize:
+            optimize_module(module, OptOptions.o3())
+            verify_module(module)
+        if before is not None:
+            sp.set(ir_before=before, ir_after=module_stats(module),
+                   verified=optimize)
+
+    with obs.span("stage.recompile") as sp:
+        recovered = recompile_ir(
+            module, LowerOptions(frame_pointer=False),
+            metadata={**image.metadata,
+                      "pipeline": module.metadata.get(
+                          "pipeline", "wytiwyg")})
+        if observing:
+            sp.set(ir_before=module_stats(module),
+                   ir_after=module_stats(module),
+                   text_bytes=len(recovered.text.data))
+    return recovered

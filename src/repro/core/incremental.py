@@ -9,7 +9,7 @@ artifact lands in a content-addressed
 :class:`~repro.store.ArtifactStore`, and a repeated request pays only
 for what actually changed.
 
-Two layers of reuse, cheapest first:
+Three layers of reuse, cheapest first:
 
 1. **Result hit** — the final recompiled image is keyed on
    ``(image content, ordered input runs, options)``; an identical
@@ -23,16 +23,23 @@ Two layers of reuse, cheapest first:
    reconstructs exactly the TraceSet :func:`~repro.emu.tracer.
    trace_binary` would produce.  Adding one input to a known image
    re-executes only that input; everything else is a ``store.hit``.
-
-Everything after tracing runs the one-shot pipeline, static widening
-included: the lifted module is refined, optimized and lowered cold, on
-every request.
+3. **Back-end reuse** — every refinement still runs (lift, the three
+   replay stages over every distinct input, static widening, the
+   sanitizer and the gate), but the image that O3 and lowering build
+   from the symbolized module is a ``backend`` record, keyed on the
+   image, ``optimize`` and the module's refinement digest (the traced
+   coverage, ``hybrid``, the §4.1 classification and the §4.2
+   observations; :func:`~repro.core.driver.refinement_digest`).  An
+   added input that reaches no new code and widens no stack variable
+   leaves the digest as it was, so its request loads the image instead
+   of optimizing and lowering again (:attr:`JobStats.backend_reused`).
 
 Byte-identity invariant: for any request, the recovered image equals
 the one a cold ``wytiwyg_recompile(image, inputs)`` produces — the
 store only ever short-circuits recomputation of content-pinned
-artifacts (tests/integration/test_incremental.py and
-benchmarks/test_serve.py assert this differentially).
+artifacts (tests/integration/test_incremental.py,
+tests/integration/test_backend_reuse.py and benchmarks/test_serve.py
+assert this differentially).
 """
 
 from __future__ import annotations
@@ -67,6 +74,9 @@ class JobStats:
     store_hits: int = 0
     store_misses: int = 0
     store_puts: int = 0
+    #: True when the pipeline ran and loaded its image from a stored
+    #: ``backend`` record instead of optimizing and lowering.
+    backend_reused: bool = False
 
     def to_dict(self) -> dict:
         return {"served": self.served,
@@ -74,7 +84,8 @@ class JobStats:
                 "traces_recorded": self.traces_recorded,
                 "store_hits": self.store_hits,
                 "store_misses": self.store_misses,
-                "store_puts": self.store_puts}
+                "store_puts": self.store_puts,
+                "backend_reused": self.backend_reused}
 
 
 @dataclass
@@ -141,9 +152,10 @@ def incremental_recompile(image: BinaryImage,
     """Store-backed ``wytiwyg_recompile``: same answer, amortized cost.
 
     Checks the result store first; otherwise reassembles traces from
-    per-input records (tracing only new inputs), runs the pipeline, and
-    persists both the new traces and the final result.  ``jobs`` and
-    ``opt_jobs`` are accepted and ignored, as by
+    per-input records (tracing only new inputs), runs the pipeline with
+    the store (which reuses a stored back-end image for the same
+    refinement), and persists the new traces and the final result.
+    ``jobs`` and ``opt_jobs`` are accepted and ignored, as by
     :func:`wytiwyg_recompile`.
     """
     img_key = image_key(image)
@@ -177,7 +189,9 @@ def incremental_recompile(image: BinaryImage,
     traces = gather_traces(image, runs, store, img_key, stats)
     result = wytiwyg_recompile(
         image, [list(items) for items in runs],
-        optimize=optimize, hybrid=hybrid, traces=traces, check=check)
+        optimize=optimize, hybrid=hybrid, traces=traces, check=check,
+        store=store)
+    stats.backend_reused = result.backend_reused
     coverage = _coverage_summary(traces)
     store.put("result", rkey, {
         "image_json": result.recovered.to_json(),

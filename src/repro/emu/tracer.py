@@ -63,7 +63,7 @@ class Tracer:
 
     def __init__(self) -> None:
         #: The distinct transfers, as the ``(src, dst, kind)`` tuples the
-        #: emulator reports; :meth:`TraceSet.merge` turns them into
+        #: emulator reports; :func:`trace_binary` turns them into
         #: :class:`Transfer` records.
         self.edges: set[tuple[int, int, str]] = set()
         self.executed: set[int] = set()
@@ -93,24 +93,16 @@ class TraceSet:
     #: passed, over every traced input (the §5.2 prototype).
     vararg_counts: dict[int, int] = field(default_factory=dict)
 
-    def merge(self, tracer: Tracer, result: RunResult,
-              input_items: list[int | bytes]) -> None:
-        """Fold a live tracer's run in: one :class:`Transfer` per
-        distinct edge it saw."""
-        self.absorb({Transfer(*edge) for edge in tracer.edges},
-                    tracer.executed, tracer.vararg_counts, result,
-                    input_items)
-
     def absorb(self, transfers: set[Transfer], executed: set[int],
                vararg_counts: dict[int, int], result: RunResult,
                input_items: list[int | bytes]) -> None:
         """Fold one input run in.
 
-        :meth:`merge` folds a live tracer's run; trace records loaded
-        from the artifact store come here directly, so absorbing each
+        :func:`trace_binary` folds each run it emulates; trace records
+        loaded from the artifact store come here too, so absorbing each
         input's record in request order reconstructs exactly the
-        TraceSet that :func:`trace_binary` would build by re-executing
-        every input.
+        TraceSet that :func:`trace_binary` would build by tracing every
+        input.
         """
         self.transfers |= transfers
         self.executed |= executed
@@ -139,15 +131,25 @@ def trace_binary(image: BinaryImage,
     This is the paper's initial tracing phase: each input contributes
     coverage, and the merged trace set drives lifting.  All per-input
     machines share one decoded/compiled block cache, so the binary is
-    decoded once no matter how many inputs are traced.
+    decoded once no matter how many inputs are traced.  Execution is
+    deterministic, so each distinct input is emulated once and its run
+    is absorbed again for each repeat, as if traced anew.
     """
     traces = TraceSet(image)
     blocks = shared_block_cache(image, costs)
+    #: repr of an input run -> what absorbing its run takes.
+    runs: dict[str, tuple] = {}
     for input_items in inputs:
-        tracer = Tracer()
-        machine = Machine(image, list(input_items), costs=costs,
-                          max_instructions=max_instructions,
-                          trace_sink=tracer.sink, blocks=blocks)
-        result = machine.run()
-        traces.merge(tracer, result, input_items)
+        key = repr(list(input_items))
+        record = runs.get(key)
+        if record is None:
+            tracer = Tracer()
+            machine = Machine(image, list(input_items), costs=costs,
+                              max_instructions=max_instructions,
+                              trace_sink=tracer.sink, blocks=blocks)
+            result = machine.run()
+            record = runs[key] = (
+                {Transfer(*edge) for edge in tracer.edges},
+                tracer.executed, tracer.vararg_counts, result)
+        traces.absorb(*record, input_items)
     return traces

@@ -9,10 +9,10 @@ This module moves job execution into a pool of **long-lived worker
 processes**.  Each worker is forked once at scheduler start and then
 runs many jobs, each on the serial pipeline.  Reuse across jobs and
 workers lands via the shared content-addressed
-:class:`~repro.store.ArtifactStore` on disk — result hits and
-per-input trace records (its atomic tmp+``os.replace`` writes make
-concurrent puts safe; last writer wins and wrote the same bytes
-anyway).  A worker runs the same pipeline as a one-shot recompile,
+:class:`~repro.store.ArtifactStore` on disk — result hits, back-end
+images and per-input trace records (its atomic tmp+``os.replace``
+writes make concurrent puts safe; last writer wins and wrote the same
+bytes anyway).  A worker runs the same pipeline as a one-shot recompile,
 static widening included, so pool and single-lock modes store the
 same images.
 
@@ -361,15 +361,22 @@ class JobScheduler:
         with self._cond:
             self._stopping = True
             self._cond.notify_all()
+            busy = set()
+            for slot in self._slots:
+                job = slot.job
+                if job is not None:  # undrained (or drain timed out)
+                    job.result = {"ok": False, "kind": "SchedError",
+                                  "error": "scheduler shut down mid-job"}
+                    job.done.set()
+                    slot.job = None
+                    busy.add(slot.idx)
             slots = list(self._slots)
         for slot in slots:
-            conn, proc, job = slot.conn, slot.proc, slot.job
-            if job is not None:      # undrained (or drain timed out)
-                job.result = {"ok": False, "kind": "SchedError",
-                              "error": "scheduler shut down mid-job"}
-                job.done.set()
-                slot.job = None
-            if conn is not None:
+            conn, proc = slot.conn, slot.proc
+            if proc is not None and slot.idx in busy:
+                # A worker reads the stop sentinel only after its job.
+                proc.kill()
+            elif conn is not None:
                 try:
                     conn.send(None)
                 except (BrokenPipeError, OSError):
@@ -544,6 +551,8 @@ class JobScheduler:
         elapsed = time.monotonic() - job.enqueued
         timed_out = False
         with self._cond:
+            if slot.job is not job:
+                return      # close() answered the job and stopped
             if result is None:
                 if died:
                     code = (slot.proc.exitcode

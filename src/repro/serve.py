@@ -11,7 +11,10 @@ improves).
 Why a daemon beats N one-shot processes:
 
 * the content-addressed :class:`~repro.store.ArtifactStore` persists
-  traces and results across requests (and across daemon restarts);
+  traces, back-end images and results across requests (and across
+  daemon restarts), so a job whose added inputs change no refinement
+  observation skips O3 and lowering (``backend_reused`` in its
+  ``stats``);
 * with ``--workers N`` jobs execute on a pool of long-lived worker
   processes (:mod:`repro.sched`): distinct images recompile
   concurrently, repeat requests for one image are routed to the same
@@ -175,6 +178,9 @@ class RecompileServer:
         class Server(socketserver.ThreadingMixIn,
                      socketserver.UnixStreamServer):
             daemon_threads = True
+            # server_close() must not wait on a handler that an idle
+            # client's open connection keeps reading.
+            block_on_close = False
             allow_reuse_address = True
 
         tmp = self.socket_path.with_name(
@@ -184,14 +190,15 @@ class RecompileServer:
             os.replace(tmp, self.socket_path)
             self._server.serve_forever(poll_interval=0.1)
         finally:
+            self._server.server_close()
             self.close()
 
     def _socket_alive(self) -> bool:
         try:
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            probe.settimeout(0.5)
-            probe.connect(str(self.socket_path))
-            probe.close()
+            with socket.socket(socket.AF_UNIX,
+                               socket.SOCK_STREAM) as probe:
+                probe.settimeout(0.5)
+                probe.connect(str(self.socket_path))
             return True
         except OSError:
             return False
@@ -486,19 +493,19 @@ class ServeClient:
     def request(self, op: str, **fields) -> dict:
         doc = {"op": op, **fields}
         try:
-            conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            conn.settimeout(self.timeout)
-            conn.connect(self.socket_path)
-            conn.sendall((json.dumps(doc) + "\n").encode())
-            chunks = []
-            while True:
-                chunk = conn.recv(1 << 20)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                if chunk.endswith(b"\n"):
-                    break
-            conn.close()
+            with socket.socket(socket.AF_UNIX,
+                               socket.SOCK_STREAM) as conn:
+                conn.settimeout(self.timeout)
+                conn.connect(self.socket_path)
+                conn.sendall((json.dumps(doc) + "\n").encode())
+                chunks = []
+                while True:
+                    chunk = conn.recv(1 << 20)
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+                    if chunk.endswith(b"\n"):
+                        break
         except socket.timeout as exc:
             raise ServeError(
                 f"daemon at {self.socket_path} did not respond within "

@@ -1,7 +1,7 @@
 """repro.store — the content-addressed artifact store.
 
 One keyed, on-disk store for every expensive artifact the pipeline
-produces: per-input traces, recompiled images and full job results.
+produces: per-input traces, back-end images and full job results.
 An artifact's key is a digest of exactly the content that determines
 it — a hit is valid by construction and nothing ever needs manual
 invalidation.
@@ -13,6 +13,10 @@ kind        keyed on
 ==========  ============================================================
 trace       image content + one input run + cost-model tag + trace
             schema
+backend     image content + ``optimize`` + the symbolized module's
+            refinement digest (traced coverage, ``hybrid``, the §4.1
+            classification and the §4.2 observations); holds the image
+            O3 and lowering build from that module
 result      image content + ordered input runs + pipeline options tag
 source      image content (the submitted image itself, for campaign
             resubmission without re-uploading)
@@ -21,6 +25,11 @@ source      image content (the submitted image itself, for campaign
 Kinds are open-ended (each is a subdirectory); the table lists the
 canonical ones used by :mod:`repro.core.incremental` and
 :mod:`repro.serve`.
+
+Keys pin the content an artifact is computed from, not the code that
+computes it: like a ``result``, a ``backend`` record written before a
+change to the optimizer or the lowering is still served after it.
+After such a change, start from an empty store.
 
 Writes are **atomic**: the entry is written to a temp file in the same
 directory, fsynced, and moved into place with :func:`os.replace`, so a
@@ -57,6 +66,7 @@ __all__ = [
     "ArtifactStore",
     "Campaign",
     "atomic_write_bytes",
+    "backend_key",
     "decode_items",
     "decode_runs",
     "encode_items",
@@ -132,6 +142,16 @@ def result_key(img_key: str, runs, options: str) -> str:
     pipeline options tag (:func:`options_tag`)."""
     return _digest("result", img_key,
                    repr([list(items) for items in runs]), options)
+
+
+def backend_key(img_key: str, optimize: bool, refinement: str) -> str:
+    """Digest addressing the image the back end (O3 and lowering)
+    builds from a symbolized module: the image, ``optimize`` and the
+    module's refinement digest
+    (:func:`~repro.core.driver.refinement_digest`), which fixes the
+    module whatever inputs were traced."""
+    return _digest("backend", img_key, options_tag(optimize=optimize),
+                   refinement)
 
 
 def options_tag(**options) -> str:
@@ -290,7 +310,8 @@ class ArtifactStore:
         stored source image and its per-input trace records.  Evicting
         either would break the campaign contract (resubmission without
         re-uploading; monotone trace accumulation) — everything else,
-        results included, is recomputable from these."""
+        results and back-end images included, is recomputable from
+        these."""
         pinned: set[tuple[str, str]] = set()
         for name in self.list_campaigns():
             campaign = self.load_campaign(name)

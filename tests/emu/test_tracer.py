@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.emu import Machine, Tracer, Transfer, trace_binary
+from repro import compile_source
+from repro.emu import Machine, TraceSet, Tracer, Transfer, trace_binary
 from repro.isa import (
     AsmFunction,
     AsmProgram,
@@ -108,3 +109,43 @@ def test_sink_keeps_each_distinct_edge_once(iterations):
     traces = trace_binary(image, [[iterations]])
     assert traces.transfers == {Transfer(*e) for e in loop_edges(image)}
     assert len(traces.transfers) == 5
+
+
+#: A branch on the input and a printf whose argument count follows it.
+VARIADIC_SOURCE = r"""
+int main() {
+    int k = read_int();
+    char *fmt = k ? "%d %d %d\n" : "%d\n";
+    if (k > 1) printf("big\n");
+    printf(fmt, 1, 2, k);
+    return 0;
+}
+"""
+
+
+def test_each_distinct_input_is_emulated_once(monkeypatch):
+    image = compile_source(VARIADIC_SOURCE, "gcc12", "0", "repeats")
+    runs = [[0], [1], [0], [2], [1], [0]]
+    # What tracing each run on its own and absorbing it in order builds.
+    expected = TraceSet(image)
+    for items in runs:
+        single = trace_binary(image, [items])
+        expected.absorb(single.transfers, single.executed,
+                        single.vararg_counts, single.results[0], items)
+    emulated = []
+    real_run = Machine.run
+
+    def run(self):
+        emulated.append(list(self.input_items))
+        return real_run(self)
+
+    monkeypatch.setattr(Machine, "run", run)
+    traces = trace_binary(image, runs)
+    assert emulated == [[0], [1], [2]]
+    assert traces.inputs == expected.inputs == runs
+    assert traces.results == expected.results
+    assert traces.transfers == expected.transfers
+    assert traces.executed == expected.executed
+    assert traces.vararg_counts == expected.vararg_counts
+    assert [r.stdout for r in traces.results] == [
+        b"1\n", b"1 2 1\n", b"1\n", b"big\n1 2 2\n", b"1 2 1\n", b"1\n"]

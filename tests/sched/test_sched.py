@@ -289,6 +289,23 @@ def test_nondrain_close_fails_queued_jobs(tmp_path):
         assert "job_failed" not in box["result"]
 
 
+def test_nondrain_close_kills_a_busy_worker_at_once(tmp_path):
+    scheduler = JobScheduler(1, store_root=tmp_path / "store")
+    scheduler.start()
+    running = _submit_async(scheduler, probe(sleep=30.0))
+    _wait(lambda: _busy(scheduler, 0), message="worker busy")
+    worker = scheduler._slots[0].proc
+    start = time.monotonic()
+    scheduler.close(drain=False)
+    # A busy worker reads the stop sentinel only after its job: close
+    # must not wait for it.
+    assert time.monotonic() - start < 2.0
+    assert not worker.is_alive()
+    running["thread"].join(timeout=10)
+    assert running["result"] == {"ok": False, "kind": "SchedError",
+                                 "error": "scheduler shut down mid-job"}
+
+
 # -- observability -------------------------------------------------------
 
 def test_worker_obs_payload_merges_into_parent(sched, tmp_path):

@@ -1,6 +1,7 @@
 """The recompilation daemon: protocol, scheduling, campaigns."""
 
 import contextlib
+import gc
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ import socketserver
 import tempfile
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -357,6 +359,41 @@ def test_client_timeout_is_a_clean_error():
                            match="did not respond within 0.3s"):
             client.ping()
         wedged.close()
+    finally:
+        shutil.rmtree(sockdir, ignore_errors=True)
+
+
+# -- socket hygiene -------------------------------------------------------
+
+def test_every_socket_is_closed_without_the_collector(tmp_path):
+    """A request to a missing daemon, a daemon that replaces a stale
+    socket file, and its start and shutdown leave no socket for the
+    collector to close."""
+    sockdir = tempfile.mkdtemp(prefix="repro-leak-")
+    sock = os.path.join(sockdir, "d.sock")
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ServeError, match="cannot reach"):
+                ServeClient(sock).ping()
+            with socket.socket(socket.AF_UNIX,
+                               socket.SOCK_STREAM) as dead:
+                dead.bind(sock)   # the file stays; nobody listens
+            server = RecompileServer(
+                sock, store=ArtifactStore(tmp_path / "store"))
+            thread = threading.Thread(target=server.serve_forever,
+                                      daemon=True)
+            thread.start()
+            assert _wait_for_daemon(sock)["ok"]
+            assert ServeClient(sock).shutdown()["ok"]
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            del server, thread
+            gc.collect()
+        unclosed = [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)
+                    and "socket" in str(w.message)]
+        assert unclosed == []
     finally:
         shutil.rmtree(sockdir, ignore_errors=True)
 
