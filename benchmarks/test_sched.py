@@ -9,8 +9,8 @@ sockets sharing nothing:
   four different images at once.  The single-lock daemon serializes
   them; the ``workers=4`` pool runs them concurrently.  Artifacts must
   be byte-identical across the two daemons, and a warm sequential
-  resubmission round must be dispatched entirely to each image's
-  affine worker (zero steals, 100% affinity hit rate).
+  resubmission round, on whichever workers take it, must be served
+  entirely from the result store.
 
 The asserted speedup floor scales with the machine: on >= 4 cores the
 pool must be >= 2.5x the single-lock daemon; on 2-3 cores >= 1.3x; on a
@@ -30,7 +30,6 @@ import time
 import pytest
 
 from repro import compile_source
-from repro.sched import affinity_worker
 from repro.serve import RecompileServer, ServeClient
 from repro.store import ArtifactStore
 
@@ -117,7 +116,7 @@ def _submit_concurrently(client, images):
 
 def test_bench_sched_concurrent_distinct_campaigns(benchmark, tmp_path):
     """K=4 concurrent campaigns: pool vs single lock, byte-identical;
-    warm resubmits ride their affine workers."""
+    warm resubmits are result-store hits."""
     images = [compile_source(SOURCE_TMPL.format(mult=m, bias=b),
                              "gcc12", "3", f"sched{m}")
               for m, b in VARIANTS]
@@ -147,25 +146,16 @@ def test_bench_sched_concurrent_distinct_campaigns(benchmark, tmp_path):
 
         sched = pool.client.status()["sched"]
         assert sched["stats"]["completed"] == len(images)
-        assert (sched["stats"]["affine"] + sched["stats"]["stolen"]
-                == sched["stats"]["dispatched"])
+        assert sched["stats"]["dispatched"] == len(images)
 
-        # Warm sequential resubmission: with the pool idle, every job
-        # must land on its image's affine worker — zero steals, all
-        # result-store hits, same bytes.
-        before = sched["stats"]
+        # Warm sequential resubmission: every job is a result-store
+        # hit with the same bytes, whichever worker runs it.
         for i, image in enumerate(images):
             warm = pool.client.submit(image_json=image.to_json(),
                                       inputs=INPUT, campaign=f"camp{i}",
                                       return_artifact=True)
             assert warm["served"] == "store"
-            assert warm["worker"] == affinity_worker(warm["image_key"],
-                                                     WORKERS)
             assert warm["artifact"] == pool_results[i]["artifact"]
-        after = pool.client.status()["sched"]["stats"]
-        assert after["stolen"] == before["stolen"]
-        assert after["affine"] - before["affine"] == len(images)
-        affinity_rate = 1.0
 
         ncpu = os.cpu_count() or 1
         floor = 2.5 if ncpu >= 4 else (1.3 if ncpu >= 2 else 0.5)
@@ -177,7 +167,6 @@ def test_bench_sched_concurrent_distinct_campaigns(benchmark, tmp_path):
         benchmark.extra_info["pool_seconds"] = pool_s
         benchmark.extra_info["pool_speedup"] = speedup
         benchmark.extra_info["speedup_floor"] = floor
-        benchmark.extra_info["affinity_hit_rate"] = affinity_rate
         assert speedup >= floor, (
             f"pool speedup {speedup:.2f}x < {floor}x on {ncpu} cores "
             f"(serial {serial_s:.2f}s, pool {pool_s:.2f}s)")

@@ -405,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
                         "or .repro_store)")
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="run jobs on a pool of N long-lived worker "
-                        "processes with image affinity "
+                        "processes, in arrival order "
                         "(default 0: jobs serialize in-process)")
     p.add_argument("--queue-depth", type=int, default=None, metavar="N",
                    help="bound the scheduler's job queue at N >= 1 "
@@ -428,7 +428,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--input", nargs="*", default=[])
     p.add_argument("--campaign", default=None, metavar="NAME",
                    help="accumulate inputs into this named campaign "
-                        "and run over its full input set")
+                        "(1 to 128 ASCII letters, digits, '-', '_' and "
+                        "'.') and run over its full input set")
     p.add_argument("-o", "--output", default=None, metavar="PATH",
                    help="write the recovered image here (server-side)")
     p.add_argument("--no-optimize", action="store_true",

@@ -94,7 +94,6 @@ EVENT_KINDS = frozenset({
     "job.timeout",
     # job scheduler (repro.sched)
     "sched.dispatch",
-    "sched.steal",
     "sched.reject",
     # optimizer manager
     "opt.requeue",

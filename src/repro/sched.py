@@ -21,23 +21,23 @@ Scheduling model:
 * **Bounded FIFO queue with backpressure** — submissions past
   ``max_depth`` are rejected immediately with a retry hint
   (:class:`~repro.errors.SchedRejected` carries ``retry_after``
-  estimated from the queue depth and a moving average of job
-  durations) instead of queueing unboundedly.
-* **Image-affinity dispatch** — a job's ``image_key`` hashes to a
-  preferred worker (:func:`affinity_worker`), so repeat requests for
-  one image land on the same worker.
-* **Work stealing** — when the affine worker is busy and another is
-  idle, the job is dispatched to the idle worker rather than waiting
-  (correctness is unaffected: the artifact store serves the disk-level
-  reuse either way).
+  estimated from the queue depth and a moving average of job run
+  times, each timed from its dispatch) instead of queueing
+  unboundedly.
+* **First-in-first-out dispatch** — each worker slot has one
+  parent-side thread that, whenever its worker is idle, takes the
+  oldest queued job, hands it over and waits for its result.  Jobs
+  start in arrival order on whichever worker frees first: a worker
+  keeps nothing between jobs but its store handle, so every worker
+  serves a repeated image alike.
 * **Per-job wall-clock limit** — ``job_timeout`` kills the worker
   mid-job, fails the job with kind ``JobTimeout``, emits a
   ``job.timeout`` ledger event, and respawns the worker so the slot is
   freed.  Worker crashes are handled the same way (kind
   ``WorkerDied``).
 
-Observability: counters ``sched.dispatch`` / ``sched.steal`` /
-``sched.reject`` / ``sched.timeout`` with matching ledger events, the
+Observability: counters ``sched.dispatch`` / ``sched.reject`` /
+``sched.timeout`` with matching ledger events, the
 ``sched.queue_depth`` gauge, and a ``worker.job`` span per job emitted
 *inside* the worker.  Workers ship their recorder/ledger state home
 per job over the existing payload protocol
@@ -65,7 +65,7 @@ from .core.incremental import incremental_recompile
 from .errors import SchedError, SchedRejected
 from .store import ArtifactStore, decode_runs
 
-__all__ = ["JobScheduler", "affinity_worker", "execute_job"]
+__all__ = ["JobScheduler", "execute_job"]
 
 #: Default queue bound, per worker: enough to keep the pool busy
 #: through bursts without letting latency grow unboundedly.
@@ -74,18 +74,6 @@ DEPTH_PER_WORKER = 4
 #: Fallback per-job seconds estimate before any job has completed
 #: (seed for the retry hint's moving average).
 _SECONDS_SEED = 5.0
-
-
-def affinity_worker(image_key: str, workers: int) -> int:
-    """The preferred worker index for an image: a stable hash of the
-    image's content key, so every request for one image prefers the
-    same worker for the daemon's lifetime."""
-    if workers <= 1:
-        return 0
-    try:
-        return int(image_key[:8], 16) % workers
-    except ValueError:
-        return sum(image_key.encode()) % workers
 
 
 # -- job execution (runs in the worker process; also used inline by the
@@ -214,25 +202,21 @@ def _worker_main(conn, worker_id: int, store_root: str,
 class _Job:
     """One queued submission and its completion rendezvous."""
 
-    __slots__ = ("seq", "spec", "affine", "done", "result", "worker",
-                 "enqueued", "deadline")
+    __slots__ = ("seq", "spec", "done", "result", "enqueued", "started")
 
-    def __init__(self, seq: int, spec: dict, affine: int):
+    def __init__(self, seq: int, spec: dict):
         self.seq = seq
         self.spec = spec
-        self.affine = affine
         self.done = threading.Event()
         self.result: dict | None = None
-        self.worker: int | None = None
         self.enqueued = time.monotonic()
-        self.deadline: float | None = None
+        self.started = 0.0      # set at dispatch
 
 
 class _Worker:
     """Parent-side handle for one worker slot (survives respawns)."""
 
-    __slots__ = ("idx", "proc", "conn", "job", "jobs_done", "failures",
-                 "last_image")
+    __slots__ = ("idx", "proc", "conn", "job", "jobs_done", "failures")
 
     def __init__(self, idx: int):
         self.idx = idx
@@ -241,15 +225,18 @@ class _Worker:
         self.job: _Job | None = None
         self.jobs_done = 0
         self.failures = 0
-        self.last_image = ""
 
 
 class JobScheduler:
-    """A bounded-queue, affinity-dispatching pool of worker processes.
+    """A bounded first-in-first-out queue served by a pool of worker
+    processes.
 
     One instance per daemon.  Handler threads call :meth:`submit`,
     which blocks until the job's result is available (or raises
-    :class:`~repro.errors.SchedRejected` when the queue is full).
+    :class:`~repro.errors.SchedRejected` when the queue is full).  One
+    parent-side thread per worker slot hands the oldest queued job to
+    its worker whenever the worker is idle, so jobs start in arrival
+    order.
     """
 
     def __init__(self, workers: int, store_root,
@@ -272,8 +259,8 @@ class JobScheduler:
                           else DEPTH_PER_WORKER * self.workers)
         self.job_timeout = job_timeout
         self.stats = {"submitted": 0, "completed": 0, "failed": 0,
-                      "dispatched": 0, "affine": 0, "stolen": 0,
-                      "rejected": 0, "timeouts": 0, "respawns": 0}
+                      "dispatched": 0, "rejected": 0, "timeouts": 0,
+                      "respawns": 0}
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._queue: deque[_Job] = deque()
@@ -284,12 +271,11 @@ class JobScheduler:
         self._closing = False
         self._stopping = False
         self._mp = multiprocessing.get_context("fork")
-        self._threads: list[threading.Thread] = []
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Fork the worker pool and start the dispatch machinery.
+        """Fork the worker pool and start one thread per worker slot.
         Call before the owning daemon spawns handler threads — workers
         fork cleanest from a single-threaded parent."""
         with self._cond:
@@ -298,15 +284,10 @@ class JobScheduler:
             self._started = True
             for slot in self._slots:
                 self._spawn_locked(slot)
-        self._threads = [threading.Thread(
-            target=self._dispatch_loop, name="sched-dispatch",
-            daemon=True)]
-        self._threads += [threading.Thread(
-            target=self._recv_loop, args=(slot,),
-            name=f"sched-recv-{slot.idx}", daemon=True)
-            for slot in self._slots]
-        for thread in self._threads:
-            thread.start()
+        for slot in self._slots:
+            threading.Thread(target=self._slot_loop, args=(slot,),
+                             name=f"sched-slot-{slot.idx}",
+                             daemon=True).start()
 
     def _spawn_locked(self, slot: _Worker) -> None:
         parent_conn, child_conn = self._mp.Pipe()
@@ -433,9 +414,7 @@ class JobScheduler:
                     f"{self.workers} workers); retry in ~{hint:.0f}s",
                     retry_after=hint)
             self._seq += 1
-            job = _Job(self._seq, spec,
-                       affinity_worker(spec.get("image_key", ""),
-                                       self.workers))
+            job = _Job(self._seq, spec)
             self._queue.append(job)
             self.stats["submitted"] += 1
             obs.gauge("sched.queue_depth", len(self._queue))
@@ -445,90 +424,25 @@ class JobScheduler:
         obs.merge_payload(result.pop("obs", None))
         return result
 
-    # -- dispatch --------------------------------------------------------
+    # -- dispatch and completion -----------------------------------------
 
-    def _dispatch_loop(self) -> None:
+    def _slot_loop(self, slot: _Worker) -> None:
+        """One worker slot's thread: whenever the worker is idle, hand
+        it the oldest queued job, wait for the result, the deadline or
+        the worker's death, and complete the job."""
         while True:
             with self._cond:
-                while not self._stopping and not self._assign_locked():
+                while not self._stopping and not self._queue:
                     self._cond.wait()
                 if self._stopping:
                     return
-
-    def _assign_locked(self) -> bool:
-        """Assign queued jobs to idle workers; affine placements first,
-        then FIFO work-stealing onto whatever idle workers remain.
-        Returns True when at least one job was dispatched."""
-        if not self._queue:
-            return False
-        if all(s.job is not None or s.conn is None
-               for s in self._slots):
-            return False
-        assigned = False
-        deferred: deque[_Job] = deque()
-        while self._queue:
-            job = self._queue.popleft()
-            slot = self._slots[job.affine]
-            if slot.job is None and slot.conn is not None:
-                assigned |= self._start_job_locked(slot, job,
-                                                   stolen=False)
-            else:
-                deferred.append(job)
-        idle = deque(s for s in self._slots
-                     if s.job is None and s.conn is not None)
-        while deferred and idle:
-            job = deferred.popleft()
-            assigned |= self._start_job_locked(idle.popleft(), job,
-                                               stolen=True)
-        self._queue.extendleft(reversed(deferred))
-        obs.gauge("sched.queue_depth", len(self._queue))
-        return assigned
-
-    def _start_job_locked(self, slot: _Worker, job: _Job,
-                          stolen: bool) -> bool:
-        try:
-            slot.conn.send(job.spec)
-        except (BrokenPipeError, OSError):
-            # The worker died while idle: revive it and requeue the
-            # job; the fresh worker picks it up on the next pass.
-            self._respawn_locked(slot)
-            self._queue.appendleft(job)
-            return False
-        slot.job = job
-        slot.last_image = job.spec.get("image_key", "")
-        job.worker = slot.idx
-        # Wake this slot's recv loop — it may have re-checked (and gone
-        # back to waiting) between the submit notify and this dispatch.
-        self._cond.notify_all()
-        if self.job_timeout is not None:
-            job.deadline = time.monotonic() + self.job_timeout
-        self.stats["dispatched"] += 1
-        waited = time.monotonic() - job.enqueued
-        if stolen:
-            self.stats["stolen"] += 1
-            obs.count("sched.steal")
-            obs.event("sched.steal", job=job.seq, worker=slot.idx,
-                      affine=job.affine,
-                      image=job.spec.get("image_key", ""),
-                      waited=round(waited, 4))
-        else:
-            self.stats["affine"] += 1
-            obs.count("sched.dispatch")
-            obs.event("sched.dispatch", job=job.seq, worker=slot.idx,
-                      image=job.spec.get("image_key", ""),
-                      waited=round(waited, 4))
-        return True
-
-    # -- completion ------------------------------------------------------
-
-    def _recv_loop(self, slot: _Worker) -> None:
-        while True:
-            with self._cond:
-                while slot.job is None and not self._stopping:
-                    self._cond.wait()
-                if self._stopping:
-                    return
-                job, conn = slot.job, slot.conn
+                job = self._queue.popleft()
+                obs.gauge("sched.queue_depth", len(self._queue))
+                if not self._start_job_locked(slot, job):
+                    continue
+                conn = slot.conn
+            deadline = (job.started + self.job_timeout
+                        if self.job_timeout is not None else None)
             result, died = None, False
             while True:
                 try:
@@ -538,17 +452,34 @@ class JobScheduler:
                 except (EOFError, OSError):
                     died = True
                     break
-                if job.deadline is not None \
-                        and time.monotonic() > job.deadline:
+                if deadline is not None and time.monotonic() > deadline:
                     break
                 with self._lock:
                     if self._stopping:
                         return
             self._complete(slot, job, result, died)
 
+    def _start_job_locked(self, slot: _Worker, job: _Job) -> bool:
+        try:
+            slot.conn.send(job.spec)
+        except (BrokenPipeError, OSError):
+            # The worker died while idle: revive it and requeue the
+            # job at the head; the slot's thread takes it again.
+            self._respawn_locked(slot)
+            self._queue.appendleft(job)
+            return False
+        slot.job = job
+        job.started = time.monotonic()
+        self.stats["dispatched"] += 1
+        obs.count("sched.dispatch")
+        obs.event("sched.dispatch", job=job.seq, worker=slot.idx,
+                  image=job.spec.get("image_key", ""),
+                  waited=round(job.started - job.enqueued, 4))
+        return True
+
     def _complete(self, slot: _Worker, job: _Job, result, died: bool) \
             -> None:
-        elapsed = time.monotonic() - job.enqueued
+        elapsed = time.monotonic() - job.started
         timed_out = False
         with self._cond:
             if slot.job is not job:
@@ -573,7 +504,9 @@ class JobScheduler:
                 slot.failures += 1
             else:
                 slot.jobs_done += 1
-                # Completed-job moving average feeds the retry hint.
+                # A moving average of run times feeds the retry hint;
+                # timed from dispatch, as the hint scales by the queue
+                # depth itself.
                 self._ewma_seconds = (0.7 * self._ewma_seconds
                                       + 0.3 * elapsed)
             if result.get("ok"):
@@ -609,7 +542,6 @@ class JobScheduler:
                     {"worker": s.idx,
                      "busy": s.job is not None,
                      "jobs": s.jobs_done,
-                     "failures": s.failures,
-                     "last_image": s.last_image}
+                     "failures": s.failures}
                     for s in self._slots],
             }

@@ -17,9 +17,8 @@ Why a daemon beats N one-shot processes:
   ``stats``);
 * with ``--workers N`` jobs execute on a pool of long-lived worker
   processes (:mod:`repro.sched`): distinct images recompile
-  concurrently, repeat requests for one image are routed to the same
-  worker (image-affinity dispatch with work-stealing fallback), and a
-  bounded queue applies backpressure.
+  concurrently, queued jobs start in arrival order on whichever worker
+  frees first, and a bounded queue applies backpressure.
   Without ``--workers`` (the default) jobs serialize on one in-process
   lock exactly as before — the two modes produce byte-identical
   artifacts because every reuse layer is content-pinned.
@@ -30,8 +29,9 @@ response object per line, over ``AF_UNIX``.  Requests carry an ``op``:
 ``ping``      liveness probe -> ``{"ok": true, "pid": ...}``
 ``submit``    run a job: ``image`` (path) or ``image_json`` (inline),
               ``inputs`` (list of runs; items are ints or
-              ``{"b": "latin-1 bytes"}``), optional ``campaign``,
-              ``options`` (an object with any of ``optimize`` and
+              ``{"b": "latin-1 bytes"}``), optional ``campaign``
+              (a name of 1 to 128 ASCII letters, digits, ``-``, ``_``
+              and ``.``), ``options`` (an object with any of ``optimize`` and
               ``hybrid``, JSON booleans, and ``check``, a boolean or
               ``"strict"``; any other key or value is an error),
               ``output`` (path for the recovered image) and
@@ -66,6 +66,7 @@ import contextlib
 import json
 import logging
 import os
+import re
 import socket
 import socketserver
 import threading
@@ -89,6 +90,21 @@ MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
 #: The keys a submit's ``options`` object may hold.
 JOB_OPTIONS = ("optimize", "check", "hybrid")
+
+#: A campaign name is the stem of its file in the store, so it keeps to
+#: characters the store's file naming leaves as they are (two names
+#: never share a file) and to a length whose file name, and the temp
+#: name it is written under, fit a 255-byte file name limit.
+_CAMPAIGN_NAME = re.compile(r"[A-Za-z0-9._-]{1,128}")
+
+
+def _check_campaign_name(name) -> str:
+    """``name`` when it is a string of 1 to 128 ASCII letters, digits,
+    ``-``, ``_`` and ``.``; otherwise a :class:`ServeError` naming it."""
+    if isinstance(name, str) and _CAMPAIGN_NAME.fullmatch(name):
+        return name
+    raise ServeError(f"bad campaign name {name!r}: use 1 to 128 ASCII "
+                     f"letters, digits, '-', '_' and '.'")
 
 
 def _limit_text(limit: int) -> str:
@@ -298,8 +314,8 @@ class RecompileServer:
                 doc["sched"] = self.sched.snapshot()
             return doc
         if op == "campaign":
-            name = request.get("name")
-            campaign = self.store.load_campaign(name) if name else None
+            name = _check_campaign_name(request.get("name"))
+            campaign = self.store.load_campaign(name)
             if campaign is None:
                 raise ServeError(f"unknown campaign {name!r}")
             return {"ok": True, "op": "campaign",
@@ -361,11 +377,13 @@ class RecompileServer:
                            else "true or false")
                 raise ServeError(f"bad job option {name!r}: {value!r} "
                                  f"is not {allowed}")
+        campaign_name = request.get("campaign")
+        if campaign_name is not None:
+            _check_campaign_name(campaign_name)
         with self._state_lock:
             self._job_seq += 1
             job_id = self._job_seq
         runs = decode_runs(request.get("inputs", []))
-        campaign_name = request.get("campaign")
         obs.event("job.submitted", job=job_id,
                   campaign=campaign_name, inputs=len(runs))
         obs.count("serve.jobs.submitted")

@@ -278,6 +278,12 @@ def test_submit_exit_status_tells_a_failed_job_from_a_refusal(
     assert err.startswith("repro submit: ServeError: new campaign "
                           "'nothing-yet' needs an image")
     assert err.count("\n") == 1
+    assert main(["submit", "--socket", daemon_socket, str(image),
+                 "--input", "int:3", "--campaign", "team a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro submit: ServeError: bad campaign name "
+                          "'team a'")
+    assert err.count("\n") == 1
     # The daemon still serves a good job afterwards.
     assert main(["submit", "--socket", daemon_socket, str(image),
                  "--input", "int:3"]) == 0

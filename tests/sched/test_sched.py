@@ -1,6 +1,6 @@
-"""The job scheduler: affinity, stealing, backpressure, timeouts,
-crash recovery, drain semantics.  Probe jobs (a no-pipeline scheduler
-op) keep these fast; the real-pipeline path is covered by
+"""The job scheduler: first-in-first-out dispatch, backpressure,
+timeouts, crash recovery, drain semantics.  Probe jobs (a no-pipeline
+scheduler op) keep these fast; the real-pipeline path is covered by
 tests/serve/test_serve.py and benchmarks/test_sched.py."""
 
 import os
@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro import obs
 from repro.errors import SchedError, SchedRejected
-from repro.sched import JobScheduler, affinity_worker
+from repro.sched import JobScheduler
 
 
 @pytest.fixture(autouse=True)
@@ -66,51 +66,93 @@ def _busy(scheduler, idx):
     return scheduler.snapshot()["per_worker"][idx]["busy"]
 
 
-# -- affinity ------------------------------------------------------------
-
-def test_affinity_is_deterministic_and_in_range():
-    keys = [f"{i:08x}deadbeef" for i in range(50)]
-    for workers in (1, 2, 3, 7):
-        placed = [affinity_worker(k, workers) for k in keys]
-        assert placed == [affinity_worker(k, workers) for k in keys]
-        assert all(0 <= w < workers for w in placed)
-    # With enough keys every worker gets traffic.
-    assert len(set(affinity_worker(k, 4) for k in keys)) == 4
-
-
-def test_affinity_tolerates_non_hex_keys():
-    assert 0 <= affinity_worker("not-hex-at-all", 3) < 3
-    assert affinity_worker("", 2) in (0, 1)
-    assert affinity_worker("anything", 1) == 0
-
-
 # -- dispatch ------------------------------------------------------------
 
-def test_probe_jobs_land_on_their_affine_worker(sched):
-    for key in ("00000000", "00000001", "00000002", "00000003"):
-        result = sched.submit(probe(image_key=key))
-        assert result["ok"]
-        assert result["served"] == "probe"
-        assert result["worker"] == affinity_worker(key, 2)
-    stats = sched.snapshot()["stats"]
-    assert stats["dispatched"] == 4
-    assert stats["affine"] == 4
-    assert stats["stolen"] == 0
-    per_worker = sched.snapshot()["per_worker"]
-    assert [w["jobs"] for w in per_worker] == [2, 2]
-    assert per_worker[0]["last_image"] == "00000002"
+def test_probe_jobs_run_and_are_counted(tmp_path):
+    scheduler = JobScheduler(2, store_root=tmp_path / "store")
+    before = set(threading.enumerate())
+    scheduler.start()
+    try:
+        # One thread per worker slot, and no other.
+        assert len(set(threading.enumerate()) - before) == 2
+        for key in ("00000000", "00000001", "00000002", "00000003"):
+            result = scheduler.submit(probe(image_key=key))
+            assert result["ok"]
+            assert result["served"] == "probe"
+            assert result["image_key"] == key
+            assert result["worker"] in (0, 1)
+        snapshot = scheduler.snapshot()
+        assert snapshot["stats"]["dispatched"] == 4
+        assert snapshot["stats"]["completed"] == 4
+        assert sum(w["jobs"] for w in snapshot["per_worker"]) == 4
+        assert not any(w["busy"] for w in snapshot["per_worker"])
+    finally:
+        scheduler.close(drain=False)
 
 
-def test_idle_worker_steals_from_a_busy_affine_worker(sched):
-    # Occupy worker 0, then submit another worker-0-affine job: the
-    # idle worker 1 must take it instead of queueing behind.
+def test_idle_worker_takes_a_job_while_the_other_is_busy(sched):
+    # With one worker busy, a job for the same image runs at once on
+    # the idle worker instead of queueing behind.
     blocker = _submit_async(sched, probe(image_key="00000000", sleep=1.5))
-    _wait(lambda: _busy(sched, 0), message="worker 0 busy")
-    stolen = sched.submit(probe(image_key="00000000"))
-    assert stolen["worker"] == 1
-    assert sched.snapshot()["stats"]["stolen"] == 1
+    _wait(lambda: _busy(sched, 0) or _busy(sched, 1),
+          message="one worker busy")
+    busy = 0 if _busy(sched, 0) else 1
+    start = time.monotonic()
+    result = sched.submit(probe(image_key="00000000"))
+    assert time.monotonic() - start < 1.0
+    assert result["worker"] == 1 - busy
     blocker["thread"].join(timeout=10)
-    assert blocker["result"]["worker"] == 0
+    assert blocker["result"]["worker"] == busy
+
+
+def test_jobs_are_dispatched_in_arrival_order(sched):
+    # Both workers busy; the shorter blocker frees its worker first.
+    # j1 was queued first, so it must be dispatched first, whichever
+    # worker frees and whatever its image key.
+    led = obs.enable_ledger()
+    blockers = [_submit_async(sched, probe(image_key="00000000",
+                                           sleep=1.2))]
+    _wait(lambda: sched.snapshot()["stats"]["dispatched"] == 1,
+          message="blocker A dispatched")
+    blockers.append(_submit_async(sched, probe(image_key="00000001",
+                                               sleep=0.4)))
+    _wait(lambda: _busy(sched, 0) and _busy(sched, 1),
+          message="both workers busy")
+    j1 = _submit_async(sched, probe(image_key="00000000"))
+    _wait(lambda: sched.snapshot()["stats"]["submitted"] == 3,
+          message="j1 queued")
+    time.sleep(0.05)
+    j2 = _submit_async(sched, probe(image_key="00000001", sleep=0.5))
+    for box in blockers + [j1, j2]:
+        box["thread"].join(timeout=10)
+        assert box["result"]["ok"], box
+    dispatched = [e["job"] for e in led.events
+                  if e["kind"] == "sched.dispatch"]
+    assert dispatched == [1, 2, 3, 4]
+
+
+def test_retry_hint_average_leaves_queue_wait_out(tmp_path):
+    # The hint multiplies the average by the queue depth, so the
+    # average must be of run times: the same jobs give the same
+    # average whether they queued behind each other or not.
+    averages = []
+    for queued in (True, False):
+        scheduler = JobScheduler(1, store_root=tmp_path / "store")
+        scheduler.start()
+        try:
+            if queued:
+                boxes = [_submit_async(scheduler, probe(sleep=0.2))
+                         for _ in range(4)]
+                for box in boxes:
+                    box["thread"].join(timeout=10)
+                    assert box["result"]["ok"]
+            else:
+                for _ in range(4):
+                    assert scheduler.submit(probe(sleep=0.2))["ok"]
+            averages.append(scheduler._ewma_seconds)
+        finally:
+            scheduler.close(drain=False)
+    assert abs(averages[0] - averages[1]) < 0.05, averages
 
 
 # -- backpressure --------------------------------------------------------

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import json
 import os
+import re
 import shutil
 import socket
 import socketserver
@@ -226,6 +227,27 @@ def test_submit_takes_typed_options(served, image):
     assert again["result_key"] == first["result_key"]
 
 
+def test_campaign_names_that_would_share_a_file_are_refused(served,
+                                                           image):
+    # "team a" used to be stored as campaign/team_a.json, the file of
+    # the campaign "team_a".
+    server, client = served
+    client.submit(image_json=image.to_json(), inputs=[[0, 7]],
+                  campaign="team_a")
+    for bad in ("team a", "team/a", "../team_a", "", "t\u00e9am",
+                "x" * 129):
+        named = re.escape(f"bad campaign name {bad!r}")
+        with pytest.raises(ServeError, match=named):
+            client.submit(image_json=image.to_json(), inputs=[[2, 5]],
+                          campaign=bad)
+        with pytest.raises(ServeError, match=named):
+            client.campaign(bad)
+    assert client.campaign("team_a")["campaign"]["inputs"] == [[0, 7]]
+    status = client.status()
+    assert status["campaigns"] == ["team_a"]
+    assert status["stats"]["jobs"] == 1
+
+
 def test_campaign_rejects_image_rebinding(served, image):
     server, client = served
     other = compile_source(SOURCE.replace("* 2", "* 3"),
@@ -271,6 +293,22 @@ def test_bad_input_item_gets_serve_error_naming_it(served, inputs, named):
     assert response["ok"] is False
     assert response["kind"] == "ServeError"
     assert response["error"].startswith(named)
+
+
+@pytest.mark.parametrize("request_", [
+    {"op": "campaign", "name": 5},
+    {"op": "campaign"},
+    {"op": "submit", "campaign": 5, "inputs": [[0, 7]]},
+    {"op": "submit", "campaign": ["a"], "inputs": [[0, 7]]},
+], ids=["campaign-int", "campaign-missing", "submit-int", "submit-list"])
+def test_non_string_campaign_name_gets_serve_error_naming_it(served,
+                                                             request_):
+    server, client = served
+    response = _raw_request(client, json.dumps(request_).encode() + b"\n")
+    assert response["ok"] is False
+    assert response["kind"] == "ServeError"
+    named = request_.get("name", request_.get("campaign"))
+    assert response["error"].startswith(f"bad campaign name {named!r}")
 
 
 def test_job_events_reach_the_ledger(served, image):
@@ -434,16 +472,12 @@ def test_pool_serves_jobs_and_reports_sched_status(pooled, image):
     second = client.submit(image_json=image.to_json(), inputs=[[0, 7]],
                            return_artifact=True)
     assert second["served"] == "store"
-    assert second["worker"] == first["worker"]  # image affinity
     assert second["artifact"] == first["artifact"]
     status = client.status()
     sched = status["sched"]
     assert sched["workers"] == 2
     assert sched["stats"]["completed"] == 2
-    assert sched["stats"]["affine"] == 2
-    worker = sched["per_worker"][first["worker"]]
-    assert worker["jobs"] == 2
-    assert worker["last_image"] == first["image_key"]
+    assert sum(w["jobs"] for w in sched["per_worker"]) == 2
 
 
 def test_pool_campaigns_accumulate_across_workers(pooled, image):

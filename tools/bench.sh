@@ -28,8 +28,8 @@
 # The scheduler benches run as a fifth pass and emit
 # BENCH_sched.json: K=4 concurrent distinct-image campaigns on the
 # multi-worker daemon vs the single-lock daemon (speedup floor scales
-# with the core count; byte identity and affinity hit rate asserted in
-# the test itself).
+# with the core count; byte identity and warm result-store hits
+# asserted in the test itself; jobs dispatch first in, first out).
 #
 # The static-analysis benches run as a sixth pass and emit
 # BENCH_sanalysis.json: cold vs warm interprocedural summary sweeps
