@@ -52,7 +52,7 @@ from .binary import BinaryImage
 from .cc import compile_source
 from .core import wytiwyg_lift, wytiwyg_recompile
 from .emu import run_binary, trace_binary
-from .errors import LinkError, RemoteJobError, ReproError, StaticCheckError
+from .errors import RemoteJobError, ReproError, StaticCheckError
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -99,12 +99,7 @@ def _parse_inputs(spec: list[str]) -> list[list]:
 def _load_image(path: str) -> BinaryImage:
     """The binary image stored in the file at ``path``; a file that
     holds none raises :class:`~repro.errors.LinkError`."""
-    text = Path(path).read_text()
-    try:
-        return BinaryImage.from_json(text)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise LinkError(f"{path} is not a binary image "
-                        f"({type(exc).__name__}: {exc})") from None
+    return BinaryImage.parse(Path(path).read_bytes(), path)
 
 
 def cmd_compile(args) -> int:

@@ -190,3 +190,15 @@ class BinaryImage:
             ],
             metadata=dict(doc["metadata"]),
         )
+
+    @classmethod
+    def parse(cls, text: str | bytes, source: str) -> "BinaryImage":
+        """:meth:`from_json` of ``text``, where text that holds no
+        binary image raises :class:`~repro.errors.LinkError` naming
+        ``source`` (the file or field the text came from)."""
+        try:
+            return cls.from_json(text)
+        except (ValueError, KeyError, TypeError, AttributeError,
+                RecursionError) as exc:
+            raise LinkError(f"{source} is not a binary image "
+                            f"({type(exc).__name__}: {exc})") from None

@@ -30,7 +30,9 @@ Orchestrates the full pipeline:
 Every dynamic stage executes the *lifted IR itself* on the same inputs,
 so each refinement consumes exactly the semantics the previous one
 produced — the "what you trace is what you get" guarantee for traced
-inputs.
+inputs.  Only traced code is lifted, so an input that takes an untraced
+path traps in the recompiled image (paper §7.2); tracing it and lifting
+again covers it.
 
 All dynamic re-execution goes through one
 :class:`~repro.replay.ReplayEngine` per pipeline run.  Traced inputs
@@ -148,27 +150,27 @@ class WytiwygResult:
 REFINEMENT = "refinement"
 
 
-def refinement_digest(traces: TraceSet, hybrid: bool, static_widen: bool,
+def refinement_digest(traces: TraceSet, static_widen: bool,
                       classification: RegSaveResult,
                       runtime: TracingRuntime) -> str:
     """Digest of everything besides the image that fixes the module
     :func:`wytiwyg_lift` symbolizes.
 
     The lift reads the traced coverage (transfers, executed addresses,
-    variadic argument counts) and ``hybrid``; the §4.1 rewrite reads
-    each function's argument and output registers and the indirect
-    targets; the §4.2 rewrite reads each stack reference's function,
-    sp0 offset and bounds, each call site's argument area, callees and
-    walked flag, and the links; the static widening is on unless
-    ``static_widen`` is off.  Every other step is a function of its
-    predecessors' output, so two requests with one image and one digest
-    symbolize the same module, whatever inputs they traced.
+    variadic argument counts); the §4.1 rewrite reads each function's
+    argument and output registers and the indirect targets; the §4.2
+    rewrite reads each stack reference's function, sp0 offset and
+    bounds, each call site's argument area, callees and walked flag,
+    and the links; the static widening is on unless ``static_widen``
+    is off.  Every other step is a function of its predecessors'
+    output, so two requests with one image and one digest symbolize the
+    same module, whatever inputs they traced.
     """
     observed = (
         sorted((t.src, t.dst, t.kind) for t in traces.transfers),
         sorted(traces.executed),
         sorted(traces.vararg_counts.items()),
-        hybrid, static_widen,
+        static_widen,
         sorted((name, sorted(regs))
                for name, regs in classification.args.items()),
         sorted((name, sorted(regs))
@@ -257,7 +259,6 @@ def _canonicalize(module: Module) -> None:
 
 @collector_paused()
 def wytiwyg_lift(traces: TraceSet,
-                 hybrid: bool = False,
                  static_widen: bool = True,
                  ) -> tuple[Module, dict[str, FrameLayout],
                             list[str], CheckReport]:
@@ -272,12 +273,9 @@ def wytiwyg_lift(traces: TraceSet,
     ``static_widen=False`` only serves ``repro check``, which reports
     the unwidened layout the traces alone recover.
 
-    ``hybrid`` enables the paper's §7.2 future-work direction: static
-    disassembly extends coverage along untraced branch directions, and
-    the register classification is widened with the ABI-heuristic static
-    analysis so statically-added paths see sensible signatures.  Traced
-    inputs keep their functional guarantee; nearby untraced paths become
-    best-effort instead of trapping.
+    Only traced code is lifted: an untraced path in the result traps
+    (paper §7.2), and tracing an input that takes it and lifting again
+    covers it.
     """
     if not traces.inputs:
         raise CheckError(
@@ -292,8 +290,8 @@ def wytiwyg_lift(traces: TraceSet,
             f"replay: {len(engine.unique)} distinct inputs "
             f"({engine.deduped} duplicates fan in)")
     observing = obs.enabled()
-    with obs.span("stage.lift", hybrid=hybrid) as sp:
-        module = lift_traces(traces, "wytiwyg", static_extend=hybrid)
+    with obs.span("stage.lift") as sp:
+        module = lift_traces(traces, "wytiwyg")
         verify_module(module)
         if observing:
             sp.set(ir_before={"functions": 0, "blocks": 0, "instrs": 0},
@@ -301,8 +299,6 @@ def wytiwyg_lift(traces: TraceSet,
                    transfers=len(traces.transfers),
                    coverage=len(traces.executed),
                    inputs=len(traces.inputs))
-    if hybrid:
-        notes.append("hybrid: static coverage extension enabled")
 
     # Refinement: variadic external calls (§5.2), from the argument
     # counts the trace recorded at each call site.
@@ -323,8 +319,7 @@ def wytiwyg_lift(traces: TraceSet,
     with obs.span("stage.regsave") as sp:
         before = module_stats(module) if observing else None
         classification = classify_registers(
-            module, engine.unique_inputs, static_augment=hybrid,
-            check=engine.checker("lifting"))
+            module, engine.unique_inputs, check=engine.checker("lifting"))
         apply_register_classification(module, classification)
         verify_module(module)
         if before is not None:
@@ -357,7 +352,7 @@ def wytiwyg_lift(traces: TraceSet,
         mi = instrument_module(module)
         runtime = engine.run_instrumented(module, "register refinement")
         module.metadata[REFINEMENT] = refinement_digest(
-            traces, hybrid, static_widen, classification, runtime)
+            traces, static_widen, classification, runtime)
         strip_probes(module)
         verify_module(module)
 
@@ -480,7 +475,6 @@ def wytiwyg_recompile(image: BinaryImage,
                       optimize: bool = True,
                       collect_accuracy: bool = True,
                       allow_fallback: bool = True,
-                      hybrid: bool = False,
                       traces: TraceSet | None = None,
                       jobs: int = 1,
                       check: bool | str = False,
@@ -521,8 +515,8 @@ def wytiwyg_recompile(image: BinaryImage,
     observing = obs.enabled()
     obs.event("run.start", pipeline="wytiwyg",
               image=image.metadata.get("name"), inputs=len(inputs),
-              hybrid=hybrid, optimize=optimize)
-    with obs.span("pipeline.wytiwyg", hybrid=hybrid) as pipeline_span:
+              optimize=optimize)
+    with obs.span("pipeline.wytiwyg") as pipeline_span:
         with obs.span("stage.trace", cached=traces is not None) as sp:
             if traces is None:
                 traces = trace_binary(image, inputs)
@@ -531,8 +525,7 @@ def wytiwyg_recompile(image: BinaryImage,
                        transfers=len(traces.transfers),
                        coverage=len(traces.executed))
         try:
-            module, layouts, notes, report = wytiwyg_lift(
-                traces, hybrid=hybrid)
+            module, layouts, notes, report = wytiwyg_lift(traces)
             refinement = module.metadata.pop(REFINEMENT)
             fallback = False
         except SymbolizeError as exc:

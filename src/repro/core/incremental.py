@@ -14,9 +14,9 @@ Three layers of reuse, cheapest first:
 1. **Result hit** — the final recompiled image is keyed on
    ``(image content, ordered input runs, options)``; an identical
    resubmission is served straight from the store, byte-identical to
-   the original run.  The options part holds ``optimize``, ``check``
-   and ``hybrid``, so an entry written with the gate off is never
-   served to a request that arms it.
+   the original run.  The options part holds ``optimize`` and
+   ``check``, so an entry written with the gate off is never served to
+   a request that arms it.
 2. **Per-input trace reuse** — traces are recorded *per input run*
    (``trace`` kind) and merged with
    :meth:`~repro.emu.tracer.TraceSet.absorb` in request order, which
@@ -28,8 +28,8 @@ Three layers of reuse, cheapest first:
    sanitizer and the gate), but the image that O3 and lowering build
    from the symbolized module is a ``backend`` record, keyed on the
    image, ``optimize`` and the module's refinement digest (the traced
-   coverage, ``hybrid``, the §4.1 classification and the §4.2
-   observations; :func:`~repro.core.driver.refinement_digest`).  An
+   coverage, the §4.1 classification and the §4.2 observations;
+   :func:`~repro.core.driver.refinement_digest`).  An
    added input that reaches no new code and widens no stack variable
    leaves the digest as it was, so its request loads the image instead
    of optimizing and lowering again (:attr:`JobStats.backend_reused`).
@@ -146,7 +146,6 @@ def incremental_recompile(image: BinaryImage,
                           store: ArtifactStore,
                           optimize: bool = True,
                           check: bool | str = False,
-                          hybrid: bool = False,
                           jobs: int = 1,
                           opt_jobs: int | None = None) -> ServedResult:
     """Store-backed ``wytiwyg_recompile``: same answer, amortized cost.
@@ -161,7 +160,7 @@ def incremental_recompile(image: BinaryImage,
     img_key = image_key(image)
     # Only the options that change the artifact are part of the key.
     rkey = result_key(img_key, runs, options_tag(
-        optimize=optimize, check=check, hybrid=hybrid))
+        optimize=optimize, check=check))
     stats = JobStats()
     before = dict(store.stats)
 
@@ -189,8 +188,7 @@ def incremental_recompile(image: BinaryImage,
     traces = gather_traces(image, runs, store, img_key, stats)
     result = wytiwyg_recompile(
         image, [list(items) for items in runs],
-        optimize=optimize, hybrid=hybrid, traces=traces, check=check,
-        store=store)
+        optimize=optimize, traces=traces, check=check, store=store)
     stats.backend_reused = result.backend_reused
     coverage = _coverage_summary(traces)
     store.put("result", rkey, {

@@ -24,8 +24,6 @@ ends before each call and before the terminator, so a use before an
 ``exit`` call is reported and one after it is not); marking a register
 used is idempotent, so that is the same classification as reporting
 every use.
-The hybrid mode's static augment reads the alloca form, so it runs
-before the promotion.
 
 After classification, function signatures shrink to the true arguments
 and the registers actually modified; at every call site the dropped
@@ -236,7 +234,6 @@ def _is_lifted_signature(func: Function) -> bool:
 
 def classify_registers(module: Module,
                        inputs: list[list[int | bytes]],
-                       static_augment: bool = False,
                        check=None) -> RegSaveResult:
     """Run the dynamic register classification over all traced inputs.
 
@@ -244,16 +241,11 @@ def classify_registers(module: Module,
     in ``module`` itself before the runs (see the module docstring);
     later stages find the registers already in SSA.
 
-    With ``static_augment`` (hybrid mode, paper §7.2), the dynamic
-    result is widened by an ABI-heuristic static read-before-write
-    analysis of the alloca form, so registers consumed only on
-    statically-added (untraced) paths are still classified as
-    arguments.  ``check(n, run)``, if given, executes the ``n``-th
-    input's run instead of the loop calling ``run()`` itself (the replay
-    engine's :meth:`~repro.replay.ReplayEngine.checker` compares it with
-    the trace).
+    ``check(n, run)``, if given, executes the ``n``-th input's run
+    instead of the loop calling ``run()`` itself (the replay engine's
+    :meth:`~repro.replay.ReplayEngine.checker` compares it with the
+    trace).
     """
-    static = classify_statically(module) if static_augment else None
     for func in module.functions.values():
         if is_lifted_function(func):
             promote_allocas(func)
@@ -266,19 +258,13 @@ def classify_registers(module: Module,
                 interp.run()
             else:
                 check(n, interp.run)
-    result = plugin.resolve()
-    if static is not None:
-        for name, args in static.args.items():
-            result.args.setdefault(name, set()).update(args)
-        for name, outs in static.outputs.items():
-            result.outputs.setdefault(name, set()).update(outs)
-    return result
+    return plugin.resolve()
 
 
 # -- static (ABI-heuristic) classification ----------------------------------
 #
-# Used standalone by the SecondWrite baseline and as the widening step of
-# hybrid mode: callee-saved registers are never arguments; caller-saved
+# Used by the SecondWrite baseline, which classifies without running
+# the program: callee-saved registers are never arguments; caller-saved
 # registers are arguments iff read before written; eax returns the
 # result.
 

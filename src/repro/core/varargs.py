@@ -14,10 +14,8 @@ format string the call is handed, and the merged
 any call there passed (``vararg_counts``).  The lifter stamps each
 stack-switched site with its call address, so the rewrite is a pure IR
 rewrite right after lifting, with no run of its own: the first IR run
-(the register observation) checks lifting and this rewrite together.  A
-site that was never traced, which only hybrid lifting's static
-extension adds, keeps its fixed argument count
-(``EXTERNAL_DB[name].nargs``).
+(the register observation) checks lifting and this rewrite together.
+Only traced code is lifted, so every site has executed and has a count.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 from ..emu.tracer import TraceSet
 from ..ir.module import Module
 from ..ir.values import CallExt, Const, Load, BinOp
-from .extfuncs import EXTERNAL_DB
 
 
 def find_vararg_sites(module: Module) -> list[CallExt]:
@@ -45,9 +42,7 @@ def recover_vararg_calls(module: Module, traces: TraceSet) -> int:
     if not sites:
         return 0
     for site in sites:
-        count = traces.vararg_counts.get(site.call_addr)
-        if count is None:
-            count = EXTERNAL_DB[site.ext_name].nargs
+        count = traces.vararg_counts[site.call_addr]
         sp = site.sp
         block = site.block
         index = block.instrs.index(site)

@@ -91,13 +91,6 @@ class FunctionTranslator:
 
         for addr in sorted(self.rfunc.blocks):
             self._translate_block(addr)
-        # Provenance for downstream diagnostics: blocks whose machine
-        # code came from static coverage extension, not a trace.
-        static = sorted(self.ir_blocks[a].name
-                        for a in self.rfunc.blocks
-                        if a in self.cfg.static_addrs)
-        if static:
-            self.func.meta["static_blocks"] = tuple(static)
         return self.func
 
     def _trap_block(self) -> Block:
@@ -584,16 +577,14 @@ class FunctionTranslator:
         self._rwrite_name("esp", self.b.add(ebp, Const(4)))
 
 
-def lift_traces(traces: TraceSet, name: str = "lifted",
-                static_extend: bool = False) -> Module:
+def lift_traces(traces: TraceSet, name: str = "lifted") -> Module:
     """Lift a merged trace set into an IR module (the BinRec phase).
 
-    ``static_extend`` enables the hybrid §7.2 mode: untraced directions
-    reachable by static disassembly are lifted too, trading the hard
-    trap-on-untraced guarantee for graceful coverage of nearby paths.
+    Only traced code is lifted; an untraced branch direction goes to a
+    block that traps (``unreachable "untraced path"``).
     """
     image = traces.image
-    cfg = recover_cfg(traces, static_extend=static_extend)
+    cfg = recover_cfg(traces)
     functions = recover_functions(cfg)
 
     module = Module(name)
@@ -618,9 +609,7 @@ def lift_traces(traces: TraceSet, name: str = "lifted",
         module.address_table[entry] = rfunc.name
         if ledgered:
             obs.event("lift.function", function=rfunc.name,
-                      entry=entry, blocks=len(func.blocks),
-                      static_blocks=len(func.meta.get("static_blocks",
-                                                      ())))
+                      entry=entry, blocks=len(func.blocks))
 
     # Wrapper entry: set up the emulated stack and call the original
     # entry function.

@@ -309,7 +309,6 @@ class StaticAccess:
     kind: str                 # "load" | "store"
     exact: bool = False       # single constant offset
     derived: bool = False     # anchored base, unknown extent
-    provenance: str = "traced"   # "traced" | "static-extension"
 
     def region(self) -> tuple[int, int | None]:
         return (self.lo, self.hi)
@@ -368,11 +367,8 @@ def _analyze(func: Function) -> FrameAccessSet:
     offsets = func.meta.get("sp0_offsets")
     if offsets is None:
         offsets = _sp0fold().compute_sp0_offsets(func)
-    static_blocks: set[str] = set(func.meta.get("static_blocks", ()))
 
     for block in func.blocks:
-        provenance = "static-extension" if block.name in static_blocks \
-            else "traced"
         for instr in block.instrs:
             if isinstance(instr, Load):
                 addr, width, kind = instr.addr, instr.size, "load"
@@ -389,18 +385,14 @@ def _analyze(func: Function) -> FrameAccessSet:
                 continue
             if fact.is_exact_sp:
                 out.add(StaticAccess(fact.lo, fact.lo + width, width,
-                                     kind, exact=True,
-                                     provenance=provenance))
+                                     kind, exact=True))
             elif fact.bounded:
-                out.add(StaticAccess(fact.lo, fact.hi + width, width,
-                                     kind, provenance=provenance))
+                out.add(StaticAccess(fact.lo, fact.hi + width, width, kind))
             else:
                 anchor = _find_anchor(addr, offsets)
                 if anchor is None:
                     continue
-                out.add(StaticAccess(anchor, None, width, kind,
-                                     derived=True,
-                                     provenance=provenance))
+                out.add(StaticAccess(anchor, None, width, kind, derived=True))
     out.accesses.sort(key=lambda a: (a.lo, a.width, a.kind))
     return out
 

@@ -130,8 +130,7 @@ def corroborate_function(
                 offset=lo, width=access.width,
                 provenance={"pass": "corroborate",
                             "access": [lo, hi],
-                            "variable": [var.start, var.end],
-                            "path": access.provenance}))
+                            "variable": [var.start, var.end]}))
 
     # -- coverage gaps: static bytes outside every recovered variable.
     seen_gaps = set()
@@ -153,7 +152,6 @@ def corroborate_function(
                 provenance={"pass": "corroborate",
                             "region": [lo, hi],
                             "derived": access.derived,
-                            "path": access.provenance,
                             "suggestion": [s_start, s_end]}))
             suggestion = WideningSuggestion(
                 access_set.func_name, s_start, s_end,

@@ -84,9 +84,9 @@ def execute_job(spec: dict, store: ArtifactStore,
     """Run one job spec and return the response fields it produced.
 
     ``spec["op"]`` selects the job type: ``"recompile"`` (default) runs
-    the store-backed incremental pipeline with the ``optimize``,
-    ``check`` and ``hybrid`` values of ``spec["options"]`` (the daemon
-    rejects any other key, and any value of the wrong type), widening
+    the store-backed incremental pipeline with the ``optimize`` and
+    ``check`` values of ``spec["options"]`` (the daemon rejects any
+    other key, and any value of the wrong type), widening
     layouts from static evidence like every recompile; ``"probe"`` is
     a scheduler liveness/latency probe that optionally sleeps
     ``spec["sleep"]`` seconds — it exercises dispatch, timeout and
@@ -109,8 +109,7 @@ def execute_job(spec: dict, store: ArtifactStore,
     served = incremental_recompile(
         image, runs, store,
         optimize=options.get("optimize", True),
-        check=options.get("check", False),
-        hybrid=options.get("hybrid", False))
+        check=options.get("check", False))
     out: dict = {
         "served": served.stats.served,
         "stats": served.stats.to_dict(),

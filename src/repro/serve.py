@@ -31,8 +31,8 @@ response object per line, over ``AF_UNIX``.  Requests carry an ``op``:
               ``inputs`` (list of runs; items are ints or
               ``{"b": "latin-1 bytes"}``), optional ``campaign``
               (a name of 1 to 128 ASCII letters, digits, ``-``, ``_``
-              and ``.``), ``options`` (an object with any of ``optimize`` and
-              ``hybrid``, JSON booleans, and ``check``, a boolean or
+              and ``.``), ``options`` (an object with any of
+              ``optimize``, a JSON boolean, and ``check``, a boolean or
               ``"strict"``; any other key or value is an error),
               ``output`` (path for the recovered image) and
               ``return_artifact`` (inline the recovered JSON).  Every
@@ -89,7 +89,7 @@ PROTOCOL_VERSION = 1
 MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
 #: The keys a submit's ``options`` object may hold.
-JOB_OPTIONS = ("optimize", "check", "hybrid")
+JOB_OPTIONS = ("optimize", "check")
 
 #: A campaign name is the stem of its file in the store, so it keeps to
 #: characters the store's file naming leaves as they are (two names
@@ -330,11 +330,22 @@ class RecompileServer:
 
     def _load_image(self, request: dict,
                     campaign) -> tuple[BinaryImage, str]:
+        for name in ("image_json", "image"):
+            value = request.get(name)
+            if value is not None and not isinstance(value, str):
+                raise ServeError(f"bad {name!r}: must be a string, not "
+                                 f"{type(value).__name__}")
         if request.get("image_json"):
-            image = BinaryImage.from_json(request["image_json"])
+            image = BinaryImage.parse(request["image_json"],
+                                      "'image_json'")
         elif request.get("image"):
-            image = BinaryImage.from_json(
-                Path(request["image"]).read_text())
+            path = request["image"]
+            try:
+                text = Path(path).read_bytes()
+            except OSError as exc:
+                raise ServeError(f"cannot read image file {path!r}: "
+                                 f"{exc.strerror or exc}") from None
+            image = BinaryImage.parse(text, f"image file {path!r}")
         elif campaign is not None:
             src = self.store.get("source", campaign.image_key)
             if src is None:
@@ -370,7 +381,7 @@ class RecompileServer:
                 f"unknown job option(s) {', '.join(map(repr, unknown))}"
                 f": options may hold {', '.join(JOB_OPTIONS)}")
         for name, value in options.items():
-            # A string is not a boolean: "false" would turn hybrid on.
+            # A string is not a boolean: "false" would read as true.
             if not (isinstance(value, bool)
                     or (name == "check" and value == "strict")):
                 allowed = ('true, false or "strict"' if name == "check"

@@ -14,7 +14,7 @@ kind        keyed on
 trace       image content + one input run + cost-model tag + trace
             schema
 backend     image content + ``optimize`` + the symbolized module's
-            refinement digest (traced coverage, ``hybrid``, the §4.1
+            refinement digest (traced coverage, the §4.1
             classification and the §4.2 observations); holds the image
             O3 and lowering build from that module
 result      image content + ordered input runs + pipeline options tag

@@ -80,6 +80,27 @@ int main() {
     assert trap.exit_code in (198, 199)  # coverage failure, not garbage
 
 
+def test_untraced_indirect_call_target_traps():
+    from repro.cc import compile_source
+    src = r'''
+int add(int a, int b) { return a + b; }
+int sub(int a, int b) { return a - b; }
+int main() {
+    int k = read_int();
+    int (*ops[2])(int, int);
+    ops[0] = add;
+    ops[1] = sub;
+    printf("%d\n", ops[k](10, 3));
+    return 0;
+}
+'''
+    image = compile_source(src, "gcc12", "3", "t")
+    result = wytiwyg_recompile(image, [[0]])
+    assert run_binary(result.recovered, [0]).stdout == b"13\n"
+    # The call through ops[1] reaches a target no traced run called.
+    assert run_binary(result.recovered, [1]).exit_code in (198, 199)
+
+
 def test_incremental_relifting_fixes_coverage():
     from repro.cc import compile_source
     src = r'''

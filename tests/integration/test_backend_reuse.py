@@ -107,7 +107,7 @@ def test_backend_reuse_follows_the_refinement(image, tmp_path,
 
 def test_options_never_share_a_backend_record(image, tmp_path):
     store = ArtifactStore(tmp_path / "store")
-    variants = ({}, {"optimize": False}, {"hybrid": True})
+    variants = ({}, {"optimize": False})
     for options in variants:
         served = incremental_recompile(image, BASE, store, **options)
         assert not served.stats.backend_reused, options
@@ -124,7 +124,7 @@ def test_options_never_share_a_backend_record(image, tmp_path):
 
 def test_a_fallback_reads_and_writes_no_backend_record(image, tmp_path,
                                                       monkeypatch):
-    def wytiwyg_lift(traces, hybrid=False):
+    def wytiwyg_lift(traces):
         raise SymbolizeError("symbolization broke")
 
     monkeypatch.setattr(driver, "wytiwyg_lift", wytiwyg_lift)

@@ -144,10 +144,13 @@ def test_store_gc_accepts_zero_and_suffixed_sizes(tmp_path, capsys,
     ('{"entry": 0}', "LinkError"),
     ("not json", "LinkError"),
     ("[1, 2]", "LinkError"),
-], ids=["missing", "not-an-image", "not-json", "a-list"])
+    (b"\xff\xfe not json", "LinkError"),
+], ids=["missing", "not-an-image", "not-json", "a-list", "not-text"])
 def test_bad_image_file_is_one_line_error(tmp_path, capsys, content, kind):
     path = tmp_path / "img.json"
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     for command in ("run", "recompile", "layout", "check", "explain"):
         assert main([command, str(path), "--input", "int:1"]) == 2

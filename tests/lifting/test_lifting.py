@@ -37,10 +37,34 @@ int main() {
     return 0;
 }
 '''
+    # The traced run never takes the branch: in the lifted function its
+    # untraced direction goes to the block that traps, and its traced
+    # direction does not.
+    from repro.ir.values import CondBr, Unreachable
+
     image = compile_source(src, "gcc12", "0", "t")
     traces = trace_binary(image.stripped(), [[5]])
     cfg = recover_cfg(traces)
-    assert any(b.has_untraced_edge for b in cfg.blocks.values())
+    blocks = {block.name: block
+              for func in lift_traces(traces).functions.values()
+              for block in func.blocks}
+
+    def traps(block):
+        term = block.terminator
+        return isinstance(term, Unreachable) \
+            and term.note == "untraced path"
+
+    half_traced = [b for b in cfg.blocks.values()
+                   if b.terminator.mnemonic == "jcc" and len(b.succs) == 1]
+    assert half_traced
+    for mblock in half_traced:
+        branch = blocks[f"b{mblock.start:x}"].terminator
+        assert isinstance(branch, CondBr)
+        taken = mblock.terminator.operands[0].value
+        traced, untraced = (branch.if_true, branch.if_false) \
+            if mblock.succs == [taken] \
+            else (branch.if_false, branch.if_true)
+        assert traps(untraced) and not traps(traced)
 
 
 def test_function_recovery_finds_call_targets():
@@ -139,7 +163,7 @@ def test_each_vararg_site_has_its_own_call_address(seed):
     # The varargs rewrite keys each stack-switched site's traced
     # argument count on its call address.  Function recovery splits
     # shared code instead of duplicating it, so no two sites share
-    # one, with or without hybrid lifting's static extension.
+    # one; only traced code is lifted, so every site has a count.
     from collections import Counter
     from repro.core.varargs import find_vararg_sites
     from repro.workloads import WORKLOADS
@@ -151,14 +175,11 @@ def test_each_vararg_site_has_its_own_call_address(seed):
             image = WORKLOADS[cell.program].compile(cell.compiler,
                                                     cell.opt)
             traces = trace_binary(image, cell.runs)
-            for hybrid in (False, True):
-                sites = find_vararg_sites(
-                    lift_traces(traces, static_extend=hybrid))
-                addrs = Counter(site.call_addr for site in sites)
-                assert sites and None not in addrs, cell.name
-                assert max(addrs.values()) == 1, (cell.name, hybrid)
-                if not hybrid:
-                    assert set(addrs) <= set(traces.vararg_counts)
+            sites = find_vararg_sites(lift_traces(traces))
+            addrs = Counter(site.call_addr for site in sites)
+            assert sites and None not in addrs, cell.name
+            assert max(addrs.values()) == 1, cell.name
+            assert set(addrs) <= set(traces.vararg_counts), cell.name
 
 
 def test_lift_after_tracing_decodes_nothing(monkeypatch):

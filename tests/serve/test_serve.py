@@ -192,18 +192,48 @@ def test_errors_do_not_kill_the_daemon(served, image):
     assert client.status()["stats"]["jobs"] == 0
 
 
+@pytest.mark.parametrize("field, value, kind, named", [
+    ("image_json", "not json", "LinkError", "'image_json'"),
+    ("image_json", "{}", "LinkError", "'image_json'"),
+    ("image_json", "[]", "LinkError", "'image_json'"),
+    ("image_json", '{"text": 5}', "LinkError", "'image_json'"),
+    ("image_json", "[" * 100_000, "LinkError", "'image_json'"),
+    ("image_json", 5, "ServeError", "'image_json'"),
+    ("image", 5, "ServeError", "'image'"),
+    ("image", "TMP/absent.json", "ServeError", "TMP/absent.json"),
+    ("image", "TMP/list.json", "LinkError", "TMP/list.json"),
+], ids=["not-json", "empty-object", "a-list", "bad-section",
+        "deep-nesting", "json-number", "path-number", "missing-file",
+        "file-of-a-list"])
+def test_a_bad_image_is_refused_with_a_typed_error(served, tmp_path,
+                                                   field, value, kind,
+                                                   named):
+    # The daemon names the field, or the path it could not read.
+    server, client = served
+    (tmp_path / "list.json").write_text("[1, 2]")
+    if isinstance(value, str):
+        value = value.replace("TMP", str(tmp_path))
+    with pytest.raises(ServeError) as refused:
+        client.request("submit", inputs=[[0, 7]], **{field: value})
+    assert refused.value.remote_kind == kind, str(refused.value)
+    assert named.replace("TMP", str(tmp_path)) in str(refused.value)
+    assert client.ping()["ok"]
+    assert client.status()["stats"]["jobs"] == 0
+
+
 def test_submit_rejects_unknown_or_malformed_options(served, image):
     server, client = served
-    with pytest.raises(ServeError,
-                       match="unknown job option.*'static_widen'"):
-        client.submit(image_json=image.to_json(), inputs=[[0, 7]],
-                      campaign="demo", options={"static_widen": False})
+    for retired in ("static_widen", "hybrid"):
+        with pytest.raises(ServeError,
+                           match=f"unknown job option.*'{retired}'"):
+            client.submit(image_json=image.to_json(), inputs=[[0, 7]],
+                          campaign="demo", options={retired: True})
     with pytest.raises(ServeError, match="must be a JSON object"):
         client.submit(image_json=image.to_json(), inputs=[[0, 7]],
                       campaign="demo", options=["optimize"])
-    # Values are typed: a string is not a boolean ("false" would arm
-    # hybrid lifting), and check takes only a boolean or "strict".
-    for name, value in (("hybrid", "false"), ("optimize", "no"),
+    # Values are typed: a string is not a boolean ("false" would read
+    # as true), and check takes only a boolean or "strict".
+    for name, value in (("optimize", "no"), ("optimize", "false"),
                         ("optimize", 1), ("check", "1"),
                         ("check", "STRICT"), ("check", None)):
         with pytest.raises(ServeError,
@@ -218,7 +248,7 @@ def test_submit_rejects_unknown_or_malformed_options(served, image):
 
 def test_submit_takes_typed_options(served, image):
     server, client = served
-    options = {"optimize": False, "hybrid": False, "check": "strict"}
+    options = {"optimize": False, "check": "strict"}
     first = client.submit(image_json=image.to_json(), inputs=[[0, 7]],
                           options=options)
     again = client.submit(image_json=image.to_json(), inputs=[[0, 7]],
