@@ -7,8 +7,8 @@ Commands mirror the toolchain a downstream user needs:
 * ``recompile`` WYTIWYG-recompile a binary image (or ``--pipeline
   binrec`` / ``secondwrite``); ``--check`` arms the static gate;
   ``--store DIR`` routes the run through the content-addressed
-  artifact store so repeated runs reuse traces, back-end images and
-  results
+  artifact store so repeated runs reuse traces, replay-stage states,
+  back-end images and results
 * ``serve``     run the recompilation daemon: jobs over a Unix socket,
   backed by the artifact store and named campaigns
 * ``submit``    client for ``serve``: submit a job (or ``--status`` /
@@ -136,6 +136,7 @@ def cmd_recompile(args) -> int:
                 print(f"  store: served={result.stats.served} "
                       f"traces reused={result.stats.traces_reused} "
                       f"recorded={result.stats.traces_recorded} "
+                      f"replay reused={result.stats.replay_reused} "
                       f"backend reused={result.stats.backend_reused}")
             else:
                 result = wytiwyg_recompile(image, runs, check=args.check)
@@ -387,7 +388,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="route the run through the content-addressed "
                         "artifact store at DIR (default $REPRO_STORE "
                         "or .repro_store): repeated runs reuse traces, "
-                        "back-end images and results")
+                        "replay-stage states, back-end images and "
+                        "results")
     p.set_defaults(func=cmd_recompile)
 
     p = sub.add_parser(

@@ -24,8 +24,8 @@ Orchestrates the full pipeline:
    the emulated stack;
 7. optimize the symbolized module with the standard pipeline;
 8. recompile to a new binary.  Given an artifact store (the serve
-   path), steps 7 and 8 load the image a previous request built when
-   the symbolized module's :func:`refinement_digest` matches.
+   path), steps 7 and 8 load the image a previous request built from a
+   symbolized module with the same key (:func:`~repro.store.module_key`).
 
 Every dynamic stage executes the *lifted IR itself* on the same inputs,
 so each refinement consumes exactly the semantics the previous one
@@ -53,10 +53,13 @@ refinement:
   symbolization"``.
 
 That is three IR runs per distinct traced input, with or without
-variadic sites, each stage's runs on one interpreter.  The observation
-and bounds checks replay in traced order and name the earliest
-diverging input; the final sweep replays cheapest first and names the
-first mismatch it meets.  Canonicalization (step 5)
+variadic sites, each stage's runs on one interpreter.  Given an
+artifact store, each stage restores the state it reached on the longest
+prefix of these inputs that an earlier request ran on the same module,
+and runs only the rest (:class:`~repro.replay.engine.StageCheck`).  The
+observation and bounds checks replay in traced order and name the
+earliest diverging input; the final sweep replays cheapest first and
+names the first mismatch it meets.  Canonicalization (step 5)
 and optimization (step 7) run serially under the worklist pass manager
 (:mod:`repro.opt.manager`), which brings every function to fixpoint on
 every call.  A pipeline run keeps CPython's cyclic garbage collector
@@ -69,14 +72,14 @@ after, and verifier status; the enclosing ``pipeline.wytiwyg`` span
 additionally carries the layout-accuracy precision/recall whenever the
 input image ships ground truth, so a single recompile run reports the
 paper's Figure-7 quality numbers without the evaluation harness.  The
-replay layer contributes ``replay.runs`` / ``replay.deduped`` /
-``validate.interpreter_errors`` counters and per-sweep timers.
+replay layer contributes ``replay.runs`` / ``replay.reused`` /
+``replay.deduped`` / ``validate.interpreter_errors`` counters and
+per-sweep timers.
 """
 
 from __future__ import annotations
 
 import gc
-import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -106,13 +109,8 @@ from ..store import ArtifactStore, backend_key, image_key
 from .accuracy import AccuracyReport, evaluate_accuracy
 from .instrument import instrument_module, strip_probes
 from .layout import FrameLayout, apply_widenings, build_layouts
-from .regsave import (
-    RegSaveResult,
-    apply_register_classification,
-    classify_registers,
-)
+from .regsave import apply_register_classification, classify_registers
 from .replace import drop_sp_threading, replace_base_pointers
-from .runtime import TracingRuntime
 from .signatures import build_signatures
 from .sp0fold import fold_module_stack_refs, is_lifted_function
 from .varargs import recover_vararg_calls
@@ -142,53 +140,12 @@ class WytiwygResult:
     #: True if the recovered image was loaded from the store's
     #: ``backend`` record instead of optimized and lowered here.
     backend_reused: bool = False
-
-
-#: The module metadata key under which :func:`wytiwyg_lift` records its
-#: :func:`refinement_digest`; :func:`wytiwyg_recompile` takes it off
-#: the module before lowering, so its images do not carry it.
-REFINEMENT = "refinement"
-
-
-def refinement_digest(traces: TraceSet, static_widen: bool,
-                      classification: RegSaveResult,
-                      runtime: TracingRuntime) -> str:
-    """Digest of everything besides the image that fixes the module
-    :func:`wytiwyg_lift` symbolizes.
-
-    The lift reads the traced coverage (transfers, executed addresses,
-    variadic argument counts); the §4.1 rewrite reads each function's
-    argument and output registers and the indirect targets; the §4.2
-    rewrite reads each stack reference's function, sp0 offset and
-    bounds, each call site's argument area, callees and walked flag,
-    and the links; the static widening is on unless ``static_widen``
-    is off.  Every other step is a function of its predecessors'
-    output, so two requests with one image and one digest symbolize the
-    same module, whatever inputs they traced.
-    """
-    observed = (
-        sorted((t.src, t.dst, t.kind) for t in traces.transfers),
-        sorted(traces.executed),
-        sorted(traces.vararg_counts.items()),
-        static_widen,
-        sorted((name, sorted(regs))
-               for name, regs in classification.args.items()),
-        sorted((name, sorted(regs))
-               for name, regs in classification.outputs.items()),
-        sorted(classification.indirect_targets),
-        sorted((ref_id, var.func_name, var.sp0_offset, var.low,
-                var.high, var.align)
-               for ref_id, var in runtime.stack_vars.items()),
-        sorted((site, area.low, area.high, sorted(area.callees),
-                area.walked)
-               for site, area in runtime.arg_accesses.items()),
-        sorted(sorted(pair) for pair in runtime.links),
-    )
-    # blake2b is CPython's own code: a one-shot recompile, which hashes
-    # nothing else, does not set OpenSSL's digests up (about 0.9 MB of
-    # resident memory in a forked child).
-    return hashlib.blake2b(repr(observed).encode(),
-                           digest_size=16).hexdigest()
+    #: Replay runs restored from the store's ``replay`` records instead
+    #: of made.
+    replay_reused: int = 0
+    #: The recovered image's JSON when it went through the store's
+    #: ``backend`` record (loaded or written), else None.
+    image_json: str | None = None
 
 
 #: The cyclic collector's pause is process-wide, so every pause shares
@@ -257,9 +214,15 @@ def _canonicalize(module: Module) -> None:
     canonicalize_module(module)
 
 
+#: The name of the final sweep's check, whose module key keys the
+#: back end.
+SYMBOLIZATION = "stack symbolization"
+
+
 @collector_paused()
 def wytiwyg_lift(traces: TraceSet,
                  static_widen: bool = True,
+                 engine: ReplayEngine | None = None,
                  ) -> tuple[Module, dict[str, FrameLayout],
                             list[str], CheckReport]:
     """Run the refinement pipeline on merged traces; returns the
@@ -276,13 +239,19 @@ def wytiwyg_lift(traces: TraceSet,
     Only traced code is lifted: an untraced path in the result traps
     (paper §7.2), and tracing an input that takes it and lifting again
     covers it.
+
+    The replay stages run on ``engine`` (a :class:`ReplayEngine` of
+    ``traces``; a fresh one when not given).  :func:`wytiwyg_recompile`
+    passes one bound to its artifact store, so that the stages resume
+    from stored state, and reads the module keys it computed.
     """
     if not traces.inputs:
         raise CheckError(
             "no traced inputs: the dynamic pipeline needs at least one "
             "traced run to recover layouts (pass --input, or an empty "
             "input list '' for an input-less program)")
-    engine = ReplayEngine(traces)
+    if engine is None:
+        engine = ReplayEngine(traces)
     report = CheckReport()
     notes: list[str] = []
     if engine.deduped:
@@ -351,8 +320,6 @@ def wytiwyg_lift(traces: TraceSet,
         before = module_stats(module) if observing else None
         mi = instrument_module(module)
         runtime = engine.run_instrumented(module, "register refinement")
-        module.metadata[REFINEMENT] = refinement_digest(
-            traces, static_widen, classification, runtime)
         strip_probes(module)
         verify_module(module)
 
@@ -368,7 +335,7 @@ def wytiwyg_lift(traces: TraceSet,
             eliminate_dead_code(func)
         shrink_signatures(module)
         verify_module(module)
-        engine.validate(module, "stack symbolization")
+        engine.validate(module, SYMBOLIZATION)
         nvars = sum(len(lo.variables) for lo in layouts.values())
         if before is not None:
             sp.set(ir_before=before, ir_after=module_stats(module),
@@ -479,7 +446,8 @@ def wytiwyg_recompile(image: BinaryImage,
                       jobs: int = 1,
                       check: bool | str = False,
                       opt_jobs: int | None = None,
-                      store: ArtifactStore | None = None) -> WytiwygResult:
+                      store: ArtifactStore | None = None,
+                      img_key: str | None = None) -> WytiwygResult:
     """End-to-end WYTIWYG: trace, refine, symbolize, optimize,
     recompile.  Falls back to the unsymbolized (BinRec) pipeline if
     symbolization fails functional validation.
@@ -499,15 +467,25 @@ def wytiwyg_recompile(image: BinaryImage,
     widening closed no longer counts.
 
     With a ``store`` (:func:`~repro.core.incremental.
-    incremental_recompile` passes its own), the back end is reused
-    across requests: after the static gate, the image that O3 and
-    lowering build is looked up under :func:`~repro.store.backend_key`
-    (the image, ``optimize`` and the symbolized module's
-    :func:`refinement_digest`).  A hit loads it and skips O3, its
-    verification and lowering; a miss runs them and stores the image.
+    incremental_recompile` passes its own, and ``img_key``, the image's
+    :func:`~repro.store.image_key`, which is computed here when not
+    given), work is reused across requests:
+
+    * each replay stage restores the state that a ``replay`` record
+      holds for the module it runs and the longest stored prefix of the
+      distinct traced inputs, and runs and checks only the inputs after
+      it (:attr:`WytiwygResult.replay_reused` counts the runs it did
+      not make);
+    * after the static gate, the image that O3 and lowering build is
+      looked up under :func:`~repro.store.backend_key` of the symbolized
+      module's key, which the final sweep computed.  A hit loads it and
+      skips O3, its verification and lowering; a miss runs them and
+      stores the image.
+
     Every stage before the back end runs either way, so every check
-    still runs.  A fallback to the unsymbolized pipeline reads and
-    writes nothing.  Without a store no key is computed.
+    still covers every input.  A fallback to the unsymbolized pipeline
+    reads and writes no ``backend`` record.  Without a store no key is
+    computed.
     """
     if not (isinstance(check, bool) or check == "strict"):
         raise ValueError(f"check must be False, True or 'strict', "
@@ -524,9 +502,12 @@ def wytiwyg_recompile(image: BinaryImage,
                 sp.set(inputs=len(traces.inputs),
                        transfers=len(traces.transfers),
                        coverage=len(traces.executed))
+        if store is not None and img_key is None:
+            img_key = image_key(image)
+        engine = ReplayEngine(traces, store, img_key)
         try:
-            module, layouts, notes, report = wytiwyg_lift(traces)
-            refinement = module.metadata.pop(REFINEMENT)
+            module, layouts, notes, report = wytiwyg_lift(traces,
+                                                          engine=engine)
             fallback = False
         except SymbolizeError as exc:
             if not allow_fallback:
@@ -536,7 +517,6 @@ def wytiwyg_recompile(image: BinaryImage,
             layouts = {}
             notes = [f"fallback to unsymbolized pipeline: {exc}"]
             report = None
-            refinement = None
             fallback = True
 
         if check and report is not None:
@@ -556,23 +536,26 @@ def wytiwyg_recompile(image: BinaryImage,
             for finding in report.warnings:
                 notes.append(f"check[warn]: {finding.render()}")
 
-        bkey = stored = None
-        if store is not None and refinement is not None:
-            bkey = backend_key(image_key(image), optimize, refinement)
-            stored = store.get("backend", bkey)
-        if stored is not None:
-            recovered = BinaryImage.from_json(stored)
+        bkey = image_json = None
+        if store is not None and not fallback:
+            bkey = backend_key(engine.module_keys[SYMBOLIZATION], optimize)
+            image_json = store.get("backend", bkey)
+        reused = image_json is not None
+        if reused:
+            recovered = BinaryImage.from_json(image_json)
         else:
             recovered = _backend(module, image, optimize, observing)
             if bkey is not None:
-                store.put("backend", bkey, recovered.to_json())
+                image_json = recovered.to_json()
+                store.put("backend", bkey, image_json)
 
         accuracy = None
         if collect_accuracy and not fallback and image.ground_truth:
             accuracy = evaluate_accuracy(image, layouts)
         if observing:
             pipeline_span.set(fallback=fallback, notes=list(notes),
-                              backend_reused=stored is not None)
+                              backend_reused=reused,
+                              replay_reused=engine.reused)
             if accuracy is not None:
                 pipeline_span.set(
                     accuracy_precision=accuracy.precision,
@@ -584,7 +567,9 @@ def wytiwyg_recompile(image: BinaryImage,
               notes=list(notes))
     return WytiwygResult(module, recovered, layouts, accuracy,
                          fallback, notes, check_report=report,
-                         traces=traces, backend_reused=stored is not None)
+                         traces=traces, backend_reused=reused,
+                         replay_reused=engine.reused,
+                         image_json=image_json)
 
 
 def _backend(module: Module, image: BinaryImage, optimize: bool,

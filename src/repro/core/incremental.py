@@ -9,7 +9,7 @@ artifact lands in a content-addressed
 :class:`~repro.store.ArtifactStore`, and a repeated request pays only
 for what actually changed.
 
-Three layers of reuse, cheapest first:
+Four layers of reuse, cheapest first:
 
 1. **Result hit** — the final recompiled image is keyed on
    ``(image content, ordered input runs, options)``; an identical
@@ -23,16 +23,25 @@ Three layers of reuse, cheapest first:
    reconstructs exactly the TraceSet :func:`~repro.emu.tracer.
    trace_binary` would produce.  Adding one input to a known image
    re-executes only that input; everything else is a ``store.hit``.
-3. **Back-end reuse** — every refinement still runs (lift, the three
-   replay stages over every distinct input, static widening, the
-   sanitizer and the gate), but the image that O3 and lowering build
-   from the symbolized module is a ``backend`` record, keyed on the
-   image, ``optimize`` and the module's refinement digest (the traced
-   coverage, the §4.1 classification and the §4.2 observations;
-   :func:`~repro.core.driver.refinement_digest`).  An
-   added input that reaches no new code and widens no stack variable
-   leaves the digest as it was, so its request loads the image instead
-   of optimizing and lowering again (:attr:`JobStats.backend_reused`).
+3. **Replay reuse** — every refinement still runs (lift, varargs,
+   the §4.1 and §4.2 rewrites, static widening, the sanitizer and the
+   gate), but each of the three replay stages is a ``replay`` record,
+   keyed on the module the stage runs (:func:`~repro.store.module_key`)
+   and the ordered distinct inputs it observed.  A request restores
+   the stage's state for the longest stored prefix of its own distinct
+   inputs and replays and checks only the rest, so an added input that
+   reaches no new code is the only one that replays
+   (:attr:`JobStats.replay_reused` counts the runs restored).  An input
+   that reaches new code changes the lifted module: every stage replays
+   every input, and the request still pays for the keys and the
+   records.
+4. **Back-end reuse** — the image that O3 and lowering build from the
+   symbolized module is a ``backend`` record, keyed on that module's
+   key and ``optimize``.  An added input that leaves the symbolized
+   module as it was (it reaches no new code, and widens no stack
+   variable past what the static widening already covered) loads the
+   image instead of optimizing and lowering again
+   (:attr:`JobStats.backend_reused`).
 
 Byte-identity invariant: for any request, the recovered image equals
 the one a cold ``wytiwyg_recompile(image, inputs)`` produces — the
@@ -77,6 +86,9 @@ class JobStats:
     #: True when the pipeline ran and loaded its image from a stored
     #: ``backend`` record instead of optimizing and lowering.
     backend_reused: bool = False
+    #: Replay runs restored from stored ``replay`` records instead of
+    #: made (three stages, so three per reused distinct input).
+    replay_reused: int = 0
 
     def to_dict(self) -> dict:
         return {"served": self.served,
@@ -85,7 +97,8 @@ class JobStats:
                 "store_hits": self.store_hits,
                 "store_misses": self.store_misses,
                 "store_puts": self.store_puts,
-                "backend_reused": self.backend_reused}
+                "backend_reused": self.backend_reused,
+                "replay_reused": self.replay_reused}
 
 
 @dataclass
@@ -152,9 +165,11 @@ def incremental_recompile(image: BinaryImage,
 
     Checks the result store first; otherwise reassembles traces from
     per-input records (tracing only new inputs), runs the pipeline with
-    the store (which reuses a stored back-end image for the same
-    refinement), and persists the new traces and the final result.
-    ``jobs`` and ``opt_jobs`` are accepted and ignored, as by
+    the store (whose replay stages resume from stored state and whose
+    back end reuses a stored image of the same symbolized module), and
+    persists the new traces and the final result.  The image key is
+    computed once here and serves every key of the request.  ``jobs``
+    and ``opt_jobs`` are accepted and ignored, as by
     :func:`wytiwyg_recompile`.
     """
     img_key = image_key(image)
@@ -188,11 +203,13 @@ def incremental_recompile(image: BinaryImage,
     traces = gather_traces(image, runs, store, img_key, stats)
     result = wytiwyg_recompile(
         image, [list(items) for items in runs],
-        optimize=optimize, traces=traces, check=check, store=store)
+        optimize=optimize, traces=traces, check=check, store=store,
+        img_key=img_key)
     stats.backend_reused = result.backend_reused
+    stats.replay_reused = result.replay_reused
     coverage = _coverage_summary(traces)
     store.put("result", rkey, {
-        "image_json": result.recovered.to_json(),
+        "image_json": result.image_json or result.recovered.to_json(),
         "layouts": result.layouts,
         "notes": list(result.notes),
         "fallback": result.fallback,

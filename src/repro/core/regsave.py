@@ -107,6 +107,23 @@ class RegSavePlugin:
         self._frames.clear()
         self._mem_shadow.clear()
 
+    def state(self) -> dict:
+        """The cross-run observations, which :meth:`reset` keeps."""
+        return {"used": self.used, "forwarded": self.forwarded,
+                "modified": self.modified,
+                "indirect_targets": self.indirect_targets,
+                "seen_functions": self.seen_functions}
+
+    def restore(self, state: dict) -> None:
+        """Continue from a :meth:`state` taken after earlier inputs'
+        runs: no hook reads an observation, so the next runs add to
+        them as they would have in the same plugin."""
+        self.used.update(state["used"])
+        self.forwarded.update(state["forwarded"])
+        self.modified.update(state["modified"])
+        self.indirect_targets.update(state["indirect_targets"])
+        self.seen_functions.update(state["seen_functions"])
+
     # -- plugin interface ---------------------------------------------------
 
     def call_enter(self, func: Function, frame_id: int, args: list[int],
@@ -241,23 +258,28 @@ def classify_registers(module: Module,
     in ``module`` itself before the runs (see the module docstring);
     later stages find the registers already in SSA.
 
-    ``check(n, run)``, if given, executes the ``n``-th input's run
-    instead of the loop calling ``run()`` itself (the replay engine's
-    :meth:`~repro.replay.ReplayEngine.checker` compares it with the
-    trace).
+    ``check``, if given, is the replay engine's
+    :class:`~repro.replay.engine.StageCheck` over ``inputs``: it
+    restores the observations of the leading inputs the store holds a
+    record of for the promoted module, executes each remaining input's
+    run (``check(n, run)``) and compares it with the trace, and records
+    the observations once every run has passed.
     """
     for func in module.functions.values():
         if is_lifted_function(func):
             promote_allocas(func)
     plugin = RegSavePlugin()
+    start = 0 if check is None else check.resume(module, plugin.restore)
     with Interpreter(module, shadow=plugin) as interp:
-        for n, input_items in enumerate(inputs):
-            interp.reset(input_items)
+        for n in range(start, len(inputs)):
+            interp.reset(inputs[n])
             plugin.reset()
             if check is None:
                 interp.run()
             else:
                 check(n, interp.run)
+    if check is not None:
+        check.passed(plugin.state())
     return plugin.resolve()
 
 

@@ -31,6 +31,12 @@ run: it resets the per-run state (frame records, the address map, staged
 call arguments and results) in place, because the compiled probes
 capture those containers, and keeps the cross-run observations (stack
 variables, argument areas, links), which accumulate over the inputs.
+The observations only grow, and what a run adds to them does not
+depend on what they already hold, so a runtime that restores the
+:meth:`TracingRuntime.state` taken after some inputs
+(:meth:`TracingRuntime.restore`) and then runs the rest ends where one
+runtime that ran them all does, down to the order its variables and
+links iterate in.
 """
 
 from __future__ import annotations
@@ -152,6 +158,9 @@ class TracingRuntime:
         self.stack_vars: dict[int, StackVar] = {}
         self.arg_accesses: dict[int, ArgAccess] = {}
         self.links: set[frozenset[int]] = set()
+        #: ``links`` in the order the runs found them, which fixes the
+        #: set's iteration order, the order the layouts read them in.
+        self._link_order: list[frozenset[int]] = []
         # Per-run state.  Compiled probes capture these containers, so
         # they are cleared in place, never replaced.
         self._frames = _FrameRecs()
@@ -174,6 +183,23 @@ class TracingRuntime:
             "arg_accesses": self.arg_accesses,
             "links": self.links,
         }
+
+    def state(self) -> dict:
+        """The :meth:`snapshot` with its links listed in the order the
+        runs found them: what :meth:`restore` continues from."""
+        return {**self.snapshot(), "links": self._link_order}
+
+    def restore(self, state: dict) -> None:
+        """Continue from a :meth:`state` taken after earlier inputs'
+        runs: the next runs widen its bounds and add to its argument
+        areas and links as they would have in the same runtime.  The
+        links are added in the order they were found, so the set
+        iterates as the same runtime's would.  Call it before the first
+        run: a probe keeps the variable it first found."""
+        self.stack_vars.update(state["stack_vars"])
+        self.arg_accesses.update(state["arg_accesses"])
+        for pair in state["links"]:
+            self._add_link(pair)
 
     def bind(self, interp: Interpreter) -> None:
         """Start a run on ``interp``, whose memory the string
@@ -414,7 +440,12 @@ class TracingRuntime:
         if a is b:
             return
         if isinstance(a, StackVar) and isinstance(b, StackVar):
-            self.links.add(frozenset((a.ref_id, b.ref_id)))
+            self._add_link(frozenset((a.ref_id, b.ref_id)))
+
+    def _add_link(self, pair: frozenset[int]) -> None:
+        if pair not in self.links:
+            self.links.add(pair)
+            self._link_order.append(pair)
 
     def _copy(self, meta: dict, evs: list) -> Probe:
         frames = self._frames

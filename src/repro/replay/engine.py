@@ -29,6 +29,16 @@ its argument counts come from the trace.)  That replay loop dominates
   interpreter: the interpreter compiles each probe once, and
   :meth:`~repro.core.runtime.TracingRuntime.bind` resets the per-run
   state before each input;
+* **resumed from the store** — given an artifact store (a served
+  request), each stage (:class:`StageCheck`) keys the module it runs
+  (:func:`module_text`), restores the cross-run state a ``replay``
+  record holds for the longest prefix of its distinct inputs, runs and
+  checks only the inputs after it, and records its state for the whole
+  list once every run has passed.  No run reads what earlier inputs
+  accumulated (observations only grow, and the per-run state is reset
+  before each input), so a resumed stage ends in the state a replay of
+  every input reaches.  A campaign adds inputs at the end, so its next
+  request replays only them;
 * **which input a failure names** — the observation and bounds checks
   go in traced order and name the earliest diverging input; the final
   sweep replays cheapest first and stops at the first mismatch.
@@ -37,9 +47,11 @@ A failed check raises :class:`~repro.errors.SymbolizeError` naming the
 stage, the diverging traced input and the reason; an interpreter
 exception in a checked run becomes that same error (counted in
 ``validate.interpreter_errors`` and noted), never a raw traceback.
-Each check emits one ``validate.verdict`` ledger event.
+Each stage emits one ``validate.verdict`` ledger event, and a stage
+whose check fails writes no record.
 
 Observability: counters ``replay.runs`` (one per run made) /
+``replay.reused`` (one per run restored from the store) /
 ``replay.deduped`` / ``validate.interpreter_errors``, and the
 ``replay.validate_seconds`` / ``replay.bounds_seconds`` timers.
 """
@@ -52,6 +64,31 @@ from ..emu.tracer import TraceSet
 from ..errors import SymbolizeError
 from ..ir.interp import Interpreter
 from ..ir.module import Module
+from ..ir.printer import module_to_text
+from ..ir.values import Intrinsic
+from ..store import ArtifactStore, module_key, replay_keys
+
+
+def module_text(module: Module) -> str:
+    """The key text of ``module``: everything a replay run or the back
+    end reads of it.
+
+    That is the printed module (:func:`~repro.ir.printer.module_to_text`),
+    each probe's metadata (the tracing runtime binds it when the probe
+    compiles), the module metadata (lowering copies it into the image),
+    the address table (indirect calls, and the resolver lowering builds)
+    and the entry.  The image fixes the rest: each global's initializer,
+    alignment and writability are its sections'.  No run, optimizer
+    pass or lowering reads a function's ``meta`` (the inliner's
+    ``inline_serial`` is set only once O3 runs) or a call's
+    ``call_addr`` (the varargs rewrite reads it, before any keyed run).
+    """
+    metas = [instr.meta for func in module.functions.values()
+             for block in func.blocks for instr in block.instrs
+             if type(instr) is Intrinsic]
+    return "\n".join((module_to_text(module), repr(metas),
+                      repr(module.metadata), repr(module.address_table),
+                      module.entry_name))
 
 
 def _check_run(run, expected):
@@ -75,16 +112,96 @@ def _check_run(run, expected):
     return None
 
 
+class StageCheck:
+    """The checked runs of one replay stage over the engine's distinct
+    inputs (:meth:`ReplayEngine.checker`).
+
+    A stage calls :meth:`resume` with the module it runs, makes each
+    remaining input's run through ``check(n, run)``, and hands its
+    cross-run state to :meth:`passed` once every run has passed.
+    """
+
+    def __init__(self, engine: "ReplayEngine", stage: str):
+        self.engine = engine
+        self.stage = stage
+        #: How many leading distinct inputs were restored, not run.
+        self.start = 0
+        #: The ``replay`` keys of each prefix of the distinct inputs
+        #: (with a store).
+        self._keys: list[str] = []
+
+    def resume(self, module: Module, restore=None) -> int:
+        """Restore the stage from the store: the number of leading
+        distinct inputs whose runs need not be made on ``module``.
+
+        With a store, ``module`` is keyed (:attr:`ReplayEngine.
+        module_keys`), and the state a ``replay`` record holds for the
+        longest prefix of the distinct inputs goes to ``restore(state)``.
+        The whole list is looked up (a store hit or miss); a shorter
+        prefix, longest first, only when its record exists.  A corrupt
+        record counts in ``store.corrupt`` and the next shorter prefix
+        is tried.  Without a store, 0.
+        """
+        engine = self.engine
+        store = engine.store
+        if store is None:
+            return 0
+        mod_key = module_key(engine.img_key, module_text(module))
+        engine.module_keys[self.stage] = mod_key
+        keys = self._keys = replay_keys(mod_key, self.stage,
+                                        engine.unique_inputs)
+        for n in range(len(keys), 0, -1):
+            if n < len(keys) and not store.contains("replay", keys[n - 1]):
+                continue
+            state = store.get("replay", keys[n - 1])
+            if state is not None:
+                if restore is not None:
+                    restore(state)
+                self.start = n
+                engine.reused += n
+                obs.count("replay.reused", n)
+                break
+        return self.start
+
+    def __call__(self, n: int, run) -> None:
+        """Execute ``run()``, the stage's run over its ``n``-th distinct
+        input, count it in ``replay.runs`` and raise
+        :class:`SymbolizeError` naming the stage if it does not
+        reproduce the trace."""
+        engine = self.engine
+        index = engine.unique[n]
+        obs.count("replay.runs")
+        failure = _check_run(run, engine.traces.results[index])
+        if failure is not None:
+            engine._fail(self.stage, index, *failure)
+
+    def passed(self, state) -> None:
+        """Every run passed: record the stage's ok verdict and, with a
+        store, its cross-run ``state`` for the whole distinct input
+        list."""
+        runs = len(self.engine.unique) - self.start
+        obs.event("validate.verdict", stage=self.stage, verdict="ok",
+                  runs=runs, restored=self.start)
+        if runs and self._keys:
+            self.engine.store.put("replay", self._keys[-1], state)
+
+
 class ReplayEngine:
     """Owns every dynamic re-execution of one refinement pipeline run.
 
     One engine per :func:`~repro.core.driver.wytiwyg_lift` invocation;
     it deduplicates the traced inputs once and checks every run it
-    makes or is handed (:meth:`checker`) against the trace.
+    makes or is handed (:meth:`checker`) against the trace.  Given a
+    ``store`` and the image's key in it (``img_key``), each stage
+    resumes from the ``replay`` records (:class:`StageCheck`).
     """
 
-    def __init__(self, traces: TraceSet):
+    def __init__(self, traces: TraceSet,
+                 store: ArtifactStore | None = None,
+                 img_key: str | None = None):
         self.traces = traces
+        self.store = store
+        self.img_key = img_key
         seen: set[str] = set()
         #: Indices into ``traces.inputs``, first occurrence of each
         #: distinct input, in traced order.
@@ -100,6 +217,12 @@ class ReplayEngine:
         #: Diagnostics of failed checks (interpreter errors); the
         #: raised :class:`SymbolizeError` carries the same reason.
         self.notes: list[str] = []
+        #: Runs restored from the store instead of made.
+        self.reused = 0
+        #: With a store: each stage's key of the module it ran
+        #: (:func:`~repro.store.module_key`); the back end keys its
+        #: record on the symbolized module's.
+        self.module_keys: dict[str, str] = {}
 
     @property
     def unique_inputs(self) -> list[list]:
@@ -107,30 +230,11 @@ class ReplayEngine:
 
     # -- checks ---------------------------------------------------------------
 
-    def checker(self, stage: str):
-        """The per-run check for an observation loop over
-        :attr:`unique_inputs`.
-
-        ``check(n, run)`` executes ``run()``, the loop's interpreter run
-        over its ``n``-th input, counts it in ``replay.runs`` and raises
-        :class:`SymbolizeError` naming ``stage`` if the run does not
-        reproduce the trace.  The loop runs in traced order, so a
-        failure names the earliest diverging input; the last run records
-        the stage's ok verdict.
-        """
-        results = self.traces.results
-        last = len(self.unique) - 1
-
-        def check(n: int, run) -> None:
-            index = self.unique[n]
-            obs.count("replay.runs")
-            failure = _check_run(run, results[index])
-            if failure is not None:
-                self._fail(stage, index, *failure)
-            if n == last:
-                self._passed(stage, n + 1)
-
-        return check
+    def checker(self, stage: str) -> StageCheck:
+        """The checked runs of a stage named ``stage`` over
+        :attr:`unique_inputs`, made in traced order, so a failure names
+        the earliest diverging input."""
+        return StageCheck(self, stage)
 
     def _fail(self, stage: str, index: int, reason: str,
               interp_error: bool) -> None:
@@ -150,10 +254,6 @@ class ReplayEngine:
             f"#{index} {self.traces.inputs[index]!r} "
             f"diverged ({reason})")
 
-    def _passed(self, stage: str, runs: int) -> None:
-        obs.event("validate.verdict", stage=stage, verdict="ok",
-                  runs=runs)
-
     # -- validation ----------------------------------------------------------
 
     def validate(self, module: Module, stage: str) -> None:
@@ -163,20 +263,21 @@ class ReplayEngine:
 
         Traced runs replay cheapest first and the sweep stops at the
         first mismatch: a broken refinement usually breaks every input,
-        so it fails on the cheapest one.
+        so it fails on the cheapest one.  Its record holds the ok
+        verdict.
         """
         with obs.timed("replay.validate_seconds"):
+            check = self.checker(stage)
+            start = check.resume(module)
             inputs, results = self.traces.inputs, self.traces.results
-            order = sorted(self.unique,
-                           key=lambda i: (results[i].cycles, i))
+            unique = self.unique
+            order = sorted(range(start, len(unique)),
+                           key=lambda n: (results[unique[n]].cycles, n))
             with Interpreter(module) as interp:
-                for i in order:
-                    obs.count("replay.runs")
-                    interp.reset(inputs[i])
-                    failure = _check_run(interp.run, results[i])
-                    if failure is not None:
-                        self._fail(stage, i, *failure)
-            self._passed(stage, len(order))
+                for n in order:
+                    interp.reset(inputs[unique[n]])
+                    check(n, interp.run)
+            check.passed(True)
 
     # -- instrumented bounds runs (§4.2) -------------------------------------
 
@@ -189,21 +290,22 @@ class ReplayEngine:
         observed by one runtime, bound to the interpreter before each
         input.  Each run is checked against the trace; a failure raises
         :class:`SymbolizeError` naming ``stage`` and the earliest
-        diverging input.
+        diverging input.  Its record holds the runtime's
+        :meth:`~repro.core.runtime.TracingRuntime.state`.
         """
         with obs.timed("replay.bounds_seconds"):
             runtime = TracingRuntime()
-            inputs, results = self.traces.inputs, self.traces.results
+            check = self.checker(stage)
+            start = check.resume(module, runtime.restore)
+            inputs = self.traces.inputs
             with Interpreter(module, probes=runtime) as interp:
-                for i in self.unique:
-                    obs.count("replay.runs")
-                    interp.reset(inputs[i])
+                for n in range(start, len(self.unique)):
+                    index = self.unique[n]
+                    interp.reset(inputs[index])
                     runtime.bind(interp)
-                    failure = _check_run(interp.run, results[i])
-                    if failure is not None:
-                        self._fail(stage, i, *failure)
-                    self._trace_merged(i, runtime)
-            self._passed(stage, len(self.unique))
+                    check(n, interp.run)
+                    self._trace_merged(index, runtime)
+            check.passed(runtime.state())
             return runtime
 
     def _trace_merged(self, index: int, runtime: TracingRuntime) -> None:

@@ -11,10 +11,11 @@ improves).
 Why a daemon beats N one-shot processes:
 
 * the content-addressed :class:`~repro.store.ArtifactStore` persists
-  traces, back-end images and results across requests (and across
-  daemon restarts), so a job whose added inputs change no refinement
-  observation skips O3 and lowering (``backend_reused`` in its
-  ``stats``);
+  traces, replay-stage states, back-end images and results across
+  requests (and across daemon restarts), so a job that adds inputs
+  replays only them (``replay_reused`` in its ``stats``), and one whose
+  added inputs leave the symbolized module as it was skips O3 and
+  lowering (``backend_reused``);
 * with ``--workers N`` jobs execute on a pool of long-lived worker
   processes (:mod:`repro.sched`): distinct images recompile
   concurrently, queued jobs start in arrival order on whichever worker
@@ -105,6 +106,19 @@ def _check_campaign_name(name) -> str:
         return name
     raise ServeError(f"bad campaign name {name!r}: use 1 to 128 ASCII "
                      f"letters, digits, '-', '_' and '.'")
+
+
+def _decode_request(line: bytes) -> dict:
+    """The request object on one protocol line; a line that is not a
+    JSON object raises a :class:`ServeError` saying why."""
+    try:
+        request = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ServeError(f"request line is not JSON "
+                         f"({type(exc).__name__}: {exc})") from None
+    if not isinstance(request, dict):
+        raise ServeError("request must be a JSON object")
+    return request
 
 
 def _limit_text(limit: int) -> str:
@@ -269,10 +283,7 @@ class RecompileServer:
                              f"{_limit_text(limit)} limit"})
                 return
             try:
-                request = json.loads(line)
-                if not isinstance(request, dict):
-                    raise ServeError("request must be a JSON object")
-                response = self.dispatch(request)
+                response = self.dispatch(_decode_request(line))
             except Exception as exc:  # the daemon must not die
                 with self._state_lock:
                     self.stats["errors"] += 1

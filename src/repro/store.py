@@ -1,22 +1,26 @@
 """repro.store — the content-addressed artifact store.
 
 One keyed, on-disk store for every expensive artifact the pipeline
-produces: per-input traces, back-end images and full job results.
-An artifact's key is a digest of exactly the content that determines
-it — a hit is valid by construction and nothing ever needs manual
-invalidation.
+produces: per-input traces, replay-stage states, back-end images and
+full job results.  An artifact's key is a digest of exactly the content
+that determines it — a hit is valid by construction and nothing ever
+needs manual invalidation.
 
-Key model (full table in DESIGN.md):
+Key model (full table in DESIGN.md).  A *module key*
+(:func:`module_key`) is the image content plus the key text of one
+module lifted from it (:func:`repro.replay.engine.module_text`); the
+``replay`` and ``backend`` kinds are both keyed on one:
 
 ==========  ============================================================
 kind        keyed on
 ==========  ============================================================
 trace       image content + one input run + cost-model tag + trace
             schema
-backend     image content + ``optimize`` + the symbolized module's
-            refinement digest (traced coverage, the §4.1
-            classification and the §4.2 observations); holds the image
-            O3 and lowering build from that module
+replay      module key of the module a replay stage runs + the stage +
+            the ordered distinct inputs it observed; holds the stage's
+            cross-run state after their checked runs
+backend     module key of the symbolized module + ``optimize``; holds
+            the image O3 and lowering build from that module
 result      image content + ordered input runs + pipeline options tag
 source      image content (the submitted image itself, for campaign
             resubmission without re-uploading)
@@ -27,9 +31,10 @@ canonical ones used by :mod:`repro.core.incremental` and
 :mod:`repro.serve`.
 
 Keys pin the content an artifact is computed from, not the code that
-computes it: like a ``result``, a ``backend`` record written before a
-change to the optimizer or the lowering is still served after it.
-After such a change, start from an empty store.
+computes it: like a ``result``, a ``replay`` or ``backend`` record
+written before a change to the refinements, the interpreter, the
+optimizer or the lowering is still served after it.  After such a
+change, start from an empty store.
 
 Writes are **atomic**: the entry is written to a temp file in the same
 directory, fsynced, and moved into place with :func:`os.replace`, so a
@@ -72,7 +77,9 @@ __all__ = [
     "encode_items",
     "encode_runs",
     "image_key",
+    "module_key",
     "options_tag",
+    "replay_keys",
     "result_key",
     "trace_key",
 ]
@@ -144,14 +151,31 @@ def result_key(img_key: str, runs, options: str) -> str:
                    repr([list(items) for items in runs]), options)
 
 
-def backend_key(img_key: str, optimize: bool, refinement: str) -> str:
+def module_key(img_key: str, text: str) -> str:
+    """Digest addressing one module lifted from an image: the image and
+    the module's key text (:func:`repro.replay.engine.module_text`,
+    everything a replay run and the back end read of the module)."""
+    return _digest("module", img_key, text)
+
+
+def replay_keys(mod_key: str, stage: str, inputs) -> list[str]:
+    """Digests addressing a replay stage's cross-run state on the
+    module keyed ``mod_key``: the ``k``-th key covers the first ``k + 1``
+    of the distinct ``inputs``, in order.  Each key chains on the one
+    before it, so all of them cost one pass over the inputs."""
+    keys = []
+    key = _digest("replay", mod_key, stage)
+    for items in inputs:
+        key = _digest("replay", key, repr(list(items)))
+        keys.append(key)
+    return keys
+
+
+def backend_key(mod_key: str, optimize: bool) -> str:
     """Digest addressing the image the back end (O3 and lowering)
-    builds from a symbolized module: the image, ``optimize`` and the
-    module's refinement digest
-    (:func:`~repro.core.driver.refinement_digest`), which fixes the
-    module whatever inputs were traced."""
-    return _digest("backend", img_key, options_tag(optimize=optimize),
-                   refinement)
+    builds from the symbolized module keyed ``mod_key``
+    (:func:`module_key`), with ``optimize``."""
+    return _digest("backend", mod_key, options_tag(optimize=optimize))
 
 
 def options_tag(**options) -> str:
@@ -310,8 +334,8 @@ class ArtifactStore:
         stored source image and its per-input trace records.  Evicting
         either would break the campaign contract (resubmission without
         re-uploading; monotone trace accumulation) — everything else,
-        results and back-end images included, is recomputable from
-        these."""
+        results, replay states and back-end images included, is
+        recomputable from these."""
         pinned: set[tuple[str, str]] = set()
         for name in self.list_campaigns():
             campaign = self.load_campaign(name)

@@ -1,6 +1,7 @@
 """The tracing runtime in isolation: StackVar bounds, PointerInfo flow,
 links, address map, constraints (paper §4.2)."""
 
+import pickle
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -163,6 +164,26 @@ def test_comparison_links_vars():
                                   "vid": vid, "is_sp0": False}, [val])
     fire(rt, fr, "link", {"lhs_vid": 10, "rhs_vid": 11}, [968, 984])
     assert frozenset((1, 2)) in rt.links
+
+
+def test_a_restored_runtime_iterates_its_links_as_one_that_ran_all():
+    # A set iterates in an order that its insertion order can change:
+    # the first four links unpickled as a set, which re-adds them in
+    # iteration order, then given the fifth, iterate unlike the set that
+    # saw all five in the order found.
+    pairs = [(13, 6), (2, 20), (0, 1), (18, 38), (20, 28)]
+    whole, first = TracingRuntime(), TracingRuntime()
+    for rt, upto in ((whole, 5), (first, 4)):
+        for a, b in pairs[:upto]:
+            rt._link(StackVar(a, "f", 0), StackVar(b, "f", 0))
+    rebuilt = pickle.loads(pickle.dumps(first.links))
+    rebuilt.add(frozenset(pairs[4]))
+    assert list(rebuilt) != list(whole.links)
+    resumed = TracingRuntime()
+    resumed.restore(pickle.loads(pickle.dumps(first.state())))
+    resumed._link(StackVar(20, "f", 0), StackVar(28, "f", 0))
+    assert list(resumed.links) == list(whole.links)
+    assert resumed.snapshot() == whole.snapshot()
 
 
 def test_address_map_store_load_round_trip():

@@ -1,10 +1,10 @@
 """Back-end reuse across served requests: the ``backend`` store kind.
 
-A request whose refinement observations (traced coverage, the §4.1
-classification and the §4.2 observations) match a stored module's
-loads the image O3 and lowering built for it; any request that changes
-them optimizes and lowers anew.  Either way the image equals a cold
-one-shot recompile of the same runs, byte for byte.
+A request whose symbolized module has a stored module's key (the image
+and the module's key text) loads the image O3 and lowering built for
+it; any request that changes the module optimizes and lowers anew.
+Either way the image equals a cold one-shot recompile of the same runs,
+byte for byte.
 """
 
 from pathlib import Path
@@ -15,6 +15,7 @@ from repro import compile_source, wytiwyg_recompile
 from repro.core import driver
 from repro.core.incremental import incremental_recompile
 from repro.errors import StaticCheckError, SymbolizeError
+from repro.replay import engine
 from repro.store import ArtifactStore
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -72,7 +73,10 @@ def _backend_keys(store):
 @pytest.mark.parametrize("added, reused, recorded, new_code", [
     ([4, 0, 5], True, 0, False),    # (a) an input the request has
     ([4, 0, 7], True, 1, False),    # (b) same path, same extent
-    ([6, 0, 5], False, 1, False),   # (c) the array's bounds widen
+    # (c) the array's bounds widen, but only over bytes the static
+    # widening already gave the variable: the symbolized module is the
+    # base's.
+    ([6, 0, 5], True, 1, False),
     ([4, 2, 5], False, 1, True),    # (d) new code, and only that
 ], ids=["repeat", "same-extent", "wider-bounds", "new-code"])
 def test_backend_reuse_follows_the_refinement(image, tmp_path,
@@ -91,18 +95,16 @@ def test_backend_reuse_follows_the_refinement(image, tmp_path,
     assert served.stats.backend_reused is reused
     assert len(optimize_calls) == (0 if reused else 1)
     assert len(_backend_keys(store)) == (1 if reused else 2)
-    # Only (d) reaches new code, and its observations are the base's:
-    # the coverage alone tells the two modules apart.  (c) differs from
-    # the base only in the extent the bounds run observes.
+    # Only (d) reaches new code.  (c) differs from the base only in the
+    # extent the bounds run observes.
     assert (served.coverage["executed"]
             > base.coverage["executed"]) is new_code
 
     cold = wytiwyg_recompile(image, runs)
     assert served.recovered.to_json() == cold.recovered.to_json()
-    # The refinement digest keys the store; the images do not carry it.
-    for module in (served.pipeline.module, cold.module):
-        assert driver.REFINEMENT not in module.metadata
-    assert driver.REFINEMENT not in served.recovered.metadata
+    # The module's metadata is in its key, and lowering copies it into
+    # the image: a stored image carries the metadata a cold one does.
+    assert served.recovered.metadata == cold.recovered.metadata
 
 
 def test_options_never_share_a_backend_record(image, tmp_path):
@@ -124,7 +126,7 @@ def test_options_never_share_a_backend_record(image, tmp_path):
 
 def test_a_fallback_reads_and_writes_no_backend_record(image, tmp_path,
                                                       monkeypatch):
-    def wytiwyg_lift(traces):
+    def wytiwyg_lift(traces, **kwargs):
         raise SymbolizeError("symbolization broke")
 
     monkeypatch.setattr(driver, "wytiwyg_lift", wytiwyg_lift)
@@ -152,6 +154,9 @@ def test_a_one_shot_recompile_computes_no_store_key(image, monkeypatch):
 
     monkeypatch.setattr(driver, "image_key", no_key)
     monkeypatch.setattr(driver, "backend_key", no_key)
+    monkeypatch.setattr(engine, "module_text", no_key)
+    monkeypatch.setattr(engine, "module_key", no_key)
+    monkeypatch.setattr(engine, "replay_keys", no_key)
     result = wytiwyg_recompile(image, BASE)
     assert not result.backend_reused
 

@@ -302,9 +302,19 @@ def _raw_request(client, line: bytes) -> dict:
 
 def test_malformed_request_line_gets_error_response(served):
     server, client = served
-    response = _raw_request(client, b"this is not json\n")
-    assert response["ok"] is False
-    assert response["kind"] == "JSONDecodeError"
+    lines = {
+        b"this is not json\n": "JSONDecodeError",
+        # Deeper than the decoder recurses.
+        b'{"op": "ping", "x": ' + b"[" * 100_000 + b"\n":
+            "RecursionError",
+    }
+    for line, cause in lines.items():
+        response = _raw_request(client, line)
+        assert response["ok"] is False
+        assert response["kind"] == "ServeError"
+        assert response["error"].startswith(
+            f"request line is not JSON ({cause}: ")
+        assert client.ping()["ok"]
 
 
 @pytest.mark.parametrize("inputs, named", [
@@ -519,6 +529,12 @@ def test_pool_campaigns_accumulate_across_workers(pooled, image):
     assert second["served"] == "incremental"
     assert second["stats"]["traces_reused"] == 1
     assert second["campaign"]["inputs"] == [[0, 7], [2, 5]]
+    # [2, 5] reached new code, so every replay stage ran both inputs;
+    # [0, 9] reaches none, and the stages resume from the records the
+    # second job stored, whichever worker ran it.
+    assert second["stats"]["replay_reused"] == 0
+    third = client.submit(inputs=[[0, 9]], campaign="demo")
+    assert third["stats"]["replay_reused"] == 3 * 2
 
 
 def test_pool_job_events_and_sched_events_reach_the_ledger(pooled,

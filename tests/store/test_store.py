@@ -17,6 +17,7 @@ from repro.store import (
     encode_runs,
     image_key,
     options_tag,
+    replay_keys,
     result_key,
     trace_key,
 )
@@ -72,6 +73,16 @@ def test_result_key_is_order_sensitive():
     assert result_key("img", [[1], [2]], opts) == base
     assert result_key("img", [[2], [1]], opts) != base
     assert result_key("img", [[1], [2]], options_tag(optimize=False)) != base
+
+
+def test_replay_keys_cover_each_prefix_in_order():
+    keys = replay_keys("mod", "lifting", [[1], [2], [3]])
+    assert len(keys) == len(set(keys)) == 3
+    # A longer list's keys extend a shorter one's.
+    assert replay_keys("mod", "lifting", [[1], [2]]) == keys[:2]
+    assert replay_keys("mod", "lifting", [[2], [1]])[1] != keys[1]
+    assert replay_keys("mod", "bounds", [[1]])[0] != keys[0]
+    assert replay_keys("other", "lifting", [[1]])[0] != keys[0]
 
 
 def test_options_tag_is_canonical():
