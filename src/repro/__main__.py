@@ -52,7 +52,7 @@ from .binary import BinaryImage
 from .cc import compile_source
 from .core import wytiwyg_lift, wytiwyg_recompile
 from .emu import run_binary, trace_binary
-from .errors import RemoteJobError, ReproError, StaticCheckError
+from .errors import LinkError, RemoteJobError, ReproError, StaticCheckError
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -98,8 +98,14 @@ def _parse_inputs(spec: list[str]) -> list[list]:
 
 def _load_image(path: str) -> BinaryImage:
     """The binary image stored in the file at ``path``; a file that
-    holds none raises :class:`~repro.errors.LinkError`."""
-    return BinaryImage.parse(Path(path).read_bytes(), path)
+    cannot be read or holds no image raises
+    :class:`~repro.errors.LinkError` naming ``path``."""
+    try:
+        text = Path(path).read_bytes()
+    except OSError as exc:
+        raise LinkError(f"cannot read image file {path}: "
+                        f"{exc.strerror or exc}") from None
+    return BinaryImage.parse(text, path)
 
 
 def cmd_compile(args) -> int:

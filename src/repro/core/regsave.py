@@ -49,6 +49,7 @@ from ..ir.values import (
     Ret,
     Result,
     Store,
+    Value,
 )
 from ..lifting.translator import EMUSTACK_BASE, EMUSTACK_SIZE, REG_ORDER
 from ..opt.mem2reg import promote_allocas
@@ -365,12 +366,7 @@ def apply_register_classification(module: Module,
 
     # Rewrite call sites first (they reference the old Result layout).
     for func in module.functions.values():
-        for block in func.blocks:
-            calls = [i for i in block.instrs
-                     if isinstance(i, Call) and i.callee.name in plans]
-            for call in calls:
-                _rewrite_call_site(func, call,
-                                   plans[call.callee.name])
+        _rewrite_call_sites(func, plans)
 
     # Then rewrite the functions themselves.
     for name, (arg_regs, out_regs) in plans.items():
@@ -379,39 +375,58 @@ def apply_register_classification(module: Module,
         f"{n}:{len(a)}a{len(o)}o" for n, (a, o) in sorted(plans.items()))
 
 
-def _rewrite_call_site(caller: Function, call: Call,
-                       plan: tuple[list[str], list[str]]) -> None:
-    arg_regs, out_regs = plan
-    old_args = call.args  # [sp, eax, ecx, edx, ebx, ebp, esi, edi]
-    reg_index = {reg: i for i, reg in enumerate(REG_ORDER)}
-    new_args = [old_args[0]] + [old_args[1 + reg_index[r]]
-                                for r in arg_regs]
+def _rewrite_call_sites(caller: Function,
+                        plans: dict[str, tuple[list[str], list[str]]]
+                        ) -> None:
+    """Rewrite every call in ``caller`` whose callee has a plan to the
+    callee's new signature, in one sweep over the caller.
 
-    # Replace dropped results with the caller's own pre-call values --
-    # the paper's save/restore-at-call-site rewrite.
-    replacements: dict[Instr, object] = {}
-    new_index = {reg: i for i, reg in enumerate(out_regs)}
-    block = call.block
-    for instr in list(block.instrs):
-        if isinstance(instr, Result) and instr.call is call:
+    A dropped result is replaced by the caller's own pre-call value of
+    its register -- the paper's save/restore-at-call-site rewrite.  That
+    value can be a result an earlier call drops, so the replacements
+    are collected first and then resolved through such chains.
+    """
+    reg_index = {reg: i for i, reg in enumerate(REG_ORDER)}
+    replacements: dict[Instr, Value] = {}
+    rewritten = False
+    for block in caller.blocks:
+        sites = {i: plans[i.callee.name] for i in block.instrs
+                 if isinstance(i, Call) and i.callee.name in plans}
+        if not sites:
+            continue
+        rewritten = True
+        for instr in block.instrs:
+            if not isinstance(instr, Result) or instr.call not in sites:
+                continue
+            call = instr.call
+            out_regs = sites[call][1]
             reg = REG_ORDER[instr.index]
-            if reg not in new_index:
-                replacements[instr] = old_args[1 + reg_index[reg]]
+            if reg not in out_regs:
+                # call.ops is [callee, sp, eax, ecx, ..., edi].
+                replacements[instr] = call.ops[2 + reg_index[reg]]
             elif len(out_regs) == 1:
                 # Single-result convention: the call itself is the value.
                 replacements[instr] = call
             else:
-                instr.index = new_index[reg]
+                instr.index = out_regs.index(reg)
+        for call, (arg_regs, out_regs) in sites.items():
+            old = call.ops
+            call.ops = [old[0], old[1],
+                        *(old[2 + reg_index[r]] for r in arg_regs)]
+            call.nresults = len(out_regs)
+    if not rewritten:
+        return
     if replacements:
-        for b in caller.blocks:
-            b.instrs = [i for i in b.instrs if i not in replacements]
-            for instr in b.instrs:
-                instr.ops = [replacements.get(op, op)
-                             for op in instr.ops]
-    callee_ref = call.ops[0]
-    call.ops = [callee_ref, *new_args]
-    call.nresults = len(out_regs)
-    # The call's operands and its Results' indices changed in place.
+        for instr, value in replacements.items():
+            while value in replacements:
+                value = replacements[value]
+            replacements[instr] = value
+        for block in caller.blocks:
+            block.instrs = [i for i in block.instrs
+                            if i not in replacements]
+            for instr in block.instrs:
+                instr.ops = [replacements.get(op, op) for op in instr.ops]
+    # The calls' operands and their Results' indices changed in place.
     caller.invalidate()
 
 

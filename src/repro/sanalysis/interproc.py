@@ -453,6 +453,8 @@ def _build_local_summary(func: Function) -> LocalSummary:
         return out
     interp = _PInterpreter(func)
     values = interp.run()
+    # region -> the accesses already in out.accesses[region]
+    recorded: dict = {}
 
     def val(v: Value) -> PVal:
         if isinstance(v, Const):
@@ -474,8 +476,12 @@ def _build_local_summary(func: Function) -> LocalSummary:
         else:
             acc = RAccess(lo, fact.hi + width, width, kind,
                           exact=fact.is_exact)
-        out.accesses.setdefault(fact.region, [])
-        if acc not in out.accesses[fact.region]:
+        seen = recorded.get(fact.region)
+        if seen is None:
+            seen = recorded[fact.region] = set()
+            out.accesses[fact.region] = []
+        if acc not in seen:
+            seen.add(acc)
             out.accesses[fact.region].append(acc)
 
     def record_slot(off: int, value: Value) -> None:

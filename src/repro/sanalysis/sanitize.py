@@ -31,6 +31,7 @@ optimizer depends on.
 from __future__ import annotations
 
 import re
+from collections import deque
 
 from ..ir.module import Block, Function, Module
 from ..ir.values import (
@@ -88,6 +89,26 @@ def _intersect(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _join(a: dict, b: dict) -> dict:
+    """Must-init join of two states, each mapping an alloca to its
+    initialized bytes and holding only allocas with some: an alloca
+    stays where both sides initialized part of it, an equal entry is
+    kept as it is, and an empty intersection is dropped."""
+    if len(b) < len(a):
+        a, b = b, a
+    out = {}
+    for alloca, init in a.items():
+        other = b.get(alloca)
+        if other is None:
+            continue
+        if other is not init and other != init:
+            init = _intersect(init, other)
+            if not init:
+                continue
+        out[alloca] = init
+    return out
+
+
 # -- independent escape scan ------------------------------------------------
 
 
@@ -97,16 +118,17 @@ def _alloca_roots(func: Function) -> dict[Value, Alloca]:
     separate implementation from :class:`AliasAnalysis` so the two can
     corroborate each other."""
     roots: dict[Value, Alloca] = {}
+    derived = []
     for instr in func.instructions():
         if isinstance(instr, Alloca):
             roots[instr] = instr
+        elif isinstance(instr, Phi) or (isinstance(instr, BinOp)
+                                        and instr.opcode in ("add", "sub")):
+            derived.append(instr)
     for _ in range(12):
         changed = False
-        for instr in func.instructions():
-            if instr in roots or not isinstance(instr, (BinOp, Phi)):
-                continue
-            if isinstance(instr, BinOp) \
-                    and instr.opcode not in ("add", "sub"):
+        for instr in derived:
+            if instr in roots:
                 continue
             ops = [op for op in instr.operands() if op is not instr]
             found = {roots[op] for op in ops if op in roots}
@@ -189,8 +211,9 @@ def _check_escapes(func: Function, aa: AliasAnalysis,
         seen.add(key)
         findings.append(Finding(
             "info", ESCAPED_FRAME_POINTER, func.name,
-            f"address of {_describe(alloca)} {how} "
-            f"({site!r}); mem2reg/DSE must treat it as shared",
+            f"address of {_describe(alloca)} {how} ({site.opcode} in "
+            f"block {site.block.name}); mem2reg/DSE must treat it as "
+            f"shared",
             provenance={"pass": "sanitize",
                         "variable": _describe(alloca)}))
         if alloca not in aa.escaped:
@@ -258,35 +281,43 @@ def _check_interproc_escapes(func: Function,
 
 
 def _check_uninit(func: Function, aa: AliasAnalysis) -> list[Finding]:
-    """Must-init forward dataflow over tracked (non-escaping) allocas."""
-    tracked = [i for i in func.instructions()
-               if isinstance(i, Alloca) and i not in aa.escaped]
-    if not tracked:
+    """Must-init forward dataflow over tracked (non-escaping) allocas.
+
+    A state maps each tracked alloca with initialized bytes to them
+    (sorted disjoint byte intervals); an alloca it does not hold has
+    none, so a state costs what the path initialized, not one entry per
+    tracked alloca."""
+    # Each block's loads and stores of tracked (non-escaping) allocas,
+    # resolved once: (instr, alloca, offset or None); the fixpoint
+    # revisits blocks.
+    accesses: dict[Block, list] = {}
+    for block in func.blocks:
+        found = []
+        for instr in block.instrs:
+            if isinstance(instr, (Load, Store)):
+                fact = aa.fact_for(instr.addr)
+                if fact[0] == "alloca" and fact[1] not in aa.escaped:
+                    found.append((instr, fact[1], fact[2]))
+        accesses[block] = found
+    if not any(accesses.values()):
         return []
-    tracked_set = set(tracked)
 
     def transfer_block(block: Block, state: dict,
                        findings: list | None) -> dict:
         state = dict(state)
         reported = set()
-        for instr in block.instrs:
+        for instr, alloca, offset in accesses[block]:
             if isinstance(instr, Store):
-                fact = aa.fact_for(instr.addr)
-                if fact[0] == "alloca" and fact[1] in tracked_set:
-                    alloca, offset = fact[1], fact[2]
-                    if offset is None:
-                        # Variable-offset store: assume it may have
-                        # initialized anything (anti-false-positive).
-                        state[alloca] = ((0, alloca.size),)
-                    else:
-                        state[alloca] = _add_interval(
-                            state.get(alloca, ()), offset,
-                            offset + instr.size)
-            elif isinstance(instr, Load) and findings is not None:
-                fact = aa.fact_for(instr.addr)
-                if fact[0] != "alloca" or fact[1] not in tracked_set:
-                    continue
-                alloca, offset = fact[1], fact[2]
+                if offset is None:
+                    # Variable-offset store: assume it may have
+                    # initialized anything (anti-false-positive).
+                    state[alloca] = ((0, alloca.size),)
+                else:
+                    init = _add_interval(state.get(alloca, ()), offset,
+                                         offset + instr.size)
+                    if init:
+                        state[alloca] = init
+            elif findings is not None:
                 init = state.get(alloca, ())
                 if offset is not None:
                     bad = not _covers(init, offset, offset + instr.size)
@@ -307,19 +338,14 @@ def _check_uninit(func: Function, aa: AliasAnalysis) -> list[Finding]:
                                     "block": block.name}))
         return state
 
-    def join(a: dict | None, b: dict) -> dict:
-        if a is None:
-            return dict(b)
-        return {alloca: _intersect(a.get(alloca, ()),
-                                   b.get(alloca, ()))
-                for alloca in set(a) | set(b)}
-
     in_states: dict[Block, dict | None] = {b: None for b in func.blocks}
     in_states[func.entry] = {}
     out_states: dict[Block, dict] = {}
-    work = list(func.blocks)
+    work = deque(func.blocks)
+    queued = set(work)
     while work:
-        block = work.pop(0)
+        block = work.popleft()
+        queued.discard(block)
         in_state = in_states[block]
         if in_state is None:
             continue
@@ -330,10 +356,12 @@ def _check_uninit(func: Function, aa: AliasAnalysis) -> list[Finding]:
         if not block.is_terminated:
             continue
         for succ in block.successors():
-            joined = join(in_states[succ], out)
-            if joined != in_states[succ]:
+            old = in_states[succ]
+            joined = out if old is None else _join(old, out)
+            if joined != old:
                 in_states[succ] = joined
-                if succ not in work:
+                if succ not in queued:
+                    queued.add(succ)
                     work.append(succ)
 
     findings: list[Finding] = []

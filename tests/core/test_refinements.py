@@ -334,3 +334,62 @@ def test_call_site_rewrite_invalidates_the_caller():
     assert current_epoch(main) != before
     verify_module(m)
     assert run_module(m).exit_code == 5
+
+
+def test_a_result_one_call_drops_can_be_the_next_calls_argument():
+    # g keeps eax and edx and hands ecx back unchanged, so each call
+    # drops its ecx result.  The first call's ecx result is the second
+    # call's ecx argument: the second call's dropped result resolves
+    # through it to the first call's own ecx argument.
+    from repro.ir import Builder, Function, Module
+    from repro.ir.printer import module_to_text
+    from repro.lifting.translator import REG_ORDER
+
+    m = Module()
+    g = Function("g", ["sp", *REG_ORDER], nresults=len(REG_ORDER))
+    gb = Builder(g)
+    gb.position(g.add_block("entry"))
+    eax, ecx = g.params[1], g.params[2]
+    gb.ret([gb.add(eax, ecx), ecx, gb.mul(eax, Const(2)), *g.params[4:]])
+    m.add_function(g)
+    main = Function("main", [])
+    b = Builder(main)
+    b.position(main.add_block("entry"))
+    sp = Const(0x1000)
+    first = b.call("g", [sp, *map(Const, range(1, 8))],
+                   nresults=len(REG_ORDER))
+    eax1, ecx1, edx1 = (b.result(first, i) for i in range(3))
+    second = b.call("g", [sp, eax1, ecx1, edx1, *map(Const, range(4, 8))],
+                    nresults=len(REG_ORDER))
+    eax2, ecx2, edx2 = (b.result(second, i) for i in range(3))
+    b.ret([b.add(b.add(eax2, ecx2), edx2)])
+    m.add_function(main)
+    m.entry_name = "main"
+    assert run_module(m).exit_code == 13
+    apply_register_classification(m, RegSaveResult(
+        args={"g": {"eax", "ecx"}}, outputs={"g": {"eax", "edx"}}))
+    verify_module(m)
+    assert run_module(m).exit_code == 13
+    assert module_to_text(m) == """\
+; module module
+
+func @g(%sp, %eax, %ecx) -> 2 {
+entry:
+  %0 = add %eax, %ecx
+  %1 = mul %eax, 2
+  ret %0, %1
+}
+
+func @main() -> 1 {
+entry:
+  %0 = call @g(4096, 1, 2) -> 2
+  %1 = result %0[0]
+  %2 = result %0[1]
+  %3 = call @g(4096, %1, 2) -> 2
+  %4 = result %3[0]
+  %5 = result %3[1]
+  %6 = add %4, 2
+  %7 = add %6, %5
+  ret %7
+}
+"""

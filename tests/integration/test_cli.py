@@ -140,7 +140,7 @@ def test_store_gc_accepts_zero_and_suffixed_sizes(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("content, kind", [
-    (None, "FileNotFoundError"),
+    (None, "LinkError"),
     ('{"entry": 0}', "LinkError"),
     ("not json", "LinkError"),
     ("[1, 2]", "LinkError"),
@@ -228,6 +228,24 @@ def test_recompile_check_strict_aborts(undertrace_file, tmp_path,
     err = capsys.readouterr().err
     assert "static check gate" in err
     assert not recovered.exists()
+
+
+def test_check_json_is_the_same_on_every_run(tmp_path, capsys):
+    # The escaped split is an error, so each run exits 1; the report
+    # names every site without object addresses.
+    source = Path(__file__).resolve().parents[2] / "examples" / "escape.c"
+    image = tmp_path / "escape.img.json"
+    assert main(["compile", str(source), "-o", str(image)]) == 0
+    reports = []
+    for n in range(2):
+        report = tmp_path / f"check{n}.json"
+        assert main(["check", str(image), "--input", "int:3",
+                     "--json", str(report)]) == 1
+        reports.append(report.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert b"escaped-frame-pointer" in reports[0]
+    assert b"%<" not in reports[0]
 
 
 @pytest.fixture(params=[0, 2], ids=["in-process", "pool"])

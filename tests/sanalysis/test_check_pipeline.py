@@ -10,6 +10,8 @@ must repair the layout, and the repaired recompile must be
 byte-identical on a held-out input that walks the full array.
 """
 
+from pathlib import Path
+
 import pytest
 
 from tests.conftest import FEATURE_SOURCE, KERNEL_SOURCE, cached_image
@@ -17,6 +19,8 @@ from repro import obs
 from repro.core.driver import wytiwyg_lift, wytiwyg_recompile
 from repro.emu import run_binary, trace_binary
 from repro.errors import StaticCheckError
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 UNDERTRACE_SOURCE = r"""
 int main() {
@@ -165,3 +169,17 @@ def test_check_report_in_result(undertrace_image):
     # applied widening row and no coverage-gap finding.
     assert any(w["applied"] for w in doc["widenings"]), doc["widenings"]
     assert not any(f["kind"] == "coverage-gap" for f in doc["findings"])
+
+
+def test_finding_messages_name_no_object_address():
+    # The escaped-frame-pointer finding names its site by opcode and
+    # block: an unnamed operand would print as an object address, which
+    # differs from run to run.
+    source = (EXAMPLES / "escape.c").read_text()
+    result = wytiwyg_recompile(cached_image(source), [[3]],
+                               collect_accuracy=False)
+    findings = result.check_report.findings
+    escapes = [f for f in findings if f.kind == "escaped-frame-pointer"]
+    assert escapes
+    assert "(store in block " in escapes[0].message
+    assert not [f.message for f in findings if "%<" in f.message]

@@ -11,6 +11,7 @@ from repro.sanalysis.interproc import (
     NUM_TOP_P,
     TOP_P,
     PVal,
+    RAccess,
     build_call_graph,
     check_escapes,
     interproc_corroborate,
@@ -156,6 +157,28 @@ def test_summary_records_slot_values_and_call_sites():
     assert site.sp_off == -48
     assert summary.slot_values[-44].pval == PVal.ptr("sp", -32, -32)
     assert summary.slot_values[-40].pval == PVal.const(5)
+
+
+def test_summary_records_a_repeated_access_once_in_first_seen_order():
+    f = lifted_function()
+    b = Builder(f)
+    b.position(f.add_block("entry"))
+    q = b.load(b.add(f.params[0], Const(8)))      # ("sarg", 1)
+    p = b.load(b.add(f.params[0], Const(4)))      # ("sarg", 0)
+    b.store(b.add(q, Const(8)), Const(1))
+    b.load(b.add(q, Const(8)))
+    b.store(b.add(q, Const(8)), Const(2))         # repeats the first store
+    b.store(p, Const(3))
+    b.load(b.add(f.params[0], Const(8)))          # repeats the first load
+    b.ret([Const(0)] * 7)
+    summary = local_summary(f)
+    assert list(summary.accesses) == ["sp", ("sarg", 1), ("sarg", 0)]
+    assert summary.accesses["sp"] == [RAccess(8, 12, 4, "load", True),
+                                      RAccess(4, 8, 4, "load", True)]
+    assert summary.accesses[("sarg", 1)] == [
+        RAccess(8, 12, 4, "store", True), RAccess(8, 12, 4, "load", True)]
+    assert summary.accesses[("sarg", 0)] == [
+        RAccess(0, 4, 4, "store", True)]
 
 
 def test_summary_is_memoized_per_version():
