@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.evaluation import QUICK_WORKLOADS
+from repro.evaluation import QUICK_WORKLOADS, sweep
 from repro.workloads import WORKLOAD_ORDER
 
 
@@ -33,5 +33,7 @@ def selected_workloads():
 
 
 @pytest.fixture(scope="session")
-def workload_names():
-    return selected_workloads()
+def cells():
+    """One sweep of the selected workloads over every configuration;
+    every table bench builds from it."""
+    return sweep(selected_workloads())

@@ -9,14 +9,10 @@ import pytest
 
 from repro.evaluation import build_figure6
 
-from .conftest import selected_workloads
-
-_NAMES = selected_workloads()
-
 
 @pytest.fixture(scope="module")
-def figure6():
-    fig = build_figure6(_NAMES)
+def figure6(cells):
+    fig = build_figure6(cells)
     rendered = fig.render()
     print("\n=== Figure 6 (normalized to gcc12 -O3 native) ===")
     print(rendered)

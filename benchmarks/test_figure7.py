@@ -8,14 +8,10 @@ import pytest
 
 from repro.evaluation import build_figure7
 
-from .conftest import selected_workloads
-
-_NAMES = selected_workloads()
-
 
 @pytest.fixture(scope="module")
-def figure7():
-    fig = build_figure7(_NAMES)
+def figure7(cells):
+    fig = build_figure7(cells)
     rendered = fig.render()
     print("\n=== Figure 7 (stack object accuracy) ===")
     print(rendered)
@@ -27,10 +23,10 @@ def figure7():
 def test_print_figure7(benchmark, figure7):
     assert figure7.precision > 0.6
     assert figure7.recall > 0.6
-    for name in _NAMES:
+    for name in figure7.workloads:
         ratios = figure7.ratios(name)
         assert ratios["matched"] >= 0.5, (name, ratios)
-    benchmark(lambda: figure7.ratios(_NAMES[0]))
+    benchmark(lambda: figure7.ratios(figure7.workloads[0]))
 
 
 def test_accuracy_metrics(benchmark, figure7):

@@ -6,14 +6,10 @@ import pytest
 
 from repro.evaluation import build_functionality
 
-from .conftest import selected_workloads
-
-_NAMES = selected_workloads()
-
 
 @pytest.fixture(scope="module")
-def matrix():
-    m = build_functionality(_NAMES)
+def matrix(cells):
+    m = build_functionality(cells)
     rendered = m.render()
     print("\n=== Functionality (§6.1) ===")
     print(rendered)

@@ -13,8 +13,7 @@ some benchmarks.
 import pytest
 
 from repro.emu import run_binary
-from repro.evaluation import build_table1
-from repro.evaluation.harness import CONFIGS, measure_cell
+from repro.evaluation import CONFIGS, build_table1
 from repro.workloads import WORKLOADS
 
 from .conftest import selected_workloads
@@ -23,8 +22,8 @@ _NAMES = selected_workloads()
 
 
 @pytest.fixture(scope="module")
-def table1():
-    table = build_table1(_NAMES)
+def table1(cells):
+    table = build_table1(cells)
     rendered = table.render()
     print("\n=== Table 1 (normalized runtime vs input binary) ===")
     print(rendered)
@@ -56,11 +55,11 @@ def test_print_table1(benchmark, table1):
 @pytest.mark.parametrize("name", _NAMES)
 @pytest.mark.parametrize("config", CONFIGS,
                          ids=[f"{c}-O{o}" for c, o in CONFIGS])
-def test_recompiled_runtime(benchmark, name, config):
-    """Benchmark the recompiled binary's execution; cycle ratios are in
-    extra_info (cached pipeline results make the setup cheap)."""
+def test_recompiled_runtime(benchmark, cells, name, config):
+    """Benchmark the input binary's execution; the cell's cycle ratios
+    are in extra_info."""
     compiler, opt = config
-    cell = measure_cell(WORKLOADS[name], compiler, opt)
+    cell = cells[(name, compiler, opt)]
     assert cell.wytiwyg_match, "recompiled binary must match the input"
     workload = WORKLOADS[name]
     image = workload.compile(compiler, opt)

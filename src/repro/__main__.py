@@ -26,7 +26,9 @@ Commands mirror the toolchain a downstream user needs:
 * ``obs diff``  structural diff of two observability JSON reports
 * ``obs regress``  perf-regression gate: fresh pytest-benchmark JSONs
   vs committed baselines, exit 1 past tolerance
-* ``eval``      regenerate the paper's tables and figures
+* ``eval``      regenerate the paper's tables and figures from one
+  uncached sweep (``--full`` for all ten benchmarks, ``--jobs N``
+  cells in parallel)
 
 Inputs are passed as ``--input int:N bytes:TEXT ...``; a ``/`` item
 separates multiple runs (e.g. ``--input int:1 / int:2``).
@@ -44,6 +46,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import obs
@@ -350,8 +353,45 @@ def cmd_obs_regress(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from examples.run_paper_eval import main as eval_main  # pragma: no cover
-    return eval_main(["--full"] if args.full else [])
+    from .evaluation import (
+        QUICK_WORKLOADS,
+        build_figure6,
+        build_figure7,
+        build_functionality,
+        build_table1,
+        sweep,
+    )
+    from .workloads import WORKLOAD_ORDER
+    if args.jobs < 0:
+        raise _usage_error(f"repro eval: --jobs must be >= 0, "
+                           f"got {args.jobs}")
+    jobs = args.jobs or os.cpu_count() or 1
+    started = time.time()
+
+    def progress(workload, compiler, opt):
+        # A pool reports a cell when it completes, a serial sweep when
+        # it starts.
+        cell = f"{workload} {compiler}-O{opt}"
+        print(f"[{time.time() - started:6.0f}s] "
+              + (f"measured {cell}" if jobs > 1
+                 else f"measuring {cell} ..."), flush=True)
+
+    cells = sweep(WORKLOAD_ORDER if args.full else QUICK_WORKLOADS,
+                  progress=progress, jobs=jobs)
+    print("\n=== Table 1: normalized runtime vs input binary ===")
+    print("(paper geomeans: nosym 1.24/0.76/1.31/1.05, "
+          "sym 1.10/0.48/1.06/0.82, SW 1.14)")
+    print(build_table1(cells).render())
+    print("\n=== Figure 6: normalized to gcc12 -O3 native ===")
+    print(build_figure6(cells).render())
+    print("\n=== Figure 7: stack object accuracy ===")
+    print("(paper: precision 94.4%, recall 87.6%)")
+    print(build_figure7(cells).render())
+    print("\n=== Functionality (§6.1) ===")
+    print(build_functionality(cells).render())
+    print(f"\ndone in {time.time() - started:.0f}s "
+          f"({'full' if args.full else 'quick'} sweep)")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -534,8 +574,15 @@ def main(argv: list[str] | None = None) -> int:
                    help="print the verdict as JSON instead of text")
     q.set_defaults(func=cmd_obs_regress)
 
-    p = sub.add_parser("eval", help="regenerate the paper's evaluation")
-    p.add_argument("--full", action="store_true")
+    p = sub.add_parser(
+        "eval",
+        help="regenerate the paper's evaluation: Table 1, Figures 6 "
+             "and 7 and the functionality matrix, from one sweep")
+    p.add_argument("--full", action="store_true",
+                   help="sweep all ten benchmarks (default: the quick "
+                        "four)")
+    p.add_argument("--jobs", type=int, default=0, metavar="N",
+                   help="measure N cells in parallel (0 = all cores)")
     p.set_defaults(func=cmd_eval)
 
     args = parser.parse_args(argv)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..workloads import WORKLOADS
-from .harness import CONFIGS, geomean, sweep
+from .harness import geomean, workloads_of
 
 #: The series of Figure 6: (label, config, which runtime).
 SERIES = (
@@ -52,12 +51,10 @@ class Figure6:
         return "\n".join(lines)
 
 
-def build_figure6(workload_names: tuple[str, ...] | None = None,
-                  use_cache: bool = True, progress=None,
-                  jobs: int = 1) -> Figure6:
-    names = workload_names or tuple(WORKLOADS)
-    cells = sweep(names, CONFIGS, use_cache=use_cache, progress=progress,
-                  jobs=jobs)
+def build_figure6(cells: dict) -> Figure6:
+    """Figure 6 from the cells of one :func:`~.harness.sweep` over
+    :data:`~.harness.CONFIGS`."""
+    names = workloads_of(cells)
     fig = Figure6(names)
     baseline = {n: cells[(n, "gcc12", "3")].native_cycles for n in names}
     for label, (compiler, opt), kind in SERIES:

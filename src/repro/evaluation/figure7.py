@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.accuracy import CATEGORIES
-from ..workloads import WORKLOADS
-from .harness import sweep
+from .harness import workloads_of
 
 #: Accuracy is evaluated on the modern -O3 inputs (compiler ground truth
 #: for fully optimized binaries, like the paper's LLVM 16 comparison).
@@ -61,13 +60,10 @@ class Figure7:
         return "\n".join(lines)
 
 
-def build_figure7(workload_names: tuple[str, ...] | None = None,
-                  use_cache: bool = True, progress=None,
-                  jobs: int = 1) -> Figure7:
-    names = workload_names or tuple(WORKLOADS)
-    cells = sweep(names, (ACCURACY_CONFIG,), use_cache=use_cache,
-                  include_secondwrite=False, progress=progress,
-                  jobs=jobs)
+def build_figure7(cells: dict) -> Figure7:
+    """Figure 7 from the :data:`ACCURACY_CONFIG` cells of one
+    :func:`~.harness.sweep`."""
+    names = workloads_of(cells)
     fig = Figure7(names)
     for name in names:
         cell = cells[(name, *ACCURACY_CONFIG)]

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..workloads import WORKLOADS
-from .harness import CONFIGS, sweep
+from .harness import CONFIGS, workloads_of
 
 
 @dataclass
@@ -43,13 +42,10 @@ class FunctionalityMatrix:
         return "\n".join(lines)
 
 
-def build_functionality(workload_names: tuple[str, ...] | None = None,
-                        use_cache: bool = True,
-                        progress=None,
-                        jobs: int = 1) -> FunctionalityMatrix:
-    names = workload_names or tuple(WORKLOADS)
-    cells = sweep(names, CONFIGS, use_cache=use_cache, progress=progress,
-                  jobs=jobs)
+def build_functionality(cells: dict) -> FunctionalityMatrix:
+    """The §6.1 matrix from the cells of one :func:`~.harness.sweep`
+    over :data:`~.harness.CONFIGS`."""
+    names = workloads_of(cells)
     matrix = FunctionalityMatrix(names, CONFIGS)
     for name in names:
         for compiler, opt in CONFIGS:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..workloads import WORKLOADS
-from .harness import CONFIGS, CellResult, geomean, sweep
+from .harness import CONFIGS, CellResult, geomean, workloads_of
 
 SECONDWRITE_CONFIG = ("gcc44", "3")
 
@@ -98,10 +97,7 @@ class Table1:
         return "\n".join(lines)
 
 
-def build_table1(workload_names: tuple[str, ...] | None = None,
-                 use_cache: bool = True, progress=None,
-                 jobs: int = 1) -> Table1:
-    names = workload_names or tuple(WORKLOADS)
-    cells = sweep(names, CONFIGS, use_cache=use_cache, progress=progress,
-                  jobs=jobs)
-    return Table1(CONFIGS, names, cells)
+def build_table1(cells: dict) -> Table1:
+    """Table 1 from the cells of one :func:`~.harness.sweep` over
+    :data:`~.harness.CONFIGS`."""
+    return Table1(CONFIGS, workloads_of(cells), cells)

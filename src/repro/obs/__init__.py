@@ -22,8 +22,8 @@ every pipeline layer:
   counts functions re-enqueued after inlining
   (``opt.manager.requeued``), and analysis results migrated across
   mutations instead of recomputed (``analysis.cache.retained``);
-* the **evaluation harness** reports per-cell cache hits and misses
-  (``eval.cell_cache.*``) and per-cell timings, aggregated across
+* the **evaluation harness** reports per-cell spans (``eval.cell``)
+  and timings (``eval.cell_seconds``), aggregated across
   ``sweep(jobs=N)`` workers;
 * CPython's **cyclic garbage collector** reports each pass by the
   oldest generation it collects (``gc.collections.gen0/1/2``) and its

@@ -141,15 +141,13 @@ def test_concurrent_emission_produces_clean_jsonl(tmp_path):
 def test_parallel_sweep_appends_worker_events(tmp_path, monkeypatch):
     """sweep(jobs=2) workers inherit the file-backed ledger descriptor
     over fork and append their events without corrupting the JSONL."""
-    monkeypatch.setenv("REPRO_EVAL_CACHE", str(tmp_path / "cache"))
     monkeypatch.setitem(WORKLOADS, TINY.name, TINY)
     path = tmp_path / "events.jsonl"
     obs.enable(reset=True)
     obs.enable_ledger(path)
     try:
         out = sweep((TINY.name,),
-                    configs=(("gcc12", "3"), ("gcc12", "0")),
-                    include_secondwrite=False, jobs=2)
+                    configs=(("gcc12", "3"), ("gcc12", "0")), jobs=2)
     finally:
         obs.disable_ledger()
         obs.disable()
@@ -173,17 +171,14 @@ def test_parallel_sweep_appends_worker_events(tmp_path, monkeypatch):
         assert len(set(seqs)) == len(seqs)
 
 
-def test_in_memory_sweep_events_ride_worker_payloads(tmp_path,
-                                                     monkeypatch):
+def test_in_memory_sweep_events_ride_worker_payloads(monkeypatch):
     """With an in-memory ledger the workers cannot share the parent's
     list; their events come home on the obs payloads instead."""
-    monkeypatch.setenv("REPRO_EVAL_CACHE", str(tmp_path / "cache"))
     monkeypatch.setitem(WORKLOADS, TINY.name, TINY)
     obs.enable(reset=True)
     led = obs.enable_ledger()
     try:
-        out = sweep((TINY.name,), configs=(("gcc12", "3"),),
-                    include_secondwrite=False, jobs=2)
+        out = sweep((TINY.name,), configs=(("gcc12", "3"),), jobs=2)
         docs = list(led.events)
     finally:
         obs.disable_ledger()

@@ -23,16 +23,14 @@ int main() {
 )
 
 
-def test_parallel_sweep_merges_worker_metrics(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_EVAL_CACHE", str(tmp_path))
+def test_parallel_sweep_merges_worker_metrics(monkeypatch):
     # Workers see the injected workload because the pool forks after it
     # lands in the (shared) WORKLOADS dict.
     monkeypatch.setitem(WORKLOADS, TINY.name, TINY)
     obs.enable(reset=True)
     try:
         out = sweep((TINY.name,),
-                    configs=(("gcc12", "3"), ("gcc12", "0")),
-                    include_secondwrite=False, jobs=2)
+                    configs=(("gcc12", "3"), ("gcc12", "0")), jobs=2)
         doc = obs.export(obs.recorder())
     finally:
         obs.disable()
@@ -50,16 +48,13 @@ def test_parallel_sweep_merges_worker_metrics(tmp_path, monkeypatch):
     # Engine-level metrics recorded inside the workers merged too.
     counters = doc["metrics"]["counters"]
     assert counters["emu.instructions_retired"] > 0
-    assert counters["eval.cell_cache.miss"] == 2
 
 
-def test_serial_sweep_records_in_parent(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_EVAL_CACHE", str(tmp_path))
+def test_serial_sweep_records_in_parent(monkeypatch):
     monkeypatch.setitem(WORKLOADS, TINY.name, TINY)
     obs.enable(reset=True)
     try:
-        out = sweep((TINY.name,), configs=(("gcc12", "0"),),
-                    include_secondwrite=False, jobs=1)
+        out = sweep((TINY.name,), configs=(("gcc12", "0"),), jobs=1)
         doc = obs.export(obs.recorder())
     finally:
         obs.disable()

@@ -1,7 +1,6 @@
-"""The environment surface: the package reads two variables, both
-deployment paths (the artifact store's root and the evaluation cell
-cache's root), and nothing that changes what a recompile builds or
-whether it is observed."""
+"""The environment surface: the package reads one variable, a
+deployment path (the artifact store's root), and nothing that changes
+what a recompile builds or whether it is observed."""
 
 import os
 import re
@@ -14,11 +13,11 @@ import repro
 SRC = Path(repro.__file__).resolve().parent
 
 
-def test_only_the_two_cache_roots_are_read_from_the_environment():
+def test_only_the_store_root_is_read_from_the_environment():
     names = set()
     for path in SRC.rglob("*.py"):
         names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
-    assert names == {"REPRO_STORE", "REPRO_EVAL_CACHE"}
+    assert names == {"REPRO_STORE"}
 
 
 def test_importing_repro_starts_no_observability(tmp_path):
