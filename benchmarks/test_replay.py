@@ -130,7 +130,7 @@ def test_bench_bounds_observer_share(benchmark):
     timings: dict = {}
     real = ReplayEngine.run_instrumented
 
-    def measured(engine, module, stage):
+    def measured(engine, module, stage, classification):
         # ``module`` carries its probes only inside this call.
         snapshots = []
         for _ in range(OBSERVED_ROUNDS):
@@ -141,7 +141,7 @@ def test_bench_bounds_observer_share(benchmark):
             timings.setdefault("bare", []).append(
                 _bounds_run(module, items, None))
         timings["snapshots"] = snapshots
-        return real(engine, module, stage)
+        return real(engine, module, stage, classification)
 
     with mock.patch.object(ReplayEngine, "run_instrumented", measured):
         benchmark.pedantic(lambda: wytiwyg_lift(traces), rounds=1,

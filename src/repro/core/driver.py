@@ -288,7 +288,8 @@ def wytiwyg_lift(traces: TraceSet,
     with obs.span("stage.regsave") as sp:
         before = module_stats(module) if observing else None
         classification = classify_registers(
-            module, engine.unique_inputs, check=engine.checker("lifting"))
+            module, engine.unique_inputs,
+            check=engine.checker("lifting", engine.lifted_key))
         apply_register_classification(module, classification)
         verify_module(module)
         if before is not None:
@@ -319,7 +320,8 @@ def wytiwyg_lift(traces: TraceSet,
     with obs.span("stage.bounds") as sp:
         before = module_stats(module) if observing else None
         mi = instrument_module(module)
-        runtime = engine.run_instrumented(module, "register refinement")
+        runtime = engine.run_instrumented(module, "register refinement",
+                                          classification)
         strip_probes(module)
         verify_module(module)
 

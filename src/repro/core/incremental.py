@@ -26,15 +26,18 @@ Four layers of reuse, cheapest first:
 3. **Replay reuse** — every refinement still runs (lift, varargs,
    the §4.1 and §4.2 rewrites, static widening, the sanitizer and the
    gate), but each of the three replay stages is a ``replay`` record,
-   keyed on the module the stage runs (:func:`~repro.store.module_key`)
-   and the ordered distinct inputs it observed.  A request restores
-   the stage's state for the longest stored prefix of its own distinct
-   inputs and replays and checks only the rest, so an added input that
-   reaches no new code is the only one that replays
+   keyed on the module the stage runs and the ordered distinct inputs
+   it observed.  The lifted and the instrumented module are keyed on
+   what built them (:func:`~repro.store.lifted_module_key`,
+   :func:`~repro.store.instrumented_module_key`), the symbolized one
+   on its printed text (:func:`~repro.store.module_key`).  A request
+   restores the stage's state for the longest stored prefix of its own
+   distinct inputs and replays and checks only the rest, so an added
+   input that reaches no new code is the only one that replays
    (:attr:`JobStats.replay_reused` counts the runs restored).  An input
-   that reaches new code changes the lifted module: every stage replays
-   every input, and the request still pays for the keys and the
-   records.
+   that reaches new code changes the lifted module: every stage
+   replays every input, and the request still writes the three
+   records, but it no longer pays to print the two large modules.
 4. **Back-end reuse** — the image that O3 and lowering build from the
    symbolized module is a ``backend`` record, keyed on that module's
    key and ``optimize``.  An added input that leaves the symbolized

@@ -270,7 +270,7 @@ def classify_registers(module: Module,
         if is_lifted_function(func):
             promote_allocas(func)
     plugin = RegSavePlugin()
-    start = 0 if check is None else check.resume(module, plugin.restore)
+    start = 0 if check is None else check.resume(plugin.restore)
     with Interpreter(module, shadow=plugin) as interp:
         for n in range(start, len(inputs)):
             interp.reset(inputs[n])
@@ -388,13 +388,13 @@ def _rewrite_call_sites(caller: Function,
     """
     reg_index = {reg: i for i, reg in enumerate(REG_ORDER)}
     replacements: dict[Instr, Value] = {}
-    rewritten = False
+    site_blocks = []
     for block in caller.blocks:
         sites = {i: plans[i.callee.name] for i in block.instrs
                  if isinstance(i, Call) and i.callee.name in plans}
         if not sites:
             continue
-        rewritten = True
+        site_blocks.append(block)
         for instr in block.instrs:
             if not isinstance(instr, Result) or instr.call not in sites:
                 continue
@@ -414,20 +414,34 @@ def _rewrite_call_sites(caller: Function,
             call.ops = [old[0], old[1],
                         *(old[2 + reg_index[r]] for r in arg_regs)]
             call.nresults = len(out_regs)
-    if not rewritten:
+    if not site_blocks:
         return
     if replacements:
         for instr, value in replacements.items():
             while value in replacements:
                 value = replacements[value]
             replacements[instr] = value
-        for block in caller.blocks:
+        # A call's results sit in the call's block.
+        for block in site_blocks:
             block.instrs = [i for i in block.instrs
                             if i not in replacements]
-            for instr in block.instrs:
-                instr.ops = [replacements.get(op, op) for op in instr.ops]
+        _substitute(caller, Result, replacements)
     # The calls' operands and their Results' indices changed in place.
     caller.invalidate()
+
+
+def _substitute(func: Function, kind: type, mapping: dict) -> None:
+    """Replace each operand of type ``kind`` that ``mapping`` maps in
+    ``func``.  Only an instruction that has such an operand gets a new
+    operand list; most instructions read neither a parameter nor a
+    dropped result, and keep theirs."""
+    for block in func.blocks:
+        for instr in block.instrs:
+            ops = instr.ops
+            if kind in map(type, ops) and any(
+                    type(op) is kind and op in mapping for op in ops):
+                instr.ops = [mapping.get(op, op) if type(op) is kind
+                             else op for op in ops]
 
 
 def _rewrite_function(func: Function, arg_regs: list[str],
@@ -440,13 +454,11 @@ def _rewrite_function(func: Function, arg_regs: list[str],
     for i, reg in enumerate(REG_ORDER):
         old = old_params[1 + i]
         param_map[old] = new_by_reg.get(reg, Const(0))
+    _substitute(func, Param, param_map)
     reg_index = {reg: i for i, reg in enumerate(REG_ORDER)}
     for block in func.blocks:
-        for instr in block.instrs:
-            instr.ops = [param_map.get(op, op) if isinstance(op, Param)
-                         else op for op in instr.ops]
-            if isinstance(instr, Ret) and len(instr.ops) == \
-                    len(REG_ORDER):
-                instr.ops = [instr.ops[reg_index[r]] for r in out_regs]
+        instr = block.instrs[-1] if block.instrs else None
+        if isinstance(instr, Ret) and len(instr.ops) == len(REG_ORDER):
+            instr.ops = [instr.ops[reg_index[r]] for r in out_regs]
     func.nresults = len(out_regs)
     func.invalidate()

@@ -87,12 +87,16 @@ class AblationReport:
 
 def run_ablation(workload_name: str, compiler: str = "gcc12",
                  opt_level: str = "3") -> AblationReport:
+    """Recompile the workload once per ablation and run each image on
+    the workload's inputs.  The input image runs once per input; every
+    ablated run must match that run's stdout and exit code, else
+    :class:`AssertionError`."""
     workload = WORKLOADS[workload_name]
     image = workload.compile(compiler, opt_level)
     inputs = workload.inputs()
     report = AblationReport(workload_name, compiler, opt_level)
-    report.native_cycles = sum(
-        run_binary(image, items).cycles for items in inputs)
+    native = [run_binary(image, items) for items in inputs]
+    report.native_cycles = sum(result.cycles for result in native)
 
     traces = trace_binary(image.stripped(), inputs)
     for name in ABLATIONS:
@@ -106,10 +110,9 @@ def run_ablation(workload_name: str, compiler: str = "gcc12",
             fold_chains=(name != "no-addr-folding"))
         recovered = recompile_ir(module, lower)
         cycles = 0
-        for items in inputs:
+        for items, expected in zip(inputs, native, strict=True):
             result = run_binary(recovered, items)
-            expected = run_binary(image, items)
-            if result.stdout != expected.stdout:
+            if not result.matches(expected):
                 raise AssertionError(
                     f"{workload_name}/{name}: ablated binary diverged")
             cycles += result.cycles

@@ -30,11 +30,17 @@ its argument counts come from the trace.)  That replay loop dominates
   :meth:`~repro.core.runtime.TracingRuntime.bind` resets the per-run
   state before each input;
 * **resumed from the store** — given an artifact store (a served
-  request), each stage (:class:`StageCheck`) keys the module it runs
-  (:func:`module_text`), restores the cross-run state a ``replay``
-  record holds for the longest prefix of its distinct inputs, runs and
-  checks only the inputs after it, and records its state for the whole
-  list once every run has passed.  No run reads what earlier inputs
+  request), each stage (:class:`StageCheck`) keys the module it runs,
+  restores the cross-run state a ``replay`` record holds for the
+  longest prefix of its distinct inputs, runs and checks only the
+  inputs after it, and records its state for the whole list once every
+  run has passed.  The §4.1 observation and the bounds runs key their
+  modules on what built them, without reading the modules: the trace
+  coverage (:func:`~repro.store.lifted_module_key`), and that key with
+  the §4.1 classification
+  (:func:`~repro.store.instrumented_module_key`).  Only the final
+  sweep prints its module (:func:`module_text`), whose key the back
+  end shares.  No run reads what earlier inputs
   accumulated (observations only grow, and the per-run state is reset
   before each input), so a resumed stage ends in the state a replay of
   every input reaches.  A campaign adds inputs at the end, so its next
@@ -66,12 +72,20 @@ from ..ir.interp import Interpreter
 from ..ir.module import Module
 from ..ir.printer import module_to_text
 from ..ir.values import Intrinsic
-from ..store import ArtifactStore, module_key, replay_keys
+from ..store import (
+    ArtifactStore,
+    instrumented_module_key,
+    lifted_module_key,
+    module_key,
+    replay_keys,
+)
 
 
 def module_text(module: Module) -> str:
     """The key text of ``module``: everything a replay run or the back
-    end reads of it.
+    end reads of it.  Only the symbolized module is keyed on it (the
+    final sweep's record and the back end's); the earlier stages key
+    theirs on what built them.
 
     That is the printed module (:func:`~repro.ir.printer.module_to_text`),
     each probe's metadata (the tracing runtime binds it when the probe
@@ -116,38 +130,40 @@ class StageCheck:
     """The checked runs of one replay stage over the engine's distinct
     inputs (:meth:`ReplayEngine.checker`).
 
-    A stage calls :meth:`resume` with the module it runs, makes each
-    remaining input's run through ``check(n, run)``, and hands its
-    cross-run state to :meth:`passed` once every run has passed.
+    A stage calls :meth:`resume`, makes each remaining input's run
+    through ``check(n, run)``, and hands its cross-run state to
+    :meth:`passed` once every run has passed.
     """
 
-    def __init__(self, engine: "ReplayEngine", stage: str):
+    def __init__(self, engine: "ReplayEngine", stage: str, module_key):
         self.engine = engine
         self.stage = stage
+        #: Gives the key of the module the stage runs; called only with
+        #: a store.
+        self._module_key = module_key
         #: How many leading distinct inputs were restored, not run.
         self.start = 0
         #: The ``replay`` keys of each prefix of the distinct inputs
         #: (with a store).
         self._keys: list[str] = []
 
-    def resume(self, module: Module, restore=None) -> int:
+    def resume(self, restore=None) -> int:
         """Restore the stage from the store: the number of leading
-        distinct inputs whose runs need not be made on ``module``.
+        distinct inputs whose runs need not be made.
 
-        With a store, ``module`` is keyed (:attr:`ReplayEngine.
-        module_keys`), and the state a ``replay`` record holds for the
-        longest prefix of the distinct inputs goes to ``restore(state)``.
-        The whole list is looked up (a store hit or miss); a shorter
-        prefix, longest first, only when its record exists.  A corrupt
-        record counts in ``store.corrupt`` and the next shorter prefix
-        is tried.  Without a store, 0.
+        With a store, the module the stage runs is keyed
+        (:attr:`ReplayEngine.module_keys`), and the state a ``replay``
+        record holds for the longest prefix of the distinct inputs goes
+        to ``restore(state)``.  The whole list is looked up (a store hit
+        or miss); a shorter prefix, longest first, only when its record
+        exists.  A corrupt record counts in ``store.corrupt`` and the
+        next shorter prefix is tried.  Without a store, 0.
         """
         engine = self.engine
         store = engine.store
         if store is None:
             return 0
-        mod_key = module_key(engine.img_key, module_text(module))
-        engine.module_keys[self.stage] = mod_key
+        mod_key = engine.module_keys[self.stage] = self._module_key()
         keys = self._keys = replay_keys(mod_key, self.stage,
                                         engine.unique_inputs)
         for n in range(len(keys), 0, -1):
@@ -219,22 +235,31 @@ class ReplayEngine:
         self.notes: list[str] = []
         #: Runs restored from the store instead of made.
         self.reused = 0
-        #: With a store: each stage's key of the module it ran
-        #: (:func:`~repro.store.module_key`); the back end keys its
-        #: record on the symbolized module's.
+        #: With a store: each stage's key of the module it ran; the
+        #: back end keys its record on the symbolized module's.
         self.module_keys: dict[str, str] = {}
+        self._lifted_key: str | None = None
 
     @property
     def unique_inputs(self) -> list[list]:
         return [self.traces.inputs[i] for i in self.unique]
 
+    def lifted_key(self) -> str:
+        """The key of the module lifted from the traces, with its
+        varargs rewritten and its registers promoted
+        (:func:`~repro.store.lifted_module_key`), computed once."""
+        if self._lifted_key is None:
+            self._lifted_key = lifted_module_key(self.img_key, self.traces)
+        return self._lifted_key
+
     # -- checks ---------------------------------------------------------------
 
-    def checker(self, stage: str) -> StageCheck:
+    def checker(self, stage: str, module_key) -> StageCheck:
         """The checked runs of a stage named ``stage`` over
         :attr:`unique_inputs`, made in traced order, so a failure names
-        the earliest diverging input."""
-        return StageCheck(self, stage)
+        the earliest diverging input.  ``module_key()`` gives the key of
+        the module the stage runs, and is called only with a store."""
+        return StageCheck(self, stage, module_key)
 
     def _fail(self, stage: str, index: int, reason: str,
               interp_error: bool) -> None:
@@ -263,12 +288,13 @@ class ReplayEngine:
 
         Traced runs replay cheapest first and the sweep stops at the
         first mismatch: a broken refinement usually breaks every input,
-        so it fails on the cheapest one.  Its record holds the ok
-        verdict.
+        so it fails on the cheapest one.  The module is keyed on its key
+        text (:func:`module_text`), and its record holds the ok verdict.
         """
         with obs.timed("replay.validate_seconds"):
-            check = self.checker(stage)
-            start = check.resume(module)
+            check = self.checker(
+                stage, lambda: module_key(self.img_key, module_text(module)))
+            start = check.resume()
             inputs, results = self.traces.inputs, self.traces.results
             unique = self.unique
             order = sorted(range(start, len(unique)),
@@ -281,8 +307,8 @@ class ReplayEngine:
 
     # -- instrumented bounds runs (§4.2) -------------------------------------
 
-    def run_instrumented(self, module: Module,
-                         stage: str) -> TracingRuntime:
+    def run_instrumented(self, module: Module, stage: str,
+                         classification) -> TracingRuntime:
         """Execute the probe-instrumented module on every distinct input
         and return the tracing runtime that observed them.
 
@@ -290,13 +316,19 @@ class ReplayEngine:
         observed by one runtime, bound to the interpreter before each
         input.  Each run is checked against the trace; a failure raises
         :class:`SymbolizeError` naming ``stage`` and the earliest
-        diverging input.  Its record holds the runtime's
+        diverging input.  With a store, the module is keyed on the
+        lifted module's key and ``classification``, the §4.1
+        :class:`~repro.core.regsave.RegSaveResult` that the register
+        rewrite applied to it (:func:`~repro.store.
+        instrumented_module_key`), and its record holds the runtime's
         :meth:`~repro.core.runtime.TracingRuntime.state`.
         """
         with obs.timed("replay.bounds_seconds"):
             runtime = TracingRuntime()
-            check = self.checker(stage)
-            start = check.resume(module, runtime.restore)
+            check = self.checker(
+                stage, lambda: instrumented_module_key(self.lifted_key(),
+                                                       classification))
+            start = check.resume(runtime.restore)
             inputs = self.traces.inputs
             with Interpreter(module, probes=runtime) as interp:
                 for n in range(start, len(self.unique)):

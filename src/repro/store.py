@@ -6,10 +6,16 @@ full job results.  An artifact's key is a digest of exactly the content
 that determines it — a hit is valid by construction and nothing ever
 needs manual invalidation.
 
-Key model (full table in DESIGN.md).  A *module key*
-(:func:`module_key`) is the image content plus the key text of one
-module lifted from it (:func:`repro.replay.engine.module_text`); the
-``replay`` and ``backend`` kinds are both keyed on one:
+Key model (full table in DESIGN.md).  A *module key* addresses one
+module built from an image, and the ``replay`` and ``backend`` kinds
+are both keyed on one.  The first two replay stages key their module on
+what built it, without reading the module: the lifted module
+(:func:`lifted_module_key`) on the image and the trace coverage, the
+instrumented one (:func:`instrumented_module_key`) on the lifted key and
+the §4.1 classification.  The symbolized module, which the final sweep
+runs and the back end compiles, is keyed on its key text
+(:func:`module_key` of :func:`repro.replay.engine.module_text`), so
+that different bounds observations that symbolize alike share one key:
 
 ==========  ============================================================
 kind        keyed on
@@ -32,9 +38,10 @@ canonical ones used by :mod:`repro.core.incremental` and
 
 Keys pin the content an artifact is computed from, not the code that
 computes it: like a ``result``, a ``replay`` or ``backend`` record
-written before a change to the refinements, the interpreter, the
-optimizer or the lowering is still served after it.  After such a
-change, start from an empty store.
+written before a change to the lifter, the refinements,
+canonicalization, the instrumentation, the interpreter, the optimizer
+or the lowering is still served after it.  After such a change, start
+from an empty store.
 
 Writes are **atomic**: the entry is written to a temp file in the same
 directory, fsynced, and moved into place with :func:`os.replace`, so a
@@ -77,6 +84,8 @@ __all__ = [
     "encode_items",
     "encode_runs",
     "image_key",
+    "instrumented_module_key",
+    "lifted_module_key",
     "module_key",
     "options_tag",
     "replay_keys",
@@ -154,8 +163,41 @@ def result_key(img_key: str, runs, options: str) -> str:
 def module_key(img_key: str, text: str) -> str:
     """Digest addressing one module lifted from an image: the image and
     the module's key text (:func:`repro.replay.engine.module_text`,
-    everything a replay run and the back end read of the module)."""
+    everything a replay run and the back end read of the module).  Keys
+    the symbolized module."""
     return _digest("module", img_key, text)
+
+
+def lifted_module_key(img_key: str, traces) -> str:
+    """Digest addressing the module the lifter and the varargs rewrite
+    build from an image's merged ``traces`` (a
+    :class:`~repro.emu.tracer.TraceSet`), with its registers promoted:
+    the image and the coverage both read, that is the transfers as
+    ``(src, dst, kind)`` tuples, the executed addresses and the
+    variadic argument counts.  Each is sorted, so equal coverage gives
+    one key whatever order the inputs came in and whatever the hash
+    seed."""
+    transfers = sorted((t.src, t.dst, t.kind) for t in traces.transfers)
+    return _digest("lifted", img_key, repr(transfers),
+                   repr(sorted(traces.executed)),
+                   repr(sorted(traces.vararg_counts.items())))
+
+
+def instrumented_module_key(lifted_key: str, classification) -> str:
+    """Digest addressing the probe-instrumented module the §4.2 bounds
+    runs execute: the key of the lifted module it is built from
+    (:func:`lifted_module_key`) and the §4.1 classification the
+    register rewrite applies to it (a
+    :class:`~repro.core.regsave.RegSaveResult`), that is each
+    function's argument and output registers and the indirect call
+    targets, sorted."""
+    def per_function(regs: dict) -> str:
+        return repr(sorted((name, sorted(names))
+                           for name, names in regs.items()))
+    return _digest("instrumented", lifted_key,
+                   per_function(classification.args),
+                   per_function(classification.outputs),
+                   repr(sorted(classification.indirect_targets)))
 
 
 def replay_keys(mod_key: str, stage: str, inputs) -> list[str]:

@@ -393,3 +393,43 @@ entry:
   ret %7
 }
 """
+
+
+def test_the_signature_rewrite_rebuilds_only_the_operands_it_replaces():
+    # In g, ``seven`` reads no parameter; in main, ``kept`` reads a
+    # result the call keeps.  Both keep their operand list objects,
+    # while the instructions that read a parameter or a dropped result
+    # get new ones.
+    from repro.ir import Builder, Function, Module
+    from repro.lifting.translator import REG_ORDER
+
+    m = Module()
+    g = Function("g", ["sp", *REG_ORDER], nresults=len(REG_ORDER))
+    gb = Builder(g)
+    gb.position(g.add_block("entry"))
+    seven = gb.add(Const(3), Const(4))
+    total = gb.add(g.params[1], seven)
+    gb.ret([total, *g.params[2:]])
+    m.add_function(g)
+    main = Function("main", [])
+    b = Builder(main)
+    b.position(main.add_block("entry"))
+    call = b.call("g", [Const(0x1000), *map(Const, range(5, 12))],
+                  nresults=len(REG_ORDER))
+    kept = b.add(b.result(call, 0), Const(1))
+    dropped = b.add(b.result(call, 1), Const(1))
+    b.ret([b.add(kept, dropped)])
+    m.add_function(main)
+    m.entry_name = "main"
+    assert run_module(m).exit_code == 20
+    lists = {instr: instr.ops for instr in (seven, total, kept, dropped)}
+    apply_register_classification(m, RegSaveResult(
+        args={"g": {"eax"}}, outputs={"g": {"eax", "edx"}}))
+    verify_module(m)
+    assert run_module(m).exit_code == 20
+    assert seven.ops is lists[seven]
+    assert kept.ops is lists[kept]
+    assert total.ops is not lists[total]
+    assert total.ops == [g.params[1], seven]
+    assert dropped.ops is not lists[dropped]
+    assert dropped.ops == [Const(6), Const(1)]

@@ -126,8 +126,8 @@ def bounds_snapshot(opt_level: str) -> dict:
     real = ReplayEngine.run_instrumented
     snapshots = []
 
-    def run_instrumented(self, module, stage):
-        runtime = real(self, module, stage)
+    def run_instrumented(self, module, stage, classification):
+        runtime = real(self, module, stage, classification)
         snapshots.append(copy.deepcopy(runtime.snapshot()))
         return runtime
 

@@ -156,6 +156,8 @@ def test_a_one_shot_recompile_computes_no_store_key(image, monkeypatch):
     monkeypatch.setattr(driver, "backend_key", no_key)
     monkeypatch.setattr(engine, "module_text", no_key)
     monkeypatch.setattr(engine, "module_key", no_key)
+    monkeypatch.setattr(engine, "lifted_module_key", no_key)
+    monkeypatch.setattr(engine, "instrumented_module_key", no_key)
     monkeypatch.setattr(engine, "replay_keys", no_key)
     result = wytiwyg_recompile(image, BASE)
     assert not result.backend_reused

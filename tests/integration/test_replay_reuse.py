@@ -17,12 +17,14 @@ from repro import compile_source, obs, wytiwyg_recompile
 from repro.core import driver
 from repro.core.incremental import incremental_recompile
 from repro.core.instrument import instrument_module
+from repro.core.regsave import classify_registers
+from repro.core.varargs import recover_vararg_calls
 from repro.emu import trace_binary
 from repro.ir.values import CallExt, Const, Intrinsic
 from repro.lifting import lift_traces
-from repro.replay import ReplayEngine
+from repro.replay import ReplayEngine, engine
 from repro.replay.engine import module_text
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, image_key, lifted_module_key
 from repro.workloads import WORKLOADS
 from tests.conftest import e2e_cells
 from tests.integration.test_backend_reuse import BASE, SOURCE
@@ -111,8 +113,8 @@ def test_a_served_request_replays_only_the_added_inputs(case, tmp_path,
         observed.append({"regsave": copy.deepcopy(result)})
         return result
 
-    def run_instrumented(self, module, stage):
-        runtime = real_bounds(self, module, stage)
+    def run_instrumented(self, module, stage, classification):
+        runtime = real_bounds(self, module, stage, classification)
         observed[-1]["bounds"] = copy.deepcopy(runtime.snapshot())
         return runtime
 
@@ -228,3 +230,40 @@ def test_the_module_key_text_covers_what_a_run_reads_beyond_the_printed_text(
     func = next(iter(module.functions.values()))
     func.meta["inline_serial"] = 7
     assert module_text(module) == text
+
+
+@pytest.mark.parametrize("added", [[6, 0, 5], [4, 2, 5]],
+                         ids=["same-code", "new-code"])
+def test_a_served_request_prints_only_the_symbolized_module(
+        image, tmp_path, monkeypatch, added):
+    store = ArtifactStore(tmp_path / "store")
+    incremental_recompile(image, BASE, store)
+    printed = []
+    real = engine.module_text
+
+    def counting(module):
+        printed.append(module)
+        return real(module)
+
+    monkeypatch.setattr(engine, "module_text", counting)
+    served = incremental_recompile(image, BASE + [added], store)
+    assert len(printed) == 1
+    cold = wytiwyg_recompile(image, BASE + [added])
+    assert served.recovered.to_json() == cold.recovered.to_json()
+
+
+def test_equal_coverage_in_another_order_lifts_the_module_of_its_key(image):
+    # The lifted module's key reads only the trace coverage: two input
+    # orders that cover the same code share a key, and the lifter, the
+    # varargs rewrite and the register promotion build one module.
+    runs = BASE + [[6, 0, 5], [4, 0, 7]]
+    modules, keys = [], set()
+    for order in (runs, runs[::-1]):
+        traces = trace_binary(image, order)
+        module = lift_traces(traces)
+        recover_vararg_calls(module, traces)
+        classify_registers(module, [])
+        modules.append(module_text(module))
+        keys.add(lifted_module_key(image_key(image), traces))
+    assert len(keys) == 1
+    assert modules[0] == modules[1]

@@ -336,14 +336,14 @@ def test_bounds_runs_on_one_interpreter_match_fresh_ones(monkeypatch):
         interp.run()
         return runtime
 
-    def run_instrumented(self, module, stage):
+    def run_instrumented(self, module, stage, classification):
         expected = TracingRuntime()
         per_input = []
         for items in self.unique_inputs:
             run_fresh(module, items, expected)
             per_input.append(
                 snapshot(run_fresh(module, items, TracingRuntime())))
-        runtime = real(self, module, stage)
+        runtime = real(self, module, stage, classification)
         stages.append((snapshot(runtime), snapshot(expected), per_input))
         return runtime
 

@@ -1,12 +1,20 @@
 """ArtifactStore: keys, atomic writes, corruption, campaigns."""
 
+import json
 import logging
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro import store as store_module
+from repro.core.regsave import RegSaveResult
+from repro.emu.machine import RunResult
+from repro.emu.tracer import TraceSet, Transfer
 from repro.store import (
     ArtifactStore,
     Campaign,
@@ -16,11 +24,15 @@ from repro.store import (
     encode_items,
     encode_runs,
     image_key,
+    instrumented_module_key,
+    lifted_module_key,
     options_tag,
     replay_keys,
     result_key,
     trace_key,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class _FakeImage:
@@ -83,6 +95,129 @@ def test_replay_keys_cover_each_prefix_in_order():
     assert replay_keys("mod", "lifting", [[2], [1]])[1] != keys[1]
     assert replay_keys("mod", "bounds", [[1]])[0] != keys[0]
     assert replay_keys("other", "lifting", [[1]])[0] != keys[0]
+
+
+#: Two traced runs' records: (input, transfers, executed, vararg
+#: counts).
+RUN_A = ([1], {Transfer(0x10, 0x20, "call"), Transfer(0x24, 0x14, "ret"),
+               Transfer(0x14, 0x30, "jump")}, {0x10, 0x14, 0x20, 0x24},
+         {0x18: 2})
+RUN_B = ([2], {Transfer(0x10, 0x20, "call"), Transfer(0x14, 0x40, "jump"),
+               Transfer(0x40, 0x44, "fallthrough")}, {0x10, 0x14, 0x40},
+         {0x18: 3, 0x44: 1})
+
+
+def _traces(*runs) -> TraceSet:
+    traces = TraceSet(image=None)
+    for items, transfers, executed, counts in runs:
+        traces.absorb(set(transfers), set(executed), dict(counts),
+                      RunResult(0, b"", 1, 1), items)
+    return traces
+
+
+def _classification(**changes) -> RegSaveResult:
+    fields = {"args": {"f": {"eax", "ecx"}, "g": set()},
+              "outputs": {"f": {"eax"}, "g": {"eax", "edx"}},
+              "indirect_targets": {"g"}}
+    fields.update(changes)
+    return RegSaveResult(**fields)
+
+
+def test_the_lifted_key_tracks_the_coverage_the_lifter_reads():
+    base = lifted_module_key("img", _traces(RUN_A))
+    assert lifted_module_key("img", _traces(RUN_A)) == base
+    assert lifted_module_key("other", _traces(RUN_A)) != base
+    items, transfers, executed, counts = RUN_A
+    for run in ((items, transfers | {Transfer(0x20, 0x24, "fallthrough")},
+                 executed, counts),
+                (items, transfers, executed | {0x28}, counts),
+                (items, transfers, executed, {0x18: 3})):
+        assert lifted_module_key("img", _traces(run)) != base
+    # A transfer's kind counts, not only its ends.
+    kinds = {Transfer(t.src, t.dst, "jump" if t.kind == "call" else t.kind)
+             for t in transfers}
+    assert lifted_module_key(
+        "img", _traces((items, kinds, executed, counts))) != base
+
+
+def test_the_lifted_key_is_the_same_for_equal_coverage_in_any_order():
+    forward = _traces(RUN_A, RUN_B)
+    backward = _traces(RUN_B, RUN_A)
+    assert forward.inputs != backward.inputs
+    assert lifted_module_key("img", forward) \
+        == lifted_module_key("img", backward)
+    # Inputs that add no coverage leave the key as it was.
+    assert lifted_module_key("img", _traces(RUN_A, RUN_B, RUN_A)) \
+        == lifted_module_key("img", forward)
+
+
+def test_the_instrumented_key_tracks_the_classification():
+    base = instrumented_module_key("lifted", _classification())
+    assert instrumented_module_key("lifted", _classification()) == base
+    assert instrumented_module_key("other", _classification()) != base
+    changed = (
+        {"args": {"f": {"eax"}, "g": set()}},              # out of args
+        {"args": {"f": {"eax", "ecx"}, "g": {"ebx"}}},     # into args
+        {"outputs": {"f": {"eax", "ecx"}, "g": {"eax", "edx"}}},
+        {"outputs": {"f": {"eax"}, "g": {"edx"}}},
+        {"indirect_targets": {"g", "f"}},
+        # A function classified with no register is still planned.
+        {"args": {"f": {"eax", "ecx"}}},
+    )
+    for change in changed:
+        assert instrumented_module_key(
+            "lifted", _classification(**change)) != base, change
+    # Equal classifications, whatever order their sets were built in.
+    assert instrumented_module_key("lifted", _classification(
+        args={"g": set(), "f": {"ecx", "eax"}},
+        outputs={"g": {"edx", "eax"}, "f": {"eax"}})) == base
+
+
+#: Prints both new keys of the runs in ``argv[1]``, and the order the
+#: merged transfers iterate in.
+_KEYS_SCRIPT = """
+import json
+import sys
+from repro.core.regsave import RegSaveResult
+from repro.emu.machine import RunResult
+from repro.emu.tracer import TraceSet, Transfer
+from repro.store import instrumented_module_key, lifted_module_key
+traces = TraceSet(image=None)
+for n, (transfers, executed, counts) in enumerate(json.loads(sys.argv[1])):
+    traces.absorb({Transfer(*t) for t in transfers}, set(executed),
+                  {int(k): v for k, v in counts.items()},
+                  RunResult(0, b"", 1, 1), [n])
+lifted = lifted_module_key("img", traces)
+classification = RegSaveResult(
+    args={"fn_%d" % i: {"eax", "ecx", "edx", "ebx"} for i in range(8)},
+    outputs={"fn_%d" % i: {"eax", "esi", "edi"} for i in range(8)},
+    indirect_targets={"fn_%d" % i for i in range(0, 8, 2)})
+print(json.dumps({
+    "lifted": lifted,
+    "instrumented": instrumented_module_key(lifted, classification),
+    "order": [[t.src, t.dst, t.kind] for t in traces.transfers],
+}))
+"""
+
+
+def test_both_keys_are_the_same_under_any_hash_seed():
+    kinds = ("call", "ret", "jump", "fallthrough", "import")
+    runs = [[[[src, src + 4 * k, kind] for k, kind in enumerate(kinds)
+              for src in range(0x100, 0x180, 8)],
+             list(range(0x100, 0x180, 4)), {"280": 3}]]
+    docs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(
+            [sys.executable, "-c", _KEYS_SCRIPT, json.dumps(runs)],
+            env=env, capture_output=True, text=True, check=True)
+        docs.append(json.loads(out.stdout))
+    first, second = docs
+    # The transfer set iterates in another order under each seed ...
+    assert first["order"] != second["order"]
+    # ... and the keys do not see it.
+    assert first["lifted"] == second["lifted"]
+    assert first["instrumented"] == second["instrumented"]
 
 
 def test_options_tag_is_canonical():
