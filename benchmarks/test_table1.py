@@ -55,7 +55,7 @@ def test_print_table1(benchmark, table1):
 @pytest.mark.parametrize("name", _NAMES)
 @pytest.mark.parametrize("config", CONFIGS,
                          ids=[f"{c}-O{o}" for c, o in CONFIGS])
-def test_recompiled_runtime(benchmark, cells, name, config):
+def test_input_binary_runtime(benchmark, cells, name, config):
     """Benchmark the input binary's execution; the cell's cycle ratios
     are in extra_info."""
     compiler, opt = config

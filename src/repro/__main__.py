@@ -139,9 +139,11 @@ def cmd_recompile(args) -> int:
             if args.store is not None:
                 from .core.incremental import incremental_recompile
                 from .store import ArtifactStore
-                result = incremental_recompile(
-                    image, runs, ArtifactStore(args.store),
-                    check=args.check)
+                # ``--store`` without DIR takes the default root.
+                store = ArtifactStore(args.store or None)
+                store.ensure_root()
+                result = incremental_recompile(image, runs, store,
+                                               check=args.check)
                 print(f"  store: served={result.stats.served} "
                       f"traces reused={result.stats.traces_reused} "
                       f"recorded={result.stats.traces_recorded} "

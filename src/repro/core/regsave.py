@@ -17,6 +17,8 @@ first promotes every lifted function's ``vcpu.*`` register and flag
 slots in place (mem2reg alone, with no folding and no dead-code
 removal, so a flag that is never read still counts as a use of its
 operands: the interpreter does not compute it, but reports the read).
+The lifter carries each slot's value within a block, so the promotion
+has only each block's first load and last store of a slot to remove.
 A symbol then flows through SSA values and phis, not through memory,
 and the interpreter hands the plugin only the uses of shadowed values,
 each once per straight-line segment of a block that reads it (a segment
@@ -256,8 +258,11 @@ def classify_registers(module: Module,
     """Run the dynamic register classification over all traced inputs.
 
     Promotes the lifted functions' register and flag slots to SSA values
-    in ``module`` itself before the runs (see the module docstring);
-    later stages find the registers already in SSA.
+    in ``module`` itself before the runs (see the module docstring),
+    with :func:`~repro.opt.mem2reg.promote_allocas`, whose work is in
+    proportion to the slot loads and stores it removes: one per block
+    and slot at most, since the lifter reuses a slot's value within a
+    block.  Later stages find the registers already in SSA.
 
     ``check``, if given, is the replay engine's
     :class:`~repro.replay.engine.StageCheck` over ``inputs``: it

@@ -84,6 +84,13 @@ class ReportError(ReproError):
     not the JSON document it should be."""
 
 
+class StoreError(ReproError):
+    """Raised by the artifact store (:mod:`repro.store`) when its root is
+    not a usable directory or an entry cannot be read or written; the
+    message names the path.  An entry that reads but does not unpickle
+    is not an error: it is counted as corrupt and recomputed."""
+
+
 class ServeError(ReproError):
     """Raised by the recompilation service (:mod:`repro.serve`): a
     malformed request, a rejected job, or a transport failure between

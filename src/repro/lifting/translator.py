@@ -5,12 +5,18 @@ Every lifted function takes the virtual register file explicitly —
 general registers (``sp`` is reconstructed by the caller, since ``ret``
 always pops exactly the return address in this ABI).  Inside a function
 the virtual registers and the four status flags live in ``vcpu.*``
-allocas.  The §4.1 register observation
-(:func:`repro.core.regsave.classify_registers`) runs mem2reg on them
-before its first run, which is the paper's "we turn virtual CPU
-registers into SSA-values before instrumentation" applied one stage
-early.  The static register classification reads the alloca form, so it
-runs before the promotion.
+allocas.  While it translates a block, the translator keeps each slot's
+current value: a block loads a slot only on its first read, and only if
+it has not written the slot yet, and stores each slot it wrote once,
+just before its terminator (Macaw likewise hands one register state to
+a block's terminator).  Tail-call stubs and the trap block are emitted
+in the middle of a block and load the slots they read directly.  The
+§4.1 register observation (:func:`repro.core.regsave.classify_registers`)
+runs mem2reg on the slots before its first run, which is the paper's
+"we turn virtual CPU registers into SSA-values before instrumentation"
+applied one stage early.  The static register classification reads the
+alloca form, whose per-block first loads and last stores are exactly
+what it asks of each slot, so it runs before the promotion.
 
 The original program's stack lives in a dedicated **emulated stack**
 global; all push/pop/call/ret effects are translated into explicit loads
@@ -29,7 +35,7 @@ from ..ir.builder import Builder
 from ..ir.module import Block, Function, GlobalVar, Module
 from ..ir.values import Const, GlobalRef, Value
 from ..isa.instructions import Imm, ImportRef, Instruction, Mem
-from ..isa.registers import Reg
+from ..isa.registers import GPR32, Reg
 from .cfg import RecoveredCFG, recover_cfg
 from .function_recovery import RecoveredFunction, recover_functions
 
@@ -65,8 +71,12 @@ class FunctionTranslator:
                              ["sp", *REG_ORDER], nresults=len(REG_ORDER))
         self.func.orig_entry = rfunc.entry
         self.b = Builder(self.func)
-        self.vregs: dict[str, Value] = {}
-        self.flags: dict[str, Value] = {}
+        #: The ``vcpu.*`` alloca of each register and flag.
+        self.slots: dict[str, Value] = {}
+        #: The block being translated: each slot's current value, and
+        #: the slots it wrote, in the order of their first write.
+        self._values: dict[str, Value] = {}
+        self._written: dict[str, None] = {}
         self.ir_blocks: dict[int, Block] = {}
         self._trap: Block | None = None
         self._tail_stubs: dict[int, Block] = {}
@@ -76,13 +86,11 @@ class FunctionTranslator:
     def translate(self) -> Function:
         entry_ir = self.func.add_block("entry")
         self.b.position(entry_ir)
-        for name in ("esp", *REG_ORDER):
-            self.vregs[name] = self.b.alloca(4, 4, f"vcpu.{name}")
-        for name in FLAG_ORDER:
-            self.flags[name] = self.b.alloca(4, 4, f"vcpu.{name}")
-        self.b.store(self.vregs["esp"], self.func.params[0], 4)
+        for name in ("esp", *REG_ORDER, *FLAG_ORDER):
+            self.slots[name] = self.b.alloca(4, 4, f"vcpu.{name}")
+        self.b.store(self.slots["esp"], self.func.params[0], 4)
         for i, name in enumerate(REG_ORDER):
-            self.b.store(self.vregs[name], self.func.params[1 + i], 4)
+            self.b.store(self.slots[name], self.func.params[1 + i], 4)
 
         for addr in sorted(self.rfunc.blocks):
             self.ir_blocks[addr] = self.func.add_block(f"b{addr:x}")
@@ -119,9 +127,10 @@ class FunctionTranslator:
         saved = self.b.block
         self.b.position(stub)
         # Tail call becomes a regular call followed by a return: esp
-        # already points at the original caller's return address.
-        args = [self._rread_name("esp")] + \
-               [self._rread_name(r) for r in REG_ORDER]
+        # already points at the original caller's return address.  The
+        # stub is its own block, so it loads the registers itself.
+        args = [self.b.load(self.slots[name], 4)
+                for name in ("esp", *REG_ORDER)]
         call = self.b.call(f"fn_{target:08x}", args,
                            nresults=len(REG_ORDER))
         results = [self.b.result(call, i) for i in range(len(REG_ORDER))]
@@ -132,15 +141,25 @@ class FunctionTranslator:
     # -------------------------------------------------------- register file
 
     def _rread_name(self, name: str) -> Value:
-        return self.b.load(self.vregs[name], 4)
+        """The current value of register or flag ``name`` in the block
+        being translated; the first read loads it, unless the block
+        has written it."""
+        value = self._values.get(name)
+        if value is None:
+            value = self._values[name] = self.b.load(self.slots[name], 4)
+        return value
 
     def _rwrite_name(self, name: str, value: Value) -> None:
-        self.b.store(self.vregs[name], value, 4)
+        """Make ``value`` the current value of ``name``; the block stores
+        it before its terminator (:meth:`_translate_block`)."""
+        self._values[name] = value
+        self._written[name] = None
+
+    _fread = _rread_name
+    _fwrite = _rwrite_name
 
     def _rread(self, reg: Reg) -> Value:
-        from ..isa.registers import GPR32
-        full = self._rread_name(GPR32[reg.index] if reg.index != 4
-                                else "esp")
+        full = self._rread_name(GPR32[reg.index])
         if reg.width == 4:
             return full
         if reg.width == 2:
@@ -151,8 +170,7 @@ class FunctionTranslator:
         return self.b.unary("zext8", full)
 
     def _rwrite(self, reg: Reg, value: Value) -> None:
-        from ..isa.registers import GPR32
-        name = GPR32[reg.index] if reg.index != 4 else "esp"
+        name = GPR32[reg.index]
         if reg.width == 4:
             self._rwrite_name(name, value)
             return
@@ -174,12 +192,6 @@ class FunctionTranslator:
                 "or", self.b.binop("and", full, Const(0xFFFFFF00)),
                 self.b.unary("zext8", value))
         self._rwrite_name(name, merged)
-
-    def _fread(self, flag: str) -> Value:
-        return self.b.load(self.flags[flag], 4)
-
-    def _fwrite(self, flag: str, value: Value) -> None:
-        self.b.store(self.flags[flag], value, 4)
 
     # ------------------------------------------------------------ operands
 
@@ -302,10 +314,19 @@ class FunctionTranslator:
 
     def _translate_block(self, addr: int) -> None:
         mblock = self.rfunc.blocks[addr]
-        self.b.position(self.ir_blocks[addr])
+        block = self.ir_blocks[addr]
+        self.b.position(block)
+        self._values = {}
+        self._written = {}
         for instr in mblock.instrs[:-1]:
             self._translate_plain(instr)
         self._translate_terminator(mblock)
+        # One store per written slot, of its last value, just before
+        # the terminator.
+        terminator = block.instrs.pop()
+        for name in self._written:
+            self.b.store(self.slots[name], self._values[name], 4)
+        block.append(terminator)
 
     def _translate_terminator(self, mblock) -> None:
         instr = mblock.terminator
@@ -373,11 +394,7 @@ class FunctionTranslator:
                 call = self.b.call(f"fn_{op.value:08x}", args,
                                    nresults=len(REG_ORDER))
             else:
-                target = self._read_op(op)
-                # Re-load the registers: reading op may not touch them,
-                # but the arg list must see current values.
-                args = [esp1] + [self._rread_name(r) for r in REG_ORDER]
-                call = self.b.call_indirect(target, args,
+                call = self.b.call_indirect(self._read_op(op), args,
                                             nresults=len(REG_ORDER))
             for i, name in enumerate(REG_ORDER):
                 self._rwrite_name(name, self.b.result(call, i))

@@ -29,127 +29,161 @@ def promotable_allocas(func: Function) -> list[Alloca]:
     the alloca's exact address, and access sizes must allow a single SSA
     value to carry the content (all loads no wider than every store).
     """
-    candidates: dict[Alloca, dict] = {}
-    for instr in func.entry.instrs:
-        if isinstance(instr, Alloca):
-            candidates[instr] = {"loads": [], "stores": [], "ok": True}
-    if not candidates:
-        return []
-    for instr in func.instructions():
-        for op in instr.operands():
-            if isinstance(op, Alloca) and op in candidates:
-                info = candidates[op]
-                if isinstance(instr, Load) and instr.addr is op:
-                    info["loads"].append(instr)
-                elif isinstance(instr, Store) and instr.addr is op \
-                        and instr.value is not op:
-                    info["stores"].append(instr)
-                else:
-                    info["ok"] = False
-    out = []
-    for alloca, info in candidates.items():
-        if not info["ok"]:
-            continue
-        max_load = max((ld.size for ld in info["loads"]), default=0)
-        min_store = min((st.size for st in info["stores"]), default=4)
-        if max_load <= min_store:
-            out.append(alloca)
-    return out
+    return _scan(func)[0]
+
+
+def _scan(func: Function):
+    """One pass over ``func`` for :func:`promote_allocas`.
+
+    Returns the promotable allocas in entry-block order, each block's
+    loads and stores of an entry-block alloca in order, and the
+    instructions that read the value of such a load.
+    """
+    #: alloca -> [widest load, narrowest store]
+    sizes: dict[Alloca, list[int]] = {
+        instr: [0, 4] for instr in func.entry.instrs
+        if isinstance(instr, Alloca)}
+    accesses: dict[Block, list[Instr]] = {}
+    readers: list[Instr] = []
+    if not sizes:
+        return [], accesses, readers
+    escaped: set[Alloca] = set()
+    for block in func.blocks:
+        touched: list[Instr] = []
+        for instr in block.instrs:
+            reads = False
+            for op in instr.ops:
+                if isinstance(op, Load):
+                    if not reads:
+                        addr = op.ops[0]
+                        reads = isinstance(addr, Alloca) and addr in sizes
+                elif isinstance(op, Alloca) and op in sizes:
+                    if isinstance(instr, Load):
+                        size = sizes[op]
+                        size[0] = max(size[0], instr.size)
+                        touched.append(instr)
+                    elif isinstance(instr, Store) and instr.ops[0] is op \
+                            and instr.ops[1] is not op:
+                        size = sizes[op]
+                        size[1] = min(size[1], instr.size)
+                        touched.append(instr)
+                    else:
+                        escaped.add(op)
+            if reads:
+                readers.append(instr)
+        if touched:
+            accesses[block] = touched
+    promotable = [alloca for alloca, (widest, narrowest) in sizes.items()
+                  if alloca not in escaped and widest <= narrowest]
+    return promotable, accesses, readers
 
 
 _EXT_FOR_SIZE = {1: "zext8", 2: "zext16"}
 
 
 def promote_allocas(func: Function) -> bool:
-    """Run mem2reg on all promotable allocas. Returns True if changed."""
+    """Run mem2reg on all promotable allocas. Returns True if changed.
+
+    One scan (:func:`_scan`) finds the allocas and their loads and
+    stores, and the instructions that read such a load.  Phi placement,
+    renaming and the rewrite then touch only those instructions, the
+    placed phis and the blocks that lose instructions, so the pass does
+    work in proportion to the memory traffic it removes.
+    """
     changed = remove_unreachable(func)
-    allocas = promotable_allocas(func)
+    allocas, accesses, readers = _scan(func)
     if not allocas:
         return changed
-    alloca_set = set(allocas)
+    promoted = set(allocas)
     doms = dominators(func)
 
-    # Phi placement at iterated dominance frontiers of defining blocks,
-    # collected for every alloca in one pass over the function.
+    # Phi placement at iterated dominance frontiers of defining blocks.
+    # A block's placed phis are listed in alloca order and end up at
+    # its top in reverse order.
     def_blocks: dict[Alloca, set[Block]] = {a: set() for a in allocas}
-    for instr in func.instructions():
-        if isinstance(instr, Store) and instr.addr in alloca_set:
-            def_blocks[instr.addr].add(instr.block)
-    phi_for: dict[tuple[Block, Alloca], Phi] = {}
+    for block, touched in accesses.items():
+        for instr in touched:
+            if isinstance(instr, Store) and instr.ops[0] in promoted:
+                def_blocks[instr.ops[0]].add(block)
+    phis_at: dict[Block, list[tuple[Alloca, Phi]]] = {}
     for alloca in allocas:
-        work = list(def_blocks[alloca])
+        pending = list(def_blocks[alloca])
         placed: set[Block] = set()
-        while work:
-            block = work.pop()
+        while pending:
+            block = pending.pop()
             for frontier in doms.frontiers.get(block, ()):
                 if frontier in placed:
                     continue
                 placed.add(frontier)
                 phi = Phi([])
                 phi.block = frontier
-                frontier.instrs.insert(0, phi)
-                phi_for[(frontier, alloca)] = phi
-                work.append(frontier)
+                phis_at.setdefault(frontier, []).append((alloca, phi))
+                pending.append(frontier)
 
+    # Renaming, as an iterative dominator-tree preorder walk (lifted -O0
+    # functions can have very deep dominator trees; recursion would
+    # overflow).  ``edits`` maps each promoted instruction to what
+    # replaces it in its block: None, or a narrow load's extension.
     replacements: dict[Instr, Value] = {}
-    alloca_of_phi = {phi: a for (_b, a), phi in phi_for.items()}
-
-    def rename(block: Block, state: dict[Alloca, Value]) -> None:
-        for instr in list(block.instrs):
-            if isinstance(instr, Phi):
-                alloca = alloca_of_phi.get(instr)
-                if alloca is not None:
-                    state[alloca] = instr
-                continue
-            if isinstance(instr, Load) and instr.addr in alloca_set:
-                alloca = instr.addr
-                current = state.get(alloca, Const(0))
-                if instr.size < 4:
-                    ext = Unary(_EXT_FOR_SIZE[instr.size], current)
-                    ext.block = block
-                    pos = block.instrs.index(instr)
-                    block.instrs[pos] = ext
-                    replacements[instr] = ext
-                else:
-                    replacements[instr] = current
-            elif isinstance(instr, Store) and instr.addr in alloca_set:
-                state[instr.addr] = instr.value
-
-        # Feed successor phis (each executed predecessor contributes one
-        # incoming; duplicate edges contribute duplicates consistently).
-        for succ in block.successors():
-            for alloca in allocas:
-                phi = phi_for.get((succ, alloca))
-                if phi is not None:
-                    phi.add_incoming(block,
-                                     state.get(alloca, Const(0)))
-
-    # Iterative dominator-tree preorder walk (lifted -O0 functions can
-    # have very deep dominator trees; recursion would overflow).
+    edits: dict[Instr, Instr | None] = dict.fromkeys(allocas)
     work: list[tuple[Block, dict[Alloca, Value]]] = [(func.entry, {})]
     while work:
         block, state = work.pop()
-        rename(block, state)
-        for child in doms.tree_children(block):
-            work.append((child, dict(state)))
+        for alloca, phi in phis_at.get(block, ()):
+            state[alloca] = phi
+        for instr in accesses.get(block, ()):
+            alloca = instr.ops[0]
+            if alloca not in promoted:
+                continue
+            if isinstance(instr, Store):
+                state[alloca] = instr.ops[1]
+                edits[instr] = None
+                continue
+            current = state.get(alloca)
+            if current is None:     # read before any store
+                current = Const(0)
+            if instr.size < 4:
+                ext = Unary(_EXT_FOR_SIZE[instr.size], current)
+                ext.block = block
+                replacements[instr] = edits[instr] = ext
+            else:
+                replacements[instr] = current
+                edits[instr] = None
+        # Feed successor phis (each executed predecessor contributes one
+        # incoming; duplicate edges contribute duplicates consistently).
+        for succ in block.successors():
+            for alloca, phi in phis_at.get(succ, ()):
+                value = state.get(alloca)
+                phi.add_incoming(block, Const(0) if value is None else value)
+        # Each child starts from this block's state; the last one pushed
+        # (the first visited) takes it over instead of a copy.
+        children = doms.tree_children(block)
+        if children:
+            work.extend((child, dict(state)) for child in children[:-1])
+            work.append((children[-1], state))
 
-    # Drop dead loads/stores/allocas and resolve replacement chains.
+    # Resolve replacement chains in the instructions that read a
+    # promoted load, the extensions and the placed phis, then drop the
+    # promoted loads, stores and allocas.
     def resolve(v: Value) -> Value:
         while isinstance(v, Instr) and v in replacements:
             v = replacements[v]
         return v
 
-    for block in func.blocks:
-        new_instrs = []
-        for instr in block.instrs:
-            if instr in replacements and not isinstance(instr, Unary):
-                continue  # plain load, folded away
-            if isinstance(instr, Store) and instr.addr in alloca_set:
-                continue
-            if isinstance(instr, Alloca) and instr in alloca_set:
-                continue
+    for instr in readers:
+        if instr not in edits:
             instr.ops = [resolve(op) for op in instr.ops]
-            new_instrs.append(instr)
-        block.instrs = new_instrs
+    for new in edits.values():
+        if new is not None:
+            new.ops = [resolve(new.ops[0])]
+    for placed_phis in phis_at.values():
+        for _alloca, phi in placed_phis:
+            phi.ops = [resolve(op) for op in phi.ops]
+
+    for block in {func.entry, *accesses, *phis_at}:
+        placed = [phi for _alloca, phi in reversed(phis_at.get(block, ()))]
+        # Each instruction, or what replaces it (None: nothing).
+        kept = map(edits.get, block.instrs, block.instrs)
+        block.instrs = placed + [new for new in kept if new is not None]
     func.invalidate()
     return True

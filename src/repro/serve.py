@@ -178,6 +178,9 @@ class RecompileServer:
                       "errors": 0}
         self._server: socketserver.BaseServer | None = None
         self._shutdown = threading.Event()
+        # Last, once every argument is known good, so that a refused
+        # start leaves no store directory behind.
+        self.store.ensure_root()
 
     # -- lifecycle -------------------------------------------------------
 

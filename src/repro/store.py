@@ -72,7 +72,7 @@ from pathlib import Path
 
 from . import obs
 from .emu.tracer import TRACE_SCHEMA
-from .errors import ServeError
+from .errors import ServeError, StoreError
 
 __all__ = [
     "ArtifactStore",
@@ -277,6 +277,11 @@ def decode_runs(runs) -> list:
 
 # -- the store -----------------------------------------------------------
 
+def _io_error(action: str, path: Path, exc: OSError) -> StoreError:
+    """The typed error for a store file that ``action`` failed on."""
+    return StoreError(f"cannot {action} {path}: {exc.strerror or exc}")
+
+
 class ArtifactStore:
     """Pickle store addressed by content digests, with atomic writes.
 
@@ -299,33 +304,56 @@ class ArtifactStore:
     def _path(self, kind: str, key: str) -> Path:
         return self.root / kind / f"{key}.pkl"
 
+    def ensure_root(self) -> None:
+        """Create the root directory if it is missing.
+
+        A root that exists as something other than a directory, or that
+        cannot be created, raises :class:`~repro.errors.StoreError`
+        naming it, so a command that opens the store fails once, before
+        any work, instead of at every entry it reads or writes.
+        """
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            return
+        except FileExistsError:
+            reason = "it exists and is not a directory"
+        except OSError as exc:
+            reason = f"it cannot be created ({exc.strerror or exc})"
+        raise StoreError(f"store root {self.root} is not usable: {reason}")
+
     def get(self, kind: str, key: str):
         """Load a cached artifact, or None on miss/corruption.
 
-        Corruption (a truncated or ununpicklable entry) falls through
-        to recompute like a miss, but is reported: a structured warning
-        naming the entry plus the ``store.corrupt`` counter, so it never
-        hides as an ordinary miss.
+        Corruption (an entry that opens but does not unpickle, such as
+        a truncated one) falls through to recompute like a miss, but is
+        reported: a structured warning naming the entry plus the
+        ``store.corrupt`` counter, so it never hides as an ordinary
+        miss.  An entry that cannot be opened for any reason but its
+        absence raises :class:`~repro.errors.StoreError` naming it.
         """
         path = self._path(kind, key)
         try:
-            with path.open("rb") as fh:
-                obj = pickle.load(fh)
+            fh = path.open("rb")
         except FileNotFoundError:
             self._count("miss")
             obs.count("store.miss")
             obs.event("store.miss", store="store", artifact=kind, key=key)
             return None
-        except Exception as exc:
-            self._count("corrupt")
-            log.warning(
-                "corrupt store entry kind=%s key=%s path=%s "
-                "error=%s: %s — recomputing",
-                kind, key, path, type(exc).__name__, exc)
-            obs.count("store.corrupt")
-            obs.event("store.miss", store="store", artifact=kind,
-                      key=key, corrupt=True)
-            return None
+        except OSError as exc:
+            raise _io_error("read store entry", path, exc) from exc
+        with fh:
+            try:
+                obj = pickle.load(fh)
+            except Exception as exc:
+                self._count("corrupt")
+                log.warning(
+                    "corrupt store entry kind=%s key=%s path=%s "
+                    "error=%s: %s — recomputing",
+                    kind, key, path, type(exc).__name__, exc)
+                obs.count("store.corrupt")
+                obs.event("store.miss", store="store", artifact=kind,
+                          key=key, corrupt=True)
+                return None
         self._count("hit")
         obs.count("store.hit")
         obs.event("store.hit", store="store", artifact=kind, key=key)
@@ -338,10 +366,15 @@ class ArtifactStore:
         return obj
 
     def put(self, kind: str, key: str, obj) -> None:
-        """Store an artifact atomically (temp file + ``os.replace``)."""
-        atomic_write_bytes(
-            self._path(kind, key),
-            pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+        """Store an artifact atomically (temp file + ``os.replace``); a
+        failed write raises :class:`~repro.errors.StoreError` naming
+        the entry."""
+        path = self._path(kind, key)
+        try:
+            atomic_write_bytes(
+                path, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+        except OSError as exc:
+            raise _io_error("write store entry", path, exc) from exc
         self._count("put")
         obs.count("store.put")
         obs.event("store.put", store="store", artifact=kind, key=key)
@@ -446,22 +479,33 @@ class ArtifactStore:
         return self.root / "campaign" / f"{safe}.json"
 
     def load_campaign(self, name: str) -> "Campaign | None":
+        """The stored campaign ``name``, or None when there is none or
+        its file reads but does not parse (logged, like a corrupt
+        entry); a file that cannot be read raises
+        :class:`~repro.errors.StoreError` naming it."""
         path = self._campaign_path(name)
         try:
-            doc = json.loads(path.read_text())
+            data = path.read_bytes()
         except FileNotFoundError:
             return None
-        except (ValueError, OSError) as exc:
+        except OSError as exc:
+            raise _io_error("read campaign file", path, exc) from exc
+        try:
+            doc = json.loads(data)
+        except ValueError as exc:
             log.warning("corrupt campaign %s at %s: %s — starting fresh",
                         name, path, exc)
             return None
         return Campaign.from_dict(doc)
 
     def save_campaign(self, campaign: "Campaign") -> None:
-        atomic_write_bytes(
-            self._campaign_path(campaign.name),
-            (json.dumps(campaign.to_dict(), indent=2, sort_keys=True)
-             + "\n").encode())
+        path = self._campaign_path(campaign.name)
+        try:
+            atomic_write_bytes(
+                path, (json.dumps(campaign.to_dict(), indent=2,
+                                  sort_keys=True) + "\n").encode())
+        except OSError as exc:
+            raise _io_error("write campaign file", path, exc) from exc
 
     def list_campaigns(self) -> list[str]:
         root = self.root / "campaign"

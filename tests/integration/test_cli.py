@@ -1,6 +1,8 @@
 """The ``python -m repro`` command-line interface."""
 
+import logging
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -252,7 +254,6 @@ def test_check_json_is_the_same_on_every_run(tmp_path, capsys):
 def daemon_socket(request, tmp_path):
     """The socket of a daemon serving on a thread, in process or with a
     two-worker pool (AF_UNIX paths are short: it lives in a mkdtemp)."""
-    import shutil
     import tempfile
     import threading
     import time
@@ -316,7 +317,6 @@ def test_submit_of_a_job_the_pool_shut_down_unrun_exits_2(
     # submitted job waits in the queue, and a close without a drain
     # fails it before it runs.  The daemon never ran it: status 2, not
     # the status 1 of a job that ran and failed.
-    import shutil
     import tempfile
     import threading
     import time
@@ -410,20 +410,15 @@ def test_check_spellings(monkeypatch, tmp_path, value, expected):
     assert check == expected and type(check) is type(expected)
 
 
-@pytest.mark.parametrize("numbers", [
-    ["--workers", "-1"],
-    ["--workers", "2", "--queue-depth", "0"],
-    ["--workers", "1", "--job-timeout", "nan"],
-], ids=["workers", "queue-depth", "job-timeout"])
-def test_serve_rejects_out_of_range_numbers(tmp_path, numbers):
-    # One stderr line and status 2, before any worker starts or the
-    # socket is bound.  A daemon that did start would serve forever, so
-    # it runs in its own process group, which a timeout kills whole.
-    sock = tmp_path / "d.sock"
+def _serve_refusal(sock: Path, args: list[str]) -> str:
+    """``repro serve`` with ``args`` must exit 2 with one stderr line,
+    before any worker starts or the socket is bound; returns the line.
+    A daemon that did start would serve forever, so it runs in its own
+    process group, which a timeout kills whole."""
     env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--socket", str(sock),
-         "--store", str(tmp_path / "store"), *numbers],
+         *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env, start_new_session=True)
     try:
@@ -435,6 +430,108 @@ def test_serve_rejects_out_of_range_numbers(tmp_path, numbers):
     assert proc.returncode == 2, err
     assert err.startswith("repro serve: ") and err.count("\n") == 1
     assert not sock.exists()
+    return err
+
+
+@pytest.mark.parametrize("numbers", [
+    ["--workers", "-1"],
+    ["--workers", "2", "--queue-depth", "0"],
+    ["--workers", "1", "--job-timeout", "nan"],
+], ids=["workers", "queue-depth", "job-timeout"])
+def test_serve_rejects_out_of_range_numbers(tmp_path, numbers):
+    _serve_refusal(tmp_path / "d.sock",
+                   ["--store", str(tmp_path / "store"), *numbers])
+
+
+@pytest.fixture
+def not_a_directory(tmp_path):
+    path = tmp_path / "afile"
+    path.write_text("not a store")
+    return path
+
+
+@pytest.mark.parametrize("under", [False, True],
+                         ids=["a-file", "under-a-file"])
+def test_serve_refuses_a_store_root_that_is_not_a_directory(
+        tmp_path, not_a_directory, under):
+    root = not_a_directory / "store" if under else not_a_directory
+    err = _serve_refusal(tmp_path / "d.sock", ["--store", str(root)])
+    assert err.startswith(f"repro serve: StoreError: store root {root} "
+                          f"is not usable: ")
+
+
+@pytest.mark.parametrize("under", [False, True],
+                         ids=["a-file", "under-a-file"])
+def test_recompile_refuses_a_store_root_that_is_not_a_directory(
+        source_file, tmp_path, not_a_directory, under, capsys, caplog):
+    # One line and status 2, before any work: no entry is reported
+    # corrupt and recomputed on the way.
+    image = tmp_path / "prog.img.json"
+    recovered = tmp_path / "rec.img.json"
+    main(["compile", str(source_file), "-o", str(image)])
+    capsys.readouterr()
+    root = not_a_directory / "store" if under else not_a_directory
+    with caplog.at_level(logging.WARNING, logger="repro.store"):
+        assert main(["recompile", str(image), "-o", str(recovered),
+                     "--input", "int:3", "--store", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro recompile: StoreError: store root "
+                          f"{root} is not usable: ")
+    assert err.count("\n") == 1
+    assert caplog.records == []
+    assert not recovered.exists()
+
+
+def test_recompile_recomputes_a_truncated_store_entry(
+        source_file, tmp_path, capsys, caplog):
+    image = tmp_path / "prog.img.json"
+    recovered = tmp_path / "rec.img.json"
+    store = tmp_path / "store"
+    main(["compile", str(source_file), "-o", str(image)])
+    argv = ["recompile", str(image), "-o", str(recovered),
+            "--input", "int:3", "--store", str(store)]
+    assert main(argv) == 0
+    results = list((store / "result").glob("*.pkl"))
+    assert results
+    for entry in results:
+        entry.write_bytes(entry.read_bytes()[:16])
+    recovered.unlink()
+    with caplog.at_level(logging.WARNING, logger="repro.store"):
+        assert main(argv) == 0
+    assert any("corrupt store entry" in r.getMessage()
+               for r in caplog.records)
+    assert main(["run", str(recovered), "--input", "int:3"]) == 0
+    assert "double=6" in capsys.readouterr().out
+
+
+def test_recompile_store_without_dir_uses_the_default_root(
+        source_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    main(["compile", str(source_file), "-o", "prog.img.json"])
+    assert main(["recompile", "prog.img.json", "-o", "rec.img.json",
+                 "--input", "int:3", "--store"]) == 0
+    assert (tmp_path / ".repro_store" / "result").is_dir()
+    assert not (tmp_path / "result").exists()
+
+
+def test_submit_reports_a_broken_store_with_a_typed_error(
+        source_file, tmp_path, daemon_socket, capsys):
+    # The daemon's store root stops being a directory after it started:
+    # the request fails with the store's own error kind, naming the
+    # entry it could not write.
+    image = tmp_path / "prog.img.json"
+    main(["compile", str(source_file), "-o", str(image)])
+    capsys.readouterr()
+    store = tmp_path / "store"
+    shutil.rmtree(store)
+    store.write_text("no longer a directory")
+    assert main(["submit", "--socket", daemon_socket, str(image),
+                 "--input", "int:3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro submit: StoreError: cannot write store "
+                          f"entry {store}{os.sep}")
+    assert err.count("\n") == 1
 
 
 def test_explain_command_chains_widening(undertrace_file, tmp_path,

@@ -15,6 +15,7 @@ from repro import store as store_module
 from repro.core.regsave import RegSaveResult
 from repro.emu.machine import RunResult
 from repro.emu.tracer import TraceSet, Transfer
+from repro.errors import StoreError
 from repro.store import (
     ArtifactStore,
     Campaign,
@@ -181,6 +182,7 @@ import sys
 from repro.core.regsave import RegSaveResult
 from repro.emu.machine import RunResult
 from repro.emu.tracer import TraceSet, Transfer
+from repro.errors import StoreError
 from repro.store import instrumented_module_key, lifted_module_key
 traces = TraceSet(image=None)
 for n, (transfers, executed, counts) in enumerate(json.loads(sys.argv[1])):
@@ -288,6 +290,62 @@ def test_corrupt_entry_recomputes_with_warning(tmp_path, caplog):
     assert store.stats["corrupt"] == 1
     assert any("corrupt store entry" in r.getMessage()
                for r in caplog.records)
+
+
+def test_truncated_entry_counts_as_corrupt_and_recomputes(tmp_path, caplog):
+    store = ArtifactStore(tmp_path)
+    store.put("trace", "k", {"payload": list(range(100))})
+    path = store._path("trace", "k")
+    path.write_bytes(path.read_bytes()[:20])
+    with caplog.at_level(logging.WARNING, logger="repro.store"):
+        assert store.get("trace", "k") is None
+    assert store.stats["corrupt"] == 1
+    assert any("corrupt store entry" in r.getMessage()
+               for r in caplog.records)
+    store.put("trace", "k", {"payload": 1})
+    assert store.get("trace", "k") == {"payload": 1}
+
+
+def test_ensure_root_creates_a_missing_root(tmp_path):
+    store = ArtifactStore(tmp_path / "a" / "store")
+    store.ensure_root()
+    assert store.root.is_dir()
+    store.ensure_root()     # an existing directory is fine
+
+
+@pytest.mark.parametrize("root, reason", [
+    ("afile", "it exists and is not a directory"),
+    ("afile/store", "it cannot be created"),
+], ids=["a-file", "under-a-file"])
+def test_a_root_that_is_not_a_usable_directory_is_refused(tmp_path, root,
+                                                          reason):
+    (tmp_path / "afile").write_text("not a store")
+    store = ArtifactStore(tmp_path / root)
+    with pytest.raises(StoreError, match=reason) as refused:
+        store.ensure_root()
+    assert str(tmp_path / root) in str(refused.value)
+
+
+def test_an_entry_that_does_not_open_is_an_error_not_corruption(
+        tmp_path, caplog):
+    # Under a root that is a regular file, no entry or campaign file
+    # opens: that is one typed error naming the file, not a corrupt
+    # entry to recompute or a campaign to start afresh.
+    (tmp_path / "afile").write_text("not a store")
+    store = ArtifactStore(tmp_path / "afile")
+    with caplog.at_level(logging.WARNING, logger="repro.store"):
+        with pytest.raises(StoreError, match="cannot read store entry") \
+                as refused:
+            store.get("trace", "k")
+        with pytest.raises(StoreError, match="cannot write store entry"):
+            store.put("trace", "k", {"payload": 42})
+        with pytest.raises(StoreError, match="cannot read campaign file"):
+            store.load_campaign("demo")
+        with pytest.raises(StoreError, match="cannot write campaign file"):
+            store.save_campaign(Campaign(name="demo", image_key="k"))
+    assert str(store._path("trace", "k")) in str(refused.value)
+    assert store.stats["corrupt"] == 0
+    assert caplog.records == []
 
 
 def test_env_var_picks_default_root(tmp_path, monkeypatch):
