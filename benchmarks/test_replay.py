@@ -1,6 +1,7 @@
 """Replay-engine benches: refinement wall time with input dedup,
-every replay run doubling as a validation check, and the §4.2 tracing
-runtime's share of a bounds run.
+every replay run doubling as a validation check, the §4.2 tracing
+runtime's share of a bounds run and the §4.1 observer's share of a
+register observation run.
 
 Runs as the third ``tools/bench.sh`` pass and lands in
 ``BENCH_replay.json``: each bench's ``extra_info`` records the
@@ -19,7 +20,9 @@ import pytest
 
 from repro import obs
 from repro.cc import compile_source
+from repro.core import driver
 from repro.core.driver import wytiwyg_lift, wytiwyg_recompile
+from repro.core.regsave import RegSavePlugin
 from repro.core.runtime import TracingRuntime
 from repro.emu import trace_binary
 from repro.ir.interp import Interpreter
@@ -156,3 +159,67 @@ def test_bench_bounds_observer_share(benchmark):
     benchmark.extra_info["no_probes_seconds"] = bare_s
     benchmark.extra_info["bookkeeping_seconds"] = runtime_s - bare_s
     benchmark.extra_info["runtime_over_no_probes"] = runtime_s / bare_s
+
+
+def _regsave_run(module, items, plugin):
+    """Seconds to run the promoted lifted ``module`` on ``items`` in a
+    fresh interpreter, with ``plugin`` as the shadow plugin or, when
+    None, none."""
+    start = time.perf_counter()
+    with Interpreter(module, items, shadow=plugin) as interp:
+        interp.run()
+    return time.perf_counter() - start
+
+
+def _observation_doc(plugin):
+    """A plugin's observations with their insertion order explicit."""
+    return (list(plugin.used.items()),
+            [(key, sorted(targets))
+             for key, targets in plugin.forwarded.items()],
+            list(plugin.modified.items()),
+            sorted(plugin.indirect_targets),
+            sorted(plugin.seen_functions))
+
+
+def test_bench_regsave_observer_share(benchmark):
+    """The §4.1 observation's module (lifted, varargs rewritten,
+    registers promoted), run with the register plugin and with no
+    plugin: the difference is the observer's cost, less what the shadow
+    run saves by not computing dead values.  Two plugin runs must
+    observe the same state."""
+    program, compiler, opt = OBSERVED_PROGRAM
+    workload = WORKLOADS[program]
+    items = workload.inputs()[0]
+    traces = trace_binary(workload.compile(compiler, opt).stripped(),
+                          [items])
+    timings: dict = {}
+    real = driver.classify_registers
+
+    def measured(module, inputs, check=None):
+        # ``real`` promotes ``module`` before it observes it, and the
+        # register rewrite changes it after this call returns.
+        result = real(module, inputs, check)
+        observations = []
+        for _ in range(OBSERVED_ROUNDS):
+            plugin = RegSavePlugin()
+            timings.setdefault("plugin", []).append(
+                _regsave_run(module, items, plugin))
+            observations.append(_observation_doc(plugin))
+            timings.setdefault("bare", []).append(
+                _regsave_run(module, items, None))
+        timings["observations"] = observations
+        return result
+
+    with mock.patch.object(driver, "classify_registers", measured):
+        benchmark.pedantic(lambda: wytiwyg_lift(traces), rounds=1,
+                           iterations=1)
+
+    first, *rest = timings["observations"]
+    assert first[4], "the observation saw no lifted function"
+    assert all(doc == first for doc in rest)
+    plugin_s, bare_s = min(timings["plugin"]), min(timings["bare"])
+    benchmark.extra_info["program"] = "{}@{}-O{}".format(*OBSERVED_PROGRAM)
+    benchmark.extra_info["plugin_seconds"] = plugin_s
+    benchmark.extra_info["no_plugin_seconds"] = bare_s
+    benchmark.extra_info["observer_seconds"] = plugin_s - bare_s
+    benchmark.extra_info["plugin_over_no_plugin"] = plugin_s / bare_s

@@ -7,8 +7,8 @@ inserts these probe intrinsics:
 ========  ==================================================================
 probe     inserted at
 ========  ==================================================================
-fnenter   function entry (frame descriptor push, argument info marshal)
-fnexit    before every return (return info marshal, frame pop)
+fnenter   first in the entry block (frame record, argument info marshal)
+fnexit    before every return (return info marshal)
 callargs  before every internal call (stage argument PointerInfo)
 callres   after every internal call (adopt returned PointerInfo)
 stackref  after every direct stack reference (base pointer registration)
@@ -19,6 +19,14 @@ copy      on phi edges (predecessor ends)
 load      after loads; store before stores
 extcall   after external calls (constraint application)
 ========  ==================================================================
+
+A probe names IR values by vid: each function numbers its parameters,
+then each instruction that has a value, from 0, before any probe is
+inserted, and every other operand (a constant, global or function) is
+vid -1.  ``fnenter``'s meta carries the function's vid count
+(``nvids``), from which the runtime sizes the activation's record, and
+``fnenter`` comes before every other probe an activation runs: the
+entry block, which no block branches to, starts with it.
 
 The IR interpreter does not dispatch a probe on each execution: it
 compiles each probe once, when the probe's block compiles, through
@@ -119,6 +127,7 @@ class _FunctionInstrumenter:
         probes.append(_probe("fnenter", [sp0], {
             "func": self.func.name,
             "param_vids": [self._vid(p) for p in self.func.params],
+            "nvids": len(self.fi.vids),
         }))
         for param in self.func.params:
             if param in refs:

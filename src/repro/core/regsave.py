@@ -2,7 +2,10 @@
 (paper §4.1) and the signature-shrinking transform it enables.
 
 On entry to every lifted function each virtual register receives a fresh
-symbolic value.  The shadow plugin then observes how that symbol flows:
+symbolic value, the plain tuple ``(frame_id, key)`` whose ``key`` is the
+``(function name, register)`` pair the observations are keyed by, built
+once per function.  The shadow plugin then observes how that symbol
+flows:
 
 * stored to and reloaded from the function's own emulated-stack frame —
   harmless (a register save);
@@ -26,6 +29,12 @@ ends before each call and before the terminator, so a use before an
 ``exit`` call is reported and one after it is not); marking a register
 used is idempotent, so that is the same classification as reporting
 every use.
+
+The observation runs once per call and once per used or stored symbol,
+so its records are plain: a symbol is a tuple (a call makes one per
+register), a live activation's record is a tuple, and nothing tests a
+shadow's type, since every shadow the interpreter hands the plugin is
+None or a symbol the plugin made.
 
 After classification, function signatures shrink to the true arguments
 and the registers actually modified; at every call site the dropped
@@ -61,23 +70,6 @@ from .sp0fold import is_lifted_function
 FRAME_LIMIT = 1 << 16
 
 
-@dataclass(frozen=True)
-class RegSym:
-    """The symbolic entry value of one register in one activation."""
-
-    frame_id: int
-    func_name: str
-    reg: str
-
-
-@dataclass
-class _FrameInfo:
-    func_name: str
-    sp0: int
-    syms: dict[str, RegSym]
-    incoming: list  # shadows passed by the caller, aligned with params
-
-
 @dataclass
 class RegSaveResult:
     """Classification outcome for a lifted module."""
@@ -91,7 +83,10 @@ class RegSaveResult:
 
 
 class RegSavePlugin:
-    """Interpreter shadow plugin implementing the §4.1 analysis."""
+    """Interpreter shadow plugin implementing the §4.1 analysis (see
+    the module docstring).  A register's entry symbol is a fresh tuple
+    per activation, so the register holds its entry value at return
+    exactly when its shadow is that object."""
 
     def __init__(self) -> None:
         self.used: dict[tuple[str, str], bool] = {}
@@ -100,8 +95,16 @@ class RegSavePlugin:
         self.modified: dict[tuple[str, str], bool] = {}
         self.indirect_targets: set[str] = set()
         self.seen_functions: set[str] = set()
-        self._frames: dict[int, _FrameInfo] = {}
-        self._mem_shadow: dict[int, RegSym] = {}
+        #: Each live activation of a lifted function, by frame id:
+        #: ``(sp0, shadows, incoming, keys)`` -- the parameter shadows
+        #: ``call_enter`` returned (the entry symbols after the stack
+        #: pointer's None), the shadows the caller passed, aligned with
+        #: the parameters, and the function's keys.
+        self._frames: dict[int, tuple] = {}
+        self._mem_shadow: dict[int, tuple] = {}
+        #: Each lifted function's keys, in ``REG_ORDER``, built on its
+        #: first call.
+        self._keys: dict[Function, tuple] = {}
 
     def reset(self) -> None:
         """Forget the per-run state (live frames and the symbols held in
@@ -131,52 +134,46 @@ class RegSavePlugin:
 
     def call_enter(self, func: Function, frame_id: int, args: list[int],
                    arg_shadows: list):
-        if not _is_lifted_signature(func):
-            return None
-        self.seen_functions.add(func.name)
-        sp0 = args[0] if args else 0
-        syms = {}
-        shadows: list = [None] * len(args)
-        for i, reg in enumerate(REG_ORDER):
-            sym = RegSym(frame_id, func.name, reg)
-            syms[reg] = sym
-            shadows[i + 1] = sym
-            incoming = arg_shadows[i + 1] if i + 1 < len(arg_shadows) \
-                else None
-            if isinstance(incoming, RegSym):
+        keys = self._keys.get(func)
+        if keys is None:
+            if not _is_lifted_signature(func):
+                return None
+            self.seen_functions.add(func.name)
+            keys = self._keys[func] = tuple((func.name, reg)
+                                            for reg in REG_ORDER)
+        shadows: list = [None]
+        shadows += [(frame_id, key) for key in keys]
+        for key, incoming in zip(keys, arg_shadows[1:], strict=False):
+            if incoming is not None:
                 # The caller's symbol is forwarded into this callee.
-                self.forwarded.setdefault(
-                    (incoming.func_name, incoming.reg),
-                    set()).add((func.name, reg))
-        self._frames[frame_id] = _FrameInfo(func.name, sp0, syms,
-                                            list(arg_shadows))
+                self.forwarded.setdefault(incoming[1], set()).add(key)
+        self._frames[frame_id] = (args[0] if args else 0, shadows,
+                                  list(arg_shadows), keys)
         return shadows
 
     def call_exit(self, func: Function, frame_id: int,
                   ret_values: list[int], ret_shadows: list):
-        info = self._frames.pop(frame_id, None)
-        if info is None:
+        rec = self._frames.pop(frame_id, None)
+        if rec is None:
             return None
+        _sp0, own, incoming, keys = rec
         translated: list = [None] * len(ret_shadows)
-        for i, reg in enumerate(REG_ORDER[:len(ret_shadows)]):
-            shadow = ret_shadows[i]
-            own = info.syms[reg]
-            if shadow is own:
+        modified = self.modified
+        for i in range(min(len(ret_shadows), len(keys))):
+            if ret_shadows[i] is own[i + 1]:
                 # Clean exit: the caller's value survives; hand the
                 # caller back the shadow it passed in.
-                incoming = info.incoming[i + 1] \
-                    if i + 1 < len(info.incoming) else None
-                translated[i] = incoming
+                translated[i] = incoming[i + 1] \
+                    if i + 1 < len(incoming) else None
             else:
-                self.modified[(func.name, reg)] = True
+                modified[keys[i]] = True
         return translated
 
     def on_use(self, frame_id: int, shadow) -> None:
         """A computation read ``shadow``: its register is an argument.
         The interpreter reports each symbol once per straight-line
         segment that reads it; marking a pair twice changes nothing."""
-        if isinstance(shadow, RegSym):
-            self.used[(shadow.func_name, shadow.reg)] = True
+        self.used[shadow[1]] = True
 
     def load_hook(self, instr: Load):
         """A word load reads the symbol a store left at its address; a
@@ -194,27 +191,24 @@ class RegSavePlugin:
         return self._store_symbol, forget
 
     def _store_symbol(self, frame_id: int, addr: int, shadow) -> None:
-        if not isinstance(shadow, RegSym):
-            self._mem_shadow.pop(addr, None)
-            return
-        info = self._frames.get(frame_id)
+        rec = self._frames.get(frame_id)
         in_own_frame = (
-            info is not None
-            and info.sp0 - FRAME_LIMIT < addr < info.sp0
+            rec is not None
+            and rec[0] - FRAME_LIMIT < addr < rec[0]
             and EMUSTACK_BASE <= addr < EMUSTACK_BASE + EMUSTACK_SIZE)
         in_native = addr >= STACK_TOP - (64 << 20)
         if in_own_frame or in_native:
             self._mem_shadow[addr] = shadow
         else:
             # Escapes the frame: globals, heap, or a caller frame.
-            self.used[(shadow.func_name, shadow.reg)] = True
+            self.used[shadow[1]] = True
             self._mem_shadow.pop(addr, None)
 
     def on_callext(self, frame_id: int, instr: Instr,
                    arg_values: list[int], arg_shadows: list) -> None:
         for shadow in arg_shadows:
-            if isinstance(shadow, RegSym):
-                self.used[(shadow.func_name, shadow.reg)] = True
+            if shadow is not None:
+                self.used[shadow[1]] = True
 
     def on_indirect_call(self, callee: Function) -> None:
         self.indirect_targets.add(callee.name)

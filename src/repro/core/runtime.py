@@ -13,24 +13,36 @@ bound and runs on every execution of the probe.  The runtime maintains
   dereference (out-of-bounds base pointers, §4.2.4) and never updated by
   derivation alone (false derives, §4.2.3);
 * per-activation :data:`PointerInfo` metadata for IR values, a plain
-  ``(var, offset)`` tuple (kept per frame, because one static value
-  points to different objects in recursive activations);
+  ``(var, offset)`` tuple, in a list indexed by vid (the
+  instrumenter's number for an IR value) that ``wyt.fnenter`` puts on
+  the activation's :class:`~repro.ir.interp.Frame` (``frame.probe``),
+  because one static value points to different objects in recursive
+  activations;
 * an address map from memory addresses to the PointerInfo stored there;
 * linked-variable pairs from pointer subtraction/comparison;
 * per-call-site argument-area intervals and callee sets (§4.2.5);
 * external-call constraint application (§5.3).
 
 The bookkeeping runs on every probe execution, hundreds of thousands per
-traced input, so its common paths allocate and call little: a pointer
-info is a tuple, and :meth:`StackVar.touch` writes a bound only when it
-grows.
+traced input, and records almost nothing, so its common paths allocate
+and call little.  A probe reads its frame's record from the frame and a
+value's info by list index; vid -1, which the instrumenter gives every
+constant operand and a call result that no ``Result`` extracts, indexes
+the list's last entry, a sink that no probe writes, so it always reads
+None.  A pointer info is a tuple.  The load and store probes widen a
+stack variable's bounds inline, writing a bound only when it grows, and
+not at all when the site sees the info it widened last: a site's access
+size is fixed, so a second widening by the same ``(var, offset)``
+changes nothing.  An argument area is widened through
+:meth:`ArgAccess.touch`, which also marks it walked.
 
 One runtime serves a whole bounds stage, whose one interpreter compiles
 the probes once.  :meth:`TracingRuntime.bind` starts each traced input's
-run: it resets the per-run state (frame records, the address map, staged
-call arguments and results) in place, because the compiled probes
-capture those containers, and keeps the cross-run observations (stack
+run: it resets the per-run state (the address map, staged call
+arguments and results) in place, because the compiled probes capture
+those containers, and keeps the cross-run observations (stack
 variables, argument areas, links), which accumulate over the inputs.
+The frame records need no reset: each lives on its frame.
 The observations only grow, and what a run adds to them does not
 depend on what they already hold, so a runtime that restores the
 :meth:`TracingRuntime.state` taken after some inputs
@@ -75,8 +87,9 @@ class StackVar:
         return self.low is not None
 
     def touch(self, offset: int, size: int) -> None:
-        """Widen the bounds to cover ``[offset, offset + size)``.  Runs
-        on every dereference, so it writes only a bound that grows."""
+        """Widen the bounds to cover ``[offset, offset + size)``,
+        writing only a bound that grows.  The load and store probes do
+        the same inline; the external-call constraints call this."""
         low = self.low
         if low is None:
             self.low, self.high = offset, offset + size
@@ -130,20 +143,16 @@ Probe = Callable[[Frame], None]
 
 @dataclass(slots=True)
 class _FrameRec:
-    """One activation's probe state: the call site that entered it and
-    the PointerInfo of its IR values, by vid."""
+    """One activation's probe state, which ``wyt.fnenter`` keeps on its
+    frame (``frame.probe``): the call site that entered it and the
+    PointerInfo of its IR values, a list indexed by vid.  The list has
+    one entry more than the function has vids, the sink vid -1 indexes.
+    ``fnenter`` is the first instruction of every instrumented
+    function, in its entry block, which no block branches to, so every
+    other probe of the activation finds the record."""
 
     callsite_id: int | None
-    infos: dict[int, PointerInfo | None] = field(default_factory=dict)
-
-
-class _FrameRecs(dict):
-    """Frame id -> :class:`_FrameRec`.  A frame entered without
-    ``fnenter`` (the entry wrapper) gets an empty record on first use."""
-
-    def __missing__(self, frame_id: int) -> _FrameRec:
-        rec = self[frame_id] = _FrameRec(None)
-        return rec
+    infos: list[PointerInfo | None]
 
 
 def _no_constraints(frame: Frame) -> None:
@@ -163,7 +172,6 @@ class TracingRuntime:
         self._link_order: list[frozenset[int]] = []
         # Per-run state.  Compiled probes capture these containers, so
         # they are cleared in place, never replaced.
-        self._frames = _FrameRecs()
         self._addr_map: dict[int, PointerInfo] = {}
         self._pending_args: list[tuple[int, list]] = []
         self._pending_rets: list[list] = []
@@ -174,9 +182,10 @@ class TracingRuntime:
         """The cross-run analysis state: stack variables, argument
         areas and links.
 
-        Per-execution state (frames, the address map, staged call
-        arguments, the bound interpreter) is excluded: it is reset by
-        :meth:`bind` and never read across runs.
+        Per-execution state (the frame records, the address map, staged
+        call arguments, the bound interpreter) is excluded: it is reset
+        by :meth:`bind` or dies with its frame, and is never read across
+        runs.
         """
         return {
             "stack_vars": self.stack_vars,
@@ -206,7 +215,6 @@ class TracingRuntime:
         constraints read: reset the per-run state, keeping the
         cross-run observations."""
         self._interp = interp
-        self._frames.clear()
         self._addr_map.clear()
         self._pending_args.clear()
         self._pending_rets.clear()
@@ -226,69 +234,71 @@ class TracingRuntime:
     # -- frames and calls ------------------------------------------------------
 
     def _fnenter(self, meta: dict, evs: list) -> Probe:
-        frames = self._frames
         pending_args = self._pending_args
         arg_accesses = self.arg_accesses
         param_vids = meta["param_vids"]
+        # The function's vids, then the sink.
+        blank = [None] * (meta["nvids"] + 1)
 
         def fnenter(frame: Frame) -> None:
+            infos = blank.copy()
             callsite_id = None
-            infos: dict[int, PointerInfo | None] = {}
             if pending_args:
                 callsite_id, staged = pending_args.pop()
-                infos.update(zip(param_vids, staged, strict=False))
+                for vid, info in zip(param_vids, staged, strict=False):
+                    infos[vid] = info
                 access = arg_accesses.get(callsite_id)
                 if access is not None:
                     access.callees.add(frame.function.name)
-            frames[frame.frame_id] = _FrameRec(callsite_id, infos)
+            frame.probe = _FrameRec(callsite_id, infos)
         return fnenter
 
     def _fnexit(self, meta: dict, evs: list) -> Probe:
-        frames = self._frames
         pending_rets = self._pending_rets
         ret_vids = meta["ret_vids"]
 
         def fnexit(frame: Frame) -> None:
-            rec = frames.pop(frame.frame_id, None)
-            infos = rec.infos if rec is not None else {}
-            pending_rets.append([infos.get(vid) for vid in ret_vids])
+            infos = frame.probe.infos
+            pending_rets.append([infos[vid] for vid in ret_vids])
         return fnexit
 
     def _callargs(self, meta: dict, evs: list) -> Probe:
-        frames = self._frames
         pending_args = self._pending_args
         arg_accesses = self.arg_accesses
         callsite_id = meta["callsite_id"]
         arg_vids = meta["arg_vids"]
 
         def callargs(frame: Frame) -> None:
-            infos = frames[frame.frame_id].infos
+            infos = frame.probe.infos
             pending_args.append(
-                (callsite_id, [infos.get(vid) for vid in arg_vids]))
+                (callsite_id, [infos[vid] for vid in arg_vids]))
             if callsite_id not in arg_accesses:
                 arg_accesses[callsite_id] = ArgAccess(callsite_id)
         return callargs
 
     def _callres(self, meta: dict, evs: list) -> Probe:
-        frames = self._frames
         pending_rets = self._pending_rets
         result_vids = meta["result_vids"]
 
         def callres(frame: Frame) -> None:
-            infos = frames[frame.frame_id].infos
-            staged = pending_rets.pop() if pending_rets else []
-            infos.update(zip(result_vids, staged, strict=False))
+            if pending_rets:
+                infos = frame.probe.infos
+                for vid, info in zip(result_vids, pending_rets.pop(),
+                                     strict=False):
+                    # A result no ``Result`` extracts has vid -1, the
+                    # sink: it stays None.
+                    if vid >= 0:
+                        infos[vid] = info
         return callres
 
     # -- pointer tracking -------------------------------------------------------
 
     def _stackref(self, meta: dict, evs: list) -> Probe:
-        frames = self._frames
         offset = meta["offset"]
         vid = meta["vid"]
         if 0 <= offset < 4 and meta.get("is_sp0"):
             def sp0(frame: Frame) -> None:
-                frames[frame.frame_id].infos[vid] = None
+                frame.probe.infos[vid] = None
             return sp0
         if offset >= 4:
             # Access above sp0: the caller's argument area; recorded per
@@ -297,7 +307,7 @@ class TracingRuntime:
             arg_offset = offset - 4
 
             def arg_area(frame: Frame) -> None:
-                rec = frames[frame.frame_id]
+                rec = frame.probe
                 callsite_id = rec.callsite_id
                 if callsite_id is None:
                     rec.infos[vid] = None
@@ -322,11 +332,10 @@ class TracingRuntime:
                     var = stack_vars[ref_id] = StackVar(
                         ref_id, frame.function.name, offset)
                 info = (var, 0)
-            frames[frame.frame_id].infos[vid] = info
+            frame.probe.infos[vid] = info
         return stackref
 
     def _derive(self, meta: dict, evs: list) -> Probe:
-        frames = self._frames
         op = meta["op"]
         const = meta["const"]
         result_vid = meta["result_vid"]
@@ -335,8 +344,8 @@ class TracingRuntime:
             delta = _signed(const) if op == "add" else -_signed(const)
 
             def derive(frame: Frame) -> None:
-                infos = frames[frame.frame_id].infos
-                base = infos.get(base_vid)
+                infos = frame.probe.infos
+                base = infos[base_vid]
                 if base is None:
                     infos[result_vid] = None
                     return
@@ -359,8 +368,8 @@ class TracingRuntime:
             and not low_bits & (low_bits + 1) else 0
 
         def merge_or_align(frame: Frame) -> None:
-            infos = frames[frame.frame_id].infos
-            base = infos.get(base_vid)
+            infos = frame.probe.infos
+            base = infos[base_vid]
             if base is not None:
                 var = base[0]
                 if isinstance(var, ArgAccess):
@@ -371,7 +380,6 @@ class TracingRuntime:
         return merge_or_align
 
     def _derive2(self, meta: dict, evs: list) -> Probe:
-        frames = self._frames
         op = meta["op"]
         result_vid = meta["result_vid"]
         lhs_vid = meta["lhs_vid"]
@@ -409,9 +417,9 @@ class TracingRuntime:
                 return None
 
         def derive2(frame: Frame) -> None:
-            infos = frames[frame.frame_id].infos
-            lhs = infos.get(lhs_vid)
-            rhs = infos.get(rhs_vid)
+            infos = frame.probe.infos
+            lhs = infos[lhs_vid]
+            rhs = infos[rhs_vid]
             if lhs is None and rhs is None:
                 infos[result_vid] = None
                 return
@@ -422,16 +430,15 @@ class TracingRuntime:
         return derive2
 
     def _link_probe(self, meta: dict, evs: list) -> Probe:
-        frames = self._frames
         lhs_vid = meta["lhs_vid"]
         rhs_vid = meta["rhs_vid"]
         link = self._link
 
         def link_vars(frame: Frame) -> None:
-            infos = frames[frame.frame_id].infos
-            lhs = infos.get(lhs_vid)
+            infos = frame.probe.infos
+            lhs = infos[lhs_vid]
             if lhs is not None:
-                rhs = infos.get(rhs_vid)
+                rhs = infos[rhs_vid]
                 if rhs is not None:
                     link(lhs[0], rhs[0])
         return link_vars
@@ -448,14 +455,13 @@ class TracingRuntime:
             self._link_order.append(pair)
 
     def _copy(self, meta: dict, evs: list) -> Probe:
-        frames = self._frames
         dst_vid = meta["dst_vid"]
         src_vid = meta["src_vid"]
         group = meta.get("group_size")
         if group is None:
             def copy(frame: Frame) -> None:
-                infos = frames[frame.frame_id].infos
-                infos[dst_vid] = infos.get(src_vid)
+                infos = frame.probe.infos
+                infos[dst_vid] = infos[src_vid]
             return copy
         # Parallel phi-edge copies: read all sources before any write
         # (swap patterns would otherwise observe half-updated state).
@@ -464,50 +470,79 @@ class TracingRuntime:
         last = meta["group_index"] == group - 1
 
         def staged_copy(frame: Frame) -> None:
-            infos = frames[frame.frame_id].infos
+            infos = frame.probe.infos
             if first:
                 stage.clear()
-            stage.append((dst_vid, infos.get(src_vid)))
+            stage.append((dst_vid, infos[src_vid]))
             if last:
-                infos.update(stage)
+                for vid, info in stage:
+                    infos[vid] = info
                 stage.clear()
         return staged_copy
 
     def _load(self, meta: dict, evs: list) -> Probe:
-        frames = self._frames
         addr_map = self._addr_map
         size = meta["size"]
         addr_vid = meta["addr_vid"]
         result_vid = meta["result_vid"]
         addr_value = evs[0]
         word = size == 4
+        # The info this site widened last (see the module docstring).
+        widened = None
 
         def load(frame: Frame) -> None:
-            infos = frames[frame.frame_id].infos
-            info = infos.get(addr_vid)
-            if info is not None:
+            nonlocal widened
+            infos = frame.probe.infos
+            info = infos[addr_vid]
+            if info is not None and info is not widened:
+                widened = info
                 var, offset = info
-                var.touch(offset, size)
+                if var.__class__ is StackVar:
+                    end = offset + size
+                    low = var.low
+                    if low is None:
+                        var.low, var.high = offset, end
+                    else:
+                        if offset < low:
+                            var.low = offset
+                        if end > var.high:
+                            var.high = end
+                else:
+                    var.touch(offset, size)
             infos[result_vid] = addr_map.get(addr_value(frame.values)) \
                 if word and addr_map else None
         return load
 
     def _store(self, meta: dict, evs: list) -> Probe:
-        frames = self._frames
         addr_map = self._addr_map
         size = meta["size"]
         addr_vid = meta["addr_vid"]
-        # Only a word store spills a pointer; no vid is None.
-        value_vid = meta["value_vid"] if size == 4 else None
+        # Only a word store spills a pointer; the others read the sink.
+        value_vid = meta["value_vid"] if size == 4 else -1
         addr_value = evs[0]
+        # The info this site widened last (see the module docstring).
+        widened = None
 
         def store(frame: Frame) -> None:
-            infos = frames[frame.frame_id].infos
-            info = infos.get(addr_vid)
-            if info is not None:
+            nonlocal widened
+            infos = frame.probe.infos
+            info = infos[addr_vid]
+            if info is not None and info is not widened:
+                widened = info
                 var, offset = info
-                var.touch(offset, size)
-            value_info = infos.get(value_vid)
+                if var.__class__ is StackVar:
+                    end = offset + size
+                    low = var.low
+                    if low is None:
+                        var.low, var.high = offset, end
+                    else:
+                        if offset < low:
+                            var.low = offset
+                        if end > var.high:
+                            var.high = end
+                else:
+                    var.touch(offset, size)
+            value_info = infos[value_vid]
             if value_info is not None:
                 addr_map[addr_value(frame.values)] = value_info
             elif addr_map:
@@ -520,18 +555,17 @@ class TracingRuntime:
         sig = EXTERNAL_DB.get(meta["name"])
         if sig is None:
             return _no_constraints
-        frames = self._frames
         arg_vids = meta["arg_vids"]
         result_vid = meta["result_vid"]
         apply = self._apply_constraints
 
         def extcall(frame: Frame) -> None:
             values = frame.values
-            apply(frames[frame.frame_id].infos, sig, arg_vids, result_vid,
+            apply(frame.probe.infos, sig, arg_vids, result_vid,
                   [ev(values) for ev in evs])
         return extcall
 
-    def _apply_constraints(self, infos: dict, sig, arg_vids: list[int],
+    def _apply_constraints(self, infos: list, sig, arg_vids: list[int],
                            result_vid: int, args: list[int]) -> None:
         arg_values = args[:len(arg_vids)]
         result_value = args[len(arg_vids)] if len(args) > len(arg_vids) \
@@ -541,7 +575,7 @@ class TracingRuntime:
             if index == RET:
                 return None
             if index < len(arg_vids):
-                return infos.get(arg_vids[index])
+                return infos[arg_vids[index]]
             return None
 
         def arg_value(index: int) -> int:
@@ -601,7 +635,7 @@ class TracingRuntime:
             return 0
         return len(self._interp.mem.read_cstring(ptr))
 
-    def _format_str(self, infos: dict, sig, fmt_index: int,
+    def _format_str(self, infos: list, sig, fmt_index: int,
                     arg_vids: list[int], arg_values: list[int]) -> None:
         if self._interp is None:
             return
@@ -611,7 +645,7 @@ class TracingRuntime:
             arg_i = sig.nargs + i
             if kind == "str" and arg_i < len(arg_values):
                 self._zero_terminated(
-                    infos.get(arg_vids[arg_i])
+                    infos[arg_vids[arg_i]]
                     if arg_i < len(arg_vids) else None,
                     arg_values[arg_i])
 

@@ -103,6 +103,16 @@ class SchedError(ReproError):
     failure that cannot be attributed to one job."""
 
 
+class WorkerDied(SchedError):
+    """The kind of a job whose scheduler worker process died while it
+    ran the job; the scheduler respawns the worker."""
+
+
+class JobTimeout(SchedError):
+    """The kind of a job that ran past the scheduler's per-job
+    wall-clock limit; the scheduler kills and respawns its worker."""
+
+
 class SchedRejected(SchedError):
     """Raised when the scheduler's bounded job queue is full
     (backpressure).  :attr:`retry_after` is the server's estimate, in
@@ -123,3 +133,14 @@ class RemoteJobError(ServeError):
     def __init__(self, message: str, remote_kind: str = "RemoteJobError"):
         self.remote_kind = remote_kind
         super().__init__(message)
+
+
+def job_failure(exc: Exception) -> tuple[str, str]:
+    """The ``(kind, message)`` a daemon response carries for a job that
+    failed with ``exc``: a :class:`ReproError`'s class name and message,
+    and for any other exception :class:`ServeError` with the
+    exception's class name leading the message, so every kind a
+    response names is a class of this module."""
+    if isinstance(exc, ReproError):
+        return type(exc).__name__, str(exc)
+    return ServeError.__name__, f"{type(exc).__name__}: {exc}"

@@ -39,21 +39,25 @@ the owning function's frame layout, so an executed instruction does no
 ``isinstance`` dispatch and no per-operand classification, and a block
 transfer finds the next block's code with one ``dict.get``.  A 4-byte
 load from a value's address, and a 4-byte store of a value to a
-value's address in a run without a plugin or of a shadow carrier in a
-shadow run, take the memory's word path inline (see
-:mod:`repro.emu.memory`) and call ``Memory.read``/``write`` only off
-it; ``add``, ``sub`` and ``mul`` with a constant operand are one
-inline expression.
+value's address in a run without a plugin or to any address in a
+shadow run (carrier or not: a value that carries no shadow reads its
+None shadow slot, so every such store runs one closure), take the
+memory's word path inline (see :mod:`repro.emu.memory`) and call
+``Memory.read``/``write`` only off it; ``add``, ``sub`` and ``mul``
+with a constant operand are one inline expression.
 
 Frames are slot lists.  The interpreter lays each function out once per
 mutation ``version``: its parameters, then each instruction that has a
 value, get slot numbers, and a frame's values (and, in a shadow run, its
 shadows) are a list indexed by them, so a closure reads an operand by
-list index.  A slot nothing has written holds :data:`UNSET`, whose truth
-test, comparison, hashing and arithmetic raise :class:`InterpError`: a
-use whose definition did not run fails the run.  Slot numbers are
-private to the interpreter; a probe reads a frame's values only through
-the operand evaluators (``evs``) it is compiled with.
+list index.  A frame's ``probe`` slot holds the probe compiler's record
+of the activation (the tracing runtime's pointer infos); the interpreter
+only starts it at None.  A slot nothing has written holds :data:`UNSET`,
+whose truth test, comparison, hashing and arithmetic raise
+:class:`InterpError`: a use whose definition did not run fails the run.
+Slot numbers are private to the interpreter; a probe reads a frame's
+values only through the operand evaluators (``evs``) it is compiled
+with.
 
 A shadow run (one with a plugin; only the §4.1 observation has one)
 computes only the values an effect reads.  Per function it marks live
@@ -455,10 +459,13 @@ class Frame:
 
     ``values`` (and ``shadows`` in a shadow run, else None) are slot
     lists in the function's layout; read them only through the operand
-    evaluators the interpreter hands a probe compiler.
+    evaluators the interpreter hands a probe compiler.  ``probe`` is
+    the probe compiler's per-activation record: None until a compiled
+    probe sets it, and never read by the interpreter.
     """
 
-    __slots__ = ("function", "frame_id", "values", "shadows", "sp")
+    __slots__ = ("function", "frame_id", "values", "shadows", "sp",
+                 "probe")
 
     def __init__(self, function: Function, frame_id: int, sp: int,
                  values: list, shadows: list | None):
@@ -467,6 +474,7 @@ class Frame:
         self.values = values
         self.shadows = shadows
         self.sp = sp  # native stack cursor for allocas
+        self.probe = None
 
 
 class Interpreter:
@@ -994,10 +1002,11 @@ class Interpreter:
 
     def _compile_store(self, i: Store, lay: _Layout):
         """A store.  A 4-byte one of a value to a value's address (with
-        no plugin) or of a shadow carrier (in a shadow run) writes a
-        mapped page's word inline and calls ``Memory.write`` only off
+        no plugin) or of a value to any address (in a shadow run) writes
+        a mapped page's word inline and calls ``Memory.write`` only off
         the word path.  In a shadow run the plugin's store hooks follow
-        the write."""
+        the write: a value that is not a shadow carrier reads its None
+        shadow slot, as a carrier does."""
         write = self.mem.write
         page_of = self.mem.page_of
         slots = lay.slots
@@ -1026,7 +1035,9 @@ class Interpreter:
                 write(ea(v), size, ev(v))
             return run
         on_shadow, on_plain = sh.store_hooks(i)
-        if i.value not in lay.carriers:
+        value_v = i.value
+        if not isinstance(value_v, (Instr, Param)) \
+                or size != 4 and value_v not in lay.carriers:
             # The stored value carries no shadow.
             def run(frame):
                 v = frame.values
@@ -1034,7 +1045,9 @@ class Interpreter:
                 write(addr, size, ev(v))
                 on_plain(addr, None)
             return run
-        c = slots[i.value]
+        # A word store of any value takes the word path below: one that
+        # is not a shadow carrier reads its shadow slot's None.
+        c = slots[value_v]
         if size != 4:
             def run(frame):
                 v = frame.values

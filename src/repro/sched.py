@@ -34,7 +34,10 @@ Scheduling model:
   mid-job, fails the job with kind ``JobTimeout``, emits a
   ``job.timeout`` ledger event, and respawns the worker so the slot is
   freed.  Worker crashes are handled the same way (kind
-  ``WorkerDied``).
+  ``WorkerDied``).  Both are :mod:`repro.errors` classes, and a job
+  that fails with an exception of another family ships as kind
+  ``ServeError``, the exception's class name leading its message
+  (:func:`~repro.errors.job_failure`).
 
 Observability: counters ``sched.dispatch`` / ``sched.reject`` /
 ``sched.timeout`` with matching ledger events, the
@@ -62,7 +65,13 @@ from pathlib import Path
 from . import obs
 from .binary.image import BinaryImage
 from .core.incremental import incremental_recompile
-from .errors import SchedError, SchedRejected
+from .errors import (
+    JobTimeout,
+    SchedError,
+    SchedRejected,
+    WorkerDied,
+    job_failure,
+)
 from .store import ArtifactStore, decode_runs
 
 __all__ = ["JobScheduler", "execute_job"]
@@ -187,8 +196,9 @@ def _worker_main(conn, worker_id: int, store_root: str,
                 result = execute_job(spec, store)
             result["ok"] = True
         except Exception as exc:   # ship the failure, stay alive
-            result = {"ok": False, "error": str(exc),
-                      "kind": type(exc).__name__, "job_failed": True}
+            kind, error = job_failure(exc)
+            result = {"ok": False, "error": error, "kind": kind,
+                      "job_failed": True}
         result["worker"] = worker_id
         if shipping:
             result["obs"] = obs.export_payload()
@@ -487,14 +497,14 @@ class JobScheduler:
                 if died:
                     code = (slot.proc.exitcode
                             if slot.proc is not None else None)
-                    result = {"ok": False, "kind": "WorkerDied",
+                    result = {"ok": False, "kind": WorkerDied.__name__,
                               "error": f"worker {slot.idx} died "
                                        f"mid-job (exit {code})",
                               "job_failed": True}
                 else:   # deadline passed with the worker still running
                     self.stats["timeouts"] += 1
                     timed_out = True
-                    result = {"ok": False, "kind": "JobTimeout",
+                    result = {"ok": False, "kind": JobTimeout.__name__,
                               "error": f"job exceeded the "
                                        f"{self.job_timeout:g}s "
                                        f"wall-clock limit",

@@ -45,7 +45,9 @@ response object per line, over ``AF_UNIX``.  Requests carry an ``op``:
               then exits; new submits are rejected during the drain)
 
 Responses are ``{"ok": true, ...}`` or ``{"ok": false, "error": msg,
-"kind": ExceptionName}`` — a backpressure rejection additionally
+"kind": ExceptionName}`` (a job that fails with an exception outside
+:mod:`repro.errors` answers kind ``ServeError``, its class name leading
+the message) — a backpressure rejection additionally
 carries ``retry_after`` seconds, and a failure raised while the daemon
 executed the job (in process or in a pool worker, after the request was
 accepted) carries ``"job_failed": true``, which the client raises as
@@ -75,7 +77,7 @@ from pathlib import Path
 
 from . import obs
 from .binary.image import BinaryImage
-from .errors import RemoteJobError, SchedError, ServeError
+from .errors import RemoteJobError, SchedError, ServeError, job_failure
 from .sched import JobScheduler, execute_job
 from .store import ArtifactStore, decode_runs, encode_runs, image_key
 
@@ -467,9 +469,9 @@ class RecompileServer:
                         result = execute_job(spec, self.store,
                                              image=image)
                     except Exception as exc:
+                        kind, error = job_failure(exc)
                         raise RemoteJobError(
-                            str(exc),
-                            remote_kind=type(exc).__name__) from exc
+                            error, remote_kind=kind) from exc
                     result["ok"] = True
                 else:
                     spec["image_json"] = image.to_json()

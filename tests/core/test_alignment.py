@@ -22,9 +22,9 @@ def test_and_derive_records_alignment():
     rt = TracingRuntime()
     fr = SimpleNamespace(frame_id=1,
                          function=SimpleNamespace(name="f"),
-                         values={})
-    fire(rt, fr, _probe("fnenter", [], {"func": "f",
-                                        "param_vids": []}), [1000])
+                         values={}, probe=None)
+    fire(rt, fr, _probe("fnenter", [], {"func": "f", "param_vids": [],
+                                        "nvids": 12}), [1000])
     fire(rt, fr, _probe("stackref", [], {
         "ref_id": 0, "offset": -64, "vid": 10, "is_sp0": False}), [936])
     # Align-down to 16: and ptr, ~15.

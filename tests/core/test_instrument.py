@@ -2,6 +2,8 @@
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.core.instrument import instrument_module, strip_probes
 from repro.core.sp0fold import fold_module_stack_refs
 from repro.core.regsave import apply_register_classification, \
@@ -12,11 +14,11 @@ from repro.emu import run_binary, trace_binary
 from repro.ir import Interpreter, run_module, verify_module
 from repro.ir.values import Intrinsic
 from repro.lifting import lift_traces
-from tests.conftest import KERNEL_SOURCE, cached_image
+from tests.conftest import FEATURE_SOURCE, KERNEL_SOURCE, cached_image
 
 
-def prepared_module():
-    image = cached_image(KERNEL_SOURCE)
+def prepared_module(source=KERNEL_SOURCE, opt_level="3"):
+    image = cached_image(source, opt_level=opt_level)
     traces = trace_binary(image.stripped(), [[]])
     module = lift_traces(traces)
     recover_vararg_calls(module, traces)
@@ -86,3 +88,24 @@ def test_callsites_registered():
     nsites = sum(len(fi.callsites) for fi in mi.functions.values())
     assert nsites >= 1
     assert nsites <= ncalls + 1
+
+
+@pytest.mark.parametrize("opt_level", ["0", "3"])
+@pytest.mark.parametrize("source", [KERNEL_SOURCE, FEATURE_SOURCE],
+                         ids=["kernel", "feature"])
+def test_fnenter_runs_before_every_other_probe(source, opt_level):
+    # The runtime keeps an activation's record on its frame from
+    # ``fnenter`` on, with no fallback for a frame that lacks one: each
+    # instrumented function's entry block starts with ``fnenter``, and
+    # no block branches back to it.
+    _image, _traces, module = prepared_module(source, opt_level)
+    mi = instrument_module(module)
+    assert mi.functions
+    for name in mi.functions:
+        func = module.functions[name]
+        first = func.entry.instrs[0]
+        assert isinstance(first, Intrinsic), name
+        assert first.intrinsic == "wyt.fnenter", name
+        assert first.meta["nvids"] == len(mi.functions[name].vids)
+        assert all(func.entry not in block.successors()
+                   for block in func.blocks), name

@@ -253,6 +253,14 @@ def test_a_plain_store_clears_the_spilled_symbol():
         == set()
 
 
+def test_a_computed_store_clears_the_spilled_symbol():
+    # A computed value carries no shadow, and its word store takes the
+    # same closure as a symbol's: it too overwrites the spilled ecx.
+    assert _spill_and_reload(
+        ins("mov", EBX, Imm(5)), ins("add", EBX, Imm(1)),
+        ins("mov", Mem(ESP, disp=-8), EBX)) == set()
+
+
 def test_regsave_memory_hooks_are_the_shadow_maps_methods():
     # A sub-word load gets no hook, so it costs no call; the others are
     # C-level methods of the plugin's memory shadow.

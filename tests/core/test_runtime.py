@@ -12,10 +12,17 @@ from repro.core.instrument import _probe
 from repro.core.runtime import ArgAccess, StackVar, TracingRuntime
 
 
+#: The vid count the tests' ``fnenter`` metas give each function: the
+#: vids they use are below it.
+NVIDS = 100
+
+
 def frame(fid=1, fname="f"):
+    """A fake activation: ``probe`` starts None, as on an interpreter
+    frame, until ``fnenter`` puts the runtime's record there."""
     return SimpleNamespace(frame_id=fid,
                            function=SimpleNamespace(name=fname),
-                           values={})
+                           values={}, probe=None)
 
 
 def compile_probe(rt, name, meta, nargs):
@@ -36,7 +43,8 @@ def fire(rt, fr, name, meta, args=()):
 
 def enter(rt, fr, sp0=1000, params=(0,)):
     fire(rt, fr, "fnenter", {"func": fr.function.name,
-                             "param_vids": list(params)}, [sp0])
+                             "param_vids": list(params),
+                             "nvids": NVIDS}, [sp0])
 
 
 def test_stackvar_deferred_bounds():
@@ -86,6 +94,46 @@ def test_touch_keeps_the_min_max_bounds(seq):
     assert (var.low, var.high) == min_max(seq)
     assert (area.low, area.high) == min_max(seq)
     assert area.walked == walked(seq)
+
+
+#: Dereferences through the load and store probes: ``(offset, size,
+#: store?, derive a fresh pointer first?)``.  Without a fresh derive,
+#: an access at the previous offset reuses the previous info object.
+probe_accesses = st.lists(st.tuples(st.integers(-16, 16),
+                                    st.sampled_from([1, 2, 4, 8]),
+                                    st.booleans(), st.booleans()),
+                          max_size=24)
+
+
+@given(probe_accesses)
+def test_load_and_store_probes_keep_the_min_max_bounds(seq):
+    # Each load or store site widens a variable inline and skips an
+    # info object it widened last; the bounds must still be the least
+    # offset and the greatest end of every dereference.
+    rt = TracingRuntime()
+    fr = frame()
+    enter(rt, fr)
+    fire(rt, fr, "stackref", {"ref_id": 1, "offset": -64, "vid": 10,
+                              "is_sp0": False}, [936])
+    sites = {}
+    current = None
+    for offset, size, store, fresh in seq:
+        if fresh or offset != current:
+            fire(rt, fr, "derive", {"op": "add",
+                                    "const": offset & 0xFFFFFFFF,
+                                    "result_vid": 11, "base_vid": 10},
+                 [936 + offset, 936])
+            current = offset
+        if (size, store) not in sites:
+            meta = {"size": size, "addr_vid": 11,
+                    **({"value_vid": -1} if store
+                       else {"result_vid": 12})}
+            sites[size, store] = compile_probe(
+                rt, "store" if store else "load", meta, 2)
+        run(sites[size, store], fr, [936 + offset, 0])
+    var = rt.stack_vars[1]
+    assert (var.low, var.high) == min_max([(off, size)
+                                           for off, size, _, _ in seq])
 
 
 def test_stackref_creates_var_and_info():
@@ -214,7 +262,7 @@ def test_overwrite_clears_address_map():
          [2000, 42])  # overwrite with non-pointer
     fire(rt, fr, "load", {"size": 4, "addr_vid": -1, "result_vid": 20},
          [2000, 42])
-    fr2_info = rt._frames[fr.frame_id].infos[20]
+    fr2_info = fr.probe.infos[20]
     assert fr2_info is None
 
 
@@ -225,8 +273,8 @@ def test_argument_area_recording():
     enter(rt, caller, sp0=2000)
     fire(rt, caller, "callargs", {"callsite_id": 7, "arg_vids": [50]},
          [])
-    fire(rt, callee, "fnenter", {"func": "callee",
-                                 "param_vids": [0]}, [996])
+    fire(rt, callee, "fnenter", {"func": "callee", "param_vids": [0],
+                                 "nvids": NVIDS}, [996])
     # Callee touches [sp0+4] and [sp0+8]: two argument slots.
     fire(rt, callee, "stackref", {"ref_id": 9, "offset": 4, "vid": 10,
                                   "is_sp0": False}, [1000])
@@ -248,8 +296,8 @@ def test_walked_argument_area():
     callee = frame(2, "callee")
     enter(rt, caller, sp0=2000)
     fire(rt, caller, "callargs", {"callsite_id": 3, "arg_vids": []}, [])
-    fire(rt, callee, "fnenter", {"func": "callee", "param_vids": []},
-         [996])
+    fire(rt, callee, "fnenter", {"func": "callee", "param_vids": [],
+                                 "nvids": NVIDS}, [996])
     fire(rt, callee, "stackref", {"ref_id": 9, "offset": 4, "vid": 10,
                                   "is_sp0": False}, [1000])
     fire(rt, callee, "derive", {"op": "add", "const": 4,
@@ -295,7 +343,7 @@ def test_only_a_low_bit_clearing_mask_records_alignment(const, align):
          [968 & const, 968])
     assert rt.stack_vars[1].align == align
     # Either way the result still points into the variable.
-    assert rt._frames[fr.frame_id].infos[11][0] is rt.stack_vars[1]
+    assert fr.probe.infos[11][0] is rt.stack_vars[1]
 
 
 def test_extcall_object_size_constraint():
@@ -320,7 +368,7 @@ def test_extcall_derive_constraint():
     fire(rt, fr, "extcall",
          {"name": "memset", "arg_vids": [10, -1, -1],
           "result_vid": 20}, [936, 0, 16, 936])
-    var, offset = rt._frames[fr.frame_id].infos[20]
+    var, offset = fr.probe.infos[20]
     assert var is rt.stack_vars[1] and offset == 0
     assert (rt.stack_vars[1].low, rt.stack_vars[1].high) == (0, 16)
 
@@ -333,7 +381,8 @@ def test_recursion_distinct_frames_same_var():
     fire(rt, outer, "stackref", {"ref_id": 1, "offset": -16, "vid": 10,
                                  "is_sp0": False}, [1984])
     fire(rt, outer, "callargs", {"callsite_id": 0, "arg_vids": []}, [])
-    fire(rt, inner, "fnenter", {"func": "f", "param_vids": []}, [1900])
+    fire(rt, inner, "fnenter", {"func": "f", "param_vids": [],
+                                "nvids": NVIDS}, [1900])
     fire(rt, inner, "stackref", {"ref_id": 1, "offset": -16, "vid": 10,
                                  "is_sp0": False}, [1884])
     fire(rt, inner, "store", {"size": 4, "addr_vid": 10,
@@ -342,7 +391,7 @@ def test_recursion_distinct_frames_same_var():
     # Same static StackVar accumulated bounds from the inner activation.
     assert rt.stack_vars[1].defined
     # The outer frame's vid metadata still points at the same var.
-    assert rt._frames[outer.frame_id].infos[10][0] is rt.stack_vars[1]
+    assert outer.probe.infos[10][0] is rt.stack_vars[1]
 
 
 def test_bind_clears_the_address_map_between_runs():
@@ -351,7 +400,8 @@ def test_bind_clears_the_address_map_between_runs():
     # run B, which loads that word and dereferences it.
     rt = TracingRuntime()
     fnenter = compile_probe(rt, "fnenter", {"func": "f",
-                                            "param_vids": [0]}, 1)
+                                            "param_vids": [0],
+                                            "nvids": NVIDS}, 1)
     stackref = compile_probe(rt, "stackref", {
         "ref_id": 1, "offset": -32, "vid": 10, "is_sp0": False}, 1)
     spill = compile_probe(rt, "store", {"size": 4, "addr_vid": -1,
@@ -370,5 +420,26 @@ def test_bind_clears_the_address_map_between_runs():
     run(fnenter, run_b, [1000])
     run(reload, run_b, [2000, 968])
     run(deref, run_b, [968, 0])
-    assert rt._frames[run_b.frame_id].infos[20] is None
+    assert run_b.probe.infos[20] is None
+    assert not rt.stack_vars[1].defined
+
+
+def test_an_ignored_result_does_not_reach_a_constant_operand():
+    # A constant operand has vid -1, and so has a call result that no
+    # ``Result`` extracts.  The callee returns its own stack reference;
+    # the caller ignores it and loads a global, whose address is a
+    # constant: the load must not dereference the callee's variable.
+    rt = TracingRuntime()
+    caller = frame(1, "caller")
+    callee = frame(2, "callee")
+    enter(rt, caller, sp0=2000)
+    fire(rt, caller, "callargs", {"callsite_id": 0, "arg_vids": []}, [])
+    fire(rt, callee, "fnenter", {"func": "callee", "param_vids": [],
+                                 "nvids": NVIDS}, [1900])
+    fire(rt, callee, "stackref", {"ref_id": 1, "offset": -16, "vid": 10,
+                                  "is_sp0": False}, [1884])
+    fire(rt, callee, "fnexit", {"ret_vids": [10]}, [])
+    fire(rt, caller, "callres", {"result_vids": [-1]}, [])
+    fire(rt, caller, "load", {"size": 4, "addr_vid": -1,
+                              "result_vid": 20}, [0x0D000000, 0])
     assert not rt.stack_vars[1].defined

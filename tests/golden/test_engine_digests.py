@@ -15,6 +15,11 @@ on fixed programs and inputs, pinned.
 * ``bounds-O<n>`` — the bounds stage's ``TracingRuntime.snapshot()``
   for ``KERNEL_SOURCE`` at gcc12-O<n>, with ``stack_vars`` and
   ``arg_accesses`` in first-touch order;
+* ``regsave-O<n>`` and ``regsave-<program>`` — for the same programs,
+  the §4.1 observation state that ``classify_registers`` hands its
+  check (``used``, ``forwarded`` and ``modified`` in insertion order,
+  the sets sorted) and the ``RegSaveResult`` it resolves, by function
+  name;
 * ``opt-<source>-o<n>``, ``canonicalize-kernel`` and
   ``compile_ir-o<n>`` — ``module_to_text`` after ``optimize_module``
   or ``canonicalize_module``, and the recompiled image's JSON.
@@ -42,6 +47,7 @@ from unittest import mock
 import pytest
 
 from repro.cc.driver import compile_to_ir
+from repro.core import driver
 from repro.core.driver import wytiwyg_lift
 from repro.emu import trace_binary
 from repro.ir.interp import Interpreter
@@ -49,6 +55,7 @@ from repro.ir.printer import module_to_text
 from repro.opt import OptOptions, canonicalize_module, optimize_module
 from repro.recompile.link import compile_ir
 from repro.replay import ReplayEngine
+from repro.replay.engine import StageCheck
 from repro.workloads import WORKLOADS
 from tests.conftest import FEATURE_SOURCE, KERNEL_SOURCE, cached_image
 
@@ -108,13 +115,42 @@ def trace_doc(program: str):
     }
 
 
+def observed_lift(trace_set):
+    """``wytiwyg_lift(trace_set)`` and its §4.1 observation: the state
+    the observation hands its check and the classification it
+    resolves."""
+    real_classify, real_passed = driver.classify_registers, \
+        StageCheck.passed
+    states, results = [], []
+
+    def passed(self, state):
+        if self.stage == "lifting":
+            states.append(copy.deepcopy(state))
+        return real_passed(self, state)
+
+    def classify(*args, **kwargs):
+        results.append(real_classify(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(StageCheck, "passed", passed), \
+            mock.patch.object(driver, "classify_registers", classify):
+        lift = wytiwyg_lift(trace_set)
+    (state,), (result,) = states, results
+    # The result's dicts are built from a set of names, so they iterate
+    # in hash order; what a later stage reads of them is sorted.
+    resolved = {"args": sorted(result.args.items()),
+                "outputs": sorted(result.outputs.items()),
+                "indirect_targets": result.indirect_targets}
+    return lift, {"state": state, "result": resolved}
+
+
 @functools.cache
 def lifted(program: str):
-    return wytiwyg_lift(traces(program))
+    return observed_lift(traces(program))
 
 
 def lift_doc(program: str):
-    _, layouts, notes, _ = lifted(program)
+    _, layouts, notes, _ = lifted(program)[0]
     return {"layouts": layouts, "notes": notes}
 
 
@@ -138,6 +174,13 @@ def bounds_snapshot(opt_level: str) -> dict:
     return snapshot
 
 
+def regsave_observation(opt_level: str) -> dict:
+    """The §4.1 observation of ``wytiwyg_lift`` for ``KERNEL_SOURCE``
+    traced on no input (:func:`observed_lift`)."""
+    image = cached_image(KERNEL_SOURCE, opt_level=opt_level)
+    return observed_lift(trace_binary(image.stripped(), [[]]))[1]
+
+
 def optimized(source: str, level: str):
     module = compile_to_ir(SOURCES[source], name="t", config=None)
     optimize_module(module, getattr(OptOptions, level)())
@@ -157,6 +200,9 @@ OUTPUTS = {
     **{f"lift-{p}": functools.partial(lift_doc, p) for p in PROGRAMS},
     **{f"bounds-O{n}": functools.partial(bounds_snapshot, n)
        for n in ("0", "3")},
+    **{f"regsave-O{n}": functools.partial(regsave_observation, n)
+       for n in ("0", "3")},
+    **{f"regsave-{p}": (lambda p=p: lifted(p)[1]) for p in PROGRAMS},
     **{f"opt-{s}-{lv}": (lambda s=s, lv=lv:
                           module_to_text(optimized(s, lv)))
        for s in SOURCES for lv in LEVELS},
@@ -183,7 +229,7 @@ def test_lifted_module_reproduces_traced_runs(program):
     # The emulator traced the binary; the IR interpreter runs the
     # module recovered from those traces on the same inputs.
     ts = traces(program)
-    module = lifted(program)[0]
+    module = lifted(program)[0][0]
     with Interpreter(module) as interp:
         for items, expected in zip(ts.inputs, ts.results, strict=True):
             interp.reset(items)

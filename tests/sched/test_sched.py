@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import obs
+from repro import errors, obs
 from repro.errors import SchedError, SchedRejected
 from repro.sched import JobScheduler
 
@@ -203,6 +203,7 @@ def test_job_timeout_fails_job_and_respawns_worker(tmp_path):
         result = scheduler.submit(probe(sleep=30.0))
         assert result["ok"] is False
         assert result["kind"] == "JobTimeout"
+        assert issubclass(getattr(errors, result["kind"]), SchedError)
         assert "wall-clock limit" in result["error"]
         assert result["job_failed"] is True
         stats = scheduler.snapshot()["stats"]
@@ -227,6 +228,7 @@ def test_worker_crash_fails_job_and_respawns(tmp_path):
         result = running["result"]
         assert result["ok"] is False
         assert result["kind"] == "WorkerDied"
+        assert issubclass(getattr(errors, result["kind"]), SchedError)
         assert result["job_failed"] is True
         assert scheduler.snapshot()["stats"]["respawns"] == 1
         assert scheduler.submit(probe())["ok"]

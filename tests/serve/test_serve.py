@@ -15,9 +15,9 @@ import warnings
 
 import pytest
 
-from repro import compile_source, obs, run_binary
+from repro import compile_source, errors, obs, run_binary
 from repro.binary import BinaryImage
-from repro.errors import ServeError
+from repro.errors import RemoteJobError, ServeError
 from repro.serve import PROTOCOL_VERSION, RecompileServer, ServeClient
 from repro.store import ArtifactStore
 
@@ -552,15 +552,32 @@ def test_pool_job_events_and_sched_events_reach_the_ledger(pooled,
     assert obs.recorder().registry.counters["sched.dispatch"] == 1
 
 
-def test_pool_worker_errors_keep_their_kind(pooled, image):
-    server, client = pooled
-    # The job fails inside the worker process (the output path's
-    # directory does not exist); the original exception class name must
-    # survive the process hop instead of flattening to RemoteJobError.
-    with pytest.raises(ServeError, match="FileNotFoundError"):
+def _assert_a_typed_job_failure(client, image):
+    """The job fails while it runs, with a ``FileNotFoundError`` (the
+    output path's directory does not exist): it answers a
+    :mod:`repro.errors` kind, ``ServeError``, whose message still names
+    the original class."""
+    with pytest.raises(RemoteJobError,
+                       match="ServeError: FileNotFoundError") as failed:
         client.submit(image_json=image.to_json(), inputs=[[0, 7]],
                       output="/nonexistent-repro-dir/out.json")
+    kind = failed.value.remote_kind
+    assert kind == "ServeError"
+    assert issubclass(getattr(errors, kind), errors.ReproError)
     assert client.ping()["ok"]
+
+
+def test_a_job_failure_answers_a_repro_errors_kind(served, image):
+    _server, client = served
+    _assert_a_typed_job_failure(client, image)
+    assert client.status()["stats"]["errors"] == 1
+
+
+def test_pool_worker_errors_keep_their_kind(pooled, image):
+    # The same failure inside a worker process: the kind survives the
+    # process hop instead of flattening to RemoteJobError.
+    server, client = pooled
+    _assert_a_typed_job_failure(client, image)
     status = client.status()
     assert status["sched"]["stats"]["failed"] == 1
     assert status["sched"]["stats"]["respawns"] == 0  # worker survived

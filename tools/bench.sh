@@ -16,7 +16,8 @@
 # The replay benches run as a third pass and emit BENCH_replay.json:
 # serial refinement wall time of the replay engine (input dedup, every
 # replay run also checking the trace), plus the dedup and replay run
-# counts, and the tracing runtime's share of a bounds run.  CI's
+# counts, the tracing runtime's share of a bounds run and the §4.1
+# observer's share of a register observation run.  CI's
 # bench-smoke job runs this pass too.
 #
 # The service benches run as a fourth pass and emit BENCH_serve.json:
