@@ -28,6 +28,14 @@ its instruction addresses:
   the same image and cost model (the tracer runs one machine per input
   and reuses the cache across all of them).
 
+Building a block costs one table lookup per instruction, since most
+blocks of a short trace run only a few times: the template comes from
+a dict keyed by mnemonic (``_TEMPLATES`` for a block's body,
+``_TERMINATOR_TEMPLATES`` for its last instruction), and an operand's
+read or write closure from a dict keyed by the operand's class.  The
+decoder hands the templates shared operands (see
+:class:`~repro.isa.disassembler.Disassembler`).
+
 An instruction whose operand shape no template covers compiles to a
 closure that raises :class:`~repro.errors.EmulationError` when it runs.
 """
@@ -68,7 +76,7 @@ EBP_INDEX = 5
 def _addr_closure(op: Mem):
     """Address computation for a memory operand, or None if the operand
     still carries an unresolved symbolic displacement."""
-    if not isinstance(op.disp, int):
+    if op.disp.__class__ is not int:
         return None
     disp = op.disp
     base = op.base.index if op.base is not None else None
@@ -91,8 +99,8 @@ def _base_word(op) -> tuple[int, int] | None:
     """``(base register index, displacement)`` of a 4-byte
     ``[base+disp]`` memory operand, the shape the word templates below
     inline; None for any other operand."""
-    if isinstance(op, Mem) and op.size == 4 and op.base is not None \
-            and op.index is None and isinstance(op.disp, int):
+    if op.__class__ is Mem and op.size == 4 and op.base is not None \
+            and op.index is None and op.disp.__class__ is int:
         return op.base.index, op.disp
     return None
 
@@ -103,85 +111,104 @@ def _base_word(op) -> tuple[int, int] | None:
 # that path calls ``m.mem.read`` / ``m.mem.write``.
 
 
+def _read_reg(op: Reg):
+    i = op.index
+    if op.width == 4:
+        return lambda m: m.regs[i]
+    if op.width == 2:
+        return lambda m: m.regs[i] & 0xFFFF
+    if op.high8:
+        return lambda m: (m.regs[i] >> 8) & 0xFF
+    return lambda m: m.regs[i] & 0xFF
+
+
+def _read_imm(op: Imm):
+    const = op.value & MASK32
+    return lambda m: const
+
+
+def _read_mem(op: Mem):
+    word = _base_word(op)
+    if word is not None:
+        b, disp = word
+
+        def rd(m):
+            addr = (m.regs[b] + disp) & MASK32
+            off = addr & PAGE_MASK
+            page = m.page_of(addr >> PAGE_SHIFT) \
+                if off <= WORD_END else None
+            return m.mem.read(addr, 4) if page is None \
+                else unpack_word(page, off)[0]
+        return rd
+    addr = _addr_closure(op)
+    if addr is None:
+        return None
+    size = op.size
+    return lambda m: m.mem.read(addr(m), size)
+
+
+def _write_reg(op: Reg):
+    i = op.index
+    if op.width == 4:
+        def wr(m, v, i=i):
+            m.regs[i] = v & MASK32
+        return wr
+    if op.width == 2:
+        def wr(m, v, i=i):
+            regs = m.regs
+            regs[i] = (regs[i] & 0xFFFF0000) | (v & 0xFFFF)
+        return wr
+    if op.high8:
+        def wr(m, v, i=i):
+            regs = m.regs
+            regs[i] = (regs[i] & 0xFFFF00FF) | ((v & 0xFF) << 8)
+        return wr
+
+    def wr(m, v, i=i):
+        regs = m.regs
+        regs[i] = (regs[i] & 0xFFFFFF00) | (v & 0xFF)
+    return wr
+
+
+def _write_mem(op: Mem):
+    word = _base_word(op)
+    if word is not None:
+        b, disp = word
+
+        def wr(m, v):
+            addr = (m.regs[b] + disp) & MASK32
+            off = addr & PAGE_MASK
+            page = m.page_of(addr >> PAGE_SHIFT) \
+                if off <= WORD_END else None
+            if page is None:
+                m.mem.write(addr, 4, v)
+            else:
+                pack_word(page, off, v & MASK32)
+        return wr
+    addr = _addr_closure(op)
+    if addr is None:
+        return None
+    size = op.size
+    return lambda m, v: m.mem.write(addr(m), size, v)
+
+
+#: Operand class -> factory of its read closure.
+_READERS = {Reg: _read_reg, Imm: _read_imm, Mem: _read_mem}
+
+#: Operand class -> factory of its write closure (call with (m, value)).
+_WRITERS = {Reg: _write_reg, Mem: _write_mem}
+
+
 def _read_closure(op):
     """Value read for an operand, or None if unspecializable."""
-    if isinstance(op, Reg):
-        i = op.index
-        if op.width == 4:
-            return lambda m: m.regs[i]
-        if op.width == 2:
-            return lambda m: m.regs[i] & 0xFFFF
-        if op.high8:
-            return lambda m: (m.regs[i] >> 8) & 0xFF
-        return lambda m: m.regs[i] & 0xFF
-    if isinstance(op, Imm):
-        const = op.value & MASK32
-        return lambda m: const
-    if isinstance(op, Mem):
-        word = _base_word(op)
-        if word is not None:
-            b, disp = word
-
-            def rd(m):
-                addr = (m.regs[b] + disp) & MASK32
-                off = addr & PAGE_MASK
-                page = m.page_of(addr >> PAGE_SHIFT) \
-                    if off <= WORD_END else None
-                return m.mem.read(addr, 4) if page is None \
-                    else unpack_word(page, off)[0]
-            return rd
-        addr = _addr_closure(op)
-        if addr is None:
-            return None
-        size = op.size
-        return lambda m: m.mem.read(addr(m), size)
-    return None
+    make = _READERS.get(op.__class__)
+    return make(op) if make is not None else None
 
 
 def _write_closure(op):
     """Value write for an operand (call with (m, value)), or None."""
-    if isinstance(op, Reg):
-        i = op.index
-        if op.width == 4:
-            def wr(m, v, i=i):
-                m.regs[i] = v & MASK32
-            return wr
-        if op.width == 2:
-            def wr(m, v, i=i):
-                regs = m.regs
-                regs[i] = (regs[i] & 0xFFFF0000) | (v & 0xFFFF)
-            return wr
-        if op.high8:
-            def wr(m, v, i=i):
-                regs = m.regs
-                regs[i] = (regs[i] & 0xFFFF00FF) | ((v & 0xFF) << 8)
-            return wr
-
-        def wr(m, v, i=i):
-            regs = m.regs
-            regs[i] = (regs[i] & 0xFFFFFF00) | (v & 0xFF)
-        return wr
-    if isinstance(op, Mem):
-        word = _base_word(op)
-        if word is not None:
-            b, disp = word
-
-            def wr(m, v):
-                addr = (m.regs[b] + disp) & MASK32
-                off = addr & PAGE_MASK
-                page = m.page_of(addr >> PAGE_SHIFT) \
-                    if off <= WORD_END else None
-                if page is None:
-                    m.mem.write(addr, 4, v)
-                else:
-                    pack_word(page, off, v & MASK32)
-            return wr
-        addr = _addr_closure(op)
-        if addr is None:
-            return None
-        size = op.size
-        return lambda m, v: m.mem.write(addr(m), size, v)
-    return None
+    make = _WRITERS.get(op.__class__)
+    return make(op) if make is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +223,15 @@ def _compile_mov(instr: Instruction):
         return None
     # Flatten the hottest shapes: 32-bit register destinations, and word
     # stores of a register to ``[base+disp]``.
-    if isinstance(dst, Reg) and dst.width == 4:
+    if dst.__class__ is Reg and dst.width == 4:
         d = dst.index
-        if isinstance(src, Reg) and src.width == 4:
+        if src.__class__ is Reg and src.width == 4:
             s = src.index
 
             def op(m):
                 m.regs[d] = m.regs[s]
             return op
-        if isinstance(src, Imm):
+        if src.__class__ is Imm:
             const = src.value & MASK32
 
             def op(m):
@@ -228,7 +255,7 @@ def _compile_mov(instr: Instruction):
             m.regs[d] = rd(m)
         return op
     word = _base_word(dst)
-    if word is not None and isinstance(src, Reg) and src.width == 4:
+    if word is not None and src.__class__ is Reg and src.width == 4:
         b, disp = word
         s = src.index
 
@@ -258,8 +285,8 @@ def _compile_movsx(instr: Instruction):
     wr = _write_closure(dst)
     if rd is None or wr is None:
         return None
-    width = src.width if isinstance(src, Reg) else \
-        src.size if isinstance(src, Mem) else 4
+    width = src.width if src.__class__ is Reg else \
+        src.size if src.__class__ is Mem else 4
     sign_bit = 1 << (8 * width - 1)
     ext = MASK32 ^ ((1 << (8 * width)) - 1)
 
@@ -273,7 +300,7 @@ def _compile_movsx(instr: Instruction):
 
 def _compile_lea(instr: Instruction):
     dst, src = instr.operands
-    if not isinstance(src, Mem):
+    if src.__class__ is not Mem:
         return None
     addr = _addr_closure(src)
     wr = _write_closure(dst)
@@ -328,7 +355,7 @@ def _compile_arith(instr: Instruction):
     rs = _read_closure(src)
     if rs is None:
         return None
-    reg4 = isinstance(dst, Reg) and dst.width == 4
+    reg4 = dst.__class__ is Reg and dst.width == 4
     if reg4:
         d = dst.index
         if mnem == "add":
@@ -451,7 +478,7 @@ def _compile_test(instr: Instruction):
 def _compile_incdec(instr: Instruction):
     dec = instr.mnemonic == "dec"
     dst = instr.operands[0]
-    if isinstance(dst, Reg) and dst.width == 4:
+    if dst.__class__ is Reg and dst.width == 4:
         d = dst.index
 
         def op(m):
@@ -534,7 +561,7 @@ def _compile_negnot(instr: Instruction):
 
 def _compile_imul(instr: Instruction):
     dst, src = instr.operands
-    if isinstance(dst, Reg) and dst.width == 4 and isinstance(src, Imm):
+    if dst.__class__ is Reg and dst.width == 4 and src.__class__ is Imm:
         d = dst.index
         k = signed32(src.value)
 
@@ -629,10 +656,11 @@ def _compile_nop(instr: Instruction):
 # -- terminators ------------------------------------------------------------
 
 
-def _compile_jmp(instr: Instruction, src: int, costs: CostModel):
+def _compile_jmp(instr: Instruction, next_eip: int, costs: CostModel):
+    src = instr.addr
     taken = costs.branch_taken
     target_op = instr.operands[0]
-    if isinstance(target_op, Imm):
+    if target_op.__class__ is Imm:
         target = target_op.value & MASK32
         edge = (src, target, "jump")
 
@@ -657,10 +685,10 @@ def _compile_jmp(instr: Instruction, src: int, costs: CostModel):
     return op
 
 
-def _compile_jcc(instr: Instruction, src: int, next_eip: int,
-                 costs: CostModel):
+def _compile_jcc(instr: Instruction, next_eip: int, costs: CostModel):
+    src = instr.addr
     target_op = instr.operands[0]
-    if not isinstance(target_op, Imm):
+    if target_op.__class__ is not Imm:
         return None
     target = target_op.value & MASK32
     cond = CONDITIONS[instr.cc]
@@ -683,10 +711,10 @@ def _compile_jcc(instr: Instruction, src: int, next_eip: int,
     return op
 
 
-def _compile_call(instr: Instruction, src: int, next_eip: int,
-                  costs: CostModel):
+def _compile_call(instr: Instruction, next_eip: int, costs: CostModel):
+    src = instr.addr
     target_op = instr.operands[0]
-    if isinstance(target_op, ImportRef):
+    if target_op.__class__ is ImportRef:
         name = target_op.name
         import_cost = costs.import_call
         count = vararg_counter(name)
@@ -704,7 +732,7 @@ def _compile_call(instr: Instruction, src: int, next_eip: int,
             m.regs[0] = result & MASK32
             m.cpu.eip = next_eip
         return op
-    if isinstance(target_op, Imm):
+    if target_op.__class__ is Imm:
         target = target_op.value & MASK32
         edge = (src, target, "call")
 
@@ -735,7 +763,9 @@ def _compile_call(instr: Instruction, src: int, next_eip: int,
     return op
 
 
-def _compile_ret(instr: Instruction, src: int):
+def _compile_ret(instr: Instruction, next_eip: int, costs: CostModel):
+    src = instr.addr
+
     def op(m):
         regs = m.regs
         esp = regs[ESP_INDEX]
@@ -751,61 +781,63 @@ def _compile_ret(instr: Instruction, src: int):
     return op
 
 
-def _compile_hlt(instr: Instruction):
+def _compile_hlt(instr: Instruction, next_eip: int, costs: CostModel):
     def op(m):
         m._halted = m.regs[0]
     return op
 
 
+#: Mnemonic -> template of a block-body instruction, ``(instr) ->
+#: closure or None``.
+_TEMPLATES = {
+    "mov": _compile_mov,
+    "movzx": _compile_mov,
+    "movsx": _compile_movsx,
+    "lea": _compile_lea,
+    "push": _compile_push,
+    "pop": _compile_pop,
+    "add": _compile_arith,
+    "sub": _compile_arith,
+    "and": _compile_arith,
+    "or": _compile_arith,
+    "xor": _compile_arith,
+    "cmp": _compile_cmp,
+    "test": _compile_test,
+    "inc": _compile_incdec,
+    "dec": _compile_incdec,
+    "shl": _compile_shift,
+    "shr": _compile_shift,
+    "sar": _compile_shift,
+    "neg": _compile_negnot,
+    "not": _compile_negnot,
+    "imul": _compile_imul,
+    "cdq": _compile_cdq,
+    "idiv": _compile_idiv,
+    "setcc": _compile_setcc,
+    "leave": _compile_leave,
+    "nop": _compile_nop,
+}
+
+#: Mnemonic -> template of a block terminator, ``(instr, next_eip,
+#: costs) -> closure or None``.
+_TERMINATOR_TEMPLATES = {
+    "jmp": _compile_jmp,
+    "jcc": _compile_jcc,
+    "call": _compile_call,
+    "ret": _compile_ret,
+    "hlt": _compile_hlt,
+}
+
+
 def _compile(instr: Instruction, next_eip: int, costs: CostModel):
     """Specialize one instruction, or return None when no template
     covers its mnemonic and operand shapes."""
-    mnem = instr.mnemonic
-    src = instr.addr
-    if mnem in ("mov", "movzx"):
-        return _compile_mov(instr)
-    if mnem == "movsx":
-        return _compile_movsx(instr)
-    if mnem == "lea":
-        return _compile_lea(instr)
-    if mnem == "push":
-        return _compile_push(instr)
-    if mnem == "pop":
-        return _compile_pop(instr)
-    if mnem in ("add", "sub", "and", "or", "xor"):
-        return _compile_arith(instr)
-    if mnem == "cmp":
-        return _compile_cmp(instr)
-    if mnem == "test":
-        return _compile_test(instr)
-    if mnem in ("inc", "dec"):
-        return _compile_incdec(instr)
-    if mnem in ("shl", "shr", "sar"):
-        return _compile_shift(instr)
-    if mnem in ("neg", "not"):
-        return _compile_negnot(instr)
-    if mnem == "imul":
-        return _compile_imul(instr)
-    if mnem == "cdq":
-        return _compile_cdq(instr)
-    if mnem == "idiv":
-        return _compile_idiv(instr)
-    if mnem == "setcc":
-        return _compile_setcc(instr)
-    if mnem == "leave":
-        return _compile_leave(instr)
-    if mnem == "nop":
-        return _compile_nop(instr)
-    if mnem == "jmp":
-        return _compile_jmp(instr, src, costs)
-    if mnem == "jcc":
-        return _compile_jcc(instr, src, next_eip, costs)
-    if mnem == "call":
-        return _compile_call(instr, src, next_eip, costs)
-    if mnem == "ret":
-        return _compile_ret(instr, src)
-    if mnem == "hlt":
-        return _compile_hlt(instr)
+    template = _TEMPLATES.get(instr.mnemonic)
+    if template is not None:
+        return template(instr)
+    template = _TERMINATOR_TEMPLATES.get(instr.mnemonic)
+    if template is not None:
+        return template(instr, next_eip, costs)
     return None
 
 

@@ -37,7 +37,15 @@ Execution engine: each basic block is compiled, on first entry, into a
 list of argument-specialized closures (one per instruction), cached in
 the owning function's frame layout, so an executed instruction does no
 ``isinstance`` dispatch and no per-operand classification, and a block
-transfer finds the next block's code with one ``dict.get``.  A 4-byte
+transfer finds the next block's code with one ``dict.get``.  Compiling
+is cheap too, since most blocks of a short trace run only a few times:
+the compiler picks each instruction's closure factory by its exact
+class from a table built at import (``_BODY_COMPILERS``,
+``_TERM_COMPILERS``; nothing subclasses the IR's value classes), and an
+operand's kind (a slot, or a constant, global or function) is one
+lookup in a frozenset of classes.  An instruction of a class no table
+knows compiles to a closure that raises ``unimplemented instruction``
+when it runs.  A 4-byte
 load from a value's address, and a 4-byte store of a value to a
 value's address in a run without a plugin or to any address in a
 shadow run (carrier or not: a value that carries no shadow reads its
@@ -63,7 +71,9 @@ A shadow run (one with a plugin; only the §4.1 observation has one)
 computes only the values an effect reads.  Per function it marks live
 the roots — every instruction that is not a binop, compare, unary, phi
 or ``Result`` extract, plus ``div`` and ``rem``, which can raise — and
-every instruction their operands reach.  A dead binop, compare or unary
+every instruction their operands reach; the one walk over the function
+that numbers its slots also finds the roots and the shadow carriers
+(see :class:`_Layout`).  A dead binop, compare or unary
 compiles to nothing, and a live one to its plain closure: the operand
 uses of both are reported by their segment's closure, which runs at the
 segment's end, before the call or terminator that ends it.  A dead phi
@@ -129,19 +139,36 @@ GLOBAL_REGION_BASE = 0x0D000000
 #: binary entry (cc-compiled modules).
 FUNC_ADDR_BASE = 0x0E000000
 
+# The block compiler chooses by an instruction's exact class (nothing
+# subclasses the IR's value classes): one lookup in the sets below or in
+# the compiler tables after :class:`Interpreter`.
+
+#: Every instruction class.
+_INSTRS = frozenset((BinOp, Unary, ICmp, Load, Store, Alloca, Call,
+                     CallInd, CallExt, Result, Phi, Intrinsic, Br, CondBr,
+                     Switch, Ret, Unreachable))
+
+#: Operand classes that live in a frame slot; any other operand is a
+#: constant, a global or a function.
+_SLOTTED = _INSTRS | {Param}
+
 #: Instructions whose shadow the plugin supplies (with parameters; a phi
-#: carries one when an incoming value can, see :func:`_shadow_carriers`).
-_SHADOW_SOURCES = (Load, Call, CallInd, Result)
+#: carries one when an incoming value can, see :class:`_Layout`).
+_SHADOW_SOURCES = frozenset((Load, Call, CallInd, Result))
 
 #: Instructions a shadow run computes only when a live one reads them.
-_PURE = (BinOp, ICmp, Unary, Phi, Result)
+_PURE = frozenset((BinOp, ICmp, Unary, Phi, Result))
+
+#: Binops a shadow run computes although nothing reads them: they can
+#: raise.
+_TRAPPING = frozenset(("div", "rem"))
 
 #: Instructions whose shadowed operands a shadow run reports as uses.
-_REPORTED = (BinOp, ICmp, Unary)
+_REPORTED = frozenset((BinOp, ICmp, Unary))
 
 #: Instructions that end a straight-line segment (the terminator does
 #: too): the callee may end the run, so the segment reports first.
-_CALLS = (Call, CallInd, CallExt)
+_CALLS = frozenset((Call, CallInd, CallExt))
 
 
 class _Unset:
@@ -295,46 +322,6 @@ def _no_shadow(shadows) -> None:
     return None
 
 
-def _live_instrs(func: Function) -> set[Instr]:
-    """The instructions a shadow run computes: the roots (every
-    instruction that is not a binop, compare, unary, phi or ``Result``,
-    plus ``div`` and ``rem``, which can raise) and every instruction
-    their operands reach."""
-    work = [i for i in func.instructions()
-            if not isinstance(i, _PURE)
-            or (isinstance(i, BinOp) and i.opcode in ("div", "rem"))]
-    live = set(work)
-    while work:
-        for op in work.pop().ops:
-            if isinstance(op, Instr) and op not in live:
-                live.add(op)
-                work.append(op)
-    return live
-
-
-def _shadow_carriers(func: Function) -> set[Value]:
-    """The values of ``func`` that can carry a shadow: its parameters,
-    loads, calls to IR functions and their ``Result`` extracts, and each
-    phi with such an incoming value.  No other value's shadow slot is
-    ever written, so it stays None."""
-    carriers: set[Value] = set(func.params)
-    phi_users: dict[Value, list[Phi]] = {}
-    for instr in func.instructions():
-        if isinstance(instr, _SHADOW_SOURCES):
-            carriers.add(instr)
-        elif isinstance(instr, Phi):
-            for op in instr.ops:
-                if isinstance(op, (Instr, Param)):
-                    phi_users.setdefault(op, []).append(instr)
-    work = list(carriers)
-    while work:
-        for phi in phi_users.get(work.pop(), ()):
-            if phi not in carriers:
-                carriers.add(phi)
-                work.append(phi)
-    return carriers
-
-
 class _Layout:
     """One function's frame layout at one mutation ``version``, and the
     blocks compiled in it.
@@ -349,6 +336,18 @@ class _Layout:
     values and the shadows a block entry stages each fill one range.
     ``code`` maps each block compiled so far to its code; a mutation
     bumps the version, which replaces the layout and drops its code.
+
+    A shadow run's layout comes from one walk over the function, which
+    numbers the slots and collects the roots of ``live`` (every
+    instruction that is not a binop, compare, unary, phi or ``Result``
+    extract, plus ``div`` and ``rem``, which can raise), the shadow
+    sources (parameters, loads, calls to IR functions and their
+    ``Result`` extracts) and each phi's incoming values.  ``live`` is
+    then the roots and every instruction their operands reach, and
+    ``carriers`` the sources and each phi with a carrier incoming; no
+    other value's shadow slot is ever written, so it stays None.  Each
+    block's phis are renumbered within their range once both sets are
+    known.
     """
 
     __slots__ = ("version", "slots", "tail", "shadow_tail", "live",
@@ -357,24 +356,71 @@ class _Layout:
     def __init__(self, func: Function, shadow_run: bool):
         self.version = func.version
         self.code: dict = {}
-        live = self.live = _live_instrs(func) if shadow_run else None
-        carriers = self.carriers = \
-            _shadow_carriers(func) if shadow_run else None
-        slots: dict[Value, int] = {p: n for n, p in enumerate(func.params)}
+        params = func.params
+        slots: dict[Value, int] = {p: n for n, p in enumerate(params)}
+        n = len(params)
+        if not shadow_run:
+            for block in func.blocks:
+                for instr in block.instrs:
+                    if instr.has_result:
+                        slots[instr] = n
+                        n += 1
+            self.live = self.carriers = self.shadow_tail = None
+            self.slots = slots
+            self.tail = [UNSET] * (n - len(params))
+            return
+        work: list[Instr] = []
+        carriers: set[Value] = set(params)
+        phi_users: dict[Value, list[Phi]] = {}
+        # Per block with phis: its first phi slot and its phis.
+        phi_runs: list[tuple[int, list[Phi]]] = []
         for block in func.blocks:
-            phis = block.phis()
-            if shadow_run:
-                phis.sort(key=lambda p: (1 if p in carriers else 0)
-                          if p in live else (2 if p in carriers else 3))
-            for instr in phis:
-                slots[instr] = len(slots)
-            for instr in block.instrs[len(phis):]:
+            instrs = block.instrs
+            nphis = 0
+            for instr in instrs:
+                if instr.__class__ is not Phi:
+                    break
+                nphis += 1
+            if nphis:
+                # Numbered in block order below, renumbered at the end.
+                phi_runs.append((n, instrs[:nphis]))
+            for instr in instrs:
+                cls = instr.__class__
+                if cls in _SHADOW_SOURCES:
+                    carriers.add(instr)
+                elif cls is Phi:
+                    for op in instr.ops:
+                        if op.__class__ in _SLOTTED:
+                            phi_users.setdefault(op, []).append(instr)
+                if cls not in _PURE or cls is BinOp \
+                        and instr.opcode in _TRAPPING:
+                    work.append(instr)
                 if instr.has_result:
-                    slots[instr] = len(slots)
+                    slots[instr] = n
+                    n += 1
+        live = set(work)
+        while work:
+            for op in work.pop().ops:
+                if op.__class__ in _INSTRS and op not in live:
+                    live.add(op)
+                    work.append(op)
+        work = list(carriers)
+        while work:
+            for phi in phi_users.get(work.pop(), ()):
+                if phi not in carriers:
+                    carriers.add(phi)
+                    work.append(phi)
+        for first, phis in phi_runs:
+            phis.sort(key=lambda p: (1 if p in carriers else 0)
+                      if p in live else (2 if p in carriers else 3))
+            for k, phi in enumerate(phis, first):
+                slots[phi] = k
+        self.live = live
+        self.carriers = carriers
         self.slots = slots
-        nvalues = len(slots) - len(func.params)
+        nvalues = n - len(params)
         self.tail = [UNSET] * nvalues
-        self.shadow_tail = [None] * nvalues if shadow_run else None
+        self.shadow_tail = [None] * nvalues
 
 
 class ShadowPlugin(Protocol):
@@ -697,26 +743,34 @@ class Interpreter:
         body = []
         term = None
         executed = 0
-        carriers = lay.carriers
+        slots, live, carriers = lay.slots, lay.live, lay.carriers
         # The carrier slots the current segment's reported instructions
         # read, in order of first use (a shadow run only).
         uses: dict[int, None] = {}
         for instr in block.instrs[nphis:]:
             executed += 1
+            cls = instr.__class__
             if instr.is_terminator:
-                term = self._compile_term(instr, lay)
+                term = _TERM_COMPILERS.get(cls, _unknown_term)(
+                    self, instr, lay)
                 break
             if carriers is not None:
-                if isinstance(instr, _REPORTED):
+                if cls in _REPORTED:
                     for op in instr.ops:
-                        if op in carriers:
-                            uses[lay.slots[op]] = None
-                elif isinstance(instr, _CALLS) and uses:
+                        if op.__class__ in _SLOTTED and op in carriers:
+                            uses[slots[op]] = None
+                elif cls in _CALLS and uses:
                     body.append(self._report_uses(uses))
                     uses = {}
-            op = self._compile_body(instr, lay)
-            if op is not None:
-                body.append(op)
+                if instr not in live and cls is not Phi:
+                    # Dead: a ``Result`` keeps its shadow; a binop,
+                    # compare or unary keeps nothing (its segment
+                    # reports its uses).
+                    if cls is Result:
+                        body.append(self._result_shadow(instr, lay))
+                    continue
+            body.append(_BODY_COMPILERS.get(cls, _unknown_instr)(
+                self, instr, lay))
         if uses:
             body.append(self._report_uses(uses))
         if term is None:
@@ -802,11 +856,12 @@ class Interpreter:
 
     def _const(self, v: Value) -> int:
         """The value of a constant, global or function operand."""
-        if isinstance(v, Const):
+        cls = v.__class__
+        if cls is Const:
             return v.value
-        if isinstance(v, GlobalRef):
+        if cls is GlobalRef:
             return self.global_addrs[v.name]
-        if isinstance(v, FuncRef):
+        if cls is FuncRef:
             return self.func_addrs[v.name]
         raise InterpError(f"cannot evaluate {v!r}")
 
@@ -820,7 +875,7 @@ class Interpreter:
         defined somewhere in the function, not that the definition
         dominates the use.
         """
-        if isinstance(v, (Instr, Param)):
+        if v.__class__ in _SLOTTED:
             return itemgetter(lay.slots[v])
         c = self._const(v)
         return lambda values: c
@@ -829,7 +884,7 @@ class Interpreter:
     def _shv(v: Value, lay: _Layout):
         """Closure evaluating ``v``'s shadow against a frame's shadow
         list (the slot of a value that carries none holds None)."""
-        if isinstance(v, (Instr, Param)):
+        if v.__class__ in _SLOTTED:
             return itemgetter(lay.slots[v])
         return _no_shadow
 
@@ -837,8 +892,13 @@ class Interpreter:
                 shadows: bool = False):
         """Closure returning the values (or the shadows) of ``ops`` from
         a frame's slot list as one sequence."""
-        if all(isinstance(op, (Instr, Param)) for op in ops):
-            idx = [lay.slots[op] for op in ops]
+        slot_of = lay.slots
+        idx = []
+        for op in ops:
+            if op.__class__ not in _SLOTTED:
+                break
+            idx.append(slot_of[op])
+        else:
             if len(idx) > 1:
                 return itemgetter(*idx)
             if idx:
@@ -851,93 +911,74 @@ class Interpreter:
 
     # per-instruction compilers --------------------------------------------
 
-    def _compile_body(self, i: Instr, lay: _Layout):
-        """Compile a non-terminator into a ``closure(frame) -> None``, or
-        None for a dead value with nothing to report."""
-        sh = self.shadow
+    # Each compiler turns one instruction into a ``closure(frame) ->
+    # None``; :data:`_BODY_COMPILERS` maps a class to its compiler.
+
+    def _compile_icmp(self, i: ICmp, lay: _Layout):
+        fn = _icmp_fn(i.pred)
+        lhs, rhs = i.lhs, i.rhs
         slots = lay.slots
-        if lay.live is not None and i not in lay.live \
-                and not isinstance(i, Phi):
-            # Dead: a ``Result`` keeps its shadow; a binop, compare or
-            # unary keeps nothing (its segment reports its uses).
-            if isinstance(i, Result):
-                return self._result_shadow(i, lay)
-            return None
-        if isinstance(i, BinOp):
-            return self._compile_binop(i, lay)
-        if isinstance(i, ICmp):
-            fn = _icmp_fn(i.pred)
-            lhs, rhs = i.lhs, i.rhs
-            d = slots[i]
-            if isinstance(lhs, (Instr, Param)) \
-                    and isinstance(rhs, (Instr, Param)):
-                a, b = slots[lhs], slots[rhs]
-
-                def run(frame):
-                    v = frame.values
-                    v[d] = fn(v[a], v[b])
-                return run
-            ea, eb = self._ev(lhs, lay), self._ev(rhs, lay)
+        d = slots[i]
+        if lhs.__class__ in _SLOTTED and rhs.__class__ in _SLOTTED:
+            a, b = slots[lhs], slots[rhs]
 
             def run(frame):
                 v = frame.values
-                v[d] = fn(ea(v), eb(v))
+                v[d] = fn(v[a], v[b])
             return run
-        if isinstance(i, Unary):
-            ea = self._ev(i.src, lay)
-            fn = _unary_fn(i.opcode)
-            d = slots[i]
+        ea, eb = self._ev(lhs, lay), self._ev(rhs, lay)
 
-            def run(frame):
-                v = frame.values
-                v[d] = fn(ea(v))
-            return run
-        if isinstance(i, Load):
-            return self._compile_load(i, lay)
-        if isinstance(i, Store):
-            return self._compile_store(i, lay)
-        if isinstance(i, Alloca):
-            size = i.size
-            mask = ~(max(i.align, 1) - 1)
-            d = slots[i]
+        def run(frame):
+            v = frame.values
+            v[d] = fn(ea(v), eb(v))
+        return run
 
-            def run(frame):
-                sp = (frame.sp - size) & mask
-                frame.sp = sp
-                frame.values[d] = sp
-            return run
-        if isinstance(i, Call):
-            return self._compile_call(i, lay)
-        if isinstance(i, CallInd):
-            return self._compile_callind(i, lay)
-        if isinstance(i, CallExt):
-            return self._compile_callext(i, lay)
-        if isinstance(i, Result):
-            s, idx, d = slots[i.call], i.index, slots[i]
-            if sh is None:
-                def run(frame):
-                    v = frame.values
-                    v[d] = v[s][idx]
-                return run
-            shadow_of = self._result_shadow(i, lay)
+    def _compile_unary(self, i: Unary, lay: _Layout):
+        ea = self._ev(i.src, lay)
+        fn = _unary_fn(i.opcode)
+        d = lay.slots[i]
 
+        def run(frame):
+            v = frame.values
+            v[d] = fn(ea(v))
+        return run
+
+    def _compile_alloca(self, i: Alloca, lay: _Layout):
+        size = i.size
+        mask = ~(max(i.align, 1) - 1)
+        d = lay.slots[i]
+
+        def run(frame):
+            sp = (frame.sp - size) & mask
+            frame.sp = sp
+            frame.values[d] = sp
+        return run
+
+    def _compile_result(self, i: Result, lay: _Layout):
+        slots = lay.slots
+        s, idx, d = slots[i.call], i.index, slots[i]
+        if self.shadow is None:
             def run(frame):
                 v = frame.values
                 v[d] = v[s][idx]
-                shadow_of(frame)
             return run
-        if isinstance(i, Intrinsic):
-            if self.probes is None:
-                return _no_probe
-            return self.probes.compile(i, [self._ev(a, lay)
-                                           for a in i.ops])
-        if isinstance(i, Phi):
-            def run(frame):
-                raise InterpError("phi executed out of band")
-            return run
+        shadow_of = self._result_shadow(i, lay)
 
         def run(frame):
-            raise InterpError(f"unimplemented instruction {i!r}")
+            v = frame.values
+            v[d] = v[s][idx]
+            shadow_of(frame)
+        return run
+
+    def _compile_probe(self, i: Intrinsic, lay: _Layout):
+        if self.probes is None:
+            return _no_probe
+        return self.probes.compile(i, [self._ev(a, lay) for a in i.ops])
+
+    def _compile_phi(self, i: Phi, lay: _Layout):
+        """A phi after a block's leading phis: an error when it runs."""
+        def run(frame):
+            raise InterpError("phi executed out of band")
         return run
 
     @staticmethod
@@ -961,7 +1002,7 @@ class Interpreter:
         sh = self.shadow
         shadow_of = sh.load_hook(i) if sh is not None else None
         addr_v = i.addr
-        if i.size != 4 or not isinstance(addr_v, (Instr, Param)):
+        if i.size != 4 or addr_v.__class__ not in _SLOTTED:
             size = i.size
             ea = self._ev(addr_v, lay)
             if shadow_of is None:
@@ -1010,13 +1051,13 @@ class Interpreter:
         write = self.mem.write
         page_of = self.mem.page_of
         slots = lay.slots
-        ea, ev = self._ev(i.addr, lay), self._ev(i.value, lay)
+        addr_v, value_v = i.addr, i.value
         size = i.size
         sh = self.shadow
         if sh is None:
-            if size == 4 and isinstance(i.addr, (Instr, Param)) \
-                    and isinstance(i.value, (Instr, Param)):
-                a, s = slots[i.addr], slots[i.value]
+            if size == 4 and addr_v.__class__ in _SLOTTED \
+                    and value_v.__class__ in _SLOTTED:
+                a, s = slots[addr_v], slots[value_v]
 
                 def run(frame):
                     v = frame.values
@@ -1029,16 +1070,19 @@ class Interpreter:
                     else:
                         pack_word(page, off, v[s] & MASK32)
                 return run
+            ea, ev = self._ev(addr_v, lay), self._ev(value_v, lay)
 
             def run(frame):
                 v = frame.values
                 write(ea(v), size, ev(v))
             return run
         on_shadow, on_plain = sh.store_hooks(i)
-        value_v = i.value
-        if not isinstance(value_v, (Instr, Param)) \
+        ea = self._ev(addr_v, lay)
+        if value_v.__class__ not in _SLOTTED \
                 or size != 4 and value_v not in lay.carriers:
             # The stored value carries no shadow.
+            ev = self._ev(value_v, lay)
+
             def run(frame):
                 v = frame.values
                 addr = ea(v)
@@ -1083,8 +1127,8 @@ class Interpreter:
         opc = i.opcode
         lhs, rhs = i.lhs, i.rhs
         d = slots[i]
-        lslot = isinstance(lhs, (Instr, Param))
-        rslot = isinstance(rhs, (Instr, Param))
+        lslot = lhs.__class__ in _SLOTTED
+        rslot = rhs.__class__ in _SLOTTED
         if lslot and rslot:
             # Address arithmetic dominates the mix: add and sub of two
             # values get inline bodies.
@@ -1222,52 +1266,97 @@ class Interpreter:
             v[d] = libc_call(name, ListArgs(values))
         return run
 
-    def _compile_term(self, i: Instr, lay: _Layout):
-        """Compile a terminator into ``closure(frame) -> (kind, payload)``."""
-        if isinstance(i, Br):
-            out = ("br", i.target)
-            return lambda frame: out
-        if isinstance(i, CondBr):
-            taken = ("br", i.if_true)
-            fall = ("br", i.if_false)
-            cond = i.cond
-            if isinstance(cond, (Instr, Param)):
-                c = lay.slots[cond]
-                return lambda frame: taken if frame.values[c] else fall
-            ec = self._ev(cond, lay)
-            return lambda frame: taken if ec(frame.values) else fall
-        if isinstance(i, Switch):
-            ev = self._ev(i.value, lay)
-            table = {}
-            for case, target in i.cases:
-                table.setdefault(case & MASK32, ("br", target))
-            default = ("br", i.default)
-            return lambda frame: table.get(ev(frame.values), default)
-        if isinstance(i, Ret):
-            rets = self._gather(i.ops, lay)
-            if self.shadow is None:
-                def run(frame):
-                    return ("ret", (list(rets(frame.values)), []))
-                return run
-            ret_shadows = self._gather(i.ops, lay, shadows=True)
+    # Each terminator compiler turns one terminator into a
+    # ``closure(frame) -> (kind, payload)``; :data:`_TERM_COMPILERS`
+    # maps a class to its compiler.
 
-            def run(frame):
-                return ("ret", (list(rets(frame.values)),
-                                list(ret_shadows(frame.shadows))))
-            return run
-        if isinstance(i, Unreachable):
-            fname = i.block.function.name \
-                if i.block is not None and i.block.function else "?"
-            note = i.note
+    def _compile_br(self, i: Br, lay: _Layout):
+        out = ("br", i.target)
+        return lambda frame: out
 
+    def _compile_condbr(self, i: CondBr, lay: _Layout):
+        taken = ("br", i.if_true)
+        fall = ("br", i.if_false)
+        cond = i.cond
+        if cond.__class__ in _SLOTTED:
+            c = lay.slots[cond]
+            return lambda frame: taken if frame.values[c] else fall
+        ec = self._ev(cond, lay)
+        return lambda frame: taken if ec(frame.values) else fall
+
+    def _compile_switch(self, i: Switch, lay: _Layout):
+        ev = self._ev(i.value, lay)
+        table = {}
+        for case, target in i.cases:
+            table.setdefault(case & MASK32, ("br", target))
+        default = ("br", i.default)
+        return lambda frame: table.get(ev(frame.values), default)
+
+    def _compile_ret(self, i: Ret, lay: _Layout):
+        rets = self._gather(i.ops, lay)
+        if self.shadow is None:
             def run(frame):
-                raise InterpError(
-                    f"{fname}: reached untraced path ({note})")
+                return ("ret", (list(rets(frame.values)), []))
             return run
+        ret_shadows = self._gather(i.ops, lay, shadows=True)
 
         def run(frame):
-            raise InterpError(f"unimplemented terminator {i!r}")
+            return ("ret", (list(rets(frame.values)),
+                            list(ret_shadows(frame.shadows))))
         return run
+
+    def _compile_unreachable(self, i: Unreachable, lay: _Layout):
+        fname = i.block.function.name \
+            if i.block is not None and i.block.function else "?"
+        note = i.note
+
+        def run(frame):
+            raise InterpError(
+                f"{fname}: reached untraced path ({note})")
+        return run
+
+
+def _unknown_instr(interp: Interpreter, i: Instr, lay: _Layout):
+    """An instruction of a class no compiler knows: an error when it
+    runs."""
+    def run(frame):
+        raise InterpError(f"unimplemented instruction {i!r}")
+    return run
+
+
+def _unknown_term(interp: Interpreter, i: Instr, lay: _Layout):
+    """A terminator of a class no compiler knows: an error when it
+    runs."""
+    def run(frame):
+        raise InterpError(f"unimplemented terminator {i!r}")
+    return run
+
+
+#: Instruction class -> ``compiler(interp, instr, layout)`` of a body
+#: instruction, built once.
+_BODY_COMPILERS = {
+    BinOp: Interpreter._compile_binop,
+    ICmp: Interpreter._compile_icmp,
+    Unary: Interpreter._compile_unary,
+    Load: Interpreter._compile_load,
+    Store: Interpreter._compile_store,
+    Alloca: Interpreter._compile_alloca,
+    Call: Interpreter._compile_call,
+    CallInd: Interpreter._compile_callind,
+    CallExt: Interpreter._compile_callext,
+    Result: Interpreter._compile_result,
+    Intrinsic: Interpreter._compile_probe,
+    Phi: Interpreter._compile_phi,
+}
+
+#: Terminator class -> its compiler, built once.
+_TERM_COMPILERS = {
+    Br: Interpreter._compile_br,
+    CondBr: Interpreter._compile_condbr,
+    Switch: Interpreter._compile_switch,
+    Ret: Interpreter._compile_ret,
+    Unreachable: Interpreter._compile_unreachable,
+}
 
 
 def run_module(module: Module,

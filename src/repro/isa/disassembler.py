@@ -5,6 +5,11 @@ paper's approach never requires a static linear sweep to be correct) plus a
 whole-text linear listing used for debugging and by the static baseline
 (:mod:`repro.baselines.secondwrite`), which, like real static rewriters,
 depends on the text section decoding linearly.
+
+A decoder shares frozen operands: within one :class:`Disassembler`
+(one per image, :func:`shared_disassembler`), equal memory and
+immediate operands are one object, and every register view is one
+object process-wide, so decoding a repeated operand builds nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ class Disassembler:
     It keeps the image's text section, imports and symbols, not the
     image itself, so a registered decoder does not keep its image alive
     (:func:`shared_disassembler`).
+
+    Operands are frozen, so the decoder shares them: every memory or
+    immediate operand it decodes with the same encoding as an earlier
+    one is that earlier object (:func:`repro.isa.encoding.decode`), and
+    every register is the one view object of its encoding.
     """
 
     def __init__(self, image: BinaryImage):
@@ -37,6 +47,8 @@ class Disassembler:
         self._symbols = image.symbols
         self._cache: dict[int, Instruction] = {}
         self._blocks: dict[int, tuple[Instruction, ...]] = {}
+        #: Operand encoding -> the operand decoded from it.
+        self._operands: dict[bytes, object] = {}
 
     def at(self, addr: int) -> Instruction:
         """Decode (with caching) the instruction at virtual address."""
@@ -47,7 +59,7 @@ class Disassembler:
             raise EncodingError(f"address {addr:#x} outside text section")
         instr, _size = encoding.decode(self._text.data,
                                        addr - self._text.base,
-                                       self._imports)
+                                       self._imports, self._operands)
         instr.addr = addr
         self._cache[addr] = instr
         return instr

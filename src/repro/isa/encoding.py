@@ -61,6 +61,23 @@ def _decode_reg(b: int) -> Reg:
     return Reg(b & 0x7, _WIDTH_FROM_CODE[(b >> 3) & 0x3], bool((b >> 5) & 1))
 
 
+def _build_reg_table() -> tuple[Reg | None, ...]:
+    """The view of each register byte's low six bits (the only bits
+    :func:`_decode_reg` reads), or None where no view has that code."""
+    table: list[Reg | None] = []
+    for b in range(64):
+        try:
+            table.append(_decode_reg(b))
+        except (KeyError, ValueError):
+            table.append(None)
+    return tuple(table)
+
+
+#: Register byte & 0x3F -> its view; a None entry decodes through
+#: :func:`_decode_reg`, which raises what it always raised.
+_REGS = _build_reg_table()
+
+
 def _encode_operand(op: Operand, import_index: dict[str, int]) -> bytes:
     if isinstance(op, Reg):
         return bytes([_TAG_REG]) + _encode_reg(op)
@@ -104,14 +121,22 @@ def encode(instr: Instruction, import_index: dict[str, int]) -> bytes:
     return bytes([opcode, len(instr.operands)]) + body
 
 
-def decode(data: bytes, offset: int,
-           import_names: list[str]) -> tuple[Instruction, int]:
+def decode(data: bytes, offset: int, import_names: list[str],
+           operands: dict | None = None) -> tuple[Instruction, int]:
     """Decode one instruction at ``offset``.
 
     Returns the instruction and its encoded size.  The instruction's
     ``size`` field is filled in; ``addr`` is left for the caller (which
     knows the load address).
+
+    Registers come from a table of every view.  ``operands`` maps the
+    encoding of each memory or immediate operand decoded so far to the
+    frozen operand: pass one dict to every decode of an image (its
+    :class:`~repro.isa.disassembler.Disassembler` does) and equal
+    operands are one object, built once.
     """
+    if operands is None:
+        operands = {}
     start = offset
     try:
         mnemonic, cc = _KEY_BY_OPCODE[data[offset]]
@@ -120,40 +145,55 @@ def decode(data: bytes, offset: int,
             from None
     nops = data[offset + 1]
     offset += 2
-    operands: list[Operand] = []
+    ops: list[Operand] = []
     for _ in range(nops):
         tag = data[offset]
-        offset += 1
         if tag == _TAG_REG:
-            operands.append(_decode_reg(data[offset]))
-            offset += 1
-        elif tag == _TAG_IMM:
-            (v,) = struct.unpack_from("<i", data, offset)
-            operands.append(Imm(v))
-            offset += 4
-        elif tag == _TAG_MEM:
-            flags = data[offset]
-            offset += 1
-            base = index = None
-            if flags & 1:
-                base = _decode_reg(data[offset])
-                offset += 1
-            if flags & 2:
-                index = _decode_reg(data[offset])
-                offset += 1
-            (disp,) = struct.unpack_from("<i", data, offset)
-            offset += 4
-            operands.append(Mem(base, index,
-                                _SCALE_FROM_CODE[(flags >> 2) & 3], disp,
-                                _SIZE_FROM_CODE[(flags >> 4) & 3]))
-        elif tag == _TAG_IMPORT:
-            (idx,) = struct.unpack_from("<H", data, offset)
+            b = data[offset + 1]
+            ops.append(_REGS[b & 0x3F] or _decode_reg(b))
             offset += 2
+        elif tag == _TAG_IMM:
+            end = offset + 5
+            key = data[offset:end]
+            op = operands.get(key)
+            if op is None:
+                (v,) = struct.unpack_from("<i", data, offset + 1)
+                op = operands[key] = Imm(v)
+            ops.append(op)
+            offset = end
+        elif tag == _TAG_MEM:
+            flags = data[offset + 1]
+            end = offset + 6 + (flags & 1) + ((flags >> 1) & 1)
+            key = data[offset:end]
+            op = operands.get(key)
+            if op is None:
+                op = operands[key] = _decode_mem(data, offset + 2, flags)
+            ops.append(op)
+            offset = end
+        elif tag == _TAG_IMPORT:
+            (idx,) = struct.unpack_from("<H", data, offset + 1)
+            offset += 3
             try:
-                operands.append(ImportRef(import_names[idx]))
+                ops.append(ImportRef(import_names[idx]))
             except IndexError:
                 raise EncodingError(f"bad import index {idx}") from None
         else:
-            raise EncodingError(f"bad operand tag {tag} at {offset - 1:#x}")
+            raise EncodingError(f"bad operand tag {tag} at {offset:#x}")
     size = offset - start
-    return Instruction(mnemonic, tuple(operands), cc=cc, size=size), size
+    return Instruction(mnemonic, tuple(ops), cc=cc, size=size), size
+
+
+def _decode_mem(data: bytes, offset: int, flags: int) -> Mem:
+    """The memory operand whose ``flags`` byte precedes ``offset``."""
+    base = index = None
+    if flags & 1:
+        b = data[offset]
+        base = _REGS[b & 0x3F] or _decode_reg(b)
+        offset += 1
+    if flags & 2:
+        b = data[offset]
+        index = _REGS[b & 0x3F] or _decode_reg(b)
+        offset += 1
+    (disp,) = struct.unpack_from("<i", data, offset)
+    return Mem(base, index, _SCALE_FROM_CODE[(flags >> 2) & 3], disp,
+               _SIZE_FROM_CODE[(flags >> 4) & 3])

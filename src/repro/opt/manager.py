@@ -138,14 +138,25 @@ def _run_pass(p: FunctionPass, func: Function, rec) -> bool:
 
 def _run_rounds(func: Function, passes: list[FunctionPass],
                 rounds: int, rec) -> bool:
-    """Run the schedule to fixpoint or the round budget; True only when
-    a full round reported no change."""
+    """Run the schedule to fixpoint or the round budget; True once a
+    full cycle of the schedule reported no change.
+
+    A round that has changed nothing by the end of the previous round's
+    last changing pass stops there: every later pass already reported
+    no change on the function as it still is, and only this function
+    changes here, so running them again would change nothing.
+    """
+    last = len(passes) - 1
     for _ in range(rounds):
-        changed = False
-        for p in passes:
-            changed |= _run_pass(p, func, rec)
-        if not changed:
+        changed_at = -1
+        for k, p in enumerate(passes):
+            if _run_pass(p, func, rec):
+                changed_at = k
+            elif k == last and changed_at < 0:
+                return True
+        if changed_at < 0:
             return True
+        last = changed_at
     return False
 
 

@@ -246,8 +246,7 @@ class FunctionLowerer:
                     counts[op] = counts.get(op, 0) + 1
         return counts
 
-    def _collect_fused_icmps(self) -> None:
-        counts = self._use_counts()
+    def _collect_fused_icmps(self, counts: dict[Value, int]) -> None:
         for block in self.func.blocks:
             term = block.instrs[-1] if block.instrs else None
             if isinstance(term, CondBr) and isinstance(term.cond, ICmp):
@@ -256,8 +255,7 @@ class FunctionLowerer:
                     self.fused_icmps.add(cond)
                     self.dead.add(cond)
 
-    def _fold_addresses(self) -> None:
-        counts = self._use_counts()
+    def _fold_addresses(self, counts: dict[Value, int]) -> None:
         for instr in self.func.instructions():
             if not isinstance(instr, (Load, Store)):
                 continue
@@ -570,8 +568,10 @@ class FunctionLowerer:
 
     def lower(self) -> AsmFunction:
         self._split_phi_edges()
-        self._collect_fused_icmps()
-        self._fold_addresses()
+        # Neither analysis below changes the IR: count its uses once.
+        counts = self._use_counts()
+        self._collect_fused_icmps(counts)
+        self._fold_addresses(counts)
         self._assign_frame()
         self._allocate_registers()
         self._emit_prologue()

@@ -168,10 +168,16 @@ def _exit_with_eax(*before):
     ])
 
 
+def asm_image(functions):
+    """The image of ``functions`` with the ``fmt`` string
+    :func:`_exit_with_eax` prints and the imports these tests call."""
+    return assemble(AsmProgram(functions=functions,
+                               data=[DataItem("fmt", b"%d\n\x00")],
+                               imports=["read_int", "printf", "exit"]))
+
+
 def _classify_asm(functions, inputs):
-    image = assemble(AsmProgram(functions=functions,
-                                data=[DataItem("fmt", b"%d\n\x00")],
-                                imports=["read_int", "printf", "exit"]))
+    image = asm_image(functions)
     traces = trace_binary(image, inputs)
     module = lift_traces(traces)
     recover_vararg_calls(module, traces)

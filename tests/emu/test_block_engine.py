@@ -207,3 +207,14 @@ def test_memory_operand_loop_differential():
     result = run(items)
     assert (result.exit_code, result.cycles, result.instructions) == \
         (56, 59, 26)
+
+
+def test_every_mnemonic_has_a_template():
+    from repro.emu import blocks
+    from repro.isa.disassembler import BLOCK_TERMINATORS
+    from repro.isa.instructions import MNEMONICS
+
+    assert not blocks._TEMPLATES.keys() & blocks._TERMINATOR_TEMPLATES
+    assert blocks._TEMPLATES.keys() | blocks._TERMINATOR_TEMPLATES.keys() \
+        == set(MNEMONICS)
+    assert blocks._TERMINATOR_TEMPLATES.keys() == BLOCK_TERMINATORS

@@ -20,6 +20,10 @@ on fixed programs and inputs, pinned.
   check (``used``, ``forwarded`` and ``modified`` in insertion order,
   the sets sorted) and the ``RegSaveResult`` it resolves, by function
   name;
+* ``regsave-asm`` — the same for a hand-assembled program whose
+  function reads two carried registers in one straight-line segment,
+  calls, and reads a third in a later segment: the only pin whose
+  ``used`` is not empty, in the order the segments report it;
 * ``opt-<source>-o<n>``, ``canonicalize-kernel`` and
   ``compile_ir-o<n>`` — ``module_to_text`` after ``optimize_module``
   or ``canonicalize_module``, and the recompiled image's JSON.
@@ -50,6 +54,7 @@ from repro.cc.driver import compile_to_ir
 from repro.core import driver
 from repro.core.driver import wytiwyg_lift
 from repro.emu import trace_binary
+from repro.isa import EAX, EBX, ECX, EDX, AsmFunction, Imm, Label, ins
 from repro.ir.interp import Interpreter
 from repro.ir.printer import module_to_text
 from repro.opt import OptOptions, canonicalize_module, optimize_module
@@ -58,6 +63,7 @@ from repro.replay import ReplayEngine
 from repro.replay.engine import StageCheck
 from repro.workloads import WORKLOADS
 from tests.conftest import FEATURE_SOURCE, KERNEL_SOURCE, cached_image
+from tests.core.test_refinements import _exit_with_eax, asm_image
 
 DIGESTS = Path(__file__).resolve().with_name("engine_digests.json")
 PROGRAMS = ("mcf", "gcc", "hmmer")
@@ -181,6 +187,26 @@ def regsave_observation(opt_level: str) -> dict:
     return observed_lift(trace_binary(image.stripped(), [[]]))[1]
 
 
+def regsave_asm_observation() -> dict:
+    """The §4.1 observation of a program whose ``f`` reads ecx and edx
+    in its first segment, calls ``g`` (which returns with eax set and
+    ebx untouched) and then reads ebx, handed back by ``g``'s clean
+    exit (:func:`observed_lift`)."""
+    start = _exit_with_eax(
+        ins("mov", ECX, Imm(3)), ins("mov", EDX, Imm(4)),
+        ins("mov", EBX, Imm(5)), ins("call", Label("f")))
+    f = AsmFunction("f", [
+        ins("mov", EAX, ECX),
+        ins("add", EAX, EDX),
+        ins("call", Label("g")),
+        ins("add", EAX, EBX),
+        ins("ret"),
+    ])
+    g = AsmFunction("g", [ins("mov", EAX, Imm(1)), ins("ret")])
+    image = asm_image([start, f, g])
+    return observed_lift(trace_binary(image, [[]]))[1]
+
+
 def optimized(source: str, level: str):
     module = compile_to_ir(SOURCES[source], name="t", config=None)
     optimize_module(module, getattr(OptOptions, level)())
@@ -203,6 +229,7 @@ OUTPUTS = {
     **{f"regsave-O{n}": functools.partial(regsave_observation, n)
        for n in ("0", "3")},
     **{f"regsave-{p}": (lambda p=p: lifted(p)[1]) for p in PROGRAMS},
+    "regsave-asm": regsave_asm_observation,
     **{f"opt-{s}-{lv}": (lambda s=s, lv=lv:
                           module_to_text(optimized(s, lv)))
        for s in SOURCES for lv in LEVELS},

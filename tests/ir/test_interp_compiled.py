@@ -12,6 +12,7 @@ from repro.ir import (
     Function,
     GlobalRef,
     GlobalVar,
+    Instr,
     Interpreter,
     Intrinsic,
     Module,
@@ -413,3 +414,101 @@ def test_memory_hooks_carry_a_spilled_shadow_through_a_word_load():
     # The two word loads called their hook once each; the byte load's
     # hook is None, so it made no plugin call.
     assert plugin.word_loads == 2
+
+
+# -- the block compiler's dispatch tables ------------------------------------
+
+def _every_instruction_module(case=6):
+    """``main`` runs every instruction class but ``Unreachable``, and its
+    exit code reads each value it computes; its ``switch`` on 6 reaches
+    the ``dead`` block, whose ``Unreachable`` then runs, unless ``case``
+    is 6."""
+    m = Module()
+    pair = Function("pair", ["x"], nresults=2)
+    m.add_function(pair)
+    bp = Builder(pair)
+    bp.position(pair.add_block("entry"))
+    bp.ret([pair.params[0], bp.binop("add", pair.params[0], Const(1))])
+    pair.orig_entry = 0x2000
+    m.address_table[0x2000] = "pair"
+
+    f = Function("main", [])
+    m.add_function(f)
+    m.entry_name = "main"
+    b = Builder(f)
+    entry, cases, hop, join, dead = (
+        f.add_block(n) for n in ("entry", "cases", "hop", "join", "dead"))
+    b.position(entry)
+    slot = b.alloca(4)
+    b.store(slot, Const(6))
+    x = b.load(slot)
+    b.intrinsic("wyt.test", [x])
+    call = b.call("pair", [x], nresults=2)
+    lo = b.result(call, 0)
+    ind = b.call_indirect(Const(0x2000), [b.result(call, 1)], nresults=2)
+    hi = b.result(ind, 1)
+    char = b.call_external("putchar", [Const(65)])
+    neg = b.unary("neg", hi)
+    b.condbr(b.icmp("slt", neg, Const(0)), cases, dead)
+    b.position(cases)
+    b.switch(lo, [(case, hop)], dead)
+    b.position(hop)
+    b.br(join)
+    b.position(join)
+    p = b.phi([(hop, hi)])
+    b.ret([b.binop("add", p, char)])
+    b.position(dead)
+    b.unreachable("never run")
+    return m
+
+
+def _interpreters(module):
+    """The module's plain run, probe run and shadow run."""
+    return {"plain": Interpreter(module),
+            "probe": Interpreter(module, probes=ProbeLog()),
+            "shadow": Interpreter(module, shadow=ShadowRecorder())}
+
+
+def test_every_instruction_class_has_a_compiler():
+    from repro.ir import interp, values
+
+    classes = {c for c in vars(values).values()
+               if isinstance(c, type) and issubclass(c, values.Instr)
+               and c is not values.Instr}
+    assert classes == interp._INSTRS
+    assert not interp._BODY_COMPILERS.keys() & interp._TERM_COMPILERS
+    assert interp._BODY_COMPILERS.keys() | interp._TERM_COMPILERS.keys() \
+        == classes
+    assert {c for c in classes if c.is_terminator} \
+        == interp._TERM_COMPILERS.keys()
+
+
+@pytest.mark.parametrize("mode", ["plain", "probe", "shadow"])
+def test_every_instruction_class_compiles_and_runs(mode):
+    result = _interpreters(_every_instruction_module())[mode].run()
+    # 6 -> pair -> (6, 7) -> pair -> (7, 8); 8 + putchar's 65.
+    assert (result.exit_code, result.stdout) == (8 + 65, b"A")
+    with pytest.raises(InterpError, match="untraced path"):
+        _interpreters(_every_instruction_module(case=7))[mode].run()
+
+
+class _Mystery(Instr):
+    """An instruction class no compiler knows."""
+
+    opcode = "mystery"
+    has_result = False
+
+
+@pytest.mark.parametrize("mode", ["plain", "probe", "shadow"])
+def test_an_unknown_instruction_class_fails_when_it_runs(mode):
+    m, f, b = simple_module()
+    entry, later = f.add_block("entry"), f.add_block("later")
+    b.position(entry)
+    b.br(later)
+    b.position(later)
+    later.append(_Mystery([]))
+    b.ret([Const(0)])
+    interp = _interpreters(m)[mode]
+    # Only the block's first entry compiles it; the run fails there.
+    with pytest.raises(InterpError, match="unimplemented instruction"):
+        interp.run()

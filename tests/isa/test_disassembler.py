@@ -66,3 +66,26 @@ def test_shared_decoder_is_one_per_image_and_dies_with_it():
     gc.collect()
     assert ref() is None
     assert key not in disassembler._SHARED
+
+
+def test_equal_operands_decoded_within_one_image_are_one_object():
+    from repro.isa import ECX, ESP, Mem
+
+    f = AsmFunction("_start", [
+        ins("mov", EAX, Mem(ESP, disp=4)),
+        ins("mov", ECX, Mem(ESP, disp=4)),
+        ins("add", EAX, Imm(2)),
+        ins("add", ECX, Imm(2)),
+        ins("mov", EAX, Mem(ESP, disp=8)),
+        ins("hlt"),
+    ])
+    image = assemble(AsmProgram(functions=[f]))
+    d = Disassembler(image)
+    a, b, c, e, g, _ = d.linear()
+    assert a.operands[1] is b.operands[1]
+    assert c.operands[1] is e.operands[1]
+    assert a.operands[0] is c.operands[0] is g.operands[0]
+    assert g.operands[1] == Mem(ESP, disp=8) != a.operands[1]
+    # Another decoder of the image decodes equal operands of its own.
+    other = Disassembler(image).at(a.addr)
+    assert other == a and other.operands[1] is not a.operands[1]

@@ -133,3 +133,52 @@ def test_optimize_module_drops_dead_cycle():
     m = _dead_cycle_module()
     optimize_module(m, OptOptions.o2())
     assert set(m.functions) == {"main"}
+
+
+def _full_rounds(func, passes, rounds, rec):
+    """The schedule run in full rounds until one changes nothing: what
+    ``_run_rounds`` computes, without stopping a round early."""
+    from repro.opt import manager
+
+    for _ in range(rounds):
+        changed = False
+        for p in passes:
+            changed |= manager._run_pass(p, func, rec)
+        if not changed:
+            return True
+    return False
+
+
+def test_the_confirming_round_ends_at_the_last_changing_pass():
+    """A function that converges in one round: the second round runs
+    only up to the pass that changed it last."""
+    from repro.opt.manager import FunctionPass, _run_rounds
+
+    runs = []
+
+    def make(name, changes):
+        def run(func):
+            runs.append(name)
+            return runs.count(name) <= changes
+        return FunctionPass(name, run, frozenset())
+
+    passes = [make("a", 0), make("b", 1), make("c", 0), make("d", 0)]
+    assert _run_rounds(Function("f", []), passes, 4, None)
+    assert runs == ["a", "b", "c", "d", "a", "b"]
+
+
+@pytest.mark.parametrize("source", ["feature", "kernel"])
+def test_early_confirming_rounds_print_as_full_rounds(source, monkeypatch):
+    from repro.opt import manager
+
+    text = module_to_text(optimized(source, "o3"))
+    runs = _counters_for(lambda: optimized(source, "o3"))
+    monkeypatch.setattr(manager, "_run_rounds", _full_rounds)
+    assert module_to_text(optimized(source, "o3")) == text
+    full = _counters_for(lambda: optimized(source, "o3"))
+
+    def total(counters):
+        return sum(n for name, n in counters.items()
+                   if name.startswith("opt.pass.")
+                   and name.endswith(".runs"))
+    assert total(runs) < total(full)
